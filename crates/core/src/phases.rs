@@ -162,13 +162,12 @@ pub fn gather_shard<P: GasProgram>(
     debug_assert_eq!(gather_out.len(), shard.interval.len() as usize);
 
     let gather_one = |v: u32| -> (P::Gather, u64) {
-        let mut acc = program.gather_identity();
         let dst_val = vertex_values[v as usize];
-        let mut edges = 0u64;
-        for (src, eid) in view.csc_entries(v) {
+        let row = view.csc_entries(v);
+        let edges = row.len() as u64;
+        let acc = row.fold(program.gather_identity(), |acc, (src, eid)| {
             let eid = eid as usize;
-            edges += 1;
-            acc = program.gather_reduce(
+            program.gather_reduce(
                 acc,
                 program.gather_map(
                     &dst_val,
@@ -176,8 +175,8 @@ pub fn gather_shard<P: GasProgram>(
                     &edge_values[eid],
                     weights[eid],
                 ),
-            );
-        }
+            )
+        });
         (acc, edges)
     };
 
@@ -304,34 +303,35 @@ pub fn scatter_shard<P: GasProgram>(
     let start = shard.interval.start;
     let end = shard.interval.end;
 
+    /// Visit `v`'s out-edges as `(source value, destination value,
+    /// canonical id)`; returns how many there were.
+    fn out_edges<V: Copy>(
+        view: TopoView<'_>,
+        vertex_values: &[V],
+        v: u32,
+        mut visit: impl FnMut(&V, &V, usize),
+    ) -> u64 {
+        let src_val = &vertex_values[v as usize];
+        let row = view.csr_entries(v);
+        let n = row.len() as u64;
+        row.for_each(|(dst, eid)| {
+            let dst_val = vertex_values[dst as usize];
+            visit(src_val, &dst_val, eid as usize);
+        });
+        n
+    }
+
+    let scatter_from = |v: u32| {
+        out_edges(view, vertex_values, v, |src, dst, eid| {
+            program.scatter(src, dst, &mut edge_values[eid])
+        })
+    };
     match resolve(mode, changed.count_range(start, end), (end - start) as u64) {
-        Shape::Serial => {
-            let mut n = 0;
-            for v in start..end {
-                if !changed.get(v) {
-                    continue;
-                }
-                let src_val = &vertex_values[v as usize];
-                for (dst, eid) in view.csr_entries(v) {
-                    let dst_val = vertex_values[dst as usize];
-                    program.scatter(src_val, &dst_val, &mut edge_values[eid as usize]);
-                    n += 1;
-                }
-            }
-            n
-        }
-        Shape::Sparse => {
-            let mut n = 0;
-            for v in changed.iter_set_range(start, end) {
-                let src_val = &vertex_values[v as usize];
-                for (dst, eid) in view.csr_entries(v) {
-                    let dst_val = vertex_values[dst as usize];
-                    program.scatter(src_val, &dst_val, &mut edge_values[eid as usize]);
-                    n += 1;
-                }
-            }
-            n
-        }
+        Shape::Serial => (start..end)
+            .filter(|&v| changed.get(v))
+            .map(scatter_from)
+            .sum(),
+        Shape::Sparse => changed.iter_set_range(start, end).map(scatter_from).sum(),
         Shape::Dense => {
             let shared = SharedSliceMut::new(edge_values);
             (start..end)
@@ -341,17 +341,12 @@ pub fn scatter_shard<P: GasProgram>(
                     if !changed.get(v) {
                         return 0u64;
                     }
-                    let src_val = &vertex_values[v as usize];
-                    let mut n = 0u64;
-                    for (dst, eid) in view.csr_entries(v) {
-                        let dst_val = vertex_values[dst as usize];
+                    out_edges(view, vertex_values, v, |src, dst, eid| {
                         // SAFETY: canonical edge ids of distinct source
                         // vertices are disjoint (each edge appears once in
                         // the CSR), and each `v` is visited exactly once.
-                        program.scatter(src_val, &dst_val, unsafe { shared.get_mut(eid as usize) });
-                        n += 1;
-                    }
-                    n
+                        program.scatter(src, dst, unsafe { shared.get_mut(eid) })
+                    })
                 })
                 .sum()
         }
@@ -381,31 +376,37 @@ pub fn activate_shard(
     let end = shard.interval.end;
     let shape = resolve(mode, changed.count_range(start, end), (end - start) as u64);
 
-    // Serially marking into `next_frontier` — shared by the serial and
-    // sparse shapes (and the dense shape on a single worker, where private
-    // bitmaps would only cost allocations).
-    let mark = |vertices: &mut dyn Iterator<Item = u32>, next: &mut Bitmap| -> (u64, u64) {
+    /// Serially marking into `next` — shared by the serial and sparse
+    /// shapes (and the dense shape on a single worker, where private
+    /// bitmaps would only cost allocations).
+    fn mark(
+        view: TopoView<'_>,
+        vertices: impl Iterator<Item = u32>,
+        next: &mut Bitmap,
+    ) -> (u64, u64) {
         let mut walked = 0;
         let mut activated = 0;
         for v in vertices {
-            for (dst, _eid) in view.csr_entries(v) {
-                walked += 1;
+            let row = view.csr_neighbors(v);
+            walked += row.len() as u64;
+            row.for_each(|dst| {
                 // Branch instead of `+= u64::from(..)`: see Bitmap::set for
                 // the rustc 1.95 release-mode miscompile this avoids.
                 if next.set(dst) {
                     activated += 1;
                 }
-            }
+            });
         }
         (walked, activated)
-    };
+    }
+    let changed_in = |lo: u32, hi: u32| (lo..hi).filter(|&v| changed.get(v));
 
     match shape {
-        Shape::Serial => mark(&mut (start..end).filter(|&v| changed.get(v)), next_frontier),
-        Shape::Sparse => mark(&mut changed.iter_set_range(start, end), next_frontier),
+        Shape::Serial => mark(view, changed_in(start, end), next_frontier),
+        Shape::Sparse => mark(view, changed.iter_set_range(start, end), next_frontier),
         Shape::Dense => {
             if rayon::current_num_threads() <= 1 || (end - start) < 4096 {
-                return mark(&mut (start..end).filter(|&v| changed.get(v)), next_frontier);
+                return mark(view, changed_in(start, end), next_frontier);
             }
             let n = next_frontier.len();
             let workers = rayon::current_num_threads().min(((end - start) / 2048) as usize + 1);
@@ -421,17 +422,13 @@ pub fn activate_shard(
             rayon::scope(|s| {
                 for (&(lo, hi), part) in ranges.iter().zip(parts.iter_mut()) {
                     s.spawn(move |_| {
-                        let mut walked = 0u64;
-                        for v in lo..hi {
-                            if !changed.get(v) {
-                                continue;
-                            }
-                            for (dst, _eid) in view.csr_entries(v) {
-                                walked += 1;
+                        for v in changed_in(lo, hi) {
+                            let row = view.csr_neighbors(v);
+                            part.0 += row.len() as u64;
+                            row.for_each(|dst| {
                                 part.1.set(dst);
-                            }
+                            });
                         }
-                        part.0 = walked;
                     });
                 }
             });

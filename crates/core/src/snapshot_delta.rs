@@ -287,7 +287,11 @@ fn unwrap_if_compressed(path: &Path, buf: Vec<u8>) -> Result<Vec<u8>, SnapshotEr
     })?;
     let rawlen = r.u64("raw length")? as usize;
     let z = &r.buf[r.pos..];
-    Ok(decompress_payload(codec, z, rawlen))
+    decompress_payload(codec, z, rawlen).ok_or(SnapshotError::Corrupt {
+        path: path.to_path_buf(),
+        offset: r.pos as u64,
+        what: "compressed payload",
+    })
 }
 
 /// Read a snapshot-family file and strip its containers: decompress a
@@ -564,6 +568,22 @@ mod tests {
         assert!(matches!(
             load_newest::<Cc>(&dir, &fp),
             Err(SnapshotError::ChecksumMismatch { .. })
+        ));
+        // Damage the checksum vouches for (raw length, bytes 9..17, grown
+        // past what the payload can code for) is still a typed error, and
+        // sizes no allocation.
+        let mut raw = wrapped.clone();
+        raw[9..17].copy_from_slice(&u64::MAX.to_le_bytes());
+        let body = raw.len() - 8;
+        let sum = fnv1a(&raw[..body]);
+        raw[body..].copy_from_slice(&sum.to_le_bytes());
+        fs::write(&path, &raw).unwrap();
+        assert!(matches!(
+            load_newest::<Cc>(&dir, &fp),
+            Err(SnapshotError::Corrupt {
+                what: "compressed payload",
+                ..
+            })
         ));
         fs::remove_dir_all(&dir).unwrap();
     }

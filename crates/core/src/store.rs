@@ -375,7 +375,11 @@ impl ShardStore for FileShardStore {
                 what: "codec tag",
             });
         };
-        Ok(decompress_payload(codec, &body[header..], rawlen))
+        decompress_payload(codec, &body[header..], rawlen).ok_or(StoreError::Corrupt {
+            shard,
+            path,
+            what: "payload",
+        })
     }
 
     fn contains(&self, shard: u32) -> bool {
@@ -407,35 +411,35 @@ pub(crate) fn codec_from_tag(tag: u8) -> Option<CompressionCodec> {
 /// rides as raw bytes after the coded words.
 pub(crate) fn compress_payload(codec: CompressionCodec, payload: &[u8]) -> Vec<u8> {
     let mut w = BitWriter::new();
-    let words = payload.len() / 4;
+    let (words, tail) = payload.as_chunks::<4>();
     let mut prev = [0u32; 2];
-    for i in 0..words {
-        let word = u32::from_le_bytes(payload[i * 4..i * 4 + 4].try_into().unwrap());
+    for (i, word) in words.iter().enumerate() {
+        let word = u32::from_le_bytes(*word);
         codec.write(&mut w, zigzag(word as i64 - prev[i % 2] as i64));
         prev[i % 2] = word;
     }
-    for &b in &payload[words * 4..] {
+    for &b in tail {
         w.write_bits(b as u64, 8);
     }
-    let bit_len = w.bit_len();
-    let mut out = Vec::with_capacity(bit_len.div_ceil(8) as usize);
-    for word in w.finish() {
-        out.extend_from_slice(&word.to_le_bytes());
-    }
-    out.truncate(bit_len.div_ceil(8) as usize);
-    out
+    w.finish()
 }
 
 /// Exact inverse of [`compress_payload`]; `rawlen` comes from the frame
-/// header (the checksum has already vouched for both by the time this
-/// runs).
-pub(crate) fn decompress_payload(codec: CompressionCodec, z: &[u8], rawlen: usize) -> Vec<u8> {
-    let mut bits = vec![0u64; z.len().div_ceil(8)];
-    for (i, &b) in z.iter().enumerate() {
-        bits[i / 8] |= (b as u64) << ((i % 8) * 8);
-    }
-    let mut r = BitReader::new(&bits, 0);
+/// header. The checksum has vouched for both by the time this runs, but
+/// nothing here trusts them: `None` when `z` cannot hold `rawlen` bytes'
+/// worth of codes (so a bad length never sizes an allocation) or when
+/// decoding runs off its end.
+pub(crate) fn decompress_payload(
+    codec: CompressionCodec,
+    z: &[u8],
+    rawlen: usize,
+) -> Option<Vec<u8>> {
     let words = rawlen / 4;
+    let min_bits = words as u128 * codec.min_code_bits() as u128 + (rawlen % 4) as u128 * 8;
+    if min_bits > z.len() as u128 * 8 {
+        return None;
+    }
+    let mut r = BitReader::new(z, 0);
     let mut out = Vec::with_capacity(rawlen);
     let mut prev = [0u32; 2];
     for i in 0..words {
@@ -446,7 +450,7 @@ pub(crate) fn decompress_payload(codec: CompressionCodec, z: &[u8], rawlen: usiz
     for _ in 0..rawlen % 4 {
         out.push(r.read_bits(8) as u8);
     }
-    out
+    (!r.overrun()).then_some(out)
 }
 
 /// Serialize a shard's topology — its slice of the CSC/CSR adjacency as
@@ -635,6 +639,118 @@ mod tests {
             s.get(5).unwrap(),
             b"payload bytes here, long enough to damage"
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `framed` with its trailing checksum recomputed: damage that gets
+    /// past the FNV check (a collision, or a frame written wrong).
+    fn rechecksummed(mut framed: Vec<u8>) -> Vec<u8> {
+        let body = framed.len() - 8;
+        let sum = fnv1a(&framed[..body]);
+        framed[body..].copy_from_slice(&sum.to_le_bytes());
+        framed
+    }
+
+    #[test]
+    fn payload_decoder_is_total_on_truncated_flipped_and_spliced_streams() {
+        let layout = GraphLayout::build(&gr_graph::gen::rmat_g500(8, 2048, 3).symmetrize());
+        let shards = gr_graph::partition_into_shards(&layout, &gr_graph::EvenEdgePartition, 2);
+        let mut payload = shard_payload(&layout, &shards[0]);
+        payload.extend_from_slice(b"odd"); // raw tail bytes
+        for codec in [
+            CompressionCodec::Varint,
+            CompressionCodec::Zeta(1),
+            CompressionCodec::Zeta(3),
+        ] {
+            let z = compress_payload(codec, &payload);
+            let rawlen = payload.len();
+            assert_eq!(decompress_payload(codec, &z, rawlen), Some(payload.clone()));
+            // Truncated anywhere: decoding runs off the end and says so.
+            for cut in (0..z.len()).step_by(7).chain([z.len() - 1]) {
+                assert_eq!(
+                    decompress_payload(codec, &z[..cut], rawlen),
+                    None,
+                    "cut {cut}"
+                );
+            }
+            // A flipped bit decodes to other bytes or is refused; it never
+            // panics and never yields the wrong length.
+            for bit in (0..z.len() * 8).step_by(101) {
+                let mut bad = z.clone();
+                bad[bit / 8] ^= 1 << (bit % 8);
+                if let Some(out) = decompress_payload(codec, &bad, rawlen) {
+                    assert_eq!(out.len(), rawlen);
+                    assert_ne!(out, payload, "bit {bit}");
+                }
+            }
+            // Spliced lengths: more bytes than the stream can code for are
+            // refused before anything is allocated for them.
+            for huge in [rawlen * 40, usize::MAX / 2, usize::MAX] {
+                assert_eq!(decompress_payload(codec, &z, huge), None);
+            }
+            assert_eq!(decompress_payload(codec, &[], 4), None);
+            assert_eq!(decompress_payload(codec, &[], 0), Some(Vec::new()));
+            // Another codec's stream under this tag.
+            let other = compress_payload(CompressionCodec::Zeta(2), &payload);
+            if let Some(out) = decompress_payload(codec, &other, rawlen) {
+                assert_ne!(out, payload);
+            }
+        }
+        // Streams no writer produces: a varint that never stops, a ζ
+        // prefix that never ends.
+        assert_eq!(
+            decompress_payload(CompressionCodec::Varint, &[0xff; 64], 32),
+            None
+        );
+        assert_eq!(
+            decompress_payload(CompressionCodec::Zeta(3), &[0x00; 64], 32),
+            None
+        );
+    }
+
+    #[test]
+    fn damaged_v2_frames_with_valid_checksums_are_typed_errors() {
+        let dir = tmpdir("v2payload");
+        let s = FileShardStore::with_codec(&dir, Some(CompressionCodec::Zeta(3)));
+        let payload: Vec<u8> = (0..4000u32).flat_map(|i| (i * i).to_le_bytes()).collect();
+        s.put(4, &payload).unwrap();
+        let path = dir.join("shard-000004.grsh");
+        let good = fs::read(&path).unwrap();
+        let corrupt_payload = |framed: Vec<u8>| {
+            fs::write(&path, rechecksummed(framed)).unwrap();
+            assert!(
+                matches!(
+                    s.get(4),
+                    Err(StoreError::Corrupt {
+                        what: "payload",
+                        ..
+                    })
+                ),
+                "{:?}",
+                s.get(4).map(|p| p.len())
+            );
+        };
+
+        // rawlen (bytes 16..24) inflated past what the stream can hold.
+        for rawlen in [u64::MAX, 1 << 40, payload.len() as u64 * 64] {
+            let mut bad = good.clone();
+            bad[16..24].copy_from_slice(&rawlen.to_le_bytes());
+            corrupt_payload(bad);
+        }
+        // The compressed body truncated, lengths patched to match.
+        let mut bad = good[..good.len() - 8 - 100].to_vec();
+        let clen = (bad.len() - 25) as u64;
+        bad[8..16].copy_from_slice(&clen.to_le_bytes());
+        bad.extend_from_slice(&[0; 8]);
+        corrupt_payload(bad);
+        // The body zeroed: ζ prefixes that never end.
+        let mut bad = good.clone();
+        let end = bad.len() - 8;
+        bad[25..end].fill(0);
+        corrupt_payload(bad);
+
+        fs::write(&path, &good).unwrap();
+        assert_eq!(s.get(4).unwrap(), payload);
         fs::remove_dir_all(&dir).unwrap();
     }
 

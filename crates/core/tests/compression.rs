@@ -3,7 +3,8 @@
 //! run — same vertex state, same mutable edge state, same per-iteration
 //! trace — because compression only changes how topology crosses PCIe,
 //! never what the kernels compute. Covers every test program, both codec
-//! families, the memory-governed (25% cap) regime, the spill-armed
+//! families, every host-kernel mode (each reads rows through the coded
+//! `TopoView`), the memory-governed (25% cap) regime, the spill-armed
 //! fingerprint path, and the paper's headline claim: compressed shards
 //! cut host↔device traffic by well over 2.5x on scale-16 RMAT.
 //!
@@ -13,7 +14,7 @@ use gr_graph::{gen, CompressionCodec, GraphLayout};
 use gr_observe::{Decision, Observer};
 use gr_sim::Platform;
 use graphreduce::testprog::{Bfs, Cc, Pr, Sssp};
-use graphreduce::{GasProgram, GraphReduce, Options, RunResult};
+use graphreduce::{GasProgram, GraphReduce, HostKernels, Options, RunResult};
 
 /// Weighted graph so compressed runs still ship the raw weight array
 /// (weights stay uncompressed; only topology is coded).
@@ -34,8 +35,9 @@ fn run<P: GasProgram + Copy>(prog: P, layout: &GraphLayout, opts: Options) -> Ru
         .unwrap()
 }
 
-/// Every codec × {streamed, memory-governed} cell must match the raw run
-/// bit-for-bit and must actually have exercised the codec.
+/// Every codec × host-kernel mode × {streamed, memory-governed} cell must
+/// match the raw run bit-for-bit and must actually have exercised the
+/// codec.
 fn assert_differential<P>(prog: P, tag: &str)
 where
     P: GasProgram + Copy,
@@ -46,14 +48,22 @@ where
     let base = run(prog, &layout, Options::optimized());
     assert_eq!(base.stats.compression_codec, None);
     assert_eq!(base.stats.decompress_launches, 0);
+    let modes = [
+        HostKernels::Adaptive,
+        HostKernels::Dense,
+        HostKernels::Sparse,
+        HostKernels::Serial,
+    ];
     for codec in [CompressionCodec::Varint, CompressionCodec::Zeta(3)] {
-        for capped in [false, true] {
-            let mut opts = Options::optimized().with_shard_compression(codec);
+        for (mode, capped) in modes.into_iter().flat_map(|m| [(m, false), (m, true)]) {
+            let mut opts = Options::optimized()
+                .with_shard_compression(codec)
+                .with_host_kernels(mode);
             if capped {
                 opts = opts.with_mem_cap(platform().device.mem_capacity / 4);
             }
             let z = run(prog, &layout, opts);
-            let cell = format!("{tag}/{}/capped={capped}", codec.name());
+            let cell = format!("{tag}/{}/{mode:?}/capped={capped}", codec.name());
             assert_eq!(z.vertex_values, base.vertex_values, "{cell}: vertex state");
             assert_eq!(z.edge_values, base.edge_values, "{cell}: edge state");
             assert_eq!(

@@ -19,10 +19,12 @@
 //!   (`>= 0`; zero gaps encode multi-edges);
 //! - CSC rows stop there — canonical edge ids are *implicit* (CSC position
 //!   is the canonical numbering, so `eid = csc.offsets[v] + k`);
-//! - CSR rows interleave the canonical edge id after each destination: the
-//!   first id absolutely, the rest as `eid - prev_eid - 1` (ids strictly
-//!   increase along a CSR row because the canonical order sorts by
-//!   destination first).
+//! - CSR rows carry their canonical edge ids in a second stream beside the
+//!   neighbor stream: the first id absolutely, the rest as
+//!   `eid - prev_eid - 1` (ids strictly increase along a CSR row because
+//!   the canonical order sorts by destination first). FrontierActivate
+//!   needs destinations only and never touches the id stream; scatter
+//!   walks the two in lock-step.
 //!
 //! Row degrees are *not* encoded: per-vertex offsets/degrees are static
 //! device metadata (see `SizeModel::static_bytes`), so decoders take the
@@ -36,15 +38,25 @@
 //! - **ζ_k** (Boldi–Vigna) — tuned for the power-law gap distributions of
 //!   web/social graphs; `k = 3` is WebGraph's recommended default.
 //!
-//! Per-vertex *bit* offsets are kept alongside the stream so any vertex
+//! Per-vertex *bit* offsets are kept alongside each stream so any vertex
 //! interval's compressed extent is an O(1) subtraction — the memory
 //! governor plans transfers in compressed bytes without decoding anything.
+//!
+//! # Decoding
 //!
 //! Decoding is lazy and allocation-free: [`TopoView`] hands the host
 //! kernels an iterator per row that walks the bit stream in place, so the
 //! Serial/Dense/Sparse phase shapes read through the view without ever
 //! materializing a whole shard. All variants yield entries in exactly the
 //! raw layout's order, which is what keeps compressed runs bit-identical.
+//!
+//! [`BitReader`] decodes a word at a time: one unaligned 64-bit load gives
+//! a window of at least [`WINDOW_BITS`] bits at the cursor, the ζ prefix
+//! is a `trailing_zeros`, the body one shift and mask (see
+//! [`BitReader::read_zeta`] for the bit layout). The row iterators
+//! override [`Iterator::fold`], so `for_each`/`fold` callers — the phase
+//! kernels — dispatch the codec once per row and run a monomorphic loop;
+//! `next()` decodes through the same routines.
 
 use crate::csr::{Adjacency, GraphLayout};
 use crate::edgelist::VertexId;
@@ -66,6 +78,21 @@ impl Default for CompressionCodec {
     fn default() -> Self {
         CompressionCodec::Zeta(3)
     }
+}
+
+/// Values a code can carry are below `2^VALUE_BITS - 1`: far above the
+/// `2^33` a zig-zagged offset between two `u32` ids needs, and small
+/// enough that a code's prefix and its body each fit one reader window.
+pub const VALUE_BITS: u32 = 48;
+
+/// Bits a [`BitReader`] window is guaranteed to hold: an unaligned 64-bit
+/// load minus up to seven bits of sub-byte cursor.
+pub const WINDOW_BITS: u32 = 57;
+
+#[inline(always)]
+fn low_mask(n: u32) -> u64 {
+    debug_assert!(n < 64);
+    (1u64 << n) - 1
 }
 
 impl CompressionCodec {
@@ -94,6 +121,7 @@ impl CompressionCodec {
     }
 
     /// Shrinkage parameter `k` (ζ only), clamped to a sane range.
+    #[inline]
     fn k(&self) -> u32 {
         match self {
             CompressionCodec::Varint => 0,
@@ -101,106 +129,62 @@ impl CompressionCodec {
         }
     }
 
-    /// Append the non-negative integer `x` to the bit stream.
+    /// Length of the shortest code (the code of 0): bounds how many values
+    /// a stream of a given size can hold.
+    pub fn min_code_bits(&self) -> u32 {
+        match self {
+            CompressionCodec::Varint => 8,
+            CompressionCodec::Zeta(_) => self.k(),
+        }
+    }
+
+    /// Append the non-negative integer `x < 2^VALUE_BITS - 1` to the bit
+    /// stream. See [`BitReader::read_varint`] and [`BitReader::read_zeta`]
+    /// for the layouts.
     pub fn write(&self, w: &mut BitWriter, x: u64) {
+        assert!(
+            x < low_mask(VALUE_BITS),
+            "{x} is outside the codec's value domain"
+        );
         match self {
             CompressionCodec::Varint => {
-                let mut x = x;
+                let mut rest = x;
+                let mut code = 0u64;
+                let mut len = 0u32;
                 loop {
-                    let byte = x & 0x7f;
-                    x >>= 7;
-                    if x == 0 {
-                        w.write_bits(byte, 8);
+                    let byte = rest & 0x7f;
+                    rest >>= 7;
+                    let more = u64::from(rest != 0);
+                    code |= (byte | more << 7) << len;
+                    len += 8;
+                    if rest == 0 {
                         break;
                     }
-                    w.write_bits(byte | 0x80, 8);
                 }
+                w.write_bits(code, len);
             }
             CompressionCodec::Zeta(_) => {
                 // ζ_k encodes positive integers; shift the domain by one so
                 // zero gaps (multi-edges) stay representable.
                 let n = x + 1;
                 let k = self.k();
-                let h = (63 - n.leading_zeros() as u64) / k as u64;
-                debug_assert!(n >= 1u64 << (h * k as u64));
-                // Unary prefix: h zeros then a one.
-                for _ in 0..h {
-                    w.write_bits(0, 1);
-                }
-                w.write_bits(1, 1);
-                // Minimal binary of n - 2^(hk) over an interval of size
-                // 2^(hk) * (2^k - 1).
-                let lo = 1u64 << (h * k as u64);
-                let z = (lo << k) - lo;
-                write_minimal_binary(w, n - lo, z);
+                let h = (63 - n.leading_zeros()) / k;
+                let hk = h * k;
+                let hi = n >> (hk + 1);
+                let lo_bits = hk + u32::from(hi != 0);
+                w.write_bits(1 << h | hi << (h + 1), h + k);
+                w.write_bits(n & low_mask(lo_bits), lo_bits);
             }
         }
     }
 
     /// Read one integer previously written with [`CompressionCodec::write`].
+    #[inline]
     pub fn read(&self, r: &mut BitReader<'_>) -> u64 {
         match self {
-            CompressionCodec::Varint => {
-                let mut x = 0u64;
-                let mut shift = 0u32;
-                loop {
-                    let byte = r.read_bits(8);
-                    x |= (byte & 0x7f) << shift;
-                    if byte & 0x80 == 0 {
-                        return x;
-                    }
-                    shift += 7;
-                }
-            }
-            CompressionCodec::Zeta(_) => {
-                let k = self.k();
-                let mut h = 0u64;
-                while r.read_bits(1) == 0 {
-                    h += 1;
-                }
-                let lo = 1u64 << (h * k as u64);
-                let z = (lo << k) - lo;
-                lo + read_minimal_binary(r, z) - 1
-            }
+            CompressionCodec::Varint => r.read_varint(),
+            CompressionCodec::Zeta(_) => r.read_zeta(self.k()),
         }
-    }
-}
-
-/// Minimal binary code of `m` over `[0, z)`: values below the threshold
-/// take `ceil(log2 z) - 1` bits, the rest the full width. Bits go out
-/// MSB-first — the decoder must see high bits before deciding whether a
-/// final low bit follows.
-fn write_minimal_binary(w: &mut BitWriter, m: u64, z: u64) {
-    debug_assert!(m < z);
-    if z <= 1 {
-        return; // single-value interval: zero bits
-    }
-    let s = 64 - (z - 1).leading_zeros(); // ceil(log2 z)
-    let threshold = (1u64 << s) - z;
-    let (value, n) = if m < threshold {
-        (m, s - 1)
-    } else {
-        (m + threshold, s)
-    };
-    for i in (0..n).rev() {
-        w.write_bits((value >> i) & 1, 1);
-    }
-}
-
-fn read_minimal_binary(r: &mut BitReader<'_>, z: u64) -> u64 {
-    if z <= 1 {
-        return 0;
-    }
-    let s = 64 - (z - 1).leading_zeros();
-    let threshold = (1u64 << s) - z;
-    let mut m = 0u64;
-    for _ in 0..s - 1 {
-        m = (m << 1) | r.read_bits(1);
-    }
-    if m < threshold {
-        m
-    } else {
-        ((m << 1) | r.read_bits(1)) - threshold
     }
 }
 
@@ -220,11 +204,13 @@ pub fn unzigzag(u: u64) -> i64 {
 // Bit stream
 // ---------------------------------------------------------------------------
 
-/// Append-only little-endian bit sink (low bits of each word first).
+/// Append-only little-endian bit sink (low bits of each byte first).
 #[derive(Default)]
 pub struct BitWriter {
-    words: Vec<u64>,
-    bit_len: u64,
+    bytes: Vec<u8>,
+    /// Bits not yet flushed to `bytes`; the low `fill < 64` are valid.
+    acc: u64,
+    fill: u32,
 }
 
 impl BitWriter {
@@ -232,148 +218,300 @@ impl BitWriter {
         BitWriter::default()
     }
 
-    /// Append the low `n` bits of `value` (`n <= 57` per call is all the
-    /// codecs need; values are masked defensively).
+    /// Append the low `n <= 57` bits of `value` (values are masked
+    /// defensively).
     pub fn write_bits(&mut self, value: u64, n: u32) {
-        debug_assert!(n <= 57);
-        if n == 0 {
+        debug_assert!(n <= WINDOW_BITS);
+        let value = value & low_mask(n);
+        self.acc |= value << self.fill;
+        let total = self.fill + n;
+        if total < 64 {
+            self.fill = total;
             return;
         }
-        let value = value & ((1u64 << n) - 1);
-        let word = (self.bit_len / 64) as usize;
-        let off = (self.bit_len % 64) as u32;
-        if word >= self.words.len() {
-            self.words.push(0);
-        }
-        self.words[word] |= value << off;
-        if off + n > 64 {
-            self.words.push(value >> (64 - off));
-        }
-        self.bit_len += n as u64;
+        self.bytes.extend_from_slice(&self.acc.to_le_bytes());
+        // `n <= 57` and `total >= 64` leave `fill >= 7`: the shift is < 64.
+        self.acc = value >> (64 - self.fill);
+        self.fill = total - 64;
     }
 
     /// Total bits written so far.
     pub fn bit_len(&self) -> u64 {
-        self.bit_len
+        self.bytes.len() as u64 * 8 + self.fill as u64
     }
 
-    pub fn finish(self) -> Vec<u64> {
-        self.words
+    /// The stream, padded with zero bits to a whole byte.
+    pub fn finish(mut self) -> Vec<u8> {
+        let tail = self.fill.div_ceil(8) as usize;
+        self.bytes
+            .extend_from_slice(&self.acc.to_le_bytes()[..tail]);
+        self.bytes
     }
 }
 
-/// Cursor over a [`BitWriter`]'s word stream.
+/// Cursor over a [`BitWriter`]'s byte stream.
+///
+/// Total on any input: bits past the end of `bytes` read as zero, a bit
+/// pattern no writer produces poisons the cursor, and [`overrun`] reports
+/// either afterwards — decoders of bytes from disk check it once instead
+/// of bounds-checking every read.
+///
+/// [`overrun`]: BitReader::overrun
 pub struct BitReader<'a> {
-    words: &'a [u64],
+    bytes: &'a [u8],
     pos: u64,
 }
 
+/// Cursor position after reading a pattern no writer produces: past the
+/// end of any stream, with headroom so later advances cannot overflow.
+const POISONED: u64 = 1 << 62;
+
 impl<'a> BitReader<'a> {
-    pub fn new(words: &'a [u64], start_bit: u64) -> BitReader<'a> {
+    pub fn new(bytes: &'a [u8], start_bit: u64) -> BitReader<'a> {
         BitReader {
-            words,
+            bytes,
             pos: start_bit,
         }
     }
 
     /// Read `n <= 57` bits, advancing the cursor.
+    #[inline]
     pub fn read_bits(&mut self, n: u32) -> u64 {
-        debug_assert!(n <= 57);
-        if n == 0 {
+        debug_assert!(n <= WINDOW_BITS);
+        let v = window_at(self.bytes, self.pos) & low_mask(n);
+        self.pos += n as u64;
+        v
+    }
+
+    /// Read one LEB128 integer: seven payload bits per byte, low groups
+    /// first, the eighth bit set on every byte but the last. All of a
+    /// code (at most seven bytes) sits in one window.
+    #[inline(always)]
+    pub fn read_varint(&mut self) -> u64 {
+        let w = window_at(self.bytes, self.pos);
+        let stops = !w & 0x0080_8080_8080_8080;
+        if stops == 0 {
+            self.pos = POISONED;
             return 0;
         }
-        let word = (self.pos / 64) as usize;
-        let off = (self.pos % 64) as u32;
-        let mut v = self.words[word] >> off;
-        if off + n > 64 {
-            v |= self.words[word + 1] << (64 - off);
+        let len = stops.trailing_zeros() + 1;
+        self.pos += len as u64;
+        // Squeeze the continuation bits out: 7-bit groups pair up into
+        // 14-, 28- and 56-bit fields.
+        let x = w & low_mask(len) & 0x007f_7f7f_7f7f_7f7f;
+        let x = (x & 0x007f_007f_007f_007f) | (x & 0x7f00_7f00_7f00_7f00) >> 1;
+        let x = (x & 0x0000_3fff_0000_3fff) | (x & 0x3fff_0000_3fff_0000) >> 2;
+        (x & 0x0000_0000_0fff_ffff) | (x & 0x0fff_ffff_0000_0000) >> 4
+    }
+
+    /// Read one ζ_k integer `x`, coded as `n = x + 1` with
+    /// `h = floor(log2 n / k)`:
+    ///
+    /// ```text
+    /// h zeros, a one | hi = n >> (hk+1), k-1 bits | lo, low bits of n
+    /// ```
+    ///
+    /// `hi == 0` means `n < 2^(hk+1)`: bit `hk` of `n` is known to be set
+    /// and `lo` holds the `hk` bits below it. Otherwise `lo` holds `hk+1`
+    /// bits. These are Boldi–Vigna's lengths exactly — a unary `h`, then a
+    /// minimal binary code whose threshold for ζ_k is `2^(hk)` — with the
+    /// body's bits ordered so that one `trailing_zeros` and the next `k-1`
+    /// bits tell the whole length before the value is assembled.
+    #[inline(always)]
+    pub fn read_zeta(&mut self, k: u32) -> u64 {
+        let w = window_at(self.bytes, self.pos);
+        let h = w.trailing_zeros();
+        // The code's length if its body is the long form.
+        let max_len = (h + 1) * (k + 1);
+        if max_len > WINDOW_BITS {
+            let (x, pos) = read_zeta_wide(self.bytes, self.pos, h, k);
+            self.pos = pos;
+            return x;
         }
-        self.pos += n as u64;
-        v & ((1u64 << n) - 1)
+        let (n, long) = zeta_body(w >> (h + 1), h * k, k);
+        self.pos += (max_len - 1 + long) as u64;
+        n - 1
     }
 
     /// Current bit position.
     pub fn bit_pos(&self) -> u64 {
         self.pos
     }
+
+    /// Whether any read so far went past the end of the stream or met a
+    /// bit pattern no writer produces; what it returned is then garbage.
+    pub fn overrun(&self) -> bool {
+        self.pos > self.bytes.len() as u64 * 8
+    }
+}
+
+// The reader's cold paths are free functions over copies of its fields:
+// a `&mut self` call in a decode loop would pin the cursor in memory.
+
+/// At least [`WINDOW_BITS`] bits of `bytes` from bit `pos` on, first bit
+/// lowest, zeros past the end.
+#[inline(always)]
+fn window_at(bytes: &[u8], pos: u64) -> u64 {
+    let byte = (pos >> 3) as usize;
+    let word = match bytes.get(byte..byte + 8) {
+        Some(chunk) => u64::from_le_bytes(chunk.try_into().expect("eight bytes")),
+        None => tail_word(bytes, byte),
+    };
+    word >> (pos & 7)
+}
+
+/// The last, partial word of a stream, zero-filled.
+#[cold]
+fn tail_word(bytes: &[u8], byte: usize) -> u64 {
+    let rest = bytes.get(byte..).unwrap_or(&[]);
+    let mut word = [0u8; 8];
+    word[..rest.len()].copy_from_slice(rest);
+    u64::from_le_bytes(word)
+}
+
+/// A ζ_k code whose prefix of `h` zeros starts at `pos` and that may not
+/// fit one window: the body comes from a second one. Returns the value
+/// and the cursor after it.
+#[cold]
+fn read_zeta_wide(bytes: &[u8], pos: u64, h: u32, k: u32) -> (u64, u64) {
+    let hk = h * k;
+    if hk >= VALUE_BITS {
+        return (0, POISONED);
+    }
+    let body = pos + (h + 1) as u64;
+    let (n, long) = zeta_body(window_at(bytes, body), hk, k);
+    (n - 1, body + (k - 1 + hk + long) as u64)
+}
+
+/// Decode a ζ_k body (`hi`, then `lo`) from the low bits of `b`; returns
+/// `n` and whether the body is the long form (1) or the short (0).
+#[inline(always)]
+fn zeta_body(b: u64, hk: u32, k: u32) -> (u64, u32) {
+    let hi = b & low_mask(k - 1);
+    let long = u32::from(hi != 0);
+    let lo = b >> (k - 1) & low_mask(hk + long);
+    let n = (hi << 1 | u64::from(long ^ 1)) << hk | lo;
+    (n, long)
 }
 
 // ---------------------------------------------------------------------------
 // Compressed adjacency
 // ---------------------------------------------------------------------------
 
-/// One gap-compressed adjacency direction with per-vertex bit offsets.
+/// One coded value stream with per-vertex bit offsets.
+#[derive(Clone, Debug)]
+struct GapStream {
+    /// `offsets[v]..offsets[v+1]` is vertex `v`'s row in `bytes`, in bits.
+    offsets: Vec<u64>,
+    bytes: Vec<u8>,
+}
+
+impl GapStream {
+    /// Code every vertex's row with `write_row`, recording where each ends.
+    fn build(n: u32, mut write_row: impl FnMut(&mut BitWriter, VertexId)) -> GapStream {
+        let mut w = BitWriter::new();
+        let mut offsets = Vec::with_capacity(n as usize + 1);
+        offsets.push(0);
+        for v in 0..n {
+            write_row(&mut w, v);
+            offsets.push(w.bit_len());
+        }
+        GapStream {
+            offsets,
+            bytes: w.finish(),
+        }
+    }
+
+    fn interval_bits(&self, lo: VertexId, hi: VertexId) -> u64 {
+        self.offsets[hi as usize] - self.offsets[lo as usize]
+    }
+
+    fn row(&self, v: VertexId) -> BitReader<'_> {
+        BitReader::new(&self.bytes, self.offsets[v as usize])
+    }
+}
+
+/// One gap-compressed adjacency direction.
 #[derive(Clone, Debug)]
 pub struct CompressedAdjacency {
-    /// `bit_offsets[v]..bit_offsets[v+1]` is vertex `v`'s row in `bits`.
-    pub bit_offsets: Vec<u64>,
-    bits: Vec<u64>,
+    nbrs: GapStream,
+    /// CSR rows carry explicit canonical edge ids; CSC ids are implicit
+    /// (canonical order *is* CSC position) and have no stream.
+    eids: Option<GapStream>,
     codec: CompressionCodec,
-    /// CSR rows interleave explicit canonical edge ids; CSC ids are
-    /// implicit (canonical order *is* CSC position).
-    explicit_eids: bool,
 }
 
 impl CompressedAdjacency {
     fn build(adj: &Adjacency, codec: CompressionCodec, explicit_eids: bool) -> CompressedAdjacency {
-        let n = adj.offsets.len() - 1;
-        let mut w = BitWriter::new();
-        let mut bit_offsets = Vec::with_capacity(n + 1);
-        bit_offsets.push(0);
-        for v in 0..n as u32 {
-            let mut prev_nbr = 0u32;
-            let mut prev_eid = 0u32;
-            for (k, (nbr, eid)) in adj.entries(v).enumerate() {
-                if k == 0 {
-                    codec.write(&mut w, zigzag(nbr as i64 - v as i64));
-                    if explicit_eids {
-                        codec.write(&mut w, eid as u64);
-                    }
-                } else {
-                    codec.write(&mut w, (nbr - prev_nbr) as u64);
-                    if explicit_eids {
-                        // Canonical ids strictly increase along a CSR row.
-                        debug_assert!(eid > prev_eid);
-                        codec.write(&mut w, (eid - prev_eid - 1) as u64);
-                    }
+        let n = (adj.offsets.len() - 1) as u32;
+        let nbrs = GapStream::build(n, |w, v| {
+            if let Some((&first, rest)) = adj.neighbors[adj.range(v)].split_first() {
+                codec.write(w, zigzag(first as i64 - v as i64));
+                let mut prev = first;
+                for &nbr in rest {
+                    codec.write(w, (nbr - prev) as u64);
+                    prev = nbr;
                 }
-                prev_nbr = nbr;
-                prev_eid = eid;
             }
-            bit_offsets.push(w.bit_len());
-        }
-        CompressedAdjacency {
-            bit_offsets,
-            bits: w.finish(),
-            codec,
-            explicit_eids,
-        }
+        });
+        let eids = explicit_eids.then(|| {
+            GapStream::build(n, |w, v| {
+                // Canonical ids strictly increase along a CSR row; counting
+                // from -1 stores the first one absolutely.
+                let mut prev = u32::MAX;
+                for &eid in &adj.edge_ids[adj.range(v)] {
+                    debug_assert!(prev == u32::MAX || eid > prev);
+                    codec.write(w, eid.wrapping_sub(prev).wrapping_sub(1) as u64);
+                    prev = eid;
+                }
+            })
+        });
+        CompressedAdjacency { nbrs, eids, codec }
     }
 
-    /// Compressed extent of the vertex interval `[lo, hi)` in bytes.
+    fn interval_bits(&self, lo: VertexId, hi: VertexId) -> u64 {
+        let eids = self.eids.as_ref().map_or(0, |s| s.interval_bits(lo, hi));
+        self.nbrs.interval_bits(lo, hi) + eids
+    }
+
+    /// Compressed extent of the vertex interval `[lo, hi)` in bytes (its
+    /// streams' bits together, rounded up once).
     pub fn interval_bytes(&self, lo: VertexId, hi: VertexId) -> u64 {
-        (self.bit_offsets[hi as usize] - self.bit_offsets[lo as usize]).div_ceil(8)
+        self.interval_bits(lo, hi).div_ceil(8)
     }
 
     /// Total compressed bytes of the whole direction.
     pub fn total_bytes(&self) -> u64 {
-        self.bit_offsets.last().copied().unwrap_or(0).div_ceil(8)
+        self.interval_bytes(0, (self.nbrs.offsets.len() - 1) as VertexId)
     }
 
     /// Lazy decoder for vertex `v`'s row. `count` must be the raw degree
     /// (taken from static layout metadata); `eid_base` seeds implicit
     /// canonical ids for CSC rows and is ignored for CSR rows.
     pub fn row(&self, v: VertexId, count: u64, eid_base: u64) -> CompressedRowIter<'_> {
+        let eids = self.eids.as_ref().map(|s| s.row(v));
+        // One before the first id, so every entry is `prev + 1 + gap`.
+        let eid = match eids {
+            Some(_) => u32::MAX,
+            None => (eid_base as u32).wrapping_sub(1),
+        };
         CompressedRowIter {
-            reader: BitReader::new(&self.bits, self.bit_offsets[v as usize]),
             codec: self.codec,
-            explicit_eids: self.explicit_eids,
-            v,
-            remaining: count,
+            nbrs: self.nbrs.row(v),
+            eids,
+            nbr: v,
+            eid,
             first: true,
-            prev_nbr: 0,
-            prev_eid: 0,
-            implicit_eid: eid_base,
+            remaining: count,
+        }
+    }
+
+    /// [`row`](Self::row) without the edge-id stream: neighbors are
+    /// exact, the ids yielded beside them are meaningless.
+    pub fn neighbor_row(&self, v: VertexId, count: u64) -> CompressedRowIter<'_> {
+        CompressedRowIter {
+            eids: None,
+            ..self.row(v, count, 0)
         }
     }
 }
@@ -381,53 +519,115 @@ impl CompressedAdjacency {
 /// Streaming decoder over one compressed row; yields `(neighbor, eid)` in
 /// exactly the raw layout's order.
 pub struct CompressedRowIter<'a> {
-    reader: BitReader<'a>,
     codec: CompressionCodec,
-    explicit_eids: bool,
-    v: VertexId,
-    remaining: u64,
+    nbrs: BitReader<'a>,
+    /// `None`: ids are implicit, one after the other.
+    eids: Option<BitReader<'a>>,
+    /// Previous neighbor; the row's owner before the first entry.
+    nbr: VertexId,
+    /// Previous edge id.
+    eid: u32,
     first: bool,
-    prev_nbr: u32,
-    prev_eid: u32,
-    implicit_eid: u64,
+    remaining: u64,
+}
+
+/// A decode routine chosen at compile time, so a row's loop carries no
+/// per-entry codec match. [`CompressionCodec`] itself is the routine that
+/// matches on every read.
+trait Decode: Copy {
+    fn read(self, r: &mut BitReader<'_>) -> u64;
+}
+
+impl Decode for CompressionCodec {
+    #[inline]
+    fn read(self, r: &mut BitReader<'_>) -> u64 {
+        CompressionCodec::read(&self, r)
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Varint;
+
+impl Decode for Varint {
+    #[inline(always)]
+    fn read(self, r: &mut BitReader<'_>) -> u64 {
+        r.read_varint()
+    }
+}
+
+#[derive(Clone, Copy)]
+struct Zeta(u32);
+
+impl Decode for Zeta {
+    #[inline(always)]
+    fn read(self, r: &mut BitReader<'_>) -> u64 {
+        r.read_zeta(self.0)
+    }
+}
+
+impl CompressedRowIter<'_> {
+    /// Decode the next entry.
+    #[inline(always)]
+    fn step(&mut self, decode: impl Decode) -> (VertexId, u32) {
+        let code = decode.read(&mut self.nbrs);
+        let delta = if std::mem::take(&mut self.first) {
+            unzigzag(code) as u32
+        } else {
+            code as u32
+        };
+        self.nbr = self.nbr.wrapping_add(delta);
+        let gap = self.eids.as_mut().map_or(0, |e| decode.read(e) as u32);
+        self.eid = self.eid.wrapping_add(gap).wrapping_add(1);
+        (self.nbr, self.eid)
+    }
+
+    /// The rest of the row through one monomorphic decode routine.
+    #[inline(always)]
+    fn fold_with<B>(
+        mut self,
+        init: B,
+        mut f: impl FnMut(B, (VertexId, u32)) -> B,
+        decode: impl Decode,
+    ) -> B {
+        let mut acc = init;
+        for _ in 0..self.remaining {
+            acc = f(acc, self.step(decode));
+        }
+        acc
+    }
 }
 
 impl Iterator for CompressedRowIter<'_> {
     type Item = (VertexId, u32);
 
+    #[inline]
     fn next(&mut self) -> Option<(VertexId, u32)> {
         if self.remaining == 0 {
             return None;
         }
         self.remaining -= 1;
-        let nbr;
-        let eid;
-        if self.first {
-            self.first = false;
-            nbr = (self.v as i64 + unzigzag(self.codec.read(&mut self.reader))) as u32;
-            eid = if self.explicit_eids {
-                self.codec.read(&mut self.reader) as u32
-            } else {
-                self.implicit_eid as u32
-            };
-        } else {
-            nbr = self.prev_nbr + self.codec.read(&mut self.reader) as u32;
-            eid = if self.explicit_eids {
-                self.prev_eid + 1 + self.codec.read(&mut self.reader) as u32
-            } else {
-                self.implicit_eid as u32
-            };
-        }
-        self.implicit_eid += 1;
-        self.prev_nbr = nbr;
-        self.prev_eid = eid;
-        Some((nbr, eid))
+        Some(self.step(self.codec))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         (self.remaining as usize, Some(self.remaining as usize))
     }
+
+    /// Internal iteration: the codec is matched once per row, not once per
+    /// entry, and the reader state stays in registers.
+    #[inline]
+    fn fold<B, F: FnMut(B, Self::Item) -> B>(self, init: B, f: F) -> B {
+        match self.codec {
+            CompressionCodec::Varint => self.fold_with(init, f, Varint),
+            CompressionCodec::Zeta(_) => {
+                let k = self.codec.k();
+                self.fold_with(init, f, Zeta(k))
+            }
+        }
+    }
 }
+
+impl ExactSizeIterator for CompressedRowIter<'_> {}
 
 // ---------------------------------------------------------------------------
 // Whole-graph compressed topology
@@ -502,44 +702,59 @@ impl<'a> TopoView<'a> {
 
     /// In-edges of `v` as `(source, canonical eid)`, CSC order.
     pub fn csc_entries(&self, v: VertexId) -> TopoRowIter<'a> {
+        let csc = &self.layout.csc;
         match self.comp {
-            None => TopoRowIter::raw(&self.layout.csc, v),
-            Some(c) => TopoRowIter::Decoded(c.csc.row(
-                v,
-                self.layout.csc.degree(v),
-                self.layout.csc.offsets[v as usize],
-            )),
+            None => TopoRowIter::Raw {
+                nbrs: &csc.neighbors[csc.range(v)],
+                eids: &[],
+                next_eid: csc.offsets[v as usize] as u32,
+            },
+            Some(c) => TopoRowIter::Decoded(c.csc.row(v, csc.degree(v), csc.offsets[v as usize])),
         }
     }
 
     /// Out-edges of `v` as `(destination, canonical eid)`, CSR order.
     pub fn csr_entries(&self, v: VertexId) -> TopoRowIter<'a> {
+        let csr = &self.layout.csr;
         match self.comp {
-            None => TopoRowIter::raw(&self.layout.csr, v),
-            Some(c) => TopoRowIter::Decoded(c.csr.row(v, self.layout.csr.degree(v), 0)),
+            None => TopoRowIter::Raw {
+                nbrs: &csr.neighbors[csr.range(v)],
+                eids: &csr.edge_ids[csr.range(v)],
+                next_eid: 0,
+            },
+            Some(c) => TopoRowIter::Decoded(c.csr.row(v, csr.degree(v), 0)),
         }
+    }
+
+    /// Destinations of `v`'s out-edges, CSR order: what FrontierActivate
+    /// walks. Compressed rows decode the neighbor stream alone — one code
+    /// per edge instead of [`csr_entries`](Self::csr_entries)' two.
+    pub fn csr_neighbors(&self, v: VertexId) -> impl ExactSizeIterator<Item = VertexId> + 'a {
+        let csr = &self.layout.csr;
+        let row = match self.comp {
+            None => TopoRowIter::Raw {
+                nbrs: &csr.neighbors[csr.range(v)],
+                eids: &[],
+                next_eid: 0,
+            },
+            Some(c) => TopoRowIter::Decoded(c.csr.neighbor_row(v, csr.degree(v))),
+        };
+        row.map(|(dst, _)| dst)
     }
 }
 
 /// Row iterator behind [`TopoView`]: raw slice walk or bit-stream decode.
+/// `fold`/`for_each` run a plain slice loop over raw rows and one
+/// monomorphic decode loop over compressed ones.
 pub enum TopoRowIter<'a> {
     Raw {
-        adj: &'a Adjacency,
-        idx: usize,
-        end: usize,
+        nbrs: &'a [VertexId],
+        /// Explicit edge ids, as long as `nbrs`; empty when ids are
+        /// implicit and count up from `next_eid`.
+        eids: &'a [u32],
+        next_eid: u32,
     },
     Decoded(CompressedRowIter<'a>),
-}
-
-impl<'a> TopoRowIter<'a> {
-    fn raw(adj: &'a Adjacency, v: VertexId) -> TopoRowIter<'a> {
-        let r = adj.range(v);
-        TopoRowIter::Raw {
-            adj,
-            idx: r.start,
-            end: r.end,
-        }
-    }
 }
 
 impl Iterator for TopoRowIter<'_> {
@@ -548,14 +763,24 @@ impl Iterator for TopoRowIter<'_> {
     #[inline]
     fn next(&mut self) -> Option<(VertexId, u32)> {
         match self {
-            TopoRowIter::Raw { adj, idx, end } => {
-                if idx < end {
-                    let i = *idx;
-                    *idx += 1;
-                    Some((adj.neighbors[i], adj.edge_id(i)))
-                } else {
-                    None
-                }
+            TopoRowIter::Raw {
+                nbrs,
+                eids,
+                next_eid,
+            } => {
+                let (&nbr, rest) = nbrs.split_first()?;
+                *nbrs = rest;
+                let eid = match eids.split_first() {
+                    Some((&eid, rest)) => {
+                        *eids = rest;
+                        eid
+                    }
+                    None => {
+                        *next_eid += 1;
+                        *next_eid - 1
+                    }
+                };
+                Some((nbr, eid))
             }
             TopoRowIter::Decoded(it) => it.next(),
         }
@@ -563,11 +788,32 @@ impl Iterator for TopoRowIter<'_> {
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         match self {
-            TopoRowIter::Raw { idx, end, .. } => (*end - *idx, Some(*end - *idx)),
+            TopoRowIter::Raw { nbrs, .. } => (nbrs.len(), Some(nbrs.len())),
             TopoRowIter::Decoded(it) => it.size_hint(),
         }
     }
+
+    #[inline]
+    fn fold<B, F: FnMut(B, Self::Item) -> B>(self, init: B, mut f: F) -> B {
+        match self {
+            TopoRowIter::Raw {
+                nbrs,
+                eids: &[],
+                next_eid,
+            } => nbrs
+                .iter()
+                .zip(next_eid..)
+                .fold(init, |acc, (&nbr, eid)| f(acc, (nbr, eid))),
+            TopoRowIter::Raw { nbrs, eids, .. } => nbrs
+                .iter()
+                .zip(eids)
+                .fold(init, |acc, (&nbr, &eid)| f(acc, (nbr, eid))),
+            TopoRowIter::Decoded(it) => it.fold(init, f),
+        }
+    }
 }
+
+impl ExactSizeIterator for TopoRowIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -575,9 +821,10 @@ mod tests {
     use crate::edgelist::EdgeList;
     use crate::gen;
 
-    const CODECS: [CompressionCodec; 4] = [
+    const CODECS: [CompressionCodec; 5] = [
         CompressionCodec::Varint,
         CompressionCodec::Zeta(1),
+        CompressionCodec::Zeta(2),
         CompressionCodec::Zeta(3),
         CompressionCodec::Zeta(4),
     ];
@@ -589,11 +836,15 @@ mod tests {
         w.write_bits((1 << 57) - 1, 57); // spans words
         w.write_bits(0, 0);
         w.write_bits(0x5a, 8);
-        let words = w.finish();
-        let mut r = BitReader::new(&words, 0);
+        assert_eq!(w.bit_len(), 68);
+        let bytes = w.finish();
+        assert_eq!(bytes.len(), 9);
+        let mut r = BitReader::new(&bytes, 0);
         assert_eq!(r.read_bits(3), 0b101);
         assert_eq!(r.read_bits(57), (1 << 57) - 1);
         assert_eq!(r.read_bits(8), 0x5a);
+        assert_eq!(r.bit_pos(), 68);
+        assert!(!r.overrun());
     }
 
     #[test]
@@ -606,31 +857,113 @@ mod tests {
         assert_eq!(zigzag(1), 2);
     }
 
-    #[test]
-    fn codec_integer_roundtrip() {
-        let values: Vec<u64> = (0..200)
-            .chain([
-                255,
-                256,
-                1000,
-                65535,
-                65536,
-                1 << 20,
-                (1 << 32) - 1,
-                1 << 40,
-            ])
-            .collect();
-        for codec in CODECS {
-            let mut w = BitWriter::new();
-            for &v in &values {
-                codec.write(&mut w, v);
-            }
-            let words = w.finish();
-            let mut r = BitReader::new(&words, 0);
-            for &v in &values {
-                assert_eq!(codec.read(&mut r), v, "{} value {v}", codec.name());
+    /// Code length by the published definitions, bit by bit: LEB128 groups,
+    /// and Boldi–Vigna's unary `h` + minimal binary over
+    /// `[0, 2^(hk) (2^k - 1))`. The word-at-a-time codec must spend exactly
+    /// these bits (byte accounting and simulated time hang on it).
+    fn reference_len(codec: CompressionCodec, x: u64) -> u64 {
+        match codec {
+            CompressionCodec::Varint => (64 - x.leading_zeros() as u64).div_ceil(7).max(1) * 8,
+            CompressionCodec::Zeta(k) => {
+                let n = x + 1;
+                let h = (63 - n.leading_zeros()) / k;
+                let lo = 1u64 << (h * k);
+                let z = (lo << k) - lo;
+                let body = if z <= 1 {
+                    0
+                } else {
+                    let s = 64 - (z - 1).leading_zeros();
+                    let threshold = (1u64 << s) - z;
+                    if n - lo < threshold {
+                        s - 1
+                    } else {
+                        s
+                    }
+                };
+                (h + 1 + body) as u64
             }
         }
+    }
+
+    #[test]
+    fn codec_roundtrip_is_exhaustive_at_every_bit_offset() {
+        let mut values: Vec<u64> = (0..=65_536).collect();
+        for i in 0..=40 {
+            values.extend([(1u64 << i) - 1, 1 << i, (1 << i) + 1]);
+        }
+        values.push((1 << VALUE_BITS) - 2); // the domain's last value
+        for codec in CODECS {
+            let expected_bits: u64 = values.iter().map(|&v| reference_len(codec, v)).sum();
+            for offset in 0..64u32 {
+                let mut w = BitWriter::new();
+                w.write_bits(u64::MAX, offset.min(57));
+                w.write_bits(u64::MAX, offset - offset.min(57));
+                for &v in &values {
+                    let before = w.bit_len();
+                    codec.write(&mut w, v);
+                    if offset == 0 {
+                        let len = w.bit_len() - before;
+                        assert_eq!(len, reference_len(codec, v), "{} len of {v}", codec.name());
+                    }
+                }
+                assert_eq!(w.bit_len(), offset as u64 + expected_bits);
+                let bytes = w.finish();
+                let mut r = BitReader::new(&bytes, offset as u64);
+                for &v in &values {
+                    assert_eq!(codec.read(&mut r), v, "{} @{offset}", codec.name());
+                }
+                assert_eq!(r.bit_pos(), offset as u64 + expected_bits);
+                assert!(!r.overrun());
+            }
+        }
+    }
+
+    #[test]
+    fn reader_is_total_on_truncated_and_impossible_streams() {
+        for codec in CODECS {
+            let mut w = BitWriter::new();
+            for v in [3u64, 1 << 20, 77, 1 << 33] {
+                codec.write(&mut w, v);
+            }
+            let bytes = w.finish();
+            // Every truncation: reads never panic, and running off the end
+            // is reported.
+            for cut in 0..bytes.len() {
+                let mut r = BitReader::new(&bytes[..cut], 0);
+                for _ in 0..4 {
+                    codec.read(&mut r);
+                }
+                assert!(r.overrun(), "{} cut at {cut}", codec.name());
+            }
+            // Bits past the end read as zero.
+            let mut r = BitReader::new(&bytes, bytes.len() as u64 * 8 - 3);
+            assert_eq!(r.read_bits(40) >> 3, 0);
+            assert!(r.overrun());
+            let mut r = BitReader::new(&bytes, u64::MAX / 2);
+            assert_eq!(r.read_bits(57), 0);
+        }
+        // Patterns no writer produces: an endless varint, a ζ prefix longer
+        // than any value's. The cursor is poisoned, later reads stay quiet.
+        let ones = [0xffu8; 32];
+        let mut r = BitReader::new(&ones, 0);
+        assert_eq!(r.read_varint(), 0);
+        assert!(r.overrun());
+        assert_eq!(r.read_varint(), 0);
+        let zeros = [0u8; 32];
+        for k in 1..=8 {
+            let mut r = BitReader::new(&zeros, 5);
+            assert_eq!(r.read_zeta(k), 0);
+            assert!(r.overrun());
+            r.read_zeta(k);
+            r.read_bits(57);
+            assert!(r.overrun());
+        }
+        // A ζ_3 prefix of 16 zeros announces a 48-bit-plus value.
+        let mut long_prefix = [0xffu8; 16];
+        long_prefix[..2].fill(0);
+        let mut r = BitReader::new(&long_prefix, 0);
+        r.read_zeta(3);
+        assert!(r.overrun());
     }
 
     #[test]
@@ -658,16 +991,53 @@ mod tests {
         assert_eq!(CompressionCodec::default(), CompressionCodec::Zeta(3));
     }
 
-    fn assert_topo_roundtrip(layout: &GraphLayout, codec: CompressionCodec) {
-        let comp = CompressedTopology::build(layout, codec);
-        let view = TopoView::compressed(layout, &comp);
+    /// `next()`, `fold` and a `next()`-then-`fold` split must all yield the
+    /// raw row, through raw and compressed views alike; the neighbor-only
+    /// walk must yield the raw destinations.
+    fn assert_row_walks_agree(layout: &GraphLayout, view: TopoView<'_>, tag: &str) {
+        fn by_fold(row: TopoRowIter<'_>) -> Vec<(VertexId, u32)> {
+            row.fold(Vec::new(), |mut out, e| {
+                out.push(e);
+                out
+            })
+        }
+        #[allow(clippy::while_let_on_iterator)] // `next()` is the path under test
+        fn by_next(mut row: TopoRowIter<'_>) -> Vec<(VertexId, u32)> {
+            let mut out = Vec::new();
+            while let Some(e) = row.next() {
+                out.push(e);
+            }
+            out
+        }
+        fn split(mut row: TopoRowIter<'_>) -> Vec<(VertexId, u32)> {
+            let mut out: Vec<_> = row.next().into_iter().collect();
+            out.extend(by_fold(row));
+            out
+        }
         for v in 0..layout.num_vertices() {
             let raw_csc: Vec<_> = layout.csc.entries(v).collect();
-            let dec_csc: Vec<_> = view.csc_entries(v).collect();
-            assert_eq!(raw_csc, dec_csc, "csc row {v} ({})", codec.name());
             let raw_csr: Vec<_> = layout.csr.entries(v).collect();
-            let dec_csr: Vec<_> = view.csr_entries(v).collect();
-            assert_eq!(raw_csr, dec_csr, "csr row {v} ({})", codec.name());
+            assert_eq!(view.csc_entries(v).len(), raw_csc.len());
+            assert_eq!(view.csr_entries(v).len(), raw_csr.len());
+            for walk in [by_fold, by_next, split] {
+                assert_eq!(walk(view.csc_entries(v)), raw_csc, "csc row {v} ({tag})");
+                assert_eq!(walk(view.csr_entries(v)), raw_csr, "csr row {v} ({tag})");
+            }
+            let dsts: Vec<_> = raw_csr.iter().map(|&(dst, _)| dst).collect();
+            assert_eq!(view.csr_neighbors(v).len(), dsts.len());
+            assert_eq!(view.csr_neighbors(v).collect::<Vec<_>>(), dsts, "{tag}");
+            let mut folded = Vec::new();
+            view.csr_neighbors(v).for_each(|dst| folded.push(dst));
+            assert_eq!(folded, dsts, "csr neighbors of {v} ({tag})");
+        }
+    }
+
+    fn assert_topo_roundtrip(layout: &GraphLayout) {
+        assert_row_walks_agree(layout, TopoView::raw(layout), "raw");
+        for codec in CODECS {
+            let comp = CompressedTopology::build(layout, codec);
+            let view = TopoView::compressed(layout, &comp);
+            assert_row_walks_agree(layout, view, codec.name());
         }
     }
 
@@ -680,10 +1050,7 @@ mod tests {
             EdgeList::new(17), // empty rows everywhere
         ];
         for el in &graphs {
-            let layout = GraphLayout::build(el);
-            for codec in CODECS {
-                assert_topo_roundtrip(&layout, codec);
-            }
+            assert_topo_roundtrip(&GraphLayout::build(el));
         }
     }
 
@@ -706,9 +1073,52 @@ mod tests {
                 (4, 5),
             ],
         );
-        let layout = GraphLayout::build(&el);
-        for codec in CODECS {
-            assert_topo_roundtrip(&layout, codec);
+        assert_topo_roundtrip(&GraphLayout::build(&el));
+    }
+
+    /// Compressed sizes at the commit before the word-at-a-time codec
+    /// (bit-serial writer, CSR ids interleaved with destinations). The
+    /// simulated clock and every transfer count are functions of these
+    /// bytes, so a codec change may not move one of them.
+    #[test]
+    fn compressed_sizes_are_pinned() {
+        let graphs = [
+            gen::rmat_g500(10, 1 << 12, 42),
+            gen::grid2d_with_edges(576, 2304, 1),
+            gen::uniform(512, 4096, 3).symmetrize(),
+        ];
+        // (csc, csr) bytes per codec in `CODECS` order.
+        let pinned: [[(u64, u64); 5]; 3] = [
+            [
+                (5035, 11245),
+                (4771, 11588),
+                (4102, 9741),
+                (4077, 9518),
+                (4220, 9678),
+            ],
+            [
+                (2304, 5129),
+                (1893, 5060),
+                (1695, 4384),
+                (1752, 4408),
+                (2091, 4661),
+            ],
+            [
+                (8715, 23217),
+                (9341, 25852),
+                (8030, 21445),
+                (7912, 20635),
+                (8349, 21160),
+            ],
+        ];
+        for (el, sizes) in graphs.iter().zip(pinned) {
+            let layout = GraphLayout::build(el);
+            for (codec, (csc, csr)) in CODECS.into_iter().zip(sizes) {
+                let comp = CompressedTopology::build(&layout, codec);
+                assert_eq!(comp.csc.total_bytes(), csc, "{} csc", codec.name());
+                assert_eq!(comp.csr.total_bytes(), csr, "{} csr", codec.name());
+                assert_eq!(comp.total_bytes(), csc + csr);
+            }
         }
     }
 

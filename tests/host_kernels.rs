@@ -5,13 +5,18 @@
 //! `ShardWork` counts. `Serial` is the oracle (the pre-adaptive reference
 //! kernels); `Dense`, `Sparse`, and `Adaptive` must match it exactly, at
 //! phase level (fixed frontier densities from 0.1% to 100%) and across
-//! whole engine runs for all four evaluated algorithms.
+//! whole engine runs for all four evaluated algorithms. At phase level
+//! every mode also reads the topology through gap-coded [`TopoView`]s,
+//! which must change nothing.
 
 use gr_algorithms::{Bfs, Cc, PageRank, Sssp};
-use gr_graph::{build_shards, gen, Bitmap, GraphLayout, Interval, Shard, TopoView};
+use gr_graph::{
+    build_shards, gen, Bitmap, CompressedTopology, CompressionCodec, GraphLayout, Interval, Shard,
+    TopoView,
+};
 use gr_sim::Platform;
 use graphreduce::phases::{activate_shard, apply_shard, gather_shard, scatter_shard};
-use graphreduce::{GasProgram, GraphReduce, HostKernels, Options};
+use graphreduce::{GasProgram, GraphReduce, HostKernels, InitialFrontier, Options};
 
 /// Force a multi-thread worker pool so the parallel dense paths (and the
 /// cross-shard engine fan-out) actually run threaded even on single-CPU
@@ -60,14 +65,16 @@ struct PhaseOutcome<V, E, G> {
     next_frontier: Vec<u32>,
 }
 
-/// Run one full GAS iteration under `mode` from freshly initialized state.
+/// Run one full GAS iteration under `mode` from freshly initialized state,
+/// reading topology through `view`.
 fn run_phases<P: GasProgram>(
     program: &P,
-    layout: &GraphLayout,
+    view: TopoView<'_>,
     shards: &[Shard],
     frontier: &Bitmap,
     mode: HostKernels,
 ) -> PhaseOutcome<P::VertexValue, P::EdgeValue, P::Gather> {
+    let layout = view.layout();
     let n = layout.num_vertices();
     let mut values: Vec<P::VertexValue> = (0..n)
         .map(|v| program.init_vertex(v, layout.csr.degree(v) as u32))
@@ -83,7 +90,7 @@ fn run_phases<P: GasProgram>(
             let slice = &mut gather_temp[lo..hi];
             gather.push(gather_shard(
                 program,
-                TopoView::raw(layout),
+                view,
                 sh,
                 &values,
                 &edge_values,
@@ -119,23 +126,13 @@ fn run_phases<P: GasProgram>(
     // work count) must agree across modes.
     let scattered = shards
         .iter()
-        .map(|sh| {
-            scatter_shard(
-                program,
-                TopoView::raw(layout),
-                sh,
-                &values,
-                &mut edge_values,
-                &changed,
-                mode,
-            )
-        })
+        .map(|sh| scatter_shard(program, view, sh, &values, &mut edge_values, &changed, mode))
         .collect();
 
     let mut next = Bitmap::new(n);
     let activate = shards
         .iter()
-        .map(|sh| activate_shard(TopoView::raw(layout), sh, &changed, &mut next, mode))
+        .map(|sh| activate_shard(view, sh, &changed, &mut next, mode))
         .collect();
 
     PhaseOutcome {
@@ -179,25 +176,37 @@ where
 {
     force_threads();
     let (layout, shards) = phase_graph();
+    let coded = [CompressionCodec::Zeta(3), CompressionCodec::Varint]
+        .map(|codec| CompressedTopology::build(&layout, codec));
+    let raw = TopoView::raw(&layout);
+    let views = [
+        ("raw", raw),
+        ("zeta3", TopoView::compressed(&layout, &coded[0])),
+        ("varint", TopoView::compressed(&layout, &coded[1])),
+    ];
     for (di, &density) in DENSITIES.iter().enumerate() {
         let frontier = random_frontier(layout.num_vertices(), density, 11 + di as u64);
-        let oracle = run_phases(&program, &layout, &shards, &frontier, HostKernels::Serial);
+        let oracle = run_phases(&program, raw, &shards, &frontier, HostKernels::Serial);
         assert!(
             oracle.gather.iter().map(|g| g.0).sum::<u64>() > 0 || !program.has_gather(),
             "density {density} frontier produced no gather work"
         );
-        for mode in [
-            HostKernels::Dense,
-            HostKernels::Sparse,
-            HostKernels::Adaptive,
-        ] {
-            let got = run_phases(&program, &layout, &shards, &frontier, mode);
-            assert_eq!(
-                got,
-                oracle,
-                "{} differs from Serial under {mode:?} at density {density}",
-                program.name()
-            );
+        for (tag, view) in views {
+            for mode in [
+                HostKernels::Serial,
+                HostKernels::Dense,
+                HostKernels::Sparse,
+                HostKernels::Adaptive,
+            ] {
+                let got = run_phases(&program, view, &shards, &frontier, mode);
+                assert_eq!(
+                    got,
+                    oracle,
+                    "{} differs from Serial over raw rows under {mode:?} over {tag} rows \
+                     at density {density}",
+                    program.name()
+                );
+            }
         }
     }
 }
@@ -220,6 +229,59 @@ fn pagerank_phases_agree_across_modes_and_densities() {
 #[test]
 fn cc_phases_agree_across_modes_and_densities() {
     assert_phases_agree(Cc);
+}
+
+/// Scatter that writes edge state naming both endpoints, so a wrong
+/// destination or a wrong canonical id (over coded rows the two come from
+/// separate streams walked in lock-step) lands in `edge_values`.
+struct StampEndpoints;
+
+impl GasProgram for StampEndpoints {
+    type VertexValue = u32;
+    type EdgeValue = u64;
+    type Gather = u64;
+
+    fn name(&self) -> &'static str {
+        "stamp-endpoints"
+    }
+
+    fn init_vertex(&self, v: u32, _out_degree: u32) -> u32 {
+        v + 1
+    }
+
+    fn initial_frontier(&self) -> InitialFrontier {
+        InitialFrontier::All
+    }
+
+    fn gather_identity(&self) -> u64 {
+        0
+    }
+
+    fn gather_map(&self, _dst: &u32, src: &u32, edge: &u64, _w: f32) -> u64 {
+        *edge ^ u64::from(*src)
+    }
+
+    fn gather_reduce(&self, a: u64, b: u64) -> u64 {
+        a.wrapping_mul(31).wrapping_add(b)
+    }
+
+    fn apply(&self, v: &mut u32, r: u64, _iteration: u32) -> bool {
+        *v ^= r as u32;
+        true
+    }
+
+    fn scatter(&self, src: &u32, dst: &u32, edge: &mut u64) {
+        *edge = u64::from(*src) << 32 | u64::from(*dst);
+    }
+
+    fn has_scatter(&self) -> bool {
+        true
+    }
+}
+
+#[test]
+fn edge_stamping_phases_agree_across_modes_and_densities() {
+    assert_phases_agree(StampEndpoints);
 }
 
 // ---------------------------------------------------------------------------
