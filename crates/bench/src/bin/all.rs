@@ -1,9 +1,11 @@
-//! Run every table/figure harness in paper order. Equivalent to executing
-//! each `table*`/`fig*` binary; used to regenerate EXPERIMENTS.md data in
-//! one go:
+//! Run every table/figure harness in paper order, then the extensions and
+//! the design-choice ablations. Equivalent to executing each binary; used
+//! to regenerate EXPERIMENTS.md data in one go. The default-scale output
+//! is committed as `results/all_default.txt` and CI diffs against it:
 //!
 //! ```sh
-//! cargo run --release -p gr-bench --bin all -- --scale 64 | tee results.txt
+//! cargo run --release -q -p gr-bench --bin all > all.txt
+//! diff -u results/all_default.txt all.txt
 //! ```
 
 use std::process::Command;
@@ -30,6 +32,7 @@ fn main() {
         "ext_multigpu",
         "ext_ssd",
         "ext_totem",
+        "ablations",
     ] {
         println!("\n######## {bin} ########");
         let mut cmd = Command::new(dir.join(bin));

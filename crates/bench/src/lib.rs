@@ -14,7 +14,9 @@
 //! | `fig15`  | Figure 15 — memcpy time, optimized vs unoptimized GR |
 //! | `fig16`  | Figure 16 — frontier dynamics on out-of-memory graphs |
 //! | `fig17`  | Figure 17 — % iterations below half of peak frontier |
-//! | `all`    | everything above, in order |
+//! | `ext_*`  | Section 8 extensions — multi-GPU, SSD tier, Totem-style hybrid |
+//! | `ablations` | design-choice ablations (gather mode, spray, K, CTA, P) |
+//! | `all`    | everything above, in order, then the `run --algo all` session sweep |
 //!
 //! All binaries accept `--scale N` (default 64): datasets and device
 //! memory shrink by the same divisor, preserving the out-of-memory split
@@ -31,7 +33,6 @@ use gr_sim::{OutOfMemory, Platform, SimDuration};
 use graphreduce::{EngineError, GraphReduce, GraphSession, Options, RunStats, WallProfiler};
 
 pub mod matmul;
-pub mod trajectory;
 
 /// The four evaluated algorithms (Section 6.1).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -275,12 +276,6 @@ pub fn run_session_gr(
     }
 }
 
-/// A layout every algorithm can run on: weighted (SSSP) and symmetrized
-/// (CC), so one session serves the whole sweep.
-pub fn session_layout_for(ds: Dataset, scale: u64) -> GraphLayout {
-    GraphLayout::build(&ds.generate_weighted(scale).symmetrize())
-}
-
 /// Run all four algorithms against **one** shared session (layout and
 /// platform loaded once), asserting each report is byte-identical to a
 /// fresh pre-refactor-style `GraphReduce` construction on the same
@@ -316,13 +311,6 @@ pub fn run_session_all(
 /// all subsequent parallel work (`--threads N` on the CLIs).
 pub fn set_host_threads(n: usize) {
     std::env::set_var("RAYON_NUM_THREADS", n.max(1).to_string());
-}
-
-/// The thread count parallel host kernels will actually fan out to —
-/// `--threads`/`RAYON_NUM_THREADS` if pinned, else the machine's
-/// available parallelism. This is what benchmark reports must record.
-pub fn effective_host_threads() -> usize {
-    rayon::current_num_threads()
 }
 
 /// Value of `--<name> <value>` anywhere on the command line.

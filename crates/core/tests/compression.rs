@@ -6,7 +6,8 @@
 //! families, every host-kernel mode (each reads rows through the coded
 //! `TopoView`), the memory-governed (25% cap) regime, the spill-armed
 //! fingerprint path, and the paper's headline claim: compressed shards
-//! cut host↔device traffic by well over 2.5x on scale-16 RMAT.
+//! cut host↔device traffic by well over 2.5x on scale-16 RMAT and on a
+//! 2-D grid.
 //!
 //! See docs/COMPRESSION.md for the encoding and where the bytes go.
 
@@ -154,63 +155,77 @@ fn spill_armed_fingerprint_matches_raw() {
     assert_eq!(z.stats.state_fingerprint, raw.stats.state_fingerprint);
 }
 
-/// Acceptance: on scale-16 RMAT, compressed shards cut host↔device bytes
-/// by at least 2.5x, the ratio is visible in `RunStats`, and the codec's
+/// Acceptance: on scale-16 RMAT (power-law gaps) and on a 2-D grid
+/// (near-constant small gaps), compressed shards cut host↔device bytes by
+/// at least 2.5x, the ratio is visible in `RunStats`, and the codec's
 /// decisions land in the observer log.
 #[test]
 fn scale_16_rmat_compressed_cuts_transfers_2_5x() {
-    let layout = GraphLayout::build(&gen::rmat_g500(16, 1 << 20, 42).symmetrize());
-    // Device large enough for scale-16 static vertex state, small enough
-    // that the 2M-edge topology still streams shard by shard.
-    let plat = Platform::paper_node_scaled(1024);
-    let raw = GraphReduce::new(Bfs(0), &layout, plat.clone(), Options::optimized())
+    // Each device is large enough for the static vertex state and small
+    // enough that the topology still streams shard by shard.
+    let inputs = [
+        (
+            "scale-16 RMAT",
+            GraphLayout::build(&gen::rmat_g500(16, 1 << 20, 42).symmetrize()),
+            Platform::paper_node_scaled(1024),
+        ),
+        (
+            "2-D grid",
+            GraphLayout::build(&gen::grid2d_with_edges(1 << 14, 1 << 16, 7)),
+            Platform::paper_node_scaled(1 << 12),
+        ),
+    ];
+    for (input, layout, plat) in inputs {
+        let raw = GraphReduce::new(Bfs(0), &layout, plat.clone(), Options::optimized())
+            .run()
+            .unwrap();
+        let (obs, sink) = Observer::recording();
+        let z = GraphReduce::new(
+            Bfs(0),
+            &layout,
+            plat,
+            Options::optimized().with_shard_compression(CompressionCodec::Zeta(3)),
+        )
+        .with_observer(obs)
         .run()
         .unwrap();
-    let (obs, sink) = Observer::recording();
-    let z = GraphReduce::new(
-        Bfs(0),
-        &layout,
-        plat,
-        Options::optimized().with_shard_compression(CompressionCodec::Zeta(3)),
-    )
-    .with_observer(obs)
-    .run()
-    .unwrap();
-    assert_eq!(z.vertex_values, raw.vertex_values);
-    let raw_moved = raw.stats.bytes_h2d + raw.stats.bytes_d2h;
-    let z_moved = z.stats.bytes_h2d + z.stats.bytes_d2h;
-    let transfer_ratio = raw_moved as f64 / z_moved as f64;
-    assert!(
-        transfer_ratio >= 2.5,
-        "scale-16 RMAT must cut PCIe traffic >= 2.5x, got {transfer_ratio:.2}x \
-         ({raw_moved} -> {z_moved} bytes)"
-    );
-    assert!(
-        z.stats.compression_ratio() >= Some(2.5),
-        "topology ratio must be reported in RunStats, got {:?}",
-        z.stats.compression_ratio()
-    );
-    assert!(z.stats.decompress_launches > 0);
-    let rec = sink.recorded();
-    // Decompression is priced on the device timeline, so the compressed
-    // run cannot claim the transfer savings for free.
-    let decompress_ns: u64 = rec
-        .spans
-        .iter()
-        .filter(|s| s.name == "decompress")
-        .map(|s| s.dur_ns)
-        .sum();
-    assert!(
-        decompress_ns > 0,
-        "decompress kernels must occupy simulated time"
-    );
-    let compress = rec
-        .decisions
-        .iter()
-        .filter(|d| matches!(d, Decision::CompressShard { .. }))
-        .count();
-    assert_eq!(
-        compress, z.stats.num_shards as usize,
-        "one CompressShard decision per shard"
-    );
+        assert_eq!(z.vertex_values, raw.vertex_values, "{input}");
+        assert!(raw.stats.num_shards > 1, "{input}: topology must stream");
+        let raw_moved = raw.stats.bytes_h2d + raw.stats.bytes_d2h;
+        let z_moved = z.stats.bytes_h2d + z.stats.bytes_d2h;
+        let transfer_ratio = raw_moved as f64 / z_moved as f64;
+        assert!(
+            transfer_ratio >= 2.5,
+            "{input} must cut PCIe traffic >= 2.5x, got {transfer_ratio:.2}x \
+             ({raw_moved} -> {z_moved} bytes)"
+        );
+        assert!(
+            z.stats.compression_ratio() >= Some(2.5),
+            "{input}: topology ratio must be reported in RunStats, got {:?}",
+            z.stats.compression_ratio()
+        );
+        assert!(z.stats.decompress_launches > 0, "{input}");
+        let rec = sink.recorded();
+        // Decompression is priced on the device timeline, so the compressed
+        // run cannot claim the transfer savings for free.
+        let decompress_ns: u64 = rec
+            .spans
+            .iter()
+            .filter(|s| s.name == "decompress")
+            .map(|s| s.dur_ns)
+            .sum();
+        assert!(
+            decompress_ns > 0,
+            "{input}: decompress kernels must occupy simulated time"
+        );
+        let compress = rec
+            .decisions
+            .iter()
+            .filter(|d| matches!(d, Decision::CompressShard { .. }))
+            .count();
+        assert_eq!(
+            compress, z.stats.num_shards,
+            "{input}: one CompressShard decision per shard"
+        );
+    }
 }
