@@ -123,9 +123,9 @@ impl<'g, P: GasProgram> GraphReduce<'g, P> {
     /// [`SnapshotError::FingerprintMismatch`](crate::SnapshotError::FingerprintMismatch)
     /// rather than replaying the wrong state. A corrupt newest snapshot
     /// (failed checksum, truncation) silently falls back to the previous
-    /// intact one. Full (GRCK), delta (GRCD — restored as its base full
-    /// plus the newest delta), compressed (GRCZ) and multi-GPU (GRCM)
-    /// snapshots are all accepted. Replay continues from the restored
+    /// intact one. Full, delta (restored as its base full plus the newest
+    /// delta), compressed and multi-GPU snapshots are all accepted: the
+    /// frame says which it is. Replay continues from the restored
     /// iteration boundary and converges bit-identically to an
     /// uninterrupted run.
     pub fn resume(&self, dir: impl AsRef<std::path::Path>) -> Result<RunResult<P>, EngineError> {

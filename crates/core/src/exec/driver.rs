@@ -244,16 +244,16 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             Some(r) => (Some(r.state), r.bytes, r.delta),
             None => (None, 0, None),
         };
-        let restored_boundary = restored_state.as_ref().map(|r| r.iterations_completed());
+        let restored_boundary = restored_state.as_ref().map(|r| r.iterations.len() as u32);
         let host = match restored_state {
             Some(r) => {
-                let b = r.iterations_completed();
+                let b = r.iterations.len() as u32;
                 ctx.metrics.inc("engine.checkpoint_restores", 1);
                 observer.decision(|| Decision::CheckpointRestore {
                     iteration: b,
                     bytes: restored_bytes,
                 });
-                HostState::restored(r)
+                r
             }
             None => match warm {
                 Some(w) => HostState::warm(program, layout, w),
@@ -670,7 +670,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             .as_ref()
             .expect("fingerprint computed whenever durable is armed");
         let r = snapshot_delta::load_newest::<P>(w.dir(), fp)?;
-        self.host = HostState::restored(r.state);
+        self.host = r.state;
         self.in_cached.fill(false);
         self.out_cached.fill(false);
         Ok(())

@@ -2,10 +2,9 @@
 //! multi-GPU orchestrator.
 //!
 //! `DurableWriter` owns the full-vs-delta schedule, the dirty-vertex
-//! accumulator delta snapshots are keyed off, and the container layers a
-//! snapshot passes through on its way to disk: the inner GRCK/GRCD state
-//! blob, an optional GRCM multi-GPU wrapper (device count + placement
-//! map), and an optional GRCZ compression wrapper. All writes go through
+//! accumulator delta snapshots are keyed off, and what each snapshot
+//! frame records beside the state: the multi-GPU placement (device count
+//! and shard owners) and the body codec. All writes go through
 //! the fault-hardened storage plane ([`crate::storage`]), so injected
 //! checkpoint-write faults are retried and, after exhaustion, degrade to
 //! a skipped snapshot instead of a failed run.
@@ -20,10 +19,10 @@ use gr_observe::{Decision, MetricsRegistry, Observer};
 
 use crate::api::GasProgram;
 use crate::exec::host::HostState;
+use crate::frame::Placement;
 use crate::recovery::EngineError;
 use crate::snapshot::{self, CheckpointPolicy, Fingerprint};
-use crate::snapshot_delta::{self, DeltaChain};
-use crate::snapshot_multi;
+use crate::snapshot_delta::DeltaChain;
 use crate::storage::StorageCtx;
 
 /// The durable slice of a [`CheckpointPolicy`]: where, how often, and
@@ -39,23 +38,20 @@ pub(crate) struct DurableConfig {
 
 impl DurableConfig {
     pub(crate) fn from_policy(p: &CheckpointPolicy) -> Option<Self> {
-        match p {
-            CheckpointPolicy::Durable { dir, every } => Some(DurableConfig {
-                dir: dir.clone(),
-                every: (*every).max(1),
-                full_every: None,
-            }),
+        let (dir, every, full_every) = match p {
+            CheckpointPolicy::Durable { dir, every } => (dir, every, None),
             CheckpointPolicy::DurableDelta {
                 dir,
                 every,
                 full_every,
-            } => Some(DurableConfig {
-                dir: dir.clone(),
-                every: (*every).max(1),
-                full_every: Some((*full_every).max(1)),
-            }),
-            _ => None,
-        }
+            } => (dir, every, Some((*full_every).max(1))),
+            _ => return None,
+        };
+        Some(DurableConfig {
+            dir: dir.clone(),
+            every: (*every).max(1),
+            full_every,
+        })
     }
 }
 
@@ -68,9 +64,9 @@ pub(crate) struct DurableWriter {
     /// Snapshot payload compression (single-GPU runs reuse the shard
     /// codec; multi-GPU snapshots stay uncompressed).
     codec: Option<CompressionCodec>,
-    /// `Some`: wrap snapshots in a GRCM container recording the cluster
-    /// context (multi-GPU runs only).
-    placement: Option<(u32, Vec<usize>)>,
+    /// `Some`: record the cluster context in every snapshot (multi-GPU
+    /// runs only).
+    placement: Option<Placement>,
     /// Boundary the newest on-disk snapshot covers (write dedupe and the
     /// driver's in-memory-checkpoint elision).
     durable_at: Option<u32>,
@@ -110,7 +106,10 @@ impl DurableWriter {
     /// Record the cluster context to stamp into every snapshot (multi-GPU
     /// orchestrator only; refresh after redistribution).
     pub(crate) fn set_placement(&mut self, num_gpus: u32, owners: &[usize]) {
-        self.placement = Some((num_gpus, owners.to_vec()));
+        self.placement = Some(Placement {
+            num_gpus,
+            owners: owners.iter().map(|&o| o as u32).collect(),
+        });
     }
 
     /// A resume restored state at `boundary`; continue the schedule (and,
@@ -155,49 +154,22 @@ impl DurableWriter {
         {
             return Ok(());
         }
-        let full = match (self.cfg.full_every, self.last_full_at) {
-            (None, _) | (Some(_), None) => true,
-            (Some(fe), Some(last)) => boundary.saturating_sub(last) >= self.cfg.every * fe,
+        // `Some(base)`: a delta against the full snapshot at `base`.
+        let base = match (self.cfg.full_every, self.last_full_at) {
+            (Some(fe), Some(last)) if boundary.saturating_sub(last) < self.cfg.every * fe => {
+                Some(last)
+            }
+            _ => None,
         };
-        let inner = if full {
-            snapshot::encode_snapshot::<P>(
-                &self.fp,
-                &host.vertex_values,
-                &host.edge_values,
-                &host.gather_temp,
-                &host.frontier,
-                &host.changed,
-                &host.next_frontier,
-                &host.iterations,
-            )
-        } else {
-            snapshot_delta::encode_delta::<P>(
-                &self.fp,
-                self.last_full_at.expect("delta implies a prior full"),
-                &self.dirty,
-                &host.vertex_values,
-                &host.edge_values,
-                &host.gather_temp,
-                &host.frontier,
-                &host.changed,
-                &host.next_frontier,
-                &host.iterations,
-            )
-        };
-        let mut framed = inner;
-        if let Some((ngpu, owners)) = &self.placement {
-            framed = snapshot_multi::wrap_multi(*ngpu, owners, &framed);
-        }
-        let raw_len = framed.len() as u64;
-        let framed = match self.codec {
-            Some(codec) => snapshot_delta::wrap_compressed(codec, &framed),
-            None => framed,
-        };
-        let name = if full {
-            snapshot::snapshot_name(boundary)
-        } else {
-            snapshot_delta::delta_name(boundary)
-        };
+        let full = base.is_none();
+        let (framed, raw_len) = snapshot::encode_state(
+            &self.fp,
+            host,
+            base.map(|b| (b, &self.dirty)),
+            self.placement.as_ref(),
+            self.codec,
+        );
+        let name = snapshot::snapshot_name(boundary, !full);
         let Some(written) = storage.snapshot_write(&self.cfg.dir, &name, boundary, &framed)? else {
             // Skipped after retry exhaustion: the previous snapshot still
             // covers its boundary; the schedule state is untouched.
@@ -210,16 +182,12 @@ impl DurableWriter {
             metrics.inc("engine.checkpoint_full_bytes", written);
             self.last_full_at = Some(boundary);
             self.dirty.clear_all();
-            snapshot::prune_old(&self.cfg.dir)?;
-            if self.cfg.full_every.is_some() {
-                // Everything the new full covers is redundant.
-                snapshot_delta::prune_deltas(&self.cfg.dir, Some(boundary))?;
-            }
         } else {
             metrics.inc("engine.checkpoint_delta_writes", 1);
             metrics.inc("engine.checkpoint_delta_bytes", written);
-            snapshot_delta::prune_deltas(&self.cfg.dir, None)?;
         }
+        // Retention; a new full also drops the deltas it makes redundant.
+        snapshot::prune(&self.cfg.dir, full.then_some(boundary))?;
         observer.decision(|| Decision::CheckpointWrite {
             iteration: boundary,
             bytes: written,
@@ -280,8 +248,8 @@ mod tests {
                 &mut metrics,
             )
             .unwrap();
-            let full = dir.join(snapshot::snapshot_name(b)).exists();
-            let delta = dir.join(snapshot_delta::delta_name(b)).exists();
+            let full = dir.join(snapshot::snapshot_name(b, false)).exists();
+            let delta = dir.join(snapshot::snapshot_name(b, true)).exists();
             kinds.push((full, delta));
         }
         assert_eq!(
@@ -297,8 +265,8 @@ mod tests {
                 == metrics.counter("engine.checkpoint_bytes")
         );
         // The full at 3 obsoleted the earlier deltas.
-        assert!(!dir.join(snapshot_delta::delta_name(1)).exists());
-        assert!(!dir.join(snapshot_delta::delta_name(2)).exists());
+        assert!(!dir.join(snapshot::snapshot_name(1, true)).exists());
+        assert!(!dir.join(snapshot::snapshot_name(2, true)).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -100,22 +100,6 @@ impl<P: GasProgram> HostState<P> {
         Self::with_frontier(program, layout, values, b)
     }
 
-    /// Restore from a durable snapshot: every field — including the full
-    /// iteration trace — comes back exactly as captured at the boundary,
-    /// so the replayed run's per-iteration report matches an
-    /// uninterrupted oracle's and the final state is bit-identical.
-    pub(crate) fn restored(r: crate::snapshot::RestoredState<P>) -> Self {
-        HostState {
-            vertex_values: r.vertex_values,
-            edge_values: r.edge_values,
-            gather_temp: r.gather_temp,
-            frontier: r.frontier,
-            changed: r.changed,
-            next_frontier: r.next_frontier,
-            iterations: r.trace,
-        }
-    }
-
     fn with_frontier(
         program: &P,
         layout: &GraphLayout,

@@ -54,6 +54,7 @@ pub mod buffers;
 pub mod checkpoint;
 pub mod engine;
 pub mod exec;
+pub(crate) mod frame;
 pub mod multi;
 pub mod options;
 pub mod phases;
@@ -62,8 +63,7 @@ pub mod report;
 pub mod session;
 pub mod sizes;
 pub mod snapshot;
-pub mod snapshot_delta;
-pub mod snapshot_multi;
+pub(crate) mod snapshot_delta;
 pub mod stats;
 pub mod storage;
 pub mod store;

@@ -33,9 +33,9 @@
 //! [`MultiGraphReduce::with_checkpoint_policy`] (`Durable` or
 //! `DurableDelta`) and restart a killed run with
 //! [`MultiGraphReduce::resume`]. Because results live in one
-//! host-resident master state, a multi-GPU snapshot is that state
-//! wrapped in a GRCM container recording the device count and shard
-//! placement at capture time; on resume the placement is informational —
+//! host-resident master state, a multi-GPU snapshot is that state with
+//! the device count and shard placement at capture time recorded in the
+//! frame header; on resume the placement is informational —
 //! the orchestrator re-derives it for the *current* device set (a node
 //! may come back short a GPU) and lets the governor redistribute, so
 //! replay stays bit-identical across device counts. Checkpoint writes
@@ -257,8 +257,8 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
 
     /// Arm durable checkpoints ([`CheckpointPolicy::Durable`] or
     /// [`CheckpointPolicy::DurableDelta`]): one versioned, checksummed
-    /// snapshot of the master state — wrapped in a GRCM container
-    /// recording the device count and shard placement — is written
+    /// snapshot of the master state — recording the device count and
+    /// shard placement in its header — is written
     /// atomically at iteration boundary 0, every `every` completed
     /// iterations, and at convergence. Restart a killed run with
     /// [`MultiGraphReduce::resume`]. The in-memory policies
@@ -316,11 +316,11 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
     /// Resume a previously killed (or completed) run from the newest
     /// intact snapshot in `dir`, then execute to convergence.
     ///
-    /// Accepts every snapshot family the single-GPU engine accepts
-    /// (GRCK full, GRCD delta chain, GRCZ compressed), plus the GRCM
-    /// multi container the orchestrator writes. A GRCM placement map is
-    /// honored only when it fits the current device set exactly (same
-    /// width, same shard count); otherwise ownership is re-derived for
+    /// Accepts every snapshot the single-GPU engine accepts (full, delta
+    /// chain, compressed), with or without the placement map the
+    /// orchestrator records. A recorded placement map is honored only
+    /// when it fits the current device set exactly (same width, same
+    /// shard count); otherwise ownership is re-derived for
     /// the *current* devices, so a run checkpointed on N GPUs can resume
     /// on fewer — the governor redistributes the orphaned shards exactly
     /// as it does after an eviction. Vertex state, per-iteration stats
@@ -359,7 +359,7 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
         // Shard ownership and device liveness: a lost device is evicted
         // and its shards redistributed round-robin over the survivors.
         // A resumed run checkpointed at the *same* width restores the
-        // recorded GRCM placement (it may reflect earlier evictions or
+        // recorded placement (it may reflect earlier evictions or
         // governor moves); any width change re-derives round-robin for
         // the current device set and lets the governor redistribute.
         let recorded = restored.as_ref().and_then(|r| r.placement.as_ref());
@@ -465,7 +465,7 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
         let mut restored_chain = None;
         let mut host = match restored {
             Some(r) => {
-                let b = r.state.iterations_completed();
+                let b = r.state.iterations.len() as u32;
                 checkpoint_restores = 1;
                 restored_chain = r.delta;
                 let bytes = r.bytes;
@@ -473,13 +473,13 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
                     iteration: b,
                     bytes,
                 });
-                HostState::restored(r.state)
+                r.state
             }
             None => HostState::<P>::cold(&self.program, layout),
         };
 
         // Durable checkpoint writer (single-GPU machinery reused whole):
-        // the orchestrator only adds the GRCM placement frame, refreshed
+        // the orchestrator only adds the placement map, refreshed
         // before every write because eviction mutates `owners`.
         let mut durable = DurableConfig::from_policy(&self.checkpoint_policy).map(|cfg| {
             let fp = snapshot::fingerprint_for(&self.program, self.session.layout());

@@ -327,8 +327,8 @@ impl Options {
     }
 
     /// Convenience: spill evicted shards to checksummed files under `dir`
-    /// (a [`FileShardStore`], GRS2-framed through the active codec when
-    /// compression is on).
+    /// (a [`FileShardStore`], its frames coded through the active codec
+    /// when compression is on).
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self.rebuild_spill_store();

@@ -27,8 +27,8 @@ use std::path::Path;
 use gr_observe::{Decision, Observer};
 use gr_sim::{FaultPlan, IoFault, IoFaultState, IoOp};
 
+use crate::frame::write_atomic;
 use crate::recovery::{EngineError, RecoveryPolicy};
-use crate::snapshot::write_named_atomic;
 use crate::store::ShardStoreHandle;
 
 /// Counters the storage plane accumulates for [`crate::RunStats`].
@@ -153,7 +153,7 @@ impl StorageCtx {
     ) -> Result<Option<u64>, EngineError> {
         for attempt in 0..=self.policy.max_retries {
             let Some(fault) = self.io.next(IoOp::CheckpointWrite) else {
-                return Ok(Some(write_named_atomic(dir, name, bytes)?));
+                return Ok(Some(write_atomic(dir, name, bytes)?));
             };
             if matches!(fault, IoFault::Torn) {
                 // The torn write got as far as a partial temp file.

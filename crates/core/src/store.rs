@@ -12,7 +12,6 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -21,17 +20,12 @@ use gr_graph::CompressionCodec;
 use gr_graph::GraphLayout;
 use gr_graph::Shard;
 
-use crate::snapshot::fnv1a;
+use crate::frame::{self, Head};
+use crate::snapshot::{io_err, SnapshotError};
 
-/// Magic bytes opening every v1 (uncompressed) file-backed shard blob.
-pub const SHARD_MAGIC: [u8; 4] = *b"GRSH";
-
-/// Magic bytes opening every v2 (codec-framed) file-backed shard blob.
-pub const SHARD_MAGIC_V2: [u8; 4] = *b"GRS2";
-
-/// Why a shard could not be spilled or loaded. Like
-/// [`SnapshotError`](crate::snapshot::SnapshotError), every variant names
-/// the location involved and read-side failures carry byte offsets.
+/// Why a shard could not be spilled or loaded. Like [`SnapshotError`],
+/// every variant names the location involved and read-side failures
+/// carry byte offsets.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
     /// An OS-level I/O operation failed for a shard blob.
@@ -191,19 +185,17 @@ impl ShardStore for MemShardStore {
     }
 }
 
-/// File-backed store: one blob per shard under a directory, written
-/// temp-file + rename like snapshots, so a crash mid-spill never leaves a
-/// readable-but-wrong blob. Two frame versions coexist:
+/// File-backed store: one blob per shard under a directory, each a
+/// shard frame of the crate's one on-disk container (`shard id` in the
+/// header, payload as the body, FNV-1a over the whole frame), installed
+/// temp-file + rename like snapshots so a crash mid-spill never leaves a
+/// readable-but-wrong blob.
 ///
-/// - v1 (no codec): `GRSH | shard u32 | len u64 | payload | fnv1a u64`;
-/// - v2 (codec armed): `GRS2 | shard u32 | clen u64 | rawlen u64 |
-///   codec u8 | zpayload | fnv1a u64`, where `zpayload` is the payload's
-///   u32 little-endian words stride-2 delta-coded (shard payloads
-///   interleave `(neighbor, edge id)` pairs, so same-lane deltas are
-///   small), zig-zagged, and run through the named [`CompressionCodec`].
-///
-/// Reads dispatch on the magic, so a store armed with a codec still
-/// loads blobs an uncompressed run left behind.
+/// With a codec armed the body is the payload's u32 little-endian words
+/// stride-2 delta-coded (shard payloads interleave `(neighbor, edge id)`
+/// pairs, so same-lane deltas are small), zig-zagged, and run through the
+/// named [`CompressionCodec`]; the codec rides in the frame, so any store
+/// reads any frame.
 pub struct FileShardStore {
     dir: PathBuf,
     codec: Option<CompressionCodec>,
@@ -211,13 +203,10 @@ pub struct FileShardStore {
 
 impl FileShardStore {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        FileShardStore {
-            dir: dir.into(),
-            codec: None,
-        }
+        Self::with_codec(dir, None)
     }
 
-    /// A store writing v2 codec frames (`None` behaves like [`new`]).
+    /// A store writing codec frames (`None` behaves like [`new`]).
     ///
     /// [`new`]: FileShardStore::new
     pub fn with_codec(dir: impl Into<PathBuf>, codec: Option<CompressionCodec>) -> Self {
@@ -227,18 +216,8 @@ impl FileShardStore {
         }
     }
 
-    fn path_for(&self, shard: u32) -> PathBuf {
-        self.dir.join(format!("shard-{shard:06}.grsh"))
-    }
-
-    fn io(&self, shard: u32, path: &Path, op: &'static str, e: std::io::Error) -> StoreError {
-        let _ = self;
-        StoreError::Io {
-            shard,
-            path: path.to_path_buf(),
-            op,
-            detail: e.to_string(),
-        }
+    fn name_for(shard: u32) -> String {
+        format!("shard-{shard:06}.grsh")
     }
 }
 
@@ -248,146 +227,82 @@ impl ShardStore for FileShardStore {
     }
 
     fn put(&self, shard: u32, payload: &[u8]) -> Result<u64, StoreError> {
-        fs::create_dir_all(&self.dir)
-            .map_err(|e| self.io(shard, &self.dir, "create directory", e))?;
-        let finalp = self.path_for(shard);
-        let tmp = finalp.with_extension("grsh.tmp");
-        let (mut framed, stored_len) = match self.codec {
-            None => {
-                let mut framed = Vec::with_capacity(payload.len() + 24);
-                framed.extend_from_slice(&SHARD_MAGIC);
-                framed.extend_from_slice(&shard.to_le_bytes());
-                framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                framed.extend_from_slice(payload);
-                (framed, payload.len() as u64)
-            }
-            Some(codec) => {
-                let z = compress_payload(codec, payload);
-                let mut framed = Vec::with_capacity(z.len() + 33);
-                framed.extend_from_slice(&SHARD_MAGIC_V2);
-                framed.extend_from_slice(&shard.to_le_bytes());
-                framed.extend_from_slice(&(z.len() as u64).to_le_bytes());
-                framed.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-                framed.push(codec_tag(codec));
-                let stored = z.len() as u64;
-                framed.extend_from_slice(&z);
-                (framed, stored)
-            }
-        };
-        let checksum = fnv1a(&framed);
-        framed.extend_from_slice(&checksum.to_le_bytes());
-        {
-            let mut f = fs::File::create(&tmp).map_err(|e| self.io(shard, &tmp, "create", e))?;
-            f.write_all(&framed)
-                .map_err(|e| self.io(shard, &tmp, "write", e))?;
-            f.sync_all().map_err(|e| self.io(shard, &tmp, "sync", e))?;
-        }
-        fs::rename(&tmp, &finalp).map_err(|e| self.io(shard, &finalp, "rename into place", e))?;
-        Ok(stored_len)
+        let (framed, stored) = frame::encode(&Head::Shard { id: shard }, None, self.codec, payload);
+        frame::write_atomic(&self.dir, &Self::name_for(shard), &framed)
+            .map_err(|e| store_err(shard, e))?;
+        Ok(stored)
     }
 
     fn get(&self, shard: u32) -> Result<Vec<u8>, StoreError> {
-        let path = self.path_for(shard);
-        let buf = match fs::read(&path) {
-            Ok(b) => b,
+        let path = self.dir.join(Self::name_for(shard));
+        match fs::read(&path) {
+            Ok(buf) => decode_shard(&path, shard, &buf),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(StoreError::Missing { shard })
+                Err(StoreError::Missing { shard })
             }
-            Err(e) => return Err(self.io(shard, &path, "read", e)),
-        };
-        // Both frames open `magic(4) | shard(4)` and close `fnv1a(8)`;
-        // dispatch on the magic so either vintage reads back.
-        if buf.len() < 24 {
-            return Err(StoreError::ShortRead {
-                shard,
-                path,
-                offset: buf.len() as u64,
-                needed: (24 - buf.len()) as u64,
-            });
+            Err(e) => Err(store_err(shard, io_err(&path, "read", e))),
         }
-        let v2 = if buf[..4] == SHARD_MAGIC {
-            false
-        } else if buf[..4] == SHARD_MAGIC_V2 {
-            true
-        } else {
-            return Err(StoreError::Corrupt {
-                shard,
-                path,
-                what: "magic",
-            });
-        };
-        let stored_shard = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if stored_shard != shard {
-            return Err(StoreError::Corrupt {
-                shard,
-                path,
-                what: "shard id",
-            });
-        }
-        // Header past the shard id: v1 is `len u64`; v2 is
-        // `clen u64 | rawlen u64 | codec u8`.
-        let header = if v2 { 25usize } else { 16 };
-        if buf.len() < header + 8 {
-            return Err(StoreError::ShortRead {
-                shard,
-                path,
-                offset: buf.len() as u64,
-                needed: (header + 8 - buf.len()) as u64,
-            });
-        }
-        let len = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
-        let total = header.checked_add(len).and_then(|t| t.checked_add(8));
-        match total {
-            Some(t) if t == buf.len() => {}
-            Some(t) if t > buf.len() => {
-                return Err(StoreError::ShortRead {
-                    shard,
-                    path,
-                    offset: buf.len() as u64,
-                    needed: (t - buf.len()) as u64,
-                })
-            }
-            _ => {
-                return Err(StoreError::Corrupt {
-                    shard,
-                    path,
-                    what: "payload length",
-                })
-            }
-        }
-        let body = &buf[..buf.len() - 8];
-        let stored = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-        if fnv1a(body) != stored {
-            return Err(StoreError::Corrupt {
-                shard,
-                path,
-                what: "checksum",
-            });
-        }
-        if !v2 {
-            return Ok(body[16..].to_vec());
-        }
-        let rawlen = u64::from_le_bytes(buf[16..24].try_into().unwrap()) as usize;
-        let Some(codec) = codec_from_tag(buf[24]) else {
-            return Err(StoreError::Corrupt {
-                shard,
-                path,
-                what: "codec tag",
-            });
-        };
-        decompress_payload(codec, &body[header..], rawlen).ok_or(StoreError::Corrupt {
-            shard,
-            path,
-            what: "payload",
-        })
     }
 
     fn contains(&self, shard: u32) -> bool {
-        self.path_for(shard).exists()
+        self.dir.join(Self::name_for(shard)).exists()
     }
 }
 
-/// Frame byte naming the v2 codec: 0 = varint, `k` = ζ_k.
+/// Decode the frame `buf` read from `path` as `shard`'s payload. A frame
+/// of another kind or another shard (a blob renamed over this slot) is
+/// refused.
+pub(crate) fn decode_shard(path: &Path, shard: u32, buf: &[u8]) -> Result<Vec<u8>, StoreError> {
+    let f = frame::decode(path, buf).map_err(|e| store_err(shard, e))?;
+    let corrupt = |what| StoreError::Corrupt {
+        shard,
+        path: path.to_path_buf(),
+        what,
+    };
+    match f.head {
+        Head::Shard { id } if id == shard => {
+            Ok(f.body().map_err(|e| store_err(shard, e))?.into_owned())
+        }
+        Head::Shard { .. } => Err(corrupt("shard id")),
+        Head::State { .. } => Err(corrupt("frame kind")),
+    }
+}
+
+/// The frame layer reports [`SnapshotError`]s; the store names the shard.
+fn store_err(shard: u32, e: SnapshotError) -> StoreError {
+    let (path, what) = match e {
+        SnapshotError::Io { path, op, detail } => {
+            return StoreError::Io {
+                shard,
+                path,
+                op,
+                detail,
+            }
+        }
+        SnapshotError::ShortRead {
+            path,
+            offset,
+            needed,
+            ..
+        } => {
+            return StoreError::ShortRead {
+                shard,
+                path,
+                offset,
+                needed,
+            }
+        }
+        SnapshotError::BadMagic { path } => (path, "magic"),
+        SnapshotError::VersionMismatch { path, .. } => (path, "version"),
+        SnapshotError::ChecksumMismatch { path, .. } => (path, "checksum"),
+        SnapshotError::FingerprintMismatch { path, field, .. } => (path, field),
+        SnapshotError::Corrupt { path, what, .. } => (path, what),
+        SnapshotError::NoSnapshot { dir } => (dir, "frame"),
+    };
+    StoreError::Corrupt { shard, path, what }
+}
+
+/// Frame byte naming the body codec: 0 = varint, `k` = ζ_k.
 pub(crate) fn codec_tag(codec: CompressionCodec) -> u8 {
     match codec {
         CompressionCodec::Varint => 0,
@@ -403,7 +318,7 @@ pub(crate) fn codec_from_tag(tag: u8) -> Option<CompressionCodec> {
     }
 }
 
-/// Compress an opaque shard payload for a v2 frame: the payload's u32
+/// Code an opaque frame body: the payload's u32
 /// little-endian words stride-2 delta-coded against the previous word in
 /// the same lane (payloads interleave `(neighbor, eid)` pairs, so lane
 /// deltas are the same small gaps the shard codecs were built for),
@@ -480,6 +395,7 @@ pub(crate) fn shard_payload(layout: &GraphLayout, shard: &Shard) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::fnv1a;
 
     fn tmpdir(tag: &str) -> PathBuf {
         static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
@@ -534,10 +450,22 @@ mod tests {
             })
         ));
 
-        // Truncation -> short read with offsets.
+        // Truncation past the preamble -> the checksum, as for snapshots.
         fs::write(&path, &good[..good.len() - 4]).unwrap();
+        assert!(matches!(
+            s.get(5),
+            Err(StoreError::Corrupt {
+                what: "checksum",
+                ..
+            })
+        ));
+        // A cut inside the magic + version preamble -> short read with
+        // offsets.
+        fs::write(&path, &good[..6]).unwrap();
         match s.get(5) {
-            Err(StoreError::ShortRead { needed, .. }) => assert_eq!(needed, 4),
+            Err(StoreError::ShortRead { offset, needed, .. }) => {
+                assert_eq!((offset, needed), (4, 2))
+            }
             other => panic!("expected short read, got {other:?}"),
         }
 
@@ -585,17 +513,16 @@ mod tests {
     }
 
     #[test]
-    fn codec_armed_store_still_reads_v1_blobs() {
+    fn any_store_reads_raw_and_coded_frames() {
+        // The codec rides in the frame, not the store config.
         let dir = tmpdir("compat");
-        let v1 = FileShardStore::new(&dir);
-        assert_eq!(v1.put(2, b"written before the codec era").unwrap(), 28);
-        let v2 = FileShardStore::with_codec(&dir, Some(CompressionCodec::Zeta(3)));
-        assert!(v2.contains(2));
-        assert_eq!(v2.get(2).unwrap(), b"written before the codec era");
-        // And the reverse: a codec-less store reads v2 frames (the codec
-        // rides in the frame, not the store config).
-        v2.put(3, b"compressed frame").unwrap();
-        assert_eq!(v1.get(3).unwrap(), b"compressed frame");
+        let raw = FileShardStore::new(&dir);
+        assert_eq!(raw.put(2, b"written without a codec").unwrap(), 23);
+        let coded = FileShardStore::with_codec(&dir, Some(CompressionCodec::Zeta(3)));
+        assert!(coded.contains(2));
+        assert_eq!(coded.get(2).unwrap(), b"written without a codec");
+        coded.put(3, b"compressed frame").unwrap();
+        assert_eq!(raw.get(3).unwrap(), b"compressed frame");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -621,18 +548,21 @@ mod tests {
             })
         ));
 
-        // Flip the codec tag (byte 24) -> checksum catches that too.
+        // Flip the codec tag (byte 14) -> checksum catches that too.
         let mut bad = good.clone();
-        bad[24] ^= 0xff;
+        bad[14] ^= 0xff;
         fs::write(&path, &bad).unwrap();
         assert!(matches!(s.get(5), Err(StoreError::Corrupt { .. })));
 
-        // Truncation -> short read with offsets.
+        // Truncation -> the checksum, never a short decode.
         fs::write(&path, &good[..good.len() - 3]).unwrap();
-        match s.get(5) {
-            Err(StoreError::ShortRead { needed, .. }) => assert_eq!(needed, 3),
-            other => panic!("expected short read, got {other:?}"),
-        }
+        assert!(matches!(
+            s.get(5),
+            Err(StoreError::Corrupt {
+                what: "checksum",
+                ..
+            })
+        ));
 
         fs::write(&path, &good).unwrap();
         assert_eq!(
@@ -722,7 +652,7 @@ mod tests {
                 matches!(
                     s.get(4),
                     Err(StoreError::Corrupt {
-                        what: "payload",
+                        what: "compressed payload",
                         ..
                     })
                 ),
@@ -731,22 +661,22 @@ mod tests {
             );
         };
 
-        // rawlen (bytes 16..24) inflated past what the stream can hold.
+        // The header: magic, version, kind, flags, shard id (14 B), codec
+        // tag, raw body length (bytes 15..23); the coded body from 23.
+        // rawlen inflated past what the stream can hold.
         for rawlen in [u64::MAX, 1 << 40, payload.len() as u64 * 64] {
             let mut bad = good.clone();
-            bad[16..24].copy_from_slice(&rawlen.to_le_bytes());
+            bad[15..23].copy_from_slice(&rawlen.to_le_bytes());
             corrupt_payload(bad);
         }
-        // The compressed body truncated, lengths patched to match.
+        // The coded body truncated.
         let mut bad = good[..good.len() - 8 - 100].to_vec();
-        let clen = (bad.len() - 25) as u64;
-        bad[8..16].copy_from_slice(&clen.to_le_bytes());
         bad.extend_from_slice(&[0; 8]);
         corrupt_payload(bad);
         // The body zeroed: ζ prefixes that never end.
         let mut bad = good.clone();
         let end = bad.len() - 8;
-        bad[25..end].fill(0);
+        bad[23..end].fill(0);
         corrupt_payload(bad);
 
         fs::write(&path, &good).unwrap();

@@ -635,6 +635,65 @@ fn corrupted_latest_snapshot_falls_back_to_previous_intact_one() {
     assert_eq!(out.stats.checkpoint_restores, 1);
 }
 
+/// FNV-1a 64, the frame checksum, so a test can forge a field and
+/// reseal the file (docs/DURABILITY.md).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn forged_counts_under_a_valid_checksum_are_typed_errors() {
+    // A real CC snapshot with one count changed and its checksum
+    // recomputed. Each forgery once got past the decoder: a short vertex
+    // count resumed with 448 values, an iteration count of u32::MAX asked
+    // for a 171 GB trace, and 2^40 zero-width edge values spun for minutes.
+    let layout = small_graph();
+    let dir = scratch("forged");
+    GraphReduce::new(Cc, &layout, platform(), durable_opts(&dir, 1))
+        .run()
+        .unwrap();
+    let newest = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|e| e == "grck"))
+        .max()
+        .expect("a snapshot was written");
+    let good = std::fs::read(&newest).unwrap();
+    // Magic, version, kind and flags (10 B), then the fingerprint: name
+    // length u32 + name, graph u64, state u64, n u32, m u64; then the
+    // iteration count u32.
+    let name_len = u32::from_le_bytes(good[10..14].try_into().unwrap()) as usize;
+    let n_at = 14 + name_len + 16;
+    let (m_at, iters_at) = (n_at + 4, n_at + 12);
+    assert_eq!(good[n_at..m_at], 512u32.to_le_bytes());
+    let forgeries = [
+        (n_at, 448u32.to_le_bytes().to_vec(), "vertex count"),
+        (iters_at, u32::MAX.to_le_bytes().to_vec(), "iteration trace"),
+        (m_at, (1u64 << 40).to_le_bytes().to_vec(), "edge count"),
+    ];
+    for (at, field, want) in forgeries {
+        let mut bad = good.clone();
+        bad[at..at + field.len()].copy_from_slice(&field);
+        let end = bad.len() - 8;
+        let sum = fnv1a(&bad[..end]);
+        bad[end..].copy_from_slice(&sum.to_le_bytes());
+        // The forged file is the only snapshot: no fallback can mask it.
+        let only = scratch("forged-one");
+        std::fs::write(only.join(newest.file_name().unwrap()), &bad).unwrap();
+        let res = GraphReduce::new(Cc, &layout, platform(), durable_opts(&only, 1)).resume(&only);
+        match res {
+            Err(EngineError::Snapshot(SnapshotError::FingerprintMismatch { field, .. }))
+            | Err(EngineError::Snapshot(SnapshotError::ShortRead { what: field, .. })) => {
+                assert_eq!(field, want)
+            }
+            Err(e) => panic!("{want}: wrong error {e}"),
+            Ok(_) => panic!("{want}: a forged snapshot must not resume"),
+        }
+    }
+}
+
 #[test]
 fn wrong_graph_fingerprint_fails_fast_on_resume() {
     let dir = scratch("wrong-graph");

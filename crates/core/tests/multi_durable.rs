@@ -327,9 +327,9 @@ fn multi_checkpoint_write_faults_degrade_gracefully() {
 
 #[test]
 fn multi_snapshots_carry_the_placement_frame() {
-    // The files a multi run writes are GRCM-framed; the single-GPU
-    // engine accepts them too (placement is advisory), so a multi
-    // checkpoint can even be resumed single-GPU.
+    // The files a multi run writes record the placement in the frame
+    // header; the single-GPU engine accepts them too (placement is
+    // advisory), so a multi checkpoint can even be resumed single-GPU.
     let layout = multi_layout();
     let dir = scratch("grcm");
     let multi = MultiGraphReduce::new(Cc, &layout, platform(), 2)
@@ -343,11 +343,10 @@ fn multi_snapshots_carry_the_placement_frame() {
         .max()
         .expect("a snapshot was written");
     let bytes = std::fs::read(&newest).unwrap();
-    assert_eq!(
-        &bytes[..4],
-        b"GRCM",
-        "multi snapshots lead with the placement frame"
-    );
+    assert_eq!(&bytes[..4], b"GRFR", "the one frame magic");
+    // Byte 9 is the flags byte; bit 0 says a placement map follows the
+    // fixed header fields (docs/DURABILITY.md).
+    assert_eq!(bytes[9] & 1, 1, "multi snapshots carry the placement");
     let single = graphreduce::GraphReduce::new(
         Cc,
         &layout,
