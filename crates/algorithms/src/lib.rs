@@ -16,6 +16,8 @@
 //! [`mod@reference`] holds the sequential oracles every engine is validated
 //! against.
 
+#![forbid(unsafe_code)]
+
 pub mod bfs;
 pub mod cc;
 pub mod heat;

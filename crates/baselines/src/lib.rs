@@ -17,6 +17,8 @@
 //! (and fail with OOM when a graph exceeds device memory — their defining
 //! limitation, Table 1).
 
+#![forbid(unsafe_code)]
+
 pub mod cusha;
 pub mod executor;
 pub mod graphchi;

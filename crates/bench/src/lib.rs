@@ -23,6 +23,8 @@
 //! of Table 1. Absolute times are simulated-K20c virtual time, not
 //! wall-clock; the paper-vs-measured comparison lives in EXPERIMENTS.md.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 use gr_baselines::{BaselineStats, CuSha, GraphChi, MapGraph, XStream};
@@ -306,9 +308,10 @@ pub fn run_session_all(
     Ok(out)
 }
 
-/// Pin the host worker-thread count for this process: the vendored rayon
-/// reads `RAYON_NUM_THREADS` at every fan-out, so this takes effect for
-/// all subsequent parallel work (`--threads N` on the CLIs).
+/// Pin the host worker-thread count for this process: the engine reads
+/// `RAYON_NUM_THREADS` once per BSP iteration to size its shard fan-out,
+/// so this takes effect from the next iteration on (`--threads N` on the
+/// CLIs).
 pub fn set_host_threads(n: usize) {
     std::env::set_var("RAYON_NUM_THREADS", n.max(1).to_string());
 }

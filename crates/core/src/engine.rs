@@ -491,6 +491,59 @@ mod extension_tests {
             .unwrap();
         assert_eq!(warm.vertex_values, gr2.run().unwrap().vertex_values);
     }
+
+    /// A 100-vertex graph: its frontier bitmap has 28 bits of padding in
+    /// the last word, where a stray id would once have been counted.
+    fn warm_target() -> GraphLayout {
+        GraphLayout::build(&gen::uniform(100, 500, 11).symmetrize())
+    }
+
+    #[test]
+    fn warm_start_rejects_more_values_than_vertices() {
+        let layout = warm_target();
+        let gr = GraphReduce::new(Cc, &layout, Platform::paper_node(), Options::optimized());
+        let err = gr
+            .run_warm(WarmStart {
+                vertex_values: vec![0; 101],
+                frontier: vec![0],
+            })
+            .err()
+            .expect("101 values for 100 vertices must be rejected");
+        assert_eq!(
+            err,
+            EngineError::BadWarmStart {
+                what: "vertex-value count",
+                found: 101,
+                num_vertices: 100
+            }
+        );
+        assert!(err.to_string().contains("100-vertex graph"), "{err}");
+    }
+
+    #[test]
+    fn warm_start_rejects_frontier_ids_past_the_last_vertex() {
+        let layout = warm_target();
+        let gr = GraphReduce::new(Cc, &layout, Platform::paper_node(), Options::optimized());
+        // 120 sits in the last bitmap word's padding; 100 is the first id
+        // past the end.
+        for id in [120, 100] {
+            let err = gr
+                .run_warm(WarmStart {
+                    vertex_values: Vec::new(),
+                    frontier: vec![3, id],
+                })
+                .err()
+                .expect("an id past the last vertex must be rejected");
+            assert_eq!(
+                err,
+                EngineError::BadWarmStart {
+                    what: "frontier vertex",
+                    found: u64::from(id),
+                    num_vertices: 100
+                }
+            );
+        }
+    }
 }
 
 #[cfg(test)]

@@ -4,16 +4,21 @@
 //! devices (vertex state is replicated, so host truth is global).
 //!
 //! This is the real-compute half of the driver layer: the BSP iteration
-//! over the GAS phase kernels (`crates/core/src/phases.rs`), fanned out
-//! across shards on host threads when available. Each per-shard phase
-//! execution is wrapped in a `WallProfiler` scope keyed by (iteration,
-//! shard, phase, resolved kernel shape), so armed runs attribute real
-//! milliseconds to the Serial/Dense/Sparse choices — disarmed, each
-//! scope is one branch (see `gr-observe`'s overhead guard).
+//! over the GAS phase kernels (`crates/core/src/phases.rs`). The host has
+//! one parallel level, the shards (the paper's unit of concurrent work):
+//! gather, apply and activate each cut the shard list into at most one
+//! contiguous run per worker thread and run them through `in_runs`.
+//! Each per-shard phase execution is wrapped in a `WallProfiler` scope
+//! keyed by (iteration, shard, phase, resolved kernel shape), so armed
+//! runs attribute real milliseconds to the dense/sparse choices —
+//! disarmed, each scope is one branch (see `gr-observe`'s overhead guard).
+
+use std::ops::Range;
 
 use gr_graph::{Bitmap, GraphLayout, Shard, TopoView};
 use gr_observe::profiler::{WALL_ITERATION, WALL_NO_SHARD};
 use gr_observe::{Decision, MetricsRegistry, Observer, WallKey, WallProfiler};
+use rayon::prelude::*;
 
 use crate::api::{GasProgram, InitialFrontier};
 use crate::checkpoint::Checkpoint;
@@ -23,6 +28,69 @@ use crate::phases::{
     activate_shard, apply_shard, gather_shard, scatter_shard, shape_name, ShardWork,
 };
 use crate::stats::IterationStats;
+
+/// A phase fans out only when its driving bitmap (the frontier for
+/// gather/apply, `changed` for activate) holds at least this many
+/// vertices. Below it a thread spawn per run costs more than the run's
+/// work: `grid-sparse` traversals, whose frontiers stay near 700 vertices,
+/// ran 3x slower on two threads than on one without the gate, while the
+/// dense opening iterations of `rmat-dense`/`rmat-zeta` sit far above it.
+const FAN_OUT_MIN_ACTIVE: u64 = 4096;
+
+/// A contiguous run of shard indices and the context its shards share.
+type Run<C> = (Range<usize>, C);
+
+/// Cut `0..num_shards` into contiguous runs of near-equal shard count:
+/// one run below the gate, else up to one per worker thread.
+fn shard_runs(num_shards: usize, threads: usize, driving: &Bitmap) -> Vec<Range<usize>> {
+    let wanted = if driving.count() < FAN_OUT_MIN_ACTIVE {
+        1
+    } else {
+        threads
+    };
+    let runs = wanted.min(num_shards);
+    (0..runs)
+        .map(|r| r * num_shards / runs..(r + 1) * num_shards / runs)
+        .collect()
+}
+
+/// Pair each run with its shards' slice of a per-vertex array and the
+/// vertex that slice starts at. Shard intervals are ordered and disjoint,
+/// so the slices are too.
+fn carve<'a, T>(
+    mut rest: &'a mut [T],
+    shards: &[Shard],
+    runs: Vec<Range<usize>>,
+) -> Vec<Run<(usize, &'a mut [T])>> {
+    let mut offset = 0;
+    runs.into_iter()
+        .map(|run| {
+            let lo = shards[run.start].interval.start as usize;
+            let hi = shards[run.end - 1].interval.end as usize;
+            let (_, tail) = std::mem::take(&mut rest).split_at_mut(lo - offset);
+            let (mine, tail) = tail.split_at_mut(hi - lo);
+            rest = tail;
+            offset = hi;
+            (run, (lo, mine))
+        })
+        .collect()
+}
+
+/// The host's one parallel level: `f` visits every shard of every run in
+/// shard order with that run's context. The first run executes on the
+/// caller and each further run on one scoped thread; a single run is
+/// inline. Results come back in shard order, so merging them is the
+/// serial merge.
+fn in_runs<C: Send, R: Send>(
+    runs: Vec<Run<C>>,
+    f: impl Fn(&mut C, usize) -> R + Sync,
+) -> impl Iterator<Item = R> {
+    let per_run: Vec<Vec<R>> = runs
+        .into_par_iter()
+        .map(|(shards, mut ctx)| shards.map(|i| f(&mut ctx, i)).collect())
+        .collect();
+    per_run.into_iter().flatten()
+}
 
 /// Wall-scope key for one shard's slice of a GAS phase: the shape is
 /// resolved exactly as the kernel will resolve it (same driving-bitmap
@@ -83,13 +151,10 @@ impl<P: GasProgram> HostState<P> {
 
     /// Warm start: carry a previous run's vertex values (padded with
     /// `init_vertex` for added vertices), seed the frontier explicitly.
+    /// `w` has passed [`WarmStart::check`] against this layout.
     pub(crate) fn warm(program: &P, layout: &GraphLayout, w: WarmStart<P>) -> Self {
         let n = layout.num_vertices();
         let mut values = w.vertex_values;
-        assert!(
-            values.len() <= n as usize,
-            "warm-start values exceed the vertex set"
-        );
         for v in values.len() as u32..n {
             values.push(program.init_vertex(v, layout.csr.degree(v) as u32));
         }
@@ -119,11 +184,12 @@ impl<P: GasProgram> HostState<P> {
     }
 
     /// One exact BSP iteration: Gather over all shards, Apply, Scatter,
-    /// FrontierActivate, with every merge in shard order so results are
-    /// bit-identical whether shards run serial or fanned out over host
-    /// threads. Pushes this iteration's [`IterationStats`] and logs one
-    /// [`Decision::ShardSkip`] per inactive shard (when frontier
-    /// management is on — one decision == one shard counted skipped).
+    /// FrontierActivate. Gather, apply and activate fan out through
+    /// [`in_runs`], whose results merge in shard order, so every result is
+    /// bit-identical at any thread count. Pushes this iteration's
+    /// [`IterationStats`] and logs one [`Decision::ShardSkip`] per inactive
+    /// shard (when frontier management is on — one decision == one shard
+    /// counted skipped).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn compute_iteration(
         &mut self,
@@ -149,155 +215,78 @@ impl<P: GasProgram> HostState<P> {
         self.next_frontier.clear_all();
         let num_shards = shards.len();
         let mut work = vec![ShardWork::default(); num_shards];
-        // Shards are independent within a BSP stage: with host threads
-        // available, gather/apply/activate fan out one task per shard
-        // (the intra-shard kernels may split further). All merge steps
-        // run in shard order, so results are bit-identical to serial.
-        let across_shards = rayon::current_num_threads() > 1 && num_shards > 1;
+        // Read once per iteration: a `RAYON_NUM_THREADS` change between
+        // queries takes effect at the next iteration.
+        let threads = rayon::current_num_threads();
 
         // Gather (all shards, before any apply — BSP).
         if program.has_gather() {
-            if across_shards {
-                let vertex_values = &self.vertex_values;
-                let edge_values = &self.edge_values;
-                let frontier = &self.frontier;
-                // Carve gather_temp into per-shard slices (intervals are
-                // contiguous, ordered, disjoint).
-                let mut slices: Vec<&mut [P::Gather]> = Vec::with_capacity(num_shards);
-                let mut rest: &mut [P::Gather] = &mut self.gather_temp;
-                let mut offset = 0usize;
-                for sh in shards.iter() {
-                    let lo = sh.interval.start as usize;
-                    let hi = sh.interval.end as usize;
-                    let (_, tail) = rest.split_at_mut(lo - offset);
-                    let (mine, tail) = tail.split_at_mut(hi - lo);
-                    slices.push(mine);
-                    rest = tail;
-                    offset = hi;
-                }
-                rayon::scope(|s| {
-                    for (si, ((sh, slice), w)) in
-                        shards.iter().zip(slices).zip(work.iter_mut()).enumerate()
-                    {
-                        s.spawn(move |_| {
-                            let _w = wall
-                                .scope(|| phase_key(iter, si as u32, "gather", mode, frontier, sh));
-                            let (a, e) = gather_shard(
-                                program,
-                                view,
-                                sh,
-                                vertex_values,
-                                edge_values,
-                                &layout.weights,
-                                frontier,
-                                slice,
-                                mode,
-                            );
-                            w.active_vertices = a;
-                            w.active_in_edges = e;
-                        });
-                    }
-                });
-            } else {
-                for (i, sh) in shards.iter().enumerate() {
-                    let lo = sh.interval.start as usize;
-                    let hi = sh.interval.end as usize;
-                    let _w = wall
-                        .scope(|| phase_key(iter, i as u32, "gather", mode, &self.frontier, sh));
-                    let (a, e) = gather_shard(
+            let (values, edge_values, frontier) =
+                (&self.vertex_values, &self.edge_values, &self.frontier);
+            let runs = shard_runs(num_shards, threads, frontier);
+            let counts = in_runs(
+                carve(&mut self.gather_temp, shards, runs),
+                |(base, temp), i| {
+                    let sh = &shards[i];
+                    let _w = wall.scope(|| phase_key(iter, i as u32, "gather", mode, frontier, sh));
+                    let lo = sh.interval.start as usize - *base;
+                    let hi = sh.interval.end as usize - *base;
+                    gather_shard(
                         program,
                         view,
                         sh,
-                        &self.vertex_values,
-                        &self.edge_values,
+                        values,
+                        edge_values,
                         &layout.weights,
-                        &self.frontier,
-                        &mut self.gather_temp[lo..hi],
+                        frontier,
+                        &mut temp[lo..hi],
                         mode,
-                    );
-                    work[i].active_vertices = a;
-                    work[i].active_in_edges = e;
-                }
+                    )
+                },
+            );
+            for (w, (active, in_edges)) in work.iter_mut().zip(counts) {
+                w.active_vertices = active;
+                w.active_in_edges = in_edges;
             }
         } else {
-            for (i, sh) in shards.iter().enumerate() {
-                work[i].active_vertices = self
+            for (w, sh) in work.iter_mut().zip(shards) {
+                w.active_vertices = self
                     .frontier
                     .count_range(sh.interval.start, sh.interval.end);
             }
         }
 
         // Apply.
-        if across_shards {
-            let gather_temp = &self.gather_temp;
-            let frontier = &self.frontier;
-            let mut slices: Vec<&mut [P::VertexValue]> = Vec::with_capacity(num_shards);
-            let mut rest: &mut [P::VertexValue] = &mut self.vertex_values;
-            let mut offset = 0usize;
-            for sh in shards.iter() {
+        let (gather_temp, frontier) = (&self.gather_temp, &self.frontier);
+        let runs = shard_runs(num_shards, threads, frontier);
+        let changed_ids = in_runs(
+            carve(&mut self.vertex_values, shards, runs),
+            |(base, values), i| {
+                let sh = &shards[i];
+                let _w = wall.scope(|| phase_key(iter, i as u32, "apply", mode, frontier, sh));
                 let lo = sh.interval.start as usize;
                 let hi = sh.interval.end as usize;
-                let (_, tail) = rest.split_at_mut(lo - offset);
-                let (mine, tail) = tail.split_at_mut(hi - lo);
-                slices.push(mine);
-                rest = tail;
-                offset = hi;
-            }
-            let mut ids: Vec<Vec<u32>> = (0..num_shards).map(|_| Vec::new()).collect();
-            rayon::scope(|s| {
-                for (si, ((sh, slice), out)) in
-                    shards.iter().zip(slices).zip(ids.iter_mut()).enumerate()
-                {
-                    s.spawn(move |_| {
-                        let _w =
-                            wall.scope(|| phase_key(iter, si as u32, "apply", mode, frontier, sh));
-                        let lo = sh.interval.start as usize;
-                        let hi = sh.interval.end as usize;
-                        *out = apply_shard(
-                            program,
-                            sh,
-                            slice,
-                            &gather_temp[lo..hi],
-                            frontier,
-                            iter,
-                            mode,
-                        );
-                    });
-                }
-            });
-            for (i, changed_ids) in ids.into_iter().enumerate() {
-                work[i].changed_vertices = changed_ids.len() as u64;
-                for v in changed_ids {
-                    self.changed.set(v);
-                }
-            }
-        } else {
-            for (i, sh) in shards.iter().enumerate() {
-                let lo = sh.interval.start as usize;
-                let hi = sh.interval.end as usize;
-                let _w =
-                    wall.scope(|| phase_key(iter, i as u32, "apply", mode, &self.frontier, sh));
-                let changed_ids = apply_shard(
+                apply_shard(
                     program,
                     sh,
-                    &mut self.vertex_values[lo..hi],
-                    &self.gather_temp[lo..hi],
-                    &self.frontier,
+                    &mut values[lo - *base..hi - *base],
+                    &gather_temp[lo..hi],
+                    frontier,
                     iter,
                     mode,
-                );
-                drop(_w);
-                work[i].changed_vertices = changed_ids.len() as u64;
-                for v in changed_ids {
-                    self.changed.set(v);
-                }
+                )
+            },
+        );
+        for (w, ids) in work.iter_mut().zip(changed_ids) {
+            w.changed_vertices = ids.len() as u64;
+            for v in ids {
+                self.changed.set(v);
             }
         }
 
         // Scatter (only when defined). Serial across shards — the
         // canonical edge ids of different shards interleave in
-        // `edge_values`, so there is no slice split; each shard's dense
-        // path parallelizes internally instead.
+        // `edge_values`, so there is no slice split.
         if program.has_scatter() {
             for (i, sh) in shards.iter().enumerate() {
                 let _w =
@@ -314,40 +303,24 @@ impl<P: GasProgram> HostState<P> {
             }
         }
 
-        // FrontierActivate (always; framework-generated). Across shards,
-        // each task marks a private bitmap; merging in shard order keeps
-        // the activation count identical to the serial pass.
-        let mut activated_total = 0;
-        if across_shards {
-            let changed = &self.changed;
-            let n = self.next_frontier.len();
-            let mut locals: Vec<(u64, Bitmap)> =
-                (0..num_shards).map(|_| (0, Bitmap::new(n))).collect();
-            rayon::scope(|s| {
-                for (si, (sh, slot)) in shards.iter().zip(locals.iter_mut()).enumerate() {
-                    s.spawn(move |_| {
-                        let _w = wall
-                            .scope(|| phase_key(iter, si as u32, "activate", mode, changed, sh));
-                        let (walked, _) = activate_shard(view, sh, changed, &mut slot.1, mode);
-                        slot.0 = walked;
-                    });
-                }
-            });
-            for (i, (walked, local)) in locals.iter().enumerate() {
-                work[i].out_edges_of_changed = *walked;
-                let before = self.next_frontier.count();
-                self.next_frontier.or_assign(local);
-                activated_total += self.next_frontier.count() - before;
-            }
-        } else {
-            for (i, sh) in shards.iter().enumerate() {
-                let _w =
-                    wall.scope(|| phase_key(iter, i as u32, "activate", mode, &self.changed, sh));
-                let (walked, activated) =
-                    activate_shard(view, sh, &self.changed, &mut self.next_frontier, mode);
-                work[i].out_edges_of_changed = walked;
-                activated_total += activated;
-            }
+        // FrontierActivate (always; framework-generated). A shard's
+        // out-edges land anywhere, so the first run marks `next_frontier`
+        // itself and each further run a private bitmap, OR-ed in after.
+        let changed = &self.changed;
+        let runs = shard_runs(num_shards, threads, changed);
+        let n = self.next_frontier.len();
+        let mut private: Vec<Bitmap> = (1..runs.len()).map(|_| Bitmap::new(n)).collect();
+        let targets = std::iter::once(&mut self.next_frontier).chain(&mut private);
+        let walked = in_runs(runs.into_iter().zip(targets).collect(), |next, i| {
+            let sh = &shards[i];
+            let _w = wall.scope(|| phase_key(iter, i as u32, "activate", mode, changed, sh));
+            activate_shard(view, sh, changed, next, mode).0
+        });
+        for (w, walked) in work.iter_mut().zip(walked) {
+            w.out_edges_of_changed = walked;
+        }
+        for bits in &private {
+            self.next_frontier.or_assign(bits);
         }
 
         let processed = if frontier_management {
@@ -377,7 +350,7 @@ impl<P: GasProgram> HostState<P> {
             frontier_size,
             gathered_edges: work.iter().map(|w| w.active_in_edges).sum(),
             changed: self.changed.count(),
-            activated: activated_total,
+            activated: self.next_frontier.count(),
             shards_processed: processed,
             shards_skipped: num_shards as u32 - processed,
         });

@@ -49,6 +49,8 @@
 //! assert!(out.stats.iterations > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod api;
 pub mod buffers;
 pub mod checkpoint;

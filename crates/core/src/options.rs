@@ -83,21 +83,19 @@ pub enum StreamingMode {
 /// The adaptive default mirrors Gunrock-style frontier-aware kernel
 /// selection: a phase over a mostly-empty interval iterates only the set
 /// bits of the frontier bitmap (word-skipping, O(active)), while a dense
-/// interval is scanned contiguously (O(interval), parallel across host
-/// threads when available).
+/// interval is scanned contiguously (O(interval)). Every mode runs each
+/// shard on one thread; shards fan out across threads in every mode.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum HostKernels {
-    /// Pick sparse or dense per shard per phase by comparing the
-    /// interval's active population against its length (the default).
+    /// Pick the sparse walk or the interval scan per shard per phase by
+    /// comparing the interval's active population against its length
+    /// (the default).
     #[default]
     Adaptive,
-    /// Always scan the full interval (parallel when threads are available).
-    Dense,
     /// Always iterate only the set bits.
     Sparse,
-    /// The pre-adaptive reference path: serial O(interval) scans probing
-    /// the bitmap per vertex. Kept as the wall-clock benchmark baseline
-    /// and the differential-test oracle.
+    /// The pre-adaptive reference path: O(interval) scans probing the
+    /// bitmap per vertex. Kept as the differential-test oracle.
     Serial,
 }
 

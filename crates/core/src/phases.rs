@@ -13,9 +13,8 @@
 //! selection on GPUs (Gunrock's sparse/dense advance, the paper's dynamic
 //! frontier management lifted down to the host kernels):
 //!
-//! - **dense**: scan the shard's whole interval contiguously — O(interval),
-//!   parallel across host threads when the input is large and threads are
-//!   available;
+//! - **scan** (profile label `"dense"`): walk the shard's whole interval
+//!   contiguously, probing the driving bitmap per vertex — O(interval);
 //! - **sparse**: iterate only the set bits of the frontier/changed bitmap
 //!   with word-skipping ([`Bitmap::iter_set_range`]) — O(active), exactly
 //!   what a BFS tail or SSSP wave needs.
@@ -26,12 +25,14 @@
 //! results and identical [`ShardWork`] counts — asserted by the
 //! differential tests in `tests/host_kernels.rs`.
 //!
+//! Every kernel here runs on one thread. The host's one parallel level is
+//! the shard fan-out in `exec/host.rs`.
+//!
 //! Work statistics are recorded per shard; the engine turns them into
 //! kernel cost specs, so the simulated timeline never depends on which
 //! host variant computed the results.
 
 use gr_graph::{Bitmap, Shard, TopoView};
-use rayon::prelude::*;
 
 use crate::api::GasProgram;
 use crate::options::HostKernels;
@@ -44,8 +45,7 @@ pub const SPARSE_DENSITY_DENOM: u64 = 8;
 /// Concrete shape a phase executes after [`HostKernels`] resolution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Shape {
-    Serial,
-    Dense,
+    Scan,
     Sparse,
 }
 
@@ -53,16 +53,12 @@ enum Shape {
 /// `active` is the number of set bits in `[lo, hi)` of the driving bitmap.
 fn resolve(mode: HostKernels, active: u64, interval_len: u64) -> Shape {
     match mode {
-        HostKernels::Serial => Shape::Serial,
-        HostKernels::Dense => Shape::Dense,
+        HostKernels::Serial => Shape::Scan,
         HostKernels::Sparse => Shape::Sparse,
-        HostKernels::Adaptive => {
-            if active.saturating_mul(SPARSE_DENSITY_DENOM) < interval_len {
-                Shape::Sparse
-            } else {
-                Shape::Dense
-            }
+        HostKernels::Adaptive if active.saturating_mul(SPARSE_DENSITY_DENOM) < interval_len => {
+            Shape::Sparse
         }
+        HostKernels::Adaptive => Shape::Scan,
     }
 }
 
@@ -75,8 +71,7 @@ fn resolve(mode: HostKernels, active: u64, interval_len: u64) -> Shape {
 /// (frontier for gather/apply, changed for scatter/activate).
 pub fn shape_name(mode: HostKernels, active: u64, interval_len: u64) -> &'static str {
     match resolve(mode, active, interval_len) {
-        Shape::Serial => "serial",
-        Shape::Dense => "dense",
+        Shape::Scan => "dense",
         Shape::Sparse => "sparse",
     }
 }
@@ -99,36 +94,6 @@ impl ShardWork {
     /// Whether this shard has anything at all to do this iteration.
     pub fn is_active(&self) -> bool {
         self.active_vertices > 0
-    }
-}
-
-/// Shared mutable slice for provably disjoint index writes from parallel
-/// workers (scatter: each edge's canonical id appears exactly once in the
-/// CSR, so out-edges of distinct vertices never alias).
-struct SharedSliceMut<T> {
-    ptr: *mut T,
-    #[cfg(debug_assertions)]
-    len: usize,
-}
-
-unsafe impl<T: Send> Sync for SharedSliceMut<T> {}
-
-impl<T> SharedSliceMut<T> {
-    fn new(slice: &mut [T]) -> Self {
-        SharedSliceMut {
-            ptr: slice.as_mut_ptr(),
-            #[cfg(debug_assertions)]
-            len: slice.len(),
-        }
-    }
-
-    /// # Safety
-    /// Callers must never pass the same `i` from two concurrent workers.
-    #[allow(clippy::mut_from_ref)] // the disjointness contract is the point
-    unsafe fn get_mut(&self, i: usize) -> &mut T {
-        #[cfg(debug_assertions)]
-        debug_assert!(i < self.len);
-        &mut *self.ptr.add(i)
     }
 }
 
@@ -181,7 +146,7 @@ pub fn gather_shard<P: GasProgram>(
     };
 
     match resolve(mode, frontier.count_range(start, end), (end - start) as u64) {
-        Shape::Serial => {
+        Shape::Scan => {
             let mut active = 0;
             let mut in_edges = 0;
             for (i, out) in gather_out.iter_mut().enumerate() {
@@ -207,19 +172,6 @@ pub fn gather_shard<P: GasProgram>(
             }
             (active, in_edges)
         }
-        Shape::Dense => gather_out
-            .par_iter_mut()
-            .enumerate()
-            .map(|(i, out)| {
-                let v = start + i as u32;
-                if !frontier.get(v) {
-                    return (0u64, 0u64);
-                }
-                let (acc, edges) = gather_one(v);
-                *out = acc;
-                (1u64, edges)
-            })
-            .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1)),
     }
 }
 
@@ -243,7 +195,7 @@ pub fn apply_shard<P: GasProgram>(
     let end = shard.interval.end;
     debug_assert_eq!(vertex_values.len(), shard.interval.len() as usize);
     match resolve(mode, frontier.count_range(start, end), (end - start) as u64) {
-        Shape::Serial => {
+        Shape::Scan => {
             let mut changed = Vec::new();
             for (i, val) in vertex_values.iter_mut().enumerate() {
                 let v = start + i as u32;
@@ -263,20 +215,6 @@ pub fn apply_shard<P: GasProgram>(
             }
             changed
         }
-        // The parallel collect preserves index order (chunk outputs are
-        // concatenated in chunk order), so the ids come out ascending —
-        // identical to the serial paths.
-        Shape::Dense => vertex_values
-            .par_iter_mut()
-            .enumerate()
-            .filter_map(|(i, val)| {
-                let v = start + i as u32;
-                if !frontier.get(v) {
-                    return None;
-                }
-                program.apply(val, gather_temp[i], iteration).then_some(v)
-            })
-            .collect(),
     }
 }
 
@@ -287,10 +225,6 @@ pub fn apply_shard<P: GasProgram>(
 /// Scatter phase for one shard: edge-centric over out-edges of changed
 /// vertices, updating mutable edge state through the canonical edge ids.
 /// Returns the number of edges scattered.
-///
-/// The dense shape parallelizes over the interval: every edge's canonical
-/// id appears exactly once in the CSR, so writes from distinct source
-/// vertices land on disjoint `edge_values` slots.
 pub fn scatter_shard<P: GasProgram>(
     program: &P,
     view: TopoView<'_>,
@@ -302,54 +236,24 @@ pub fn scatter_shard<P: GasProgram>(
 ) -> u64 {
     let start = shard.interval.start;
     let end = shard.interval.end;
-
-    /// Visit `v`'s out-edges as `(source value, destination value,
-    /// canonical id)`; returns how many there were.
-    fn out_edges<V: Copy>(
-        view: TopoView<'_>,
-        vertex_values: &[V],
-        v: u32,
-        mut visit: impl FnMut(&V, &V, usize),
-    ) -> u64 {
+    // Visit `v`'s out-edges as (source value, destination value, canonical
+    // id); returns how many there were.
+    let scatter_from = |v: u32| {
         let src_val = &vertex_values[v as usize];
         let row = view.csr_entries(v);
         let n = row.len() as u64;
         row.for_each(|(dst, eid)| {
             let dst_val = vertex_values[dst as usize];
-            visit(src_val, &dst_val, eid as usize);
+            program.scatter(src_val, &dst_val, &mut edge_values[eid as usize]);
         });
         n
-    }
-
-    let scatter_from = |v: u32| {
-        out_edges(view, vertex_values, v, |src, dst, eid| {
-            program.scatter(src, dst, &mut edge_values[eid])
-        })
     };
     match resolve(mode, changed.count_range(start, end), (end - start) as u64) {
-        Shape::Serial => (start..end)
+        Shape::Scan => (start..end)
             .filter(|&v| changed.get(v))
             .map(scatter_from)
             .sum(),
         Shape::Sparse => changed.iter_set_range(start, end).map(scatter_from).sum(),
-        Shape::Dense => {
-            let shared = SharedSliceMut::new(edge_values);
-            (start..end)
-                .into_par_iter()
-                .map(|v| {
-                    let v = v as u32;
-                    if !changed.get(v) {
-                        return 0u64;
-                    }
-                    out_edges(view, vertex_values, v, |src, dst, eid| {
-                        // SAFETY: canonical edge ids of distinct source
-                        // vertices are disjoint (each edge appears once in
-                        // the CSR), and each `v` is visited exactly once.
-                        program.scatter(src, dst, unsafe { shared.get_mut(eid) })
-                    })
-                })
-                .sum()
-        }
     }
 }
 
@@ -360,11 +264,6 @@ pub fn scatter_shard<P: GasProgram>(
 /// FrontierActivate for one shard (framework-generated, Section 4.4): mark
 /// the out-neighbors of changed vertices active for the next iteration.
 /// Returns `(out_edges_walked, vertices_newly_activated)`.
-///
-/// The dense shape walks interval chunks on parallel workers, each into a
-/// private [`Bitmap`], then merges them with [`Bitmap::or_assign`] in chunk
-/// order; `activated` falls out as the merge's popcount delta, identical to
-/// the serial count of newly set bits.
 pub fn activate_shard(
     view: TopoView<'_>,
     shard: &Shard,
@@ -374,11 +273,8 @@ pub fn activate_shard(
 ) -> (u64, u64) {
     let start = shard.interval.start;
     let end = shard.interval.end;
-    let shape = resolve(mode, changed.count_range(start, end), (end - start) as u64);
 
-    /// Serially marking into `next` — shared by the serial and sparse
-    /// shapes (and the dense shape on a single worker, where private
-    /// bitmaps would only cost allocations).
+    /// Mark the out-neighbors of `vertices` into `next`.
     fn mark(
         view: TopoView<'_>,
         vertices: impl Iterator<Item = u32>,
@@ -399,49 +295,14 @@ pub fn activate_shard(
         }
         (walked, activated)
     }
-    let changed_in = |lo: u32, hi: u32| (lo..hi).filter(|&v| changed.get(v));
 
-    match shape {
-        Shape::Serial => mark(view, changed_in(start, end), next_frontier),
+    match resolve(mode, changed.count_range(start, end), (end - start) as u64) {
+        Shape::Scan => mark(
+            view,
+            (start..end).filter(|&v| changed.get(v)),
+            next_frontier,
+        ),
         Shape::Sparse => mark(view, changed.iter_set_range(start, end), next_frontier),
-        Shape::Dense => {
-            if rayon::current_num_threads() <= 1 || (end - start) < 4096 {
-                return mark(view, changed_in(start, end), next_frontier);
-            }
-            let n = next_frontier.len();
-            let workers = rayon::current_num_threads().min(((end - start) / 2048) as usize + 1);
-            let chunk = (end - start).div_ceil(workers as u32).max(1);
-            let ranges: Vec<(u32, u32)> = (0..workers as u32)
-                .map(|c| {
-                    let lo = start + c * chunk;
-                    (lo.min(end), (lo.saturating_add(chunk)).min(end))
-                })
-                .collect();
-            let mut parts: Vec<(u64, Bitmap)> =
-                ranges.iter().map(|_| (0u64, Bitmap::new(n))).collect();
-            rayon::scope(|s| {
-                for (&(lo, hi), part) in ranges.iter().zip(parts.iter_mut()) {
-                    s.spawn(move |_| {
-                        for v in changed_in(lo, hi) {
-                            let row = view.csr_neighbors(v);
-                            part.0 += row.len() as u64;
-                            row.for_each(|dst| {
-                                part.1.set(dst);
-                            });
-                        }
-                    });
-                }
-            });
-            let mut walked = 0;
-            let mut activated = 0;
-            for (w, local) in &parts {
-                walked += w;
-                let before = next_frontier.count();
-                next_frontier.or_assign(local);
-                activated += next_frontier.count() - before;
-            }
-            (walked, activated)
-        }
     }
 }
 
@@ -506,9 +367,8 @@ mod tests {
         (layout, shards)
     }
 
-    const ALL_MODES: [HostKernels; 4] = [
+    const ALL_MODES: [HostKernels; 3] = [
         HostKernels::Adaptive,
-        HostKernels::Dense,
         HostKernels::Sparse,
         HostKernels::Serial,
     ];
@@ -699,14 +559,16 @@ mod tests {
 
     #[test]
     fn adaptive_resolution_tracks_density() {
-        // Empty → sparse; full → dense; the threshold sits at 1/8.
+        // Empty → sparse; full → scan; the threshold sits at 1/8.
         assert_eq!(resolve(HostKernels::Adaptive, 0, 1000), Shape::Sparse);
-        assert_eq!(resolve(HostKernels::Adaptive, 1000, 1000), Shape::Dense);
+        assert_eq!(resolve(HostKernels::Adaptive, 1000, 1000), Shape::Scan);
         assert_eq!(resolve(HostKernels::Adaptive, 124, 1000), Shape::Sparse);
-        assert_eq!(resolve(HostKernels::Adaptive, 125, 1000), Shape::Dense);
+        assert_eq!(resolve(HostKernels::Adaptive, 125, 1000), Shape::Scan);
         // Forced modes ignore the population.
-        assert_eq!(resolve(HostKernels::Dense, 0, 1000), Shape::Dense);
         assert_eq!(resolve(HostKernels::Sparse, 1000, 1000), Shape::Sparse);
-        assert_eq!(resolve(HostKernels::Serial, 0, 1000), Shape::Serial);
+        assert_eq!(resolve(HostKernels::Serial, 0, 1000), Shape::Scan);
+        // The scan keeps its profile label.
+        assert_eq!(shape_name(HostKernels::Serial, 0, 1000), "dense");
+        assert_eq!(shape_name(HostKernels::Adaptive, 0, 1000), "sparse");
     }
 }

@@ -89,6 +89,14 @@ pub enum EngineError {
     /// process just dies — but the simulated kind must unwind cleanly so
     /// chaos tests can resume in the same process.
     Killed { iteration: u32 },
+    /// A warm start does not fit the graph it seeds: `found` is the
+    /// carried vertex-value count, or a frontier vertex id, that the
+    /// `num_vertices`-vertex graph cannot hold (`what` says which).
+    BadWarmStart {
+        what: &'static str,
+        found: u64,
+        num_vertices: u32,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -105,6 +113,14 @@ impl fmt::Display for EngineError {
             EngineError::Killed { iteration } => {
                 write!(f, "process killed at iteration boundary {iteration}")
             }
+            EngineError::BadWarmStart {
+                what,
+                found,
+                num_vertices,
+            } => write!(
+                f,
+                "warm start rejected: {what} {found} does not fit a {num_vertices}-vertex graph"
+            ),
         }
     }
 }

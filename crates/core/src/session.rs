@@ -57,6 +57,29 @@ pub struct WarmStart<P: GasProgram> {
     pub frontier: Vec<gr_graph::VertexId>,
 }
 
+impl<P: GasProgram> WarmStart<P> {
+    /// Reject a warm start that does not fit an `n`-vertex graph: more
+    /// carried values than vertices, or a frontier id past the last
+    /// vertex (which `Bitmap::set` would index out of bounds, or silently
+    /// count when it lands in the last word's padding).
+    pub(crate) fn check(&self, n: u32) -> Result<(), EngineError> {
+        let reject = |what, found| {
+            Err(EngineError::BadWarmStart {
+                what,
+                found,
+                num_vertices: n,
+            })
+        };
+        if self.vertex_values.len() > n as usize {
+            return reject("vertex-value count", self.vertex_values.len() as u64);
+        }
+        match self.frontier.iter().find(|&&v| v >= n) {
+            Some(&v) => reject("frontier vertex", u64::from(v)),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Plan-cache key: the byte model plus the planner inputs that can differ
 /// between the single-device path (session options) and the multi-GPU
 /// facade (fixed `K = 2`, default partition logic).
@@ -281,6 +304,9 @@ impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
         self,
         restored: Option<crate::snapshot_delta::RestoredFromDisk<P>>,
     ) -> Result<RunResult<P>, EngineError> {
+        if let Some(w) = &self.warm {
+            w.check(self.session.layout.num_vertices())?;
+        }
         let sizes = SizeModel::for_program(self.program);
         let plan = self.session.partition_plan(&sizes)?;
         Runner::new(

@@ -51,7 +51,6 @@ where
     assert_eq!(base.stats.decompress_launches, 0);
     let modes = [
         HostKernels::Adaptive,
-        HostKernels::Dense,
         HostKernels::Sparse,
         HostKernels::Serial,
     ];

@@ -17,6 +17,8 @@
 //! * [`frontier`] — dense bitmaps with ranged popcounts for frontier
 //!   tracking.
 
+#![forbid(unsafe_code)]
+
 pub mod compress;
 pub mod csr;
 pub mod datasets;

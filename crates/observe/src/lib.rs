@@ -29,6 +29,8 @@
 //! ([`WallProfiler`]) with the same zero-cost-when-off contract, whose
 //! aggregated [`WallProfile`] exports onto a dedicated `"wall"` track.
 
+#![forbid(unsafe_code)]
+
 pub mod event;
 pub mod export;
 pub mod json;

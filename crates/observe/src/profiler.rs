@@ -9,8 +9,8 @@
 //! [`WallSample`] keyed by (iteration, shard, GAS phase, kernel shape)
 //! plus the worker thread it ran on; [`WallProfiler::profile`] aggregates
 //! the samples into a [`WallProfile`] — self/total wall time per key,
-//! per-phase totals, per-thread busy time, and a fan-out imbalance ratio
-//! for the rayon across-shard paths.
+//! per-phase totals, per-thread busy time, and an imbalance ratio across
+//! the shards of each phase.
 //!
 //! Timestamps are **real nanoseconds** since the profiler was armed, not
 //! virtual simulator time; [`WallProfile::to_span_events`] exports them
@@ -45,8 +45,8 @@ pub struct WallKey {
     /// GAS phase (`"gather"`, `"apply"`, …), [`WALL_ITERATION`], or a
     /// caller-defined label like `"setup"`.
     pub phase: &'static str,
-    /// Kernel shape that executed (`"serial"`/`"dense"`/`"sparse"`), or
-    /// `""` when shapes don't apply.
+    /// Kernel shape that executed (`"dense"`/`"sparse"`), or `""` when
+    /// shapes don't apply.
     pub shape: &'static str,
 }
 
@@ -58,15 +58,17 @@ pub struct WallSample {
     /// Real nanoseconds since the profiler was armed.
     pub start_ns: u64,
     pub dur_ns: u64,
-    /// Dense worker ordinal (0 = first thread that recorded; scoped
-    /// rayon workers reuse low ordinals as they come and go).
+    /// Dense worker ordinal (0 = first thread that recorded; the scoped
+    /// threads of the shard fan-out reuse low ordinals as they come and
+    /// go).
     pub thread: u32,
 }
 
-// Worker-thread ordinals: a global free-list so the ephemeral threads
-// `rayon::scope` spawns (one batch per fan-out) reuse low slot numbers
-// instead of growing an unbounded id space. A thread leases an ordinal on
-// its first sample and returns it when the thread exits.
+// Worker-thread ordinals: a global free-list so the ephemeral scoped
+// threads the engine spawns (one per extra run of each shard fan-out)
+// reuse low slot numbers instead of growing an unbounded id space. A
+// thread leases an ordinal on its first sample and returns it when the
+// thread exits.
 static ORDINAL_FREE: Mutex<Vec<u32>> = Mutex::new(Vec::new());
 static ORDINAL_NEXT: AtomicU32 = AtomicU32::new(0);
 
@@ -329,16 +331,20 @@ impl WallProfile {
         totals
     }
 
-    /// Distinct worker threads that recorded leaf samples.
+    /// Distinct worker threads that recorded leaf samples: 1 when every
+    /// phase ran inline on the caller, more once the shard fan-out
+    /// engaged.
     pub fn thread_count(&self) -> usize {
         self.thread_busy_ns.iter().filter(|&&b| b > 0).count()
     }
 
-    /// Load-imbalance ratio of the across-shard fan-outs: within each
-    /// (iteration, phase) group that touched ≥ 2 shards, the slowest
-    /// shard's time over the mean shard time (1.0 = perfectly balanced);
-    /// groups are combined weighted by their total time. 1.0 when no
-    /// fan-out group exists (single-shard runs).
+    /// Load-imbalance ratio across shards: within each (iteration, phase)
+    /// group that touched ≥ 2 shards, the slowest shard's time over the
+    /// mean shard time (1.0 = perfectly balanced); groups are combined
+    /// weighted by their total time. It measures shard skew whether the
+    /// phase fanned out or ran inline (a fanned-out run holds several
+    /// shards, so it is not the skew between threads). 1.0 when no group
+    /// has two shards (single-shard runs).
     pub fn imbalance(&self) -> f64 {
         let mut groups: BTreeMap<(u32, &'static str), BTreeMap<u32, u64>> = BTreeMap::new();
         for r in &self.rows {

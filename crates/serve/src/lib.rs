@@ -26,6 +26,8 @@
 //! itself is a deterministic single-threaded pump (`drain`), which is what
 //! makes the equivalence suites exact. See `docs/SERVING.md`.
 
+#![forbid(unsafe_code)]
+
 mod admission;
 mod query;
 mod server;

@@ -27,6 +27,8 @@
 //! virtual time. Simulated timings are deterministic: integer-nanosecond
 //! arithmetic, no host wall clock anywhere.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod cpu;
 pub mod fault;

@@ -1,9 +1,10 @@
-//! Differential tests for the sparse/dense/serial/parallel host kernels.
+//! Differential tests for the sparse/scan host kernels and the shard
+//! fan-out.
 //!
-//! The contract under test: every [`HostKernels`] mode — and the threaded
-//! paths inside them — produces **bit-identical** results and identical
-//! `ShardWork` counts. `Serial` is the oracle (the pre-adaptive reference
-//! kernels); `Dense`, `Sparse`, and `Adaptive` must match it exactly, at
+//! The contract under test: every [`HostKernels`] mode — and the engine's
+//! fan-out of shards over threads — produces **bit-identical** results and
+//! identical `ShardWork` counts. `Serial` is the oracle (the pre-adaptive
+//! reference kernels); `Sparse` and `Adaptive` must match it exactly, at
 //! phase level (fixed frontier densities from 0.1% to 100%) and across
 //! whole engine runs for all four evaluated algorithms. At phase level
 //! every mode also reads the topology through gap-coded [`TopoView`]s,
@@ -14,14 +15,14 @@ use gr_graph::{
     build_shards, gen, Bitmap, CompressedTopology, CompressionCodec, GraphLayout, Interval, Shard,
     TopoView,
 };
+use gr_observe::WallProfiler;
 use gr_sim::Platform;
 use graphreduce::phases::{activate_shard, apply_shard, gather_shard, scatter_shard};
 use graphreduce::{GasProgram, GraphReduce, HostKernels, InitialFrontier, Options};
 
-/// Force a multi-thread worker pool so the parallel dense paths (and the
-/// cross-shard engine fan-out) actually run threaded even on single-CPU
-/// machines. Every test in this binary wants the same value, so a
-/// process-wide set-once is race-free.
+/// Force four worker threads so the engine's shard fan-out actually runs
+/// threaded even on single-CPU machines. Every test in this binary wants
+/// the same value, so a process-wide set-once is race-free.
 fn force_threads() {
     static ONCE: std::sync::Once = std::sync::Once::new();
     ONCE.call_once(|| std::env::set_var("RAYON_NUM_THREADS", "4"));
@@ -122,8 +123,8 @@ fn run_phases<P: GasProgram>(
     }
 
     // Scatter is exercised unconditionally: even with a no-op scatter
-    // function the sparse/dense/parallel iteration machinery (and its
-    // work count) must agree across modes.
+    // function the sparse/scan iteration machinery (and its work count)
+    // must agree across modes.
     let scattered = shards
         .iter()
         .map(|sh| scatter_shard(program, view, sh, &values, &mut edge_values, &changed, mode))
@@ -148,8 +149,8 @@ fn run_phases<P: GasProgram>(
 }
 
 fn phase_graph() -> (GraphLayout, Vec<Shard>) {
-    // Big enough that the dense parallel paths actually split (>4096 per
-    // shard), with weights so SSSP has real distances.
+    // Two uneven shards of a few thousand vertices each, with weights so
+    // SSSP has real distances.
     let el = gen::with_random_weights(gen::uniform(20_000, 120_000, 7), 1.0, 8).symmetrize();
     let layout = GraphLayout::build(&el);
     let shards = build_shards(
@@ -194,7 +195,6 @@ where
         for (tag, view) in views {
             for mode in [
                 HostKernels::Serial,
-                HostKernels::Dense,
                 HostKernels::Sparse,
                 HostKernels::Adaptive,
             ] {
@@ -288,10 +288,63 @@ fn edge_stamping_phases_agree_across_modes_and_densities() {
 // Whole-run agreement: every mode, multi-shard engine, threaded fan-out.
 // ---------------------------------------------------------------------------
 
+/// RMAT-13: the smallest scale at which every program's peak frontier
+/// (BFS: ≈ 5 700 vertices) passes the engine's fan-out gate of 4 096
+/// active vertices, so each run below fans out.
 fn engine_graph() -> GraphLayout {
     GraphLayout::build(
-        &gen::with_random_weights(gen::rmat_g500(12, 40_000, 5), 1.0, 6).symmetrize(),
+        &gen::with_random_weights(gen::rmat_g500(13, 80_000, 5), 1.0, 6).symmetrize(),
     )
+}
+
+/// Run `program` over `layout` on a scaled-down device (so the run streams
+/// several shards) with an armed wall profiler; returns the run and the
+/// number of worker threads that did kernel work.
+fn profiled_run<P: GasProgram>(
+    program: P,
+    layout: &GraphLayout,
+    mode: HostKernels,
+) -> (graphreduce::RunResult<P>, usize) {
+    let run = GraphReduce::new(
+        program,
+        layout,
+        Platform::paper_node_scaled(8_192),
+        Options::optimized().with_host_kernels(mode),
+    )
+    .with_wall_profiler(WallProfiler::armed())
+    .run()
+    .unwrap();
+    assert!(
+        run.stats.num_shards > 1,
+        "setup must stream multiple shards"
+    );
+    let threads = run.stats.wall.as_ref().expect("armed profiler").threads;
+    (run, threads)
+}
+
+/// Every mode agrees with the `Serial` oracle over a whole run: values,
+/// edge state, per-iteration stats and the simulated timeline.
+fn assert_matches_oracle<P: GasProgram>(
+    got: &graphreduce::RunResult<P>,
+    oracle: &graphreduce::RunResult<P>,
+    mode: HostKernels,
+) where
+    P::VertexValue: PartialEq + std::fmt::Debug,
+    P::EdgeValue: PartialEq + std::fmt::Debug,
+{
+    assert_eq!(got.vertex_values, oracle.vertex_values, "{mode:?}");
+    assert_eq!(got.edge_values, oracle.edge_values, "{mode:?}");
+    // Identical ShardWork counts ⇒ identical simulated timeline.
+    assert_eq!(
+        got.stats.per_iteration, oracle.stats.per_iteration,
+        "{mode:?}"
+    );
+    assert_eq!(got.stats.elapsed, oracle.stats.elapsed, "{mode:?}");
+    assert_eq!(got.stats.bytes_h2d, oracle.stats.bytes_h2d, "{mode:?}");
+    assert_eq!(
+        got.stats.kernel_launches, oracle.stats.kernel_launches,
+        "{mode:?}"
+    );
 }
 
 fn assert_runs_agree<P: GasProgram + Clone>(program: P)
@@ -301,47 +354,20 @@ where
 {
     force_threads();
     let layout = engine_graph();
-    // Scaled-down device: the run streams multiple shards, so the engine's
-    // cross-shard parallel fan-out engages alongside the kernel modes.
-    let plat = Platform::paper_node_scaled(8_192);
-    let oracle = GraphReduce::new(
-        program.clone(),
-        &layout,
-        plat.clone(),
-        Options::optimized().with_host_kernels(HostKernels::Serial),
-    )
-    .run()
-    .unwrap();
+    let (oracle, threads) = profiled_run(program.clone(), &layout, HostKernels::Serial);
     assert!(
-        oracle.stats.num_shards > 1,
-        "setup must stream multiple shards"
+        threads > 1,
+        "{}: the shard fan-out never engaged",
+        program.name()
     );
-    for mode in [
-        HostKernels::Dense,
-        HostKernels::Sparse,
-        HostKernels::Adaptive,
-    ] {
-        let got = GraphReduce::new(
-            program.clone(),
-            &layout,
-            plat.clone(),
-            Options::optimized().with_host_kernels(mode),
-        )
-        .run()
-        .unwrap();
-        assert_eq!(got.vertex_values, oracle.vertex_values, "{mode:?}");
-        assert_eq!(got.edge_values, oracle.edge_values, "{mode:?}");
-        // Identical ShardWork counts ⇒ identical simulated timeline.
-        assert_eq!(
-            got.stats.per_iteration, oracle.stats.per_iteration,
-            "{mode:?}"
+    for mode in [HostKernels::Sparse, HostKernels::Adaptive] {
+        let (got, threads) = profiled_run(program.clone(), &layout, mode);
+        assert!(
+            threads > 1,
+            "{} under {mode:?}: the shard fan-out never engaged",
+            program.name()
         );
-        assert_eq!(got.stats.elapsed, oracle.stats.elapsed, "{mode:?}");
-        assert_eq!(got.stats.bytes_h2d, oracle.stats.bytes_h2d, "{mode:?}");
-        assert_eq!(
-            got.stats.kernel_launches, oracle.stats.kernel_launches,
-            "{mode:?}"
-        );
+        assert_matches_oracle(&got, &oracle, mode);
     }
 }
 
@@ -363,4 +389,22 @@ fn pagerank_runs_agree_across_modes() {
 #[test]
 fn cc_runs_agree_across_modes() {
     assert_runs_agree(Cc);
+}
+
+/// A long grid keeps BFS frontiers far below the fan-out gate: every
+/// phase runs inline on the caller, in every mode, and still matches the
+/// oracle. This is what keeps the one-thread path covered when the suite
+/// runs with several threads.
+#[test]
+fn sparse_frontiers_stay_on_the_caller() {
+    force_threads();
+    let layout = GraphLayout::build(&gen::grid2d_with_edges(20_000, 80_000, 3).symmetrize());
+    let (oracle, threads) = profiled_run(Bfs::new(0), &layout, HostKernels::Serial);
+    assert!(oracle.stats.iterations > 100, "a long traversal");
+    assert_eq!(threads, 1, "a below-gate frontier fanned out");
+    for mode in [HostKernels::Sparse, HostKernels::Adaptive] {
+        let (got, threads) = profiled_run(Bfs::new(0), &layout, mode);
+        assert_eq!(threads, 1, "{mode:?}: a below-gate frontier fanned out");
+        assert_matches_oracle(&got, &oracle, mode);
+    }
 }
