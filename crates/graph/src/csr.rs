@@ -8,6 +8,22 @@
 //! and every CSR entry carries the canonical id of the edge it mirrors.
 //! Engines keep one value array indexed by canonical id; scatter (via CSR)
 //! and gather (via CSC) therefore observe the same state.
+//!
+//! [`GraphLayout::build`] does the paper's two sorts as three stable
+//! counting passes, sequential over their input and O(|V|) in working
+//! state, after one pass that counts both offset arrays:
+//!
+//! 1. scatter the edge list by source (into the CSR neighbor array, used as
+//!    scratch; weights, if any, ride along in one m-sized array);
+//! 2. walk those rows in source order and scatter them by destination:
+//!    canonical CSC order is (destination, source, input order);
+//! 3. walk canonical order and scatter it by source: CSR rows come out in
+//!    (destination, canonical id) order, each entry carrying its id.
+//!
+//! The weight scratch of pass 1 is freed before pass 3 allocates the CSR id
+//! array, so the build never holds more than its input and its output.
+//! Duplicate `(src, dst)` edges keep their input order in canonical order,
+//! and so do their weights.
 
 use crate::edgelist::{EdgeList, VertexId};
 
@@ -82,9 +98,11 @@ impl Adjacency {
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct GraphLayout {
-    /// In-edges sorted by destination (then source). Canonical edge order.
+    /// In-edges sorted by destination, then source, then input order.
+    /// Canonical edge order.
     pub csc: Adjacency,
-    /// Out-edges sorted by source (then destination), carrying canonical ids.
+    /// Out-edges sorted by source, then destination, then canonical id,
+    /// carrying canonical ids.
     pub csr: Adjacency,
     /// Per-edge weight in canonical (CSC) order; all 1.0 unless the edge
     /// list carried weights.
@@ -92,8 +110,131 @@ pub struct GraphLayout {
 }
 
 impl GraphLayout {
-    /// Build both layouts from an edge list with two counting sorts.
+    /// Build both layouts from an edge list: one counting pass and three
+    /// stable scatters (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// If the list has more than `u32::MAX` edges: canonical ids are `u32`.
     pub fn build(el: &EdgeList) -> GraphLayout {
+        let n = el.num_vertices as usize;
+        let m = el.edges.len();
+        assert!(
+            u32::try_from(m).is_ok(),
+            "canonical edge ids are u32: a layout holds at most u32::MAX edges, got {m}"
+        );
+        let mut csc_off = vec![0u64; n + 1];
+        let mut csr_off = vec![0u64; n + 1];
+        for &(s, d) in &el.edges {
+            csr_off[s as usize + 1] += 1;
+            csc_off[d as usize + 1] += 1;
+        }
+        for v in 0..n {
+            csc_off[v + 1] += csc_off[v];
+            csr_off[v + 1] += csr_off[v];
+        }
+
+        // Pass 1: scatter by source in input order. `csr_dst` is scratch
+        // until pass 3 refills it.
+        let mut csr_dst = vec![0; m];
+        let mut row_w = vec![0f32; el.weights.as_ref().map_or(0, Vec::len)];
+        let mut cursor = csr_off.clone();
+        for (k, &(s, d)) in el.edges.iter().enumerate() {
+            let at = claim(&mut cursor, s);
+            csr_dst[at] = d;
+            if let Some(w) = &el.weights {
+                row_w[at] = w[k];
+            }
+        }
+
+        // Pass 2: rows in source order, scattered by destination. Canonical.
+        let mut csc_src = vec![0; m];
+        let mut weights = vec![1.0f32; m];
+        let mut cursor = csc_off.clone();
+        for (s, row) in csr_off.windows(2).enumerate() {
+            let row = row[0] as usize..row[1] as usize;
+            for (i, &d) in row.clone().zip(&csr_dst[row]) {
+                let eid = claim(&mut cursor, d);
+                csc_src[eid] = s as VertexId;
+                if el.weights.is_some() {
+                    weights[eid] = row_w[i];
+                }
+            }
+        }
+        drop(row_w);
+
+        // Pass 3: canonical order scattered by source, ids attached.
+        let mut csr_eid = vec![0u32; m];
+        let mut cursor = csr_off.clone();
+        for (d, row) in csc_off.windows(2).enumerate() {
+            let row = row[0] as usize..row[1] as usize;
+            for (eid, &s) in row.clone().zip(&csc_src[row]) {
+                let at = claim(&mut cursor, s);
+                csr_dst[at] = d as VertexId;
+                csr_eid[at] = eid as u32;
+            }
+        }
+
+        GraphLayout {
+            csc: Adjacency {
+                offsets: csc_off,
+                neighbors: csc_src,
+                edge_ids: Vec::new(),
+            },
+            csr: Adjacency {
+                offsets: csr_off,
+                neighbors: csr_dst,
+                edge_ids: csr_eid,
+            },
+            weights,
+        }
+    }
+
+    /// Number of vertices.
+    pub fn num_vertices(&self) -> u32 {
+        self.csc.num_vertices()
+    }
+
+    /// Number of directed edges.
+    pub fn num_edges(&self) -> u64 {
+        self.csc.neighbors.len() as u64
+    }
+
+    /// The endpoints of the canonical edge `eid` as `(src, dst)`.
+    /// O(log n) via binary search over CSC offsets (debug/test helper).
+    pub fn edge_endpoints(&self, eid: u32) -> (VertexId, VertexId) {
+        let src = self.csc.neighbors[eid as usize];
+        let dst = match self.csc.offsets.binary_search(&(eid as u64)) {
+            Ok(mut i) => {
+                // offsets can repeat for empty rows; advance to the row that
+                // actually contains eid.
+                while self.csc.offsets[i + 1] == eid as u64 {
+                    i += 1;
+                }
+                i as u32
+            }
+            Err(i) => (i - 1) as u32,
+        };
+        (src, dst)
+    }
+}
+
+/// Take the next slot of row `v` in a counting scatter.
+#[inline]
+fn claim(cursor: &mut [u64], v: VertexId) -> usize {
+    let at = cursor[v as usize];
+    cursor[v as usize] += 1;
+    at as usize
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gen;
+
+    /// The row-sorting builder this module shipped before the counting
+    /// passes, kept verbatim as the differential oracle.
+    fn build_by_row_sort(el: &EdgeList) -> GraphLayout {
         let n = el.num_vertices as usize;
         let m = el.edges.len();
 
@@ -195,39 +336,6 @@ impl GraphLayout {
         }
     }
 
-    /// Number of vertices.
-    pub fn num_vertices(&self) -> u32 {
-        self.csc.num_vertices()
-    }
-
-    /// Number of directed edges.
-    pub fn num_edges(&self) -> u64 {
-        self.csc.neighbors.len() as u64
-    }
-
-    /// The endpoints of the canonical edge `eid` as `(src, dst)`.
-    /// O(log n) via binary search over CSC offsets (debug/test helper).
-    pub fn edge_endpoints(&self, eid: u32) -> (VertexId, VertexId) {
-        let src = self.csc.neighbors[eid as usize];
-        let dst = match self.csc.offsets.binary_search(&(eid as u64)) {
-            Ok(mut i) => {
-                // offsets can repeat for empty rows; advance to the row that
-                // actually contains eid.
-                while self.csc.offsets[i + 1] == eid as u64 {
-                    i += 1;
-                }
-                i as u32
-            }
-            Err(i) => (i - 1) as u32,
-        };
-        (src, dst)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
     fn diamond() -> EdgeList {
         // 0->1, 0->2, 1->3, 2->3, 3->0
         EdgeList::from_edges(4, vec![(3, 0), (1, 3), (0, 1), (2, 3), (0, 2)])
@@ -309,5 +417,77 @@ mod tests {
         let g = GraphLayout::build(&EdgeList::new(3));
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 0);
+    }
+
+    /// A hub whose out-row and in-row both hold 60 entries over six
+    /// neighbors in scrambled order, so each row has long duplicate runs
+    /// and is longer than the 20 entries below which pdqsort is an
+    /// insertion sort.
+    fn multi_edge_hub() -> EdgeList {
+        let mut edges = Vec::new();
+        for i in 0..60u32 {
+            edges.push((0, 1 + (i * 7) % 6));
+            edges.push((1 + (i * 5) % 6, 0));
+        }
+        edges.push((3, 3));
+        EdgeList::from_edges(9, edges)
+    }
+
+    fn unweighted_corpus() -> Vec<EdgeList> {
+        let mut lists = vec![
+            gen::rmat_g500(10, 20_000, 1),
+            gen::rmat(8, 5_000, 0.45, 0.22, 0.22, 2).symmetrize(),
+            gen::grid2d_with_edges(4_000, 12_000, 3),
+            gen::uniform(500, 8_000, 4),
+            EdgeList::from_edges(50, vec![(49, 0), (7, 7), (0, 49), (20, 3), (20, 3)]),
+            multi_edge_hub(),
+            EdgeList::new(0),
+        ];
+        lists.extend((5..9).map(|seed| gen::rmat_g500(6, 3_000, seed)));
+        lists
+    }
+
+    #[test]
+    fn counting_passes_match_the_row_sort_oracle() {
+        for el in unweighted_corpus() {
+            assert_eq!(GraphLayout::build(&el), build_by_row_sort(&el), "{el:?}");
+        }
+    }
+
+    /// Weighted lists: the topology is identical and each run of duplicate
+    /// `(src, dst)` edges holds the same weights; only the order within a
+    /// run may differ, since the oracle's unstable sort left it undefined.
+    #[test]
+    fn weighted_layouts_match_the_oracle_up_to_duplicate_order() {
+        for (seed, el) in (1..).zip(unweighted_corpus()) {
+            let el = gen::with_random_weights(el, 9.0, seed);
+            let (got, want) = (GraphLayout::build(&el), build_by_row_sort(&el));
+            assert_eq!((&got.csc, &got.csr), (&want.csc, &want.csr));
+            let mut lo = 0;
+            while lo < got.weights.len() {
+                let e = got.edge_endpoints(lo as u32);
+                let mut hi = lo + 1;
+                while hi < got.weights.len() && got.edge_endpoints(hi as u32) == e {
+                    hi += 1;
+                }
+                let run = |w: &[f32]| {
+                    let mut bits: Vec<u32> = w[lo..hi].iter().map(|x| x.to_bits()).collect();
+                    bits.sort_unstable();
+                    bits
+                };
+                assert_eq!(run(&got.weights), run(&want.weights), "run {e:?}");
+                lo = hi;
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_edges_keep_input_order() {
+        let el = EdgeList::from_edges(3, vec![(1, 2), (0, 2), (1, 2), (1, 2), (0, 2)])
+            .with_weights(vec![5.0, 4.0, 3.0, 7.0, 1.0]);
+        let g = GraphLayout::build(&el);
+        assert_eq!(g.csc.neighbors, vec![0, 0, 1, 1, 1]);
+        assert_eq!(g.weights, vec![4.0, 1.0, 5.0, 3.0, 7.0]);
+        assert_eq!(g.csr.edge_ids, vec![0, 1, 2, 3, 4]);
     }
 }

@@ -1,7 +1,9 @@
 //! Raw directed edge lists: the interchange format produced by generators
 //! and loaders, consumed by the CSR/CSC builder.
 
+use std::fmt::Display;
 use std::io::{self, BufRead, BufWriter, Read, Write};
+use std::str::FromStr;
 
 /// Vertex identifier. 32 bits covers every dataset in the paper (the largest,
 /// uk-2002, has 18.5 M vertices) with headroom.
@@ -212,7 +214,8 @@ impl EdgeList {
         take(&mut r, &mut offset, &mut u32buf, "vertex count")?;
         let v = u32::from_le_bytes(u32buf);
         take(&mut r, &mut offset, &mut u64buf, "edge count")?;
-        let m = u64::from_le_bytes(u64buf) as usize;
+        let m = u64::from_le_bytes(u64buf);
+        let m = usize::try_from(m).map_err(|_| bad(12, format!("edge count {m} too large")))?;
         let mut flag = [0u8; 1];
         take(&mut r, &mut offset, &mut flag, "weights flag")?;
         if flag[0] > 1 {
@@ -265,26 +268,32 @@ impl EdgeList {
     ///
     /// Every failure is an `InvalidData` [`io::Error`] naming the 1-based
     /// line it was detected on: missing/garbled header, unparsable
-    /// endpoints, out-of-range endpoints, non-finite weights (`NaN`/`inf`
-    /// are rejected — they silently poison distance algorithms), and a
-    /// header/body edge-count mismatch.
+    /// endpoints, a vertex count or endpoint that does not fit a `u32`
+    /// (rejected, never wrapped), out-of-range endpoints, non-finite
+    /// weights (`NaN`/`inf` are rejected — they silently poison distance
+    /// algorithms), and a header/body edge-count mismatch.
     pub fn read_text<R: Read>(r: R) -> io::Result<EdgeList> {
-        let r = io::BufReader::new(r);
-        let bad = |line: usize, msg: String| {
+        fn bad(line: usize, msg: String) -> io::Error {
             io::Error::new(io::ErrorKind::InvalidData, format!("{msg} (line {line})"))
-        };
+        }
+        /// One token as a `T`; a number that does not fit `T` is rejected,
+        /// never wrapped.
+        fn parse<T: FromStr>(tok: Option<&str>, line: usize, what: &str) -> io::Result<T>
+        where
+            T::Err: Display,
+        {
+            let tok = tok.ok_or_else(|| bad(line, format!("missing {what}")))?;
+            tok.parse()
+                .map_err(|e| bad(line, format!("bad {what} {tok:?}: {e}")))
+        }
+        let r = io::BufReader::new(r);
         let mut lines = r.lines();
         let header = lines
             .next()
             .ok_or_else(|| bad(1, "empty input, expected \"V E\" header".to_owned()))??;
         let mut it = header.split_whitespace();
-        let parse = |s: Option<&str>, line: usize, what: &str| -> io::Result<u64> {
-            let tok = s.ok_or_else(|| bad(line, format!("missing {what}")))?;
-            tok.parse()
-                .map_err(|e| bad(line, format!("bad {what} {tok:?}: {e}")))
-        };
-        let v = parse(it.next(), 1, "vertex count")? as u32;
-        let m = parse(it.next(), 1, "edge count")? as usize;
+        let v: u32 = parse(it.next(), 1, "vertex count")?;
+        let m: usize = parse(it.next(), 1, "edge count")?;
         // Grow incrementally: the header's edge count is untrusted input
         // and must not drive a huge up-front allocation.
         let mut edges = Vec::with_capacity(m.min(1 << 20));
@@ -297,8 +306,8 @@ impl EdgeList {
                 continue;
             }
             let mut it = line.split_whitespace();
-            let s = parse(it.next(), lineno, "edge source")? as u32;
-            let d = parse(it.next(), lineno, "edge target")? as u32;
+            let s: u32 = parse(it.next(), lineno, "edge source")?;
+            let d: u32 = parse(it.next(), lineno, "edge target")?;
             if s >= v || d >= v {
                 return Err(bad(
                     lineno,
@@ -306,9 +315,7 @@ impl EdgeList {
                 ));
             }
             if let Some(wtok) = it.next() {
-                let w: f32 = wtok
-                    .parse()
-                    .map_err(|e| bad(lineno, format!("bad weight {wtok:?}: {e}")))?;
+                let w: f32 = parse(Some(wtok), lineno, "weight")?;
                 if !w.is_finite() {
                     return Err(bad(lineno, format!("non-finite weight {w}")));
                 }
@@ -498,6 +505,17 @@ mod tests {
     }
 
     #[test]
+    fn text_numbers_past_u32_are_rejected_not_wrapped() {
+        // Each of these used to wrap to a small value: a 0-vertex graph,
+        // and the edge (1, 1).
+        for input in ["4294967296 0\n", "4 1\n4294967297 1\n"] {
+            let err = EdgeList::read_text(input.as_bytes()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{input:?}");
+            assert!(err.to_string().contains("4294967"), "{err}");
+        }
+    }
+
+    #[test]
     fn binary_rejects_corruption() {
         assert!(EdgeList::read_binary(&b"NOPE"[..]).is_err());
         let g = sample();
@@ -510,5 +528,116 @@ mod tests {
         let edge0_dst = 4 + 4 + 4 + 8 + 1 + 4;
         bad[edge0_dst..edge0_dst + 4].copy_from_slice(&999u32.to_le_bytes());
         assert!(EdgeList::read_binary(&bad[..]).is_err());
+    }
+
+    /// splitmix64: the harness's seeded case generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n.max(1) as u64) as usize
+        }
+    }
+
+    /// One on-disk format: its writer and its reader.
+    type Writer = fn(&EdgeList, &mut Vec<u8>) -> io::Result<()>;
+    type Reader = fn(&[u8]) -> io::Result<EdgeList>;
+
+    /// Real written lists, one encoding each: unweighted, weighted, and
+    /// one with a self-loop, duplicates and an isolated vertex.
+    fn corpus(write: Writer) -> Vec<Vec<u8>> {
+        let rmat = crate::gen::rmat_g500(4, 40, 1);
+        let lists = [
+            rmat.clone(),
+            crate::gen::with_random_weights(rmat, 9.0, 2),
+            EdgeList::from_edges(6, vec![(0, 1), (0, 1), (5, 5), (4, 0)])
+                .with_weights(vec![0.5, -2.25, 1e-3, 7.0]),
+        ];
+        lists
+            .iter()
+            .map(|el| {
+                let mut buf = Vec::new();
+                write(el, &mut buf).unwrap();
+                buf
+            })
+            .collect()
+    }
+
+    /// The contract: a typed error, or a list whose endpoints are in range
+    /// and whose weights align with the edges and are finite, and which
+    /// lays out. A flipped high bit of a vertex count is a valid graph
+    /// whose layout offsets alone take gigabytes, so the layout runs only
+    /// up to 2^16 vertices.
+    fn check(read: Reader, buf: &[u8]) {
+        let Ok(el) = read(buf) else {
+            return;
+        };
+        let n = el.num_vertices;
+        assert!(el.edges.iter().all(|&(s, d)| s < n && d < n));
+        if let Some(w) = &el.weights {
+            assert_eq!(w.len(), el.edges.len());
+            assert!(w.iter().all(|x| x.is_finite()));
+        }
+        if n <= 1 << 16 {
+            let g = crate::csr::GraphLayout::build(&el);
+            assert_eq!(g.num_edges(), el.edges.len() as u64);
+        }
+    }
+
+    /// Seeded mutation fuzz: 10 000 cases of one mutation per format.
+    fn fuzz(mutate: impl Fn(&mut Rng, &[Vec<u8>], usize) -> Vec<u8>) {
+        let formats: [(Writer, Reader); 2] = [
+            (|el, buf| el.write_text(buf), |buf| EdgeList::read_text(buf)),
+            (
+                |el, buf| el.write_binary(buf),
+                |buf| EdgeList::read_binary(buf),
+            ),
+        ];
+        let mut rng = Rng(0x5eed);
+        for (write, read) in formats {
+            let lists = corpus(write);
+            for case in 0..10_000 {
+                check(read, &mutate(&mut rng, &lists, case % lists.len()));
+            }
+        }
+    }
+
+    #[test]
+    fn fuzz_bit_flips_never_panic() {
+        fuzz(|rng, lists, i| {
+            let mut buf = lists[i].clone();
+            for _ in 0..1 + rng.below(3) {
+                let bit = rng.below(buf.len() * 8);
+                buf[bit / 8] ^= 1 << (bit % 8);
+            }
+            buf
+        });
+    }
+
+    #[test]
+    fn fuzz_truncations_never_panic() {
+        fuzz(|rng, lists, i| lists[i][..rng.below(lists[i].len())].to_vec());
+    }
+
+    #[test]
+    fn fuzz_splices_never_panic() {
+        // Replace a run of one list with a run of another (or itself).
+        fuzz(|rng, lists, i| {
+            let buf = &lists[i];
+            let donor = &lists[rng.below(lists.len())];
+            let at = rng.below(buf.len());
+            let cut = at + rng.below(buf.len() - at + 1);
+            let from = rng.below(donor.len());
+            let to = from + rng.below(donor.len() - from + 1);
+            [&buf[..at], &donor[from..to], &buf[cut..]].concat()
+        });
     }
 }

@@ -29,10 +29,16 @@ fn rng(seed: u64) -> ChaCha8Rng {
 /// `scale` is log2 of the vertex count; exactly `num_edges` directed edges
 /// are produced (duplicates and self-loops possible, as in the raw
 /// kron_g500 inputs).
+///
+/// Each level draws one uniform `x` and picks quadrant a, b, c or d by the
+/// thresholds `a`, `a + b`, `a + b + c`. The quadrant bits are computed
+/// without branches: at the Graph500 parameters every threshold compare is
+/// close to a coin flip, so an if/else chain mispredicts about once a level.
 pub fn rmat(scale: u32, num_edges: u64, a: f64, b: f64, c: f64, seed: u64) -> EdgeList {
     assert!(scale <= 31, "scale too large for u32 vertex ids");
     let d = 1.0 - a - b - c;
     assert!(d >= -1e-9, "rmat probabilities exceed 1");
+    let (ab, abc) = (a + b, a + b + c);
     let n = 1u32 << scale;
     let mut r = rng(seed);
     let mut edges = Vec::with_capacity(num_edges as usize);
@@ -40,17 +46,11 @@ pub fn rmat(scale: u32, num_edges: u64, a: f64, b: f64, c: f64, seed: u64) -> Ed
         let (mut lo_s, mut lo_d) = (0u32, 0u32);
         for bit in (0..scale).rev() {
             let x: f64 = r.random();
-            let (sbit, dbit) = if x < a {
-                (0, 0)
-            } else if x < a + b {
-                (0, 1)
-            } else if x < a + b + c {
-                (1, 0)
-            } else {
-                (1, 1)
-            };
-            lo_s |= sbit << bit;
-            lo_d |= dbit << bit;
+            // Quadrants c and d set the source bit; b and d the target bit.
+            let sbit = x >= ab;
+            let dbit = ((a <= x) & (x < ab)) | (x >= abc);
+            lo_s |= u32::from(sbit) << bit;
+            lo_d |= u32::from(dbit) << bit;
         }
         edges.push((lo_s, lo_d));
     }
@@ -349,6 +349,45 @@ mod tests {
         assert_eq!(g1, g2);
         let g3 = rmat_g500(10, 5000, 43);
         assert_ne!(g1, g3);
+    }
+
+    /// FNV-1a over |V| and every `(src, dst)` pair, little-endian.
+    fn fnv1a(el: &EdgeList) -> u64 {
+        let pairs = el.edges.iter().flat_map(|&(s, d)| [s, d]);
+        std::iter::once(el.num_vertices)
+            .chain(pairs)
+            .flat_map(u32::to_le_bytes)
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+    }
+
+    /// The edge lists of every R-MAT parameter set in use, pinned by hash:
+    /// a quadrant draw that moves any edge fails here. CI runs this under
+    /// `--release` too, so the draw is checked in the codegen that ships.
+    #[test]
+    fn rmat_golden_edge_lists() {
+        // Graph500, then the two parameter sets of the `datasets` stand-ins.
+        type Draw = fn(u64) -> EdgeList;
+        let pins: [(Draw, [u64; 3]); 3] = [
+            (
+                |s| rmat_g500(12, 1 << 16, s),
+                [0x11bf1dc7b825d042, 0xf0c0466c897a5e3d, 0xc8de56b829467243],
+            ),
+            (
+                |s| rmat(12, 1 << 16, 0.50, 0.22, 0.22, s),
+                [0xf341a70aa0ebcc3e, 0x6b9eb8ab8b9e55af, 0xbe202fbbcdc1004e],
+            ),
+            (
+                |s| rmat(12, 1 << 16, 0.45, 0.22, 0.22, s),
+                [0xbbe9c0c9941c8e00, 0x097ebf357a1f8867, 0x1be337f2018d42eb],
+            ),
+        ];
+        for (set, (draw, want)) in pins.into_iter().enumerate() {
+            for (seed, want) in (1..).zip(want) {
+                assert_eq!(fnv1a(&draw(seed)), want, "parameter set {set}, seed {seed}");
+            }
+        }
     }
 
     #[test]
