@@ -1,77 +1,42 @@
-//! The iteration driver: BSP loop, frontier skip, timeline emission,
-//! checkpoint/rollback, and host fallback for one device.
+//! The single-GPU device timeline: frontier skip, residency caching,
+//! spill reads, governor host shards, host fallback, and the fused or
+//! unfused emission of each iteration.
 //!
-//! `Runner` wires the exec layers together for the single-GPU path —
+//! `Runner` wires the exec layers together for one device —
 //! [`super::plan`] derives the governed [`ExecPlan`](super::plan::ExecPlan),
 //! [`super::movement`] moves shard buffers, [`super::compute`] prices the
 //! kernels, and every device op goes through [`super::device::DeviceCtx`].
-//! The host-side exact computation (`HostState`, in [`super::host`]) and
-//! the rollback bookkeeping (`roll_back`) are shared with the multi-GPU
-//! orchestrator so both paths produce bit-identical results and identical
-//! recovery charges for identical fault schedules.
+//! It runs through the BSP loop in [`super::bsp`], which it shares with
+//! the multi-GPU orchestrator: the host computes each iteration once, and
+//! a fault replays only what `Runner` emits.
 
-use gr_graph::{GraphLayout, TopoView};
+use gr_graph::{Bitmap, GraphLayout, Shard, TopoView};
 use std::sync::Arc;
 
-use gr_observe::{Decision, MetricsRegistry, Observer, SpanEvent, WallProfiler};
+use gr_observe::{Decision, MetricsRegistry, Observer, WallProfiler};
 use gr_sim::{cpu_time, DeviceFault, HostConfig, KernelSpec, Platform, SimDuration, StreamId};
 
 use crate::api::GasProgram;
-use crate::checkpoint::Checkpoint;
 use crate::engine::{RunResult, WarmStart};
 use crate::options::Options;
 use crate::phases::ShardWork;
 use crate::recovery::EngineError;
 use crate::sizes::{PartitionPlan, SizeModel};
 use crate::snapshot::{self, CheckpointPolicy};
-use crate::snapshot_delta::{self, RestoredFromDisk};
+use crate::snapshot_delta::RestoredFromDisk;
 use crate::stats::RunStats;
 use crate::storage::StorageCtx;
 use crate::store::{shard_payload, ShardStoreHandle};
 
+use super::bsp::{Bsp, Timeline};
 use super::compress::{ShardCompression, RAW_TOPO_ENTRY_BYTES};
 use super::compute::{host_work, ComputeSpecs};
 use super::device::{Abort, DeviceCtx};
-use super::durable::{DurableConfig, DurableWriter};
-use super::host::HostState;
 use super::movement::{in_bufs_for, out_bufs_for, Buf, BufSet, Movement};
 use super::plan;
 
-/// Iteration replays allowed before a persistent fault becomes
-/// [`EngineError::Unrecoverable`] (guards against pathological hand-built
-/// plans that fault the same op forever).
-pub(crate) const REPLAY_CAP: u32 = 64;
-
-/// Handle a persistent transient fault: count the rollback, log the
-/// [`Decision::Rollback`], and let the caller replay from its checkpoint —
-/// or surface [`EngineError::Unrecoverable`] once [`REPLAY_CAP`] replays
-/// have burned. Shared verbatim by the single driver and the multi
-/// orchestrator so both charge and log rollbacks identically.
-pub(crate) fn roll_back(
-    observer: &Observer,
-    metrics: &mut MetricsRegistry,
-    iter: u32,
-    replays: u32,
-    device: u32,
-    op: &'static str,
-    fault: DeviceFault,
-) -> Result<(), EngineError> {
-    if replays > REPLAY_CAP {
-        return Err(EngineError::Unrecoverable { op });
-    }
-    metrics.inc("engine.rollbacks", 1);
-    let name = fault.name();
-    observer.decision(|| Decision::Rollback {
-        iteration: iter,
-        device,
-        op,
-        fault: name,
-    });
-    Ok(())
-}
-
-/// The single-GPU iteration driver (Figures 8-12): one [`DeviceCtx`], one
-/// [`Movement`] policy, one [`ComputeSpecs`] table, one [`HostState`].
+/// The single-GPU timeline (Figures 8-12): one [`DeviceCtx`], one
+/// [`Movement`] policy, one [`ComputeSpecs`] table.
 pub(crate) struct Runner<'a, P: GasProgram> {
     program: &'a P,
     layout: &'a GraphLayout,
@@ -81,7 +46,6 @@ pub(crate) struct Runner<'a, P: GasProgram> {
     ctx: DeviceCtx,
     movement: Movement,
     specs: ComputeSpecs,
-    host: HostState<P>,
     // Residency caching (in-GPU-memory mode).
     resident: bool,
     in_cached: Vec<bool>,
@@ -95,22 +59,14 @@ pub(crate) struct Runner<'a, P: GasProgram> {
     apply_vertex_bufs: Vec<Buf>,
     out_dst_bufs: Vec<Buf>,
     frontier_bits_bufs: Vec<Buf>,
-    // Fault recovery: whether a fault plan is armed (gates per-iteration
-    // checkpoints), and the degraded host-CPU mode entered after
-    // permanent device loss.
-    fault_active: bool,
+    // Fault recovery: the degraded host-CPU mode entered after permanent
+    // device loss.
     host_cfg: HostConfig,
     host_mode: bool,
     host_time: SimDuration,
     // Memory governor outcome: shards degraded to host execution.
     host_shards: Vec<bool>,
     any_host_shards: bool,
-    // Durable checkpoints: the writer (full/delta schedule + snapshot
-    // framing) when the policy is durable, and the run fingerprint
-    // (computed only when durability or spill is armed).
-    durable: Option<DurableWriter>,
-    ckpt_off: bool,
-    fingerprint: Option<snapshot::Fingerprint>,
     // Fault-hardened storage plane: every spill/checkpoint I/O goes
     // through it so injected I/O faults retry and degrade gracefully.
     storage: StorageCtx,
@@ -124,8 +80,6 @@ pub(crate) struct Runner<'a, P: GasProgram> {
     spilled: Vec<bool>,
     spill_loaded: Vec<bool>,
     any_spilled: bool,
-    // Process-kill fault: iteration boundary at which the run dies.
-    kill_at: Option<u32>,
     observer: Observer,
     // Real wall-clock attribution (disarmed by default — one branch per
     // scope; see `gr_observe::profiler`).
@@ -141,14 +95,11 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         opts: &'a Options,
         sizes: SizeModel,
         plan: PartitionPlan,
-        warm: Option<WarmStart<P>>,
-        restored: Option<RestoredFromDisk<P>>,
         observer: Observer,
         wall: WallProfiler,
         comp: Option<Arc<ShardCompression>>,
         lane: Option<String>,
     ) -> Result<Self, EngineError> {
-        let fault_active = !opts.fault_plan.is_none();
         let mut ctx = DeviceCtx::new(
             platform,
             0,
@@ -240,27 +191,6 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             };
         }
 
-        let (restored_state, restored_bytes, restored_chain) = match restored {
-            Some(r) => (Some(r.state), r.bytes, r.delta),
-            None => (None, 0, None),
-        };
-        let restored_boundary = restored_state.as_ref().map(|r| r.iterations.len() as u32);
-        let host = match restored_state {
-            Some(r) => {
-                let b = r.iterations.len() as u32;
-                ctx.metrics.inc("engine.checkpoint_restores", 1);
-                observer.decision(|| Decision::CheckpointRestore {
-                    iteration: b,
-                    bytes: restored_bytes,
-                });
-                r
-            }
-            None => match warm {
-                Some(w) => HostState::warm(program, layout, w),
-                None => HostState::cold(program, layout),
-            },
-        };
-
         // Fault-hardened storage plane: spill and checkpoint I/O below
         // retries injected faults with logged backoff and degrades
         // gracefully after exhaustion instead of failing the run.
@@ -329,25 +259,6 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             );
         }
 
-        // Durable checkpoints: armed by CheckpointPolicy::Durable{,Delta}.
-        // The fingerprint (also needed to validate spill-era state hashes)
-        // is computed once up front. A resume seeds the writer's schedule
-        // (and delta dirty chain) so it continues exactly where the killed
-        // run left off.
-        let durable_cfg = DurableConfig::from_policy(&opts.checkpoint_policy);
-        let ckpt_off = matches!(opts.checkpoint_policy, CheckpointPolicy::Off);
-        let fingerprint = (durable_cfg.is_some() || restored_boundary.is_some() || any_spilled)
-            .then(|| snapshot::fingerprint_for(program, layout));
-        let durable = durable_cfg.map(|cfg| {
-            let fp = fingerprint
-                .clone()
-                .expect("fingerprint computed whenever durable is armed");
-            let mut w = DurableWriter::new(cfg, fp, layout.num_vertices(), opts.shard_compression);
-            if let Some(b) = restored_boundary {
-                w.note_restored(b, restored_chain);
-            }
-            w
-        });
         let specs = ComputeSpecs::new(sizes, opts, layout, &plan.shards, &wall);
 
         // Buffer lists are a pure function of the shard geometry and the
@@ -411,26 +322,20 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             ctx,
             movement,
             specs,
-            host,
             resident,
             in_cached: vec![false; num_shards],
             out_cached: vec![false; num_shards],
-            fault_active,
             host_cfg: platform.host.clone(),
             host_mode: governed.host_run,
             host_time: SimDuration::ZERO,
             any_host_shards: governed.host_shards.iter().any(|&h| h),
             host_shards: governed.host_shards,
-            durable,
-            ckpt_off,
-            fingerprint,
             storage,
             comp,
             store: opts.shard_store.clone(),
             spilled,
             spill_loaded: vec![false; num_shards],
             any_spilled,
-            kill_at: opts.fault_plan.kill_at(),
             in_buf_sets,
             out_buf_sets,
             gather_temp_bufs,
@@ -443,65 +348,27 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         })
     }
 
-    /// Current virtual time: device clock plus any degraded-mode host time.
-    fn now_ns(&self) -> u64 {
-        self.ctx.elapsed().as_nanos() + self.host_time.as_nanos()
-    }
-
-    pub(crate) fn run(mut self) -> Result<RunResult<P>, EngineError> {
-        self.wall.set_algorithm(self.program.name());
-        plan::emit_plan_decisions(
-            &self.observer,
-            self.opts.phase_fusion,
-            self.program.has_gather(),
-            self.program.has_scatter(),
-        );
-        self.emit_init()?;
-        let max_iter = self.program.max_iterations();
-        // Resume continues from the restored boundary (0 on a cold start);
-        // a forced snapshot first makes even a kill at iteration 0
-        // restartable.
-        let mut iter = self.host.iterations.len() as u32;
-        self.write_durable(true)?;
-        while iter < max_iter && self.host.frontier.count() > 0 {
-            if self.kill_at == Some(iter) {
-                return Err(EngineError::Killed { iteration: iter });
-            }
-            let iter_start_ns = self.now_ns();
-            self.run_iteration(iter)?;
-            if let Some(w) = self.durable.as_mut() {
-                w.record_iteration(&self.host.changed);
-            }
-            self.write_durable(false)?;
-            let iter_end_ns = self.now_ns();
-            let st = self
-                .host
-                .iterations
-                .last()
-                .expect("pushed by compute_iteration");
-            self.observer.span(|| SpanEvent {
-                track: "engine",
-                lane: "iterations".into(),
-                name: format!("iteration {iter}"),
-                start_ns: iter_start_ns,
-                dur_ns: iter_end_ns - iter_start_ns,
-                fields: vec![
-                    ("iteration", iter.into()),
-                    ("frontier_size", st.frontier_size.into()),
-                    ("changed", st.changed.into()),
-                    ("shards_processed", st.shards_processed.into()),
-                    ("shards_skipped", st.shards_skipped.into()),
-                ],
-            });
-            let gpu_metrics = self.ctx.gpu_metrics();
-            self.observer
-                .snapshot(&format!("iteration {iter}"), || gpu_metrics.snapshot());
-            iter += 1;
-        }
-        // Converged: force a final snapshot so a completed run's durable
-        // state is the answer, not the last periodic boundary.
-        self.write_durable(true)?;
-        self.emit_finalize()?;
+    /// Run to convergence through the shared BSP loop and assemble the
+    /// run's statistics.
+    pub(crate) fn run(
+        mut self,
+        warm: Option<WarmStart<P>>,
+        restored: Option<RestoredFromDisk<P>>,
+    ) -> Result<RunResult<P>, EngineError> {
+        // The state fingerprint is reported whenever durability, a resume
+        // or the spill store is armed.
+        let fingerprinted = restored.is_some()
+            || self.any_spilled
+            || !matches!(self.opts.checkpoint_policy, CheckpointPolicy::InMemoryOnly);
+        let bsp = Bsp {
+            program: self.program,
+            layout: self.layout,
+            opts: self.opts,
+            kill_at: self.opts.fault_plan.kill_at(),
+            observer: self.observer.clone(),
+            wall: self.wall.clone(),
+        };
+        let (host, iterations) = bsp.run(&mut self, warm, restored)?;
         let gpu_metrics = self.ctx.gpu_metrics();
         self.observer.snapshot("run", || gpu_metrics.snapshot());
         let engine_metrics = &self.ctx.metrics;
@@ -514,7 +381,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         let metrics = &self.ctx.metrics;
         let stats = RunStats {
             algorithm: self.program.name(),
-            iterations: iter,
+            iterations,
             elapsed: gstats.elapsed + self.host_time,
             memcpy_time: gstats.memcpy_busy,
             kernel_time: gstats.kernel_busy,
@@ -530,7 +397,6 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             faults_injected: self.ctx.faults_injected(),
             recovered_retries: metrics.counter("engine.fault_retries"),
             rollbacks: metrics.counter("engine.rollbacks"),
-            checkpoints: metrics.counter("engine.checkpoints"),
             host_fallback: self.host_mode,
             mem_pressure_events: metrics.counter("engine.mem_pressure"),
             shard_splits: metrics.counter("engine.shard_splits"),
@@ -557,338 +423,41 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             compressed_bytes: metrics.counter("engine.compressed_bytes"),
             compressed_raw_bytes: metrics.counter("engine.compressed_raw_bytes"),
             decompress_launches: metrics.counter("engine.decompress_launches"),
-            state_fingerprint: self
-                .fingerprint
-                .is_some()
-                .then(|| snapshot::values_fingerprint(&self.host.vertex_values)),
+            state_fingerprint: fingerprinted
+                .then(|| snapshot::values_fingerprint(&host.vertex_values)),
             wall: self.wall.is_armed().then(|| self.wall.profile().summary()),
-            per_iteration: self.host.iterations,
+            per_iteration: host.iterations,
         };
         Ok(RunResult {
-            vertex_values: self.host.vertex_values,
-            edge_values: self.host.edge_values,
+            vertex_values: host.vertex_values,
+            edge_values: host.edge_values,
             stats,
         })
     }
 
-    fn compute_iteration(&mut self, iter: u32) -> Vec<ShardWork> {
-        let view = match &self.comp {
-            Some(c) => c.view(self.layout),
-            None => TopoView::raw(self.layout),
-        };
-        self.host.compute_iteration(
-            self.program,
-            view,
-            &self.plan.shards,
-            self.opts.host_kernels,
-            self.opts.frontier_management,
-            iter,
-            &self.observer,
-            &mut self.ctx.metrics,
-            &self.wall,
-        )
-    }
-
-    // ---------------- checkpoint / rollback / degraded mode ----------------
-
-    /// One BSP iteration with fault recovery: checkpoint (only when a
-    /// fault plan is armed), compute exact results on the host, emit the
-    /// device timeline, and on a persistent fault restore the checkpoint
-    /// and replay. The fault plan's monotone per-op counters guarantee a
-    /// finite plan eventually stops faulting the replayed ops.
-    fn run_iteration(&mut self, iter: u32) -> Result<(), EngineError> {
-        if self.host_mode {
-            return self.host_iteration(iter);
-        }
-        self.load_spilled(iter)?;
-        // In-memory checkpoint before the attempt — skipped when a durable
-        // snapshot already covers this exact boundary (the full-state
-        // clone would duplicate what is safely on disk) and never taken
-        // under CheckpointPolicy::Off.
-        let durable_covers = self.durable.as_ref().is_some_and(|w| w.covers(iter));
-        let ckpt = (self.fault_active && !durable_covers && !self.ckpt_off)
-            .then(|| self.take_checkpoint());
-        let mut replays = 0u32;
-        loop {
-            let work = self.compute_iteration(iter);
-            let emitted = if self.opts.phase_fusion {
-                self.emit_fused(iter, &work)
-            } else {
-                self.emit_unfused(iter, &work)
-            };
-            match emitted {
-                Ok(()) => {
-                    self.charge_host_shards(&work);
-                    self.host.finish_iteration();
-                    return Ok(());
-                }
-                Err(a) => {
-                    replays += 1;
-                    self.handle_abort(a, iter, replays)?;
-                    if let Some(c) = ckpt.as_ref() {
-                        self.restore(c);
-                    } else if durable_covers {
-                        self.restore_from_disk()?;
-                    } else {
-                        // CheckpointPolicy::Off with an armed fault plan:
-                        // nothing to replay from.
-                        return Err(EngineError::Unrecoverable { op: "checkpoint" });
-                    }
-                    if self.host_mode {
-                        return self.host_iteration(iter);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Delegate a durable snapshot of the current iteration boundary to
-    /// the [`DurableWriter`] (no-op without a durable policy). Disk time
-    /// is host-side and off the device timeline, so durable runs stay
-    /// time-identical to in-memory-only runs.
-    fn write_durable(&mut self, force: bool) -> Result<(), EngineError> {
-        let Some(w) = self.durable.as_mut() else {
-            return Ok(());
-        };
-        w.maybe_write(
-            &self.host,
-            force,
-            &mut self.storage,
-            &self.observer,
-            &mut self.ctx.metrics,
-        )
-    }
-
-    /// Replay-restore from the newest intact on-disk snapshot (taken when
-    /// the in-memory clone was elided because a durable snapshot covers
-    /// the boundary). Not a resume: no CheckpointRestore decision — the
-    /// Rollback decision already records the replay.
-    fn restore_from_disk(&mut self) -> Result<(), EngineError> {
-        let w = self.durable.as_ref().expect("durable covers this boundary");
-        let fp = self
-            .fingerprint
-            .as_ref()
-            .expect("fingerprint computed whenever durable is armed");
-        let r = snapshot_delta::load_newest::<P>(w.dir(), fp)?;
-        self.host = r.state;
-        self.in_cached.fill(false);
-        self.out_cached.fill(false);
-        Ok(())
-    }
-
-    /// First touch of a spilled shard: read its payload back from the
-    /// store (verifying frame integrity) and log one ShardLoad. Shards the
-    /// frontier never activates are never read back — the point of
-    /// spilling.
-    fn load_spilled(&mut self, iter: u32) -> Result<(), EngineError> {
-        if !self.any_spilled {
-            return Ok(());
-        }
-        let store = self.store.clone().expect("spilled shards imply a store");
-        for i in 0..self.plan.shards.len() {
-            if !self.spilled[i] || self.spill_loaded[i] || self.host_shards[i] {
-                continue;
-            }
-            if self.opts.frontier_management {
-                let sh = &self.plan.shards[i];
-                if !self
-                    .host
-                    .frontier
-                    .any_in_range(sh.interval.start, sh.interval.end)
-                {
-                    continue;
-                }
-            }
-            let Some(payload) = self.storage.spill_get(&store, i as u32, iter)? else {
-                // Retries exhausted: re-stream the shard from the source
-                // graph (the host-resident layout) — results unaffected,
-                // the StorageDegraded decision records the detour.
-                self.spill_loaded[i] = true;
-                continue;
-            };
-            let bytes = payload.len() as u64;
-            self.ctx.metrics.inc("engine.spill_loads", 1);
-            self.ctx.metrics.inc("engine.spill_load_bytes", bytes);
-            let store_name = store.name();
-            self.observer.decision(|| Decision::ShardLoad {
-                iteration: iter,
-                shard: i as u32,
-                bytes,
-                store: store_name,
-            });
-            self.spill_loaded[i] = true;
-        }
-        Ok(())
-    }
-
-    fn take_checkpoint(&mut self) -> Checkpoint<P> {
-        self.ctx.metrics.inc("engine.checkpoints", 1);
-        self.host.checkpoint()
-    }
-
-    fn restore(&mut self, c: &Checkpoint<P>) {
-        self.host.restore(c);
-        // The faulted attempt may have moved only part of a shard: drop
-        // all residency claims so the replay re-copies what it touches.
-        self.in_cached.fill(false);
-        self.out_cached.fill(false);
-    }
-
-    /// Central abort handling: device loss switches to host fallback (or
-    /// fails the run when the policy forbids it); a persistent transient
-    /// fault logs a [`Decision::Rollback`] so the caller replays from its
-    /// checkpoint, bounded by [`REPLAY_CAP`].
-    fn handle_abort(&mut self, a: Abort, iter: u32, replays: u32) -> Result<(), EngineError> {
-        // Settle whatever the device finished before the fault; the time
-        // the doomed attempt consumed stays on the clock — that work (and
-        // its replay) is exactly what the counters record.
-        self.ctx.sync_and_resolve();
-        match a.fault {
-            DeviceFault::Lost => {
-                if !self.opts.recovery.host_fallback {
-                    return Err(EngineError::DeviceLost);
-                }
-                self.ctx.metrics.inc("engine.host_fallback", 1);
-                self.observer.decision(|| Decision::HostFallback {
-                    iteration: iter,
-                    device: 0,
-                    rationale: "device lost: resuming on host CPU from last checkpoint",
-                });
-                self.host_mode = true;
-                Ok(())
-            }
-            fault => roll_back(
-                &self.observer,
-                &mut self.ctx.metrics,
-                iter,
-                replays,
-                0,
-                a.op,
-                fault,
-            ),
-        }
-    }
-
-    /// Governor-degraded shards: their slice of the iteration's work is
-    /// charged on the host CPU with the same roofline model as full host
-    /// fallback, once per *successful* iteration (replays re-charge the
-    /// device work they redo, not the host's). Results are unaffected —
-    /// the host computes every shard's results regardless.
-    fn charge_host_shards(&mut self, work: &[ShardWork]) {
-        if !self.any_host_shards {
+    /// Charge `work` on the host CPU with the roofline model the CPU
+    /// baseline engines use: every shard after device loss (`all_shards`),
+    /// else only the governor-degraded shards, and those only when they
+    /// did something. Called once per completed iteration, so a replay
+    /// re-charges the device work it redoes, never the host's. Results
+    /// are unaffected: the host computes every shard regardless.
+    fn charge_host(&mut self, label: &'static str, work: &[ShardWork], all_shards: bool) {
+        if !all_shards && !self.any_host_shards {
             return;
         }
-        let mut edges = 0u64;
-        let mut vertices = 0u64;
+        let (mut edges, mut vertices) = (0u64, 0u64);
         for (i, w) in work.iter().enumerate() {
-            if self.host_shards[i] {
+            if all_shards || self.host_shards[i] {
                 edges += w.active_in_edges + w.out_edges_of_changed;
                 vertices += w.active_vertices + w.changed_vertices;
             }
         }
-        if vertices + edges == 0 {
+        if !all_shards && vertices + edges == 0 {
             return;
         }
-        let cw = host_work("host.shard", vertices, edges, &self.sizes);
+        let cw = host_work(label, vertices, edges, &self.sizes);
         self.host_time +=
             self.host_cfg.pass_overhead + cpu_time(&self.host_cfg, self.host_cfg.cores, &cw);
-    }
-
-    /// Degraded mode after device loss: the iteration both computes *and
-    /// is charged* on the host CPU, with the same roofline model the CPU
-    /// baseline engines use. Results stay bit-identical — the host was
-    /// computing them all along.
-    fn host_iteration(&mut self, iter: u32) -> Result<(), EngineError> {
-        let work = self.compute_iteration(iter);
-        let edges: u64 = work
-            .iter()
-            .map(|w| w.active_in_edges + w.out_edges_of_changed)
-            .sum();
-        let vertices: u64 = work
-            .iter()
-            .map(|w| w.active_vertices + w.changed_vertices)
-            .sum();
-        let cw = host_work("host.fallback", vertices, edges, &self.sizes);
-        self.host_time +=
-            self.host_cfg.pass_overhead + cpu_time(&self.host_cfg, self.host_cfg.cores, &cw);
-        self.host.finish_iteration();
-        Ok(())
-    }
-
-    // ---------------- device timeline emission ----------------
-
-    fn emit_init(&mut self) -> Result<(), EngineError> {
-        // Governor whole-run host mode: nothing lives on the device, so
-        // there is nothing to initialize (mirrors emit_finalize).
-        if self.host_mode {
-            return Ok(());
-        }
-        let mut replays = 0u32;
-        loop {
-            match self.try_emit_init() {
-                Ok(()) => return Ok(()),
-                Err(a) => {
-                    // Nothing to roll back before iteration 0: the initial
-                    // host state *is* the checkpoint.
-                    replays += 1;
-                    self.handle_abort(a, 0, replays)?;
-                    if self.host_mode {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-
-    fn try_emit_init(&mut self) -> Result<(), Abort> {
-        let s = self.ctx.main_streams[0];
-        let vbytes = self.layout.num_vertices() as u64 * self.sizes.vertex_value;
-        self.ctx.h2d(s, vbytes, "init.vertices", 0)?;
-        // Gather-temp and frontier bitmaps are initialized on-device.
-        let spec = KernelSpec::balanced(
-            "init.memset",
-            self.layout.num_vertices() as u64,
-            1.0,
-            self.plan.static_bytes,
-            0,
-        );
-        self.ctx.launch(s, &spec, 0)?;
-        self.ctx.synchronize();
-        Ok(())
-    }
-
-    fn emit_finalize(&mut self) -> Result<(), EngineError> {
-        // After host fallback the results are host-resident already (and
-        // the device is gone): nothing to download.
-        if self.host_mode {
-            return Ok(());
-        }
-        let iter = self.host.iterations.len() as u32;
-        let mut replays = 0u32;
-        loop {
-            match self.try_emit_finalize(iter) {
-                Ok(()) => return Ok(()),
-                Err(a) => {
-                    replays += 1;
-                    self.handle_abort(a, iter, replays)?;
-                    if self.host_mode {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-    }
-
-    fn try_emit_finalize(&mut self, iter: u32) -> Result<(), Abort> {
-        let s = self.ctx.main_streams[0];
-        let vbytes = self.layout.num_vertices() as u64 * self.sizes.vertex_value;
-        self.ctx.d2h(s, vbytes, "final.vertices", iter)?;
-        if self.program.has_scatter() {
-            let ebytes = self.layout.num_edges() * self.sizes.edge_value;
-            self.ctx.d2h(s, ebytes, "final.edges", iter)?;
-        }
-        self.ctx.synchronize();
-        Ok(())
     }
 
     fn stream_for(&self, i: usize) -> StreamId {
@@ -1176,5 +745,148 @@ impl<'a, P: GasProgram> Runner<'a, P> {
     fn skip_phase(&mut self) {
         self.ctx.metrics.inc("engine.skipped_shard_copies", 1);
         self.ctx.metrics.inc("engine.skipped_kernel_launches", 1);
+    }
+}
+
+impl<P: GasProgram> Timeline for Runner<'_, P> {
+    const TRACK: &'static str = "engine";
+
+    fn host_view(&self) -> (TopoView<'_>, &[Shard]) {
+        let view = match &self.comp {
+            Some(c) => c.view(self.layout),
+            None => TopoView::raw(self.layout),
+        };
+        (view, &self.plan.shards)
+    }
+
+    fn io(&mut self) -> (&mut MetricsRegistry, &mut StorageCtx) {
+        (&mut self.ctx.metrics, &mut self.storage)
+    }
+
+    /// Device clock plus any degraded-mode host time.
+    fn now_ns(&self) -> u64 {
+        self.ctx.elapsed().as_nanos() + self.host_time.as_nanos()
+    }
+
+    /// First touch of a spilled shard: read its payload back from the
+    /// store (verifying frame integrity) and log one ShardLoad. Shards the
+    /// frontier never activates are never read back — the point of
+    /// spilling.
+    fn prepare(&mut self, iter: u32, frontier: &Bitmap) -> Result<(), EngineError> {
+        if self.host_mode || !self.any_spilled {
+            return Ok(());
+        }
+        let store = self.store.clone().expect("spilled shards imply a store");
+        for i in 0..self.plan.shards.len() {
+            if !self.spilled[i] || self.spill_loaded[i] || self.host_shards[i] {
+                continue;
+            }
+            let sh = &self.plan.shards[i];
+            if self.opts.frontier_management
+                && !frontier.any_in_range(sh.interval.start, sh.interval.end)
+            {
+                continue;
+            }
+            let Some(payload) = self.storage.spill_get(&store, i as u32, iter)? else {
+                // Retries exhausted: re-stream the shard from the source
+                // graph (the host-resident layout) — results unaffected,
+                // the StorageDegraded decision records the detour.
+                self.spill_loaded[i] = true;
+                continue;
+            };
+            let bytes = payload.len() as u64;
+            self.ctx.metrics.inc("engine.spill_loads", 1);
+            self.ctx.metrics.inc("engine.spill_load_bytes", bytes);
+            let store_name = store.name();
+            self.observer.decision(|| Decision::ShardLoad {
+                iteration: iter,
+                shard: i as u32,
+                bytes,
+                store: store_name,
+            });
+            self.spill_loaded[i] = true;
+        }
+        Ok(())
+    }
+
+    fn init(&mut self) -> Result<(), Abort> {
+        // Host mode (governor whole-run, or after device loss): nothing
+        // lives on the device, so there is nothing to initialize.
+        if self.host_mode {
+            return Ok(());
+        }
+        let s = self.ctx.main_streams[0];
+        let vbytes = self.layout.num_vertices() as u64 * self.sizes.vertex_value;
+        self.ctx.h2d(s, vbytes, "init.vertices", 0)?;
+        // Gather-temp and frontier bitmaps are initialized on-device.
+        let spec = KernelSpec::balanced(
+            "init.memset",
+            self.layout.num_vertices() as u64,
+            1.0,
+            self.plan.static_bytes,
+            0,
+        );
+        self.ctx.launch(s, &spec, 0)?;
+        self.ctx.synchronize();
+        Ok(())
+    }
+
+    /// On the device, or after device loss on the host CPU — results stay
+    /// bit-identical either way, the host was computing them all along.
+    fn iteration(&mut self, iter: u32, work: &[ShardWork], _changed: &Bitmap) -> Result<(), Abort> {
+        if self.host_mode {
+            self.charge_host("host.fallback", work, true);
+        } else {
+            if self.opts.phase_fusion {
+                self.emit_fused(iter, work)?;
+            } else {
+                self.emit_unfused(iter, work)?;
+            }
+            self.charge_host("host.shard", work, false);
+        }
+        let gpu_metrics = self.ctx.gpu_metrics();
+        self.observer
+            .snapshot(&format!("iteration {iter}"), || gpu_metrics.snapshot());
+        Ok(())
+    }
+
+    fn finalize(&mut self, iter: u32) -> Result<(), Abort> {
+        // In host mode the results are host-resident already (and the
+        // device is gone): nothing to download.
+        if self.host_mode {
+            return Ok(());
+        }
+        let s = self.ctx.main_streams[0];
+        let vbytes = self.layout.num_vertices() as u64 * self.sizes.vertex_value;
+        self.ctx.d2h(s, vbytes, "final.vertices", iter)?;
+        if self.program.has_scatter() {
+            let ebytes = self.layout.num_edges() * self.sizes.edge_value;
+            self.ctx.d2h(s, ebytes, "final.edges", iter)?;
+        }
+        self.ctx.synchronize();
+        Ok(())
+    }
+
+    /// Device loss switches to host fallback (or fails the run when the
+    /// policy forbids it).
+    fn recover(&mut self, a: &Abort, iter: u32) -> Result<(), EngineError> {
+        self.ctx.sync_and_resolve();
+        // The faulted attempt may have moved only part of a shard: drop
+        // all residency claims so the replay re-copies what it touches.
+        self.in_cached.fill(false);
+        self.out_cached.fill(false);
+        if matches!(a.fault, DeviceFault::Lost) {
+            if !self.opts.recovery.host_fallback {
+                return Err(EngineError::DeviceLost);
+            }
+            self.ctx.metrics.inc("engine.host_fallback", 1);
+            self.observer.decision(|| Decision::HostFallback {
+                iteration: iter,
+                device: 0,
+                rationale: "device lost: finishing on host CPU",
+            });
+            self.host_mode = true;
+        }
+        Ok(())
     }
 }

@@ -12,7 +12,7 @@
 //! Disk time is host-side and off the device timelines: durable runs stay
 //! time-identical to in-memory-only runs.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use gr_graph::{Bitmap, CompressionCodec};
 use gr_observe::{Decision, MetricsRegistry, Observer};
@@ -67,8 +67,7 @@ pub(crate) struct DurableWriter {
     /// `Some`: record the cluster context in every snapshot (multi-GPU
     /// runs only).
     placement: Option<Placement>,
-    /// Boundary the newest on-disk snapshot covers (write dedupe and the
-    /// driver's in-memory-checkpoint elision).
+    /// Boundary the newest on-disk snapshot covers (write dedupe).
     durable_at: Option<u32>,
     /// Vertices changed since the last full snapshot (delta mode only).
     dirty: Bitmap,
@@ -91,16 +90,6 @@ impl DurableWriter {
             dirty: Bitmap::new(num_vertices),
             last_full_at: None,
         }
-    }
-
-    pub(crate) fn dir(&self) -> &Path {
-        &self.cfg.dir
-    }
-
-    /// Whether the newest on-disk snapshot covers exactly `boundary` (the
-    /// driver elides its in-memory rollback clone when it does).
-    pub(crate) fn covers(&self, boundary: u32) -> bool {
-        self.durable_at == Some(boundary)
     }
 
     /// Record the cluster context to stamp into every snapshot (multi-GPU
@@ -127,9 +116,8 @@ impl DurableWriter {
     }
 
     /// Fold one completed iteration's changed set into the dirty
-    /// accumulator. Call once per *successful* iteration (rollback
-    /// replays recompute the identical changed set, and OR is idempotent,
-    /// so replays never inflate the dirty set).
+    /// accumulator. Called once per iteration: a replay re-emits only the
+    /// device timeline, never the changed set.
     pub(crate) fn record_iteration(&mut self, changed: &Bitmap) {
         if self.cfg.full_every.is_some() {
             self.dirty.or_assign(changed);
@@ -296,7 +284,7 @@ mod tests {
             &mut metrics,
         )
         .unwrap();
-        assert!(w.covers(0));
+        assert!(dir.join(snapshot::snapshot_name(0, false)).exists());
         // Forced again at the same boundary (convergence right after the
         // initial snapshot): deduped.
         w.maybe_write(

@@ -17,11 +17,10 @@ use std::ops::Range;
 
 use gr_graph::{Bitmap, GraphLayout, Shard, TopoView};
 use gr_observe::profiler::{WALL_ITERATION, WALL_NO_SHARD};
-use gr_observe::{Decision, MetricsRegistry, Observer, WallKey, WallProfiler};
+use gr_observe::{Decision, Observer, WallKey, WallProfiler};
 use rayon::prelude::*;
 
 use crate::api::{GasProgram, InitialFrontier};
-use crate::checkpoint::Checkpoint;
 use crate::engine::WarmStart;
 use crate::options::HostKernels;
 use crate::phases::{
@@ -200,7 +199,6 @@ impl<P: GasProgram> HostState<P> {
         frontier_management: bool,
         iter: u32,
         observer: &Observer,
-        metrics: &mut MetricsRegistry,
         wall: &WallProfiler,
     ) -> Vec<ShardWork> {
         let _iter_scope = wall.scope(|| WallKey {
@@ -344,8 +342,6 @@ impl<P: GasProgram> HostState<P> {
         } else {
             num_shards as u32
         };
-        metrics.observe("engine.frontier_size", frontier_size);
-        metrics.observe("engine.active_shards", processed as u64);
         self.iterations.push(IterationStats {
             frontier_size,
             gathered_edges: work.iter().map(|w| w.active_in_edges).sum(),
@@ -360,30 +356,5 @@ impl<P: GasProgram> HostState<P> {
     /// Publish the next frontier (end of the BSP superstep).
     pub(crate) fn finish_iteration(&mut self) {
         std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-    }
-
-    /// Snapshot everything an iteration replay must restore.
-    pub(crate) fn checkpoint(&self) -> Checkpoint<P> {
-        Checkpoint {
-            vertex_values: self.vertex_values.clone(),
-            edge_values: self.edge_values.clone(),
-            gather_temp: self.gather_temp.clone(),
-            frontier: self.frontier.clone(),
-            changed: self.changed.clone(),
-            next_frontier: self.next_frontier.clone(),
-            iterations_len: self.iterations.len(),
-        }
-    }
-
-    /// Roll state back to a checkpoint (drops stats of replayed
-    /// iterations; residency caches are the caller's to reset).
-    pub(crate) fn restore(&mut self, c: &Checkpoint<P>) {
-        self.vertex_values.clone_from(&c.vertex_values);
-        self.edge_values.clone_from(&c.edge_values);
-        self.gather_temp.clone_from(&c.gather_temp);
-        self.frontier = c.frontier.clone();
-        self.changed = c.changed.clone();
-        self.next_frontier = c.next_frontier.clone();
-        self.iterations.truncate(c.iterations_len);
     }
 }

@@ -14,21 +14,27 @@
 //! 5. [`host`] — the host master state: the exact GAS computation every
 //!    run performs (fanned out over host threads when available), with
 //!    real wall-clock attribution via `gr_observe`'s `WallProfiler`.
-//! 6. [`driver`] — the single-device BSP iteration loop: frontier skip,
-//!    checkpoint/rollback, host fallback, timeline emission.
+//! 6. [`bsp`] — the one BSP loop: kill switch, one host computation per
+//!    iteration, durable snapshots, the iteration span, and the
+//!    replay-on-[`device::Abort`] helper. An engine plugs in only its device
+//!    timeline through its `Timeline` trait.
+//! 7. [`driver`] — the single-device timeline: frontier skip, residency
+//!    caching, spill reads, governor host shards, host fallback, and the
+//!    fused/unfused emission.
 //!
 //! [`compress`] sits beside [`plan`] and [`compute`]: pure per-shard byte
 //! accounting over the gap-coded topology (no device state), consumed by
 //! the governor, the movement buffer sets, and the decompress pricing.
-//! [`durable`] sits beside [`driver`]: the durable-checkpoint writer
-//! (full/delta schedule, placement and codec, fault-hardened writes) shared
-//! by the driver and the multi-GPU orchestrator.
+//! [`durable`] sits beside [`bsp`]: the durable-checkpoint writer
+//! (full/delta schedule, placement and codec, fault-hardened writes) the
+//! loop drives for both engines.
 //!
 //! The multi-GPU orchestrator ([`crate::multi`]) sits beside [`driver`]:
-//! it owns N [`device::DeviceCtx`]s plus the exchange/placement logic and
-//! reuses layers 1-4 (and the driver's host-state/rollback helpers)
-//! instead of re-implementing them. See `docs/ARCHITECTURE.md`.
+//! its timeline owns N [`device::DeviceCtx`]s plus the exchange/placement
+//! logic, reuses layers 1-3, and runs through the same [`bsp`] loop. See
+//! `docs/ARCHITECTURE.md`.
 
+pub mod bsp;
 pub mod compress;
 pub mod compute;
 pub mod device;

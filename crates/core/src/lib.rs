@@ -53,7 +53,6 @@
 
 pub mod api;
 pub mod buffers;
-pub mod checkpoint;
 pub mod engine;
 pub mod exec;
 pub(crate) mod frame;
@@ -74,7 +73,6 @@ pub mod testprog;
 
 pub use api::{GasProgram, InitialFrontier};
 pub use buffers::StagingBuffer;
-pub use checkpoint::Checkpoint;
 pub use engine::{GraphReduce, RunResult, WarmStart};
 pub use gr_observe::{WallProfile, WallProfiler, WallSummary};
 pub use gr_sim::{DeviceFault, DeviceHealth, FaultPlan, IoFault, IoOp};

@@ -18,16 +18,15 @@
 //! own virtual clocks; a global barrier aligns them each stage).
 //!
 //! This module is a thin orchestrator over the shared execution core in
-//! [`crate::exec`]: exact host results come from the driver's
-//! `HostState`, every device op goes through a per-device [`DeviceCtx`]
-//! (one retry/backoff policy for both engines), kernels are priced by the
-//! same [`crate::exec::compute`] builders the single-GPU driver uses, and
-//! persistent-fault rollbacks share the driver's `roll_back`.
-//! What remains here is genuinely multi-GPU: shard placement and the
-//! per-GPU memory governor (`govern_placement`), BSP barriers, the
-//! cross-device exchange, and device eviction. Semantics are unchanged —
-//! results stay bit-identical to the single-device engine and the
-//! sequential oracle.
+//! [`crate::exec`]: it runs the same BSP loop as the single-GPU engine
+//! (`exec/bsp.rs`: one host computation per iteration, one replay helper,
+//! durable writes), every device op goes through a per-device
+//! [`DeviceCtx`] (one retry/backoff policy for both engines), and kernels
+//! are priced by the same [`crate::exec::compute`] builders. What remains
+//! here is genuinely multi-GPU: shard placement and the per-GPU memory
+//! governor (`govern_placement`), and a device timeline with BSP
+//! barriers, the cross-device exchange and device eviction. Results stay
+//! bit-identical to the single-device engine and the sequential oracle.
 //!
 //! Durable checkpoints extend to this orchestrator: arm them with
 //! [`MultiGraphReduce::with_checkpoint_policy`] (`Durable` or
@@ -48,17 +47,13 @@
 //! corresponding flags for multi-GPU runs.
 
 use gr_graph::{split_shard, Bitmap, GraphLayout, Shard, TopoView};
-use gr_observe::{Decision, MetricsRegistry, Observer, SpanEvent, WallProfiler};
+use gr_observe::{Decision, MetricsRegistry, Observer, WallProfiler};
 use gr_sim::{DeviceFault, FaultPlan, OutOfMemory, Platform, SimDuration};
 
 use crate::api::GasProgram;
+use crate::exec::bsp::{Bsp, Timeline};
 use crate::exec::compute::{activate_kernel_spec, apply_kernel_spec, gather_map_spec};
 use crate::exec::device::{barrier, barrier_observed, Abort, DeviceCtx};
-use crate::exec::driver::roll_back;
-use crate::exec::durable::{DurableConfig, DurableWriter};
-use crate::exec::host::HostState;
-use crate::exec::plan::emit_plan_decisions;
-use crate::options::HostKernels;
 use crate::options::Options;
 use crate::phases::ShardWork;
 use crate::recovery::{EngineError, RecoveryPolicy};
@@ -261,9 +256,9 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
     /// shard placement in its header — is written
     /// atomically at iteration boundary 0, every `every` completed
     /// iterations, and at convergence. Restart a killed run with
-    /// [`MultiGraphReduce::resume`]. The in-memory policies
-    /// (`InMemoryOnly`, `Off`) change nothing here: multi-GPU replays
-    /// re-emit device timelines from the always-intact host state.
+    /// [`MultiGraphReduce::resume`]. `InMemoryOnly` writes nothing; fault
+    /// recovery needs no snapshot, because a replay re-emits only device
+    /// timelines over the always-intact host state.
     pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
         self.checkpoint_policy = policy;
         self
@@ -339,10 +334,8 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
         &self,
         restored: Option<RestoredFromDisk<P>>,
     ) -> Result<MultiRunResult<P>, EngineError> {
-        self.wall.set_algorithm(self.program.name());
         let sizes = SizeModel::for_program(&self.program);
         let layout = self.session.layout();
-        let n = layout.num_vertices();
         let ngpu = self.num_gpus as usize;
         // Partition for a single device's memory (each device must hold
         // its own static buffers + its in-flight shards). The optimistic
@@ -373,8 +366,6 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
             }
             _ => (0..plan.shards.len()).map(|i| i % ngpu).collect(),
         };
-        let mut alive = vec![true; ngpu];
-        let mut evictions = 0u32;
 
         // Per-GPU memory governor (plan-level): relieve capped devices by
         // redistribution first, splitting only as a last resort.
@@ -386,13 +377,6 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
             layout,
             &self.observer,
         )?;
-        let shards = &plan.shards;
-
-        // Orchestrator-level registry: feeds the shared exec helpers
-        // (rollback counts, frontier gauges) and accumulates the durable
-        // writer's checkpoint counters, which the stats assembly below
-        // reads back out.
-        let mut metrics = MetricsRegistry::new();
 
         // Process-kill faults are device-agnostic (the whole process
         // dies): the earliest armed boundary across all plans wins. I/O
@@ -409,252 +393,59 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
             .find(|(_, p)| p.has_io_faults())
             .map(|(_, p)| p.clone())
             .unwrap_or_else(FaultPlan::none);
-        let mut storage = StorageCtx::new(&io_plan, self.recovery.clone(), self.observer.clone());
-        emit_plan_decisions(
-            &self.observer,
-            true,
-            self.program.has_gather(),
-            self.program.has_scatter(),
-        );
+        let storage = StorageCtx::new(&io_plan, self.recovery.clone(), self.observer.clone());
+        let fingerprinted =
+            restored.is_some() || !matches!(self.checkpoint_policy, CheckpointPolicy::InMemoryOnly);
 
-        // Static buffers replicated per device.
-        let vbytes = n as u64 * sizes.vertex_value;
-        let mut global = SimDuration::ZERO;
-        {
-            let mut replays = 0u32;
-            loop {
-                let mut abort = None;
-                for (d, c) in ctxs.iter_mut().enumerate() {
-                    if !alive[d] {
-                        continue;
-                    }
-                    let s = c.main_streams[0];
-                    if let Err(a) = c.h2d(s, vbytes, "multi.init.vertices", 0) {
-                        abort = Some(a);
-                        break;
-                    }
-                }
-                match abort {
-                    None => break,
-                    Some(a) => {
-                        replays += 1;
-                        global += barrier(&mut ctxs);
-                        handle_abort(
-                            a,
-                            0,
-                            replays,
-                            &mut alive,
-                            &mut owners,
-                            &mut evictions,
-                            &self.observer,
-                            &mut metrics,
-                        )?;
-                    }
-                }
-            }
-        }
-        barrier_observed(&mut ctxs, &mut global, "init", &self.observer);
-
-        // Host master state (results computed once, exactly) — the same
-        // [`HostState`] the single-GPU driver runs, shared across devices
-        // because vertex state is replicated. Resume swaps in the
-        // restored master state; device buffers were already primed by
-        // the init upload above (state is replicated, so the upload cost
-        // is the same whether the values are cold or restored).
-        let mut checkpoint_restores = 0u64;
-        let mut restored_chain = None;
-        let mut host = match restored {
-            Some(r) => {
-                let b = r.state.iterations.len() as u32;
-                checkpoint_restores = 1;
-                restored_chain = r.delta;
-                let bytes = r.bytes;
-                self.observer.decision(|| Decision::CheckpointRestore {
-                    iteration: b,
-                    bytes,
-                });
-                r.state
-            }
-            None => HostState::<P>::cold(&self.program, layout),
+        // One host master state serves every device, because vertex state
+        // is replicated. The loop reads its host-kernel, frontier, fusion
+        // and codec settings from the default options the session was
+        // built with; only the checkpoint policy is this engine's own.
+        let opts = Options {
+            checkpoint_policy: self.checkpoint_policy.clone(),
+            ..Options::default()
         };
-
-        // Durable checkpoint writer (single-GPU machinery reused whole):
-        // the orchestrator only adds the placement map, refreshed
-        // before every write because eviction mutates `owners`.
-        let mut durable = DurableConfig::from_policy(&self.checkpoint_policy).map(|cfg| {
-            let fp = snapshot::fingerprint_for(&self.program, self.session.layout());
-            let mut w = DurableWriter::new(cfg, fp, n, None);
-            if checkpoint_restores > 0 {
-                w.note_restored(host.iterations.len() as u32, restored_chain.take());
-            }
-            w
-        });
-        let fp_armed = durable.is_some() || checkpoint_restores > 0;
-
-        let mut exchange_bytes = 0u64;
-        // Resume continues from the restored boundary (0 on a cold
-        // start); a forced snapshot first makes even a kill at the very
-        // first boundary restartable.
-        let mut iter = host.iterations.len() as u32;
-        if let Some(w) = durable.as_mut() {
-            w.set_placement(self.num_gpus, &owners);
-            w.maybe_write(&host, true, &mut storage, &self.observer, &mut metrics)?;
-        }
-        while iter < self.program.max_iterations() && host.frontier.count() > 0 {
-            if kill_at == Some(iter) {
-                return Err(EngineError::Killed { iteration: iter });
-            }
-            let iter_start = global;
-            // ---- exact BSP computation (once, on the host) ----
-            let work = host.compute_iteration(
-                &self.program,
-                TopoView::raw(layout),
-                shards,
-                HostKernels::Adaptive,
-                true,
-                iter,
-                &self.observer,
-                &mut metrics,
-                &self.wall,
-            );
-
-            // ---- device timelines (replayed on persistent faults) ----
-            // Host results above were computed exactly once; only the
-            // simulated device schedule is re-emitted after a rollback or
-            // an eviction, so final state stays bit-identical.
-            let mut replays = 0u32;
-            let exchanged = loop {
-                let r = emit_iteration(
-                    &mut ctxs,
-                    &owners,
-                    &alive,
-                    shards,
-                    &sizes,
-                    &work,
-                    &host.changed,
-                    self.program.has_gather(),
-                    iter,
-                    &mut global,
-                    &self.observer,
-                );
-                match r {
-                    Ok(x) => break x,
-                    Err(a) => {
-                        replays += 1;
-                        // Settle partial work: the doomed attempt's time
-                        // stays on the clock.
-                        global += barrier(&mut ctxs);
-                        handle_abort(
-                            a,
-                            iter,
-                            replays,
-                            &mut alive,
-                            &mut owners,
-                            &mut evictions,
-                            &self.observer,
-                            &mut metrics,
-                        )?;
-                    }
-                }
-            };
-            // Committed only on success so replays never double-count.
-            exchange_bytes += exchanged;
-
-            let it = host.iterations.last().expect("pushed by compute_iteration");
-            let (frontier_size, changed_count) = (it.frontier_size, it.changed);
-            let (processed, skipped) = (it.shards_processed, it.shards_skipped);
-            let (span_start, span_end) = (iter_start.as_nanos(), global.as_nanos());
-            self.observer.span(|| SpanEvent {
-                track: "multi",
-                lane: "iterations".to_string(),
-                name: format!("iteration {iter}"),
-                start_ns: span_start,
-                dur_ns: span_end - span_start,
-                fields: vec![
-                    ("frontier_size", frontier_size.into()),
-                    ("changed", changed_count.into()),
-                    ("shards_processed", processed.into()),
-                    ("shards_skipped", skipped.into()),
-                ],
-            });
-            host.finish_iteration();
-            iter += 1;
-            // Durable boundary: host-side only (tmp+fsync+rename), so it
-            // adds no barriers and no device time. `changed` survives
-            // `finish_iteration` (which only swaps frontiers), so delta
-            // dirty-tracking sees exactly this iteration's writes.
-            if let Some(w) = durable.as_mut() {
-                w.record_iteration(&host.changed);
-                w.set_placement(self.num_gpus, &owners);
-                w.maybe_write(&host, false, &mut storage, &self.observer, &mut metrics)?;
-            }
-        }
-
-        // Converged: force a final snapshot so a completed run's durable
-        // state is the answer, not the last periodic boundary.
-        if let Some(w) = durable.as_mut() {
-            w.set_placement(self.num_gpus, &owners);
-            w.maybe_write(&host, true, &mut storage, &self.observer, &mut metrics)?;
-        }
-
-        // Final download from owners (replayed with eviction handling:
-        // a device that dies here hands its shards to the survivors).
-        {
-            let mut replays = 0u32;
-            loop {
-                let mut abort = None;
-                for d in 0..ngpu {
-                    if !alive[d] {
-                        continue;
-                    }
-                    let owned: u64 = shards
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| owners[*i] == d)
-                        .map(|(_, sh)| sh.num_vertices())
-                        .sum();
-                    let s = ctxs[d].main_streams[0];
-                    let bytes = owned * sizes.vertex_value;
-                    if let Err(a) = ctxs[d].d2h(s, bytes, "multi.final", iter) {
-                        abort = Some(a);
-                        break;
-                    }
-                }
-                match abort {
-                    None => break,
-                    Some(a) => {
-                        replays += 1;
-                        global += barrier(&mut ctxs);
-                        handle_abort(
-                            a,
-                            iter,
-                            replays,
-                            &mut alive,
-                            &mut owners,
-                            &mut evictions,
-                            &self.observer,
-                            &mut metrics,
-                        )?;
-                    }
-                }
-            }
-        }
-        barrier_observed(&mut ctxs, &mut global, "final", &self.observer);
-        for (d, c) in ctxs.iter().enumerate() {
+        let bsp = Bsp {
+            program: &self.program,
+            layout,
+            opts: &opts,
+            kill_at,
+            observer: self.observer.clone(),
+            wall: self.wall.clone(),
+        };
+        let mut c = Cluster {
+            layout,
+            plan,
+            sizes,
+            has_gather: self.program.has_gather(),
+            num_gpus: self.num_gpus,
+            ctxs,
+            owners,
+            alive: vec![true; ngpu],
+            evictions: 0,
+            global: SimDuration::ZERO,
+            exchange_bytes: 0,
+            metrics: MetricsRegistry::new(),
+            storage,
+            observer: self.observer.clone(),
+        };
+        let (host, iterations) = bsp.run(&mut c, None, restored)?;
+        for (d, ctx) in c.ctxs.iter().enumerate() {
             self.observer
-                .snapshot(&format!("gpu{d}"), || c.gpu_metrics().snapshot());
+                .snapshot(&format!("gpu{d}"), || ctx.gpu_metrics().snapshot());
         }
 
+        let metrics = &c.metrics;
         let stats = MultiRunStats {
             num_gpus: self.num_gpus,
-            iterations: iter,
-            elapsed: global,
-            per_gpu_memcpy: ctxs.iter().map(|c| c.stats().memcpy_busy).collect(),
-            per_gpu_kernel: ctxs.iter().map(|c| c.stats().kernel_busy).collect(),
-            exchange_bytes,
-            num_shards: shards.len(),
-            evictions,
-            faults_injected: ctxs.iter().map(|c| c.faults_injected()).sum(),
+            iterations,
+            elapsed: c.global,
+            per_gpu_memcpy: c.ctxs.iter().map(|c| c.stats().memcpy_busy).collect(),
+            per_gpu_kernel: c.ctxs.iter().map(|c| c.stats().kernel_busy).collect(),
+            exchange_bytes: c.exchange_bytes,
+            num_shards: c.plan.shards.len(),
+            evictions: c.evictions,
+            faults_injected: c.ctxs.iter().map(|c| c.faults_injected()).sum(),
             mem_pressure_events: governed.mem_pressure_events,
             redistributions: governed.redistributions,
             shard_splits: governed.shard_splits,
@@ -663,10 +454,11 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
             checkpoint_full_bytes: metrics.counter("engine.checkpoint_full_bytes"),
             checkpoint_delta_writes: metrics.counter("engine.checkpoint_delta_writes"),
             checkpoint_delta_bytes: metrics.counter("engine.checkpoint_delta_bytes"),
-            checkpoint_restores,
-            checkpoints_skipped: storage.counters.skipped,
-            storage_retries: storage.counters.retries,
-            state_fingerprint: fp_armed.then(|| snapshot::values_fingerprint(&host.vertex_values)),
+            checkpoint_restores: metrics.counter("engine.checkpoint_restores"),
+            checkpoints_skipped: c.storage.counters.skipped,
+            storage_retries: c.storage.counters.retries,
+            state_fingerprint: fingerprinted
+                .then(|| snapshot::values_fingerprint(&host.vertex_values)),
             per_iteration: host.iterations,
         };
         Ok(MultiRunResult {
@@ -803,162 +595,195 @@ fn govern_placement(
     Ok(out)
 }
 
-/// Central multi-GPU abort handling. Device loss evicts the device and
-/// redistributes its shards round-robin over the survivors (logged as
-/// [`Decision::DeviceEvict`]); losing the last device fails the run. A
-/// persistent transient fault rolls back through the shared
-/// [`roll_back`] bookkeeping so the caller replays the stage's timeline,
-/// bounded by the same replay cap as the single-GPU driver.
-#[allow(clippy::too_many_arguments)]
-fn handle_abort(
-    a: Abort,
-    iter: u32,
-    replays: u32,
-    alive: &mut [bool],
-    owners: &mut [usize],
-    evictions: &mut u32,
-    observer: &Observer,
-    metrics: &mut MetricsRegistry,
-) -> Result<(), EngineError> {
-    match a.fault {
-        DeviceFault::Lost => {
-            alive[a.device] = false;
-            let survivors: Vec<usize> = alive
-                .iter()
-                .enumerate()
-                .filter_map(|(d, &l)| l.then_some(d))
-                .collect();
-            if survivors.is_empty() {
-                return Err(EngineError::DeviceLost);
-            }
-            let mut moved = 0u32;
-            for o in owners.iter_mut() {
-                if *o == a.device {
-                    *o = survivors[moved as usize % survivors.len()];
-                    moved += 1;
-                }
-            }
-            *evictions += 1;
-            let device = a.device as u32;
-            observer.decision(|| Decision::DeviceEvict {
-                iteration: iter,
-                device,
-                shards_moved: moved,
-            });
-            Ok(())
-        }
-        fault => roll_back(
-            observer,
-            metrics,
-            iter,
-            replays,
-            a.device as u32,
-            a.op,
-            fault,
-        ),
-    }
+/// The multi-GPU timeline: shard owners and device liveness, BSP
+/// barriers on a stage-aligned global clock, the cross-device exchange,
+/// and eviction after a device loss.
+struct Cluster<'g> {
+    layout: &'g GraphLayout,
+    plan: PartitionPlan,
+    sizes: SizeModel,
+    has_gather: bool,
+    num_gpus: u32,
+    ctxs: Vec<DeviceCtx>,
+    owners: Vec<usize>,
+    alive: Vec<bool>,
+    evictions: u32,
+    global: SimDuration,
+    /// Committed only when an iteration completes, so replays never
+    /// double-count.
+    exchange_bytes: u64,
+    /// Orchestrator-level registry: rollbacks, frontier observations and
+    /// the durable writer's checkpoint counters.
+    metrics: MetricsRegistry,
+    storage: StorageCtx,
+    observer: Observer,
 }
 
-/// One BSP iteration's device timeline: gather/apply/activate stages on
-/// each shard's owner plus the cross-device exchange, every op routed
-/// through the shared [`DeviceCtx`] fault-retry path. Returns the
-/// iteration's exchange bytes (committed by the caller only on success,
-/// so replays never double-count).
-#[allow(clippy::too_many_arguments)]
-fn emit_iteration(
-    ctxs: &mut [DeviceCtx],
-    owners: &[usize],
-    alive: &[bool],
-    shards: &[Shard],
-    sizes: &SizeModel,
-    work: &[ShardWork],
-    changed: &Bitmap,
-    has_gather: bool,
-    iter: u32,
-    global: &mut SimDuration,
-    observer: &Observer,
-) -> Result<u64, Abort> {
-    // Stage A: gather on each shard's owner device.
-    if has_gather {
-        for (i, sh) in shards.iter().enumerate() {
-            if !work[i].is_active() {
+impl Timeline for Cluster<'_> {
+    const TRACK: &'static str = "multi";
+
+    fn host_view(&self) -> (TopoView<'_>, &[Shard]) {
+        (TopoView::raw(self.layout), &self.plan.shards)
+    }
+
+    fn io(&mut self) -> (&mut MetricsRegistry, &mut StorageCtx) {
+        (&mut self.metrics, &mut self.storage)
+    }
+
+    fn now_ns(&self) -> u64 {
+        self.global.as_nanos()
+    }
+
+    /// Static buffers replicated per device.
+    fn init(&mut self) -> Result<(), Abort> {
+        let vbytes = self.layout.num_vertices() as u64 * self.sizes.vertex_value;
+        for (d, c) in self.ctxs.iter_mut().enumerate() {
+            if self.alive[d] {
+                let s = c.main_streams[0];
+                c.h2d(s, vbytes, "multi.init.vertices", 0)?;
+            }
+        }
+        barrier_observed(&mut self.ctxs, &mut self.global, "init", &self.observer);
+        Ok(())
+    }
+
+    /// Gather/apply/activate stages on each shard's owner plus the
+    /// cross-device exchange, every op routed through the shared
+    /// [`DeviceCtx`] fault-retry path.
+    fn iteration(&mut self, iter: u32, work: &[ShardWork], changed: &Bitmap) -> Result<(), Abort> {
+        let (ctxs, owners, sizes) = (&mut self.ctxs, &self.owners, &self.sizes);
+        let shards = &self.plan.shards;
+        let (global, observer) = (&mut self.global, &self.observer);
+        // Stage A: gather on each shard's owner device.
+        if self.has_gather {
+            for (i, sh) in shards.iter().enumerate() {
+                if !work[i].is_active() {
+                    continue;
+                }
+                let d = owners[i];
+                let stream = ctxs[d].main_streams[i % ctxs[d].main_streams.len()];
+                let bytes = sh.num_in_edges() * sizes.in_edge_bytes();
+                ctxs[d].h2d(stream, bytes, "multi.in-edges", iter)?;
+                let spec = gather_map_spec(sizes, &work[i], "multi.gather");
+                ctxs[d].launch(stream, &spec, iter)?;
+            }
+            barrier_observed(ctxs, global, "gather", observer);
+        }
+        // Stage B: apply on owners.
+        for (i, w) in work.iter().enumerate() {
+            if !w.is_active() {
                 continue;
             }
             let d = owners[i];
             let stream = ctxs[d].main_streams[i % ctxs[d].main_streams.len()];
-            let bytes = sh.num_in_edges() * sizes.in_edge_bytes();
-            ctxs[d].h2d(stream, bytes, "multi.in-edges", iter)?;
-            let spec = gather_map_spec(sizes, &work[i], "multi.gather");
+            let spec = apply_kernel_spec(sizes, w, "multi.apply");
             ctxs[d].launch(stream, &spec, iter)?;
         }
-        barrier_observed(ctxs, global, "gather", observer);
-    }
-    // Stage B: apply on owners.
-    for (i, _sh) in shards.iter().enumerate() {
-        if !work[i].is_active() {
-            continue;
+        barrier_observed(ctxs, global, "apply", observer);
+        // Stage C: scatter/activate on owners, then cross-device exchange
+        // of changed vertex values + activation bits.
+        for (i, sh) in shards.iter().enumerate() {
+            if work[i].out_edges_of_changed == 0 {
+                continue;
+            }
+            let d = owners[i];
+            let stream = ctxs[d].main_streams[i % ctxs[d].main_streams.len()];
+            let bytes = sh.num_out_edges() * sizes.out_edge_bytes();
+            ctxs[d].h2d(stream, bytes, "multi.out-edges", iter)?;
+            let spec = activate_kernel_spec(sizes, &work[i], "multi.activate");
+            ctxs[d].launch(stream, &spec, iter)?;
         }
-        let d = owners[i];
-        let stream = ctxs[d].main_streams[i % ctxs[d].main_streams.len()];
-        let spec = apply_kernel_spec(sizes, &work[i], "multi.apply");
-        ctxs[d].launch(stream, &spec, iter)?;
-    }
-    barrier_observed(ctxs, global, "apply", observer);
-    // Stage C: scatter/activate on owners, then cross-device exchange of
-    // changed vertex values + activation bits.
-    for (i, sh) in shards.iter().enumerate() {
-        if work[i].out_edges_of_changed == 0 {
-            continue;
+        // Exchange: each owner downloads its changed values; every live
+        // device uploads the union of the *other* owners' changes.
+        let mut changed_per_gpu = vec![0u64; ctxs.len()];
+        for (i, sh) in shards.iter().enumerate() {
+            changed_per_gpu[owners[i]] += changed.count_range(sh.interval.start, sh.interval.end);
         }
-        let d = owners[i];
-        let stream = ctxs[d].main_streams[i % ctxs[d].main_streams.len()];
-        let bytes = sh.num_out_edges() * sizes.out_edge_bytes();
-        ctxs[d].h2d(stream, bytes, "multi.out-edges", iter)?;
-        let spec = activate_kernel_spec(sizes, &work[i], "multi.activate");
-        ctxs[d].launch(stream, &spec, iter)?;
-    }
-    // Exchange: each owner downloads its changed values; every live
-    // device uploads the union of the *other* owners' changes.
-    let ngpu = ctxs.len();
-    let mut changed_per_gpu = vec![0u64; ngpu];
-    for (i, sh) in shards.iter().enumerate() {
-        changed_per_gpu[owners[i]] += changed.count_range(sh.interval.start, sh.interval.end);
-    }
-    let total_changed: u64 = changed_per_gpu.iter().sum();
-    let live: Vec<usize> = alive
-        .iter()
-        .enumerate()
-        .filter_map(|(d, &l)| l.then_some(d))
-        .collect();
-    let mut exchanged = 0u64;
-    if live.len() > 1 {
-        for &d in &live {
+        let total_changed: u64 = changed_per_gpu.iter().sum();
+        let live: Vec<usize> = (0..ctxs.len()).filter(|&d| self.alive[d]).collect();
+        let mut exchanged = 0u64;
+        if live.len() > 1 {
+            for &d in &live {
+                let s = ctxs[d].main_streams[0];
+                let down = changed_per_gpu[d] * (sizes.vertex_value + 4);
+                let up = (total_changed - changed_per_gpu[d]) * (sizes.vertex_value + 4);
+                if down > 0 {
+                    ctxs[d].d2h(s, down, "multi.exchange.down", iter)?;
+                    exchanged += down;
+                }
+                if up > 0 {
+                    ctxs[d].h2d(s, up, "multi.exchange.up", iter)?;
+                    exchanged += up;
+                }
+            }
+        } else {
+            let d = live[0];
             let s = ctxs[d].main_streams[0];
-            let down = changed_per_gpu[d] * (sizes.vertex_value + 4);
-            let up = (total_changed - changed_per_gpu[d]) * (sizes.vertex_value + 4);
-            if down > 0 {
-                ctxs[d].d2h(s, down, "multi.exchange.down", iter)?;
-                exchanged += down;
+            let bits: u64 = total_changed.div_ceil(8);
+            ctxs[d].d2h(s, bits, "multi.frontier.bits", iter)?;
+        }
+        barrier_observed(ctxs, global, "exchange", observer);
+        self.exchange_bytes += exchanged;
+        Ok(())
+    }
+
+    /// Final download from owners.
+    fn finalize(&mut self, iter: u32) -> Result<(), Abort> {
+        for d in 0..self.ctxs.len() {
+            if !self.alive[d] {
+                continue;
             }
-            if up > 0 {
-                ctxs[d].h2d(s, up, "multi.exchange.up", iter)?;
-                exchanged += up;
+            let owned: u64 = self
+                .plan
+                .shards
+                .iter()
+                .zip(&self.owners)
+                .filter(|&(_, &o)| o == d)
+                .map(|(sh, _)| sh.num_vertices())
+                .sum();
+            let s = self.ctxs[d].main_streams[0];
+            let bytes = owned * self.sizes.vertex_value;
+            self.ctxs[d].d2h(s, bytes, "multi.final", iter)?;
+        }
+        barrier_observed(&mut self.ctxs, &mut self.global, "final", &self.observer);
+        Ok(())
+    }
+
+    /// Device loss evicts the device and redistributes its shards
+    /// round-robin over the survivors (logged as
+    /// [`Decision::DeviceEvict`]); losing the last device fails the run.
+    fn recover(&mut self, a: &Abort, iter: u32) -> Result<(), EngineError> {
+        // Settle partial work: the doomed attempt's time stays on the
+        // clock.
+        self.global += barrier(&mut self.ctxs);
+        if !matches!(a.fault, DeviceFault::Lost) {
+            return Ok(());
+        }
+        self.alive[a.device] = false;
+        let survivors: Vec<usize> = (0..self.alive.len()).filter(|&d| self.alive[d]).collect();
+        if survivors.is_empty() {
+            return Err(EngineError::DeviceLost);
+        }
+        let mut moved = 0u32;
+        for o in self.owners.iter_mut() {
+            if *o == a.device {
+                *o = survivors[moved as usize % survivors.len()];
+                moved += 1;
             }
         }
-    } else {
-        let d = live[0];
-        let s = ctxs[d].main_streams[0];
-        let bits: u64 = total_changed.div_ceil(8);
-        ctxs[d].d2h(s, bits, "multi.frontier.bits", iter)?;
+        self.evictions += 1;
+        let device = a.device as u32;
+        self.observer.decision(|| Decision::DeviceEvict {
+            iteration: iter,
+            device,
+            shards_moved: moved,
+        });
+        Ok(())
     }
-    barrier_observed(ctxs, global, "exchange", observer);
-    Ok(exchanged)
-}
 
-/// Helper to assemble one [`Shard`]'s byte volume under a size model (used
-/// by scaling analyses).
-pub fn shard_stream_bytes(sizes: &SizeModel, sh: &Shard) -> u64 {
-    sizes.shard_bytes(sh)
+    fn placement(&self) -> Option<(u32, &[usize])> {
+        Some((self.num_gpus, &self.owners))
+    }
 }
 
 #[cfg(test)]

@@ -155,10 +155,9 @@ pub struct Options {
     /// `None` (the default) leaves the device uncapped and the governor
     /// idle.
     pub mem_cap: Option<u64>,
-    /// When (and whether) rollback checkpoints are persisted to disk.
-    /// [`CheckpointPolicy::InMemoryOnly`] (the default) is exactly the
-    /// pre-durability behavior: zero disk traffic, zero extra cost when no
-    /// fault plan is armed.
+    /// When (and whether) the run writes durable snapshots for
+    /// kill-restart. [`CheckpointPolicy::InMemoryOnly`] (the default)
+    /// writes none: zero disk traffic, zero extra cost.
     pub checkpoint_policy: CheckpointPolicy,
     /// Out-of-host-core spill target, the rung *below* host fallback on
     /// the memory ladder. `None` (the default) keeps the blanket

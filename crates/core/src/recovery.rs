@@ -4,8 +4,8 @@
 //! `Gpu::try_*` entry points; this module defines what the engine *does*
 //! about them. Transient faults are retried per-op with capped exponential
 //! backoff (charged as simulated time, so recovery is visible in traces);
-//! exhausted retries roll the iteration back to its checkpoint and replay
-//! it; a permanently lost device either falls back to the host CPU
+//! exhausted retries replay the stage's device timeline over host results
+//! computed once; a permanently lost device either falls back to the host CPU
 //! (single-GPU engine) or is evicted with its shards redistributed
 //! (multi-GPU engine). Every decision lands in the observer's decision log
 //! — one entry per injected fault.
@@ -27,9 +27,10 @@ pub struct RecoveryPolicy {
     pub base_backoff: SimDuration,
     /// Upper bound on a single backoff stall.
     pub max_backoff: SimDuration,
-    /// On permanent device loss, resume on the host CPU from the last
-    /// checkpoint instead of failing the run (single-GPU engine only; the
-    /// multi-GPU engine redistributes shards to surviving devices).
+    /// On permanent device loss, charge the interrupted iteration and
+    /// every later one on the host CPU instead of failing the run (the
+    /// host already computed their results). Single-GPU engine only; the
+    /// multi-GPU engine redistributes shards to surviving devices.
     pub host_fallback: bool,
 }
 

@@ -17,7 +17,7 @@ use crate::stats::RunStats;
 
 /// Format version stamped into every report. Bump when a field changes
 /// meaning or disappears; adding fields is compatible.
-pub const REPORT_VERSION: u32 = 1;
+pub const REPORT_VERSION: u32 = 2;
 
 /// The versioned run report: `RunStats` and its derived metrics, the
 /// per-iteration trace, decision summary, and every non-per-iteration
@@ -73,7 +73,6 @@ pub fn run_report(stats: &RunStats, rec: &Recorded) -> String {
         stats.recovered_retries
     ));
     out.push_str(&format!("  \"rollbacks\": {},\n", stats.rollbacks));
-    out.push_str(&format!("  \"checkpoints\": {},\n", stats.checkpoints));
     out.push_str(&format!("  \"host_fallback\": {},\n", stats.host_fallback));
     out.push_str(&format!(
         "  \"mem_pressure_events\": {},\n",
@@ -155,7 +154,7 @@ pub fn run_report(stats: &RunStats, rec: &Recorded) -> String {
     ));
 
     // Real wall-clock section: present only when a profiler was armed
-    // (adding a field is compatible under `report_version` 1; disarmed
+    // (adding a field is compatible within a `report_version`; disarmed
     // runs emit the byte-identical report they always did).
     if let Some(w) = &stats.wall {
         let phases: Vec<String> = w
@@ -349,7 +348,6 @@ mod tests {
             faults_injected: 1,
             recovered_retries: 1,
             rollbacks: 0,
-            checkpoints: 2,
             host_fallback: false,
             mem_pressure_events: 1,
             shard_splits: 2,
@@ -416,7 +414,7 @@ mod tests {
     #[test]
     fn report_is_versioned_and_complete() {
         let rep = run_report(&stats(), &recorded());
-        assert!(rep.contains("\"report_version\": 1"));
+        assert!(rep.contains("\"report_version\": 2"));
         assert!(rep.contains("\"algorithm\": \"bfs\""));
         assert!(rep.contains("\"elapsed_ns\": 10000"));
         assert!(rep.contains("\"shard_skips\": 1"));

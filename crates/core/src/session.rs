@@ -316,14 +316,12 @@ impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
             &self.opts,
             sizes,
             plan,
-            self.warm,
-            restored,
             self.observer,
             self.wall,
             self.session.compression(),
             self.lane,
         )?
-        .run()
+        .run(self.warm, restored)
     }
 }
 

@@ -3,7 +3,7 @@
 //! so a killed run can resume from disk.
 //!
 //! The host computes exact results deterministically (see
-//! [`crate::checkpoint`]), so a snapshot of the host master state at a BSP
+//! [`crate::exec::bsp`]), so a snapshot of the host master state at a BSP
 //! iteration boundary is a complete resume point: replaying the remaining
 //! iterations converges bit-identically to the uninterrupted run. A
 //! snapshot is one frame of the crate's single on-disk container (header
@@ -31,17 +31,11 @@ pub const SNAPSHOTS_RETAINED: usize = 2;
 /// When (and whether) the engine persists checkpoints to disk.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum CheckpointPolicy {
-    /// Rollback checkpoints stay in memory, exactly as before durable
-    /// checkpoints existed: an armed fault plan clones host state each
-    /// iteration, nothing touches disk. The default.
+    /// No durable snapshots: nothing touches disk. Fault recovery needs
+    /// none, because a rollback replays only the device timeline over host
+    /// results that never moved. The default.
     #[default]
     InMemoryOnly,
-    /// Never checkpoint, not even in memory. A rollback that would need a
-    /// checkpoint then surfaces as [`EngineError::Unrecoverable`]
-    /// (fail-stop); use only when replay-on-fault is unwanted.
-    ///
-    /// [`EngineError::Unrecoverable`]: crate::recovery::EngineError::Unrecoverable
-    Off,
     /// Write a durable snapshot into `dir` at iteration boundary 0 and
     /// after every `every`-th completed iteration (and on convergence).
     /// [`GraphReduce::resume`](crate::GraphReduce::resume) restarts from

@@ -57,9 +57,6 @@ pub struct RunStats {
     pub recovered_retries: u64,
     /// Iteration rollback-and-replays after exhausted retries.
     pub rollbacks: u64,
-    /// Full-state checkpoints taken (0 whenever no fault plan is armed —
-    /// the disarmed path must not pay the clone).
-    pub checkpoints: u64,
     /// Whether the run finished on the host CPU after permanent device loss.
     pub host_fallback: bool,
     /// Memory-governor pressure responses (host-run, residency drop,

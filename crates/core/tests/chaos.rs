@@ -98,8 +98,8 @@ fn ecc_stalls_and_degraded_pcie_slow_but_never_fault() {
 #[test]
 fn exhausted_retries_roll_back_and_replay() {
     // 6 consecutive failures on one op exceed max_retries=3, forcing a
-    // checkpoint rollback; the monotone fault counters make the replay
-    // converge past the window.
+    // rollback; the monotone fault counters make the replay converge past
+    // the window.
     let want = baseline();
     let (got, stats) = run_faulted(FaultPlan::none().fail_h2d(0, 6));
     assert_eq!(got, want);
@@ -197,25 +197,6 @@ fn disarmed_fault_plan_adds_zero_overhead() {
     );
     assert_eq!(clean.stats.faults_injected, 0);
     assert_eq!(armed_none.stats.faults_injected, 0);
-    // The rollback checkpoint is a full clone of host state; the engine
-    // must skip it entirely unless a plan can actually inject something.
-    assert_eq!(clean.stats.checkpoints, 0, "no plan, no checkpoint clones");
-    assert_eq!(
-        armed_none.stats.checkpoints, 0,
-        "an empty plan must not pay the per-iteration checkpoint clone"
-    );
-    let armed = GraphReduce::new(
-        Cc,
-        &layout,
-        platform(),
-        Options::optimized().with_fault_plan(FaultPlan::profile("transient-copy", 0).unwrap()),
-    )
-    .run()
-    .unwrap();
-    assert_eq!(
-        armed.stats.checkpoints, armed.stats.iterations as u64,
-        "an armed plan checkpoints every iteration"
-    );
 }
 
 fn multi_layout() -> GraphLayout {
@@ -267,6 +248,179 @@ fn multi_gpu_transient_faults_recover_bit_identical() {
         sink.recorded().recovery_decisions() as u64,
         res.stats.faults_injected
     );
+}
+
+/// The recovery-relevant slice of a single-GPU run: elapsed ns, copy ops,
+/// kernel launches, H2D bytes, rollbacks, recovered retries, host fallback.
+fn recovery_timeline(s: &RunStats) -> (u64, u64, u64, u64, u64, u64, bool) {
+    (
+        s.elapsed.as_nanos(),
+        s.copy_ops,
+        s.kernel_launches,
+        s.bytes_h2d,
+        s.rollbacks,
+        s.recovered_retries,
+        s.host_fallback,
+    )
+}
+
+#[test]
+fn faulted_single_gpu_timelines_are_pinned() {
+    // How recovery is carried out may change; what it costs on the
+    // simulated clock may not. Every value below must hold exactly.
+    let dir = scratch("pinned");
+    let cases = [
+        (
+            Options::optimized().with_fault_plan(FaultPlan::none().fail_h2d(5, 6)),
+            (1_433_643, 144, 39, 2_304_042, 1, 5, false),
+        ),
+        (
+            durable_opts(&dir, 1).with_fault_plan(FaultPlan::none().fail_h2d(5, 6)),
+            (1_433_643, 144, 39, 2_304_042, 1, 5, false),
+        ),
+        (
+            Options::optimized().with_fault_plan(mid_run_loss()),
+            (1_088_659, 73, 21, 1_214_464, 0, 0, true),
+        ),
+        (
+            Options::optimized().with_fault_plan(FaultPlan::from_seed(42)),
+            (1_074_537, 135, 41, 2_140_158, 0, 3, false),
+        ),
+    ];
+    let layout = small_graph();
+    let want = baseline();
+    for (i, (opts, pinned)) in cases.into_iter().enumerate() {
+        let out = GraphReduce::new(Cc, &layout, platform(), opts)
+            .run()
+            .unwrap();
+        assert_eq!(out.vertex_values, want, "case {i}");
+        assert_eq!(recovery_timeline(&out.stats), pinned, "case {i}");
+    }
+}
+
+#[test]
+fn faulted_multi_gpu_timelines_are_pinned() {
+    // (device, plan, (elapsed ns, exchange bytes, evictions)), held
+    // exactly like the single-GPU pins above.
+    let l = multi_layout();
+    let plat = Platform::paper_node_scaled(1 << 14);
+    let cases = [
+        (
+            1,
+            FaultPlan::none().fail_h2d(0, 1).fail_d2h(2, 1),
+            (2_770_614, 41_184, 0),
+        ),
+        (
+            0,
+            FaultPlan::profile("device-loss", 0).unwrap(),
+            (3_842_917, 40_960, 1),
+        ),
+    ];
+    for (device, plan, pinned) in cases {
+        let s = MultiGraphReduce::new(Cc, &l, plat.clone(), 2)
+            .with_fault_plan(device, plan)
+            .run()
+            .unwrap()
+            .stats;
+        assert_eq!(
+            (s.elapsed.as_nanos(), s.exchange_bytes, s.evictions),
+            pinned,
+            "fault on device {device}"
+        );
+    }
+}
+
+fn shard_skips(rec: &Recorded) -> Vec<(u32, u32)> {
+    rec.decisions
+        .iter()
+        .filter_map(|d| match d {
+            Decision::ShardSkip {
+                iteration, shard, ..
+            } => Some((*iteration, *shard)),
+            _ => None,
+        })
+        .collect()
+}
+
+fn rollback_iterations(rec: &Recorded) -> Vec<u32> {
+    rec.decisions
+        .iter()
+        .filter_map(|d| match d {
+            Decision::Rollback { iteration, .. } => Some(*iteration),
+            _ => None,
+        })
+        .collect()
+}
+
+/// How many iterations fed the `engine.frontier_size` histogram.
+fn frontier_observations(rec: &Recorded) -> u64 {
+    let (_, engine) = rec
+        .snapshots
+        .iter()
+        .find(|(scope, _)| scope == "engine")
+        .expect("engine metrics snapshot");
+    engine
+        .histograms
+        .iter()
+        .find(|(name, _)| name == "engine.frontier_size")
+        .map_or(0, |(_, h)| h.count)
+}
+
+#[test]
+fn a_replayed_iteration_is_not_recomputed() {
+    // A device small enough that BFS on the chaos graph runs sharded, so
+    // its opening iterations skip shards. H2D op 0 is the initial vertex
+    // upload; ops 1-4 fail the first shard copy of iteration 0 past the
+    // retry budget, forcing a rollback inside that iteration.
+    let layout = small_graph();
+    let run = |plan: FaultPlan| {
+        let (obs, sink) = Observer::recording();
+        let out = GraphReduce::new(
+            Bfs(0),
+            &layout,
+            Platform::paper_node_scaled(65536),
+            Options::optimized().with_fault_plan(plan),
+        )
+        .with_observer(obs)
+        .run()
+        .unwrap();
+        (out, sink.recorded())
+    };
+    let (clean, clean_rec) = run(FaultPlan::none());
+    let (faulted, rec) = run(FaultPlan::none().fail_h2d(1, 4));
+    assert_eq!(rollback_iterations(&rec), vec![0]);
+    assert!(
+        shard_skips(&clean_rec).iter().any(|&(it, _)| it == 0),
+        "the replayed iteration must skip shards"
+    );
+    assert_eq!(faulted.vertex_values, clean.vertex_values);
+    assert_eq!(shard_skips(&rec), shard_skips(&clean_rec));
+    assert_eq!(faulted.stats.per_iteration, clean.stats.per_iteration);
+    assert_eq!(
+        frontier_observations(&rec),
+        frontier_observations(&clean_rec)
+    );
+
+    // The same on two GPUs, with the rollback inside iteration 0. The
+    // orchestrator snapshots no engine registry, so the decision log and
+    // the trace carry the check.
+    let l = multi_layout();
+    let run = |plan: FaultPlan| {
+        let (obs, sink) = Observer::recording();
+        let out = MultiGraphReduce::new(Bfs(0), &l, Platform::paper_node_scaled(1 << 14), 2)
+            .with_observer(obs)
+            .with_fault_plan(0, plan)
+            .run()
+            .unwrap();
+        (out, sink.recorded())
+    };
+    let (clean, clean_rec) = run(FaultPlan::none());
+    let (faulted, rec) = run(FaultPlan::none().fail_h2d(1, 4));
+    assert_eq!(rollback_iterations(&rec), vec![0]);
+    assert!(shard_skips(&clean_rec).iter().any(|&(it, _)| it == 0));
+    assert_eq!(faulted.vertex_values, clean.vertex_values);
+    assert_eq!(shard_skips(&rec), shard_skips(&clean_rec));
+    assert_eq!(faulted.stats.per_iteration, clean.stats.per_iteration);
 }
 
 // ---------------------------------------------------------------------------
@@ -477,8 +631,8 @@ fn impossible_cap_without_host_fallback_is_a_clean_alloc_error() {
 
 // ---------------------------------------------------------------------------
 // Durability: kill-restart resume from durable snapshots, corruption
-// fallback, the clone-skip optimization, and the out-of-host-core spill
-// rung. See docs/DURABILITY.md for the snapshot format and resume
+// fallback, rollback under a durable policy, and the out-of-host-core
+// spill rung. See docs/DURABILITY.md for the snapshot format and resume
 // semantics these tests pin down.
 // ---------------------------------------------------------------------------
 
@@ -726,17 +880,15 @@ fn resume_from_empty_directory_is_a_typed_no_snapshot_error() {
 }
 
 #[test]
-fn durable_checkpoints_replace_the_per_iteration_clone() {
-    // The rollback safety net under an armed fault plan used to be an
-    // in-memory full-state clone every iteration; a durable snapshot that
-    // was just written covers the same iteration, so the clone is skipped
-    // and rollback restores from disk instead.
+fn rollback_under_a_durable_policy_replays_exactly() {
+    // A durable snapshot covers every boundary here, yet a rollback reads
+    // nothing back: it replays the device timeline over host results that
+    // never moved.
     let layout = small_graph();
     let want = baseline();
-    let dir = scratch("clone-skip");
+    let dir = scratch("durable-rollback");
     // Start the fault window at the 5th H2D so it lands on a mid-iteration
-    // shard copy (`emit_init`'s single upload replays without any
-    // checkpoint) and a real state restore is forced.
+    // shard copy rather than `init`'s single upload.
     let out = GraphReduce::new(
         Cc,
         &layout,
@@ -745,39 +897,12 @@ fn durable_checkpoints_replace_the_per_iteration_clone() {
     )
     .run()
     .unwrap();
-    assert_eq!(out.vertex_values, want, "disk rollback replays exactly");
+    assert_eq!(out.vertex_values, want, "rollback replays exactly");
     assert!(
         out.stats.rollbacks >= 1,
         "retry budget must have been exceeded"
     );
-    assert_eq!(
-        out.stats.checkpoints, 0,
-        "durable snapshots written every iteration make the clone redundant"
-    );
     assert!(out.stats.checkpoint_bytes_written > 0);
-    // Contrast: the same plan under the in-memory-only policy still pays
-    // the clone (pinned by disarmed_fault_plan_adds_zero_overhead above).
-}
-
-#[test]
-fn checkpoints_off_with_armed_faults_is_unrecoverable_at_rollback() {
-    let layout = small_graph();
-    let res = GraphReduce::new(
-        Cc,
-        &layout,
-        platform(),
-        Options::optimized()
-            .with_checkpoint_policy(CheckpointPolicy::Off)
-            // Window starts mid-iteration: init replays checkpoint-free,
-            // but an in-iteration rollback has nothing to replay from.
-            .with_fault_plan(FaultPlan::none().fail_h2d(5, 6)),
-    )
-    .run();
-    match res {
-        Err(EngineError::Unrecoverable { op }) => assert_eq!(op, "checkpoint"),
-        Err(e) => panic!("wrong error: {e}"),
-        Ok(_) => panic!("no checkpoint of any kind means rollback must fail"),
-    }
 }
 
 #[test]

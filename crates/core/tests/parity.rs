@@ -1,10 +1,10 @@
 //! Single/multi execution parity: a 1-GPU `MultiGraphReduce` run goes
-//! through the same shared `exec` layers as the single-GPU engine —
-//! host results from `exec::driver::HostState`, device ops through
-//! `exec::device::DeviceCtx`, kernel pricing from `exec::compute`, and
-//! rollback bookkeeping from `exec::driver::roll_back`. These tests pin
-//! that down as observable behavior: identical results, iteration
-//! traces, skip/fusion/elimination decision logs, governor silence when
+//! through the same BSP loop as the single-GPU engine (`exec::bsp`:
+//! host results, rollback bookkeeping) and the same shared layers —
+//! device ops through `exec::device::DeviceCtx`, kernel pricing from
+//! `exec::compute`. Only the device timelines differ, so these tests pin
+//! them as observable behavior: identical results, iteration traces,
+//! skip/fusion/elimination decision logs, governor silence when
 //! uncapped, and — for identical fault schedules — identical recovery
 //! decisions and identical simulated recovery time on both paths.
 
@@ -216,9 +216,9 @@ fn identical_fault_schedules_charge_identical_sim_time() {
     assert_eq!(single_delta, multi_delta);
 }
 
-/// Exhausted retries roll back through the shared
-/// `exec::driver::roll_back` on both paths: same retry ladder, then the
-/// same rollback decision, then a successful replay.
+/// Exhausted retries roll back through the BSP loop's replay helper on
+/// both paths: same retry ladder, then the same rollback decision, then a
+/// successful replay.
 #[test]
 fn exhausted_retries_roll_back_identically() {
     let l = layout();
