@@ -1,17 +1,23 @@
 //! Source-size guard: the engine monolith was decomposed into layered
-//! modules under `src/exec/`, and no file in this crate may regrow past
-//! the cap. If this test fails, split the offending module instead of
-//! raising the limit.
+//! modules under `src/exec/`, and no file in this crate — or in any
+//! other library crate of the workspace — may regrow past the cap. If
+//! this test fails, split the offending module instead of raising the
+//! limit.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 const MAX_LINES: usize = 1_200;
 
+/// Every `.rs` file under `dir`, skipping `grbench/` (the benchmark is a
+/// package of its own, outside the workspace).
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
     for entry in fs::read_dir(dir).expect("readable source dir") {
         let path = entry.expect("readable dir entry").path();
         if path.is_dir() {
+            if path.file_name().is_some_and(|name| name == "grbench") {
+                continue;
+            }
             rust_sources(&path, out);
         } else if path.extension().is_some_and(|ext| ext == "rs") {
             out.push(path);
@@ -66,5 +72,26 @@ fn no_serve_source_file_exceeds_line_cap() {
         "expected the serve module tree (lib/admission/query/server), found {} files",
         files.len()
     );
+    assert_under_cap(&files);
+}
+
+#[test]
+fn no_library_source_file_exceeds_line_cap() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .expect("crates dir");
+    let mut files = Vec::new();
+    for krate in [
+        "sim",
+        "graph",
+        "observe",
+        "algorithms",
+        "baselines",
+        "bench",
+    ] {
+        let before = files.len();
+        rust_sources(&crates.join(krate).join("src"), &mut files);
+        assert!(files.len() > before, "no sources found for crate {krate}");
+    }
     assert_under_cap(&files);
 }

@@ -126,20 +126,6 @@ impl MetricsRegistry {
         self.counters.get(&(name, "")).copied().unwrap_or(0)
     }
 
-    pub fn counter_labeled(&self, name: &'static str, label: &str) -> u64 {
-        self.counters.get(&(name, label)).copied().unwrap_or(0)
-    }
-
-    /// All labeled series under `name`, as `(label, value)` pairs in
-    /// label order. Excludes the unlabeled series.
-    pub fn labels(&self, name: &'static str) -> Vec<(&'static str, u64)> {
-        self.counters
-            .iter()
-            .filter(|((n, l), _)| *n == name && !l.is_empty())
-            .map(|((_, l), &v)| (*l, v))
-            .collect()
-    }
-
     pub fn gauge(&self, name: &'static str) -> Option<f64> {
         self.gauges.get(&(name, "")).copied()
     }
@@ -244,13 +230,11 @@ mod tests {
         m.inc_labeled("kernel.time_ns", "scatter", 3);
         assert_eq!(m.counter("h2d.bytes"), 150);
         assert_eq!(m.counter("missing"), 0);
-        assert_eq!(m.counter_labeled("kernel.time_ns", "apply"), 7);
-        assert_eq!(
-            m.labels("kernel.time_ns"),
-            vec![("apply", 7), ("scatter", 3)]
-        );
-        // The unlabeled series is not a label.
-        assert!(m.labels("h2d.bytes").is_empty());
+        // Labeled series are separate from the unlabeled one.
+        assert_eq!(m.counter("kernel.time_ns"), 0);
+        let s = m.snapshot();
+        assert_eq!(s.counter("kernel.time_ns{apply}"), 7);
+        assert_eq!(s.counter("kernel.time_ns{scatter}"), 3);
     }
 
     #[test]

@@ -36,8 +36,6 @@
 
 use std::fmt;
 
-use crate::time::SimDuration;
-
 /// Operation classes a transient fault window can target.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultOp {
@@ -573,13 +571,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-}
-
-/// Extra latency paid by an ECC-retried access burst: exported so cost
-/// models outside the `Gpu` facade (and docs) reference one constant
-/// path — the device config's `ecc_retry_stall`.
-pub fn ecc_stall_duration(device: &crate::config::DeviceConfig) -> SimDuration {
-    device.ecc_retry_stall
 }
 
 #[cfg(test)]

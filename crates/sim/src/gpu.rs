@@ -28,10 +28,21 @@ use crate::config::{DeviceConfig, PcieConfig, Platform};
 use crate::fault::{DeviceFault, DeviceHealth, FaultOp, FaultPlan, FaultState};
 use crate::kernel::{kernel_time, KernelSpec};
 use crate::memory::{Allocation, MemoryPool, OutOfMemory};
-use crate::profile::Profile;
 use crate::schedule::{Capacity, OpId, ResourceId, Scheduler};
 use crate::time::{SimDuration, SimTime};
-use crate::xfer::{degraded_copy_time, explicit_copy_time};
+use crate::xfer::copy_time;
+
+/// Why an infallible op panics: it met a fault, which only happens when a
+/// plan is armed. Devices with a plan use the `try_*` entry points.
+const NO_PLAN: &str = "infallible device op on a device with an armed fault plan";
+
+/// Direction of a host↔device copy: picks the DMA engine, the fault
+/// class and the `h2d.*` / `d2h.*` counter series.
+#[derive(Clone, Copy)]
+enum Dir {
+    H2d,
+    D2h,
+}
 
 /// Handle to a created stream.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -74,6 +85,11 @@ pub struct GpuStats {
 
 /// The virtual accelerator device.
 ///
+/// Each op kind has one path: copies, launches and allocations consult
+/// the fault plan, then are priced, accounted in [`Gpu::metrics`] and
+/// submitted once. The infallible `h2d` / `d2h` / `launch` delegate to
+/// their `try_*` forms and require that no fault plan is armed.
+///
 /// ```
 /// use gr_sim::{Gpu, KernelSpec, Platform};
 ///
@@ -107,8 +123,8 @@ pub struct Gpu {
     streams: Vec<StreamState>,
     next_queue: usize,
     barrier: SimTime,
-    /// Single source of truth for transfer/launch accounting; the
-    /// [`Profile`] view and [`GpuStats`] fields derive from it.
+    /// Single source of truth for transfer/launch accounting, written
+    /// by `account` alone; [`GpuStats`] derives from it.
     metrics: MetricsRegistry,
     observer: Observer,
     /// Prefix for event lanes (e.g. `"gpu2/"` in multi-GPU runs).
@@ -116,8 +132,8 @@ pub struct Gpu {
     /// Ops already emitted as spans (resolved ops are emitted
     /// incrementally at each `synchronize`).
     emitted_ops: usize,
-    /// Fault-injection state; `None` (the default) keeps every op on the
-    /// zero-overhead infallible path.
+    /// Fault-injection state; `None` (the default) makes every fault
+    /// check return at its first branch.
     faults: Option<Box<FaultState>>,
 }
 
@@ -167,9 +183,8 @@ impl Gpu {
     }
 
     /// Attach a deterministic fault plan (see [`crate::fault`]). The
-    /// default [`FaultPlan::none()`] stores nothing: the fallible
-    /// `try_*` entry points then delegate straight to their infallible
-    /// twins, adding no ops and no stalls.
+    /// default [`FaultPlan::none()`] stores nothing: every op then runs
+    /// at the nominal rate, adding no ops and no stalls.
     pub fn set_fault_plan(&mut self, plan: FaultPlan) {
         self.faults = if plan.is_none() {
             None
@@ -244,22 +259,24 @@ impl Gpu {
     /// Reserve device memory; fails with OOM past capacity (emitting
     /// an `"oom"` instant event when an observer is attached).
     pub fn alloc(&self, bytes: u64) -> Result<Allocation, OutOfMemory> {
-        let result = self.pool.alloc(bytes);
-        if let Err(oom) = &result {
-            let at = self.barrier.as_nanos();
-            let lane = format!("{}memory", self.lane_prefix);
-            self.observer.instant(|| InstantEvent {
-                track: "sim",
-                lane,
-                name: "oom".into(),
-                at_ns: at,
-                fields: vec![
-                    ("requested", oom.requested.into()),
-                    ("available", oom.available.into()),
-                ],
-            });
-        }
-        result
+        self.pool.alloc(bytes).map_err(|oom| self.report_oom(oom))
+    }
+
+    /// Emit the `"oom"` instant of a rejected allocation, real or forced.
+    fn report_oom(&self, oom: OutOfMemory) -> OutOfMemory {
+        let at = self.barrier.as_nanos();
+        let lane = format!("{}memory", self.lane_prefix);
+        self.observer.instant(|| InstantEvent {
+            track: "sim",
+            lane,
+            name: "oom".into(),
+            at_ns: at,
+            fields: vec![
+                ("requested", oom.requested.into()),
+                ("available", oom.available.into()),
+            ],
+        });
+        oom
     }
 
     /// Create a stream, bound round-robin to a hardware queue.
@@ -287,11 +304,6 @@ impl Gpu {
             pending_waits: Vec::new(),
         });
         StreamId(self.streams.len() - 1)
-    }
-
-    /// Number of created streams.
-    pub fn stream_count(&self) -> usize {
-        self.streams.len()
     }
 
     /// Submit one stream op as issue (hardware queue) + body (engine) +
@@ -338,24 +350,24 @@ impl Gpu {
         done
     }
 
-    /// Account one copy/launch in the device registry (the single
-    /// source of truth behind [`Profile`] and [`GpuStats`]).
-    fn account(&mut self, kind: &'static str, bytes: u64, dur: SimDuration, label: &'static str) {
+    /// Account one copy (`dir`) or kernel launch (`None`) in the device
+    /// registry: the one per-op accounting site behind [`GpuStats`].
+    fn account(&mut self, dir: Option<Dir>, bytes: u64, dur: SimDuration, label: &'static str) {
         let ns = dur.as_nanos();
-        match kind {
-            "h2d" => {
+        match dir {
+            Some(Dir::H2d) => {
                 self.metrics.inc("h2d.bytes", bytes);
                 self.metrics.inc("h2d.ops", 1);
                 self.metrics.inc("h2d.time_ns", ns);
                 self.metrics.observe("h2d.size_bytes", bytes);
             }
-            "d2h" => {
+            Some(Dir::D2h) => {
                 self.metrics.inc("d2h.bytes", bytes);
                 self.metrics.inc("d2h.ops", 1);
                 self.metrics.inc("d2h.time_ns", ns);
                 self.metrics.observe("d2h.size_bytes", bytes);
             }
-            _ => {
+            None => {
                 self.metrics.inc("kernel.launches", 1);
                 self.metrics.inc("kernel.time_ns", ns);
                 self.metrics.observe("kernel.duration_ns", ns);
@@ -367,59 +379,22 @@ impl Gpu {
     }
 
     /// Enqueue an async host-to-device copy of `bytes` on `stream`.
+    /// Requires that no fault plan is armed (else see [`Gpu::try_h2d`]).
     pub fn h2d(&mut self, stream: StreamId, bytes: u64, label: &'static str) -> OpId {
-        let dur = explicit_copy_time(&self.pcie, bytes);
-        self.account("h2d", bytes, dur, label);
-        let body = dur - self.pcie.transfer_latency;
-        self.submit(
-            stream,
-            self.h2d_engine,
-            body,
-            self.pcie.transfer_latency,
-            label,
-        )
-    }
-
-    /// Enqueue zero-copy (pinned/UVA) sequential streaming of `bytes` on
-    /// `stream`: no staging DMA — the kernel's loads stream over PCIe at
-    /// the pinned-sequential rate (slightly above the explicit-copy rate,
-    /// Figure 4), occupying the H2D engine for the duration. Only valid
-    /// for sequentially-accessed buffers; random zero-copy access is
-    /// modeled by [`crate::xfer::transfer_access_time`] and is
-    /// catastrophic.
-    pub fn h2d_zero_copy(&mut self, stream: StreamId, bytes: u64, label: &'static str) -> OpId {
-        let dur =
-            SimDuration::from_secs_f64(bytes as f64 / (self.pcie.pinned_seq_bandwidth_gbps * 1e9));
-        self.account("h2d", bytes, dur, label);
-        self.submit(stream, self.h2d_engine, dur, SimDuration::ZERO, label)
+        self.try_h2d(stream, bytes, label).expect(NO_PLAN)
     }
 
     /// Enqueue an async device-to-host copy of `bytes` on `stream`.
+    /// Requires that no fault plan is armed (else see [`Gpu::try_d2h`]).
     pub fn d2h(&mut self, stream: StreamId, bytes: u64, label: &'static str) -> OpId {
-        let dur = explicit_copy_time(&self.pcie, bytes);
-        self.account("d2h", bytes, dur, label);
-        let body = dur - self.pcie.transfer_latency;
-        self.submit(
-            stream,
-            self.d2h_engine,
-            body,
-            self.pcie.transfer_latency,
-            label,
-        )
+        self.try_d2h(stream, bytes, label).expect(NO_PLAN)
     }
 
     /// Enqueue a kernel launch on `stream`; the caller performs the actual
     /// computation on the host (eagerly), this charges its simulated time.
+    /// Requires that no fault plan is armed (else see [`Gpu::try_launch`]).
     pub fn launch(&mut self, stream: StreamId, spec: &KernelSpec) -> OpId {
-        let dur = kernel_time(&self.device, spec);
-        self.account("kernel", 0, dur, spec.label);
-        self.submit(
-            stream,
-            self.kernel_slots,
-            dur,
-            SimDuration::ZERO,
-            spec.label,
-        )
+        self.try_launch(stream, spec).expect(NO_PLAN)
     }
 
     /// Consult the fault plan before an op of class `op`. `Ok(idx)` means
@@ -481,202 +456,133 @@ impl Gpu {
         });
     }
 
-    /// Copy slowdown factor at the current barrier clock (1.0 nominal).
-    fn degrade_factor(&self) -> f64 {
-        match self.faults.as_deref() {
-            Some(st) => st.plan().degrade_factor_at(self.barrier.as_nanos()),
-            None => 1.0,
-        }
-    }
-
-    /// Charge the partial transfer an aborted copy performed before the
-    /// engine errored (half the nominal duration), so injected faults
-    /// stay visible on the device timeline and in the byte counters.
-    fn charge_aborted_copy(
+    /// The one copy path. Consults the fault plan; a transient fault
+    /// charges the partial transfer the engine made before it errored
+    /// (half the bytes at the nominal explicit rate, so injected faults
+    /// stay visible on the timeline and in the byte counters); a
+    /// degradation window slows the copy by its factor. Then prices,
+    /// accounts and submits: an explicit copy's DMA setup latency trails
+    /// off the engine, zero-copy streaming has none.
+    fn copy(
         &mut self,
         stream: StreamId,
-        engine: ResourceId,
-        kind: &'static str,
+        dir: Dir,
+        zero_copy: bool,
         bytes: u64,
         label: &'static str,
-    ) {
-        let moved = bytes / 2;
-        let dur = explicit_copy_time(&self.pcie, moved);
-        self.account(kind, moved, dur, label);
-        let body = dur.saturating_sub(self.pcie.transfer_latency);
-        self.submit(stream, engine, body, self.pcie.transfer_latency, label);
+    ) -> Result<OpId, DeviceFault> {
+        let (engine, op, fault_label) = match dir {
+            Dir::H2d => (self.h2d_engine, FaultOp::H2d, "fault.h2d"),
+            Dir::D2h => (self.d2h_engine, FaultOp::D2h, "fault.d2h"),
+        };
+        let fault = self.fault_check(op).err();
+        let (bytes, zero_copy, factor, label) = match fault {
+            Some(DeviceFault::Lost) => return Err(DeviceFault::Lost),
+            Some(_) => (bytes / 2, false, 1.0, fault_label),
+            None => {
+                let factor = self.faults.as_deref().map_or(1.0, |st| {
+                    st.plan().degrade_factor_at(self.barrier.as_nanos())
+                });
+                if factor > 1.0 {
+                    self.metrics.inc("fault.degraded_ops", 1);
+                }
+                (bytes, zero_copy, factor, label)
+            }
+        };
+        let dur = copy_time(&self.pcie, bytes, zero_copy, factor);
+        let tail = if zero_copy {
+            SimDuration::ZERO
+        } else {
+            self.pcie.transfer_latency
+        };
+        self.account(Some(dir), bytes, dur, label);
+        let id = self.submit(stream, engine, dur - tail, tail, label);
+        fault.map_or(Ok(id), Err)
     }
 
-    /// Fallible variant of [`Gpu::h2d`]: consults the fault plan first.
-    /// A transient fault charges a partial (aborted) transfer; inside a
-    /// degradation window the copy runs at the degraded rate. With no
-    /// plan attached this is exactly `h2d`.
+    /// Fallible [`Gpu::h2d`]: consults the fault plan first. A transient
+    /// fault charges a partial (aborted) transfer; inside a degradation
+    /// window the copy runs at the degraded rate.
     pub fn try_h2d(
         &mut self,
         stream: StreamId,
         bytes: u64,
         label: &'static str,
     ) -> Result<OpId, DeviceFault> {
-        match self.fault_check(FaultOp::H2d) {
-            Err(f) => {
-                if f != DeviceFault::Lost {
-                    self.charge_aborted_copy(stream, self.h2d_engine, "h2d", bytes, "fault.h2d");
-                }
-                Err(f)
-            }
-            Ok(_) => {
-                let factor = self.degrade_factor();
-                if factor > 1.0 {
-                    self.metrics.inc("fault.degraded_ops", 1);
-                    let dur = degraded_copy_time(&self.pcie, bytes, factor);
-                    self.account("h2d", bytes, dur, label);
-                    let body = dur - self.pcie.transfer_latency;
-                    Ok(self.submit(
-                        stream,
-                        self.h2d_engine,
-                        body,
-                        self.pcie.transfer_latency,
-                        label,
-                    ))
-                } else {
-                    Ok(self.h2d(stream, bytes, label))
-                }
-            }
-        }
+        self.copy(stream, Dir::H2d, false, bytes, label)
     }
 
-    /// Fallible variant of [`Gpu::h2d_zero_copy`] (same fault class as
-    /// H2D copies: both occupy the H2D engine).
+    /// Enqueue zero-copy (pinned/UVA) sequential streaming of `bytes` on
+    /// `stream`: no staging DMA — the kernel's loads stream over PCIe at
+    /// the pinned-sequential rate (slightly above the explicit-copy rate,
+    /// Figure 4), occupying the H2D engine for the duration. Only valid
+    /// for sequentially-accessed buffers; random zero-copy access is
+    /// modeled by [`crate::xfer::transfer_access_time`] and is
+    /// catastrophic. Faults like [`Gpu::try_h2d`] (same fault class:
+    /// both occupy the H2D engine).
     pub fn try_h2d_zero_copy(
         &mut self,
         stream: StreamId,
         bytes: u64,
         label: &'static str,
     ) -> Result<OpId, DeviceFault> {
-        match self.fault_check(FaultOp::H2d) {
-            Err(f) => {
-                if f != DeviceFault::Lost {
-                    self.charge_aborted_copy(stream, self.h2d_engine, "h2d", bytes, "fault.h2d");
-                }
-                Err(f)
-            }
-            Ok(_) => {
-                let factor = self.degrade_factor();
-                if factor > 1.0 {
-                    self.metrics.inc("fault.degraded_ops", 1);
-                    let dur = SimDuration::from_secs_f64(
-                        bytes as f64 * factor / (self.pcie.pinned_seq_bandwidth_gbps * 1e9),
-                    );
-                    self.account("h2d", bytes, dur, label);
-                    Ok(self.submit(stream, self.h2d_engine, dur, SimDuration::ZERO, label))
-                } else {
-                    Ok(self.h2d_zero_copy(stream, bytes, label))
-                }
-            }
-        }
+        self.copy(stream, Dir::H2d, true, bytes, label)
     }
 
-    /// Fallible variant of [`Gpu::d2h`].
+    /// Fallible [`Gpu::d2h`], with the fault handling of [`Gpu::try_h2d`].
     pub fn try_d2h(
         &mut self,
         stream: StreamId,
         bytes: u64,
         label: &'static str,
     ) -> Result<OpId, DeviceFault> {
-        match self.fault_check(FaultOp::D2h) {
-            Err(f) => {
-                if f != DeviceFault::Lost {
-                    self.charge_aborted_copy(stream, self.d2h_engine, "d2h", bytes, "fault.d2h");
-                }
-                Err(f)
-            }
-            Ok(_) => {
-                let factor = self.degrade_factor();
-                if factor > 1.0 {
-                    self.metrics.inc("fault.degraded_ops", 1);
-                    let dur = degraded_copy_time(&self.pcie, bytes, factor);
-                    self.account("d2h", bytes, dur, label);
-                    let body = dur - self.pcie.transfer_latency;
-                    Ok(self.submit(
-                        stream,
-                        self.d2h_engine,
-                        body,
-                        self.pcie.transfer_latency,
-                        label,
-                    ))
-                } else {
-                    Ok(self.d2h(stream, bytes, label))
-                }
-            }
-        }
+        self.copy(stream, Dir::D2h, false, bytes, label)
     }
 
-    /// Fallible variant of [`Gpu::launch`]. A faulted launch charges a
-    /// kernel slot for the fixed launch overhead only (the kernel died
-    /// at startup); a launch inside an ECC-stall schedule succeeds but
-    /// pays [`DeviceConfig::ecc_retry_stall`] as a latency tail.
+    /// Fallible [`Gpu::launch`]. A faulted launch charges a kernel slot
+    /// for the fixed launch overhead only (the kernel died at startup); a
+    /// launch inside an ECC-stall schedule succeeds but pays
+    /// [`DeviceConfig::ecc_retry_stall`] as a latency tail.
     pub fn try_launch(&mut self, stream: StreamId, spec: &KernelSpec) -> Result<OpId, DeviceFault> {
-        match self.fault_check(FaultOp::Launch) {
-            Err(f) => {
-                if f != DeviceFault::Lost {
-                    let dur = self.device.kernel_launch_overhead;
-                    self.account("kernel", 0, dur, "fault.kernel");
-                    self.submit(
-                        stream,
-                        self.kernel_slots,
-                        dur,
-                        SimDuration::ZERO,
-                        "fault.kernel",
-                    );
-                }
-                Err(f)
-            }
+        let checked = self.fault_check(FaultOp::Launch);
+        let overhead = self.device.kernel_launch_overhead;
+        let (dur, stall, label) = match checked {
+            Err(DeviceFault::Lost) => return Err(DeviceFault::Lost),
+            Err(_) => (overhead, SimDuration::ZERO, "fault.kernel"),
             Ok(idx) => {
                 let ecc = match (idx, self.faults.as_deref()) {
                     (Some(i), Some(st)) => st.plan().ecc_at(i),
                     _ => false,
                 };
-                if ecc {
-                    let stall = self.device.ecc_retry_stall;
+                let stall = if ecc {
                     self.metrics.inc("fault.ecc_stalls", 1);
                     let at = self.barrier.as_nanos();
                     self.emit_fault_instant("fault.ecc_stall", FaultOp::Launch, at);
-                    let dur = kernel_time(&self.device, spec);
-                    self.account("kernel", 0, dur + stall, spec.label);
-                    Ok(self.submit(stream, self.kernel_slots, dur, stall, spec.label))
+                    self.device.ecc_retry_stall
                 } else {
-                    Ok(self.launch(stream, spec))
-                }
+                    SimDuration::ZERO
+                };
+                (kernel_time(&self.device, spec), stall, spec.label)
             }
-        }
+        };
+        self.account(None, 0, dur + stall, label);
+        let id = self.submit(stream, self.kernel_slots, dur, stall, label);
+        checked.map(|_| id)
     }
 
-    /// Fallible variant of [`Gpu::alloc`]: allocation-pressure faults in
-    /// the plan synthesize an [`OutOfMemory`] (capacity from the real
-    /// pool; `available` reported as 0 because the pressure is
-    /// external), emitted as an `"oom"` instant like a real rejection.
+    /// Fallible [`Gpu::alloc`]: allocation-pressure faults in the plan
+    /// synthesize an [`OutOfMemory`] (capacity from the real pool;
+    /// `available` reported as 0 because the pressure is external),
+    /// emitted as an `"oom"` instant like a real rejection.
     pub fn try_alloc(&mut self, bytes: u64) -> Result<Allocation, OutOfMemory> {
-        if self.fault_check(FaultOp::Alloc).is_err() {
-            let oom = OutOfMemory {
-                requested: bytes,
-                available: 0,
-                capacity: self.pool.capacity(),
-            };
-            let at = self.barrier.as_nanos();
-            let lane = format!("{}memory", self.lane_prefix);
-            self.observer.instant(|| InstantEvent {
-                track: "sim",
-                lane,
-                name: "oom".into(),
-                at_ns: at,
-                fields: vec![
-                    ("requested", oom.requested.into()),
-                    ("available", oom.available.into()),
-                ],
-            });
-            return Err(oom);
+        if self.fault_check(FaultOp::Alloc).is_ok() {
+            return self.alloc(bytes);
         }
-        self.alloc(bytes)
+        Err(self.report_oom(OutOfMemory {
+            requested: bytes,
+            available: 0,
+            capacity: self.pool.capacity(),
+        }))
     }
 
     /// Enqueue a fixed-duration stall on `stream` (host-side work between
@@ -765,21 +671,10 @@ impl Gpu {
         self.barrier - SimTime::ZERO
     }
 
-    /// Execution profile counters (a view derived from [`Gpu::metrics`]).
-    pub fn profile(&self) -> Profile {
-        Profile::from_metrics(&self.metrics)
-    }
-
     /// The device's metrics registry: transfer/launch counters, size
     /// and duration histograms, per-label series.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Export the device timeline as Chrome-trace JSON (see
-    /// [`crate::trace`]); call after `synchronize`.
-    pub fn chrome_trace(&self) -> String {
-        crate::trace::chrome_trace(&self.sched)
     }
 
     /// Summary statistics (call after `synchronize`).
@@ -1040,24 +935,14 @@ mod tests {
     }
 
     #[test]
-    fn profile_is_derived_from_metrics() {
-        let mut g = gpu();
-        let s = g.create_stream();
-        g.h2d(s, 6_000_000, "in");
-        g.d2h(s, 3_000_000, "out");
-        g.synchronize();
-        let p = g.profile();
-        assert_eq!(p.bytes_h2d, g.metrics().counter("h2d.bytes"));
-        assert_eq!(p.label("in").unwrap().bytes, 6_000_000);
-        assert_eq!(g.metrics().histogram("h2d.size_bytes").unwrap().count(), 1);
-    }
-
-    #[test]
     fn try_ops_with_no_plan_match_infallible_ops() {
         let spec = KernelSpec::balanced("k", 1_000_000, 2.0, 8_000_000, 0);
         let mut a = gpu();
         let s = a.create_stream();
+        let _a_mem = a.alloc(4096).unwrap();
         a.h2d(s, 1_000_000, "in");
+        // Zero-copy streaming has only the fallible form.
+        a.try_h2d_zero_copy(s, 2_000_000, "zc").unwrap();
         a.launch(s, &spec);
         a.d2h(s, 1_000, "out");
         let ta = a.synchronize();
@@ -1065,11 +950,16 @@ mod tests {
         let mut b = gpu();
         b.set_fault_plan(FaultPlan::none());
         let s = b.create_stream();
+        let _b_mem = b.try_alloc(4096).unwrap();
         b.try_h2d(s, 1_000_000, "in").unwrap();
+        b.try_h2d_zero_copy(s, 2_000_000, "zc").unwrap();
         b.try_launch(s, &spec).unwrap();
         b.try_d2h(s, 1_000, "out").unwrap();
         let tb = b.synchronize();
         assert_eq!(ta, tb, "FaultPlan::none() must be zero-overhead");
+        assert_eq!(a.stats(), b.stats());
+        assert_eq!(a.metrics().snapshot(), b.metrics().snapshot());
+        assert_eq!(a.memory().used(), b.memory().used());
         assert_eq!(b.faults_injected(), 0);
         assert_eq!(b.health(), DeviceHealth::Healthy);
     }

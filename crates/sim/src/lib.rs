@@ -18,9 +18,13 @@
 //! * [`cpu`] — the symmetric host-CPU cost model used by baseline engines;
 //! * [`fault`] — deterministic, seed-driven fault plans (transient op
 //!   failures, ECC stalls, bandwidth degradation, device loss) surfaced
-//!   through the `Gpu::try_*` entry points;
-//! * [`profile`] — byte/time counters behind the paper's Section 6.2.3
-//!   analysis.
+//!   through the `Gpu::try_*` entry points.
+//!
+//! The byte/time counters behind the paper's Section 6.2.3 analysis live
+//! in each device's `gr-observe` metrics registry ([`Gpu::metrics`],
+//! summarized by [`GpuStats`]); resolved ops reach an attached
+//! `Observer` as spans at every `synchronize`, which is how a device
+//! timeline is exported as a trace.
 //!
 //! Kernel *results* are always computed for real on the host (callers run
 //! their closures eagerly, typically with rayon); the simulator assigns
@@ -35,10 +39,8 @@ pub mod fault;
 pub mod gpu;
 pub mod kernel;
 pub mod memory;
-pub mod profile;
 pub mod schedule;
 pub mod time;
-pub mod trace;
 pub mod xfer;
 
 pub use config::{DeviceConfig, HostConfig, PcieConfig, Platform, StorageConfig};
@@ -50,7 +52,5 @@ pub use fault::{
 pub use gpu::{Event, Gpu, GpuStats, StreamId};
 pub use kernel::{kernel_time, KernelSpec};
 pub use memory::{Allocation, MemoryPool, OutOfMemory};
-pub use profile::{LabelStats, Profile};
 pub use schedule::{Capacity, OpId, ResourceId, Scheduler};
 pub use time::{SimDuration, SimTime};
-pub use trace::chrome_trace;

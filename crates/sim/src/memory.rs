@@ -42,7 +42,6 @@ struct PoolState {
     peak: u64,
     min_available: u64,
     live_allocs: u64,
-    total_allocs: u64,
     failed_allocs: u64,
 }
 
@@ -71,7 +70,6 @@ impl MemoryPool {
                 peak: 0,
                 min_available: capacity,
                 live_allocs: 0,
-                total_allocs: 0,
                 failed_allocs: 0,
             })),
         }
@@ -93,7 +91,6 @@ impl MemoryPool {
         s.used += bytes;
         s.note_pressure();
         s.live_allocs += 1;
-        s.total_allocs += 1;
         Ok(Allocation {
             pool: self.state.clone(),
             bytes,
@@ -124,11 +121,6 @@ impl MemoryPool {
     /// Number of currently live allocations.
     pub fn live_allocations(&self) -> u64 {
         self.state.lock().live_allocs
-    }
-
-    /// Number of allocations ever made.
-    pub fn total_allocations(&self) -> u64 {
-        self.state.lock().total_allocs
     }
 
     /// Number of allocation requests the pool has refused for lack of
@@ -241,7 +233,6 @@ mod tests {
         assert!(pool.alloc(50).is_err());
         assert_eq!(pool.used(), 60);
         assert_eq!(pool.live_allocations(), 1);
-        assert_eq!(pool.total_allocations(), 1);
         let _b = pool.alloc(40).unwrap();
         assert_eq!(pool.used(), 100);
     }

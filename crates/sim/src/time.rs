@@ -88,11 +88,6 @@ impl SimDuration {
     }
 
     #[inline]
-    pub fn as_micros_f64(self) -> f64 {
-        self.0 as f64 / 1e3
-    }
-
-    #[inline]
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }

@@ -37,22 +37,20 @@ pub enum AccessPattern {
     Random,
 }
 
-/// Time for one explicit bulk DMA of `bytes` over the link (either
-/// direction). This is the cost charged to the copy-engine resource for
-/// every `h2d`/`d2h` op in the simulator.
-pub fn explicit_copy_time(pcie: &PcieConfig, bytes: u64) -> SimDuration {
-    pcie.transfer_latency
-        + SimDuration::from_secs_f64(bytes as f64 / (pcie.explicit_bandwidth_gbps * 1e9))
-}
-
-/// [`explicit_copy_time`] under a link-degradation factor ≥ 1 (fault
-/// injection: contention or retraining windows slow the data phase;
-/// the fixed DMA setup latency is unaffected).
-pub fn degraded_copy_time(pcie: &PcieConfig, bytes: u64, factor: f64) -> SimDuration {
-    pcie.transfer_latency
-        + SimDuration::from_secs_f64(
-            bytes as f64 * factor.max(1.0) / (pcie.explicit_bandwidth_gbps * 1e9),
-        )
+/// Time for one copy of `bytes` over the link (either direction): the
+/// cost of every simulated copy op. An explicit bulk DMA pays the fixed
+/// setup latency plus the data phase at the explicit rate; zero-copy
+/// streaming of a sequentially read pinned buffer has no staging DMA and
+/// streams at the pinned-sequential rate. `factor` ≥ 1 slows the data
+/// phase (fault injection: contention or retraining windows); 1.0 is the
+/// nominal rate.
+pub fn copy_time(pcie: &PcieConfig, bytes: u64, zero_copy: bool, factor: f64) -> SimDuration {
+    let data = |gbps: f64| SimDuration::from_secs_f64(bytes as f64 * factor / (gbps * 1e9));
+    if zero_copy {
+        data(pcie.pinned_seq_bandwidth_gbps)
+    } else {
+        pcie.transfer_latency + data(pcie.explicit_bandwidth_gbps)
+    }
 }
 
 /// Time for the device to perform `accesses` reads of `elem_bytes` each over
@@ -77,10 +75,10 @@ pub fn transfer_access_time(
     };
     match (mode, pattern) {
         (TransferMode::Explicit, AccessPattern::Sequential) => {
-            explicit_copy_time(pcie, bytes) + dev_seq(accesses * elem_bytes)
+            copy_time(pcie, bytes, false, 1.0) + dev_seq(accesses * elem_bytes)
         }
         (TransferMode::Explicit, AccessPattern::Random) => {
-            explicit_copy_time(pcie, bytes) + dev_rand(accesses)
+            copy_time(pcie, bytes, false, 1.0) + dev_rand(accesses)
         }
         (TransferMode::PinnedUva, AccessPattern::Sequential) => {
             // Loads stream over PCIe with full MLP + prefetch: link-limited.
@@ -167,8 +165,8 @@ mod tests {
     #[test]
     fn explicit_copy_scales_linearly() {
         let p = Platform::paper_node();
-        let t1 = explicit_copy_time(&p.pcie, 1_000_000);
-        let t2 = explicit_copy_time(&p.pcie, 2_000_000);
+        let t1 = copy_time(&p.pcie, 1_000_000, false, 1.0);
+        let t2 = copy_time(&p.pcie, 2_000_000, false, 1.0);
         let body1 = t1 - p.pcie.transfer_latency;
         let body2 = t2 - p.pcie.transfer_latency;
         assert!((body2.as_nanos() as i64 - 2 * body1.as_nanos() as i64).abs() <= 2);
@@ -177,6 +175,6 @@ mod tests {
     #[test]
     fn zero_bytes_costs_only_latency() {
         let p = Platform::paper_node();
-        assert_eq!(explicit_copy_time(&p.pcie, 0), p.pcie.transfer_latency);
+        assert_eq!(copy_time(&p.pcie, 0, false, 1.0), p.pcie.transfer_latency);
     }
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use gr_sim::xfer::{explicit_copy_time, transfer_access_time, AccessPattern, TransferMode};
+use gr_sim::xfer::{copy_time, transfer_access_time, AccessPattern, TransferMode};
 use gr_sim::{cpu_time, kernel_time, CpuWork, KernelSpec, Platform};
 
 proptest! {
@@ -68,9 +68,9 @@ proptest! {
     #[test]
     fn copy_time_monotone(bytes in 0u64..10_000_000_000) {
         let p = Platform::paper_node().pcie;
-        let t = explicit_copy_time(&p, bytes);
+        let t = copy_time(&p, bytes, false, 1.0);
         prop_assert!(t >= p.transfer_latency);
-        prop_assert!(explicit_copy_time(&p, bytes.saturating_mul(2)) >= t);
+        prop_assert!(copy_time(&p, bytes.saturating_mul(2), false, 1.0) >= t);
     }
 
     /// The Figure 4 orderings hold for any buffer larger than a few pages,

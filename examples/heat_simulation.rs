@@ -13,6 +13,7 @@
 use graphreduce_repro::algorithms::Heat;
 use graphreduce_repro::core::{GraphReduce, Options, StreamingMode};
 use graphreduce_repro::graph::{gen, GraphLayout, GraphStats};
+use graphreduce_repro::observe::{export, Observer};
 use graphreduce_repro::sim::{Gpu, KernelSpec, Platform};
 
 fn main() {
@@ -64,8 +65,11 @@ fn main() {
 
     // Export a small standalone device timeline showing the stream/queue
     // structure (the engine's own runs stay internal; this reconstructs a
-    // two-shard pipelined iteration for the trace).
+    // two-shard pipelined iteration for the trace). The device emits its
+    // resolved ops to the observer at every barrier, like any traced run.
+    let (observer, sink) = Observer::recording();
     let mut gpu = Gpu::new(&platform);
+    gpu.set_observer(observer);
     let s0 = gpu.create_stream();
     let s1 = gpu.create_stream();
     for (i, s) in [s0, s1, s0, s1].into_iter().enumerate() {
@@ -86,7 +90,7 @@ fn main() {
         }
     }
     gpu.synchronize();
-    let trace = gpu.chrome_trace();
+    let trace = export::chrome_trace(&sink.recorded());
     let path = std::env::temp_dir().join("graphreduce_heat_trace.json");
     std::fs::write(&path, &trace).expect("write trace");
     println!(
