@@ -71,10 +71,9 @@ impl GasProgram for MsBfs {
     }
 
     fn initial_frontier(&self) -> InitialFrontier {
-        // Multiple seeds: emulate by activating everything for iteration 0;
-        // only seeded vertices report a change there, so iteration 1's
-        // frontier collapses to the true seed neighborhood.
-        InitialFrontier::All
+        // Iteration 0 activates the seeds alone; its apply reports each
+        // one changed, so iteration 1's frontier is their neighborhood.
+        InitialFrontier::Sources(self.sources.clone())
     }
 
     fn gather_identity(&self) -> u64 {
@@ -163,7 +162,7 @@ impl graphreduce::StateBytes for MsBfsLevelsValue {
 /// form of K independent [`crate::Bfs`] runs (up to 64 per sweep).
 ///
 /// Same wavefront as [`MsBfs`] — `Gather` ORs in-neighbor masks, the
-/// seeding round activates everything once — but Apply stamps the arrival
+/// seeding round activates the sources alone — but Apply stamps the arrival
 /// iteration into every newly set lane instead of collapsing to a single
 /// first-hit, so each lane demultiplexes to the exact standalone BFS
 /// depth vector for its source.
@@ -202,14 +201,21 @@ impl MsBfsLevels {
 
     /// Demultiplex the first `lanes` lanes in one pass over `values`:
     /// `result[i] == lane_depths(values, i)`. A serving batch demuxes
-    /// every lane, and one scan of the (large) value array beats `lanes`
-    /// strided scans by the lane count.
+    /// every lane. The pass walks the values in cache-sized tiles and
+    /// appends each tile's column to every lane in turn, so the (large)
+    /// value array is read once and each output grows sequentially
+    /// without being zero-filled first.
     pub fn all_lane_depths(values: &[MsBfsLevelsValue], lanes: usize) -> Vec<Vec<u32>> {
+        /// Vertices per tile: 256 values (66 KB) stay cache-resident
+        /// while every lane reads its column out of them.
+        const TILE: usize = 256;
         assert!(lanes <= 64, "at most 64 lanes per sweep");
-        let mut out = vec![vec![0u32; values.len()]; lanes];
-        for (v_idx, v) in values.iter().enumerate() {
+        let mut out: Vec<Vec<u32>> = (0..lanes)
+            .map(|_| Vec::with_capacity(values.len()))
+            .collect();
+        for tile in values.chunks(TILE) {
             for (lane, depths) in out.iter_mut().enumerate() {
-                depths[v_idx] = v.levels[lane];
+                depths.extend(tile.iter().map(|v| v.levels[lane]));
             }
         }
         out
@@ -240,7 +246,7 @@ impl GasProgram for MsBfsLevels {
     }
 
     fn initial_frontier(&self) -> InitialFrontier {
-        InitialFrontier::All
+        InitialFrontier::Sources(self.sources.clone())
     }
 
     fn gather_identity(&self) -> u64 {
@@ -404,14 +410,70 @@ mod tests {
 
     #[test]
     fn all_lane_depths_matches_per_lane_demux() {
-        let layout = GraphLayout::build(&gen::uniform(150, 900, 34));
-        let sources = vec![1u32, 50, 149];
-        let got = run_levels(&layout, sources.clone());
-        let all = MsBfsLevels::all_lane_depths(&got, sources.len());
-        assert_eq!(all.len(), sources.len());
-        for (lane, depths) in all.iter().enumerate() {
-            assert_eq!(*depths, MsBfsLevels::lane_depths(&got, lane));
+        // 150 vertices fit in one partial tile; 600 span two whole tiles
+        // and a partial one.
+        for n in [150u32, 600] {
+            let layout = GraphLayout::build(&gen::uniform(n, u64::from(n) * 6, 34));
+            let sources: Vec<u32> = (0..64).map(|i| i * 37 % n).collect();
+            let got = run_levels(&layout, sources);
+            for lanes in [1, 3, 63, 64] {
+                let all = MsBfsLevels::all_lane_depths(&got, lanes);
+                assert_eq!(all.len(), lanes);
+                for (lane, depths) in all.iter().enumerate() {
+                    assert_eq!(
+                        *depths,
+                        MsBfsLevels::lane_depths(&got, lane),
+                        "n {n}, {lanes} lanes, lane {lane}"
+                    );
+                }
+            }
         }
+    }
+
+    #[test]
+    fn sweep_iteration_zero_gathers_only_its_sources() {
+        let layout = GraphLayout::build(&gen::rmat_g500(9, 4000, 35).symmetrize());
+        // Eight lanes over five distinct sources.
+        let sources = vec![3u32, 40, 3, 200, 511, 40, 3, 77];
+        let res = GraphReduce::new(
+            MsBfsLevels::new(sources.clone()),
+            &layout,
+            Platform::paper_node(),
+            Options::optimized(),
+        )
+        .run()
+        .unwrap();
+        let mut distinct = sources;
+        distinct.sort_unstable();
+        distinct.dedup();
+        let it0 = &res.stats.per_iteration[0];
+        assert_eq!(it0.frontier_size, distinct.len() as u64);
+        assert_eq!(
+            it0.gathered_edges,
+            distinct.iter().map(|&s| layout.csc.degree(s)).sum::<u64>()
+        );
+        assert_eq!(it0.changed, distinct.len() as u64);
+    }
+
+    #[test]
+    fn duplicate_and_isolated_sources_match_the_queue_bfs() {
+        // A 4-cycle with a tail 2 → 7 → 8, a separate 3-cycle, and vertex
+        // 9 with no edges at all; 0, 4 and 9 repeat across lanes.
+        let edges = [(0, 1), (1, 2), (2, 3), (3, 0), (2, 7), (7, 8)];
+        let cycle = [(4, 5), (5, 6), (6, 4)];
+        let el = gr_graph::EdgeList::from_edges(10, [edges.as_slice(), &cycle].concat());
+        let layout = GraphLayout::build(&el);
+        let sources = vec![0u32, 9, 4, 0, 9, 4, 8];
+        let got = run_levels(&layout, sources.clone());
+        for (lane, &s) in sources.iter().enumerate() {
+            assert_eq!(
+                MsBfsLevels::lane_depths(&got, lane),
+                reference::bfs(&layout, s),
+                "lane {lane} (source {s})"
+            );
+        }
+        let isolated = MsBfsLevels::lane_depths(&got, 1);
+        assert_eq!(isolated.iter().filter(|&&d| d != u32::MAX).count(), 1);
     }
 
     #[test]

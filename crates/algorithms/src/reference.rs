@@ -12,7 +12,7 @@
 //!   so the check is not circular.
 
 use gr_graph::{Bitmap, GraphLayout};
-use graphreduce::{GasProgram, InitialFrontier};
+use graphreduce::GasProgram;
 
 /// Sequential GAS interpreter: the semantic ground truth.
 pub fn run_gas<P: GasProgram>(
@@ -25,16 +25,7 @@ pub fn run_gas<P: GasProgram>(
         .map(|v| program.init_vertex(v, layout.csr.degree(v) as u32))
         .collect();
     let mut edges = vec![P::EdgeValue::default(); m];
-    let mut frontier = match program.initial_frontier() {
-        InitialFrontier::All => Bitmap::full(n),
-        InitialFrontier::Single(v) => {
-            let mut b = Bitmap::new(n);
-            if n > 0 {
-                b.set(v);
-            }
-            b
-        }
-    };
+    let mut frontier = program.initial_frontier().bitmap(n);
     let mut iter = 0;
     while iter < program.max_iterations() && frontier.count() > 0 {
         // Gather (reads pre-iteration values).

@@ -37,7 +37,7 @@ impl GasProgram for Sssp {
     }
 
     fn initial_frontier(&self) -> InitialFrontier {
-        InitialFrontier::Single(self.source)
+        InitialFrontier::Sources(vec![self.source])
     }
 
     fn gather_identity(&self) -> f32 {

@@ -10,7 +10,7 @@
 
 use gr_graph::{Bitmap, GraphLayout, Interval, Shard, TopoView};
 use graphreduce::phases::{activate_shard, apply_shard, gather_shard, scatter_shard};
-use graphreduce::{GasProgram, HostKernels, InitialFrontier};
+use graphreduce::{GasProgram, HostKernels};
 
 /// Work counts of one iteration.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -52,16 +52,7 @@ pub fn execute<P: GasProgram>(program: &P, layout: &GraphLayout) -> WorkloadTrac
         .collect();
     let mut edge_values = vec![P::EdgeValue::default(); layout.num_edges() as usize];
     let mut gather_temp = vec![program.gather_identity(); n as usize];
-    let mut frontier = match program.initial_frontier() {
-        InitialFrontier::All => Bitmap::full(n),
-        InitialFrontier::Single(v) => {
-            let mut b = Bitmap::new(n);
-            if n > 0 {
-                b.set(v);
-            }
-            b
-        }
-    };
+    let mut frontier = program.initial_frontier().bitmap(n);
     let mut iterations = Vec::new();
     let mut iter = 0u32;
     while iter < program.max_iterations() && frontier.count() > 0 {

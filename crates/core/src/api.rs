@@ -11,19 +11,53 @@
 //! The trait below is the Rust rendering of the paper's `UserInfoTuple`
 //! `<gather(), apply(), scatter(), VertexDataType, EdgeDataType>`.
 
-use gr_graph::VertexId;
+use gr_graph::{Bitmap, VertexId};
 
 use crate::snapshot::StateBytes;
 
 /// How the computation frontier is seeded (the paper's Initialization
 /// stage: "initializing vertex/edge values and a starting computation
 /// frontier").
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum InitialFrontier {
     /// All vertices start active (PageRank, Connected Components).
     All,
-    /// A single source vertex starts active (BFS, SSSP).
-    Single(VertexId),
+    /// Exactly these source vertices start active: one for BFS and SSSP,
+    /// up to 64 for a multi-source BFS sweep, so iteration 0 gathers only
+    /// the seeds' in-edges. Duplicates are allowed and seed once. Every id
+    /// must be below the vertex count; a query with a seed past the last
+    /// vertex is refused with [`EngineError::BadStart`](crate::EngineError)
+    /// before it runs.
+    Sources(Vec<VertexId>),
+}
+
+impl InitialFrontier {
+    /// The iteration-0 frontier over an `n`-vertex graph.
+    ///
+    /// # Panics
+    /// If a seed is `>= n` (the engine rejects such a query first; see
+    /// [`InitialFrontier::out_of_range`]).
+    pub fn bitmap(&self, n: u32) -> Bitmap {
+        match self {
+            InitialFrontier::All => Bitmap::full(n),
+            InitialFrontier::Sources(seeds) => {
+                let mut b = Bitmap::new(n);
+                for &v in seeds {
+                    assert!(v < n, "seed {v} past the last vertex of a {n}-vertex graph");
+                    b.set(v);
+                }
+                b
+            }
+        }
+    }
+
+    /// The first seed an `n`-vertex graph cannot hold, if any.
+    pub fn out_of_range(&self, n: u32) -> Option<VertexId> {
+        match self {
+            InitialFrontier::All => None,
+            InitialFrontier::Sources(seeds) => seeds.iter().copied().find(|&v| v >= n),
+        }
+    }
 }
 
 /// A Gather-Apply-Scatter program.
@@ -129,7 +163,7 @@ mod tests {
         }
 
         fn initial_frontier(&self) -> InitialFrontier {
-            InitialFrontier::Single(0)
+            InitialFrontier::Sources(vec![0])
         }
 
         fn gather_identity(&self) -> u32 {
@@ -162,6 +196,30 @@ mod tests {
         assert!(p.has_gather());
         assert!(!p.has_scatter());
         assert_eq!(p.max_iterations(), 10_000);
-        assert_eq!(p.initial_frontier(), InitialFrontier::Single(0));
+        assert_eq!(p.initial_frontier(), InitialFrontier::Sources(vec![0]));
+    }
+
+    #[test]
+    fn seeds_become_a_bitmap_once_each() {
+        let seeds = InitialFrontier::Sources(vec![5, 0, 5, 99]);
+        let b = seeds.bitmap(100);
+        assert_eq!(b.iter_set().collect::<Vec<_>>(), vec![0, 5, 99]);
+        assert_eq!(b.count(), 3);
+        assert_eq!(InitialFrontier::All.bitmap(70).count(), 70);
+        assert_eq!(seeds.out_of_range(100), None);
+        // 100 is the first id past a 100-vertex graph; 120 would land in
+        // the last bitmap word's padding.
+        assert_eq!(seeds.out_of_range(99), Some(99));
+        assert_eq!(
+            InitialFrontier::Sources(vec![3, 120]).out_of_range(100),
+            Some(120)
+        );
+        assert_eq!(InitialFrontier::All.out_of_range(0), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "past the last vertex")]
+    fn bitmap_refuses_a_seed_past_the_last_vertex() {
+        InitialFrontier::Sources(vec![120]).bitmap(100);
     }
 }

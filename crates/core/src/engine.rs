@@ -377,7 +377,7 @@ mod tests {
 #[cfg(test)]
 mod extension_tests {
     use super::*;
-    use crate::testprog::Cc;
+    use crate::testprog::{Bfs, Cc};
     use gr_graph::{gen, EdgeList};
 
     #[test]
@@ -511,7 +511,7 @@ mod extension_tests {
             .expect("101 values for 100 vertices must be rejected");
         assert_eq!(
             err,
-            EngineError::BadWarmStart {
+            EngineError::BadStart {
                 what: "vertex-value count",
                 found: 101,
                 num_vertices: 100
@@ -536,8 +536,32 @@ mod extension_tests {
                 .expect("an id past the last vertex must be rejected");
             assert_eq!(
                 err,
-                EngineError::BadWarmStart {
+                EngineError::BadStart {
                     what: "frontier vertex",
+                    found: u64::from(id),
+                    num_vertices: 100
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn cold_start_rejects_seeds_past_the_last_vertex() {
+        let layout = warm_target();
+        for id in [120, 100] {
+            let err = GraphReduce::new(
+                Bfs(id),
+                &layout,
+                Platform::paper_node(),
+                Options::optimized(),
+            )
+            .run()
+            .err()
+            .expect("a seed past the last vertex must be rejected");
+            assert_eq!(
+                err,
+                EngineError::BadStart {
+                    what: "initial seed",
                     found: u64::from(id),
                     num_vertices: 100
                 }

@@ -20,7 +20,7 @@ use gr_observe::profiler::{WALL_ITERATION, WALL_NO_SHARD};
 use gr_observe::{Decision, Observer, WallKey, WallProfiler};
 use rayon::prelude::*;
 
-use crate::api::{GasProgram, InitialFrontier};
+use crate::api::GasProgram;
 use crate::engine::WarmStart;
 use crate::options::HostKernels;
 use crate::phases::{
@@ -132,19 +132,7 @@ impl<P: GasProgram> HostState<P> {
         let values = (0..n)
             .map(|v| program.init_vertex(v, layout.csr.degree(v) as u32))
             .collect();
-        let mut frontier = match program.initial_frontier() {
-            InitialFrontier::All => Bitmap::full(n),
-            InitialFrontier::Single(v) => {
-                let mut b = Bitmap::new(n);
-                if n > 0 {
-                    b.set(v);
-                }
-                b
-            }
-        };
-        if n == 0 {
-            frontier = Bitmap::new(0);
-        }
+        let frontier = program.initial_frontier().bitmap(n);
         Self::with_frontier(program, layout, values, frontier)
     }
 

@@ -336,6 +336,7 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
     ) -> Result<MultiRunResult<P>, EngineError> {
         let sizes = SizeModel::for_program(&self.program);
         let layout = self.session.layout();
+        crate::session::check_seeds(&self.program, layout.num_vertices())?;
         let ngpu = self.num_gpus as usize;
         // Partition for a single device's memory (each device must hold
         // its own static buffers + its in-flight shards). The optimistic

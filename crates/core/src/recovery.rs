@@ -90,10 +90,11 @@ pub enum EngineError {
     /// process just dies — but the simulated kind must unwind cleanly so
     /// chaos tests can resume in the same process.
     Killed { iteration: u32 },
-    /// A warm start does not fit the graph it seeds: `found` is the
-    /// carried vertex-value count, or a frontier vertex id, that the
-    /// `num_vertices`-vertex graph cannot hold (`what` says which).
-    BadWarmStart {
+    /// A start state does not fit the graph it seeds: `found` is a warm
+    /// start's carried vertex-value count, a warm frontier vertex id, or a
+    /// program's initial seed that the `num_vertices`-vertex graph cannot
+    /// hold (`what` says which).
+    BadStart {
         what: &'static str,
         found: u64,
         num_vertices: u32,
@@ -114,13 +115,13 @@ impl fmt::Display for EngineError {
             EngineError::Killed { iteration } => {
                 write!(f, "process killed at iteration boundary {iteration}")
             }
-            EngineError::BadWarmStart {
+            EngineError::BadStart {
                 what,
                 found,
                 num_vertices,
             } => write!(
                 f,
-                "warm start rejected: {what} {found} does not fit a {num_vertices}-vertex graph"
+                "start rejected: {what} {found} does not fit a {num_vertices}-vertex graph"
             ),
         }
     }

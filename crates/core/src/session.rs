@@ -64,7 +64,7 @@ impl<P: GasProgram> WarmStart<P> {
     /// count when it lands in the last word's padding).
     pub(crate) fn check(&self, n: u32) -> Result<(), EngineError> {
         let reject = |what, found| {
-            Err(EngineError::BadWarmStart {
+            Err(EngineError::BadStart {
                 what,
                 found,
                 num_vertices: n,
@@ -77,6 +77,19 @@ impl<P: GasProgram> WarmStart<P> {
             Some(&v) => reject("frontier vertex", u64::from(v)),
             None => Ok(()),
         }
+    }
+}
+
+/// Reject a cold start whose program seeds a vertex past the last one of
+/// an `n`-vertex graph — the same hazard [`WarmStart::check`] guards.
+pub(crate) fn check_seeds<P: GasProgram>(program: &P, n: u32) -> Result<(), EngineError> {
+    match program.initial_frontier().out_of_range(n) {
+        Some(v) => Err(EngineError::BadStart {
+            what: "initial seed",
+            found: u64::from(v),
+            num_vertices: n,
+        }),
+        None => Ok(()),
     }
 }
 
@@ -304,8 +317,10 @@ impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
         self,
         restored: Option<crate::snapshot_delta::RestoredFromDisk<P>>,
     ) -> Result<RunResult<P>, EngineError> {
-        if let Some(w) = &self.warm {
-            w.check(self.session.layout.num_vertices())?;
+        let n = self.session.layout.num_vertices();
+        match &self.warm {
+            Some(w) => w.check(n)?,
+            None => check_seeds(self.program, n)?,
         }
         let sizes = SizeModel::for_program(self.program);
         let plan = self.session.partition_plan(&sizes)?;

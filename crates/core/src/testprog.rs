@@ -72,7 +72,7 @@ impl GasProgram for Bfs {
     }
 
     fn initial_frontier(&self) -> InitialFrontier {
-        InitialFrontier::Single(self.0)
+        InitialFrontier::Sources(vec![self.0])
     }
 
     fn gather_identity(&self) {}
@@ -119,7 +119,7 @@ impl GasProgram for Sssp {
     }
 
     fn initial_frontier(&self) -> InitialFrontier {
-        InitialFrontier::Single(self.0)
+        InitialFrontier::Sources(vec![self.0])
     }
 
     fn gather_identity(&self) -> f32 {

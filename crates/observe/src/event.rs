@@ -307,11 +307,13 @@ pub enum Decision {
         /// Pending-queue depth *after* admission.
         queue_depth: u64,
     },
-    /// The admission controller rejected a submission (queue full).
-    /// Exactly one decision per rejected submission.
+    /// The admission controller rejected a submission (queue full, or a
+    /// source past the last vertex). Exactly one decision per rejected
+    /// submission.
     QueryReject {
         kind: &'static str,
-        /// Pending-queue depth at rejection time (= the configured cap).
+        /// Pending-queue depth at rejection time (= the configured cap
+        /// when the queue was full).
         queue_depth: u64,
         rationale: &'static str,
     },

@@ -5,17 +5,20 @@
 //! point queries against the shared shards. This crate is that serving
 //! layer:
 //!
-//! * [`GraphServe`] — the server: a pending-query queue over one borrowed
-//!   session, drained deterministically in earliest-deadline-first order.
-//! * [`AdmissionController`] ([`ServeConfig`]) — bounds the pending queue;
-//!   over-cap submissions are rejected with a
-//!   [`Decision::QueryReject`](gr_observe::Decision) instead of queuing
-//!   without bound.
+//! * [`GraphServe`] — the server: two pending-query maps (BFS, everything
+//!   else) over one borrowed session, drained deterministically in
+//!   earliest-deadline-first order.
+//! * [`AdmissionController`] ([`ServeConfig`]) — bounds the pending queue
+//!   and refuses BFS/SSSP sources past the last vertex; a refused
+//!   submission gets a [`Decision::QueryReject`](gr_observe::Decision) and
+//!   a [`Rejected`] naming the [`RejectReason`] instead of queuing.
 //! * Batching — up to `max_batch` (≤ 64) compatible pending BFS queries
-//!   fold into **one** [`gr_algorithms::MsBfsLevels`] sweep; each query's
-//!   depth vector is demultiplexed from its lane bit-identically to a
-//!   standalone [`gr_algorithms::Bfs`] run (`levels[i]` records lane `i`'s
-//!   arrival iteration, which *is* the BFS depth).
+//!   fold into **one** run. When they share one source it is the
+//!   phase-eliminated [`gr_algorithms::Bfs`], whose answer every member
+//!   gets; otherwise it is a [`gr_algorithms::MsBfsLevels`] sweep seeded
+//!   at the sources, and each query's depth vector is demultiplexed from
+//!   its lane bit-identically to a standalone `Bfs` run (`levels[i]`
+//!   records lane `i`'s arrival iteration, which *is* the BFS depth).
 //! * Per-query observability — every query gets its own decision-log lane
 //!   (`QueryAdmit` → `QueryDone` with query/batch/lane ids), and every
 //!   outcome carries a per-query [`QueryStats`] demuxed from the batch's
@@ -32,6 +35,6 @@ mod admission;
 mod query;
 mod server;
 
-pub use admission::{AdmissionController, Rejected, ServeConfig};
+pub use admission::{AdmissionController, RejectReason, Rejected, ServeConfig};
 pub use query::{QueryId, QueryOutcome, QueryOutput, QuerySpec, QueryStats};
 pub use server::{pagerank_program, standalone_bfs, GraphServe};

@@ -32,6 +32,14 @@ impl QuerySpec {
             QuerySpec::Cc => "cc",
         }
     }
+
+    /// The traversal source, for the per-source kinds.
+    pub fn source(&self) -> Option<u32> {
+        match *self {
+            QuerySpec::Bfs { source } | QuerySpec::Sssp { source } => Some(source),
+            QuerySpec::PageRank | QuerySpec::Cc => None,
+        }
+    }
 }
 
 /// A query's demultiplexed answer, in the same representation the

@@ -1,5 +1,7 @@
 //! The serving pump: EDF-ordered batching over one shared session.
 
+use std::collections::BTreeMap;
+
 use gr_algorithms::{Bfs, Cc, MsBfsLevels, PageRank, Sssp};
 use gr_observe::{Decision, Observer};
 use graphreduce::{EngineError, GraphSession, RunStats};
@@ -25,16 +27,23 @@ struct Pending {
     deadline: Option<u64>,
 }
 
+/// A pending query's place in earliest-deadline-first order: its deadline
+/// (`u64::MAX` when it has none, so it sorts last), then its admission id
+/// (FIFO within a deadline).
+type EdfKey = (u64, QueryId);
+
 /// A query server over one borrowed [`GraphSession`].
 ///
 /// `submit` runs admission control and queues; `drain` executes everything
 /// pending: queries are ordered earliest-deadline-first (FIFO within a
-/// deadline), compatible BFS queries fold into one
-/// [`MsBfsLevels`] sweep of up to [`ServeConfig::max_batch`] lanes, and
-/// every query's answer + stats lane is demultiplexed from the batch that
-/// carried it. Time is counted in virtual *service ticks* — one tick per
-/// executed batch — which is what deadlines are checked against; the
-/// open-loop latency trace with real wall times lives in the serve bench.
+/// deadline), compatible BFS queries fold into one batch of up to
+/// [`ServeConfig::max_batch`] lanes, and every query's answer + stats
+/// lane is demultiplexed from the batch that carried it. A batch whose
+/// members share one source runs the phase-eliminated [`Bfs`]; one with
+/// two or more distinct sources runs an [`MsBfsLevels`] sweep. Time is
+/// counted in virtual *service ticks* — one tick per executed batch —
+/// which is what deadlines are checked against; the open-loop latency
+/// trace with real wall times lives in the serve bench.
 pub struct GraphServe<'s, 'g> {
     session: &'s GraphSession<'g>,
     admission: AdmissionController,
@@ -42,7 +51,10 @@ pub struct GraphServe<'s, 'g> {
     next_id: QueryId,
     next_batch: u64,
     ticks: u64,
-    pending: Vec<Pending>,
+    /// Pending BFS queries in EDF order; a batch folds their heads.
+    bfs: BTreeMap<EdfKey, Pending>,
+    /// Every other pending query in EDF order; each runs alone.
+    other: BTreeMap<EdfKey, Pending>,
 }
 
 impl<'s, 'g> GraphServe<'s, 'g> {
@@ -59,7 +71,8 @@ impl<'s, 'g> GraphServe<'s, 'g> {
             next_id: 0,
             next_batch: 0,
             ticks: 0,
-            pending: Vec::new(),
+            bfs: BTreeMap::new(),
+            other: BTreeMap::new(),
         }
     }
 
@@ -73,7 +86,7 @@ impl<'s, 'g> GraphServe<'s, 'g> {
 
     /// Queries queued and not yet drained.
     pub fn pending(&self) -> usize {
-        self.pending.len()
+        self.bfs.len() + self.other.len()
     }
 
     /// Completed service ticks (executed batches) so far.
@@ -82,18 +95,27 @@ impl<'s, 'g> GraphServe<'s, 'g> {
     }
 
     /// Submit one query with an optional deadline in service ticks.
-    /// Admission may reject it (bounded queue); an admitted query is
-    /// answered by the next [`GraphServe::drain`].
+    /// Admission may reject it (bounded queue, or a BFS/SSSP source that
+    /// is not a vertex of the served graph); an admitted query is answered
+    /// by the next [`GraphServe::drain`].
     pub fn submit(&mut self, spec: QuerySpec, deadline: Option<u64>) -> Result<QueryId, Rejected> {
         self.admission.admit(
             &self.observer,
             self.next_id,
-            spec.kind(),
-            self.pending.len(),
+            &spec,
+            self.pending(),
+            self.session.layout().num_vertices(),
         )?;
         let id = self.next_id;
         self.next_id += 1;
-        self.pending.push(Pending { id, spec, deadline });
+        let queue = match spec {
+            QuerySpec::Bfs { .. } => &mut self.bfs,
+            _ => &mut self.other,
+        };
+        queue.insert(
+            (deadline.unwrap_or(u64::MAX), id),
+            Pending { id, spec, deadline },
+        );
         Ok(id)
     }
 
@@ -105,28 +127,7 @@ impl<'s, 'g> GraphServe<'s, 'g> {
     /// runs, never what it computes).
     pub fn drain(&mut self) -> Result<Vec<QueryOutcome>, EngineError> {
         let mut out = Vec::new();
-        while !self.pending.is_empty() {
-            // EDF with FIFO tiebreak: earliest deadline first, admission
-            // order within a deadline class (None sorts last).
-            self.pending
-                .sort_by_key(|p| (p.deadline.unwrap_or(u64::MAX), p.id));
-            let members: Vec<Pending> = if self.pending[0].spec.kind() == "bfs" {
-                // Fold every pending BFS (in EDF order) into this batch,
-                // up to the MS-BFS lane width.
-                let width = self.admission.config().batch_width();
-                let mut taken = Vec::new();
-                let mut i = 0;
-                while i < self.pending.len() && taken.len() < width {
-                    if self.pending[i].spec.kind() == "bfs" {
-                        taken.push(self.pending.remove(i));
-                    } else {
-                        i += 1;
-                    }
-                }
-                taken
-            } else {
-                vec![self.pending.remove(0)]
-            };
+        while let Some(members) = self.next_batch() {
             let batch = self.next_batch;
             self.next_batch += 1;
             let kind = members[0].spec.kind();
@@ -136,6 +137,26 @@ impl<'s, 'g> GraphServe<'s, 'g> {
             self.execute_batch(batch, members, &mut out)?;
         }
         Ok(out)
+    }
+
+    /// Take the next batch off the queues: the most urgent pending query
+    /// and, when it is a BFS, the BFS queries next in EDF order, up to the
+    /// batch width.
+    fn next_batch(&mut self) -> Option<Vec<Pending>> {
+        let bfs_first = match (self.bfs.first_key_value(), self.other.first_key_value()) {
+            (Some((b, _)), Some((o, _))) => b < o,
+            (bfs, _) => bfs.is_some(),
+        };
+        if bfs_first {
+            let width = self.admission.config().batch_width();
+            let members = std::iter::from_fn(|| self.bfs.pop_first())
+                .take(width)
+                .map(|(_, p)| p)
+                .collect();
+            Some(members)
+        } else {
+            self.other.pop_first().map(|(_, p)| vec![p])
+        }
     }
 
     fn execute_batch(
@@ -154,13 +175,23 @@ impl<'s, 'g> GraphServe<'s, 'g> {
                     })
                     .collect();
                 let lanes = sources.len();
-                let prog = MsBfsLevels::new(sources);
-                let res = self.run_on_session(&prog, batch)?;
-                let outs = MsBfsLevels::all_lane_depths(&res.vertex_values, lanes)
-                    .into_iter()
-                    .map(QueryOutput::Depths)
-                    .collect();
-                (outs, res.stats)
+                if sources.iter().all(|&s| s == sources[0]) {
+                    // One distinct source: the phase-eliminated BFS moves
+                    // no in-edges, and its one answer serves every member.
+                    let res = self.run_on_session(&Bfs::new(sources[0]), batch)?;
+                    (
+                        vec![QueryOutput::Depths(res.vertex_values); lanes],
+                        res.stats,
+                    )
+                } else {
+                    let prog = MsBfsLevels::new(sources);
+                    let res = self.run_on_session(&prog, batch)?;
+                    let outs = MsBfsLevels::all_lane_depths(&res.vertex_values, lanes)
+                        .into_iter()
+                        .map(QueryOutput::Depths)
+                        .collect();
+                    (outs, res.stats)
+                }
             }
             QuerySpec::Sssp { source } => {
                 let prog = Sssp::new(*source);
@@ -357,5 +388,98 @@ mod tests {
             .filter(|d| matches!(d, Decision::QueryDone { .. }))
             .collect();
         assert_eq!(dones.len(), 2);
+    }
+
+    /// The batching rule `drain` followed before the two EDF maps: re-sort
+    /// the whole pending list, then take its head and, for a BFS head,
+    /// every later BFS in that order up to the width.
+    fn sort_and_remove(
+        pending: &mut Vec<(QueryId, &'static str, Option<u64>)>,
+        width: usize,
+    ) -> Vec<Vec<QueryId>> {
+        let mut batches = Vec::new();
+        while !pending.is_empty() {
+            pending.sort_by_key(|&(id, _, d)| (d.unwrap_or(u64::MAX), id));
+            let members = if pending[0].1 == "bfs" {
+                let mut taken = Vec::new();
+                let mut i = 0;
+                while i < pending.len() && taken.len() < width {
+                    if pending[i].1 == "bfs" {
+                        taken.push(pending.remove(i).0);
+                    } else {
+                        i += 1;
+                    }
+                }
+                taken
+            } else {
+                vec![pending.remove(0).0]
+            };
+            batches.push(members);
+        }
+        batches
+    }
+
+    #[test]
+    fn edf_maps_form_the_sort_and_remove_batches() {
+        let layout = GraphLayout::build(&gen::uniform(24, 80, 9).symmetrize());
+        let session = session_fixture(&layout);
+        for max_batch in [1, 3, 64] {
+            let cfg = ServeConfig {
+                max_pending: 4096,
+                max_batch,
+            };
+            let mut serve = GraphServe::with_config(&session, cfg);
+            let mut state = 0x5eed ^ max_batch as u64;
+            let mut draw = |below: u64| {
+                // SplitMix64.
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                (z ^ (z >> 31)) % below
+            };
+            let (mut submitted, mut batch_base) = (0, 0);
+            while submitted < 1000 {
+                // One round: a random burst of mixed kinds and deadlines
+                // (some already past), then one drain.
+                let mut model = Vec::new();
+                for _ in 0..1 + draw(48) {
+                    let source = draw(24) as u32;
+                    let spec = match draw(8) {
+                        0 => QuerySpec::Cc,
+                        1 => QuerySpec::PageRank,
+                        2 | 3 => QuerySpec::Sssp { source },
+                        _ => QuerySpec::Bfs { source },
+                    };
+                    let deadline = (draw(4) != 0).then(|| serve.ticks() + draw(40));
+                    let kind = spec.kind();
+                    let id = serve.submit(spec, deadline).unwrap();
+                    model.push((id, kind, deadline));
+                    submitted += 1;
+                }
+                let deadlines: BTreeMap<QueryId, Option<u64>> =
+                    model.iter().map(|&(id, _, d)| (id, d)).collect();
+                let want = sort_and_remove(&mut model, cfg.batch_width());
+                let got = serve.drain().unwrap();
+                let mut i = 0;
+                for (b, members) in want.iter().enumerate() {
+                    let batch = batch_base + b as u64;
+                    for (lane, &id) in members.iter().enumerate() {
+                        let o = &got[i];
+                        i += 1;
+                        assert_eq!(
+                            (o.id, o.stats.batch, o.stats.lane, o.stats.batch_size),
+                            (id, batch, lane as u32, members.len() as u32),
+                            "max_batch {max_batch}"
+                        );
+                        let met = deadlines[&id].is_none_or(|d| batch < d);
+                        assert_eq!(o.stats.deadline_met, met, "query {id}");
+                    }
+                }
+                assert_eq!(i, got.len());
+                batch_base += want.len() as u64;
+                assert_eq!(serve.ticks(), batch_base);
+            }
+        }
     }
 }
