@@ -121,11 +121,6 @@ pub fn execute<P: GasProgram>(program: &P, layout: &GraphLayout) -> WorkloadTrac
     }
 }
 
-/// Total in-edges gathered over the whole run.
-pub fn total_gathered(iters: &[IterWork]) -> u64 {
-    iters.iter().map(|w| w.active_in_edges).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

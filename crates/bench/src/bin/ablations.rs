@@ -52,7 +52,13 @@ fn main() {
         ("vertex-centric", GatherMode::VertexCentric),
         ("edge-atomic", GatherMode::EdgeCentricAtomic),
     ] {
-        gather.row(name, Options::optimized().with_gather_mode(mode));
+        gather.row(
+            name,
+            Options {
+                gather_mode: mode,
+                ..Options::optimized()
+            },
+        );
     }
 
     // Section 5.1: a heavily undersized device keeps shards (and their
@@ -66,7 +72,13 @@ fn main() {
         layout: &dblp,
         plat: &small,
     };
-    spray.row("off", Options::optimized().with_spray(false));
+    spray.row(
+        "off",
+        Options {
+            spray: false,
+            ..Options::optimized()
+        },
+    );
     for w in [2u32, 4, 8, 16] {
         let mut o = Options::optimized();
         o.spray_width = w;
@@ -109,7 +121,13 @@ fn main() {
             plat: &plat,
         };
         for (mode, on) in [("on", true), ("off", false)] {
-            cta.row(mode, Options::optimized().with_cta_load_balance(on));
+            cta.row(
+                mode,
+                Options {
+                    cta_load_balance: on,
+                    ..Options::optimized()
+                },
+            );
         }
     }
 

@@ -369,7 +369,7 @@ fn main() {
         if args.engine != "gr" {
             eprintln!("--faults only applies to the gr engine; ignoring");
         }
-        opts = opts.with_fault_plan(plan.clone());
+        opts.fault_plan = plan.clone();
     }
     let mem_cap = args.mem_cap.as_ref().map(|spec| {
         if args.engine != "gr" {
@@ -423,7 +423,7 @@ fn main() {
         }
     });
     if let Some(policy) = &checkpoint_policy {
-        opts = opts.with_checkpoint_policy(policy.clone());
+        opts.checkpoint_policy = policy.clone();
     }
     if let Some(dir) = &args.spill_dir {
         opts = opts.with_spill_dir(dir.as_str());

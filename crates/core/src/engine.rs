@@ -1,6 +1,6 @@
 //! The single-GPU GraphReduce frontend: [`GraphReduce`] binds one
 //! [`GasProgram`] to one graph on one platform and runs it through the
-//! layered execution core in [`crate::exec`] (Figures 8-12).
+//! layered execution core in `exec` (Figures 8-12).
 //!
 //! Execution is Bulk-Synchronous across phases (Section 4.4): every
 //! iteration runs Gather over all shards, then Apply, then
@@ -16,7 +16,7 @@
 //! (the optimizations are pure data-movement/scheduling transformations).
 //!
 //! The planning, data-movement, compute-spec, device, and iteration-loop
-//! layers themselves live under [`crate::exec`]; the graph-lifetime /
+//! layers themselves live under `exec`; the graph-lifetime /
 //! query-lifetime split lives in [`crate::session`]. This module holds
 //! only the one-shot compatibility facade: [`GraphReduce`] is
 //! `GraphSession::new(..)` plus a single [`crate::session::Query`] per
@@ -30,7 +30,6 @@ use crate::api::GasProgram;
 use crate::options::Options;
 use crate::recovery::EngineError;
 use crate::session::{GraphSession, Query};
-use crate::sizes::SizeModel;
 use crate::stats::RunStats;
 
 pub use crate::session::WarmStart;
@@ -85,17 +84,6 @@ impl<'g, P: GasProgram> GraphReduce<'g, P> {
     pub fn with_wall_profiler(mut self, wall: WallProfiler) -> Self {
         self.wall = wall;
         self
-    }
-
-    /// The byte model derived from the program's data types and phase set.
-    pub fn size_model(&self) -> SizeModel {
-        SizeModel::for_program(&self.program)
-    }
-
-    /// The underlying build-once session (shared partition plans and
-    /// compressed topology) this facade runs its queries against.
-    pub fn session(&self) -> &GraphSession<'g> {
-        &self.session
     }
 
     fn query(&self) -> Query<'_, 'g, P> {
@@ -173,12 +161,27 @@ mod tests {
         for opts in [
             Options::optimized(),
             Options::unoptimized(),
-            Options::optimized().with_spray(false),
-            Options::optimized().with_frontier_management(false),
-            Options::optimized().with_phase_fusion(false),
+            Options {
+                spray: false,
+                ..Options::optimized()
+            },
+            Options {
+                frontier_management: false,
+                ..Options::optimized()
+            },
+            Options {
+                phase_fusion: false,
+                ..Options::optimized()
+            },
             Options::optimized().with_async_streams(false),
-            Options::optimized().with_gather_mode(GatherMode::VertexCentric),
-            Options::optimized().with_gather_mode(GatherMode::EdgeCentricAtomic),
+            Options {
+                gather_mode: GatherMode::VertexCentric,
+                ..Options::optimized()
+            },
+            Options {
+                gather_mode: GatherMode::EdgeCentricAtomic,
+                ..Options::optimized()
+            },
         ] {
             let out = GraphReduce::new(Cc, &layout, plat.clone(), opts.clone())
                 .run()
@@ -248,7 +251,10 @@ mod tests {
             Bfs(0),
             &layout,
             plat,
-            Options::optimized().with_frontier_management(false),
+            Options {
+                frontier_management: false,
+                ..Options::optimized()
+            },
         )
         .run()
         .unwrap();
@@ -271,7 +277,10 @@ mod tests {
             Bfs(0),
             &layout,
             plat.clone(),
-            Options::optimized().with_frontier_management(false),
+            Options {
+                frontier_management: false,
+                ..Options::optimized()
+            },
         )
         .run()
         .unwrap();
@@ -279,9 +288,11 @@ mod tests {
             Bfs(0),
             &layout,
             plat,
-            Options::optimized()
-                .with_frontier_management(false)
-                .with_phase_fusion(false),
+            Options {
+                frontier_management: false,
+                phase_fusion: false,
+                ..Options::optimized()
+            },
         )
         .run()
         .unwrap();
@@ -333,9 +344,17 @@ mod tests {
         let spray = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
             .run()
             .unwrap();
-        let no_spray = GraphReduce::new(Cc, &layout, plat, Options::optimized().with_spray(false))
-            .run()
-            .unwrap();
+        let no_spray = GraphReduce::new(
+            Cc,
+            &layout,
+            plat,
+            Options {
+                spray: false,
+                ..Options::optimized()
+            },
+        )
+        .run()
+        .unwrap();
         assert_eq!(spray.vertex_values, no_spray.vertex_values);
         assert!(
             spray.stats.elapsed <= no_spray.stats.elapsed,
@@ -439,33 +458,6 @@ mod extension_tests {
         assert!(
             warm.stats.per_iteration[0].frontier_size <= 2,
             "warm start seeds only the mutation endpoints"
-        );
-    }
-
-    #[test]
-    fn partition_logic_plugin_changes_balance_not_results() {
-        let layout = GraphLayout::build(&gen::rmat_g500(11, 40_000, 6).symmetrize());
-        let plat = Platform::paper_node_scaled(1 << 13);
-        let even_edges = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
-            .run()
-            .unwrap();
-        let even_vertices = GraphReduce::new(
-            Cc,
-            &layout,
-            plat,
-            Options::optimized().with_partition_logic(gr_graph::EvenVertexPartition),
-        )
-        .run()
-        .unwrap();
-        assert_eq!(even_edges.vertex_values, even_vertices.vertex_values);
-        // Naive even-vertex intervals on a skewed graph need more shards to
-        // fit (the heavy interval blows the slot budget until P grows) —
-        // the measurable cost the paper's load-balanced default avoids.
-        assert!(
-            even_vertices.stats.num_shards >= even_edges.stats.num_shards,
-            "even-vertex {} vs even-edge {}",
-            even_vertices.stats.num_shards,
-            even_edges.stats.num_shards
         );
     }
 
@@ -592,7 +584,10 @@ mod streaming_mode_tests {
             Cc,
             &layout,
             plat,
-            Options::optimized().with_streaming_mode(StreamingMode::ZeroCopySequential),
+            Options {
+                streaming_mode: StreamingMode::ZeroCopySequential,
+                ..Options::optimized()
+            },
         )
         .run()
         .unwrap();

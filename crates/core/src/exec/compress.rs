@@ -121,7 +121,7 @@ impl ShardCompression {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gr_graph::{gen, partition_into_shards, EvenEdgePartition, GraphLayout};
+    use gr_graph::{build_shards, gen, partition_even_edges, GraphLayout};
 
     fn setup(weighted: bool) -> (GraphLayout, Vec<Shard>) {
         let mut el = gen::rmat_g500(8, 4096, 7);
@@ -129,7 +129,7 @@ mod tests {
             el = gen::with_random_weights(el, 64.0, 11);
         }
         let layout = GraphLayout::build(&el);
-        let shards = partition_into_shards(&layout, &EvenEdgePartition, 4);
+        let shards = build_shards(&layout, &partition_even_edges(&layout, 4));
         (layout, shards)
     }
 

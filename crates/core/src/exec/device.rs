@@ -94,11 +94,6 @@ impl DeviceCtx {
         }
     }
 
-    /// Device index this context was created with.
-    pub fn device(&self) -> usize {
-        self.device
-    }
-
     /// Create `k` main compute/copy streams. Streams must exist before
     /// allocations: allocation-retry backoff stalls are charged on one.
     pub fn create_main_streams(&mut self, k: usize) {

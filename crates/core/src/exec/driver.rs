@@ -26,7 +26,7 @@ use crate::snapshot::{self, CheckpointPolicy};
 use crate::snapshot_delta::RestoredFromDisk;
 use crate::stats::RunStats;
 use crate::storage::StorageCtx;
-use crate::store::{shard_payload, ShardStoreHandle};
+use crate::store::{shard_payload, FileShardStore, ShardStore};
 
 use super::bsp::{Bsp, Timeline};
 use super::compress::{ShardCompression, RAW_TOPO_ENTRY_BYTES};
@@ -76,7 +76,7 @@ pub(crate) struct Runner<'a, P: GasProgram> {
     comp: Option<Arc<ShardCompression>>,
     // Out-of-host-core spill: the store (if any), which shards were
     // evicted to it, and which have been verified back in already.
-    store: Option<ShardStoreHandle>,
+    store: Option<FileShardStore>,
     spilled: Vec<bool>,
     spill_loaded: Vec<bool>,
     any_spilled: bool,
@@ -204,7 +204,11 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         let n = layout.num_vertices();
         let host_footprint = gr_graph::in_memory_bytes(n as u64, layout.num_edges());
         let over_host_ram = host_footprint > platform.host.mem_capacity;
-        let storage_read_secs_per_byte = (over_host_ram && opts.shard_store.is_none())
+        let store = opts
+            .spill_dir
+            .as_ref()
+            .map(|dir| FileShardStore::with_codec(dir.clone(), opts.shard_compression));
+        let storage_read_secs_per_byte = (over_host_ram && store.is_none())
             .then(|| 1.0 / (platform.storage.bandwidth_gbps * 1e9));
 
         // Spill rung: evict shards to the store. The governor already
@@ -212,7 +216,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         // streamed shard (GraphChi-style out-of-host-core). Each eviction
         // writes the shard's topology payload and logs one ShardSpill.
         let mut spilled = governed.spilled;
-        if let Some(h) = &opts.shard_store {
+        if let Some(h) = &store {
             if !governed.host_run && over_host_ram {
                 for (i, s) in spilled.iter_mut().enumerate() {
                     if !governed.host_shards[i] {
@@ -332,7 +336,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             host_shards: governed.host_shards,
             storage,
             comp,
-            store: opts.shard_store.clone(),
+            store,
             spilled,
             spill_loaded: vec![false; num_shards],
             any_spilled,
@@ -776,7 +780,7 @@ impl<P: GasProgram> Timeline for Runner<'_, P> {
         if self.host_mode || !self.any_spilled {
             return Ok(());
         }
-        let store = self.store.clone().expect("spilled shards imply a store");
+        let store = self.store.as_ref().expect("spilled shards imply a store");
         for i in 0..self.plan.shards.len() {
             if !self.spilled[i] || self.spill_loaded[i] || self.host_shards[i] {
                 continue;
@@ -787,7 +791,7 @@ impl<P: GasProgram> Timeline for Runner<'_, P> {
             {
                 continue;
             }
-            let Some(payload) = self.storage.spill_get(&store, i as u32, iter)? else {
+            let Some(payload) = self.storage.spill_get(store, i as u32, iter)? else {
                 // Retries exhausted: re-stream the shard from the source
                 // graph (the host-resident layout) — results unaffected,
                 // the StorageDegraded decision records the detour.

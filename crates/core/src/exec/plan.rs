@@ -13,7 +13,6 @@ use gr_graph::{split_shard, GraphLayout, Shard};
 use gr_observe::{Decision, MetricsRegistry, Observer};
 use gr_sim::OutOfMemory;
 
-use crate::buffers::StagingBuffer;
 use crate::options::Options;
 use crate::recovery::EngineError;
 use crate::sizes::{PartitionPlan, SizeModel};
@@ -66,6 +65,42 @@ impl Governed {
             host_shards: self.host_shards,
             spilled: self.spilled,
         }
+    }
+}
+
+/// Chunking policy for the memory governor's bounded staging slot: when a
+/// shard's streaming footprint exceeds the per-slot budget even after
+/// adaptive splitting, its sub-arrays are streamed through one reusable
+/// device allocation of `bytes` in `chunks_for(total)` pieces instead of
+/// landing whole. The slot is a plain streaming allocation — the same
+/// RAII [`gr_sim::Allocation`] the engine holds for ordinary shards —
+/// just sized to the governed budget rather than the largest shard.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StagingBuffer {
+    bytes: u64,
+}
+
+impl StagingBuffer {
+    /// Smallest slot worth chunking through: below one page of staging,
+    /// per-copy latency dominates and host fallback is cheaper.
+    pub const MIN_BYTES: u64 = 4096;
+    /// Most pieces one transfer may be cut into; past this the copy-issue
+    /// overhead swamps any benefit of staying on the device.
+    pub const MAX_CHUNKS: u64 = 4096;
+
+    pub fn new(bytes: u64) -> Self {
+        StagingBuffer { bytes }
+    }
+
+    /// Pieces a `total`-byte transfer splits into through this slot.
+    pub fn chunks_for(&self, total: u64) -> u64 {
+        total.div_ceil(self.bytes.max(1))
+    }
+
+    /// Whether a `total`-byte transfer is worth staging at all, or should
+    /// escalate to the governor's next rung (host fallback).
+    pub fn can_stage(&self, total: u64) -> bool {
+        self.bytes >= Self::MIN_BYTES && self.chunks_for(total) <= Self::MAX_CHUNKS
     }
 }
 
@@ -257,7 +292,7 @@ pub fn build_exec_plan(
                     chunks,
                 });
                 out.chunked[i] = true;
-            } else if opts.shard_store.is_some() {
+            } else if opts.spill_dir.is_some() {
                 // Spill rung: with a shard store configured, an
                 // unstageable shard streams from storage in bounded
                 // chunks instead of abandoning the device. One governor
@@ -338,4 +373,31 @@ pub(crate) fn interval_skew(layout: &GraphLayout, sh: &Shard, in_edges: bool) ->
     }
     let mean = sum as f64 / sh.interval.len() as f64;
     (max as f64 / mean.max(1.0)).clamp(1.0, 16.0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn staging_chunk_math() {
+        let s = StagingBuffer::new(4096);
+        assert_eq!(s.chunks_for(0), 0);
+        assert_eq!(s.chunks_for(1), 1);
+        assert_eq!(s.chunks_for(4096), 1);
+        assert_eq!(s.chunks_for(4097), 2);
+        assert_eq!(s.chunks_for(40960), 10);
+        assert!(s.can_stage(4096 * StagingBuffer::MAX_CHUNKS));
+        assert!(!s.can_stage(4096 * StagingBuffer::MAX_CHUNKS + 1));
+    }
+
+    #[test]
+    fn staging_floor_rejects_tiny_slots() {
+        let tiny = StagingBuffer::new(StagingBuffer::MIN_BYTES - 1);
+        assert!(!tiny.can_stage(1));
+        let zero = StagingBuffer::new(0);
+        // No division panic, and nothing stages through a zero slot.
+        assert_eq!(zero.chunks_for(10), 10);
+        assert!(!zero.can_stage(10));
+    }
 }

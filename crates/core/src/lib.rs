@@ -52,9 +52,8 @@
 #![forbid(unsafe_code)]
 
 pub mod api;
-pub mod buffers;
 pub mod engine;
-pub mod exec;
+pub(crate) mod exec;
 pub(crate) mod frame;
 pub mod multi;
 pub mod options;
@@ -66,24 +65,23 @@ pub mod sizes;
 pub mod snapshot;
 pub(crate) mod snapshot_delta;
 pub mod stats;
-pub mod storage;
+pub(crate) mod storage;
 pub mod store;
 #[cfg(any(test, feature = "test-support"))]
 pub mod testprog;
 
 pub use api::{GasProgram, InitialFrontier};
-pub use buffers::StagingBuffer;
 pub use engine::{GraphReduce, RunResult, WarmStart};
-pub use gr_observe::{WallProfile, WallProfiler, WallSummary};
-pub use gr_sim::{DeviceFault, DeviceHealth, FaultPlan, IoFault, IoOp};
+pub use gr_observe::{WallProfile, WallProfiler};
+pub use gr_sim::FaultPlan;
 pub use multi::{MultiGraphReduce, MultiRunResult, MultiRunStats};
-pub use options::{GatherMode, HostKernels, Options, PartitionLogicHandle, StreamingMode};
+pub use options::{GatherMode, HostKernels, Options, StreamingMode};
 pub use recovery::{EngineError, RecoveryPolicy};
 pub use session::{GraphSession, Query};
 pub use sizes::{
-    optimal_concurrent_shards, pcie_saturating_bytes, plan_partition, plan_partition_with,
-    PartitionPlan, PlanError, SizeModel,
+    optimal_concurrent_shards, pcie_saturating_bytes, plan_partition, PartitionPlan, PlanError,
+    SizeModel,
 };
 pub use snapshot::{CheckpointPolicy, SnapshotError, StateBytes};
 pub use stats::{IterationStats, RunStats};
-pub use store::{FileShardStore, MemShardStore, ShardStore, ShardStoreHandle, StoreError};
+pub use store::{FileShardStore, ShardStore, StoreError};

@@ -18,11 +18,11 @@
 //! own virtual clocks; a global barrier aligns them each stage).
 //!
 //! This module is a thin orchestrator over the shared execution core in
-//! [`crate::exec`]: it runs the same BSP loop as the single-GPU engine
+//! `exec`: it runs the same BSP loop as the single-GPU engine
 //! (`exec/bsp.rs`: one host computation per iteration, one replay helper,
 //! durable writes), every device op goes through a per-device
-//! [`DeviceCtx`] (one retry/backoff policy for both engines), and kernels
-//! are priced by the same [`crate::exec::compute`] builders. What remains
+//! `DeviceCtx` (one retry/backoff policy for both engines), and kernels
+//! are priced by the same `exec/compute.rs` builders. What remains
 //! here is genuinely multi-GPU: shard placement and the per-GPU memory
 //! governor (`govern_placement`), and a device timeline with BSP
 //! barriers, the cross-device exchange and device eviction. Results stay
@@ -42,7 +42,7 @@
 //! no device time. The out-of-host-core shard store and compressed
 //! shards (see `docs/DURABILITY.md`, `docs/COMPRESSION.md`) remain
 //! single-GPU features: this orchestrator ignores
-//! [`crate::Options::shard_store`] and
+//! [`crate::Options::spill_dir`] and
 //! [`crate::Options::shard_compression`], and the bench CLI rejects the
 //! corresponding flags for multi-GPU runs.
 
@@ -193,7 +193,6 @@ pub struct MultiGraphReduce<'g, P: GasProgram> {
     observer: Observer,
     wall: WallProfiler,
     fault_plans: Vec<(usize, FaultPlan)>,
-    recovery: RecoveryPolicy,
     mem_caps: Vec<(usize, u64)>,
     checkpoint_policy: CheckpointPolicy,
 }
@@ -213,7 +212,6 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
             observer: Observer::disabled(),
             wall: WallProfiler::disarmed(),
             fault_plans: Vec::new(),
-            recovery: RecoveryPolicy::default(),
             mem_caps: Vec::new(),
             checkpoint_policy: CheckpointPolicy::default(),
         }
@@ -241,12 +239,6 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
     /// Plans for out-of-range device indices are ignored.
     pub fn with_fault_plan(mut self, device: usize, plan: FaultPlan) -> Self {
         self.fault_plans.push((device, plan));
-        self
-    }
-
-    /// Recovery policy applied to every device's ops.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
         self
     }
 
@@ -299,7 +291,7 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
             Some(format!("gpu{d}/")),
             fault_plan,
             cap,
-            self.recovery.clone(),
+            RecoveryPolicy::default(),
         )
     }
 
@@ -394,7 +386,7 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
             .find(|(_, p)| p.has_io_faults())
             .map(|(_, p)| p.clone())
             .unwrap_or_else(FaultPlan::none);
-        let storage = StorageCtx::new(&io_plan, self.recovery.clone(), self.observer.clone());
+        let storage = StorageCtx::new(&io_plan, RecoveryPolicy::default(), self.observer.clone());
         let fingerprinted =
             restored.is_some() || !matches!(self.checkpoint_policy, CheckpointPolicy::InMemoryOnly);
 

@@ -3,46 +3,12 @@
 //! the design-choice benches can isolate each mechanism.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use gr_graph::{CompressionCodec, EvenEdgePartition, PartitionLogic};
+use gr_graph::CompressionCodec;
 use gr_sim::FaultPlan;
 
 use crate::recovery::RecoveryPolicy;
 use crate::snapshot::CheckpointPolicy;
-use crate::store::{FileShardStore, ShardStore, ShardStoreHandle};
-
-/// Shared handle to a partition logic plug-in (Section 4.2's Partition
-/// Logic Table: "GraphReduce is able to take any user-provided
-/// partitioning logic as a plug-in").
-#[derive(Clone)]
-pub struct PartitionLogicHandle(pub Arc<dyn PartitionLogic + Send + Sync>);
-
-impl PartitionLogicHandle {
-    pub fn new<L: PartitionLogic + Send + Sync + 'static>(logic: L) -> Self {
-        PartitionLogicHandle(Arc::new(logic))
-    }
-}
-
-impl Default for PartitionLogicHandle {
-    fn default() -> Self {
-        PartitionLogicHandle::new(EvenEdgePartition)
-    }
-}
-
-impl std::fmt::Debug for PartitionLogicHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "PartitionLogic({})", self.0.name())
-    }
-}
-
-impl std::ops::Deref for PartitionLogicHandle {
-    type Target = dyn PartitionLogic + Send + Sync;
-
-    fn deref(&self) -> &Self::Target {
-        &*self.0
-    }
-}
 
 /// Cost-model choice for the Gather phase (Section 3.1's hybrid model
 /// ablation). The *results* are identical; the knob selects which kind of
@@ -92,8 +58,6 @@ pub enum HostKernels {
     /// (the default).
     #[default]
     Adaptive,
-    /// Always iterate only the set bits.
-    Sparse,
     /// The pre-adaptive reference path: O(interval) scans probing the
     /// bitmap per vertex. Kept as the differential-test oracle.
     Serial,
@@ -133,9 +97,6 @@ pub struct Options {
     /// Keep shard buffers resident on the device when the whole working
     /// set fits (in-GPU-memory mode — how GR competes in Table 4).
     pub cache_resident: bool,
-    /// Partition logic plug-in (Section 4.2's Partition Logic Table);
-    /// defaults to the paper's load-balanced even-edge intervals.
-    pub partition_logic: PartitionLogicHandle,
     /// Transfer technique for streamed shard buffers.
     pub streaming_mode: StreamingMode,
     /// Deterministic fault-injection schedule armed on the device before
@@ -159,10 +120,6 @@ pub struct Options {
     /// kill-restart. [`CheckpointPolicy::InMemoryOnly`] (the default)
     /// writes none: zero disk traffic, zero extra cost.
     pub checkpoint_policy: CheckpointPolicy,
-    /// Out-of-host-core spill target, the rung *below* host fallback on
-    /// the memory ladder. `None` (the default) keeps the blanket
-    /// storage-stall model for graphs that exceed host RAM.
-    pub shard_store: Option<ShardStoreHandle>,
     /// Gap + varint/ζ compression for shard topology on the PCIe and
     /// spill paths (`docs/COMPRESSION.md`). `None` (the default) ships raw
     /// `(neighbor, edge id)` buffers; `Some(codec)` ships bit-packed gap
@@ -170,9 +127,11 @@ pub struct Options {
     /// memory governor budget in compressed bytes. Results are
     /// bit-identical either way. Single-GPU path only.
     pub shard_compression: Option<CompressionCodec>,
-    /// Directory behind [`Options::with_spill_dir`], remembered so a later
-    /// [`Options::with_shard_compression`] can rebuild the
-    /// [`FileShardStore`] with the codec regardless of builder order.
+    /// Out-of-host-core spill target, the rung *below* host fallback on
+    /// the memory ladder: evicted shards go to checksummed files under
+    /// this directory, coded through `shard_compression` when it is set.
+    /// `None` (the default) keeps the blanket storage-stall model for
+    /// graphs that exceed host RAM.
     pub spill_dir: Option<PathBuf>,
 }
 
@@ -190,14 +149,12 @@ impl Options {
             concurrent_shards: 2,
             num_shards: None,
             cache_resident: true,
-            partition_logic: PartitionLogicHandle::default(),
             streaming_mode: StreamingMode::Explicit,
             fault_plan: FaultPlan::none(),
             recovery: RecoveryPolicy::default(),
             host_kernels: HostKernels::Adaptive,
             mem_cap: None,
             checkpoint_policy: CheckpointPolicy::InMemoryOnly,
-            shard_store: None,
             shard_compression: None,
             spill_dir: None,
         }
@@ -218,20 +175,19 @@ impl Options {
             concurrent_shards: 1,
             num_shards: None,
             cache_resident: false,
-            partition_logic: PartitionLogicHandle::default(),
             streaming_mode: StreamingMode::Explicit,
             fault_plan: FaultPlan::none(),
             recovery: RecoveryPolicy::default(),
             host_kernels: HostKernels::Adaptive,
             mem_cap: None,
             checkpoint_policy: CheckpointPolicy::InMemoryOnly,
-            shard_store: None,
             shard_compression: None,
             spill_dir: None,
         }
     }
 
-    /// Builder-style toggles (used heavily by the ablation benches).
+    /// Toggle multi-stream execution; turning it off also forces one
+    /// shard in flight (`K = 1`), the unoptimized execution mode.
     pub fn with_async_streams(mut self, on: bool) -> Self {
         self.async_streams = on;
         if !on {
@@ -240,66 +196,15 @@ impl Options {
         self
     }
 
-    pub fn with_spray(mut self, on: bool) -> Self {
-        self.spray = on;
-        self
-    }
-
-    pub fn with_frontier_management(mut self, on: bool) -> Self {
-        self.frontier_management = on;
-        self
-    }
-
-    pub fn with_phase_fusion(mut self, on: bool) -> Self {
-        self.phase_fusion = on;
-        self
-    }
-
-    pub fn with_cta_load_balance(mut self, on: bool) -> Self {
-        self.cta_load_balance = on;
-        self
-    }
-
-    pub fn with_gather_mode(mut self, mode: GatherMode) -> Self {
-        self.gather_mode = mode;
-        self
-    }
-
+    /// Shards in flight, clamped to at least one.
     pub fn with_concurrent_shards(mut self, k: u32) -> Self {
         self.concurrent_shards = k.max(1);
         self
     }
 
+    /// Force the shard count `P`, clamped to at least one.
     pub fn with_num_shards(mut self, p: usize) -> Self {
         self.num_shards = Some(p.max(1));
-        self
-    }
-
-    pub fn with_partition_logic<L: PartitionLogic + Send + Sync + 'static>(
-        mut self,
-        logic: L,
-    ) -> Self {
-        self.partition_logic = PartitionLogicHandle::new(logic);
-        self
-    }
-
-    pub fn with_streaming_mode(mut self, mode: StreamingMode) -> Self {
-        self.streaming_mode = mode;
-        self
-    }
-
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = plan;
-        self
-    }
-
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.recovery = policy;
-        self
-    }
-
-    pub fn with_host_kernels(mut self, kernels: HostKernels) -> Self {
-        self.host_kernels = kernels;
         self
     }
 
@@ -309,26 +214,10 @@ impl Options {
         self
     }
 
-    /// Set the checkpoint persistence policy (see
-    /// [`Options::checkpoint_policy`]).
-    pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
-        self.checkpoint_policy = policy;
-        self
-    }
-
-    /// Plug in a shard store as the out-of-host-core spill target (see
-    /// [`Options::shard_store`]).
-    pub fn with_shard_store<S: ShardStore + 'static>(mut self, store: S) -> Self {
-        self.shard_store = Some(ShardStoreHandle::new(store));
-        self
-    }
-
-    /// Convenience: spill evicted shards to checksummed files under `dir`
-    /// (a [`FileShardStore`], its frames coded through the active codec
-    /// when compression is on).
+    /// Spill evicted shards to checksummed files under `dir` (see
+    /// [`Options::spill_dir`]).
     pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
-        self.rebuild_spill_store();
         self
     }
 
@@ -336,20 +225,7 @@ impl Options {
     /// (see [`Options::shard_compression`]).
     pub fn with_shard_compression(mut self, codec: CompressionCodec) -> Self {
         self.shard_compression = Some(codec);
-        self.rebuild_spill_store();
         self
-    }
-
-    /// Re-derive the [`FileShardStore`] from `spill_dir` + the active
-    /// codec, so `with_spill_dir` and `with_shard_compression` compose in
-    /// either order. A custom [`Options::with_shard_store`] is left alone.
-    fn rebuild_spill_store(&mut self) {
-        if let Some(dir) = &self.spill_dir {
-            self.shard_store = Some(ShardStoreHandle::new(FileShardStore::with_codec(
-                dir.clone(),
-                self.shard_compression,
-            )));
-        }
     }
 }
 
@@ -385,39 +261,36 @@ mod tests {
     #[test]
     fn builders_set_fields() {
         let o = Options::unoptimized()
-            .with_spray(true)
             .with_concurrent_shards(0)
             .with_num_shards(0)
-            .with_gather_mode(GatherMode::VertexCentric);
-        assert!(o.spray);
+            .with_mem_cap(1 << 20);
         assert_eq!(o.concurrent_shards, 1); // clamped
         assert_eq!(o.num_shards, Some(1)); // clamped
-        assert_eq!(o.gather_mode, GatherMode::VertexCentric);
+        assert_eq!(o.mem_cap, Some(1 << 20));
     }
 
     #[test]
     fn durability_defaults_off_in_both_presets() {
         for o in [Options::optimized(), Options::unoptimized()] {
             assert_eq!(o.checkpoint_policy, CheckpointPolicy::InMemoryOnly);
-            assert!(o.shard_store.is_none());
+            assert!(o.spill_dir.is_none());
         }
-        let o = Options::optimized()
-            .with_checkpoint_policy(CheckpointPolicy::durable("/tmp/ck", 3))
-            .with_spill_dir("/tmp/spill");
+        let o = Options {
+            checkpoint_policy: CheckpointPolicy::durable("/tmp/ck", 3),
+            ..Options::optimized()
+        }
+        .with_spill_dir("/tmp/spill");
         assert!(matches!(
             o.checkpoint_policy,
             CheckpointPolicy::Durable { every: 3, .. }
         ));
-        assert_eq!(o.shard_store.as_ref().unwrap().name(), "file");
-        let o = o.with_shard_store(crate::store::MemShardStore::new());
-        assert_eq!(o.shard_store.as_ref().unwrap().name(), "mem");
+        assert_eq!(o.spill_dir, Some(PathBuf::from("/tmp/spill")));
     }
 
     #[test]
     fn compression_composes_with_spill_dir_in_either_order() {
         for o in [Options::optimized(), Options::unoptimized()] {
             assert!(o.shard_compression.is_none());
-            assert!(o.spill_dir.is_none());
         }
         let a = Options::optimized()
             .with_spill_dir("/tmp/gr-spill")
@@ -427,7 +300,7 @@ mod tests {
             .with_spill_dir("/tmp/gr-spill");
         for o in [a, b] {
             assert_eq!(o.shard_compression, Some(CompressionCodec::Varint));
-            assert_eq!(o.shard_store.as_ref().unwrap().name(), "file");
+            assert_eq!(o.spill_dir, Some(PathBuf::from("/tmp/gr-spill")));
         }
     }
 
@@ -436,10 +309,6 @@ mod tests {
         let o = Options::optimized();
         assert!(o.fault_plan.is_none());
         assert_eq!(o.recovery, RecoveryPolicy::default());
-        let armed = o
-            .with_fault_plan(FaultPlan::none().fail_h2d(0, 1))
-            .with_recovery(RecoveryPolicy::fail_fast());
-        assert!(!armed.fault_plan.is_none());
-        assert_eq!(armed.recovery.max_retries, 0);
+        assert_eq!(o.host_kernels, HostKernels::Adaptive);
     }
 }

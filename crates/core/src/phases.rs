@@ -21,9 +21,10 @@
 //!
 //! [`HostKernels::Adaptive`] picks per shard per phase by comparing the
 //! interval's active population against its length (threshold
-//! [`SPARSE_DENSITY_DENOM`]). All variants produce **bit-identical**
-//! results and identical [`ShardWork`] counts — asserted by the
-//! differential tests in `tests/host_kernels.rs`.
+//! [`SPARSE_DENSITY_DENOM`]); [`HostKernels::Serial`] always scans and is
+//! the oracle. Both produce **bit-identical** results and identical
+//! [`ShardWork`] counts — asserted by the differential tests in
+//! `tests/host_kernels.rs`.
 //!
 //! Every kernel here runs on one thread. The host's one parallel level is
 //! the shard fan-out in `exec/host.rs`.
@@ -54,7 +55,6 @@ enum Shape {
 fn resolve(mode: HostKernels, active: u64, interval_len: u64) -> Shape {
     match mode {
         HostKernels::Serial => Shape::Scan,
-        HostKernels::Sparse => Shape::Sparse,
         HostKernels::Adaptive if active.saturating_mul(SPARSE_DENSITY_DENOM) < interval_len => {
             Shape::Sparse
         }
@@ -367,11 +367,7 @@ mod tests {
         (layout, shards)
     }
 
-    const ALL_MODES: [HostKernels; 3] = [
-        HostKernels::Adaptive,
-        HostKernels::Sparse,
-        HostKernels::Serial,
-    ];
+    const ALL_MODES: [HostKernels; 2] = [HostKernels::Adaptive, HostKernels::Serial];
 
     #[test]
     fn gather_apply_roundtrip() {
@@ -564,8 +560,7 @@ mod tests {
         assert_eq!(resolve(HostKernels::Adaptive, 1000, 1000), Shape::Scan);
         assert_eq!(resolve(HostKernels::Adaptive, 124, 1000), Shape::Sparse);
         assert_eq!(resolve(HostKernels::Adaptive, 125, 1000), Shape::Scan);
-        // Forced modes ignore the population.
-        assert_eq!(resolve(HostKernels::Sparse, 1000, 1000), Shape::Sparse);
+        // The oracle ignores the population.
         assert_eq!(resolve(HostKernels::Serial, 0, 1000), Shape::Scan);
         // The scan keeps its profile label.
         assert_eq!(shape_name(HostKernels::Serial, 0, 1000), "dense");

@@ -282,25 +282,6 @@ pub fn run_report(stats: &RunStats, rec: &Recorded) -> String {
     out
 }
 
-/// Figure 16/17 series: one row per iteration of one run.
-pub fn frontier_csv(stats: &RunStats) -> String {
-    let mut out = String::from(
-        "iteration,frontier_size,gathered_edges,changed,activated,shards_processed,shards_skipped\n",
-    );
-    for (i, it) in stats.per_iteration.iter().enumerate() {
-        out.push_str(&format!(
-            "{i},{},{},{},{},{},{}\n",
-            it.frontier_size,
-            it.gathered_edges,
-            it.changed,
-            it.activated,
-            it.shards_processed,
-            it.shards_skipped
-        ));
-    }
-    out
-}
-
 /// Figure 15 table: one row per `(graph, algorithm, variant)` run, with
 /// the memcpy/kernel split and transfer volumes the figure compares.
 pub fn memcpy_csv<'a>(rows: impl IntoIterator<Item = (&'a str, &'a str, &'a RunStats)>) -> String {
@@ -490,15 +471,6 @@ mod tests {
         );
         assert_eq!(rep.matches('[').count(), rep.matches(']').count());
         assert!(!rep.contains(",]") && !rep.contains(",}"));
-    }
-
-    #[test]
-    fn frontier_csv_has_one_row_per_iteration() {
-        let csv = frontier_csv(&stats());
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(lines[1], "0,1,3,2,2,1,1");
-        assert_eq!(lines[2], "1,2,5,0,0,2,0");
     }
 
     #[test]

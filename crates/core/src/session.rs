@@ -3,17 +3,16 @@
 //! Everything whose lifetime is *the graph* lives in [`GraphSession`]:
 //! the [`GraphLayout`] borrow, the platform, the session [`Options`]
 //! (partitioning, compression, spill/store wiring, streaming mode), the
-//! gap-coded [`ShardCompression`] topology (built exactly once, shared by
+//! gap-coded `ShardCompression` topology (built exactly once, shared by
 //! every query), and a partition-plan cache keyed by the program's
-//! [`SizeModel`] — `plan_partition_with` is a pure function of
+//! [`SizeModel`] — `plan_partition` is a pure function of
 //! `(layout, sizes, device, session options)`, so two queries with the
 //! same byte model reuse one plan.
 //!
 //! Everything whose lifetime is *one query* lives in [`Query`]: the
 //! algorithm program borrow, warm/restored host state, the observer and
-//! wall profiler, and the query-scoped policy knobs (fault plan, recovery,
-//! checkpoint policy, host kernels, memory cap). The governed
-//! [`ExecPlan`](crate::exec::plan::ExecPlan) stays per-query on purpose:
+//! wall profiler, and the query-scoped checkpoint policy. The governed
+//! `ExecPlan` (`exec/plan.rs`) stays per-query on purpose:
 //! the governor ladder emits its decisions and metrics into the query's
 //! observer lane, which keeps decision logs and [`crate::RunStats`] bit-identical
 //! to the pre-session engine (see `docs/SERVING.md`).
@@ -26,14 +25,14 @@ use std::sync::{Arc, Mutex};
 
 use gr_graph::GraphLayout;
 use gr_observe::{Observer, WallProfiler};
-use gr_sim::{FaultPlan, Platform};
+use gr_sim::Platform;
 
 use crate::api::GasProgram;
 use crate::engine::RunResult;
 use crate::exec::compress::ShardCompression;
 use crate::exec::driver::Runner;
-use crate::options::{HostKernels, Options};
-use crate::recovery::{EngineError, RecoveryPolicy};
+use crate::options::Options;
+use crate::recovery::EngineError;
 use crate::sizes::{PartitionPlan, PlanError, SizeModel};
 use crate::snapshot::CheckpointPolicy;
 
@@ -95,8 +94,8 @@ pub(crate) fn check_seeds<P: GasProgram>(program: &P, n: u32) -> Result<(), Engi
 
 /// Plan-cache key: the byte model plus the planner inputs that can differ
 /// between the single-device path (session options) and the multi-GPU
-/// facade (fixed `K = 2`, default partition logic).
-type PlanKey = (SizeModel, u32, Option<usize>, bool);
+/// facade (fixed `K = 2`, organic shard count).
+type PlanKey = (SizeModel, u32, Option<usize>);
 
 /// Build-once, query-many handle to one graph on one platform.
 ///
@@ -151,30 +150,26 @@ impl<'g> GraphSession<'g> {
     }
 
     /// Number of distinct partition plans materialized so far.
-    pub fn cached_plans(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cached_plans(&self) -> usize {
         self.plans.lock().unwrap().len()
     }
 
     /// The session's partition plan for a program byte model, computed on
-    /// first use and cached: `plan_partition_with` is pure and every input
+    /// first use and cached: `plan_partition` is pure and every input
     /// besides `sizes` is session-constant.
     pub fn partition_plan(&self, sizes: &SizeModel) -> Result<PartitionPlan, PlanError> {
-        self.plan_cached(
-            sizes,
-            self.opts.concurrent_shards,
-            self.opts.num_shards,
-            false,
-        )
+        self.plan_cached(sizes, self.opts.concurrent_shards, self.opts.num_shards)
     }
 
     /// The multi-GPU orchestrator's plan shape: per-device concurrency 2,
-    /// organic shard count, default partition logic (what
-    /// [`crate::multi::MultiGraphReduce`] has always planned with).
+    /// organic shard count (what [`crate::multi::MultiGraphReduce`] has
+    /// always planned with).
     pub(crate) fn multi_partition_plan(
         &self,
         sizes: &SizeModel,
     ) -> Result<PartitionPlan, PlanError> {
-        self.plan_cached(sizes, 2, None, true)
+        self.plan_cached(sizes, 2, None)
     }
 
     fn plan_cached(
@@ -182,32 +177,19 @@ impl<'g> GraphSession<'g> {
         sizes: &SizeModel,
         requested_k: u32,
         override_p: Option<usize>,
-        default_logic: bool,
     ) -> Result<PartitionPlan, PlanError> {
-        let key = (*sizes, requested_k, override_p, default_logic);
+        let key = (*sizes, requested_k, override_p);
         if let Some((_, plan)) = self.plans.lock().unwrap().iter().find(|(k, _)| *k == key) {
             return Ok(plan.clone());
         }
-        let plan = if default_logic {
-            crate::sizes::plan_partition(
-                self.layout,
-                sizes,
-                &self.platform.device,
-                &self.platform.pcie,
-                requested_k,
-                override_p,
-            )?
-        } else {
-            crate::sizes::plan_partition_with(
-                self.layout,
-                sizes,
-                &self.platform.device,
-                &self.platform.pcie,
-                requested_k,
-                override_p,
-                &*self.opts.partition_logic,
-            )?
-        };
+        let plan = crate::sizes::plan_partition(
+            self.layout,
+            sizes,
+            &self.platform.device,
+            &self.platform.pcie,
+            requested_k,
+            override_p,
+        )?;
         self.plans.lock().unwrap().push((key, plan.clone()));
         Ok(plan)
     }
@@ -269,33 +251,9 @@ impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
         self
     }
 
-    /// Query-scoped fault-injection plan.
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.opts.fault_plan = plan;
-        self
-    }
-
-    /// Query-scoped recovery policy.
-    pub fn with_recovery(mut self, policy: RecoveryPolicy) -> Self {
-        self.opts.recovery = policy;
-        self
-    }
-
     /// Query-scoped checkpoint policy.
     pub fn with_checkpoint_policy(mut self, policy: CheckpointPolicy) -> Self {
         self.opts.checkpoint_policy = policy;
-        self
-    }
-
-    /// Query-scoped host-kernel selection.
-    pub fn with_host_kernels(mut self, kernels: HostKernels) -> Self {
-        self.opts.host_kernels = kernels;
-        self
-    }
-
-    /// Query-scoped device-memory cap (exercises the runtime governor).
-    pub fn with_mem_cap(mut self, bytes: u64) -> Self {
-        self.opts.mem_cap = Some(bytes);
         self
     }
 
@@ -402,22 +360,6 @@ mod tests {
             .unwrap();
             assert_eq!(got.vertex_values, want.vertex_values, "source {src}");
         }
-        assert_eq!(session.cached_plans(), 1);
-    }
-
-    #[test]
-    fn query_scoped_mem_cap_governs_without_touching_session_plan() {
-        let layout = small_graph();
-        let session = GraphSession::new(&layout, Platform::paper_node(), Options::optimized());
-        let free = session.query(&Cc).run().unwrap();
-        let capped = session.query(&Cc).with_mem_cap(96 * 1024).run().unwrap();
-        assert_eq!(free.vertex_values, capped.vertex_values);
-        assert!(
-            capped.stats.governor_decisions() > 0,
-            "cap must engage the governor"
-        );
-        // The optimistic partition plan is shared; only the governed
-        // per-query exec plan differs.
         assert_eq!(session.cached_plans(), 1);
     }
 }

@@ -16,7 +16,7 @@
 //! saturating shards in flight (one transferring, one computing) already
 //! achieve full overlap — their derivation yields K = 2 on the K20c.
 
-use gr_graph::{EvenEdgePartition, GraphLayout, PartitionLogic, Shard};
+use gr_graph::{GraphLayout, Shard};
 use gr_sim::{DeviceConfig, PcieConfig};
 
 /// Byte sizes of every buffer class for one program instantiation.
@@ -176,29 +176,6 @@ pub fn plan_partition(
     requested_k: u32,
     override_p: Option<usize>,
 ) -> Result<PartitionPlan, PlanError> {
-    plan_partition_with(
-        layout,
-        sizes,
-        device,
-        pcie,
-        requested_k,
-        override_p,
-        &EvenEdgePartition,
-    )
-}
-
-/// [`plan_partition`] with an explicit partition-logic plug-in (Section
-/// 4.2's Partition Logic Table).
-#[allow(clippy::too_many_arguments)] // the full Partition Engine interface
-pub fn plan_partition_with(
-    layout: &GraphLayout,
-    sizes: &SizeModel,
-    device: &DeviceConfig,
-    pcie: &PcieConfig,
-    requested_k: u32,
-    override_p: Option<usize>,
-    logic: &dyn PartitionLogic,
-) -> Result<PartitionPlan, PlanError> {
     let v = layout.num_vertices() as u64;
     let static_bytes = sizes.static_bytes(v);
     if static_bytes > device.mem_capacity {
@@ -214,16 +191,7 @@ pub fn plan_partition_with(
     // can still run with fewer shards in flight.
     let mut last_err = None;
     for k in (1..=k_wanted).rev() {
-        match try_plan(
-            layout,
-            sizes,
-            device.mem_capacity,
-            budget,
-            k,
-            override_p,
-            logic,
-            v,
-        ) {
+        match try_plan(layout, sizes, device.mem_capacity, budget, k, override_p, v) {
             Ok(plan) => return Ok(plan),
             Err(e) => last_err = Some(e),
         }
@@ -231,7 +199,6 @@ pub fn plan_partition_with(
     Err(last_err.expect("at least one concurrency level attempted"))
 }
 
-#[allow(clippy::too_many_arguments)] // internal planning helper
 fn try_plan(
     layout: &GraphLayout,
     sizes: &SizeModel,
@@ -239,7 +206,6 @@ fn try_plan(
     budget: u64,
     k: u32,
     override_p: Option<usize>,
-    logic: &dyn PartitionLogic,
     v: u64,
 ) -> Result<PartitionPlan, PlanError> {
     let static_bytes = sizes.static_bytes(v);
@@ -250,7 +216,7 @@ fn try_plan(
 
     let mut p = override_p.unwrap_or_else(|| total_stream.div_ceil(slot.max(1)).max(1) as usize);
     loop {
-        let intervals = logic.partition(layout, p);
+        let intervals = gr_graph::partition_even_edges(layout, p);
         let shards = gr_graph::build_shards(layout, &intervals);
         let max_shard_bytes = shards
             .iter()

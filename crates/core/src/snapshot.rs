@@ -3,7 +3,7 @@
 //! so a killed run can resume from disk.
 //!
 //! The host computes exact results deterministically (see
-//! [`crate::exec::bsp`]), so a snapshot of the host master state at a BSP
+//! `exec/bsp.rs`), so a snapshot of the host master state at a BSP
 //! iteration boundary is a complete resume point: replaying the remaining
 //! iterations converges bit-identically to the uninterrupted run. A
 //! snapshot is one frame of the crate's single on-disk container (header

@@ -29,7 +29,7 @@ use gr_sim::{FaultPlan, IoFault, IoFaultState, IoOp};
 
 use crate::frame::write_atomic;
 use crate::recovery::{EngineError, RecoveryPolicy};
-use crate::store::ShardStoreHandle;
+use crate::store::{FileShardStore, ShardStore};
 
 /// Counters the storage plane accumulates for [`crate::RunStats`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -100,7 +100,7 @@ impl StorageCtx {
     /// caller must not mark it spilled.
     pub(crate) fn spill_put(
         &mut self,
-        store: &ShardStoreHandle,
+        store: &FileShardStore,
         shard: u32,
         payload: &[u8],
         iteration: u32,
@@ -121,7 +121,7 @@ impl StorageCtx {
     /// exhausted: the caller re-streams the shard from the source graph.
     pub(crate) fn spill_get(
         &mut self,
-        store: &ShardStoreHandle,
+        store: &FileShardStore,
         shard: u32,
         iteration: u32,
     ) -> Result<Option<Vec<u8>>, EngineError> {
@@ -189,7 +189,6 @@ impl StorageCtx {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::MemShardStore;
     use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
@@ -204,7 +203,8 @@ mod tests {
     fn disarmed_context_is_pass_through_with_zero_decisions() {
         let (obs, rec) = Observer::recording();
         let mut ctx = StorageCtx::new(&FaultPlan::none(), RecoveryPolicy::default(), obs);
-        let store = ShardStoreHandle::new(MemShardStore::new());
+        let dir = tmpdir("passthrough");
+        let store = FileShardStore::new(&dir);
         let b = ctx.spill_put(&store, 0, b"payload", 1).unwrap();
         assert_eq!(b, Some(7));
         let back = ctx.spill_get(&store, 0, 1).unwrap();
@@ -212,6 +212,7 @@ mod tests {
         assert_eq!(ctx.injected(), 0);
         assert_eq!(ctx.counters.retries, 0);
         assert_eq!(rec.recorded().storage_decisions(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -221,7 +222,8 @@ mod tests {
             .fail_spill_read(0, 2)
             .fail_spill_write(0, 1);
         let mut ctx = StorageCtx::new(&plan, RecoveryPolicy::default(), obs);
-        let store = ShardStoreHandle::new(MemShardStore::new());
+        let dir = tmpdir("transient");
+        let store = FileShardStore::new(&dir);
         assert!(ctx.spill_put(&store, 3, b"xyz", 0).unwrap().is_some());
         assert!(ctx.spill_get(&store, 3, 1).unwrap().is_some());
         assert_eq!(ctx.injected(), 3);
@@ -233,6 +235,7 @@ mod tests {
             .decisions
             .iter()
             .all(|d| matches!(d, Decision::StorageRetry { .. })));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -241,7 +244,8 @@ mod tests {
         // More consecutive faults than retries: the 4th exhausts.
         let plan = FaultPlan::none().fail_spill_read(0, 4);
         let mut ctx = StorageCtx::new(&plan, RecoveryPolicy::default(), obs);
-        let store = ShardStoreHandle::new(MemShardStore::new());
+        let dir = tmpdir("exhausted");
+        let store = FileShardStore::new(&dir);
         store.put(9, b"blob").unwrap();
         assert!(ctx.spill_get(&store, 9, 2).unwrap().is_none());
         assert_eq!(ctx.counters.restreams, 1);
@@ -255,6 +259,7 @@ mod tests {
                 ..
             })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -309,9 +314,11 @@ mod tests {
         let (obs, rec) = Observer::recording();
         let plan = FaultPlan::none().fail_spill_write(0, 1);
         let mut ctx = StorageCtx::new(&plan, RecoveryPolicy::fail_fast(), obs);
-        let store = ShardStoreHandle::new(MemShardStore::new());
+        let dir = tmpdir("failfast");
+        let store = FileShardStore::new(&dir);
         assert!(ctx.spill_put(&store, 0, b"p", 0).unwrap().is_none());
         assert_eq!(ctx.counters.retries, 0);
         assert_eq!(rec.recorded().storage_decisions(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,16 +4,14 @@
 //! When the working set exceeds even host RAM, the governor evicts shard
 //! topology to a [`ShardStore`] and streams it back GraphChi-style through
 //! the chunked-transfer staging path, charging the cost model a storage
-//! read per load instead of pretending the host holds everything. Two
-//! implementations ship: [`MemShardStore`] (tests, and a stand-in for a
-//! fast object cache) and [`FileShardStore`] (one checksummed file per
-//! shard). See `docs/DURABILITY.md` and `docs/MEMORY.md`.
+//! read per load instead of pretending the host holds everything. The
+//! engine's store is a [`FileShardStore`] (one checksummed file per
+//! shard) under [`Options::spill_dir`](crate::Options::spill_dir). See
+//! `docs/DURABILITY.md` and `docs/MEMORY.md`.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 use gr_graph::compress::{unzigzag, zigzag, BitReader, BitWriter};
 use gr_graph::CompressionCodec;
@@ -100,7 +98,7 @@ impl std::error::Error for StoreError {}
 /// run. Payloads are opaque bytes to the store; the engine frames them
 /// (`shard_payload`) and verifies integrity on the way back in.
 pub trait ShardStore: Send + Sync {
-    /// Short human tag for decision logs and reports ("mem", "file").
+    /// Short human tag for decision logs and reports ("file").
     fn name(&self) -> &'static str;
 
     /// Persist `payload` for `shard`, replacing any previous blob.
@@ -114,75 +112,6 @@ pub trait ShardStore: Send + Sync {
 
     /// Whether a blob exists for `shard`.
     fn contains(&self, shard: u32) -> bool;
-}
-
-/// Cloneable handle wrapping a [`ShardStore`], mirroring
-/// [`PartitionLogicHandle`](crate::options::PartitionLogicHandle) so
-/// `Options` stays `Clone`.
-#[derive(Clone)]
-pub struct ShardStoreHandle(pub Arc<dyn ShardStore>);
-
-impl ShardStoreHandle {
-    pub fn new<S: ShardStore + 'static>(store: S) -> Self {
-        ShardStoreHandle(Arc::new(store))
-    }
-}
-
-impl fmt::Debug for ShardStoreHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "ShardStoreHandle({})", self.0.name())
-    }
-}
-
-impl std::ops::Deref for ShardStoreHandle {
-    type Target = dyn ShardStore;
-
-    fn deref(&self) -> &Self::Target {
-        &*self.0
-    }
-}
-
-/// In-memory store: a mutexed map. Useful in tests and as the model
-/// implementation — it exercises every engine spill path with zero disk.
-#[derive(Default)]
-pub struct MemShardStore {
-    blobs: Mutex<HashMap<u32, Vec<u8>>>,
-}
-
-impl MemShardStore {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl ShardStore for MemShardStore {
-    fn name(&self) -> &'static str {
-        "mem"
-    }
-
-    fn put(&self, shard: u32, payload: &[u8]) -> Result<u64, StoreError> {
-        self.blobs
-            .lock()
-            .expect("shard store poisoned")
-            .insert(shard, payload.to_vec());
-        Ok(payload.len() as u64)
-    }
-
-    fn get(&self, shard: u32) -> Result<Vec<u8>, StoreError> {
-        self.blobs
-            .lock()
-            .expect("shard store poisoned")
-            .get(&shard)
-            .cloned()
-            .ok_or(StoreError::Missing { shard })
-    }
-
-    fn contains(&self, shard: u32) -> bool {
-        self.blobs
-            .lock()
-            .expect("shard store poisoned")
-            .contains_key(&shard)
-    }
 }
 
 /// File-backed store: one blob per shard under a directory, each a
@@ -406,18 +335,6 @@ mod tests {
     }
 
     #[test]
-    fn mem_store_round_trips_and_reports_missing() {
-        let s = MemShardStore::new();
-        assert!(!s.contains(3));
-        assert_eq!(s.get(3), Err(StoreError::Missing { shard: 3 }));
-        s.put(3, b"topology").unwrap();
-        assert!(s.contains(3));
-        assert_eq!(s.get(3).unwrap(), b"topology");
-        s.put(3, b"replaced").unwrap();
-        assert_eq!(s.get(3).unwrap(), b"replaced");
-    }
-
-    #[test]
     fn file_store_round_trips_through_disk() {
         let dir = tmpdir("rt");
         let s = FileShardStore::new(&dir);
@@ -427,6 +344,8 @@ mod tests {
         assert!(s.contains(0) && s.contains(1) && !s.contains(2));
         assert_eq!(s.get(0).unwrap(), vec![7u8; 1000]);
         assert_eq!(s.get(1).unwrap(), Vec::<u8>::new());
+        s.put(0, b"replaced").unwrap();
+        assert_eq!(s.get(0).unwrap(), b"replaced");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -485,7 +404,7 @@ mod tests {
     #[test]
     fn v2_frames_round_trip_and_shrink_real_payloads() {
         let layout = GraphLayout::build(&gr_graph::gen::rmat_g500(9, 4096, 7).symmetrize());
-        let shards = gr_graph::partition_into_shards(&layout, &gr_graph::EvenEdgePartition, 4);
+        let shards = gr_graph::build_shards(&layout, &gr_graph::partition_even_edges(&layout, 4));
         let dir = tmpdir("v2");
         for codec in [CompressionCodec::Varint, CompressionCodec::Zeta(3)] {
             let s = FileShardStore::with_codec(&dir, Some(codec));
@@ -584,7 +503,7 @@ mod tests {
     #[test]
     fn payload_decoder_is_total_on_truncated_flipped_and_spliced_streams() {
         let layout = GraphLayout::build(&gr_graph::gen::rmat_g500(8, 2048, 3).symmetrize());
-        let shards = gr_graph::partition_into_shards(&layout, &gr_graph::EvenEdgePartition, 2);
+        let shards = gr_graph::build_shards(&layout, &gr_graph::partition_even_edges(&layout, 2));
         let mut payload = shard_payload(&layout, &shards[0]);
         payload.extend_from_slice(b"odd"); // raw tail bytes
         for codec in [
@@ -682,14 +601,5 @@ mod tests {
         fs::write(&path, &good).unwrap();
         assert_eq!(s.get(4).unwrap(), payload);
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn handle_is_cloneable_and_debuggable() {
-        let h = ShardStoreHandle::new(MemShardStore::new());
-        let h2 = h.clone();
-        h.put(1, b"x").unwrap();
-        assert!(h2.contains(1), "clones share the underlying store");
-        assert_eq!(format!("{h:?}"), "ShardStoreHandle(mem)");
     }
 }

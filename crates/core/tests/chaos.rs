@@ -43,7 +43,10 @@ fn run_faulted(plan: FaultPlan) -> (Vec<u32>, graphreduce::RunStats) {
         Cc,
         &layout,
         platform(),
-        Options::optimized().with_fault_plan(plan),
+        Options {
+            fault_plan: plan,
+            ..Options::optimized()
+        },
     )
     .with_observer(obs)
     .run()
@@ -130,9 +133,11 @@ fn device_loss_fail_fast_surfaces_device_lost() {
         Cc,
         &layout,
         platform(),
-        Options::optimized()
-            .with_fault_plan(mid_run_loss())
-            .with_recovery(RecoveryPolicy::fail_fast()),
+        Options {
+            fault_plan: mid_run_loss(),
+            recovery: RecoveryPolicy::fail_fast(),
+            ..Options::optimized()
+        },
     )
     .run();
     match res {
@@ -149,9 +154,11 @@ fn alloc_pressure_past_retry_budget_surfaces_oom() {
         Cc,
         &layout,
         platform(),
-        Options::optimized()
-            .with_fault_plan(FaultPlan::none().fail_alloc(0, 64))
-            .with_recovery(RecoveryPolicy::fail_fast()),
+        Options {
+            fault_plan: FaultPlan::none().fail_alloc(0, 64),
+            recovery: RecoveryPolicy::fail_fast(),
+            ..Options::optimized()
+        },
     )
     .run();
     match res {
@@ -184,7 +191,10 @@ fn disarmed_fault_plan_adds_zero_overhead() {
         Cc,
         &layout,
         platform(),
-        Options::optimized().with_fault_plan(FaultPlan::none()),
+        Options {
+            fault_plan: FaultPlan::none(),
+            ..Options::optimized()
+        },
     )
     .run()
     .unwrap();
@@ -271,19 +281,31 @@ fn faulted_single_gpu_timelines_are_pinned() {
     let dir = scratch("pinned");
     let cases = [
         (
-            Options::optimized().with_fault_plan(FaultPlan::none().fail_h2d(5, 6)),
+            Options {
+                fault_plan: FaultPlan::none().fail_h2d(5, 6),
+                ..Options::optimized()
+            },
             (1_433_643, 144, 39, 2_304_042, 1, 5, false),
         ),
         (
-            durable_opts(&dir, 1).with_fault_plan(FaultPlan::none().fail_h2d(5, 6)),
+            Options {
+                fault_plan: FaultPlan::none().fail_h2d(5, 6),
+                ..durable_opts(&dir, 1)
+            },
             (1_433_643, 144, 39, 2_304_042, 1, 5, false),
         ),
         (
-            Options::optimized().with_fault_plan(mid_run_loss()),
+            Options {
+                fault_plan: mid_run_loss(),
+                ..Options::optimized()
+            },
             (1_088_659, 73, 21, 1_214_464, 0, 0, true),
         ),
         (
-            Options::optimized().with_fault_plan(FaultPlan::from_seed(42)),
+            Options {
+                fault_plan: FaultPlan::from_seed(42),
+                ..Options::optimized()
+            },
             (1_074_537, 135, 41, 2_140_158, 0, 3, false),
         ),
     ];
@@ -379,7 +401,10 @@ fn a_replayed_iteration_is_not_recomputed() {
             Bfs(0),
             &layout,
             Platform::paper_node_scaled(65536),
-            Options::optimized().with_fault_plan(plan),
+            Options {
+                fault_plan: plan,
+                ..Options::optimized()
+            },
         )
         .with_observer(obs)
         .run()
@@ -616,9 +641,10 @@ fn impossible_cap_without_host_fallback_is_a_clean_alloc_error() {
             Cc,
             &layout,
             platform(),
-            Options::optimized()
-                .with_mem_cap(cap)
-                .with_recovery(RecoveryPolicy::fail_fast()),
+            Options {
+                recovery: RecoveryPolicy::fail_fast(),
+                ..Options::optimized().with_mem_cap(cap)
+            },
         )
         .run();
         match res {
@@ -636,7 +662,7 @@ fn impossible_cap_without_host_fallback_is_a_clean_alloc_error() {
 // semantics these tests pin down.
 // ---------------------------------------------------------------------------
 
-use graphreduce::{CheckpointPolicy, MemShardStore, SnapshotError};
+use graphreduce::{CheckpointPolicy, SnapshotError};
 
 /// Fresh scratch directory (no tempfile crate in the workspace).
 fn scratch(tag: &str) -> std::path::PathBuf {
@@ -648,7 +674,10 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 }
 
 fn durable_opts(dir: &std::path::Path, every: u32) -> Options {
-    Options::optimized().with_checkpoint_policy(CheckpointPolicy::durable(dir, every))
+    Options {
+        checkpoint_policy: CheckpointPolicy::durable(dir, every),
+        ..Options::optimized()
+    }
 }
 
 /// Kill `p` at iteration `kill_at` (durable snapshots every iteration),
@@ -665,7 +694,10 @@ fn kill_then_resume<P: GasProgram + Clone>(
         p.clone(),
         layout,
         platform(),
-        durable_opts(&dir, 1).with_fault_plan(FaultPlan::none().kill_at_iteration(kill_at)),
+        Options {
+            fault_plan: FaultPlan::none().kill_at_iteration(kill_at),
+            ..durable_opts(&dir, 1)
+        },
     )
     .run();
     match res {
@@ -893,7 +925,10 @@ fn rollback_under_a_durable_policy_replays_exactly() {
         Cc,
         &layout,
         platform(),
-        durable_opts(&dir, 1).with_fault_plan(FaultPlan::none().fail_h2d(5, 6)),
+        Options {
+            fault_plan: FaultPlan::none().fail_h2d(5, 6),
+            ..durable_opts(&dir, 1)
+        },
     )
     .run()
     .unwrap();
@@ -1012,14 +1047,6 @@ fn assert_spill_run_bit_identical(opts: Options, tag: &str) {
         "{tag}"
     );
     assert_eq!(rec.recovery_decisions(), 0, "{tag}");
-}
-
-#[test]
-fn host_capped_run_spills_through_memory_store_bit_identical() {
-    assert_spill_run_bit_identical(
-        Options::optimized().with_shard_store(MemShardStore::new()),
-        "mem-store",
-    );
 }
 
 #[test]

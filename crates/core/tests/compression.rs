@@ -49,16 +49,13 @@ where
     let base = run(prog, &layout, Options::optimized());
     assert_eq!(base.stats.compression_codec, None);
     assert_eq!(base.stats.decompress_launches, 0);
-    let modes = [
-        HostKernels::Adaptive,
-        HostKernels::Sparse,
-        HostKernels::Serial,
-    ];
+    let modes = [HostKernels::Adaptive, HostKernels::Serial];
     for codec in [CompressionCodec::Varint, CompressionCodec::Zeta(3)] {
         for (mode, capped) in modes.into_iter().flat_map(|m| [(m, false), (m, true)]) {
-            let mut opts = Options::optimized()
-                .with_shard_compression(codec)
-                .with_host_kernels(mode);
+            let mut opts = Options {
+                host_kernels: mode,
+                ..Options::optimized().with_shard_compression(codec)
+            };
             if capped {
                 opts = opts.with_mem_cap(platform().device.mem_capacity / 4);
             }

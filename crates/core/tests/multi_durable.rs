@@ -351,8 +351,10 @@ fn multi_snapshots_carry_the_placement_frame() {
         Cc,
         &layout,
         platform(),
-        graphreduce::Options::optimized()
-            .with_checkpoint_policy(CheckpointPolicy::durable(&dir, 1)),
+        graphreduce::Options {
+            checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
+            ..graphreduce::Options::optimized()
+        },
     )
     .resume(&dir)
     .unwrap();

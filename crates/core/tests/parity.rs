@@ -176,7 +176,10 @@ fn identical_fault_schedules_charge_identical_sim_time() {
         Cc,
         &l,
         plat.clone(),
-        Options::optimized().with_fault_plan(schedule.clone()),
+        Options {
+            fault_plan: schedule.clone(),
+            ..Options::optimized()
+        },
     )
     .with_observer(sobs)
     .run()
@@ -233,7 +236,10 @@ fn exhausted_retries_roll_back_identically() {
         Cc,
         &l,
         plat.clone(),
-        Options::optimized().with_fault_plan(schedule.clone()),
+        Options {
+            fault_plan: schedule.clone(),
+            ..Options::optimized()
+        },
     )
     .with_observer(sobs)
     .run()

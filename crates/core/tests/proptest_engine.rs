@@ -115,15 +115,15 @@ fn options() -> impl Strategy<Value = Options> {
             Just(GatherMode::EdgeCentricAtomic)
         ],
     )
-        .prop_map(|(a, s, f, ph, cta, k, gm)| {
-            Options::optimized()
+        .prop_map(|(a, s, f, ph, cta, k, gm)| Options {
+            spray: s,
+            frontier_management: f,
+            phase_fusion: ph,
+            cta_load_balance: cta,
+            gather_mode: gm,
+            ..Options::optimized()
                 .with_async_streams(a)
-                .with_spray(s)
-                .with_frontier_management(f)
-                .with_phase_fusion(ph)
-                .with_cta_load_balance(cta)
                 .with_concurrent_shards(k)
-                .with_gather_mode(gm)
         })
 }
 
@@ -184,8 +184,8 @@ proptest! {
         };
         if let (Ok(base), Ok(fm), Ok(fused)) = (
             run(Options::unoptimized()),
-            run(Options::unoptimized().with_frontier_management(true)),
-            run(Options::unoptimized().with_phase_fusion(true)),
+            run(Options { frontier_management: true, ..Options::unoptimized() }),
+            run(Options { phase_fusion: true, ..Options::unoptimized() }),
         ) {
             prop_assert!(fm <= base, "frontier management added traffic: {fm} > {base}");
             prop_assert!(fused <= base, "fusion added traffic: {fused} > {base}");

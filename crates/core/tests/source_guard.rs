@@ -3,6 +3,10 @@
 //! other library crate of the workspace — may regrow past the cap. If
 //! this test fails, split the offending module instead of raising the
 //! limit.
+//!
+//! The public-surface census (ROADMAP item 16) is pinned here too: the
+//! count of `pub fn with_*` builders and the list of public modules. A
+//! new knob or a re-opened module is a deliberate edit of these numbers.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -94,4 +98,55 @@ fn no_library_source_file_exceeds_line_cap() {
         assert!(files.len() > before, "no sources found for crate {krate}");
     }
     assert_under_cap(&files);
+}
+
+/// Most `pub fn with_*` builders `crates/core/src` may hold. A builder
+/// earns its place by enforcing something (a clamp, a wrap, a coupled
+/// field); a plain field is set with struct-update syntax instead.
+const MAX_WITH_BUILDERS: usize = 20;
+
+/// The modules `lib.rs` may declare `pub`; everything else is
+/// `pub(crate)`, so rustc's `dead_code` lint covers it.
+const PUBLIC_MODULES: [&str; 13] = [
+    "api", "engine", "multi", "options", "phases", "recovery", "report", "session", "sizes",
+    "snapshot", "stats", "store", "testprog",
+];
+
+#[test]
+fn with_builders_stay_within_the_census() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = Vec::new();
+    rust_sources(&src, &mut files);
+    let builders: usize = files
+        .iter()
+        .map(|f| {
+            fs::read_to_string(f)
+                .expect("readable source")
+                .matches("pub fn with_")
+                .count()
+        })
+        .sum();
+    assert!(
+        builders <= MAX_WITH_BUILDERS,
+        "{builders} `pub fn with_*` builders in crates/core/src, cap \
+         {MAX_WITH_BUILDERS} (ROADMAP item 16: set plain fields with \
+         struct-update syntax; a new builder must enforce something)"
+    );
+}
+
+#[test]
+fn public_modules_match_the_allow_list() {
+    let lib = fs::read_to_string(Path::new(env!("CARGO_MANIFEST_DIR")).join("src/lib.rs"))
+        .expect("readable lib.rs");
+    let public: Vec<&str> = lib
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("pub mod "))
+        .map(|l| l.trim_end_matches(';'))
+        .collect();
+    assert_eq!(
+        public, PUBLIC_MODULES,
+        "lib.rs's `pub mod` list changed (ROADMAP item 16: open a module \
+         only for an item a shipped path reaches by module path, and \
+         update this allow-list in the same change)"
+    );
 }

@@ -11,9 +11,7 @@ use gr_graph::{gen, GraphLayout};
 use gr_observe::{Decision, Observer, Recorded};
 use gr_sim::Platform;
 use graphreduce::testprog::Cc;
-use graphreduce::{
-    CheckpointPolicy, EngineError, FaultPlan, GraphReduce, MemShardStore, Options, RunResult,
-};
+use graphreduce::{CheckpointPolicy, EngineError, FaultPlan, GraphReduce, Options, RunResult};
 
 fn small_graph() -> GraphLayout {
     GraphLayout::build(&gen::uniform(512, 4096, 3).symmetrize())
@@ -45,7 +43,7 @@ fn oracle() -> RunResult<Cc> {
 }
 
 fn spill_opts() -> Options {
-    Options::optimized().with_shard_store(MemShardStore::new())
+    Options::optimized().with_spill_dir(scratch("spill"))
 }
 
 /// Run CC on the host-capped platform under `opts`, asserting the
@@ -68,7 +66,10 @@ fn transient_spill_faults_absorbed_bit_identical() {
         .fail_spill_write(0, 2)
         .fail_spill_read(0, 2);
     let injected = plan.io_fault_count();
-    let (out, rec) = run_io_faulted(spill_opts().with_fault_plan(plan));
+    let (out, rec) = run_io_faulted(Options {
+        fault_plan: plan,
+        ..spill_opts()
+    });
     assert_eq!(out.vertex_values, want.vertex_values);
     assert_eq!(out.stats.spilled_shards, want.stats.spilled_shards);
     assert_eq!(out.stats.storage_retries, injected, "all faults absorbed");
@@ -93,7 +94,10 @@ fn exhausted_spill_read_restreams_bit_identical() {
     // shard's topology from the source graph.
     let plan = FaultPlan::none().fail_spill_read(0, 4);
     let injected = plan.io_fault_count();
-    let (out, rec) = run_io_faulted(spill_opts().with_fault_plan(plan));
+    let (out, rec) = run_io_faulted(Options {
+        fault_plan: plan,
+        ..spill_opts()
+    });
     assert_eq!(
         out.vertex_values, want.vertex_values,
         "re-streaming must reproduce the exact shard"
@@ -119,7 +123,10 @@ fn exhausted_spill_write_leaves_shard_host_resident() {
     let want = oracle();
     let plan = FaultPlan::none().fail_spill_write(0, 4);
     let injected = plan.io_fault_count();
-    let (out, rec) = run_io_faulted(spill_opts().with_fault_plan(plan));
+    let (out, rec) = run_io_faulted(Options {
+        fault_plan: plan,
+        ..spill_opts()
+    });
     assert_eq!(out.vertex_values, want.vertex_values);
     assert_eq!(
         out.stats.spilled_shards,
@@ -145,9 +152,11 @@ fn checkpoint_write_faults_are_retried_and_resume_still_works() {
         Cc,
         &layout,
         platform(),
-        Options::optimized()
-            .with_checkpoint_policy(CheckpointPolicy::durable(&dir, 1))
-            .with_fault_plan(plan),
+        Options {
+            checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
+            fault_plan: plan,
+            ..Options::optimized()
+        },
     )
     .with_observer(obs)
     .run()
@@ -161,7 +170,10 @@ fn checkpoint_write_faults_are_retried_and_resume_still_works() {
         Cc,
         &layout,
         platform(),
-        Options::optimized().with_checkpoint_policy(CheckpointPolicy::durable(&dir, 1)),
+        Options {
+            checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
+            ..Options::optimized()
+        },
     )
     .resume(&dir)
     .unwrap();
@@ -181,9 +193,11 @@ fn exhausted_checkpoint_write_skips_and_the_run_continues() {
         Cc,
         &layout,
         platform(),
-        Options::optimized()
-            .with_checkpoint_policy(CheckpointPolicy::durable(&dir, 1))
-            .with_fault_plan(plan),
+        Options {
+            checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
+            fault_plan: plan,
+            ..Options::optimized()
+        },
     )
     .with_observer(obs)
     .run()
@@ -227,9 +241,11 @@ fn torn_checkpoint_writes_never_install_a_corrupt_snapshot() {
         Cc,
         &layout,
         platform(),
-        Options::optimized()
-            .with_checkpoint_policy(CheckpointPolicy::durable(&dir, 1))
-            .with_fault_plan(plan),
+        Options {
+            checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
+            fault_plan: plan,
+            ..Options::optimized()
+        },
     )
     .run()
     .unwrap();
@@ -238,7 +254,10 @@ fn torn_checkpoint_writes_never_install_a_corrupt_snapshot() {
         Cc,
         &layout,
         platform(),
-        Options::optimized().with_checkpoint_policy(CheckpointPolicy::durable(&dir, 1)),
+        Options {
+            checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
+            ..Options::optimized()
+        },
     )
     .resume(&dir)
     .unwrap();
@@ -271,9 +290,11 @@ fn io_fault_profiles_parse_and_recover_bit_identical() {
             Cc,
             &small_graph(),
             host_capped_platform(),
-            spill_opts()
-                .with_checkpoint_policy(CheckpointPolicy::durable(&dir, 1))
-                .with_fault_plan(plan),
+            Options {
+                checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
+                fault_plan: plan,
+                ..spill_opts()
+            },
         )
         .with_observer(obs)
         .run()
@@ -295,7 +316,10 @@ fn io_faults_never_touch_the_device_timeline() {
     let plan = FaultPlan::none()
         .fail_spill_read(0, 4)
         .fail_spill_write(0, 2);
-    let (out, _) = run_io_faulted(spill_opts().with_fault_plan(plan));
+    let (out, _) = run_io_faulted(Options {
+        fault_plan: plan,
+        ..spill_opts()
+    });
     assert_eq!(out.stats.elapsed, want.stats.elapsed);
     assert_eq!(out.stats.faults_injected, 0, "no device faults injected");
 }
@@ -311,13 +335,13 @@ fn kill_during_io_faults_still_resumes_exactly() {
         Cc,
         &layout,
         platform(),
-        Options::optimized()
-            .with_checkpoint_policy(CheckpointPolicy::durable(&dir, 1))
-            .with_fault_plan(
-                FaultPlan::none()
-                    .torn_checkpoint_write(0, 1)
-                    .kill_at_iteration(2),
-            ),
+        Options {
+            checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
+            fault_plan: FaultPlan::none()
+                .torn_checkpoint_write(0, 1)
+                .kill_at_iteration(2),
+            ..Options::optimized()
+        },
     )
     .run();
     assert!(matches!(res, Err(EngineError::Killed { iteration: 2 })));
@@ -325,7 +349,10 @@ fn kill_during_io_faults_still_resumes_exactly() {
         Cc,
         &layout,
         platform(),
-        Options::optimized().with_checkpoint_policy(CheckpointPolicy::durable(&dir, 1)),
+        Options {
+            checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
+            ..Options::optimized()
+        },
     )
     .resume(&dir)
     .unwrap();

@@ -885,6 +885,9 @@ mod tests {
         }
     }
 
+    /// Under the release profile this also guards the codecs'
+    /// bool-to-int adds (the varint `more` bit, ζ's `hi != 0` and `long`
+    /// lengths): dropping any one of them changes a length or a value here.
     #[test]
     fn codec_roundtrip_is_exhaustive_at_every_bit_offset() {
         let mut values: Vec<u64> = (0..=65_536).collect();

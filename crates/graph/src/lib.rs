@@ -10,8 +10,7 @@
 //!   stencils, small-world, preferential attachment);
 //! * [`datasets`] — class-matched, scale-parameterized stand-ins for the
 //!   paper's Table 1 datasets;
-//! * [`partition`] — load-balanced vertex-interval partitioning with
-//!   pluggable logic;
+//! * [`partition`] — load-balanced vertex-interval partitioning;
 //! * [`shard`] — the Figure 7 shard descriptors (contiguous CSC/CSR
 //!   ranges per interval);
 //! * [`frontier`] — dense bitmaps with ranged popcounts for frontier
@@ -34,9 +33,6 @@ pub use csr::{Adjacency, GraphLayout};
 pub use datasets::{dataset_bytes, in_memory_bytes, Dataset};
 pub use edgelist::{EdgeList, VertexId};
 pub use frontier::Bitmap;
-pub use partition::{
-    partition_even_edges, validate_partition, EvenEdgePartition, EvenVertexPartition, Interval,
-    PartitionLogic,
-};
-pub use shard::{build_shards, partition_into_shards, split_shard, Shard};
+pub use partition::{partition_even_edges, validate_partition, Interval};
+pub use shard::{build_shards, split_shard, Shard};
 pub use stats::GraphStats;

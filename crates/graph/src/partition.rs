@@ -56,62 +56,6 @@ impl Interval {
     }
 }
 
-/// Pluggable partitioning logic (the Partition Logic Table takes these as
-/// plug-ins; Section 4.2 notes CuSha-style layouts can be swapped in).
-pub trait PartitionLogic {
-    /// Split `layout`'s vertex set into at most `max_shards` disjoint
-    /// covering intervals.
-    fn partition(&self, layout: &GraphLayout, max_shards: usize) -> Vec<Interval>;
-    /// Name for traces.
-    fn name(&self) -> &'static str;
-}
-
-/// The paper's default: balance in+out edge mass per interval.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EvenEdgePartition;
-
-impl PartitionLogic for EvenEdgePartition {
-    fn partition(&self, layout: &GraphLayout, max_shards: usize) -> Vec<Interval> {
-        partition_even_edges(layout, max_shards)
-    }
-
-    fn name(&self) -> &'static str {
-        "even-edges"
-    }
-}
-
-/// Naive alternative: equal vertex counts per interval (ignores degree
-/// skew — used by ablation benches to show why edge balancing matters).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EvenVertexPartition;
-
-impl PartitionLogic for EvenVertexPartition {
-    fn partition(&self, layout: &GraphLayout, max_shards: usize) -> Vec<Interval> {
-        let n = layout.num_vertices();
-        let max_shards = max_shards.max(1).min(n.max(1) as usize) as u32;
-        let base = n / max_shards;
-        let extra = n % max_shards;
-        let mut out = Vec::with_capacity(max_shards as usize);
-        let mut start = 0;
-        for i in 0..max_shards {
-            let len = base + u32::from(i < extra);
-            if len == 0 {
-                continue;
-            }
-            out.push(Interval {
-                start,
-                end: start + len,
-            });
-            start += len;
-        }
-        out
-    }
-
-    fn name(&self) -> &'static str {
-        "even-vertices"
-    }
-}
-
 /// Split the vertex set into at most `max_shards` contiguous intervals with
 /// approximately equal in+out edge mass each. Returns at least one interval
 /// (the whole set) for any non-empty graph; intervals are non-empty,
@@ -249,15 +193,6 @@ mod tests {
         let g = GraphLayout::build(&EdgeList::new(0));
         assert!(partition_even_edges(&g, 4).is_empty());
         validate_partition(&[], 0).unwrap();
-    }
-
-    #[test]
-    fn even_vertex_partition_has_equal_lengths() {
-        let g = GraphLayout::build(&gen::uniform(100, 500, 5));
-        let p = EvenVertexPartition.partition(&g, 7);
-        validate_partition(&p, 100).unwrap();
-        let lens: Vec<u32> = p.iter().map(|iv| iv.len()).collect();
-        assert!(lens.iter().all(|&l| l == 14 || l == 15), "{lens:?}");
     }
 
     #[test]

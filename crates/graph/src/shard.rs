@@ -16,7 +16,7 @@
 use std::ops::Range;
 
 use crate::csr::GraphLayout;
-use crate::partition::{Interval, PartitionLogic};
+use crate::partition::Interval;
 
 /// Descriptor of one shard.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -104,29 +104,24 @@ pub fn split_shard(layout: &GraphLayout, shard: &Shard) -> Option<(Shard, Shard)
     Some((make(left), make(right)))
 }
 
-/// Partition `layout` with `logic` into at most `max_shards` shards.
-pub fn partition_into_shards(
-    layout: &GraphLayout,
-    logic: &dyn PartitionLogic,
-    max_shards: usize,
-) -> Vec<Shard> {
-    build_shards(layout, &logic.partition(layout, max_shards))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen;
-    use crate::partition::EvenEdgePartition;
+    use crate::partition::partition_even_edges;
 
     fn layout() -> GraphLayout {
         GraphLayout::build(&gen::rmat_g500(10, 8000, 77))
     }
 
+    fn shards(g: &GraphLayout, p: usize) -> Vec<Shard> {
+        build_shards(g, &partition_even_edges(g, p))
+    }
+
     #[test]
     fn shards_cover_all_edges_exactly_once() {
         let g = layout();
-        let shards = partition_into_shards(&g, &EvenEdgePartition, 7);
+        let shards = shards(&g, 7);
         let total_in: u64 = shards.iter().map(Shard::num_in_edges).sum();
         let total_out: u64 = shards.iter().map(Shard::num_out_edges).sum();
         assert_eq!(total_in, g.num_edges());
@@ -143,7 +138,7 @@ mod tests {
     #[test]
     fn shard_edges_match_interval_membership() {
         let g = layout();
-        let shards = partition_into_shards(&g, &EvenEdgePartition, 5);
+        let shards = shards(&g, 5);
         for sh in &shards {
             // Every in-edge's destination is in the interval.
             for eid in sh.in_edges.clone() {
@@ -162,7 +157,7 @@ mod tests {
     #[test]
     fn edge_mass_is_balanced() {
         let g = layout();
-        let shards = partition_into_shards(&g, &EvenEdgePartition, 8);
+        let shards = shards(&g, 8);
         let avg = shards.iter().map(Shard::edge_mass).sum::<u64>() as f64 / shards.len() as f64;
         for sh in &shards {
             assert!((sh.edge_mass() as f64) < 3.0 * avg);
@@ -172,7 +167,7 @@ mod tests {
     #[test]
     fn split_shard_conserves_edges_and_balances_mass() {
         let g = layout();
-        let shards = partition_into_shards(&g, &EvenEdgePartition, 3);
+        let shards = shards(&g, 3);
         for sh in &shards {
             let (l, r) = split_shard(&g, sh).unwrap();
             // Halves abut and cover the parent exactly.
@@ -197,7 +192,7 @@ mod tests {
     #[test]
     fn split_shard_floor_is_one_vertex() {
         let g = layout();
-        let shards = partition_into_shards(&g, &EvenEdgePartition, 2);
+        let shards = shards(&g, 2);
         let mut sh = shards[0].clone();
         // Split all the way down the left spine; must terminate at 1 vertex.
         while let Some((l, _)) = split_shard(&g, &sh) {
@@ -210,7 +205,7 @@ mod tests {
     #[test]
     fn ids_are_sequential() {
         let g = layout();
-        let shards = partition_into_shards(&g, &EvenEdgePartition, 4);
+        let shards = shards(&g, 4);
         for (i, sh) in shards.iter().enumerate() {
             assert_eq!(sh.id, i);
         }

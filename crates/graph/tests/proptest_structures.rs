@@ -6,8 +6,7 @@ use std::collections::HashSet;
 use proptest::prelude::*;
 
 use gr_graph::{
-    build_shards, validate_partition, Bitmap, EdgeList, EvenEdgePartition, EvenVertexPartition,
-    GraphLayout, PartitionLogic,
+    build_shards, partition_even_edges, validate_partition, Bitmap, EdgeList, GraphLayout,
 };
 
 fn edge_list() -> impl Strategy<Value = EdgeList> {
@@ -74,21 +73,19 @@ proptest! {
         }
     }
 
-    /// Both partition logics produce valid covering partitions whose shards
+    /// The even-edge partition is a valid covering partition whose shards
     /// cover every edge exactly once, for any shard budget.
     #[test]
     fn partitions_are_valid_and_cover(el in edge_list(), p in 1usize..40) {
         let g = GraphLayout::build(&el);
-        for logic in [&EvenEdgePartition as &dyn PartitionLogic, &EvenVertexPartition] {
-            let intervals = logic.partition(&g, p);
-            validate_partition(&intervals, g.num_vertices()).unwrap();
-            prop_assert!(intervals.len() <= p.max(1));
-            let shards = build_shards(&g, &intervals);
-            let in_total: u64 = shards.iter().map(|s| s.num_in_edges()).sum();
-            let out_total: u64 = shards.iter().map(|s| s.num_out_edges()).sum();
-            prop_assert_eq!(in_total, g.num_edges());
-            prop_assert_eq!(out_total, g.num_edges());
-        }
+        let intervals = partition_even_edges(&g, p);
+        validate_partition(&intervals, g.num_vertices()).unwrap();
+        prop_assert!(intervals.len() <= p.max(1));
+        let shards = build_shards(&g, &intervals);
+        let in_total: u64 = shards.iter().map(|s| s.num_in_edges()).sum();
+        let out_total: u64 = shards.iter().map(|s| s.num_out_edges()).sum();
+        prop_assert_eq!(in_total, g.num_edges());
+        prop_assert_eq!(out_total, g.num_edges());
     }
 
     /// Symmetrize yields a symmetric edge multiset and dedup is idempotent.

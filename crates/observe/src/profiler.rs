@@ -389,7 +389,7 @@ impl WallProfile {
             total_ns: self.total_ns(),
             kernel_ns: self.kernel_ns(),
             phases: self.phase_totals(),
-            threads: self.thread_count().max(usize::from(!self.rows.is_empty())),
+            threads: self.thread_count().max(1),
             imbalance: self.imbalance(),
         }
     }

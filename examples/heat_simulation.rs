@@ -37,7 +37,10 @@ fn main() {
         heat,
         &layout,
         platform.clone(),
-        Options::optimized().with_streaming_mode(StreamingMode::ZeroCopySequential),
+        Options {
+            streaming_mode: StreamingMode::ZeroCopySequential,
+            ..Options::optimized()
+        },
     )
     .run()
     .expect("plan fits");

@@ -38,7 +38,10 @@ fn main() {
         Sssp::new(source),
         &layout,
         platform,
-        Options::optimized().with_frontier_management(false),
+        Options {
+            frontier_management: false,
+            ..Options::optimized()
+        },
     )
     .run()
     .expect("plan fits");

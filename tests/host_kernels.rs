@@ -4,7 +4,7 @@
 //! The contract under test: every [`HostKernels`] mode — and the engine's
 //! fan-out of shards over threads — produces **bit-identical** results and
 //! identical `ShardWork` counts. `Serial` is the oracle (the pre-adaptive
-//! reference kernels); `Sparse` and `Adaptive` must match it exactly, at
+//! reference kernels); `Adaptive` must match it exactly, at
 //! phase level (fixed frontier densities from 0.1% to 100%) and across
 //! whole engine runs for all four evaluated algorithms. At phase level
 //! every mode also reads the topology through gap-coded [`TopoView`]s,
@@ -193,11 +193,7 @@ where
             "density {density} frontier produced no gather work"
         );
         for (tag, view) in views {
-            for mode in [
-                HostKernels::Serial,
-                HostKernels::Sparse,
-                HostKernels::Adaptive,
-            ] {
+            for mode in [HostKernels::Serial, HostKernels::Adaptive] {
                 let got = run_phases(&program, view, &shards, &frontier, mode);
                 assert_eq!(
                     got,
@@ -309,7 +305,10 @@ fn profiled_run<P: GasProgram>(
         program,
         layout,
         Platform::paper_node_scaled(8_192),
-        Options::optimized().with_host_kernels(mode),
+        Options {
+            host_kernels: mode,
+            ..Options::optimized()
+        },
     )
     .with_wall_profiler(WallProfiler::armed())
     .run()
@@ -360,15 +359,14 @@ where
         "{}: the shard fan-out never engaged",
         program.name()
     );
-    for mode in [HostKernels::Sparse, HostKernels::Adaptive] {
-        let (got, threads) = profiled_run(program.clone(), &layout, mode);
-        assert!(
-            threads > 1,
-            "{} under {mode:?}: the shard fan-out never engaged",
-            program.name()
-        );
-        assert_matches_oracle(&got, &oracle, mode);
-    }
+    let mode = HostKernels::Adaptive;
+    let (got, threads) = profiled_run(program.clone(), &layout, mode);
+    assert!(
+        threads > 1,
+        "{} under {mode:?}: the shard fan-out never engaged",
+        program.name()
+    );
+    assert_matches_oracle(&got, &oracle, mode);
 }
 
 #[test]
@@ -392,7 +390,7 @@ fn cc_runs_agree_across_modes() {
 }
 
 /// A long grid keeps BFS frontiers far below the fan-out gate: every
-/// phase runs inline on the caller, in every mode, and still matches the
+/// phase runs inline on the caller, in both modes, and still matches the
 /// oracle. This is what keeps the one-thread path covered when the suite
 /// runs with several threads.
 #[test]
@@ -402,9 +400,8 @@ fn sparse_frontiers_stay_on_the_caller() {
     let (oracle, threads) = profiled_run(Bfs::new(0), &layout, HostKernels::Serial);
     assert!(oracle.stats.iterations > 100, "a long traversal");
     assert_eq!(threads, 1, "a below-gate frontier fanned out");
-    for mode in [HostKernels::Sparse, HostKernels::Adaptive] {
-        let (got, threads) = profiled_run(Bfs::new(0), &layout, mode);
-        assert_eq!(threads, 1, "{mode:?}: a below-gate frontier fanned out");
-        assert_matches_oracle(&got, &oracle, mode);
-    }
+    let mode = HostKernels::Adaptive;
+    let (got, threads) = profiled_run(Bfs::new(0), &layout, mode);
+    assert_eq!(threads, 1, "{mode:?}: a below-gate frontier fanned out");
+    assert_matches_oracle(&got, &oracle, mode);
 }
