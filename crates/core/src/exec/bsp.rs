@@ -28,6 +28,7 @@ use super::device::Abort;
 use super::durable::{DurableConfig, DurableWriter};
 use super::host::HostState;
 use super::plan::emit_plan_decisions;
+use super::EngineMetric;
 
 /// Replays allowed per init, iteration or finalize before a persistent
 /// fault becomes [`EngineError::Unrecoverable`] (guards against
@@ -46,7 +47,7 @@ pub(crate) trait Timeline {
 
     /// The engine registry the loop counts into, and the storage plane
     /// durable snapshots are written through.
-    fn io(&mut self) -> (&mut MetricsRegistry, &mut StorageCtx);
+    fn io(&mut self) -> (&mut MetricsRegistry<EngineMetric>, &mut StorageCtx);
 
     /// Current virtual time.
     fn now_ns(&self) -> u64;
@@ -132,8 +133,8 @@ impl<P: GasProgram> Bsp<'_, P> {
             );
             let st = *host.iterations.last().expect("pushed by compute_iteration");
             let (metrics, _) = t.io();
-            metrics.observe("engine.frontier_size", st.frontier_size);
-            metrics.observe("engine.active_shards", st.shards_processed as u64);
+            metrics.observe(EngineMetric::FrontierSize, st.frontier_size);
+            metrics.observe(EngineMetric::ActiveShards, st.shards_processed as u64);
             self.replay(t, iter, |t| t.iteration(iter, &work, &host.changed))?;
             host.finish_iteration();
             // `changed` survives `finish_iteration` (which only swaps
@@ -179,7 +180,7 @@ impl<P: GasProgram> Bsp<'_, P> {
         let host = match (restored, warm) {
             (Some(r), _) => {
                 let (iteration, bytes) = (r.state.iterations.len() as u32, r.bytes);
-                t.io().0.inc("engine.checkpoint_restores", 1);
+                t.io().0.inc(EngineMetric::CheckpointRestores, 1);
                 self.observer
                     .decision(|| Decision::CheckpointRestore { iteration, bytes });
                 resumed = Some((iteration, r.delta));
@@ -217,7 +218,7 @@ impl<P: GasProgram> Bsp<'_, P> {
                 if replays > REPLAY_CAP {
                     return Err(EngineError::Unrecoverable { op: a.op });
                 }
-                t.io().0.inc("engine.rollbacks", 1);
+                t.io().0.inc(EngineMetric::Rollbacks, 1);
                 let (device, fault) = (a.device as u32, a.fault.name());
                 self.observer.decision(|| Decision::Rollback {
                     iteration: iter,

@@ -18,6 +18,8 @@ use gr_sim::{
 
 use crate::recovery::{EngineError, RecoveryPolicy};
 
+use super::EngineMetric;
+
 /// A device operation that failed past its retry budget (or hit a lost
 /// device), unwinding the current timeline emission for rollback handling.
 pub struct Abort {
@@ -43,7 +45,7 @@ pub struct DeviceCtx {
     /// Engine-level metrics for this device (skip counters, retries, …).
     /// On the single path this is the registry `RunStats` reads; the
     /// multi orchestrator keeps one per device.
-    pub(crate) metrics: MetricsRegistry,
+    pub(crate) metrics: MetricsRegistry<EngineMetric>,
     observer: Observer,
     // Kernel launches awaiting their resolved virtual-time window
     // (emitted as engine-track spans after the stage synchronizes).
@@ -163,7 +165,7 @@ impl DeviceCtx {
                     }
                     let backoff = self.recovery.backoff(attempt);
                     self.gpu.stall(stream, backoff, "recovery.backoff");
-                    self.metrics.inc("engine.fault_retries", 1);
+                    self.metrics.inc(EngineMetric::FaultRetries, 1);
                     let backoff_ns = backoff.as_nanos();
                     let device = self.device as u32;
                     self.observer.decision(|| Decision::FaultRetry {
@@ -295,7 +297,7 @@ impl DeviceCtx {
                     }
                     let backoff = self.recovery.backoff(attempt);
                     self.gpu.stall(stream, backoff, "recovery.backoff");
-                    self.metrics.inc("engine.fault_retries", 1);
+                    self.metrics.inc(EngineMetric::FaultRetries, 1);
                     let backoff_ns = backoff.as_nanos();
                     let device = self.device as u32;
                     self.observer.decision(|| Decision::FaultRetry {
@@ -342,7 +344,7 @@ impl DeviceCtx {
     }
 
     /// The device-side metrics registry (op counters, byte volumes).
-    pub fn gpu_metrics(&self) -> &MetricsRegistry {
+    pub fn gpu_metrics(&self) -> &MetricsRegistry<gr_sim::DeviceMetric> {
         self.gpu.metrics()
     }
 }

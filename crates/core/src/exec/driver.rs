@@ -34,6 +34,7 @@ use super::compute::{host_work, ComputeSpecs};
 use super::device::{Abort, DeviceCtx};
 use super::movement::{in_bufs_for, out_bufs_for, Buf, BufSet, Movement};
 use super::plan;
+use super::EngineMetric;
 
 /// The single-GPU timeline (Figures 8-12): one [`DeviceCtx`], one
 /// [`Movement`] policy, one [`ComputeSpecs`] table.
@@ -145,8 +146,8 @@ impl<'a, P: GasProgram> Runner<'a, P> {
                     .chain(c.out_bufs(&sizes, sh, force).as_slice())
                     .map(|b| b.0)
                     .sum();
-                ctx.metrics.inc("engine.compressed_raw_bytes", raw);
-                ctx.metrics.inc("engine.compressed_bytes", z);
+                ctx.metrics.inc(EngineMetric::CompressedRawBytes, raw);
+                ctx.metrics.inc(EngineMetric::CompressedBytes, z);
                 observer.decision(|| Decision::CompressShard {
                     shard: i as u32,
                     raw_bytes: raw,
@@ -233,10 +234,10 @@ impl<'a, P: GasProgram> Runner<'a, P> {
                 // put whose retries are exhausted by injected I/O faults
                 // leaves the shard host-resident instead of failing.
                 let payload = shard_payload(layout, &plan.shards[i]);
-                match storage.spill_put(h, i as u32, &payload, 0)? {
+                match storage.spill_put(&mut ctx.metrics, h, i as u32, &payload, 0)? {
                     Some(bytes) => {
-                        ctx.metrics.inc("engine.spilled_shards", 1);
-                        ctx.metrics.inc("engine.spilled_bytes", bytes);
+                        ctx.metrics.inc(EngineMetric::SpilledShards, 1);
+                        ctx.metrics.inc(EngineMetric::SpilledBytes, bytes);
                         let store_name = h.name();
                         observer.decision(|| Decision::ShardSpill {
                             shard: i as u32,
@@ -393,40 +394,40 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             bytes_d2h: gstats.bytes_d2h,
             copy_ops: gstats.copy_ops,
             kernel_launches: gstats.kernel_launches,
-            skipped_shard_copies: metrics.counter("engine.skipped_shard_copies"),
-            skipped_kernel_launches: metrics.counter("engine.skipped_kernel_launches"),
+            skipped_shard_copies: metrics.counter(EngineMetric::SkippedShardCopies),
+            skipped_kernel_launches: metrics.counter(EngineMetric::SkippedKernelLaunches),
             num_shards: self.plan.shards.len(),
             concurrent_shards: self.plan.concurrent,
             all_resident: self.resident,
             faults_injected: self.ctx.faults_injected(),
-            recovered_retries: metrics.counter("engine.fault_retries"),
-            rollbacks: metrics.counter("engine.rollbacks"),
+            recovered_retries: metrics.counter(EngineMetric::FaultRetries),
+            rollbacks: metrics.counter(EngineMetric::Rollbacks),
             host_fallback: self.host_mode,
-            mem_pressure_events: metrics.counter("engine.mem_pressure"),
-            shard_splits: metrics.counter("engine.shard_splits"),
-            chunked_shards: metrics.counter("engine.chunked_shards"),
-            chunked_copies: metrics.counter("engine.chunked_copies"),
-            host_shards: metrics.counter("engine.host_shards"),
+            mem_pressure_events: metrics.counter(EngineMetric::MemPressure),
+            shard_splits: metrics.counter(EngineMetric::ShardSplits),
+            chunked_shards: metrics.counter(EngineMetric::ChunkedShards),
+            chunked_copies: metrics.counter(EngineMetric::ChunkedCopies),
+            host_shards: metrics.counter(EngineMetric::HostShards),
             mem_peak: self.ctx.mem_peak(),
             mem_min_headroom: self.ctx.mem_min_headroom(),
-            checkpoint_writes: metrics.counter("engine.checkpoint_writes"),
-            checkpoint_bytes_written: metrics.counter("engine.checkpoint_bytes"),
-            checkpoint_full_bytes: metrics.counter("engine.checkpoint_full_bytes"),
-            checkpoint_delta_writes: metrics.counter("engine.checkpoint_delta_writes"),
-            checkpoint_delta_bytes: metrics.counter("engine.checkpoint_delta_bytes"),
-            checkpoint_raw_bytes: metrics.counter("engine.checkpoint_raw_bytes"),
-            checkpoint_restores: metrics.counter("engine.checkpoint_restores"),
-            checkpoints_skipped: self.storage.counters.skipped,
-            storage_retries: self.storage.counters.retries,
-            spill_restreams: self.storage.counters.restreams,
-            spilled_shards: metrics.counter("engine.spilled_shards"),
-            spilled_bytes: metrics.counter("engine.spilled_bytes"),
-            spill_loads: metrics.counter("engine.spill_loads"),
-            spill_load_bytes: metrics.counter("engine.spill_load_bytes"),
+            checkpoint_writes: metrics.counter(EngineMetric::CheckpointWrites),
+            checkpoint_bytes_written: metrics.counter(EngineMetric::CheckpointBytes),
+            checkpoint_full_bytes: metrics.counter(EngineMetric::CheckpointFullBytes),
+            checkpoint_delta_writes: metrics.counter(EngineMetric::CheckpointDeltaWrites),
+            checkpoint_delta_bytes: metrics.counter(EngineMetric::CheckpointDeltaBytes),
+            checkpoint_raw_bytes: metrics.counter(EngineMetric::CheckpointRawBytes),
+            checkpoint_restores: metrics.counter(EngineMetric::CheckpointRestores),
+            checkpoints_skipped: metrics.counter(EngineMetric::CheckpointsSkipped),
+            storage_retries: metrics.counter(EngineMetric::StorageRetries),
+            spill_restreams: metrics.counter(EngineMetric::SpillRestreams),
+            spilled_shards: metrics.counter(EngineMetric::SpilledShards),
+            spilled_bytes: metrics.counter(EngineMetric::SpilledBytes),
+            spill_loads: metrics.counter(EngineMetric::SpillLoads),
+            spill_load_bytes: metrics.counter(EngineMetric::SpillLoadBytes),
             compression_codec: self.comp.as_ref().map(|c| c.codec().name()),
-            compressed_bytes: metrics.counter("engine.compressed_bytes"),
-            compressed_raw_bytes: metrics.counter("engine.compressed_raw_bytes"),
-            decompress_launches: metrics.counter("engine.decompress_launches"),
+            compressed_bytes: metrics.counter(EngineMetric::CompressedBytes),
+            compressed_raw_bytes: metrics.counter(EngineMetric::CompressedRawBytes),
+            decompress_launches: metrics.counter(EngineMetric::DecompressLaunches),
             state_fingerprint: fingerprinted
                 .then(|| snapshot::values_fingerprint(&host.vertex_values)),
             wall: self.wall.is_armed().then(|| self.wall.profile().summary()),
@@ -485,9 +486,9 @@ impl<'a, P: GasProgram> Runner<'a, P> {
                 }
                 if self.opts.frontier_management && !w.is_active() {
                     if !self.in_cached[i] {
-                        self.ctx.metrics.inc("engine.skipped_shard_copies", 1);
+                        self.ctx.metrics.inc(EngineMetric::SkippedShardCopies, 1);
                     }
-                    self.ctx.metrics.inc("engine.skipped_kernel_launches", 2);
+                    self.ctx.metrics.inc(EngineMetric::SkippedKernelLaunches, 2);
                     continue;
                 }
                 let stream = self.stream_for(i);
@@ -515,7 +516,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
                 continue;
             }
             if self.opts.frontier_management && !w.is_active() {
-                self.ctx.metrics.inc("engine.skipped_kernel_launches", 1);
+                self.ctx.metrics.inc(EngineMetric::SkippedKernelLaunches, 1);
                 continue;
             }
             let stream = self.stream_for(i);
@@ -531,10 +532,10 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             }
             if self.opts.frontier_management && w.out_edges_of_changed == 0 {
                 if !self.out_cached[i] {
-                    self.ctx.metrics.inc("engine.skipped_shard_copies", 1);
+                    self.ctx.metrics.inc(EngineMetric::SkippedShardCopies, 1);
                 }
                 self.ctx.metrics.inc(
-                    "engine.skipped_kernel_launches",
+                    EngineMetric::SkippedKernelLaunches,
                     if self.program.has_scatter() { 2 } else { 1 },
                 );
                 continue;
@@ -733,7 +734,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         }
         let spec = self.specs.decompress_spec(i, edges, z, in_edges);
         self.ctx.launch_tracked(stream, &spec, iter, i)?;
-        self.ctx.metrics.inc("engine.decompress_launches", 1);
+        self.ctx.metrics.inc(EngineMetric::DecompressLaunches, 1);
         let raw = edges * RAW_TOPO_ENTRY_BYTES;
         self.observer.decision(|| Decision::DecompressShard {
             iteration: iter,
@@ -747,8 +748,8 @@ impl<'a, P: GasProgram> Runner<'a, P> {
     /// One skipped phase of the unfused pipeline: one shard copy and one
     /// kernel launch that never happened.
     fn skip_phase(&mut self) {
-        self.ctx.metrics.inc("engine.skipped_shard_copies", 1);
-        self.ctx.metrics.inc("engine.skipped_kernel_launches", 1);
+        self.ctx.metrics.inc(EngineMetric::SkippedShardCopies, 1);
+        self.ctx.metrics.inc(EngineMetric::SkippedKernelLaunches, 1);
     }
 }
 
@@ -763,7 +764,7 @@ impl<P: GasProgram> Timeline for Runner<'_, P> {
         (view, &self.plan.shards)
     }
 
-    fn io(&mut self) -> (&mut MetricsRegistry, &mut StorageCtx) {
+    fn io(&mut self) -> (&mut MetricsRegistry<EngineMetric>, &mut StorageCtx) {
         (&mut self.ctx.metrics, &mut self.storage)
     }
 
@@ -791,7 +792,10 @@ impl<P: GasProgram> Timeline for Runner<'_, P> {
             {
                 continue;
             }
-            let Some(payload) = self.storage.spill_get(store, i as u32, iter)? else {
+            let Some(payload) =
+                self.storage
+                    .spill_get(&mut self.ctx.metrics, store, i as u32, iter)?
+            else {
                 // Retries exhausted: re-stream the shard from the source
                 // graph (the host-resident layout) — results unaffected,
                 // the StorageDegraded decision records the detour.
@@ -799,8 +803,8 @@ impl<P: GasProgram> Timeline for Runner<'_, P> {
                 continue;
             };
             let bytes = payload.len() as u64;
-            self.ctx.metrics.inc("engine.spill_loads", 1);
-            self.ctx.metrics.inc("engine.spill_load_bytes", bytes);
+            self.ctx.metrics.inc(EngineMetric::SpillLoads, 1);
+            self.ctx.metrics.inc(EngineMetric::SpillLoadBytes, bytes);
             let store_name = store.name();
             self.observer.decision(|| Decision::ShardLoad {
                 iteration: iter,
@@ -883,7 +887,7 @@ impl<P: GasProgram> Timeline for Runner<'_, P> {
             if !self.opts.recovery.host_fallback {
                 return Err(EngineError::DeviceLost);
             }
-            self.ctx.metrics.inc("engine.host_fallback", 1);
+            self.ctx.metrics.inc(EngineMetric::HostFallback, 1);
             self.observer.decision(|| Decision::HostFallback {
                 iteration: iter,
                 device: 0,

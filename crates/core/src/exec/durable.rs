@@ -25,6 +25,8 @@ use crate::snapshot::{self, CheckpointPolicy, Fingerprint};
 use crate::snapshot_delta::DeltaChain;
 use crate::storage::StorageCtx;
 
+use super::EngineMetric;
+
 /// The durable slice of a [`CheckpointPolicy`]: where, how often, and
 /// whether boundaries between full snapshots write deltas.
 pub(crate) struct DurableConfig {
@@ -135,7 +137,7 @@ impl DurableWriter {
         force: bool,
         storage: &mut StorageCtx,
         observer: &Observer,
-        metrics: &mut MetricsRegistry,
+        metrics: &mut MetricsRegistry<EngineMetric>,
     ) -> Result<(), EngineError> {
         let boundary = host.iterations.len() as u32;
         if self.durable_at == Some(boundary) || (!force && !boundary.is_multiple_of(self.cfg.every))
@@ -158,21 +160,23 @@ impl DurableWriter {
             self.codec,
         );
         let name = snapshot::snapshot_name(boundary, !full);
-        let Some(written) = storage.snapshot_write(&self.cfg.dir, &name, boundary, &framed)? else {
+        let Some(written) =
+            storage.snapshot_write(metrics, &self.cfg.dir, &name, boundary, &framed)?
+        else {
             // Skipped after retry exhaustion: the previous snapshot still
             // covers its boundary; the schedule state is untouched.
             return Ok(());
         };
-        metrics.inc("engine.checkpoint_writes", 1);
-        metrics.inc("engine.checkpoint_bytes", written);
-        metrics.inc("engine.checkpoint_raw_bytes", raw_len);
+        metrics.inc(EngineMetric::CheckpointWrites, 1);
+        metrics.inc(EngineMetric::CheckpointBytes, written);
+        metrics.inc(EngineMetric::CheckpointRawBytes, raw_len);
         if full {
-            metrics.inc("engine.checkpoint_full_bytes", written);
+            metrics.inc(EngineMetric::CheckpointFullBytes, written);
             self.last_full_at = Some(boundary);
             self.dirty.clear_all();
         } else {
-            metrics.inc("engine.checkpoint_delta_writes", 1);
-            metrics.inc("engine.checkpoint_delta_bytes", written);
+            metrics.inc(EngineMetric::CheckpointDeltaWrites, 1);
+            metrics.inc(EngineMetric::CheckpointDeltaBytes, written);
         }
         // Retention; a new full also drops the deltas it makes redundant.
         snapshot::prune(&self.cfg.dir, full.then_some(boundary))?;
@@ -245,12 +249,12 @@ mod tests {
             vec![(true, false), (false, true), (false, true), (true, false)],
             "full at 0, deltas at 1-2, full at 3"
         );
-        assert_eq!(metrics.counter("engine.checkpoint_writes"), 4);
-        assert_eq!(metrics.counter("engine.checkpoint_delta_writes"), 2);
+        assert_eq!(metrics.counter(EngineMetric::CheckpointWrites), 4);
+        assert_eq!(metrics.counter(EngineMetric::CheckpointDeltaWrites), 2);
         assert!(
-            metrics.counter("engine.checkpoint_full_bytes")
-                + metrics.counter("engine.checkpoint_delta_bytes")
-                == metrics.counter("engine.checkpoint_bytes")
+            metrics.counter(EngineMetric::CheckpointFullBytes)
+                + metrics.counter(EngineMetric::CheckpointDeltaBytes)
+                == metrics.counter(EngineMetric::CheckpointBytes)
         );
         // The full at 3 obsoleted the earlier deltas.
         assert!(!dir.join(snapshot::snapshot_name(1, true)).exists());
@@ -295,7 +299,7 @@ mod tests {
             &mut metrics,
         )
         .unwrap();
-        assert_eq!(metrics.counter("engine.checkpoint_writes"), 1);
+        assert_eq!(metrics.counter(EngineMetric::CheckpointWrites), 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

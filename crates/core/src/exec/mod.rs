@@ -43,3 +43,88 @@ pub mod durable;
 pub mod host;
 pub mod movement;
 pub mod plan;
+
+gr_observe::metric_table! {
+    /// The engine registry's series, each explained in
+    /// `docs/OBSERVABILITY.md`; `RunStats` and `MultiRunStats` read them.
+    pub(crate) enum EngineMetric {
+        SkippedShardCopies: Counter("engine.skipped_shard_copies"),
+        SkippedKernelLaunches: Counter("engine.skipped_kernel_launches"),
+        FrontierSize: Histogram("engine.frontier_size"),
+        ActiveShards: Histogram("engine.active_shards"),
+        FaultRetries: Counter("engine.fault_retries"),
+        Rollbacks: Counter("engine.rollbacks"),
+        HostFallback: Counter("engine.host_fallback"),
+        MemPressure: Counter("engine.mem_pressure"),
+        Redistributions: Counter("engine.redistributions"),
+        ShardSplits: Counter("engine.shard_splits"),
+        ChunkedShards: Counter("engine.chunked_shards"),
+        ChunkedCopies: Counter("engine.chunked_copies"),
+        HostShards: Counter("engine.host_shards"),
+        SpillStalls: Counter("engine.spill_stalls"),
+        SsdStalls: Counter("engine.ssd_stalls"),
+        CheckpointWrites: Counter("engine.checkpoint_writes"),
+        CheckpointBytes: Counter("engine.checkpoint_bytes"),
+        CheckpointRawBytes: Counter("engine.checkpoint_raw_bytes"),
+        CheckpointFullBytes: Counter("engine.checkpoint_full_bytes"),
+        CheckpointDeltaWrites: Counter("engine.checkpoint_delta_writes"),
+        CheckpointDeltaBytes: Counter("engine.checkpoint_delta_bytes"),
+        CheckpointRestores: Counter("engine.checkpoint_restores"),
+        CheckpointsSkipped: Counter("engine.checkpoints_skipped"),
+        StorageRetries: Counter("engine.storage_retries"),
+        SpillRestreams: Counter("engine.spill_restreams"),
+        SpilledShards: Counter("engine.spilled_shards"),
+        SpilledBytes: Counter("engine.spilled_bytes"),
+        SpillLoads: Counter("engine.spill_loads"),
+        SpillLoadBytes: Counter("engine.spill_load_bytes"),
+        CompressedBytes: Counter("engine.compressed_bytes"),
+        CompressedRawBytes: Counter("engine.compressed_raw_bytes"),
+        DecompressLaunches: Counter("engine.decompress_launches"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use gr_observe::metrics::{Kind, MetricTable};
+
+    use super::EngineMetric;
+
+    /// `docs/OBSERVABILITY.md`'s "Metric names" table lists exactly the
+    /// declared series of both registries, with their kinds.
+    #[test]
+    fn docs_metric_table_matches_the_declared_tables() {
+        let doc = std::fs::read_to_string(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../docs/OBSERVABILITY.md"
+        ))
+        .expect("readable docs/OBSERVABILITY.md");
+        let section = doc
+            .split("## Metric names")
+            .nth(1)
+            .and_then(|s| s.split("\n## ").next())
+            .expect("a Metric names section");
+        let mut documented: Vec<(String, String)> = section
+            .lines()
+            .filter_map(|l| {
+                let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+                let name = cells.get(1)?.strip_prefix('`')?.split(['`', '{']).next()?;
+                Some((name.to_string(), cells.get(2)?.to_string()))
+            })
+            .collect();
+        let mut declared: Vec<(String, String)> = gr_sim::DeviceMetric::ROWS
+            .iter()
+            .chain(EngineMetric::ROWS)
+            .map(|&(name, kind)| {
+                let kind = match kind {
+                    Kind::Counter => "counter",
+                    Kind::Labeled => "labeled counter",
+                    Kind::Histogram => "histogram",
+                };
+                (name.to_string(), kind.to_string())
+            })
+            .collect();
+        documented.sort();
+        declared.sort();
+        assert_eq!(documented, declared);
+    }
+}

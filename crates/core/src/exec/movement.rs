@@ -15,6 +15,7 @@ use crate::options::{Options, StreamingMode};
 use crate::sizes::SizeModel;
 
 use super::device::{Abort, DeviceCtx};
+use super::EngineMetric;
 
 /// One buffer of a shard copy: (bytes, trace label).
 pub(crate) type Buf = (u64, &'static str);
@@ -163,7 +164,7 @@ impl Movement {
                     let dur =
                         self.storage_latency + SimDuration::from_secs_f64(bytes as f64 * per_byte);
                     ctx.stall(stream, dur, "spill.read");
-                    ctx.metrics.inc("engine.spill_stalls", 1);
+                    ctx.metrics.inc(EngineMetric::SpillStalls, 1);
                     self.spill_charged[shard] = true;
                 }
             }
@@ -171,7 +172,7 @@ impl Movement {
             let bytes: u64 = bufs.iter().map(|b| b.0).sum();
             let dur = self.storage_latency + SimDuration::from_secs_f64(bytes as f64 * per_byte);
             ctx.stall(stream, dur, "ssd.read");
-            ctx.metrics.inc("engine.ssd_stalls", 1);
+            ctx.metrics.inc(EngineMetric::SsdStalls, 1);
         }
         if self.chunked[shard] {
             for &(bytes, label) in bufs {
@@ -180,7 +181,7 @@ impl Movement {
                     let b = self.staging_bytes.min(left);
                     left -= b;
                     ctx.h2d(stream, b, label, iter)?;
-                    ctx.metrics.inc("engine.chunked_copies", 1);
+                    ctx.metrics.inc(EngineMetric::ChunkedCopies, 1);
                 }
             }
             return Ok(());
@@ -243,7 +244,7 @@ impl Movement {
                     let b = self.staging_bytes.min(left);
                     left -= b;
                     ctx.d2h(stream, b, label, iter)?;
-                    ctx.metrics.inc("engine.chunked_copies", 1);
+                    ctx.metrics.inc(EngineMetric::ChunkedCopies, 1);
                 }
             }
             return Ok(());

@@ -18,6 +18,7 @@ use crate::recovery::EngineError;
 use crate::sizes::{PartitionPlan, SizeModel};
 
 use super::compress::ShardCompression;
+use super::EngineMetric;
 
 /// The executable plan for one device: the partition (after any governor
 /// degradation) plus per-shard movement verdicts. All-default governed
@@ -137,7 +138,7 @@ pub fn build_exec_plan(
     capacity: u64,
     opts: &Options,
     comp: Option<&ShardCompression>,
-    metrics: &mut MetricsRegistry,
+    metrics: &mut MetricsRegistry<EngineMetric>,
     observer: &Observer,
 ) -> Result<ExecPlan, EngineError> {
     let mut plan = partition;
@@ -173,7 +174,7 @@ pub fn build_exec_plan(
         if !opts.recovery.host_fallback {
             return Err(EngineError::Alloc(oom(plan.static_bytes, capacity)));
         }
-        metrics.inc("engine.mem_pressure", 1);
+        metrics.inc(EngineMetric::MemPressure, 1);
         let requested = plan.static_bytes;
         observer.decision(|| Decision::MemoryPressure {
             device: 0,
@@ -193,7 +194,7 @@ pub fn build_exec_plan(
     if opts.cache_resident && plan.all_resident {
         let total: u64 = plan.shards.iter().map(cost).sum();
         if total > budget {
-            metrics.inc("engine.mem_pressure", 1);
+            metrics.inc(EngineMetric::MemPressure, 1);
             observer.decision(|| Decision::MemoryPressure {
                 device: 0,
                 requested: total,
@@ -214,7 +215,7 @@ pub fn build_exec_plan(
         k -= 1;
     }
     if k < k0 {
-        metrics.inc("engine.mem_pressure", 1);
+        metrics.inc(EngineMetric::MemPressure, 1);
         let requested = k0 as u64 * plan.max_shard_bytes;
         observer.decision(|| Decision::MemoryPressure {
             device: 0,
@@ -251,7 +252,7 @@ pub fn build_exec_plan(
             // Degenerate split (all mass on one side): no progress.
             break;
         }
-        metrics.inc("engine.shard_splits", 1);
+        metrics.inc(EngineMetric::ShardSplits, 1);
         let vertices = shard.num_vertices();
         observer.decision(|| Decision::ShardSplit {
             shard: idx as u32,
@@ -283,7 +284,7 @@ pub fn build_exec_plan(
                 continue;
             }
             if staging.can_stage(bytes) {
-                metrics.inc("engine.chunked_shards", 1);
+                metrics.inc(EngineMetric::ChunkedShards, 1);
                 let chunks = staging.chunks_for(bytes) as u32;
                 observer.decision(|| Decision::ChunkedXfer {
                     shard: i as u32,
@@ -299,7 +300,7 @@ pub fn build_exec_plan(
                 // decision (it *is* a chunked transfer); the matching
                 // ShardSpill decision is emitted by the runner when the
                 // bytes actually move to the store.
-                metrics.inc("engine.chunked_shards", 1);
+                metrics.inc(EngineMetric::ChunkedShards, 1);
                 let chunks = bytes.div_ceil(slot_budget) as u32;
                 observer.decision(|| Decision::ChunkedXfer {
                     shard: i as u32,
@@ -313,8 +314,8 @@ pub fn build_exec_plan(
                 if !opts.recovery.host_fallback {
                     return Err(EngineError::Alloc(oom(bytes, slot_budget)));
                 }
-                metrics.inc("engine.mem_pressure", 1);
-                metrics.inc("engine.host_shards", 1);
+                metrics.inc(EngineMetric::MemPressure, 1);
+                metrics.inc(EngineMetric::HostShards, 1);
                 observer.decision(|| Decision::MemoryPressure {
                     device: 0,
                     requested: bytes,

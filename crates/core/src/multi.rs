@@ -54,6 +54,7 @@ use crate::api::GasProgram;
 use crate::exec::bsp::{Bsp, Timeline};
 use crate::exec::compute::{activate_kernel_spec, apply_kernel_spec, gather_map_spec};
 use crate::exec::device::{barrier, barrier_observed, Abort, DeviceCtx};
+use crate::exec::EngineMetric;
 use crate::options::Options;
 use crate::phases::ShardWork;
 use crate::recovery::{EngineError, RecoveryPolicy};
@@ -154,18 +155,13 @@ impl std::fmt::Display for MultiRunStats {
                 self.checkpoint_bytes_written as f64 / 1e6,
                 self.checkpoint_restores
             )?;
-            if self.checkpoint_delta_writes > 0 {
-                write!(
-                    f,
-                    " | {:.2} MB full + {} deltas ({:.2} MB)",
-                    self.checkpoint_full_bytes as f64 / 1e6,
-                    self.checkpoint_delta_writes,
-                    self.checkpoint_delta_bytes as f64 / 1e6
-                )?;
-            }
-            if let Some(fp) = self.state_fingerprint {
-                write!(f, "\n  state fingerprint: {fp:#018x}")?;
-            }
+            crate::stats::durability_tail(
+                f,
+                self.checkpoint_full_bytes,
+                self.checkpoint_delta_writes,
+                self.checkpoint_delta_bytes,
+                self.state_fingerprint,
+            )?;
         }
         if self.storage_retries > 0 || self.checkpoints_skipped > 0 {
             write!(
@@ -362,7 +358,9 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
 
         // Per-GPU memory governor (plan-level): relieve capped devices by
         // redistribution first, splitting only as a last resort.
-        let governed = govern_placement(
+        let mut metrics = MetricsRegistry::new();
+        govern_placement(
+            &mut metrics,
             &mut plan,
             &mut owners,
             &ctxs,
@@ -418,7 +416,7 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
             evictions: 0,
             global: SimDuration::ZERO,
             exchange_bytes: 0,
-            metrics: MetricsRegistry::new(),
+            metrics,
             storage,
             observer: self.observer.clone(),
         };
@@ -439,17 +437,17 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
             num_shards: c.plan.shards.len(),
             evictions: c.evictions,
             faults_injected: c.ctxs.iter().map(|c| c.faults_injected()).sum(),
-            mem_pressure_events: governed.mem_pressure_events,
-            redistributions: governed.redistributions,
-            shard_splits: governed.shard_splits,
-            checkpoint_writes: metrics.counter("engine.checkpoint_writes"),
-            checkpoint_bytes_written: metrics.counter("engine.checkpoint_bytes"),
-            checkpoint_full_bytes: metrics.counter("engine.checkpoint_full_bytes"),
-            checkpoint_delta_writes: metrics.counter("engine.checkpoint_delta_writes"),
-            checkpoint_delta_bytes: metrics.counter("engine.checkpoint_delta_bytes"),
-            checkpoint_restores: metrics.counter("engine.checkpoint_restores"),
-            checkpoints_skipped: c.storage.counters.skipped,
-            storage_retries: c.storage.counters.retries,
+            mem_pressure_events: metrics.counter(EngineMetric::MemPressure),
+            redistributions: metrics.counter(EngineMetric::Redistributions),
+            shard_splits: metrics.counter(EngineMetric::ShardSplits),
+            checkpoint_writes: metrics.counter(EngineMetric::CheckpointWrites),
+            checkpoint_bytes_written: metrics.counter(EngineMetric::CheckpointBytes),
+            checkpoint_full_bytes: metrics.counter(EngineMetric::CheckpointFullBytes),
+            checkpoint_delta_writes: metrics.counter(EngineMetric::CheckpointDeltaWrites),
+            checkpoint_delta_bytes: metrics.counter(EngineMetric::CheckpointDeltaBytes),
+            checkpoint_restores: metrics.counter(EngineMetric::CheckpointRestores),
+            checkpoints_skipped: metrics.counter(EngineMetric::CheckpointsSkipped),
+            storage_retries: metrics.counter(EngineMetric::StorageRetries),
             state_fingerprint: fingerprinted
                 .then(|| snapshot::values_fingerprint(&host.vertex_values)),
             per_iteration: host.iterations,
@@ -462,15 +460,6 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
     }
 }
 
-/// What the plan-level multi-GPU governor did (all-zero when no device
-/// cap is armed — the uncapped path makes no decisions).
-#[derive(Default)]
-struct MultiGoverned {
-    mem_pressure_events: u64,
-    redistributions: u64,
-    shard_splits: u64,
-}
-
 /// Relieve per-GPU memory pressure at plan time. A device is pressured
 /// when its replicated static buffers plus `K` slots of its largest owned
 /// shard exceed its (possibly capped) pool. Escalation per offending
@@ -479,16 +468,17 @@ struct MultiGoverned {
 /// it ([`Decision::ShardSplit`]); a shard that cannot shrink below any
 /// device's budget surfaces [`EngineError::Alloc`]. Runs to a fixed
 /// point: redistribution strictly shrinks the offender's footprint and
-/// splits strictly shrink shards, so the loop terminates.
+/// splits strictly shrink shards, so the loop terminates. Every response
+/// is counted in `metrics`, the cluster's engine registry.
 fn govern_placement(
+    metrics: &mut MetricsRegistry<EngineMetric>,
     plan: &mut PartitionPlan,
     owners: &mut Vec<usize>,
     ctxs: &[DeviceCtx],
     sizes: &SizeModel,
     layout: &GraphLayout,
     observer: &Observer,
-) -> Result<MultiGoverned, EngineError> {
-    let mut out = MultiGoverned::default();
+) -> Result<(), EngineError> {
     let ngpu = ctxs.len();
     let k = plan.concurrent.max(1) as u64;
     let budgets: Vec<u64> = ctxs
@@ -508,7 +498,7 @@ fn govern_placement(
         }
     }
     if budgets.iter().all(|&b| k * plan.max_shard_bytes <= b) {
-        return Ok(out); // every device fits the optimistic plan: no decisions
+        return Ok(()); // every device fits the optimistic plan: no decisions
     }
     let mut split_any = false;
     loop {
@@ -538,8 +528,8 @@ fn govern_placement(
             .min_by_key(|&t| load[t]);
         if let Some(t) = target {
             owners[idx] = t;
-            out.mem_pressure_events += 1;
-            out.redistributions += 1;
+            metrics.inc(EngineMetric::MemPressure, 1);
+            metrics.inc(EngineMetric::Redistributions, 1);
             let (requested, available, capacity) = (k * bytes, budgets[d], ctxs[d].mem_capacity());
             observer.decision(|| Decision::MemoryPressure {
                 device: d as u32,
@@ -563,7 +553,7 @@ fn govern_placement(
                 capacity: ctxs[d].mem_capacity(),
             }));
         };
-        out.shard_splits += 1;
+        metrics.inc(EngineMetric::ShardSplits, 1);
         let vertices = shard.num_vertices();
         observer.decision(|| Decision::ShardSplit {
             shard: idx as u32,
@@ -585,7 +575,7 @@ fn govern_placement(
             .max()
             .unwrap_or(0);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// The multi-GPU timeline: shard owners and device liveness, BSP
@@ -605,9 +595,10 @@ struct Cluster<'g> {
     /// Committed only when an iteration completes, so replays never
     /// double-count.
     exchange_bytes: u64,
-    /// Orchestrator-level registry: rollbacks, frontier observations and
-    /// the durable writer's checkpoint counters.
-    metrics: MetricsRegistry,
+    /// Orchestrator-level registry: governor responses, rollbacks,
+    /// frontier observations, and the durable writer's and storage
+    /// plane's counters. Never snapshotted.
+    metrics: MetricsRegistry<EngineMetric>,
     storage: StorageCtx,
     observer: Observer,
 }
@@ -619,7 +610,7 @@ impl Timeline for Cluster<'_> {
         (TopoView::raw(self.layout), &self.plan.shards)
     }
 
-    fn io(&mut self) -> (&mut MetricsRegistry, &mut StorageCtx) {
+    fn io(&mut self) -> (&mut MetricsRegistry<EngineMetric>, &mut StorageCtx) {
         (&mut self.metrics, &mut self.storage)
     }
 

@@ -10,8 +10,9 @@
 //! 16/17's frontier dynamics), so regenerating a figure is a run plus
 //! a plot script, not a parse of log text.
 
-use gr_observe::export::snapshot_body;
-use gr_observe::{json, Decision, Recorded};
+use gr_observe::export::{decision_fields, snapshot_fields};
+use gr_observe::json::{Layout, Writer};
+use gr_observe::{Decision, Recorded};
 
 use crate::stats::RunStats;
 
@@ -23,262 +24,144 @@ pub const REPORT_VERSION: u32 = 2;
 /// per-iteration trace, decision summary, and every non-per-iteration
 /// metrics snapshot the observer captured (scopes like `"run"`,
 /// `"engine"`, `"gpu0"`).
+///
+/// Sections for opt-in features (durability, compression, the wall
+/// profile) and their decision counts appear only when the feature did
+/// work: adding a member is compatible within a `report_version`, and
+/// runs without the feature emit the byte-identical report they always
+/// did.
 pub fn run_report(stats: &RunStats, rec: &Recorded) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"report_version\": {REPORT_VERSION},\n"));
-    out.push_str(&format!(
-        "  \"algorithm\": {},\n",
-        json::string(stats.algorithm)
-    ));
-    out.push_str(&format!("  \"iterations\": {},\n", stats.iterations));
-    out.push_str(&format!(
-        "  \"elapsed_ns\": {},\n",
-        stats.elapsed.as_nanos()
-    ));
-    out.push_str(&format!(
-        "  \"memcpy_time_ns\": {},\n",
-        stats.memcpy_time.as_nanos()
-    ));
-    out.push_str(&format!(
-        "  \"kernel_time_ns\": {},\n",
-        stats.kernel_time.as_nanos()
-    ));
-    out.push_str(&format!("  \"bytes_h2d\": {},\n", stats.bytes_h2d));
-    out.push_str(&format!("  \"bytes_d2h\": {},\n", stats.bytes_d2h));
-    out.push_str(&format!("  \"copy_ops\": {},\n", stats.copy_ops));
-    out.push_str(&format!(
-        "  \"kernel_launches\": {},\n",
-        stats.kernel_launches
-    ));
-    out.push_str(&format!(
-        "  \"skipped_shard_copies\": {},\n",
-        stats.skipped_shard_copies
-    ));
-    out.push_str(&format!(
-        "  \"skipped_kernel_launches\": {},\n",
-        stats.skipped_kernel_launches
-    ));
-    out.push_str(&format!("  \"num_shards\": {},\n", stats.num_shards));
-    out.push_str(&format!(
-        "  \"concurrent_shards\": {},\n",
-        stats.concurrent_shards
-    ));
-    out.push_str(&format!("  \"all_resident\": {},\n", stats.all_resident));
-    out.push_str(&format!(
-        "  \"faults_injected\": {},\n",
-        stats.faults_injected
-    ));
-    out.push_str(&format!(
-        "  \"recovered_retries\": {},\n",
-        stats.recovered_retries
-    ));
-    out.push_str(&format!("  \"rollbacks\": {},\n", stats.rollbacks));
-    out.push_str(&format!("  \"host_fallback\": {},\n", stats.host_fallback));
-    out.push_str(&format!(
-        "  \"mem_pressure_events\": {},\n",
-        stats.mem_pressure_events
-    ));
-    out.push_str(&format!("  \"shard_splits\": {},\n", stats.shard_splits));
-    out.push_str(&format!(
-        "  \"chunked_shards\": {},\n",
-        stats.chunked_shards
-    ));
-    out.push_str(&format!(
-        "  \"chunked_copies\": {},\n",
-        stats.chunked_copies
-    ));
-    out.push_str(&format!("  \"host_shards\": {},\n", stats.host_shards));
-    out.push_str(&format!("  \"mem_peak\": {},\n", stats.mem_peak));
-    out.push_str(&format!(
-        "  \"mem_min_headroom\": {},\n",
-        stats.mem_min_headroom
-    ));
-    // Durability section: present only when durable checkpoints, a
-    // resume, or the spill store actually did work (same compatibility
-    // rule as the wall section — absent means byte-identical to pre-
-    // durability reports).
+    let mut out = String::new();
+    let mut o = Writer::object(&mut out, Layout::Lines(0));
+    o.field("report_version", REPORT_VERSION)
+        .field("algorithm", stats.algorithm)
+        .field("iterations", stats.iterations)
+        .field("elapsed_ns", stats.elapsed.as_nanos())
+        .field("memcpy_time_ns", stats.memcpy_time.as_nanos())
+        .field("kernel_time_ns", stats.kernel_time.as_nanos())
+        .field("bytes_h2d", stats.bytes_h2d)
+        .field("bytes_d2h", stats.bytes_d2h)
+        .field("copy_ops", stats.copy_ops)
+        .field("kernel_launches", stats.kernel_launches)
+        .field("skipped_shard_copies", stats.skipped_shard_copies)
+        .field("skipped_kernel_launches", stats.skipped_kernel_launches)
+        .field("num_shards", stats.num_shards)
+        .field("concurrent_shards", stats.concurrent_shards)
+        .field("all_resident", stats.all_resident)
+        .field("faults_injected", stats.faults_injected)
+        .field("recovered_retries", stats.recovered_retries)
+        .field("rollbacks", stats.rollbacks)
+        .field("host_fallback", stats.host_fallback)
+        .field("mem_pressure_events", stats.mem_pressure_events)
+        .field("shard_splits", stats.shard_splits)
+        .field("chunked_shards", stats.chunked_shards)
+        .field("chunked_copies", stats.chunked_copies)
+        .field("host_shards", stats.host_shards)
+        .field("mem_peak", stats.mem_peak)
+        .field("mem_min_headroom", stats.mem_min_headroom);
     if stats.checkpoint_writes > 0
         || stats.checkpoint_restores > 0
         || stats.spilled_shards > 0
         || stats.checkpoints_skipped > 0
         || stats.storage_retries > 0
     {
-        out.push_str(&format!(
-            "  \"durability\": {{\"checkpoint_writes\": {}, \"checkpoint_bytes_written\": {}, \
-             \"checkpoint_full_bytes\": {}, \"checkpoint_delta_writes\": {}, \
-             \"checkpoint_delta_bytes\": {}, \"checkpoint_raw_bytes\": {}, \
-             \"checkpoint_restores\": {}, \"checkpoints_skipped\": {}, \
-             \"spilled_shards\": {}, \"spilled_bytes\": {}, \
-             \"spill_loads\": {}, \"spill_load_bytes\": {}, \
-             \"storage_retries\": {}, \"spill_restreams\": {}}},\n",
-            stats.checkpoint_writes,
-            stats.checkpoint_bytes_written,
-            stats.checkpoint_full_bytes,
-            stats.checkpoint_delta_writes,
-            stats.checkpoint_delta_bytes,
-            stats.checkpoint_raw_bytes,
-            stats.checkpoint_restores,
-            stats.checkpoints_skipped,
-            stats.spilled_shards,
-            stats.spilled_bytes,
-            stats.spill_loads,
-            stats.spill_load_bytes,
-            stats.storage_retries,
-            stats.spill_restreams
-        ));
+        Writer::object(o.key("durability"), Layout::Spaced)
+            .field("checkpoint_writes", stats.checkpoint_writes)
+            .field("checkpoint_bytes_written", stats.checkpoint_bytes_written)
+            .field("checkpoint_full_bytes", stats.checkpoint_full_bytes)
+            .field("checkpoint_delta_writes", stats.checkpoint_delta_writes)
+            .field("checkpoint_delta_bytes", stats.checkpoint_delta_bytes)
+            .field("checkpoint_raw_bytes", stats.checkpoint_raw_bytes)
+            .field("checkpoint_restores", stats.checkpoint_restores)
+            .field("checkpoints_skipped", stats.checkpoints_skipped)
+            .field("spilled_shards", stats.spilled_shards)
+            .field("spilled_bytes", stats.spilled_bytes)
+            .field("spill_loads", stats.spill_loads)
+            .field("spill_load_bytes", stats.spill_load_bytes)
+            .field("storage_retries", stats.storage_retries)
+            .field("spill_restreams", stats.spill_restreams);
     }
-    // Compression section: present only when a shard codec was armed
-    // (uncompressed runs emit the byte-identical report they always did).
     if let Some(codec) = stats.compression_codec {
-        out.push_str(&format!(
-            "  \"compression\": {{\"codec\": {}, \"compressed_bytes\": {}, \
-             \"raw_bytes\": {}, \"ratio\": {}, \"decompress_launches\": {}}},\n",
-            json::string(codec),
-            stats.compressed_bytes,
-            stats.compressed_raw_bytes,
-            json::number(stats.compression_ratio().unwrap_or(0.0)),
-            stats.decompress_launches
-        ));
+        Writer::object(o.key("compression"), Layout::Spaced)
+            .field("codec", codec)
+            .field("compressed_bytes", stats.compressed_bytes)
+            .field("raw_bytes", stats.compressed_raw_bytes)
+            .field("ratio", stats.compression_ratio().unwrap_or(0.0))
+            .field("decompress_launches", stats.decompress_launches);
     }
     if let Some(fp) = stats.state_fingerprint {
-        out.push_str(&format!("  \"state_fingerprint\": \"{fp:#018x}\",\n"));
+        o.field("state_fingerprint", format!("{fp:#018x}").as_str());
     }
-    out.push_str(&format!("  \"max_frontier\": {},\n", stats.max_frontier()));
-    out.push_str(&format!(
-        "  \"pct_iterations_below_half_max\": {},\n",
-        json::number(stats.pct_iterations_below_half_max())
-    ));
-    out.push_str(&format!(
-        "  \"memcpy_share\": {},\n",
-        json::number(stats.memcpy_share())
-    ));
-
-    // Real wall-clock section: present only when a profiler was armed
-    // (adding a field is compatible within a `report_version`; disarmed
-    // runs emit the byte-identical report they always did).
+    o.field("max_frontier", stats.max_frontier())
+        .field(
+            "pct_iterations_below_half_max",
+            stats.pct_iterations_below_half_max(),
+        )
+        .field("memcpy_share", stats.memcpy_share());
     if let Some(w) = &stats.wall {
-        let phases: Vec<String> = w
-            .phases
-            .iter()
-            .map(|(p, ns)| format!("{{\"phase\":{},\"self_ns\":{ns}}}", json::string(p)))
-            .collect();
-        out.push_str(&format!(
-            "  \"wall\": {{\"total_ns\": {}, \"kernel_ns\": {}, \"threads\": {}, \
-             \"imbalance\": {}, \"phases\": [{}]}},\n",
-            w.total_ns,
-            w.kernel_ns,
-            w.threads,
-            json::number(w.imbalance),
-            phases.join(",")
-        ));
+        let mut wall = Writer::object(o.key("wall"), Layout::Spaced);
+        wall.field("total_ns", w.total_ns)
+            .field("kernel_ns", w.kernel_ns)
+            .field("threads", w.threads)
+            .field("imbalance", w.imbalance);
+        let mut phases = Writer::array(wall.key("phases"), Layout::Compact);
+        for (phase, ns) in &w.phases {
+            Writer::object(phases.item(), Layout::Compact)
+                .field("phase", phase)
+                .field("self_ns", ns);
+        }
     }
 
-    let iters: Vec<String> = stats
-        .per_iteration
-        .iter()
-        .enumerate()
-        .map(|(i, it)| {
-            format!(
-                "    {{\"iteration\":{i},\"frontier_size\":{},\"gathered_edges\":{},\
-                 \"changed\":{},\"activated\":{},\"shards_processed\":{},\"shards_skipped\":{}}}",
-                it.frontier_size,
-                it.gathered_edges,
-                it.changed,
-                it.activated,
-                it.shards_processed,
-                it.shards_skipped
-            )
-        })
-        .collect();
-    out.push_str(&format!(
-        "  \"per_iteration\": [\n{}\n  ],\n",
-        iters.join(",\n")
-    ));
+    let mut iters = Writer::array(o.key("per_iteration"), Layout::Lines(2));
+    for (i, it) in stats.per_iteration.iter().enumerate() {
+        Writer::object(iters.item(), Layout::Compact)
+            .field("iteration", i)
+            .field("frontier_size", it.frontier_size)
+            .field("gathered_edges", it.gathered_edges)
+            .field("changed", it.changed)
+            .field("activated", it.activated)
+            .field("shards_processed", it.shards_processed)
+            .field("shards_skipped", it.shards_skipped);
+    }
+    drop(iters);
 
-    let plan: Vec<String> = rec
-        .decisions
-        .iter()
-        .filter_map(|d| match d {
-            Decision::PhaseFusion { phases, rationale } => Some(format!(
-                "      {{\"kind\":\"phase_fusion\",\"phases\":{},\"rationale\":{}}}",
-                json::string(phases),
-                json::string(rationale)
-            )),
-            Decision::PhaseElimination { phase, rationale } => Some(format!(
-                "      {{\"kind\":\"phase_elimination\",\"phase\":{},\"rationale\":{}}}",
-                json::string(phase),
-                json::string(rationale)
-            )),
-            // Per-event decisions are summarized by count here (the full
-            // stream lives in the JSONL decision log).
-            Decision::ShardSkip { .. }
-            | Decision::FaultRetry { .. }
-            | Decision::Rollback { .. }
-            | Decision::DeviceEvict { .. }
-            | Decision::HostFallback { .. }
-            | Decision::MemoryPressure { .. }
-            | Decision::ShardSplit { .. }
-            | Decision::ChunkedXfer { .. }
-            | Decision::ShardSpill { .. }
-            | Decision::ShardLoad { .. }
-            | Decision::CheckpointWrite { .. }
-            | Decision::CheckpointRestore { .. }
-            | Decision::CompressShard { .. }
-            | Decision::DecompressShard { .. }
-            | Decision::StorageRetry { .. }
-            | Decision::StorageDegraded { .. }
-            | Decision::CheckpointSkipped { .. }
-            | Decision::QueryAdmit { .. }
-            | Decision::QueryReject { .. }
-            | Decision::BatchFormed { .. }
-            | Decision::QueryDone { .. } => None,
-        })
-        .collect();
-    // Durability decisions appear in the summary only when any were made
-    // (keeps durability-off reports byte-identical).
-    let durability = rec.durability_decisions();
-    let durability_field = if durability > 0 {
-        format!("\"durability_decisions\": {durability}, ")
-    } else {
-        String::new()
-    };
-    // Same rule for compression: counted only when a codec was armed.
-    let compression = rec.compression_decisions();
-    let compression_field = if compression > 0 {
-        format!("\"compression_decisions\": {compression}, ")
-    } else {
-        String::new()
-    };
-    // And for storage faults: counted only when I/O faults did fire.
-    let storage = rec.storage_decisions();
-    let storage_field = if storage > 0 {
-        format!("\"storage_decisions\": {storage}, ")
-    } else {
-        String::new()
-    };
-    out.push_str(&format!(
-        "  \"decisions\": {{\"shard_skips\": {}, \"recovery_decisions\": {}, \
-         \"memory_decisions\": {}, {}{}{}\"plan\": [\n{}\n    ]}},\n",
-        rec.shard_skips(),
-        rec.recovery_decisions(),
-        rec.memory_decisions(),
-        durability_field,
-        compression_field,
-        storage_field,
-        plan.join(",\n")
-    ));
+    // Per-event decisions are summarized by count (the full stream lives
+    // in the JSONL decision log); only the per-run plan is listed.
+    let mut decisions = Writer::object(o.key("decisions"), Layout::Spaced);
+    decisions
+        .field("shard_skips", rec.shard_skips())
+        .field("recovery_decisions", rec.recovery_decisions())
+        .field("memory_decisions", rec.memory_decisions());
+    for (key, n) in [
+        ("durability_decisions", rec.durability_decisions()),
+        ("compression_decisions", rec.compression_decisions()),
+        ("storage_decisions", rec.storage_decisions()),
+    ] {
+        if n > 0 {
+            decisions.field(key, n);
+        }
+    }
+    let mut plan = Writer::array(decisions.key("plan"), Layout::Lines(4));
+    for d in &rec.decisions {
+        if matches!(
+            d,
+            Decision::PhaseFusion { .. } | Decision::PhaseElimination { .. }
+        ) {
+            decision_fields(&mut Writer::object(plan.item(), Layout::Compact), d);
+        }
+    }
+    drop(plan);
+    drop(decisions);
 
-    let snaps: Vec<String> = rec
-        .snapshots
-        .iter()
-        .filter(|(scope, _)| !scope.starts_with("iteration"))
-        .map(|(scope, snap)| format!("    {}: {{{}}}", json::string(scope), snapshot_body(snap)))
-        .collect();
-    out.push_str(&format!(
-        "  \"snapshots\": {{\n{}\n  }}\n",
-        snaps.join(",\n")
-    ));
-    out.push_str("}\n");
+    let mut snaps = Writer::object(o.key("snapshots"), Layout::Lines(2));
+    for (scope, snap) in &rec.snapshots {
+        if !scope.starts_with("iteration") {
+            snapshot_fields(&mut Writer::object(snaps.key(scope), Layout::Compact), snap);
+        }
+    }
+    drop(snaps);
+    drop(o);
+    out.push('\n');
     out
 }
 
@@ -308,7 +191,7 @@ mod tests {
     use super::*;
     use crate::stats::IterationStats;
     use gr_observe::{MetricsRegistry, Observer};
-    use gr_sim::SimDuration;
+    use gr_sim::{DeviceMetric, SimDuration};
 
     fn stats() -> RunStats {
         RunStats {
@@ -386,7 +269,7 @@ mod tests {
             bytes: 512,
         });
         let mut m = MetricsRegistry::new();
-        m.inc("h2d.bytes", 1000);
+        m.inc(DeviceMetric::H2dBytes, 1000);
         obs.snapshot("run", || m.snapshot());
         obs.snapshot("iteration 0", || m.snapshot());
         sink.recorded()

@@ -189,6 +189,31 @@ impl RunStats {
     }
 }
 
+/// The end of the durability line, shared by [`RunStats`] and
+/// [`MultiRunStats`](crate::multi::MultiRunStats): delta mode adds the
+/// full-vs-delta byte split (full-only durable runs keep the exact line
+/// they always printed), then the state fingerprint on a line of its own.
+pub(crate) fn durability_tail(
+    f: &mut std::fmt::Formatter<'_>,
+    full_bytes: u64,
+    delta_writes: u64,
+    delta_bytes: u64,
+    fingerprint: Option<u64>,
+) -> std::fmt::Result {
+    if delta_writes > 0 {
+        write!(
+            f,
+            " | {:.2} MB full + {delta_writes} deltas ({:.2} MB)",
+            full_bytes as f64 / 1e6,
+            delta_bytes as f64 / 1e6
+        )?;
+    }
+    if let Some(fp) = fingerprint {
+        write!(f, "\n  state fingerprint: {fp:#018x}")?;
+    }
+    Ok(())
+}
+
 impl std::fmt::Display for RunStats {
     /// Multi-line human-readable run report (used by examples and the
     /// `run` CLI).
@@ -280,20 +305,13 @@ impl std::fmt::Display for RunStats {
                 self.spill_loads,
                 self.spill_load_bytes as f64 / 1e6
             )?;
-            // Delta mode adds the full-vs-delta byte split; full-only
-            // durable runs keep the exact line they always printed.
-            if self.checkpoint_delta_writes > 0 {
-                write!(
-                    f,
-                    " | {:.2} MB full + {} deltas ({:.2} MB)",
-                    self.checkpoint_full_bytes as f64 / 1e6,
-                    self.checkpoint_delta_writes,
-                    self.checkpoint_delta_bytes as f64 / 1e6
-                )?;
-            }
-            if let Some(fp) = self.state_fingerprint {
-                write!(f, "\n  state fingerprint: {fp:#018x}")?;
-            }
+            durability_tail(
+                f,
+                self.checkpoint_full_bytes,
+                self.checkpoint_delta_writes,
+                self.checkpoint_delta_bytes,
+                self.state_fingerprint,
+            )?;
         }
         // Storage-fault handling is its own conditional line: fault-free
         // durable runs stay byte-identical.

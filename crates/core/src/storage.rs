@@ -24,31 +24,22 @@
 
 use std::path::Path;
 
-use gr_observe::{Decision, Observer};
+use gr_observe::{Decision, MetricsRegistry, Observer};
 use gr_sim::{FaultPlan, IoFault, IoFaultState, IoOp};
 
+use crate::exec::EngineMetric;
 use crate::frame::write_atomic;
 use crate::recovery::{EngineError, RecoveryPolicy};
 use crate::store::{FileShardStore, ShardStore};
 
-/// Counters the storage plane accumulates for [`crate::RunStats`].
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct StorageCounters {
-    /// Storage-op retries that absorbed an injected fault.
-    pub(crate) retries: u64,
-    /// Spill reads degraded to re-streaming from the source graph.
-    pub(crate) restreams: u64,
-    /// Durable checkpoint writes skipped after retry exhaustion.
-    pub(crate) skipped: u64,
-}
-
 /// Fault-injection, retry, and degradation wrapper for spill and
-/// checkpoint I/O. One per run; all state is deterministic.
+/// checkpoint I/O. One per run; all state is deterministic. Retries,
+/// re-streams and skipped checkpoints are counted in the engine
+/// registry each call is handed.
 pub(crate) struct StorageCtx {
     io: IoFaultState,
     policy: RecoveryPolicy,
     observer: Observer,
-    pub(crate) counters: StorageCounters,
 }
 
 impl StorageCtx {
@@ -57,7 +48,6 @@ impl StorageCtx {
             io: IoFaultState::new(plan),
             policy,
             observer,
-            counters: StorageCounters::default(),
         }
     }
 
@@ -72,13 +62,19 @@ impl StorageCtx {
     /// attempt came up fault-free (the caller may now perform the real
     /// I/O), `Ok(false)` when retries were exhausted (the caller
     /// degrades). Emits exactly one decision per injected fault.
-    fn attempt(&mut self, op: IoOp, iteration: u32, shard: u32) -> Result<bool, EngineError> {
+    fn attempt(
+        &mut self,
+        metrics: &mut MetricsRegistry<EngineMetric>,
+        op: IoOp,
+        iteration: u32,
+        shard: u32,
+    ) -> Result<bool, EngineError> {
         for attempt in 0..=self.policy.max_retries {
             let Some(fault) = self.io.next(op) else {
                 return Ok(true);
             };
             if attempt < self.policy.max_retries {
-                self.counters.retries += 1;
+                metrics.inc(EngineMetric::StorageRetries, 1);
                 let backoff_ns = self.policy.backoff(attempt + 1).as_nanos();
                 self.observer.decision(|| Decision::StorageRetry {
                     iteration,
@@ -100,12 +96,13 @@ impl StorageCtx {
     /// caller must not mark it spilled.
     pub(crate) fn spill_put(
         &mut self,
+        metrics: &mut MetricsRegistry<EngineMetric>,
         store: &FileShardStore,
         shard: u32,
         payload: &[u8],
         iteration: u32,
     ) -> Result<Option<u64>, EngineError> {
-        if self.attempt(IoOp::SpillWrite, iteration, shard)? {
+        if self.attempt(metrics, IoOp::SpillWrite, iteration, shard)? {
             return Ok(Some(store.put(shard, payload)?));
         }
         self.observer.decision(|| Decision::StorageDegraded {
@@ -121,14 +118,15 @@ impl StorageCtx {
     /// exhausted: the caller re-streams the shard from the source graph.
     pub(crate) fn spill_get(
         &mut self,
+        metrics: &mut MetricsRegistry<EngineMetric>,
         store: &FileShardStore,
         shard: u32,
         iteration: u32,
     ) -> Result<Option<Vec<u8>>, EngineError> {
-        if self.attempt(IoOp::SpillRead, iteration, shard)? {
+        if self.attempt(metrics, IoOp::SpillRead, iteration, shard)? {
             return Ok(Some(store.get(shard)?));
         }
-        self.counters.restreams += 1;
+        metrics.inc(EngineMetric::SpillRestreams, 1);
         self.observer.decision(|| Decision::StorageDegraded {
             iteration,
             op: IoOp::SpillRead.name(),
@@ -146,6 +144,7 @@ impl StorageCtx {
     /// exhaustion; the run continues on the previous snapshot.
     pub(crate) fn snapshot_write(
         &mut self,
+        metrics: &mut MetricsRegistry<EngineMetric>,
         dir: &Path,
         name: &str,
         boundary: u32,
@@ -163,7 +162,7 @@ impl StorageCtx {
                 let _ = std::fs::write(&tmp, torn);
             }
             if attempt < self.policy.max_retries {
-                self.counters.retries += 1;
+                metrics.inc(EngineMetric::StorageRetries, 1);
                 let backoff_ns = self.policy.backoff(attempt + 1).as_nanos();
                 self.observer.decision(|| Decision::StorageRetry {
                     iteration: boundary,
@@ -174,7 +173,7 @@ impl StorageCtx {
                     backoff_ns,
                 });
             } else {
-                self.counters.skipped += 1;
+                metrics.inc(EngineMetric::CheckpointsSkipped, 1);
                 self.observer.decision(|| Decision::CheckpointSkipped {
                     iteration: boundary,
                     rationale: fault.name(IoOp::CheckpointWrite),
@@ -202,15 +201,16 @@ mod tests {
     #[test]
     fn disarmed_context_is_pass_through_with_zero_decisions() {
         let (obs, rec) = Observer::recording();
+        let mut m = MetricsRegistry::new();
         let mut ctx = StorageCtx::new(&FaultPlan::none(), RecoveryPolicy::default(), obs);
         let dir = tmpdir("passthrough");
         let store = FileShardStore::new(&dir);
-        let b = ctx.spill_put(&store, 0, b"payload", 1).unwrap();
+        let b = ctx.spill_put(&mut m, &store, 0, b"payload", 1).unwrap();
         assert_eq!(b, Some(7));
-        let back = ctx.spill_get(&store, 0, 1).unwrap();
+        let back = ctx.spill_get(&mut m, &store, 0, 1).unwrap();
         assert_eq!(back.as_deref(), Some(&b"payload"[..]));
         assert_eq!(ctx.injected(), 0);
-        assert_eq!(ctx.counters.retries, 0);
+        assert_eq!(m.counter(EngineMetric::StorageRetries), 0);
         assert_eq!(rec.recorded().storage_decisions(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -221,14 +221,18 @@ mod tests {
         let plan = FaultPlan::none()
             .fail_spill_read(0, 2)
             .fail_spill_write(0, 1);
+        let mut m = MetricsRegistry::new();
         let mut ctx = StorageCtx::new(&plan, RecoveryPolicy::default(), obs);
         let dir = tmpdir("transient");
         let store = FileShardStore::new(&dir);
-        assert!(ctx.spill_put(&store, 3, b"xyz", 0).unwrap().is_some());
-        assert!(ctx.spill_get(&store, 3, 1).unwrap().is_some());
+        assert!(ctx
+            .spill_put(&mut m, &store, 3, b"xyz", 0)
+            .unwrap()
+            .is_some());
+        assert!(ctx.spill_get(&mut m, &store, 3, 1).unwrap().is_some());
         assert_eq!(ctx.injected(), 3);
-        assert_eq!(ctx.counters.retries, 3);
-        assert_eq!(ctx.counters.restreams, 0);
+        assert_eq!(m.counter(EngineMetric::StorageRetries), 3);
+        assert_eq!(m.counter(EngineMetric::SpillRestreams), 0);
         let got = rec.recorded();
         assert_eq!(got.storage_decisions() as u64, ctx.injected());
         assert!(got
@@ -243,12 +247,13 @@ mod tests {
         let (obs, rec) = Observer::recording();
         // More consecutive faults than retries: the 4th exhausts.
         let plan = FaultPlan::none().fail_spill_read(0, 4);
+        let mut m = MetricsRegistry::new();
         let mut ctx = StorageCtx::new(&plan, RecoveryPolicy::default(), obs);
         let dir = tmpdir("exhausted");
         let store = FileShardStore::new(&dir);
         store.put(9, b"blob").unwrap();
-        assert!(ctx.spill_get(&store, 9, 2).unwrap().is_none());
-        assert_eq!(ctx.counters.restreams, 1);
+        assert!(ctx.spill_get(&mut m, &store, 9, 2).unwrap().is_none());
+        assert_eq!(m.counter(EngineMetric::SpillRestreams), 1);
         assert_eq!(ctx.injected(), 4);
         let got = rec.recorded();
         assert_eq!(got.storage_decisions() as u64, ctx.injected());
@@ -266,16 +271,17 @@ mod tests {
     fn torn_checkpoint_write_retries_and_never_installs_a_half_file() {
         let (obs, rec) = Observer::recording();
         let plan = FaultPlan::none().torn_checkpoint_write(0, 1);
+        let mut m = MetricsRegistry::new();
         let mut ctx = StorageCtx::new(&plan, RecoveryPolicy::default(), obs);
         let dir = tmpdir("torn");
         let bytes = vec![0x5au8; 256];
         let written = ctx
-            .snapshot_write(&dir, "ckpt-00000001.grck", 1, &bytes)
+            .snapshot_write(&mut m, &dir, "ckpt-00000001.grck", 1, &bytes)
             .unwrap();
         assert_eq!(written, Some(256));
         let finalb = std::fs::read(dir.join("ckpt-00000001.grck")).unwrap();
         assert_eq!(finalb, bytes, "retry installed the complete file");
-        assert_eq!(ctx.counters.retries, 1);
+        assert_eq!(m.counter(EngineMetric::StorageRetries), 1);
         let got = rec.recorded();
         assert_eq!(got.storage_decisions() as u64, ctx.injected());
         assert!(matches!(
@@ -292,13 +298,14 @@ mod tests {
     fn exhausted_checkpoint_write_is_skipped_not_fatal() {
         let (obs, rec) = Observer::recording();
         let plan = FaultPlan::none().fail_checkpoint_write(0, 10);
+        let mut m = MetricsRegistry::new();
         let mut ctx = StorageCtx::new(&plan, RecoveryPolicy::default(), obs);
         let dir = tmpdir("skip");
         let out = ctx
-            .snapshot_write(&dir, "ckpt-00000002.grck", 2, &[1, 2, 3])
+            .snapshot_write(&mut m, &dir, "ckpt-00000002.grck", 2, &[1, 2, 3])
             .unwrap();
         assert!(out.is_none());
-        assert_eq!(ctx.counters.skipped, 1);
+        assert_eq!(m.counter(EngineMetric::CheckpointsSkipped), 1);
         assert!(!dir.join("ckpt-00000002.grck").exists());
         let got = rec.recorded();
         assert_eq!(got.storage_decisions(), 4, "3 retries + 1 skip");
@@ -313,11 +320,12 @@ mod tests {
     fn fail_fast_policy_degrades_on_the_first_fault() {
         let (obs, rec) = Observer::recording();
         let plan = FaultPlan::none().fail_spill_write(0, 1);
+        let mut m = MetricsRegistry::new();
         let mut ctx = StorageCtx::new(&plan, RecoveryPolicy::fail_fast(), obs);
         let dir = tmpdir("failfast");
         let store = FileShardStore::new(&dir);
-        assert!(ctx.spill_put(&store, 0, b"p", 0).unwrap().is_none());
-        assert_eq!(ctx.counters.retries, 0);
+        assert!(ctx.spill_put(&mut m, &store, 0, b"p", 0).unwrap().is_none());
+        assert_eq!(m.counter(EngineMetric::StorageRetries), 0);
         assert_eq!(rec.recorded().storage_decisions(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -150,3 +150,108 @@ fn public_modules_match_the_allow_list() {
          update this allow-list in the same change)"
     );
 }
+
+/// Every library source file of the workspace, paired with its non-test
+/// code: the unit-test module is cut off and comment lines dropped.
+fn library_code() -> Vec<(PathBuf, String)> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root");
+    let mut files = Vec::new();
+    rust_sources(&root.join("src"), &mut files);
+    for entry in fs::read_dir(root.join("crates")).expect("readable crates dir") {
+        rust_sources(
+            &entry.expect("readable dir entry").path().join("src"),
+            &mut files,
+        );
+    }
+    files
+        .into_iter()
+        .map(|f| {
+            let text = fs::read_to_string(&f).expect("readable source");
+            let lib = text.split("\n#[cfg(test)]\nmod ").next().unwrap_or("");
+            let code: Vec<&str> = lib
+                .lines()
+                .filter(|l| !l.trim_start().starts_with("//"))
+                .collect();
+            (f, code.join("\n"))
+        })
+        .collect()
+}
+
+/// Every declared metric row as `(table, handle, series name)`, parsed
+/// from the `metric_table!` invocations in library code.
+fn declared_metrics(code: &[(PathBuf, String)]) -> Vec<(String, String, String)> {
+    let mut rows = Vec::new();
+    for (_, text) in code {
+        for table in text.split("metric_table! {").skip(1) {
+            let body = table.split("\n}").next().unwrap_or("");
+            let name = body
+                .split("enum ")
+                .nth(1)
+                .and_then(|s| s.split_whitespace().next())
+                .expect("a metric table declares an enum");
+            for line in body.lines().map(str::trim) {
+                let Some((handle, rest)) = line.split_once(": ") else {
+                    continue;
+                };
+                if let Some(series) = rest.split('"').nth(1) {
+                    rows.push((name.to_string(), handle.to_string(), series.to_string()));
+                }
+            }
+        }
+    }
+    rows
+}
+
+#[test]
+fn every_declared_metric_is_written_in_library_code() {
+    let code = library_code();
+    let rows = declared_metrics(&code);
+    assert!(
+        rows.len() >= 50,
+        "expected the device and engine tables, found {} rows",
+        rows.len()
+    );
+    let flat: Vec<String> = code
+        .iter()
+        .map(|(_, text)| text.split_whitespace().collect())
+        .collect();
+    let unwritten: Vec<String> = rows
+        .iter()
+        .filter(|(table, handle, _)| {
+            !["inc", "inc_labeled", "observe"].iter().any(|write| {
+                let call = format!(".{write}({table}::{handle},");
+                flat.iter().any(|text| text.contains(&call))
+            })
+        })
+        .map(|(table, handle, _)| format!("{table}::{handle}"))
+        .collect();
+    assert!(
+        unwritten.is_empty(),
+        "declared metrics no library code writes (delete the row or write it): {unwritten:?}"
+    );
+}
+
+#[test]
+fn metric_names_appear_only_in_their_table_row() {
+    let code = library_code();
+    let mut strays = Vec::new();
+    for (_, _, series) in declared_metrics(&code) {
+        let literal = format!("\"{series}\"");
+        let uses: Vec<(String, usize)> = code
+            .iter()
+            .map(|(f, text)| (f.display().to_string(), text.matches(&literal).count()))
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        if uses.iter().map(|&(_, n)| n).sum::<usize>() != 1 {
+            strays.push(format!("{literal}: {uses:?}"));
+        }
+    }
+    assert!(
+        strays.is_empty(),
+        "a metric name is spelled outside its table row; use the handle \
+         (or `MetricTable::name`) instead: {strays:?}"
+    );
+}

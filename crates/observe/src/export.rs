@@ -2,8 +2,10 @@
 //! Chrome/Perfetto trace. Both are pure functions from records to
 //! `String`; callers decide where the bytes go.
 
-use crate::event::{Decision, InstantEvent, SpanEvent};
-use crate::json;
+use std::fmt::Write as _;
+
+use crate::event::{Decision, FieldValue};
+use crate::json::{self, Layout, Writer};
 use crate::metrics::MetricsSnapshot;
 use crate::sink::Recorded;
 
@@ -13,310 +15,144 @@ use crate::sink::Recorded;
 pub fn jsonl(rec: &Recorded) -> String {
     let mut out = String::new();
     for s in &rec.spans {
-        out.push_str(&span_line(s));
-        out.push('\n');
+        let times = [("start_ns", s.start_ns), ("dur_ns", s.dur_ns)];
+        event_line(
+            &mut out,
+            "span",
+            [s.track, &s.lane, &s.name],
+            &times,
+            &s.fields,
+        );
     }
     for i in &rec.instants {
-        out.push_str(&instant_line(i));
-        out.push('\n');
+        let times = [("at_ns", i.at_ns)];
+        event_line(
+            &mut out,
+            "instant",
+            [i.track, &i.lane, &i.name],
+            &times,
+            &i.fields,
+        );
     }
     for d in &rec.decisions {
-        out.push_str(&decision_line(d));
-        out.push('\n');
+        line(&mut out, "decision", |o| decision_fields(o, d));
     }
     for (scope, snap) in &rec.snapshots {
-        out.push_str(&snapshot_line(scope, snap));
-        out.push('\n');
+        line(&mut out, "snapshot", |o| {
+            snapshot_fields(o.field("scope", &**scope), snap)
+        });
     }
     out
 }
 
-fn fields_json(fields: &[(&'static str, crate::FieldValue)]) -> String {
-    fields
-        .iter()
-        .map(|(k, v)| format!(",{}:{}", json::string(k), json::field_value(v)))
-        .collect()
+/// Append one JSONL line: an object tagged with its record `type`.
+fn line(out: &mut String, kind: &str, body: impl FnOnce(&mut Writer)) {
+    body(Writer::object(out, Layout::Compact).field("type", kind));
+    out.push('\n');
 }
 
-fn span_line(s: &SpanEvent) -> String {
-    format!(
-        "{{\"type\":\"span\",\"track\":{},\"lane\":{},\"name\":{},\"start_ns\":{},\"dur_ns\":{}{}}}",
-        json::string(s.track),
-        json::string(&s.lane),
-        json::string(&s.name),
-        s.start_ns,
-        s.dur_ns,
-        fields_json(&s.fields)
-    )
+/// A span or instant line: its `[track, lane, name]`, its times, then
+/// its typed fields.
+fn event_line(
+    out: &mut String,
+    kind: &str,
+    place: [&str; 3],
+    times: &[(&str, u64)],
+    fields: &[(&'static str, FieldValue)],
+) {
+    line(out, kind, |o| {
+        for (k, v) in ["track", "lane", "name"].into_iter().zip(place) {
+            o.field(k, v);
+        }
+        for (k, v) in times {
+            o.field(k, v);
+        }
+        for (k, v) in fields {
+            o.field(k, v);
+        }
+    });
 }
 
-fn instant_line(i: &InstantEvent) -> String {
-    format!(
-        "{{\"type\":\"instant\",\"track\":{},\"lane\":{},\"name\":{},\"at_ns\":{}{}}}",
-        json::string(i.track),
-        json::string(&i.lane),
-        json::string(&i.name),
-        i.at_ns,
-        fields_json(&i.fields)
-    )
-}
-
-fn decision_line(d: &Decision) -> String {
-    match d {
-        Decision::ShardSkip {
-            iteration,
-            shard,
-            interval_bits,
-            active_bits,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"shard_skip\",\"iteration\":{iteration},\
-             \"shard\":{shard},\"interval_bits\":{interval_bits},\"active_bits\":{active_bits}}}"
-        ),
-        Decision::PhaseFusion { phases, rationale } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"phase_fusion\",\"phases\":{},\"rationale\":{}}}",
-            json::string(phases),
-            json::string(rationale)
-        ),
-        Decision::PhaseElimination { phase, rationale } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"phase_elimination\",\"phase\":{},\"rationale\":{}}}",
-            json::string(phase),
-            json::string(rationale)
-        ),
-        Decision::FaultRetry {
-            iteration,
-            device,
-            op,
-            fault,
-            attempt,
-            backoff_ns,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"fault_retry\",\"iteration\":{iteration},\
-             \"device\":{device},\"op\":{},\"fault\":{},\"attempt\":{attempt},\
-             \"backoff_ns\":{backoff_ns}}}",
-            json::string(op),
-            json::string(fault)
-        ),
-        Decision::Rollback {
-            iteration,
-            device,
-            op,
-            fault,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"rollback\",\"iteration\":{iteration},\
-             \"device\":{device},\"op\":{},\"fault\":{}}}",
-            json::string(op),
-            json::string(fault)
-        ),
-        Decision::DeviceEvict {
-            iteration,
-            device,
-            shards_moved,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"device_evict\",\"iteration\":{iteration},\
-             \"device\":{device},\"shards_moved\":{shards_moved}}}"
-        ),
-        Decision::MemoryPressure {
-            device,
-            requested,
-            available,
-            capacity,
-            response,
-            scope,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"memory_pressure\",\"device\":{device},\
-             \"requested\":{requested},\"available\":{available},\"capacity\":{capacity},\
-             \"response\":{},\"scope\":{}}}",
-            json::string(response),
-            json::string(scope)
-        ),
-        Decision::ShardSplit {
-            shard,
-            vertices,
-            bytes,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"shard_split\",\"shard\":{shard},\
-             \"vertices\":{vertices},\"bytes\":{bytes}}}"
-        ),
-        Decision::ChunkedXfer {
-            shard,
-            shard_bytes,
-            chunk_bytes,
-            chunks,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"chunked_xfer\",\"shard\":{shard},\
-             \"shard_bytes\":{shard_bytes},\"chunk_bytes\":{chunk_bytes},\"chunks\":{chunks}}}"
-        ),
-        Decision::HostFallback {
-            iteration,
-            device,
-            rationale,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"host_fallback\",\"iteration\":{iteration},\
-             \"device\":{device},\"rationale\":{}}}",
-            json::string(rationale)
-        ),
-        Decision::ShardSpill {
-            shard,
-            bytes,
-            store,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"shard_spill\",\"shard\":{shard},\
-             \"bytes\":{bytes},\"store\":{}}}",
-            json::string(store)
-        ),
-        Decision::ShardLoad {
-            iteration,
-            shard,
-            bytes,
-            store,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"shard_load\",\"iteration\":{iteration},\
-             \"shard\":{shard},\"bytes\":{bytes},\"store\":{}}}",
-            json::string(store)
-        ),
-        Decision::CompressShard {
-            shard,
-            raw_bytes,
-            compressed_bytes,
-            codec,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"compress_shard\",\"shard\":{shard},\
-             \"raw_bytes\":{raw_bytes},\"compressed_bytes\":{compressed_bytes},\"codec\":{}}}",
-            json::string(codec)
-        ),
-        Decision::DecompressShard {
-            iteration,
-            shard,
-            compressed_bytes,
-            raw_bytes,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"decompress_shard\",\"iteration\":{iteration},\
-             \"shard\":{shard},\"compressed_bytes\":{compressed_bytes},\"raw_bytes\":{raw_bytes}}}"
-        ),
-        Decision::CheckpointWrite { iteration, bytes } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"checkpoint_write\",\"iteration\":{iteration},\
-             \"bytes\":{bytes}}}"
-        ),
-        Decision::CheckpointRestore { iteration, bytes } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"checkpoint_restore\",\"iteration\":{iteration},\
-             \"bytes\":{bytes}}}"
-        ),
-        Decision::StorageRetry {
-            iteration,
-            op,
-            fault,
-            shard,
-            attempt,
-            backoff_ns,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"storage_retry\",\"iteration\":{iteration},\
-             \"op\":{},\"fault\":{},\"shard\":{shard},\"attempt\":{attempt},\
-             \"backoff_ns\":{backoff_ns}}}",
-            json::string(op),
-            json::string(fault)
-        ),
-        Decision::StorageDegraded {
-            iteration,
-            op,
-            shard,
-            rationale,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"storage_degraded\",\"iteration\":{iteration},\
-             \"op\":{},\"shard\":{shard},\"rationale\":{}}}",
-            json::string(op),
-            json::string(rationale)
-        ),
-        Decision::CheckpointSkipped {
-            iteration,
-            rationale,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"checkpoint_skipped\",\"iteration\":{iteration},\
-             \"rationale\":{}}}",
-            json::string(rationale)
-        ),
-        Decision::QueryAdmit {
-            query,
-            kind,
-            queue_depth,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"query_admit\",\"query\":{query},\
-             \"query_kind\":{},\"queue_depth\":{queue_depth}}}",
-            json::string(kind)
-        ),
-        Decision::QueryReject {
-            kind,
-            queue_depth,
-            rationale,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"query_reject\",\"query_kind\":{},\
-             \"queue_depth\":{queue_depth},\"rationale\":{}}}",
-            json::string(kind),
-            json::string(rationale)
-        ),
-        Decision::BatchFormed { batch, size, kind } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"batch_formed\",\"batch\":{batch},\
-             \"size\":{size},\"query_kind\":{}}}",
-            json::string(kind)
-        ),
-        Decision::QueryDone {
-            query,
-            batch,
-            lane,
-            deadline_met,
-        } => format!(
-            "{{\"type\":\"decision\",\"kind\":\"query_done\",\"query\":{query},\
-             \"batch\":{batch},\"lane\":{lane},\"deadline_met\":{deadline_met}}}"
-        ),
+/// A decision's `kind` tag and its fields, in declaration order: the
+/// one listing of every variant's fields, shared by the JSONL decision
+/// log and the run report's plan summary. The object's own tag is
+/// `kind`, so a decision field named `kind` is written as `query_kind`.
+pub fn decision_fields(o: &mut Writer, d: &Decision) {
+    fn key(field: &'static str) -> &'static str {
+        if field == "kind" {
+            "query_kind"
+        } else {
+            field
+        }
+    }
+    macro_rules! variants {
+        ($($variant:ident $tag:literal { $($field:ident),* })*) => {
+            match d {
+                $(Decision::$variant { $($field),* } => {
+                    o.field("kind", $tag);
+                    $(o.field(key(stringify!($field)), $field);)*
+                })*
+            }
+        };
+    }
+    variants! {
+        ShardSkip "shard_skip" { iteration, shard, interval_bits, active_bits }
+        PhaseFusion "phase_fusion" { phases, rationale }
+        PhaseElimination "phase_elimination" { phase, rationale }
+        FaultRetry "fault_retry" { iteration, device, op, fault, attempt, backoff_ns }
+        Rollback "rollback" { iteration, device, op, fault }
+        DeviceEvict "device_evict" { iteration, device, shards_moved }
+        HostFallback "host_fallback" { iteration, device, rationale }
+        MemoryPressure "memory_pressure" { device, requested, available, capacity, response, scope }
+        ShardSplit "shard_split" { shard, vertices, bytes }
+        ChunkedXfer "chunked_xfer" { shard, shard_bytes, chunk_bytes, chunks }
+        ShardSpill "shard_spill" { shard, bytes, store }
+        ShardLoad "shard_load" { iteration, shard, bytes, store }
+        CompressShard "compress_shard" { shard, raw_bytes, compressed_bytes, codec }
+        DecompressShard "decompress_shard" { iteration, shard, compressed_bytes, raw_bytes }
+        CheckpointWrite "checkpoint_write" { iteration, bytes }
+        CheckpointRestore "checkpoint_restore" { iteration, bytes }
+        StorageRetry "storage_retry" { iteration, op, fault, shard, attempt, backoff_ns }
+        StorageDegraded "storage_degraded" { iteration, op, shard, rationale }
+        CheckpointSkipped "checkpoint_skipped" { iteration, rationale }
+        QueryAdmit "query_admit" { query, kind, queue_depth }
+        QueryReject "query_reject" { kind, queue_depth, rationale }
+        BatchFormed "batch_formed" { batch, size, kind }
+        QueryDone "query_done" { query, batch, lane, deadline_met }
     }
 }
 
-fn snapshot_line(scope: &str, snap: &MetricsSnapshot) -> String {
-    format!(
-        "{{\"type\":\"snapshot\",\"scope\":{},{}}}",
-        json::string(scope),
-        snapshot_body(snap)
-    )
+/// The `counters`/`gauges`/`histograms` members of a snapshot object
+/// (without surrounding braces), as [`snapshot_fields`] writes them.
+pub fn snapshot_body(snap: &MetricsSnapshot) -> String {
+    let mut out = String::new();
+    snapshot_fields(&mut Writer::object(&mut out, Layout::Compact), snap);
+    out[1..out.len() - 1].to_string()
 }
 
-/// The `counters`/`gauges`/`histograms` members of a snapshot object
-/// (without surrounding braces), shared with the run-report exporter.
-pub fn snapshot_body(snap: &MetricsSnapshot) -> String {
-    let counters: Vec<String> = snap
-        .counters
-        .iter()
-        .map(|(k, v)| format!("{}:{}", json::string(k), v))
-        .collect();
-    let gauges: Vec<String> = snap
-        .gauges
-        .iter()
-        .map(|(k, v)| format!("{}:{}", json::string(k), json::number(*v)))
-        .collect();
-    let hists: Vec<String> = snap
-        .histograms
-        .iter()
-        .map(|(k, h)| {
-            let buckets: Vec<String> = h
-                .buckets
-                .iter()
-                .map(|(lb, c)| format!("[{lb},{c}]"))
-                .collect();
-            format!(
-                "{}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}",
-                json::string(k),
-                h.count,
-                h.sum,
-                h.min,
-                h.max,
-                buckets.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}",
-        counters.join(","),
-        gauges.join(","),
-        hists.join(",")
-    )
+/// Write a snapshot's `counters`, `gauges` and `histograms` members.
+/// No registry holds gauges; the empty `gauges` member stays because
+/// report format v2 and the pinned snapshot fingerprints include it.
+pub fn snapshot_fields(o: &mut Writer, snap: &MetricsSnapshot) {
+    let mut counters = Writer::object(o.key("counters"), Layout::Compact);
+    for (k, v) in &snap.counters {
+        counters.field(k, v);
+    }
+    drop(counters);
+    drop(Writer::object(o.key("gauges"), Layout::Compact));
+    let mut hists = Writer::object(o.key("histograms"), Layout::Compact);
+    for (k, h) in &snap.histograms {
+        let mut entry = Writer::object(hists.key(k), Layout::Compact);
+        entry
+            .field("count", h.count)
+            .field("sum", h.sum)
+            .field("min", h.min)
+            .field("max", h.max);
+        let mut buckets = Writer::array(entry.key("buckets"), Layout::Compact);
+        for (lb, c) in &h.buckets {
+            let _ = write!(buckets.item(), "[{lb},{c}]");
+        }
+    }
 }
 
 /// Chrome trace (the `chrome://tracing` / Perfetto JSON format), with
@@ -357,7 +193,7 @@ pub fn chrome_trace(rec: &Recorded) -> String {
         let (pid, tid) = ids(s.track, &s.lane);
         events.push(format!(
             "{{\"name\":{},\"ph\":\"X\",\"pid\":{},\"tid\":{},\"ts\":{:.3},\"dur\":{:.3},\
-             \"args\":{{{}}}}}",
+             \"args\":{}}}",
             json::string(&s.name),
             pid,
             tid,
@@ -370,7 +206,7 @@ pub fn chrome_trace(rec: &Recorded) -> String {
         let (pid, tid) = ids(i.track, &i.lane);
         events.push(format!(
             "{{\"name\":{},\"ph\":\"i\",\"s\":\"t\",\"pid\":{},\"tid\":{},\"ts\":{:.3},\
-             \"args\":{{{}}}}}",
+             \"args\":{}}}",
             json::string(&i.name),
             pid,
             tid,
@@ -429,18 +265,20 @@ pub fn chrome_trace_with_wall(
     }
 }
 
-fn args_json(fields: &[(&'static str, crate::FieldValue)]) -> String {
-    fields
-        .iter()
-        .map(|(k, v)| format!("{}:{}", json::string(k), json::field_value(v)))
-        .collect::<Vec<_>>()
-        .join(",")
+fn args_json(fields: &[(&'static str, FieldValue)]) -> String {
+    let mut out = String::new();
+    let mut o = Writer::object(&mut out, Layout::Compact);
+    for (k, v) in fields {
+        o.field(k, v);
+    }
+    drop(o);
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::FieldValue;
+    use crate::event::{InstantEvent, SpanEvent};
     use crate::metrics::MetricsRegistry;
     use crate::sink::Observer;
 
@@ -792,9 +630,15 @@ mod tests {
             iteration: 3,
             rationale: "io.checkpoint.write",
         });
-        let mut m = MetricsRegistry::new();
-        m.inc("h2d.bytes", 42);
-        m.observe("h2d.size_bytes", 42);
+        crate::metric_table! {
+            enum T {
+                Bytes: Counter("h2d.bytes"),
+                Size: Histogram("h2d.size_bytes"),
+            }
+        }
+        let mut m = MetricsRegistry::<T>::new();
+        m.inc(T::Bytes, 42);
+        m.observe(T::Size, 42);
         obs.snapshot("run", || m.snapshot());
         let rec = sink.recorded();
         let out = jsonl(&rec);

@@ -17,8 +17,10 @@
 //! - **Decisions** ([`Decision`]): the engine's dynamic choices — a
 //!   shard skipped by frontier management, a phase fused or
 //!   eliminated — with enough context to audit each one.
-//! - **Metrics** ([`MetricsRegistry`]): monotonic counters, gauges,
-//!   and log2-bucket histograms, snapshotable at any granularity.
+//! - **Metrics** ([`MetricsRegistry`]): monotonic counters (optionally
+//!   labeled) and log2-bucket histograms over a table each crate
+//!   declares once with [`metric_table!`], snapshotable at any
+//!   granularity.
 //!
 //! The default [`Observer`] is disabled: emission costs one branch on
 //! an `Option` and the event is *never constructed* (emit methods take
@@ -39,6 +41,6 @@ pub mod profiler;
 pub mod sink;
 
 pub use event::{Decision, FieldValue, InstantEvent, SpanEvent};
-pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{HistogramSnapshot, MetricTable, MetricsRegistry, MetricsSnapshot};
 pub use profiler::{WallKey, WallProfile, WallProfiler, WallSample, WallSummary};
 pub use sink::{Observer, Recorded, RecordingSink, Sink};

@@ -1,15 +1,14 @@
-//! Counters, gauges, and log2-bucket histograms.
+//! Counters and log2-bucket histograms over declared metric tables.
 //!
-//! A [`MetricsRegistry`] is a plain mutable value (no interior
-//! mutability): each component that accounts quantities owns one, and
-//! the fact that names are `&'static str` keeps the hot-path cost at
-//! a `BTreeMap` probe on a short key. [`MetricsRegistry::snapshot`]
-//! produces an owned, exporter-friendly view.
+//! Each crate that accounts quantities declares its series once with
+//! [`metric_table!`](crate::metric_table): a handle enum plus a row
+//! table of `(name, kind)`. A [`MetricsRegistry`] is a plain mutable
+//! value holding one slot per row, indexed by handle, so a counter bump
+//! is an array add and one crate's handle cannot touch another crate's
+//! registry. [`MetricsRegistry::snapshot`] produces the owned,
+//! string-keyed view the exporters and tests read.
 
-use std::collections::BTreeMap;
-
-/// (metric name, label) — `""` label means the unlabeled series.
-type Key = (&'static str, &'static str);
+use std::marker::PhantomData;
 
 /// Power-of-two bucket histogram for sizes and durations. Bucket `i`
 /// counts values `v` with `floor(log2(v)) == i - 1` (bucket 0 counts
@@ -47,22 +46,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(v);
     }
 
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    pub fn min(&self) -> u64 {
-        self.min
-    }
-
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -71,96 +54,152 @@ impl Histogram {
         }
     }
 
-    /// Lower bound of the bucket a value falls into (0, 1, 2, 4, 8…).
-    pub fn bucket_lower_bound(i: usize) -> u64 {
-        if i == 0 {
-            0
-        } else {
-            1u64 << (i - 1)
+    /// Frozen summary plus the non-empty buckets as `(lower_bound,
+    /// count)`, ascending; lower bounds run 0, 1, 2, 4, 8…
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let buckets = self.counts.iter().enumerate().filter(|(_, &c)| c > 0);
+        HistogramSnapshot {
+            count: self.count,
+            sum: self.sum,
+            min: self.min,
+            max: self.max,
+            buckets: buckets
+                .map(|(i, &c)| (if i == 0 { 0 } else { 1 << (i - 1) }, c))
+                .collect(),
         }
     }
+}
 
-    /// Non-empty buckets as `(lower_bound, count)`, ascending.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (Self::bucket_lower_bound(i), c))
-            .collect()
+/// What a declared series records: one monotonic `u64` total, one total
+/// per label (a kernel label, a fault op class), or a [`Histogram`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Kind {
+    Counter,
+    Labeled,
+    Histogram,
+}
+
+/// A crate's declared metric table: the handle enum that
+/// [`metric_table!`](crate::metric_table) emits.
+pub trait MetricTable: Copy {
+    /// Every series as `(name, kind)`, in handle order.
+    const ROWS: &'static [(&'static str, Kind)];
+
+    /// The handle's row in [`MetricTable::ROWS`].
+    fn index(self) -> usize;
+
+    /// The declared series name.
+    fn name(self) -> &'static str {
+        Self::ROWS[self.index()].0
     }
 }
 
-/// Owned registry of named series. Labeled counters (e.g. per-kernel
-/// time keyed by kernel label) live under the same name with a
-/// non-empty label.
-#[derive(Clone, Debug, Default)]
-pub struct MetricsRegistry {
-    counters: BTreeMap<Key, u64>,
-    gauges: BTreeMap<Key, f64>,
-    histograms: BTreeMap<Key, Histogram>,
+/// Declare a crate's metric table once: a handle enum, its
+/// `(name, kind)` rows and its [`MetricTable`] impl. Each row reads
+/// `Handle: Kind("series.name"),` with `Kind` a [`Kind`] variant.
+#[macro_export]
+macro_rules! metric_table {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $table:ident {
+            $($(#[$row_meta:meta])* $handle:ident: $kind:ident($name:literal),)*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        $vis enum $table {
+            $($(#[$row_meta])* $handle,)*
+        }
+
+        impl $crate::metrics::MetricTable for $table {
+            const ROWS: &'static [(&'static str, $crate::metrics::Kind)] =
+                &[$(($name, $crate::metrics::Kind::$kind),)*];
+
+            fn index(self) -> usize {
+                self as usize
+            }
+        }
+    };
 }
 
-impl MetricsRegistry {
+/// One slot per row of the table `M`, indexed by handle. A series
+/// appears in a snapshot once written, even by 0.
+#[derive(Clone, Debug)]
+pub struct MetricsRegistry<M> {
+    /// `None` until first written.
+    counters: Vec<Option<u64>>,
+    /// `(label, total)` per labeled row, in first-touch order.
+    labeled: Vec<Vec<(&'static str, u64)>>,
+    /// Empty (count 0) until first recorded.
+    histograms: Vec<Histogram>,
+    table: PhantomData<M>,
+}
+
+impl<M: MetricTable> Default for MetricsRegistry<M> {
+    fn default() -> Self {
+        let rows = M::ROWS.len();
+        MetricsRegistry {
+            counters: vec![None; rows],
+            labeled: vec![Vec::new(); rows],
+            histograms: vec![Histogram::default(); rows],
+            table: PhantomData,
+        }
+    }
+}
+
+impl<M: MetricTable> MetricsRegistry<M> {
     pub fn new() -> Self {
         Self::default()
     }
 
-    pub fn inc(&mut self, name: &'static str, by: u64) {
-        *self.counters.entry((name, "")).or_insert(0) += by;
+    pub fn inc(&mut self, m: M, by: u64) {
+        debug_assert_eq!(M::ROWS[m.index()].1, Kind::Counter, "{}", m.name());
+        *self.counters[m.index()].get_or_insert(0) += by;
     }
 
-    pub fn inc_labeled(&mut self, name: &'static str, label: &'static str, by: u64) {
-        *self.counters.entry((name, label)).or_insert(0) += by;
+    pub fn inc_labeled(&mut self, m: M, label: &'static str, by: u64) {
+        debug_assert_eq!(M::ROWS[m.index()].1, Kind::Labeled, "{}", m.name());
+        let series = &mut self.labeled[m.index()];
+        match series.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, total)) => *total += by,
+            None => series.push((label, by)),
+        }
     }
 
-    pub fn set_gauge(&mut self, name: &'static str, v: f64) {
-        self.gauges.insert((name, ""), v);
+    pub fn observe(&mut self, m: M, v: u64) {
+        debug_assert_eq!(M::ROWS[m.index()].1, Kind::Histogram, "{}", m.name());
+        self.histograms[m.index()].record(v);
     }
 
-    pub fn observe(&mut self, name: &'static str, v: u64) {
-        self.histograms.entry((name, "")).or_default().record(v);
+    pub fn counter(&self, m: M) -> u64 {
+        self.counters[m.index()].unwrap_or(0)
     }
 
-    pub fn counter(&self, name: &'static str) -> u64 {
-        self.counters.get(&(name, "")).copied().unwrap_or(0)
-    }
-
-    pub fn gauge(&self, name: &'static str) -> Option<f64> {
-        self.gauges.get(&(name, "")).copied()
-    }
-
-    pub fn histogram(&self, name: &'static str) -> Option<&Histogram> {
-        self.histograms.get(&(name, ""))
-    }
-
-    /// Owned, exporter-friendly view of every series.
+    /// Owned, exporter-friendly view of every written series, sorted by
+    /// `(name, label)`; a labeled series renders as `name{label}`.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        fn render((name, label): &Key) -> String {
-            if label.is_empty() {
-                (*name).to_string()
-            } else {
-                format!("{name}{{{label}}}")
+        let mut counters: Vec<(&str, &str, u64)> = Vec::new();
+        let mut histograms: Vec<(&str, &Histogram)> = Vec::new();
+        for (i, &(name, _)) in M::ROWS.iter().enumerate() {
+            counters.extend(self.counters[i].map(|v| (name, "", v)));
+            counters.extend(self.labeled[i].iter().map(|&(label, v)| (name, label, v)));
+            if self.histograms[i].count > 0 {
+                histograms.push((name, &self.histograms[i]));
             }
         }
+        counters.sort_unstable();
+        histograms.sort_unstable_by_key(|&(name, _)| name);
         MetricsSnapshot {
-            counters: self.counters.iter().map(|(k, &v)| (render(k), v)).collect(),
-            gauges: self.gauges.iter().map(|(k, &v)| (render(k), v)).collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(k, h)| {
-                    (
-                        render(k),
-                        HistogramSnapshot {
-                            count: h.count(),
-                            sum: h.sum(),
-                            min: h.min(),
-                            max: h.max(),
-                            buckets: h.nonzero_buckets(),
-                        },
-                    )
+            counters: counters
+                .into_iter()
+                .map(|(name, label, v)| match label {
+                    "" => (name.to_string(), v),
+                    _ => (format!("{name}{{{label}}}"), v),
                 })
+                .collect(),
+            histograms: histograms
+                .into_iter()
+                .map(|(name, h)| (name.to_string(), h.snapshot()))
                 .collect(),
         }
     }
@@ -181,7 +220,6 @@ pub struct HistogramSnapshot {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: Vec<(String, u64)>,
-    pub gauges: Vec<(String, f64)>,
     pub histograms: Vec<(String, HistogramSnapshot)>,
 }
 
@@ -205,10 +243,11 @@ mod tests {
         for v in [0, 1, 2, 3, 4, 1024, u64::MAX] {
             h.record(v);
         }
-        assert_eq!(h.count(), 7);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), u64::MAX);
-        let buckets = h.nonzero_buckets();
+        let s = h.snapshot();
+        assert_eq!(s.count, 7);
+        assert_eq!(s.min, 0);
+        assert_eq!(s.max, u64::MAX);
+        let buckets = s.buckets;
         // 0 → bucket 0; 1 → [1,2); 2,3 → [2,4); 4 → [4,8); 1024; MAX.
         assert_eq!(
             buckets,
@@ -221,34 +260,52 @@ mod tests {
         assert_eq!(Histogram::default().mean(), 0.0);
     }
 
+    crate::metric_table! {
+        enum T {
+            Bytes: Counter("h2d.bytes"),
+            Ops: Counter("ops"),
+            TimeNs: Labeled("kernel.time_ns"),
+            Size: Histogram("size"),
+        }
+    }
+
     #[test]
     fn registry_counters_and_labels() {
-        let mut m = MetricsRegistry::new();
-        m.inc("h2d.bytes", 100);
-        m.inc("h2d.bytes", 50);
-        m.inc_labeled("kernel.time_ns", "apply", 7);
-        m.inc_labeled("kernel.time_ns", "scatter", 3);
-        assert_eq!(m.counter("h2d.bytes"), 150);
-        assert_eq!(m.counter("missing"), 0);
-        // Labeled series are separate from the unlabeled one.
-        assert_eq!(m.counter("kernel.time_ns"), 0);
+        let mut m = MetricsRegistry::<T>::new();
+        m.inc(T::Bytes, 100);
+        m.inc(T::Bytes, 50);
+        m.inc_labeled(T::TimeNs, "scatter", 3);
+        m.inc_labeled(T::TimeNs, "apply", 7);
+        assert_eq!(m.counter(T::Bytes), 150);
+        assert_eq!(m.counter(T::Ops), 0);
         let s = m.snapshot();
-        assert_eq!(s.counter("kernel.time_ns{apply}"), 7);
-        assert_eq!(s.counter("kernel.time_ns{scatter}"), 3);
+        // Unwritten series are absent; labels sort by content.
+        assert_eq!(
+            s.counters,
+            vec![
+                ("h2d.bytes".to_string(), 150),
+                ("kernel.time_ns{apply}".to_string(), 7),
+                ("kernel.time_ns{scatter}".to_string(), 3),
+            ]
+        );
+        assert!(s.histograms.is_empty());
     }
 
     #[test]
     fn snapshot_renders_labels_and_reads_back() {
-        let mut m = MetricsRegistry::new();
-        m.inc("ops", 2);
-        m.inc_labeled("ops", "h2d", 1);
-        m.set_gauge("occupancy", 0.5);
-        m.observe("size", 4096);
+        let mut m = MetricsRegistry::<T>::new();
+        m.inc(T::Ops, 0);
+        let label = String::from("apply");
+        m.inc_labeled(T::TimeNs, "apply", 1);
+        m.inc_labeled(T::TimeNs, label.leak(), 2);
+        m.observe(T::Size, 4096);
         let s = m.snapshot();
-        assert_eq!(s.counter("ops"), 2);
-        assert_eq!(s.counter("ops{h2d}"), 1);
-        assert_eq!(s.gauges, vec![("occupancy".to_string(), 0.5)]);
+        assert_eq!(s.counter("ops"), 0);
+        assert_eq!(s.counters[0].0, "kernel.time_ns{apply}");
+        assert_eq!(s.counter("kernel.time_ns{apply}"), 3);
+        assert_eq!(s.counters.len(), 2);
         assert_eq!(s.histograms[0].0, "size");
         assert_eq!(s.histograms[0].1.buckets, vec![(4096, 1)]);
+        assert_eq!(T::Size.name(), "size");
     }
 }

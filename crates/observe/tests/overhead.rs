@@ -4,14 +4,16 @@
 //! docs/OBSERVABILITY.md). The allocation half is asserted exactly via a
 //! counting global allocator; the timing half is asserted with paired
 //! minimum-of-rounds measurements under a generous threshold so the test
-//! never flakes on a noisy machine.
+//! never flakes on a noisy machine. The same allocator pins the metrics
+//! registry's hot path: once a series and label have been touched, a
+//! bump allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 use std::time::Instant;
 
-use gr_observe::{WallKey, WallProfiler};
+use gr_observe::{MetricsRegistry, WallKey, WallProfiler};
 
 struct CountingAlloc;
 
@@ -119,4 +121,42 @@ fn disarmed_scope_cost_is_within_the_overhead_budget() {
         best_inst <= best_bare * 1.15,
         "disarmed instrumentation overhead too high: bare {best_bare:.6}s vs instrumented {best_inst:.6}s"
     );
+}
+
+gr_observe::metric_table! {
+    enum Hot {
+        Bytes: Counter("hot.bytes"),
+        OpTimeNs: Labeled("hot.op_time_ns"),
+        Size: Histogram("hot.size"),
+    }
+}
+
+#[test]
+fn registry_bumps_allocate_nothing_after_first_touch() {
+    const LABELS: [&str; 3] = ["gatherMap", "apply", "in.topo"];
+    let mut m = MetricsRegistry::<Hot>::new();
+    // First touch of every series and label may allocate.
+    m.inc(Hot::Bytes, 0);
+    for label in LABELS {
+        m.inc_labeled(Hot::OpTimeNs, label, 0);
+    }
+    m.observe(Hot::Size, 0);
+    let before = allocations_on_this_thread();
+    for i in 0..10_000u64 {
+        m.inc(Hot::Bytes, black_box(i));
+        m.inc_labeled(
+            Hot::OpTimeNs,
+            LABELS[i as usize % LABELS.len()],
+            black_box(i),
+        );
+        m.observe(Hot::Size, black_box(i << (i % 40)));
+    }
+    let after = allocations_on_this_thread();
+    assert_eq!(
+        after - before,
+        0,
+        "registry bumps must not allocate after first touch"
+    );
+    assert_eq!(m.counter(Hot::Bytes), 10_000 * 9_999 / 2);
+    black_box(m);
 }

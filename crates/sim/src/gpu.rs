@@ -22,7 +22,7 @@
 //! immediately — mirroring how the real framework reads back frontier
 //! feedback after each phase.
 
-use gr_observe::{InstantEvent, MetricsRegistry, Observer, SpanEvent};
+use gr_observe::{InstantEvent, MetricTable, MetricsRegistry, Observer, SpanEvent};
 
 use crate::config::{DeviceConfig, PcieConfig, Platform};
 use crate::fault::{DeviceFault, DeviceHealth, FaultOp, FaultPlan, FaultState};
@@ -35,6 +35,32 @@ use crate::xfer::copy_time;
 /// Why an infallible op panics: it met a fault, which only happens when a
 /// plan is armed. Devices with a plan use the `try_*` entry points.
 const NO_PLAN: &str = "infallible device op on a device with an armed fault plan";
+
+gr_observe::metric_table! {
+    /// The device registry's series ([`Gpu::metrics`]), each explained in
+    /// `docs/OBSERVABILITY.md`.
+    pub enum DeviceMetric {
+        H2dBytes: Counter("h2d.bytes"),
+        H2dOps: Counter("h2d.ops"),
+        H2dTimeNs: Counter("h2d.time_ns"),
+        H2dSizeBytes: Histogram("h2d.size_bytes"),
+        D2hBytes: Counter("d2h.bytes"),
+        D2hOps: Counter("d2h.ops"),
+        D2hTimeNs: Counter("d2h.time_ns"),
+        D2hSizeBytes: Histogram("d2h.size_bytes"),
+        KernelLaunches: Counter("kernel.launches"),
+        KernelTimeNs: Counter("kernel.time_ns"),
+        KernelDurationNs: Histogram("kernel.duration_ns"),
+        OpCount: Labeled("op.count"),
+        OpTimeNs: Labeled("op.time_ns"),
+        OpBytes: Labeled("op.bytes"),
+        FaultInjected: Counter("fault.injected"),
+        FaultDeviceLost: Counter("fault.device_lost"),
+        FaultTransient: Labeled("fault.transient"),
+        FaultDegradedOps: Counter("fault.degraded_ops"),
+        FaultEccStalls: Counter("fault.ecc_stalls"),
+    }
+}
 
 /// Direction of a host↔device copy: picks the DMA engine, the fault
 /// class and the `h2d.*` / `d2h.*` counter series.
@@ -125,7 +151,7 @@ pub struct Gpu {
     barrier: SimTime,
     /// Single source of truth for transfer/launch accounting, written
     /// by `account` alone; [`GpuStats`] derives from it.
-    metrics: MetricsRegistry,
+    metrics: MetricsRegistry<DeviceMetric>,
     observer: Observer,
     /// Prefix for event lanes (e.g. `"gpu2/"` in multi-GPU runs).
     lane_prefix: String,
@@ -216,7 +242,7 @@ impl Gpu {
     /// and live in the `fault.ecc_stalls` / `fault.degraded_ops`
     /// counters instead.
     pub fn faults_injected(&self) -> u64 {
-        self.metrics.counter("fault.injected")
+        self.metrics.counter(DeviceMetric::FaultInjected)
     }
 
     /// Attach an observer: resolved device ops are emitted as `"sim"`
@@ -354,28 +380,29 @@ impl Gpu {
     /// registry: the one per-op accounting site behind [`GpuStats`].
     fn account(&mut self, dir: Option<Dir>, bytes: u64, dur: SimDuration, label: &'static str) {
         let ns = dur.as_nanos();
+        let m = &mut self.metrics;
         match dir {
             Some(Dir::H2d) => {
-                self.metrics.inc("h2d.bytes", bytes);
-                self.metrics.inc("h2d.ops", 1);
-                self.metrics.inc("h2d.time_ns", ns);
-                self.metrics.observe("h2d.size_bytes", bytes);
+                m.inc(DeviceMetric::H2dBytes, bytes);
+                m.inc(DeviceMetric::H2dOps, 1);
+                m.inc(DeviceMetric::H2dTimeNs, ns);
+                m.observe(DeviceMetric::H2dSizeBytes, bytes);
             }
             Some(Dir::D2h) => {
-                self.metrics.inc("d2h.bytes", bytes);
-                self.metrics.inc("d2h.ops", 1);
-                self.metrics.inc("d2h.time_ns", ns);
-                self.metrics.observe("d2h.size_bytes", bytes);
+                m.inc(DeviceMetric::D2hBytes, bytes);
+                m.inc(DeviceMetric::D2hOps, 1);
+                m.inc(DeviceMetric::D2hTimeNs, ns);
+                m.observe(DeviceMetric::D2hSizeBytes, bytes);
             }
             None => {
-                self.metrics.inc("kernel.launches", 1);
-                self.metrics.inc("kernel.time_ns", ns);
-                self.metrics.observe("kernel.duration_ns", ns);
+                m.inc(DeviceMetric::KernelLaunches, 1);
+                m.inc(DeviceMetric::KernelTimeNs, ns);
+                m.observe(DeviceMetric::KernelDurationNs, ns);
             }
         }
-        self.metrics.inc_labeled("op.count", label, 1);
-        self.metrics.inc_labeled("op.time_ns", label, ns);
-        self.metrics.inc_labeled("op.bytes", label, bytes);
+        m.inc_labeled(DeviceMetric::OpCount, label, 1);
+        m.inc_labeled(DeviceMetric::OpTimeNs, label, ns);
+        m.inc_labeled(DeviceMetric::OpBytes, label, bytes);
     }
 
     /// Enqueue an async host-to-device copy of `bytes` on `stream`.
@@ -431,14 +458,15 @@ impl Gpu {
         };
         match outcome {
             Err(DeviceFault::Lost) if newly_lost => {
-                self.metrics.inc("fault.injected", 1);
-                self.metrics.inc("fault.device_lost", 1);
-                self.emit_fault_instant("fault.device_lost", op, now);
+                self.metrics.inc(DeviceMetric::FaultInjected, 1);
+                self.metrics.inc(DeviceMetric::FaultDeviceLost, 1);
+                self.emit_fault_instant(DeviceMetric::FaultDeviceLost.name(), op, now);
             }
             Err(DeviceFault::Transient { .. }) => {
-                self.metrics.inc("fault.injected", 1);
-                self.metrics.inc_labeled("fault.transient", op.name(), 1);
-                self.emit_fault_instant("fault.transient", op, now);
+                self.metrics.inc(DeviceMetric::FaultInjected, 1);
+                self.metrics
+                    .inc_labeled(DeviceMetric::FaultTransient, op.name(), 1);
+                self.emit_fault_instant(DeviceMetric::FaultTransient.name(), op, now);
             }
             _ => {}
         }
@@ -484,7 +512,7 @@ impl Gpu {
                     st.plan().degrade_factor_at(self.barrier.as_nanos())
                 });
                 if factor > 1.0 {
-                    self.metrics.inc("fault.degraded_ops", 1);
+                    self.metrics.inc(DeviceMetric::FaultDegradedOps, 1);
                 }
                 (bytes, zero_copy, factor, label)
             }
@@ -555,7 +583,7 @@ impl Gpu {
                     _ => false,
                 };
                 let stall = if ecc {
-                    self.metrics.inc("fault.ecc_stalls", 1);
+                    self.metrics.inc(DeviceMetric::FaultEccStalls, 1);
                     let at = self.barrier.as_nanos();
                     self.emit_fault_instant("fault.ecc_stall", FaultOp::Launch, at);
                     self.device.ecc_retry_stall
@@ -673,7 +701,7 @@ impl Gpu {
 
     /// The device's metrics registry: transfer/launch counters, size
     /// and duration histograms, per-label series.
-    pub fn metrics(&self) -> &MetricsRegistry {
+    pub fn metrics(&self) -> &MetricsRegistry<DeviceMetric> {
         &self.metrics
     }
 
@@ -688,10 +716,11 @@ impl Gpu {
             elapsed: self.elapsed(),
             memcpy_busy,
             kernel_busy: self.sched.resource_busy(self.kernel_slots),
-            bytes_h2d: self.metrics.counter("h2d.bytes"),
-            bytes_d2h: self.metrics.counter("d2h.bytes"),
-            copy_ops: self.metrics.counter("h2d.ops") + self.metrics.counter("d2h.ops"),
-            kernel_launches: self.metrics.counter("kernel.launches"),
+            bytes_h2d: self.metrics.counter(DeviceMetric::H2dBytes),
+            bytes_d2h: self.metrics.counter(DeviceMetric::D2hBytes),
+            copy_ops: self.metrics.counter(DeviceMetric::H2dOps)
+                + self.metrics.counter(DeviceMetric::D2hOps),
+            kernel_launches: self.metrics.counter(DeviceMetric::KernelLaunches),
         }
     }
 }
@@ -976,7 +1005,7 @@ mod tests {
         g.try_h2d(s, 1_000, "b").unwrap();
         assert_eq!(g.faults_injected(), 1);
         // The aborted attempt charged a partial copy: 3 h2d ops total.
-        assert_eq!(g.metrics().counter("h2d.ops"), 3);
+        assert_eq!(g.metrics().counter(DeviceMetric::H2dOps), 3);
     }
 
     #[test]
@@ -1011,7 +1040,7 @@ mod tests {
         b.try_launch(s, &spec).unwrap();
         let tb = b.synchronize();
         assert_eq!(tb - ta, b.device().ecc_retry_stall);
-        assert_eq!(b.metrics().counter("fault.ecc_stalls"), 1);
+        assert_eq!(b.metrics().counter(DeviceMetric::FaultEccStalls), 1);
         assert_eq!(b.faults_injected(), 0, "a stall is a slowdown, not a fault");
     }
 
@@ -1031,7 +1060,7 @@ mod tests {
         let tb = b.synchronize();
         let ratio = tb.as_secs_f64() / ta.as_secs_f64();
         assert!(ratio > 3.0, "degraded/nominal ratio {ratio}");
-        assert_eq!(b.metrics().counter("fault.degraded_ops"), 1);
+        assert_eq!(b.metrics().counter(DeviceMetric::FaultDegradedOps), 1);
         assert_eq!(b.faults_injected(), 0);
     }
 

@@ -49,7 +49,7 @@ pub use fault::{
     BandwidthWindow, DeviceFault, DeviceHealth, FaultOp, FaultPlan, FaultWindow, IoFault,
     IoFaultState, IoFaultWindow, IoOp,
 };
-pub use gpu::{Event, Gpu, GpuStats, StreamId};
+pub use gpu::{DeviceMetric, Event, Gpu, GpuStats, StreamId};
 pub use kernel::{kernel_time, KernelSpec};
 pub use memory::{Allocation, MemoryPool, OutOfMemory};
 pub use schedule::{Capacity, OpId, ResourceId, Scheduler};
