@@ -114,6 +114,9 @@ impl<P: GasProgram> Bsp<'_, P> {
         // restartable.
         let mut iter = host.iterations.len() as u32;
         write_durable(t, &mut durable, &host, true, observer)?;
+        // Read once per run: a `RAYON_NUM_THREADS` change between queries
+        // takes effect at the next query.
+        let threads = rayon::current_num_threads();
         while iter < program.max_iterations() && host.frontier.count() > 0 {
             if self.kill_at == Some(iter) {
                 return Err(EngineError::Killed { iteration: iter });
@@ -127,6 +130,7 @@ impl<P: GasProgram> Bsp<'_, P> {
                 shards,
                 self.opts.host_kernels,
                 self.opts.frontier_management,
+                threads,
                 iter,
                 observer,
                 &self.wall,

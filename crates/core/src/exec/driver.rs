@@ -852,9 +852,13 @@ impl<P: GasProgram> Timeline for Runner<'_, P> {
             }
             self.charge_host("host.shard", work, false);
         }
-        let gpu_metrics = self.ctx.gpu_metrics();
-        self.observer
-            .snapshot(&format!("iteration {iter}"), || gpu_metrics.snapshot());
+        // The scope name is built only for an armed observer: disarmed,
+        // an iteration allocates nothing here.
+        if self.observer.is_enabled() {
+            let gpu_metrics = self.ctx.gpu_metrics();
+            self.observer
+                .snapshot(&format!("iteration {iter}"), || gpu_metrics.snapshot());
+        }
         Ok(())
     }
 

@@ -533,6 +533,7 @@ pub(crate) fn decode_state<P: GasProgram>(
         frontier: r.bitmap(fp.n, "frontier bitmap")?,
         changed: r.bitmap(fp.n, "changed bitmap")?,
         next_frontier: r.bitmap(fp.n, "next-frontier bitmap")?,
+        spare: Vec::new(),
         iterations: trace(&mut r, iterations)?,
     };
     r.finish()?;
