@@ -15,10 +15,9 @@
 
 use gr_graph::GraphLayout;
 use gr_sim::{Gpu, KernelSpec, OutOfMemory, Platform};
-use graphreduce::GasProgram;
+use graphreduce::phases::ShardWork;
 
-use crate::executor::{execute, WorkloadTrace};
-use crate::{BaselineRun, BaselineStats};
+use crate::BaselineStats;
 
 /// CuSha-style engine configuration.
 #[derive(Clone, Debug)]
@@ -62,24 +61,24 @@ impl CuSha {
             + layout.num_vertices() as u64 * (2 * self.vertex_bytes)
     }
 
-    /// Run `program` to convergence on `platform`'s device.
-    pub fn run<P: GasProgram>(
+    /// Price a GraphReduce work trace (one entry per iteration) on
+    /// `platform`'s device, or refuse a graph the device cannot hold.
+    pub fn run(
         &self,
-        program: &P,
+        work: &[ShardWork],
         layout: &GraphLayout,
         platform: &Platform,
-    ) -> Result<BaselineRun<P>, OutOfMemory> {
+    ) -> Result<BaselineStats, OutOfMemory> {
         let mut gpu = Gpu::new(platform);
         let bytes = self.device_bytes(layout);
         let _graph = gpu.alloc(bytes)?;
-        let trace: WorkloadTrace<P> = execute(program, layout);
         let s = gpu.create_stream();
         let e = layout.num_edges();
         let v = layout.num_vertices() as u64;
 
         gpu.h2d(s, self.transfer_bytes(layout), "cusha.load");
         gpu.synchronize();
-        for _w in &trace.iterations {
+        for _w in work {
             // One pass over every shard: all E entries, coalesced, plus the
             // concatenated-windows write-back over the vertex set.
             gpu.launch(
@@ -102,16 +101,11 @@ impl CuSha {
             gpu.synchronize();
         }
         let st = gpu.stats();
-        Ok(BaselineRun {
-            vertex_values: trace.vertex_values,
-            edge_values: trace.edge_values,
-            stats: BaselineStats {
-                engine: "cusha",
-                elapsed: st.elapsed,
-                iterations: trace.iterations.len() as u32,
-                bytes_streamed: 0,
-                bytes_pcie: st.bytes_h2d + st.bytes_d2h,
-            },
+        Ok(BaselineStats {
+            engine: "cusha",
+            elapsed: st.elapsed,
+            iterations: work.len() as u32,
+            bytes_streamed: 0,
         })
     }
 }
@@ -119,26 +113,24 @@ impl CuSha {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gr_algorithms::{reference, Bfs, Cc};
+    use crate::oracle_checked;
+    use gr_algorithms::{Bfs, Cc};
     use gr_graph::gen;
 
     #[test]
     fn results_match_reference() {
         let layout = GraphLayout::build(&gen::uniform(300, 2400, 101).symmetrize());
-        let run = CuSha::default()
-            .run(&Cc, &layout, &Platform::paper_node())
+        let work = oracle_checked(Cc, &layout);
+        let stats = CuSha::default()
+            .run(&work, &layout, &Platform::paper_node())
             .unwrap();
-        reference::check_cc_labels(&layout, &run.vertex_values);
+        assert_eq!(stats.iterations as usize, work.len());
     }
 
     #[test]
     fn oom_on_graphs_larger_than_device() {
         let layout = GraphLayout::build(&gen::uniform(1000, 20_000, 102));
-        let err = match CuSha::default().run(
-            &Bfs::new(0),
-            &layout,
-            &Platform::paper_node_scaled(1 << 16),
-        ) {
+        let err = match CuSha::default().run(&[], &layout, &Platform::paper_node_scaled(1 << 16)) {
             Err(e) => e,
             Ok(_) => panic!("graph should not fit"),
         };
@@ -154,12 +146,12 @@ mod tests {
             gr_graph::EdgeList::from_edges(n, (0..n - 1).map(|i| (i, i + 1)).collect::<Vec<_>>())
                 .symmetrize();
         let layout = GraphLayout::build(&el);
+        let work = oracle_checked(Bfs::new(0), &layout);
         let run = CuSha::default()
-            .run(&Bfs::new(0), &layout, &Platform::paper_node())
+            .run(&work, &layout, &Platform::paper_node())
             .unwrap();
-        assert_eq!(run.vertex_values, reference::bfs(&layout, 0));
         // Elapsed grows ~linearly with iterations (255 of them).
-        let per_iter = run.stats.elapsed.as_secs_f64() / run.stats.iterations as f64;
+        let per_iter = run.elapsed.as_secs_f64() / run.iterations as f64;
         assert!(per_iter > 1e-5, "per-iteration cost should be fixed-ish");
     }
 }

@@ -15,10 +15,9 @@
 
 use gr_graph::GraphLayout;
 use gr_sim::{CpuClock, CpuWork, HostConfig, SimDuration};
-use graphreduce::GasProgram;
+use graphreduce::phases::ShardWork;
 
-use crate::executor::{execute, WorkloadTrace};
-use crate::{BaselineRun, BaselineStats};
+use crate::BaselineStats;
 
 /// GraphChi-style engine configuration.
 #[derive(Clone, Debug)]
@@ -69,21 +68,21 @@ impl GraphChi {
         graph_bytes.div_ceil(self.mem_budget).max(1)
     }
 
-    /// Run `program` to convergence, timing with `host`'s cost model.
-    pub fn run<P: GasProgram>(
+    /// Price a GraphReduce work trace (one entry per iteration) with
+    /// `host`'s cost model.
+    pub fn run(
         &self,
-        program: &P,
+        work: &[ShardWork],
         layout: &GraphLayout,
         host: &HostConfig,
-    ) -> BaselineRun<P> {
-        let trace: WorkloadTrace<P> = execute(program, layout);
+    ) -> BaselineStats {
         let e = layout.num_edges();
         let p = self.num_shards(layout);
         let mut clock = CpuClock::new();
         let mut bytes_streamed = 0u64;
         let stream =
             |b: u64| SimDuration::from_secs_f64(b as f64 / (self.stream_bandwidth_gbps * 1e9));
-        for _w in &trace.iterations {
+        for _w in work {
             // Per iteration: read every shard once (in-edges), read the
             // sliding out-edge windows (≈ the edge set again), and write
             // every edge's value back. GraphChi has no cheap frontier mode:
@@ -102,16 +101,11 @@ impl GraphChi {
                 &CpuWork::new("graphchi.update", e, self.ops_per_edge, 0, e / 2),
             );
         }
-        BaselineRun {
-            vertex_values: trace.vertex_values,
-            edge_values: trace.edge_values,
-            stats: BaselineStats {
-                engine: "graphchi",
-                elapsed: clock.elapsed(),
-                iterations: trace.iterations.len() as u32,
-                bytes_streamed,
-                bytes_pcie: 0,
-            },
+        BaselineStats {
+            engine: "graphchi",
+            elapsed: clock.elapsed(),
+            iterations: work.len() as u32,
+            bytes_streamed,
         }
     }
 }
@@ -119,8 +113,9 @@ impl GraphChi {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle_checked;
     use crate::xstream::XStream;
-    use gr_algorithms::{reference, Cc, PageRank, Sssp};
+    use gr_algorithms::{Cc, PageRank, Sssp};
     use gr_graph::gen;
 
     fn host() -> HostConfig {
@@ -134,8 +129,9 @@ mod tests {
             8.0,
             96,
         ));
-        let run = GraphChi::default().run(&Sssp::new(0), &layout, &host());
-        assert_eq!(run.vertex_values, reference::sssp(&layout, 0));
+        let work = oracle_checked(Sssp::new(0), &layout);
+        let stats = GraphChi::default().run(&work, &layout, &host());
+        assert_eq!(stats.iterations as usize, work.len());
     }
 
     #[test]
@@ -154,21 +150,23 @@ mod tests {
         // The paper's Table 3: GraphChi trails X-Stream on every input
         // (vertex-centric random access + edge write-back).
         let layout = GraphLayout::build(&gen::rmat_g500(11, 30_000, 98).symmetrize());
-        let chi = GraphChi::scaled(64).run(&PageRank::default(), &layout, &host());
-        let xs = XStream::default().run(&PageRank::default(), &layout, &host());
-        assert_eq!(chi.stats.iterations, xs.stats.iterations);
+        let work = oracle_checked(PageRank::default(), &layout);
+        let chi = GraphChi::scaled(64).run(&work, &layout, &host());
+        let xs = XStream::default().run(&work, &layout, &host());
+        assert_eq!(chi.iterations, xs.iterations);
         assert!(
-            chi.stats.elapsed > xs.stats.elapsed,
+            chi.elapsed > xs.elapsed,
             "graphchi {:?} should trail x-stream {:?}",
-            chi.stats.elapsed,
-            xs.stats.elapsed
+            chi.elapsed,
+            xs.elapsed
         );
     }
 
     #[test]
     fn cc_matches_union_find() {
         let layout = GraphLayout::build(&gen::uniform(500, 1200, 99).symmetrize());
-        let run = GraphChi::default().run(&Cc, &layout, &host());
-        reference::check_cc_labels(&layout, &run.vertex_values);
+        let work = oracle_checked(Cc, &layout);
+        let stats = GraphChi::default().run(&work, &layout, &host());
+        assert_eq!(stats.iterations as usize, work.len());
     }
 }

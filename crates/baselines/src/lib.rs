@@ -1,8 +1,11 @@
 //! # gr-baselines — the frameworks GraphReduce is compared against
 //!
-//! Faithful behavioural models of the four systems in the paper's
-//! evaluation, all running the same [`graphreduce::GasProgram`]s and
-//! validated for bit-identical results against the sequential oracles:
+//! Behavioural cost models of the four systems in the paper's evaluation,
+//! plus Totem. The paper runs the same four GAS programs on every
+//! framework, and BSP results do not depend on who computes them, so each
+//! engine here *prices* the work trace of one GraphReduce run instead of
+//! computing the answer again: [`graphreduce::RunResult::work`], one
+//! [`ShardWork`] summed over shards per iteration.
 //!
 //! | Engine | Style | Key behaviour modeled |
 //! |---|---|---|
@@ -20,17 +23,15 @@
 #![forbid(unsafe_code)]
 
 pub mod cusha;
-pub mod executor;
 pub mod graphchi;
 pub mod mapgraph;
 pub mod totem;
 pub mod xstream;
 
 use gr_sim::SimDuration;
-use graphreduce::GasProgram;
+use graphreduce::phases::ShardWork;
 
 pub use cusha::CuSha;
-pub use executor::{execute, IterWork, WorkloadTrace};
 pub use graphchi::GraphChi;
 pub use mapgraph::MapGraph;
 pub use totem::{Totem, TotemSplit};
@@ -47,16 +48,73 @@ pub struct BaselineStats {
     pub iterations: u32,
     /// Bytes streamed through the storage/page-cache path (CPU engines).
     pub bytes_streamed: u64,
-    /// Bytes moved over PCIe (GPU engines).
-    pub bytes_pcie: u64,
 }
 
-/// Results + timing of one baseline run.
-pub struct BaselineRun<P: GasProgram> {
-    /// Final vertex values (identical to every other engine's).
-    pub vertex_values: Vec<P::VertexValue>,
-    /// Final edge values.
-    pub edge_values: Vec<P::EdgeValue>,
-    /// Timing summary.
-    pub stats: BaselineStats,
+/// Whether the traced program gathers. GraphReduce counts no in-edges
+/// for a program without a gather phase, so a trace that gathered no edge
+/// in any iteration is priced as gather-free: its gather would be empty.
+fn gathers(work: &[ShardWork]) -> bool {
+    work.iter().any(|w| w.active_in_edges > 0)
+}
+
+/// The work trace of a cold GraphReduce run of `program`, after checking
+/// the run's values and iteration count against the sequential oracle.
+#[cfg(test)]
+fn oracle_checked<P>(program: P, layout: &gr_graph::GraphLayout) -> Vec<ShardWork>
+where
+    P: graphreduce::GasProgram<VertexValue: PartialEq + std::fmt::Debug>,
+{
+    let (want, _, iterations) = gr_algorithms::reference::run_gas(&program, layout);
+    let platform = gr_sim::Platform::paper_node();
+    let opts = graphreduce::Options::optimized();
+    let run = graphreduce::GraphReduce::new(program, layout, platform, opts)
+        .run()
+        .expect("test graphs fit the full device");
+    assert_eq!(run.vertex_values, want);
+    assert_eq!(run.work.len() as u32, iterations);
+    run.work
+}
+
+/// The executor every engine prices is one cold GraphReduce run: its work
+/// trace must follow the sequential GAS interpreter.
+#[cfg(test)]
+mod executor {
+    mod tests {
+        use crate::oracle_checked;
+        use gr_algorithms::{reference, Bfs, Cc};
+        use gr_graph::{gen, GraphLayout};
+        use gr_sim::Platform;
+        use graphreduce::{GraphReduce, Options};
+
+        #[test]
+        fn matches_sequential_gas_interpreter() {
+            let layout = GraphLayout::build(&gen::uniform(300, 2400, 81).symmetrize());
+            // Values and iteration count are asserted against `run_gas`.
+            let work = oracle_checked(Cc, &layout);
+            // CC starts with every vertex active, gathering every in-edge.
+            assert_eq!(work[0].active_vertices, 300);
+            assert_eq!(work[0].active_in_edges, layout.num_edges());
+        }
+
+        #[test]
+        fn bfs_trace_records_frontier_wave() {
+            let layout = GraphLayout::build(&gen::uniform(300, 2400, 82).symmetrize());
+            let run = GraphReduce::new(
+                Bfs::new(0),
+                &layout,
+                Platform::paper_node(),
+                Options::optimized(),
+            )
+            .run()
+            .expect("test graphs fit the full device");
+            assert_eq!(run.work[0].active_vertices, 1);
+            assert_eq!(run.vertex_values, reference::bfs(&layout, 0));
+            // Activation chains into the next frontier.
+            let iters = &run.stats.per_iteration;
+            assert_eq!(iters.len(), run.work.len());
+            for (st, next) in iters.iter().zip(&run.work[1..]) {
+                assert_eq!(st.activated, next.active_vertices);
+            }
+        }
+    }
 }

@@ -9,10 +9,9 @@
 
 use gr_graph::GraphLayout;
 use gr_sim::{Gpu, KernelSpec, OutOfMemory, Platform};
-use graphreduce::GasProgram;
+use graphreduce::phases::ShardWork;
 
-use crate::executor::{execute, WorkloadTrace};
-use crate::{BaselineRun, BaselineStats};
+use crate::{gathers, BaselineStats};
 
 /// MapGraph-style engine configuration.
 #[derive(Clone, Debug)]
@@ -52,23 +51,24 @@ impl MapGraph {
             + layout.num_vertices() as u64 * (self.vertex_bytes + 8)
     }
 
-    /// Run `program` to convergence on `platform`'s device.
-    pub fn run<P: GasProgram>(
+    /// Price a GraphReduce work trace (one entry per iteration) on
+    /// `platform`'s device, or refuse a graph the device cannot hold.
+    pub fn run(
         &self,
-        program: &P,
+        work: &[ShardWork],
         layout: &GraphLayout,
         platform: &Platform,
-    ) -> Result<BaselineRun<P>, OutOfMemory> {
+    ) -> Result<BaselineStats, OutOfMemory> {
         let mut gpu = Gpu::new(platform);
         let bytes = self.device_bytes(layout);
         let _graph = gpu.alloc(bytes)?;
-        let trace: WorkloadTrace<P> = execute(program, layout);
+        let gathered = gathers(work);
         let s = gpu.create_stream();
 
         gpu.h2d(s, self.transfer_bytes(layout), "mapgraph.load");
         gpu.synchronize();
-        for w in &trace.iterations {
-            if program.has_gather() {
+        for w in work {
+            if gathered {
                 // Gather over the active edge set; neighbor reads are
                 // uncoalesced through CSR (no shard-sorted locality).
                 gpu.launch(
@@ -89,9 +89,9 @@ impl MapGraph {
                 s,
                 &KernelSpec::balanced(
                     "mapgraph.apply",
-                    w.frontier,
+                    w.active_vertices,
                     4.0,
-                    w.frontier * self.vertex_bytes,
+                    w.active_vertices * self.vertex_bytes,
                     0,
                 ),
             );
@@ -112,16 +112,11 @@ impl MapGraph {
             gpu.synchronize();
         }
         let st = gpu.stats();
-        Ok(BaselineRun {
-            vertex_values: trace.vertex_values,
-            edge_values: trace.edge_values,
-            stats: BaselineStats {
-                engine: "mapgraph",
-                elapsed: st.elapsed,
-                iterations: trace.iterations.len() as u32,
-                bytes_streamed: 0,
-                bytes_pcie: st.bytes_h2d + st.bytes_d2h,
-            },
+        Ok(BaselineStats {
+            engine: "mapgraph",
+            elapsed: st.elapsed,
+            iterations: work.len() as u32,
+            bytes_streamed: 0,
         })
     }
 }
@@ -130,23 +125,25 @@ impl MapGraph {
 mod tests {
     use super::*;
     use crate::cusha::CuSha;
-    use gr_algorithms::{reference, Bfs, PageRank};
+    use crate::oracle_checked;
+    use gr_algorithms::{Bfs, PageRank};
     use gr_graph::gen;
 
     #[test]
     fn results_match_reference() {
         let layout = GraphLayout::build(&gen::uniform(300, 2400, 111).symmetrize());
-        let run = MapGraph::default()
-            .run(&Bfs::new(0), &layout, &Platform::paper_node())
+        let work = oracle_checked(Bfs::new(0), &layout);
+        let stats = MapGraph::default()
+            .run(&work, &layout, &Platform::paper_node())
             .unwrap();
-        assert_eq!(run.vertex_values, reference::bfs(&layout, 0));
+        assert_eq!(stats.iterations as usize, work.len());
     }
 
     #[test]
     fn oom_past_device_capacity() {
         let layout = GraphLayout::build(&gen::uniform(1000, 40_000, 112));
         assert!(MapGraph::default()
-            .run(&Bfs::new(0), &layout, &Platform::paper_node_scaled(1 << 16))
+            .run(&[], &layout, &Platform::paper_node_scaled(1 << 16))
             .is_err());
     }
 
@@ -160,16 +157,14 @@ mod tests {
                 .symmetrize();
         let layout = GraphLayout::build(&el);
         let plat = Platform::paper_node();
-        let mg = MapGraph::default()
-            .run(&Bfs::new(0), &layout, &plat)
-            .unwrap();
-        let cu = CuSha::default().run(&Bfs::new(0), &layout, &plat).unwrap();
-        assert_eq!(mg.vertex_values, cu.vertex_values);
+        let work = oracle_checked(Bfs::new(0), &layout);
+        let mg = MapGraph::default().run(&work, &layout, &plat).unwrap();
+        let cu = CuSha::default().run(&work, &layout, &plat).unwrap();
         assert!(
-            mg.stats.elapsed < cu.stats.elapsed,
+            mg.elapsed < cu.elapsed,
             "mapgraph {:?} vs cusha {:?}",
-            mg.stats.elapsed,
-            cu.stats.elapsed
+            mg.elapsed,
+            cu.elapsed
         );
     }
 
@@ -186,13 +181,14 @@ mod tests {
             max_iters: 15,
             ..Default::default()
         };
-        let mg = MapGraph::default().run(&pr, &layout, &plat).unwrap();
-        let cu = CuSha::default().run(&pr, &layout, &plat).unwrap();
+        let work = oracle_checked(pr, &layout);
+        let mg = MapGraph::default().run(&work, &layout, &plat).unwrap();
+        let cu = CuSha::default().run(&work, &layout, &plat).unwrap();
         assert!(
-            cu.stats.elapsed < mg.stats.elapsed,
+            cu.elapsed < mg.elapsed,
             "cusha {:?} vs mapgraph {:?}",
-            cu.stats.elapsed,
-            mg.stats.elapsed
+            cu.elapsed,
+            mg.elapsed
         );
     }
 }

@@ -12,10 +12,9 @@
 
 use gr_graph::GraphLayout;
 use gr_sim::{cpu_time, CpuWork, Gpu, KernelSpec, Platform, SimDuration};
-use graphreduce::GasProgram;
+use graphreduce::phases::ShardWork;
 
-use crate::executor::{execute, WorkloadTrace};
-use crate::{BaselineRun, BaselineStats};
+use crate::BaselineStats;
 
 /// Totem-style engine configuration.
 #[derive(Clone, Debug)]
@@ -114,16 +113,16 @@ impl Totem {
         }
     }
 
-    /// Run `program` to convergence. Never refuses a graph (that is
-    /// Totem's selling point) — but the GPU share shrinks as graphs grow.
-    pub fn run<P: GasProgram>(
+    /// Price a GraphReduce work trace (one entry per iteration). Never
+    /// refuses a graph (that is Totem's selling point) — but the GPU share
+    /// shrinks as graphs grow.
+    pub fn run(
         &self,
-        program: &P,
+        work: &[ShardWork],
         layout: &GraphLayout,
         platform: &Platform,
-    ) -> (BaselineRun<P>, TotemSplit) {
+    ) -> (BaselineStats, TotemSplit) {
         let split = self.split(layout, platform.device.mem_capacity);
-        let trace: WorkloadTrace<P> = execute(program, layout);
         let mut gpu = Gpu::new(platform);
         let s = gpu.create_stream();
 
@@ -135,8 +134,7 @@ impl Totem {
         );
         gpu.synchronize();
 
-        let mut cpu_total = SimDuration::ZERO;
-        for _w in &trace.iterations {
+        for _w in work {
             // GPU side: one pass over its resident edges.
             gpu.launch(
                 s,
@@ -169,7 +167,6 @@ impl Totem {
                     ),
                 ) + platform.host.pass_overhead
             };
-            cpu_total += cpu;
             if !cpu.is_zero() {
                 gpu.stall(s, cpu, "totem.cpu-barrier");
             }
@@ -177,16 +174,11 @@ impl Totem {
         }
         let st = gpu.stats();
         (
-            BaselineRun {
-                vertex_values: trace.vertex_values,
-                edge_values: trace.edge_values,
-                stats: BaselineStats {
-                    engine: "totem",
-                    elapsed: st.elapsed,
-                    iterations: trace.iterations.len() as u32,
-                    bytes_streamed: 0,
-                    bytes_pcie: st.bytes_h2d + st.bytes_d2h,
-                },
+            BaselineStats {
+                engine: "totem",
+                elapsed: st.elapsed,
+                iterations: work.len() as u32,
+                bytes_streamed: 0,
             },
             split,
         )
@@ -196,14 +188,16 @@ impl Totem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gr_algorithms::{reference, Cc, PageRank};
+    use crate::oracle_checked;
+    use gr_algorithms::{Cc, PageRank};
     use gr_graph::gen;
 
     #[test]
     fn results_match_reference() {
         let layout = GraphLayout::build(&gen::uniform(300, 2400, 121).symmetrize());
-        let (run, _) = Totem::default().run(&Cc, &layout, &Platform::paper_node());
-        reference::check_cc_labels(&layout, &run.vertex_values);
+        let work = oracle_checked(Cc, &layout);
+        let (stats, _) = Totem::default().run(&work, &layout, &Platform::paper_node());
+        assert_eq!(stats.iterations as usize, work.len());
     }
 
     #[test]
@@ -251,20 +245,19 @@ mod tests {
         let mut tiny = Platform::paper_node();
         tiny.device.mem_capacity = 50_000;
 
-        let (fast, split_fast) = Totem::default().run(&pr, &layout, &full);
-        let (slow, split_slow) = Totem::default().run(&pr, &layout, &tiny);
+        let work = oracle_checked(pr, &layout);
+        let (fast, split_fast) = Totem::default().run(&work, &layout, &full);
+        let (slow, split_slow) = Totem::default().run(&work, &layout, &tiny);
         assert!(split_fast.gpu_fraction() > 0.99);
         assert!(split_slow.gpu_fraction() < 0.2);
         // The CPU partition dominates once the GPU share collapses: the
         // hybrid loses most of its advantage (Section 2.2's
         // "underutilization of GPU's fullest processing power").
         assert!(
-            slow.stats.elapsed.as_secs_f64() > 2.0 * fast.stats.elapsed.as_secs_f64(),
+            slow.elapsed.as_secs_f64() > 2.0 * fast.elapsed.as_secs_f64(),
             "tiny-GPU totem {:?} should trail full-GPU totem {:?}",
-            slow.stats.elapsed,
-            fast.stats.elapsed
+            slow.elapsed,
+            fast.elapsed
         );
-        // Results stay identical either way.
-        assert_eq!(fast.vertex_values, slow.vertex_values);
     }
 }

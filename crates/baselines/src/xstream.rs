@@ -15,18 +15,15 @@
 
 use gr_graph::GraphLayout;
 use gr_sim::{CpuClock, CpuWork, HostConfig, SimDuration};
-use graphreduce::GasProgram;
+use graphreduce::phases::ShardWork;
 
-use crate::executor::{execute, WorkloadTrace};
-use crate::{BaselineRun, BaselineStats};
+use crate::{gathers, BaselineStats};
 
 /// X-Stream-style engine configuration.
 #[derive(Clone, Debug)]
 pub struct XStream {
     /// Worker threads (the paper runs 16).
     pub threads: u32,
-    /// Streaming partitions (vertex state of one partition fits cache).
-    pub num_partitions: u32,
     /// Effective edge streaming bandwidth in GB/s. Well below DRAM peak:
     /// X-Stream streams through file buffers with copies.
     pub stream_bandwidth_gbps: f64,
@@ -54,7 +51,6 @@ impl Default for XStream {
     fn default() -> Self {
         XStream {
             threads: 16,
-            num_partitions: 16,
             stream_bandwidth_gbps: 4.0,
             update_bandwidth_gbps: 1.5,
             edge_record_bytes: 24,
@@ -67,24 +63,25 @@ impl Default for XStream {
 }
 
 impl XStream {
-    /// Run `program` to convergence, timing with `host`'s cost model.
-    pub fn run<P: GasProgram>(
+    /// Price a GraphReduce work trace (one entry per iteration) with
+    /// `host`'s cost model.
+    pub fn run(
         &self,
-        program: &P,
+        work: &[ShardWork],
         layout: &GraphLayout,
         host: &HostConfig,
-    ) -> BaselineRun<P> {
-        let trace: WorkloadTrace<P> = execute(program, layout);
+    ) -> BaselineStats {
+        let gathered = gathers(work);
         let e = layout.num_edges();
         let mut clock = CpuClock::new();
         let mut bytes_streamed = 0u64;
         let stream =
             |b: u64| SimDuration::from_secs_f64(b as f64 / (self.stream_bandwidth_gbps * 1e9));
-        for w in &trace.iterations {
+        for w in work {
             // Scatter: stream ALL edges; produce one update per in-edge of
             // an active destination (≈ edges out of the frontier on the
             // symmetric inputs the paper uses).
-            let updates = if program.has_gather() {
+            let updates = if gathered {
                 w.active_in_edges
             } else {
                 w.out_edges_of_changed
@@ -123,16 +120,11 @@ impl XStream {
                 &CpuWork::new("xstream.gather", updates, self.ops_per_update / 2.0, 0, 0),
             );
         }
-        BaselineRun {
-            vertex_values: trace.vertex_values,
-            edge_values: trace.edge_values,
-            stats: BaselineStats {
-                engine: "x-stream",
-                elapsed: clock.elapsed(),
-                iterations: trace.iterations.len() as u32,
-                bytes_streamed,
-                bytes_pcie: 0,
-            },
+        BaselineStats {
+            engine: "x-stream",
+            elapsed: clock.elapsed(),
+            iterations: work.len() as u32,
+            bytes_streamed,
         }
     }
 }
@@ -140,7 +132,8 @@ impl XStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gr_algorithms::{reference, Bfs, Cc, PageRank};
+    use crate::oracle_checked;
+    use gr_algorithms::{Bfs, Cc, PageRank};
     use gr_graph::gen;
 
     fn host() -> HostConfig {
@@ -150,20 +143,24 @@ mod tests {
     #[test]
     fn results_match_reference() {
         let layout = GraphLayout::build(&gen::uniform(400, 3000, 91).symmetrize());
-        let run = XStream::default().run(&Cc, &layout, &host());
-        reference::check_cc_labels(&layout, &run.vertex_values);
-        let bfs = XStream::default().run(&Bfs::new(0), &layout, &host());
-        assert_eq!(bfs.vertex_values, reference::bfs(&layout, 0));
+        for work in [
+            oracle_checked(Cc, &layout),
+            oracle_checked(Bfs::new(0), &layout),
+        ] {
+            let stats = XStream::default().run(&work, &layout, &host());
+            assert_eq!(stats.iterations as usize, work.len());
+        }
     }
 
     #[test]
     fn streams_all_edges_every_iteration() {
         let layout = GraphLayout::build(&gen::uniform(400, 3000, 92).symmetrize());
-        let run = XStream::default().run(&Bfs::new(0), &layout, &host());
+        let work = oracle_checked(Bfs::new(0), &layout);
+        let run = XStream::default().run(&work, &layout, &host());
         let xs = XStream::default();
-        let min_bytes = run.stats.iterations as u64 * layout.num_edges() * xs.edge_record_bytes;
+        let min_bytes = run.iterations as u64 * layout.num_edges() * xs.edge_record_bytes;
         assert!(
-            run.stats.bytes_streamed >= min_bytes,
+            run.bytes_streamed >= min_bytes,
             "must stream E edges per iteration"
         );
     }
@@ -173,10 +170,12 @@ mod tests {
         // BFS (sparse frontier) and PageRank-style (dense) per-iteration
         // costs differ only by update traffic: the edge stream dominates.
         let layout = GraphLayout::build(&gen::uniform(2000, 60_000, 93).symmetrize());
-        let bfs = XStream::default().run(&Bfs::new(0), &layout, &host());
-        let pr = XStream::default().run(&PageRank::default(), &layout, &host());
-        let per_iter_bfs = bfs.stats.elapsed.as_secs_f64() / bfs.stats.iterations as f64;
-        let per_iter_pr = pr.stats.elapsed.as_secs_f64() / pr.stats.iterations as f64;
+        let bfs_work = oracle_checked(Bfs::new(0), &layout);
+        let pr_work = oracle_checked(PageRank::default(), &layout);
+        let bfs = XStream::default().run(&bfs_work, &layout, &host());
+        let pr = XStream::default().run(&pr_work, &layout, &host());
+        let per_iter_bfs = bfs.elapsed.as_secs_f64() / bfs.iterations as f64;
+        let per_iter_pr = pr.elapsed.as_secs_f64() / pr.iterations as f64;
         assert!(
             per_iter_bfs > 0.25 * per_iter_pr,
             "bfs/iter {per_iter_bfs} vs pr/iter {per_iter_pr}"

@@ -1,20 +1,30 @@
-//! Property tests for the baseline engines: on arbitrary graphs, all four
-//! must produce results identical to the sequential GAS oracle, and their
-//! structural cost characteristics must hold (X-Stream streams |E| per
-//! iteration; GPU engines refuse graphs beyond device memory).
+//! Property tests for the baseline engines: on arbitrary graphs, every
+//! engine prices the work trace of a GraphReduce run that agrees with the
+//! sequential GAS oracle, and their structural cost characteristics hold
+//! (X-Stream streams |E| per iteration; GPU engines refuse graphs beyond
+//! device memory).
 
 use proptest::prelude::*;
 
 use gr_algorithms::{reference, Bfs, Cc};
-use gr_baselines::{CuSha, GraphChi, MapGraph, XStream};
+use gr_baselines::{CuSha, GraphChi, MapGraph, Totem, XStream};
 use gr_graph::{EdgeList, GraphLayout};
 use gr_sim::{HostConfig, Platform};
+use graphreduce::{GasProgram, GraphReduce, Options, RunResult};
 
 fn graphs() -> impl Strategy<Value = EdgeList> {
     (2u32..100).prop_flat_map(|n| {
         prop::collection::vec((0..n, 0..n), 1..400)
             .prop_map(move |edges| EdgeList::from_edges(n, edges))
     })
+}
+
+/// A cold GraphReduce run on the full device.
+fn gr<P: GasProgram>(program: P, layout: &GraphLayout) -> RunResult<P> {
+    let platform = Platform::paper_node();
+    GraphReduce::new(program, layout, platform, Options::optimized())
+        .run()
+        .unwrap()
 }
 
 proptest! {
@@ -27,57 +37,63 @@ proptest! {
         let host = HostConfig::xeon_e5_2670();
         let plat = Platform::paper_node();
 
-        let (cc_want, _, _) = reference::run_gas(&Cc, &layout);
-        let bfs_want = reference::bfs(&layout, src);
+        let (cc_want, _, cc_iters) = reference::run_gas(&Cc, &layout);
+        let (bfs_want, _, bfs_iters) = reference::run_gas(&Bfs::new(src), &layout);
+        let (cc, bfs) = (gr(Cc, &layout), gr(Bfs::new(src), &layout));
+        prop_assert_eq!(&cc.vertex_values, &cc_want);
+        prop_assert_eq!(&bfs.vertex_values, &bfs_want);
 
-        let chi = GraphChi::default().run(&Cc, &layout, &host);
-        prop_assert_eq!(&chi.vertex_values, &cc_want);
-        let xs = XStream::default().run(&Bfs::new(src), &layout, &host);
-        prop_assert_eq!(&xs.vertex_values, &bfs_want);
-        let cu = CuSha::default().run(&Cc, &layout, &plat).unwrap();
-        prop_assert_eq!(&cu.vertex_values, &cc_want);
-        let mg = MapGraph::default().run(&Bfs::new(src), &layout, &plat).unwrap();
-        prop_assert_eq!(&mg.vertex_values, &bfs_want);
+        // Every engine prices that run and reports the oracle's iteration count.
+        for (work, want) in [(&cc.work, cc_iters), (&bfs.work, bfs_iters)] {
+            prop_assert_eq!(GraphChi::default().run(work, &layout, &host).iterations, want);
+            prop_assert_eq!(XStream::default().run(work, &layout, &host).iterations, want);
+            prop_assert_eq!(CuSha::default().run(work, &layout, &plat).unwrap().iterations, want);
+            prop_assert_eq!(MapGraph::default().run(work, &layout, &plat).unwrap().iterations, want);
+            prop_assert_eq!(Totem::default().run(work, &layout, &plat).0.iterations, want);
+        }
     }
 
     #[test]
     fn xstream_traffic_scales_with_edges_times_iterations(el in graphs()) {
         let layout = GraphLayout::build(&el);
-        let run = XStream::default().run(&Cc, &layout, &HostConfig::xeon_e5_2670());
+        let work = gr(Cc, &layout).work;
+        let run = XStream::default().run(&work, &layout, &HostConfig::xeon_e5_2670());
         let xs = XStream::default();
-        let floor = run.stats.iterations as u64 * layout.num_edges() * xs.edge_record_bytes;
-        prop_assert!(run.stats.bytes_streamed >= floor);
+        let floor = run.iterations as u64 * layout.num_edges() * xs.edge_record_bytes;
+        prop_assert!(run.bytes_streamed >= floor);
     }
 
     #[test]
     fn gpu_engines_respect_device_capacity(el in graphs()) {
         let layout = GraphLayout::build(&el);
         // A device sized just under the engine's requirement must refuse;
-        // one sized just over must accept.
+        // one sized just over must accept. Capacity does not read the trace.
+        let work = [];
         let need = CuSha::default().device_bytes(&layout);
         let mut small = Platform::paper_node();
         small.device.mem_capacity = need.saturating_sub(1);
-        prop_assert!(CuSha::default().run(&Cc, &layout, &small).is_err());
+        prop_assert!(CuSha::default().run(&work, &layout, &small).is_err());
         let mut big = Platform::paper_node();
         big.device.mem_capacity = need;
-        prop_assert!(CuSha::default().run(&Cc, &layout, &big).is_ok());
+        prop_assert!(CuSha::default().run(&work, &layout, &big).is_ok());
 
         let need = MapGraph::default().device_bytes(&layout);
         let mut small = Platform::paper_node();
         small.device.mem_capacity = need.saturating_sub(1);
-        prop_assert!(MapGraph::default().run(&Cc, &layout, &small).is_err());
+        prop_assert!(MapGraph::default().run(&work, &layout, &small).is_err());
     }
 
     #[test]
     fn engine_timings_are_deterministic(el in graphs()) {
         let layout = GraphLayout::build(&el);
+        let work = gr(Cc, &layout).work;
         let host = HostConfig::xeon_e5_2670();
-        let a = XStream::default().run(&Cc, &layout, &host);
-        let b = XStream::default().run(&Cc, &layout, &host);
-        prop_assert_eq!(a.stats, b.stats);
+        let a = XStream::default().run(&work, &layout, &host);
+        let b = XStream::default().run(&work, &layout, &host);
+        prop_assert_eq!(a, b);
         let plat = Platform::paper_node();
-        let c = CuSha::default().run(&Cc, &layout, &plat).unwrap();
-        let d = CuSha::default().run(&Cc, &layout, &plat).unwrap();
-        prop_assert_eq!(c.stats, d.stats);
+        let c = CuSha::default().run(&work, &layout, &plat).unwrap();
+        let d = CuSha::default().run(&work, &layout, &plat).unwrap();
+        prop_assert_eq!(c, d);
     }
 }

@@ -9,7 +9,7 @@
 //! Totem; this experiment quantifies its Section 2.2 narrative.)
 
 use gr_baselines::Totem;
-use gr_bench::{default_source, layout_for, run_gr, scale_from_args, Algo};
+use gr_bench::{layout_for, run_gr_traced, scale_from_args, Algo};
 use gr_graph::Dataset;
 use gr_sim::Platform;
 use graphreduce::Options;
@@ -34,19 +34,17 @@ fn main() {
     ] {
         let ds = Dataset::KronLogn21;
         let layout = layout_for(ds, Algo::Bfs, div.max(1));
-        let src = default_source(&layout);
-        let (totem_run, split) =
-            Totem::default().run(&gr_algorithms::Bfs::new(src), &layout, &platform);
-        let gr = run_gr(Algo::Bfs, &layout, &platform, Options::optimized())
+        let (gr, work) = run_gr_traced(Algo::Bfs, &layout, &platform, Options::optimized())
             .expect("GR streams any size");
+        let (totem, split) = Totem::default().run(&work, &layout, &platform);
         println!(
             "{:>22} {:>9.1}% {:>12} {:>14} {:>14} {:>8.2}x",
             layout.num_edges(),
             100.0 * split.gpu_fraction(),
             split.boundary_edges,
-            format!("{}", totem_run.stats.elapsed),
+            format!("{}", totem.elapsed),
             format!("{}", gr.elapsed),
-            totem_run.stats.elapsed.as_secs_f64() / gr.elapsed.as_secs_f64()
+            totem.elapsed.as_secs_f64() / gr.elapsed.as_secs_f64()
         );
     }
     println!(

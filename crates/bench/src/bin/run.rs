@@ -10,9 +10,10 @@
 //!     --algo sssp --file mygraph.txt --engine gr --gpus 4
 //! ```
 
+use gr_baselines::{CuSha, GraphChi, MapGraph, Totem, XStream};
 use gr_bench::{
-    default_source, resume_gr_wall, run_cusha, run_gr_wall, run_graphchi, run_mapgraph,
-    run_session_all, run_xstream, set_host_threads, Algo, RunArtifacts,
+    default_source, resume_gr_wall, run_gr_traced, run_gr_wall, run_session_all, set_host_threads,
+    Algo, RunArtifacts,
 };
 use gr_graph::{gen, CompressionCodec, Dataset, EdgeList, GraphLayout, GraphStats};
 use gr_sim::Platform;
@@ -599,50 +600,39 @@ fn main() {
                 println!("wrote {path}");
             }
         }
-        "graphchi" => {
-            let s = run_graphchi(args.algo, &layout, &platform, args.scale);
-            println!("graphchi: {} iterations in {}", s.iterations, s.elapsed);
-        }
-        "xstream" => {
-            let s = run_xstream(args.algo, &layout, &platform);
-            println!("x-stream: {} iterations in {}", s.iterations, s.elapsed);
-        }
-        "cusha" => match run_cusha(args.algo, &layout, &platform) {
-            Ok(s) => println!("cusha: {} iterations in {}", s.iterations, s.elapsed),
-            Err(e) => println!("cusha: {e}"),
-        },
-        "mapgraph" => match run_mapgraph(args.algo, &layout, &platform) {
-            Ok(s) => println!("mapgraph: {} iterations in {}", s.iterations, s.elapsed),
-            Err(e) => println!("mapgraph: {e}"),
-        },
-        "totem" => {
-            use gr_baselines::Totem;
-            let t = Totem::default();
-            let (stats, split) = match args.algo {
-                Algo::Bfs => {
-                    let (r, sp) = t.run(&gr_algorithms::Bfs::new(src), &layout, &platform);
-                    (r.stats, sp)
+        "graphchi" | "xstream" | "cusha" | "mapgraph" | "totem" => {
+            // A baseline prices the work trace of one cold GR run; the
+            // gr-only flags above do not shape that run.
+            let (_, work) = run_gr_traced(args.algo, &layout, &platform, Options::optimized())
+                .unwrap_or_else(|e| {
+                    eprintln!("error: {e}");
+                    std::process::exit(1);
+                });
+            let report = |s: gr_baselines::BaselineStats| {
+                format!("{}: {} iterations in {}", s.engine, s.iterations, s.elapsed)
+            };
+            let line = match args.engine.as_str() {
+                "graphchi" => {
+                    report(GraphChi::scaled(args.scale).run(&work, &layout, &platform.host))
                 }
-                Algo::Cc => {
-                    let (r, sp) = t.run(&gr_algorithms::Cc, &layout, &platform);
-                    (r.stats, sp)
-                }
-                Algo::Sssp => {
-                    let (r, sp) = t.run(&gr_algorithms::Sssp::new(src), &layout, &platform);
-                    (r.stats, sp)
-                }
-                Algo::Pagerank => {
-                    let (r, sp) = t.run(&gr_algorithms::PageRank::default(), &layout, &platform);
-                    (r.stats, sp)
+                "xstream" => report(XStream::default().run(&work, &layout, &platform.host)),
+                "cusha" => CuSha::default()
+                    .run(&work, &layout, &platform)
+                    .map_or_else(|e| format!("cusha: {e}"), report),
+                "mapgraph" => MapGraph::default()
+                    .run(&work, &layout, &platform)
+                    .map_or_else(|e| format!("mapgraph: {e}"), report),
+                _ => {
+                    let (stats, split) = Totem::default().run(&work, &layout, &platform);
+                    format!(
+                        "{} (GPU holds {:.1}% of edges, {} boundary edges)",
+                        report(stats),
+                        100.0 * split.gpu_fraction(),
+                        split.boundary_edges
+                    )
                 }
             };
-            println!(
-                "totem: {} iterations in {} (GPU holds {:.1}% of edges, {} boundary edges)",
-                stats.iterations,
-                stats.elapsed,
-                100.0 * split.gpu_fraction(),
-                split.boundary_edges
-            );
+            println!("{line}");
         }
         other => {
             eprintln!("unknown engine {other}");

@@ -7,9 +7,11 @@
 //! (belgium_osm: 3x) where hundreds of near-empty iterations leave the GPU
 //! underutilized.
 
-use gr_bench::{layout_for, ms, run_cusha, run_xstream, scale_from_args_or, speedup, Algo};
+use gr_baselines::{CuSha, XStream};
+use gr_bench::{layout_for, ms, run_gr_traced, scale_from_args_or, speedup, Algo};
 use gr_graph::Dataset;
 use gr_sim::Platform;
+use graphreduce::Options;
 
 fn main() {
     let scale = scale_from_args_or(16);
@@ -23,9 +25,12 @@ fn main() {
     let mut powerlaw_min = f64::INFINITY;
     for ds in Dataset::TABLE2 {
         let layout = layout_for(ds, Algo::Bfs, scale);
-        let xs = run_xstream(Algo::Bfs, &layout, &platform);
-        let cu =
-            run_cusha(Algo::Bfs, &layout, &platform).expect("Table 2 graphs fit the full K20c");
+        let (_, work) = run_gr_traced(Algo::Bfs, &layout, &platform, Options::optimized())
+            .expect("Table 2 graphs fit the full K20c");
+        let xs = XStream::default().run(&work, &layout, &platform.host);
+        let cu = CuSha::default()
+            .run(&work, &layout, &platform)
+            .expect("Table 2 graphs fit the full K20c");
         let ratio = xs.elapsed.as_secs_f64() / cu.elapsed.as_secs_f64();
         println!(
             "{:<20} {:>15} {:>12} {:>9}",

@@ -6,7 +6,8 @@
 //! is nlpkkt160-CC where X-Stream edges GR out (massive data movement,
 //! little parallel payoff).
 
-use gr_bench::{layout_for, run_gr, run_graphchi, run_xstream, scale_from_args, Algo};
+use gr_baselines::{GraphChi, XStream};
+use gr_bench::{layout_for, run_gr_traced, scale_from_args, Algo};
 use gr_graph::Dataset;
 use gr_sim::{Platform, SimDuration};
 use graphreduce::Options;
@@ -30,10 +31,10 @@ fn main() {
         let mut rows: [Vec<SimDuration>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         for algo in Algo::ALL {
             let layout = layout_for(ds, algo, scale);
-            let gr = run_gr(algo, &layout, &platform, Options::optimized())
+            let (gr, work) = run_gr_traced(algo, &layout, &platform, Options::optimized())
                 .expect("out-of-memory plan fits after sharding");
-            let chi = run_graphchi(algo, &layout, &platform, scale);
-            let xs = run_xstream(algo, &layout, &platform);
+            let chi = GraphChi::scaled(scale).run(&work, &layout, &platform.host);
+            let xs = XStream::default().run(&work, &layout, &platform.host);
             rows[0].push(chi.elapsed);
             rows[1].push(xs.elapsed);
             rows[2].push(gr.elapsed);

@@ -6,7 +6,8 @@
 //! tends to take traversal cells, CuSha dense PageRank cells, and GR stays
 //! within a small factor while *also* handling out-of-memory graphs.
 
-use gr_bench::{layout_for, ms, run_cusha, run_gr, run_mapgraph, scale_from_args_or, Algo};
+use gr_baselines::{CuSha, MapGraph};
+use gr_bench::{layout_for, ms, run_gr_traced, scale_from_args_or, Algo};
 use gr_graph::Dataset;
 use gr_sim::Platform;
 use graphreduce::Options;
@@ -29,9 +30,13 @@ fn main() {
         let mut gr_row = Vec::new();
         for algo in Algo::ALL {
             let layout = layout_for(ds, algo, scale);
-            let mg = run_mapgraph(algo, &layout, &platform).expect("in-memory graph fits");
-            let cu = run_cusha(algo, &layout, &platform).expect("in-memory graph fits");
-            let gr = run_gr(algo, &layout, &platform, Options::optimized()).unwrap();
+            let (gr, work) = run_gr_traced(algo, &layout, &platform, Options::optimized()).unwrap();
+            let mg = MapGraph::default()
+                .run(&work, &layout, &platform)
+                .expect("in-memory graph fits");
+            let cu = CuSha::default()
+                .run(&work, &layout, &platform)
+                .expect("in-memory graph fits");
             let best_other = mg.elapsed.min(cu.elapsed);
             gr_worst_ratio =
                 gr_worst_ratio.max(gr.elapsed.as_secs_f64() / best_other.as_secs_f64());

@@ -27,11 +27,11 @@
 
 use std::sync::Arc;
 
-use gr_baselines::{BaselineStats, CuSha, GraphChi, MapGraph, XStream};
 use gr_graph::{Dataset, GraphLayout};
 use gr_observe::WallProfile;
 use gr_observe::{Observer, RecordingSink};
-use gr_sim::{OutOfMemory, Platform, SimDuration};
+use gr_sim::{Platform, SimDuration};
+use graphreduce::phases::ShardWork;
 use graphreduce::{EngineError, GraphReduce, GraphSession, Options, RunStats, WallProfiler};
 
 pub mod matmul;
@@ -160,7 +160,33 @@ pub fn run_gr_wall(
     observer: Observer,
     wall: WallProfiler,
 ) -> Result<RunStats, EngineError> {
-    gr_with_resume(algo, layout, platform, opts, None, observer, wall)
+    gr_with_resume(algo, layout, platform, opts, None, observer, wall).map(|(stats, _)| stats)
+}
+
+/// One cold GraphReduce run of a table cell: its stats and its work trace
+/// (one [`ShardWork`] summed over shards per iteration), which every
+/// baseline engine prices instead of computing the answer again.
+pub fn run_gr_traced(
+    algo: Algo,
+    layout: &GraphLayout,
+    platform: &Platform,
+    opts: Options,
+) -> Result<(RunStats, Vec<ShardWork>), EngineError> {
+    let (stats, work) = gr_with_resume(
+        algo,
+        layout,
+        platform,
+        opts,
+        None,
+        Observer::disabled(),
+        WallProfiler::disarmed(),
+    )?;
+    assert_eq!(
+        work.len() as u32,
+        stats.iterations,
+        "a cold run traces every iteration"
+    );
+    Ok((stats, work))
 }
 
 /// [`run_gr_wall`], but resuming from the newest durable snapshot in
@@ -174,7 +200,7 @@ pub fn resume_gr_wall(
     observer: Observer,
     wall: WallProfiler,
 ) -> Result<RunStats, EngineError> {
-    gr_with_resume(algo, layout, platform, opts, Some(dir), observer, wall)
+    gr_with_resume(algo, layout, platform, opts, Some(dir), observer, wall).map(|(stats, _)| stats)
 }
 
 fn gr_result<P: graphreduce::GasProgram>(
@@ -185,15 +211,15 @@ fn gr_result<P: graphreduce::GasProgram>(
     resume_dir: Option<&std::path::Path>,
     observer: Observer,
     wall: WallProfiler,
-) -> Result<RunStats, EngineError> {
+) -> Result<(RunStats, Vec<ShardWork>), EngineError> {
     let gr = GraphReduce::new(program, layout, platform.clone(), opts)
         .with_observer(observer)
         .with_wall_profiler(wall);
-    Ok(match resume_dir {
+    let run = match resume_dir {
         Some(dir) => gr.resume(dir)?,
         None => gr.run()?,
-    }
-    .stats)
+    };
+    Ok((run.stats, run.work))
 }
 
 fn gr_with_resume(
@@ -204,7 +230,7 @@ fn gr_with_resume(
     resume_dir: Option<&std::path::Path>,
     observer: Observer,
     wall: WallProfiler,
-) -> Result<RunStats, EngineError> {
+) -> Result<(RunStats, Vec<ShardWork>), EngineError> {
     let src = default_source(layout);
     match algo {
         Algo::Bfs => gr_result(
@@ -418,91 +444,6 @@ impl RunArtifacts {
     }
 }
 
-/// Run the GraphChi-style engine.
-pub fn run_graphchi(
-    algo: Algo,
-    layout: &GraphLayout,
-    platform: &Platform,
-    scale: u64,
-) -> BaselineStats {
-    let chi = GraphChi::scaled(scale);
-    let src = default_source(layout);
-    match algo {
-        Algo::Bfs => {
-            chi.run(&gr_algorithms::Bfs::new(src), layout, &platform.host)
-                .stats
-        }
-        Algo::Sssp => {
-            chi.run(&gr_algorithms::Sssp::new(src), layout, &platform.host)
-                .stats
-        }
-        Algo::Pagerank => chi.run(&pagerank(), layout, &platform.host).stats,
-        Algo::Cc => chi.run(&gr_algorithms::Cc, layout, &platform.host).stats,
-    }
-}
-
-/// Run the X-Stream-style engine.
-pub fn run_xstream(algo: Algo, layout: &GraphLayout, platform: &Platform) -> BaselineStats {
-    let xs = XStream::default();
-    let src = default_source(layout);
-    match algo {
-        Algo::Bfs => {
-            xs.run(&gr_algorithms::Bfs::new(src), layout, &platform.host)
-                .stats
-        }
-        Algo::Sssp => {
-            xs.run(&gr_algorithms::Sssp::new(src), layout, &platform.host)
-                .stats
-        }
-        Algo::Pagerank => xs.run(&pagerank(), layout, &platform.host).stats,
-        Algo::Cc => xs.run(&gr_algorithms::Cc, layout, &platform.host).stats,
-    }
-}
-
-/// Run the CuSha-style engine (fails on out-of-memory graphs).
-pub fn run_cusha(
-    algo: Algo,
-    layout: &GraphLayout,
-    platform: &Platform,
-) -> Result<BaselineStats, OutOfMemory> {
-    let cu = CuSha::default();
-    let src = default_source(layout);
-    Ok(match algo {
-        Algo::Bfs => {
-            cu.run(&gr_algorithms::Bfs::new(src), layout, platform)?
-                .stats
-        }
-        Algo::Sssp => {
-            cu.run(&gr_algorithms::Sssp::new(src), layout, platform)?
-                .stats
-        }
-        Algo::Pagerank => cu.run(&pagerank(), layout, platform)?.stats,
-        Algo::Cc => cu.run(&gr_algorithms::Cc, layout, platform)?.stats,
-    })
-}
-
-/// Run the MapGraph-style engine (fails on out-of-memory graphs).
-pub fn run_mapgraph(
-    algo: Algo,
-    layout: &GraphLayout,
-    platform: &Platform,
-) -> Result<BaselineStats, OutOfMemory> {
-    let mg = MapGraph::default();
-    let src = default_source(layout);
-    Ok(match algo {
-        Algo::Bfs => {
-            mg.run(&gr_algorithms::Bfs::new(src), layout, platform)?
-                .stats
-        }
-        Algo::Sssp => {
-            mg.run(&gr_algorithms::Sssp::new(src), layout, platform)?
-                .stats
-        }
-        Algo::Pagerank => mg.run(&pagerank(), layout, platform)?.stats,
-        Algo::Cc => mg.run(&gr_algorithms::Cc, layout, platform)?.stats,
-    })
-}
-
 /// Frontier sizes per iteration (for Figures 3/16/17), via GraphReduce.
 pub fn frontier_trace(algo: Algo, layout: &GraphLayout, platform: &Platform) -> Vec<u64> {
     run_gr(algo, layout, platform, Options::optimized())
@@ -526,6 +467,7 @@ pub fn speedup(base: SimDuration, ours: SimDuration) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gr_baselines::{CuSha, GraphChi, MapGraph, XStream};
 
     #[test]
     fn layouts_respect_algorithm_requirements() {
@@ -552,9 +494,9 @@ mod tests {
         let scale = 1024;
         let plat = Platform::paper_node_scaled(scale);
         let layout = layout_for(Dataset::Orkut, Algo::Bfs, scale);
-        let gr = run_gr(Algo::Bfs, &layout, &plat, Options::optimized()).unwrap();
-        let chi = run_graphchi(Algo::Bfs, &layout, &plat, scale);
-        let xs = run_xstream(Algo::Bfs, &layout, &plat);
+        let (gr, work) = run_gr_traced(Algo::Bfs, &layout, &plat, Options::optimized()).unwrap();
+        let chi = GraphChi::scaled(scale).run(&work, &layout, &plat.host);
+        let xs = XStream::default().run(&work, &layout, &plat.host);
         assert!(
             gr.elapsed < chi.elapsed,
             "GR {:?} vs GraphChi {:?}",
@@ -574,8 +516,8 @@ mod tests {
         let scale = 1024;
         let plat = Platform::paper_node_scaled(scale);
         let layout = layout_for(Dataset::Uk2002, Algo::Bfs, scale);
-        assert!(run_cusha(Algo::Bfs, &layout, &plat).is_err());
-        assert!(run_mapgraph(Algo::Bfs, &layout, &plat).is_err());
+        assert!(CuSha::default().run(&[], &layout, &plat).is_err());
+        assert!(MapGraph::default().run(&[], &layout, &plat).is_err());
     }
 
     #[test]

@@ -28,6 +28,7 @@ use gr_sim::Platform;
 
 use crate::api::GasProgram;
 use crate::options::Options;
+use crate::phases::ShardWork;
 use crate::recovery::EngineError;
 use crate::session::{GraphSession, Query};
 use crate::stats::RunStats;
@@ -42,6 +43,12 @@ pub struct RunResult<P: GasProgram> {
     pub edge_values: Vec<P::EdgeValue>,
     /// Everything the evaluation section measures.
     pub stats: RunStats,
+    /// The work of each iteration this call computed, summed over shards:
+    /// one entry per iteration, independent of the shard plan and the
+    /// codec. A resumed run's restored iterations are not in it, so only
+    /// a cold run's trace has `stats.iterations` entries. The baseline
+    /// engines price this trace.
+    pub work: Vec<ShardWork>,
 }
 
 /// The GraphReduce framework instance: one program bound to one graph on

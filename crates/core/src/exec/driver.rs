@@ -437,6 +437,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             vertex_values: host.vertex_values,
             edge_values: host.edge_values,
             stats,
+            work: host.work,
         })
     }
 

@@ -127,6 +127,9 @@ pub(crate) struct HostState<P: GasProgram> {
     /// iterations (each is cleared through its summary after its merge).
     pub(crate) spare: Vec<Bitmap>,
     pub(crate) iterations: Vec<IterationStats>,
+    /// One [`ShardWork`] summed over shards per iteration this run
+    /// computed; a restored run's earlier iterations are not in it.
+    pub(crate) work: Vec<ShardWork>,
 }
 
 impl<P: GasProgram> HostState<P> {
@@ -172,6 +175,7 @@ impl<P: GasProgram> HostState<P> {
             next_frontier: Bitmap::new(n),
             spare: Vec::new(),
             iterations: Vec::new(),
+            work: Vec::new(),
         }
     }
 
@@ -348,6 +352,13 @@ impl<P: GasProgram> HostState<P> {
             shards_processed: processed,
             shards_skipped: num_shards as u32 - processed,
         });
+        self.work
+            .push(work.iter().fold(ShardWork::default(), |s, w| ShardWork {
+                active_vertices: s.active_vertices + w.active_vertices,
+                active_in_edges: s.active_in_edges + w.active_in_edges,
+                changed_vertices: s.changed_vertices + w.changed_vertices,
+                out_edges_of_changed: s.out_edges_of_changed + w.out_edges_of_changed,
+            }));
         work
     }
 

@@ -535,6 +535,7 @@ pub(crate) fn decode_state<P: GasProgram>(
         next_frontier: r.bitmap(fp.n, "next-frontier bitmap")?,
         spare: Vec::new(),
         iterations: trace(&mut r, iterations)?,
+        work: Vec::new(),
     };
     r.finish()?;
     Ok(RestoredFromDisk {

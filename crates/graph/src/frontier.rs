@@ -94,10 +94,11 @@ impl Bitmap {
     /// The counter and summary updates branch instead of adding
     /// `u64::from(newly)`: rustc 1.95.0 miscompiles the bool-to-int add in
     /// release builds when the returned flag also feeds a caller-side
-    /// branch (the increment is dropped entirely). See
-    /// `frontier::tests::count_survives_release_opt`. The summary bit is
-    /// written only when the word was zero, so dense marking pays one
-    /// predictable branch and no extra store.
+    /// branch (the increment is dropped entirely). `docs/RUSTC_MISCOMPILE.md`
+    /// has a reproducer, the flags that trigger it, and why the summary
+    /// write hides it here today. The summary bit is written only when the
+    /// word was zero, so dense marking pays one predictable branch and no
+    /// extra store.
     #[inline]
     pub fn set(&mut self, i: u32) -> bool {
         debug_assert!(i < self.len);
@@ -412,7 +413,8 @@ mod tests {
 
     /// Regression guard for the rustc 1.95.0 release-mode miscompile of
     /// `count += u64::from(flag)` when `flag` also reaches a branch: keep
-    /// the exact trigger shape (`assert!(set(..))`).
+    /// the exact trigger shape (`assert!(set(..))`). It pins the guarded
+    /// `set`; see `docs/RUSTC_MISCOMPILE.md` for what it cannot catch.
     #[test]
     fn count_survives_release_opt() {
         let mut b = Bitmap::new(130);

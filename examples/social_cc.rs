@@ -1,7 +1,7 @@
 //! Community sizing on an orkut-class social network: Connected Components
-//! out-of-core on GraphReduce, cross-checked against every baseline engine
-//! the paper compares with (GraphChi, X-Stream on the host; CuSha,
-//! MapGraph in device memory when the graph fits).
+//! out-of-core on GraphReduce, with the same run's work trace priced by
+//! every baseline engine the paper compares with (GraphChi, X-Stream on the
+//! host; CuSha, MapGraph in device memory when the graph fits).
 //!
 //! ```sh
 //! cargo run --release --example social_cc
@@ -30,35 +30,33 @@ fn main() {
         .run()
         .expect("sharded run fits");
 
-    // CPU out-of-memory baselines.
-    let chi = GraphChi::scaled(scale).run(&Cc, &layout, &platform.host);
-    let xs = XStream::default().run(&Cc, &layout, &platform.host);
-    assert_eq!(gr.vertex_values, chi.vertex_values);
-    assert_eq!(gr.vertex_values, xs.vertex_values);
+    // CPU out-of-memory baselines, priced from GraphReduce's work trace.
+    let chi = GraphChi::scaled(scale).run(&gr.work, &layout, &platform.host);
+    let xs = XStream::default().run(&gr.work, &layout, &platform.host);
 
     println!("\nengine            time            vs GraphReduce");
     let grt = gr.stats.elapsed.as_secs_f64();
     println!("graphreduce      {:>12}    1.00x", gr.stats.elapsed);
     println!(
         "graphchi         {:>12}    {:.2}x slower",
-        chi.stats.elapsed,
-        chi.stats.elapsed.as_secs_f64() / grt
+        chi.elapsed,
+        chi.elapsed.as_secs_f64() / grt
     );
     println!(
         "x-stream         {:>12}    {:.2}x slower",
-        xs.stats.elapsed,
-        xs.stats.elapsed.as_secs_f64() / grt
+        xs.elapsed,
+        xs.elapsed.as_secs_f64() / grt
     );
 
     // In-GPU-memory engines refuse out-of-memory graphs — the limitation
     // GraphReduce exists to remove (Table 1).
-    match CuSha::default().run(&Cc, &layout, &platform) {
+    match CuSha::default().run(&gr.work, &layout, &platform) {
         Err(e) => println!("cusha            refused: {e}"),
-        Ok(run) => println!("cusha            {:>12}", run.stats.elapsed),
+        Ok(stats) => println!("cusha            {:>12}", stats.elapsed),
     }
-    match MapGraph::default().run(&Cc, &layout, &platform) {
+    match MapGraph::default().run(&gr.work, &layout, &platform) {
         Err(e) => println!("mapgraph         refused: {e}"),
-        Ok(run) => println!("mapgraph         {:>12}", run.stats.elapsed),
+        Ok(stats) => println!("mapgraph         {:>12}", stats.elapsed),
     }
 
     // Community structure summary.

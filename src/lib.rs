@@ -9,7 +9,7 @@
 //! * [`algorithms`] — BFS / SSSP / PageRank / CC / SpMV / Heat
 //!   ([`gr_algorithms`]);
 //! * [`baselines`] — GraphChi-, X-Stream-, CuSha-, MapGraph-style engines
-//!   ([`gr_baselines`]);
+//!   that price GraphReduce's work trace ([`gr_baselines`]);
 //! * [`observe`] — structured events, metrics, decision logs, exporters
 //!   ([`gr_observe`]).
 //!

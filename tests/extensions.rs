@@ -93,7 +93,10 @@ fn incremental_cc_tracks_edge_insertions() {
 fn totem_handles_out_of_memory_graphs_but_underutilizes() {
     let layout = GraphLayout::build(&Dataset::Nlpkkt160.generate(SCALE));
     let plat = Platform::paper_node_scaled(SCALE);
-    let (run, split) = Totem::default().run(&Cc, &layout, &plat);
+    let gr = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
+        .run()
+        .unwrap();
+    let (run, split) = Totem::default().run(&gr.work, &layout, &plat);
     // Never refuses — but the device holds only part of the edge set.
     assert!(
         split.gpu_fraction() < 1.0,
@@ -101,11 +104,8 @@ fn totem_handles_out_of_memory_graphs_but_underutilizes() {
         split.gpu_fraction()
     );
     assert!(split.boundary_edges > 0);
-    // Same results as GraphReduce on the same graph.
-    let gr = GraphReduce::new(Cc, &layout, plat, Options::optimized())
-        .run()
-        .unwrap();
-    assert_eq!(run.vertex_values, gr.vertex_values);
+    // Totem prices the GraphReduce run whose results it shares.
+    assert_eq!(run.iterations, gr.stats.iterations);
 }
 
 #[test]

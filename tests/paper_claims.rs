@@ -28,10 +28,10 @@ fn gr_outperforms_cpu_frameworks_out_of_core() {
             .run()
             .unwrap();
         assert!(!gr.stats.all_resident, "{} must stream", ds.name());
-        let chi = GraphChi::scaled(scale).run(&Bfs::new(src), &layout, &plat.host);
-        let xs = XStream::default().run(&Bfs::new(src), &layout, &plat.host);
-        let s_chi = chi.stats.elapsed.as_secs_f64() / gr.stats.elapsed.as_secs_f64();
-        let s_xs = xs.stats.elapsed.as_secs_f64() / gr.stats.elapsed.as_secs_f64();
+        let chi = GraphChi::scaled(scale).run(&gr.work, &layout, &plat.host);
+        let xs = XStream::default().run(&gr.work, &layout, &plat.host);
+        let s_chi = chi.elapsed.as_secs_f64() / gr.stats.elapsed.as_secs_f64();
+        let s_xs = xs.elapsed.as_secs_f64() / gr.stats.elapsed.as_secs_f64();
         assert!(
             s_chi > 2.0,
             "{}: GR vs GraphChi only {s_chi:.2}x",
@@ -139,7 +139,7 @@ fn in_memory_engines_refuse_large_graphs() {
     let scale = 512;
     let plat = Platform::paper_node_scaled(scale);
     let layout = GraphLayout::build(&Dataset::Nlpkkt160.generate(scale));
-    assert!(CuSha::default().run(&Cc, &layout, &plat).is_err());
+    assert!(CuSha::default().run(&[], &layout, &plat).is_err());
     // GraphReduce handles the same graph on the same device.
     let gr = GraphReduce::new(Cc, &layout, plat, Options::optimized()).run();
     assert!(gr.is_ok());
