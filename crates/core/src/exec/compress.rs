@@ -14,10 +14,12 @@
 //! `docs/COMPRESSION.md`).
 
 use gr_graph::{CompressedTopology, CompressionCodec, GraphLayout, Shard, TopoView};
+use gr_observe::{Decision, MetricsRegistry, Observer};
 
 use crate::sizes::SizeModel;
 
-use super::movement::BufSet;
+use super::movement::{in_bufs_for, out_bufs_for, BufSet};
+use super::EngineMetric;
 
 /// Raw bytes per decoded topology entry: neighbor id (4) + weight (4) +
 /// canonical edge id (4) — what the decompress kernel writes through
@@ -115,6 +117,42 @@ impl ShardCompression {
             }
         }
         total
+    }
+
+    /// One CompressShard decision per governed shard, with the honest
+    /// ratio the run will see on the wire (full raw buffer set vs
+    /// compressed set, `force`d as the unfused pipeline ships them);
+    /// totals land in `RunStats` via the engine counters.
+    pub(crate) fn account(
+        &self,
+        sizes: &SizeModel,
+        shards: &[Shard],
+        force: bool,
+        metrics: &mut MetricsRegistry<EngineMetric>,
+        observer: &Observer,
+    ) {
+        let codec = self.codec().name();
+        let total = |bufs: [BufSet; 2]| -> u64 {
+            bufs.iter().flat_map(|b| b.as_slice()).map(|b| b.0).sum()
+        };
+        for (i, sh) in shards.iter().enumerate() {
+            let raw = total([
+                in_bufs_for(sizes, sh, force),
+                out_bufs_for(sizes, sh, force),
+            ]);
+            let z = total([
+                self.in_bufs(sizes, sh, force),
+                self.out_bufs(sizes, sh, force),
+            ]);
+            metrics.inc(EngineMetric::CompressedRawBytes, raw);
+            metrics.inc(EngineMetric::CompressedBytes, z);
+            observer.decision(|| Decision::CompressShard {
+                shard: i as u32,
+                raw_bytes: raw,
+                compressed_bytes: z,
+                codec,
+            });
+        }
     }
 }
 

@@ -1,12 +1,10 @@
 //! Compute Engine: per-phase [`KernelSpec`] construction.
 //!
 //! Pure functions from shard work statistics and the byte model to kernel
-//! specs — no device state, no ops. The single-GPU driver layers CTA
-//! imbalance and gather-mode selection on top via [`ComputeSpecs`]; the
-//! multi-GPU orchestrator reuses the same base builders with its
-//! `multi.*` trace labels, so the cost model of a phase exists once.
-//! The shared host-CPU roofline ([`host_work`]) prices degraded-mode and
-//! governor host-shard execution identically on both paths.
+//! specs — no device state, no ops. [`ComputeSpecs`] layers CTA
+//! imbalance and gather-mode selection on the balanced cost model of each
+//! phase. The host-CPU roofline ([`host_work`]) prices degraded-mode and
+//! governor host-shard execution.
 
 use gr_graph::{GraphLayout, Shard};
 use gr_observe::profiler::WALL_NO_SHARD;
@@ -19,42 +17,6 @@ use crate::sizes::SizeModel;
 
 use super::compress::RAW_TOPO_ENTRY_BYTES;
 use super::plan::interval_skew;
-
-/// The edge-centric gather-map kernel over a shard's active in-edges.
-/// Label varies per path (`"gatherMap"` single, `"multi.gather"` multi);
-/// the cost model is identical.
-pub fn gather_map_spec(sizes: &SizeModel, w: &ShardWork, label: &'static str) -> KernelSpec {
-    KernelSpec::balanced(
-        label,
-        w.active_in_edges,
-        2.0,
-        w.active_in_edges * (sizes.in_edge_bytes() + sizes.gather),
-        w.active_in_edges,
-    )
-}
-
-/// The vertex-centric apply kernel over a shard's active vertices.
-pub fn apply_kernel_spec(sizes: &SizeModel, w: &ShardWork, label: &'static str) -> KernelSpec {
-    KernelSpec::balanced(
-        label,
-        w.active_vertices,
-        4.0,
-        w.active_vertices * (sizes.vertex_value + sizes.gather),
-        0,
-    )
-}
-
-/// The frontier-activation kernel walking the out-edges of changed
-/// vertices (balanced base; the single path layers interval skew on top).
-pub fn activate_kernel_spec(_sizes: &SizeModel, w: &ShardWork, label: &'static str) -> KernelSpec {
-    KernelSpec::balanced(
-        label,
-        w.out_edges_of_changed,
-        1.0,
-        w.out_edges_of_changed * 4,
-        w.out_edges_of_changed,
-    )
-}
 
 /// Host-CPU roofline for GAS work executed on the host (whole-run
 /// fallback, per-iteration degraded mode, or governor host-shards): the
@@ -69,7 +31,7 @@ pub fn host_work(label: &'static str, vertices: u64, edges: u64, sizes: &SizeMod
     )
 }
 
-/// Per-shard kernel-spec construction for the single-GPU path: the byte
+/// Per-shard kernel-spec construction: the byte
 /// model plus the options that shape kernels (gather mode, CTA load
 /// balancing) plus per-shard degree-skew factors computed once per run.
 pub struct ComputeSpecs {
@@ -126,7 +88,13 @@ impl ComputeSpecs {
         let cta = self.cta_load_balance;
         match self.gather_mode {
             GatherMode::Hybrid => (
-                gather_map_spec(&self.sizes, w, "gatherMap"),
+                KernelSpec::balanced(
+                    "gatherMap",
+                    w.active_in_edges,
+                    2.0,
+                    w.active_in_edges * (ie + g),
+                    w.active_in_edges,
+                ),
                 Some(
                     KernelSpec::balanced(
                         "gatherReduce",
@@ -170,7 +138,13 @@ impl ComputeSpecs {
     }
 
     pub(crate) fn apply_spec(&self, w: &ShardWork) -> KernelSpec {
-        apply_kernel_spec(&self.sizes, w, "apply")
+        KernelSpec::balanced(
+            "apply",
+            w.active_vertices,
+            4.0,
+            w.active_vertices * (self.sizes.vertex_value + self.sizes.gather),
+            0,
+        )
     }
 
     pub(crate) fn scatter_spec(&self, i: usize, w: &ShardWork) -> KernelSpec {
@@ -216,13 +190,20 @@ impl ComputeSpecs {
         .with_imbalance(if self.cta_load_balance { 1.0 } else { skew })
     }
 
+    /// The frontier-activation kernel walking the out-edges of changed
+    /// vertices.
     pub(crate) fn activate_spec(&self, i: usize, w: &ShardWork) -> KernelSpec {
-        activate_kernel_spec(&self.sizes, w, "frontierActivate").with_imbalance(
-            if self.cta_load_balance {
-                1.0
-            } else {
-                self.skew_out[i]
-            },
+        KernelSpec::balanced(
+            "frontierActivate",
+            w.out_edges_of_changed,
+            1.0,
+            w.out_edges_of_changed * 4,
+            w.out_edges_of_changed,
         )
+        .with_imbalance(if self.cta_load_balance {
+            1.0
+        } else {
+            self.skew_out[i]
+        })
     }
 }

@@ -3,14 +3,12 @@
 //! A [`DeviceCtx`] owns one virtual [`Gpu`] together with everything the
 //! engine attaches to it — streams, held allocations, the fault-retry
 //! loop, the per-device metrics registry, and the pending-kernel list
-//! whose resolved time windows become engine-track spans. Both the
-//! single-GPU driver ([`crate::exec::driver`]) and the multi-GPU
-//! orchestrator ([`crate::multi`]) emit their timelines exclusively
-//! through these wrappers, so retry/backoff semantics exist exactly once:
-//! identical fault schedules charge identical simulated recovery time on
-//! either path (see `docs/ARCHITECTURE.md`).
+//! whose resolved time windows become engine-track spans. The driver
+//! ([`crate::exec::driver`]) emits every device's timeline exclusively
+//! through these wrappers, so retry/backoff semantics exist exactly once
+//! (see `docs/ARCHITECTURE.md`).
 
-use gr_observe::{Decision, InstantEvent, MetricsRegistry, Observer, SpanEvent};
+use gr_observe::{Decision, MetricsRegistry, Observer, SpanEvent};
 use gr_sim::{
     Allocation, DeviceFault, FaultPlan, Gpu, GpuStats, KernelSpec, OpId, Platform, SimDuration,
     StreamId,
@@ -20,10 +18,19 @@ use crate::recovery::{EngineError, RecoveryPolicy};
 
 use super::EngineMetric;
 
+/// One device of a query: its fault plan, its memory cap, and the prefix
+/// of its observability lanes.
+#[derive(Clone)]
+pub(crate) struct DeviceSpec {
+    pub(crate) fault_plan: FaultPlan,
+    pub(crate) mem_cap: Option<u64>,
+    pub(crate) lane: Option<String>,
+}
+
 /// A device operation that failed past its retry budget (or hit a lost
 /// device), unwinding the current timeline emission for rollback handling.
 pub struct Abort {
-    /// Index of the device the op failed on (always 0 on the single path).
+    /// Index of the device the op failed on (always 0 on one device).
     pub device: usize,
     /// Trace label of the failing op.
     pub op: &'static str,
@@ -42,9 +49,9 @@ pub struct DeviceCtx {
     pub(crate) main_streams: Vec<StreamId>,
     spray_streams: Vec<StreamId>,
     spray_cursor: usize,
-    /// Engine-level metrics for this device (skip counters, retries, …).
-    /// On the single path this is the registry `RunStats` reads; the
-    /// multi orchestrator keeps one per device.
+    /// Engine-level metrics for this device (retries, chunked copies,
+    /// storage stalls, …). Device 0's doubles as the run's registry;
+    /// `RunStats` sums every device's.
     pub(crate) metrics: MetricsRegistry<EngineMetric>,
     observer: Observer,
     // Kernel launches awaiting their resolved virtual-time window
@@ -53,32 +60,32 @@ pub struct DeviceCtx {
     // Device allocations held for the run (RAII keeps capacity accounted).
     pub(crate) static_alloc: Option<Allocation>,
     pub(crate) shard_allocs: Vec<Allocation>,
+    /// The governed streaming-slot size chunked transfers cut to.
+    pub(crate) slot_bytes: u64,
 }
 
 impl DeviceCtx {
-    /// Bring up one device: create the [`Gpu`], attach the observer
-    /// (tagged per device lane when `tag` is given, e.g. `"gpu1/"`), arm
-    /// the fault plan, and apply the optional memory cap — in that order,
-    /// matching the timeline the pre-refactor engines emitted.
+    /// Bring up device `device` as `spec` describes: create the [`Gpu`],
+    /// attach the observer (tagged per device lane when `spec.lane` is
+    /// given, e.g. `"gpu1/"`), arm the fault plan, and apply the optional
+    /// memory cap — in that order.
     ///
     /// `observer` doubles as the decision-log sink; decisions are never
     /// tagged (the device index is a field of the decision itself).
     pub fn new(
         platform: &Platform,
         device: usize,
+        spec: DeviceSpec,
         observer: Observer,
-        tag: Option<String>,
-        fault_plan: FaultPlan,
-        mem_cap: Option<u64>,
         recovery: RecoveryPolicy,
     ) -> Self {
         let mut gpu = Gpu::new(platform);
-        match tag {
+        match spec.lane {
             Some(t) => gpu.set_observer_tagged(observer.clone(), t),
             None => gpu.set_observer(observer.clone()),
         }
-        gpu.set_fault_plan(fault_plan);
-        if let Some(cap) = mem_cap {
+        gpu.set_fault_plan(spec.fault_plan);
+        if let Some(cap) = spec.mem_cap {
             gpu.cap_memory(cap);
         }
         DeviceCtx {
@@ -93,6 +100,7 @@ impl DeviceCtx {
             pending_kernels: Vec::new(),
             static_alloc: None,
             shard_allocs: Vec::new(),
+            slot_bytes: 1,
         }
     }
 
@@ -248,11 +256,6 @@ impl DeviceCtx {
         self.gpu.stall(stream, duration, label);
     }
 
-    /// Flush the device timeline to its next quiescent point.
-    pub fn synchronize(&mut self) {
-        self.gpu.synchronize();
-    }
-
     /// Device barrier + emission of every pending kernel's span with
     /// its real virtual-time window (known only after the flush).
     pub fn sync_and_resolve(&mut self) {
@@ -347,35 +350,4 @@ impl DeviceCtx {
     pub fn gpu_metrics(&self) -> &MetricsRegistry<gr_sim::DeviceMetric> {
         self.gpu.metrics()
     }
-}
-
-/// Advance all devices to their next barrier; return the stage duration
-/// (the slowest device's progress — devices run concurrently).
-pub fn barrier(ctxs: &mut [DeviceCtx]) -> SimDuration {
-    let mut stage = SimDuration::ZERO;
-    for c in ctxs.iter_mut() {
-        let before = c.gpu.elapsed();
-        c.gpu.synchronize();
-        stage = stage.max(c.gpu.elapsed() - before);
-    }
-    stage
-}
-
-/// [`barrier`], plus a `"multi"`-track instant marking where the aligned
-/// global clock lands after the stage.
-pub fn barrier_observed(
-    ctxs: &mut [DeviceCtx],
-    global: &mut SimDuration,
-    stage: &'static str,
-    observer: &Observer,
-) {
-    *global += barrier(ctxs);
-    let at = global.as_nanos();
-    observer.instant(|| InstantEvent {
-        track: "multi",
-        lane: "barriers".to_string(),
-        name: format!("barrier {stage}"),
-        at_ns: at,
-        fields: vec![("stage", stage.into())],
-    });
 }

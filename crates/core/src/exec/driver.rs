@@ -1,26 +1,35 @@
-//! The single-GPU device timeline: frontier skip, residency caching,
-//! spill reads, governor host shards, host fallback, and the fused or
-//! unfused emission of each iteration.
+//! The device timeline: shard placement over one or more devices,
+//! frontier skip, residency caching, spill reads, governor host shards,
+//! eviction and host fallback, and the fused or unfused emission of each
+//! iteration.
 //!
-//! `Runner` wires the exec layers together for one device —
-//! [`super::plan`] derives the governed [`ExecPlan`](super::plan::ExecPlan),
-//! [`super::movement`] moves shard buffers, [`super::compute`] prices the
-//! kernels, and every device op goes through [`super::device::DeviceCtx`].
-//! It runs through the BSP loop in [`super::bsp`], which it shares with
-//! the multi-GPU orchestrator: the host computes each iteration once, and
-//! a fault replays only what `Runner` emits.
+//! `Runner` wires the exec layers together — [`super::plan`] derives the
+//! governed [`ExecPlan`](super::plan::ExecPlan), [`super::movement`] moves
+//! shard buffers, [`super::compute`] prices the kernels, and every device
+//! op goes through a [`super::device::DeviceCtx`]. Shard `i`'s ops go to
+//! `ctxs[owners[i]]`. On one device that is the paper's single-GPU
+//! pipeline (Figures 8-12), which backs every paper table; with more than
+//! one live device each stage ends in a BSP barrier and each iteration in
+//! the cross-device exchange (Section 8's multi-GPU future work). It runs
+//! through the BSP loop in [`super::bsp`]: the host computes each
+//! iteration once, and a fault replays only what `Runner` emits.
 
 use gr_graph::{Bitmap, GraphLayout, Shard, TopoView};
 use std::sync::Arc;
 
-use gr_observe::{Decision, MetricsRegistry, Observer, WallProfiler};
-use gr_sim::{cpu_time, DeviceFault, HostConfig, KernelSpec, Platform, SimDuration, StreamId};
+use gr_observe::metrics::MetricTable;
+use gr_observe::{Decision, InstantEvent, MetricsRegistry, Observer, WallProfiler};
+use gr_sim::{
+    cpu_time, DeviceFault, FaultPlan, HostConfig, KernelSpec, Platform, SimDuration, StreamId,
+};
 
 use crate::api::GasProgram;
 use crate::engine::{RunResult, WarmStart};
+use crate::frame::Placement;
 use crate::options::Options;
 use crate::phases::ShardWork;
 use crate::recovery::EngineError;
+use crate::session::DeviceReport;
 use crate::sizes::{PartitionPlan, SizeModel};
 use crate::snapshot::{self, CheckpointPolicy};
 use crate::snapshot_delta::RestoredFromDisk;
@@ -28,46 +37,49 @@ use crate::stats::RunStats;
 use crate::storage::StorageCtx;
 use crate::store::{shard_payload, FileShardStore, ShardStore};
 
-use super::bsp::{Bsp, Timeline};
 use super::compress::{ShardCompression, RAW_TOPO_ENTRY_BYTES};
 use super::compute::{host_work, ComputeSpecs};
-use super::device::{Abort, DeviceCtx};
+use super::device::{Abort, DeviceCtx, DeviceSpec};
 use super::movement::{in_bufs_for, out_bufs_for, Buf, BufSet, Movement};
 use super::plan;
 use super::EngineMetric;
 
-/// The single-GPU timeline (Figures 8-12): one [`DeviceCtx`], one
-/// [`Movement`] policy, one [`ComputeSpecs`] table.
+/// The device timeline: one [`DeviceCtx`] per device, one [`Movement`]
+/// policy, one [`ComputeSpecs`] table.
 pub(crate) struct Runner<'a, P: GasProgram> {
-    program: &'a P,
-    layout: &'a GraphLayout,
-    opts: &'a Options,
+    pub(super) program: &'a P,
+    pub(super) layout: &'a GraphLayout,
+    pub(super) opts: &'a Options,
     sizes: SizeModel,
     plan: PartitionPlan,
-    ctx: DeviceCtx,
+    // Devices, the owner of each shard, and which devices are still up.
+    // Run-level engine counters go to `ctxs[0]`'s registry; the run's
+    // totals sum every device's.
+    ctxs: Vec<DeviceCtx>,
+    owners: Vec<usize>,
+    alive: Vec<bool>,
+    evictions: u32,
+    // The stage-aligned clock: each barrier adds the slowest device's
+    // stage. On one device it is that device's clock.
+    global: SimDuration,
+    // Committed only when an iteration completes, so replays never
+    // double-count.
+    exchange_bytes: u64,
+    // Iteration boundary at which a process-kill fault ends the run.
+    pub(super) kill_at: Option<u32>,
     movement: Movement,
     specs: ComputeSpecs,
     // Residency caching (in-GPU-memory mode).
     resident: bool,
     in_cached: Vec<bool>,
     out_cached: Vec<bool>,
-    // Per-shard buffer lists, computed once (the emit loops used to
-    // rebuild these Vecs every shard every iteration).
-    in_buf_sets: Vec<BufSet>,
-    out_buf_sets: Vec<BufSet>,
-    gather_temp_bufs: Vec<Buf>,
-    edge_update_bufs: Vec<Buf>,
-    apply_vertex_bufs: Vec<Buf>,
-    out_dst_bufs: Vec<Buf>,
-    frontier_bits_bufs: Vec<Buf>,
-    // Fault recovery: the degraded host-CPU mode entered after permanent
-    // device loss.
+    // Fault recovery: the degraded host-CPU mode entered after the last
+    // device is lost.
     host_cfg: HostConfig,
     host_mode: bool,
     host_time: SimDuration,
     // Memory governor outcome: shards degraded to host execution.
     host_shards: Vec<bool>,
-    any_host_shards: bool,
     // Fault-hardened storage plane: every spill/checkpoint I/O goes
     // through it so injected I/O faults retry and degrade gracefully.
     storage: StorageCtx,
@@ -75,19 +87,19 @@ pub(crate) struct Runner<'a, P: GasProgram> {
     // kernels decode through and the movement layer ships — built once per
     // session and shared by every query over it.
     comp: Option<Arc<ShardCompression>>,
-    // Out-of-host-core spill: the store (if any), which shards were
-    // evicted to it, and which have been verified back in already.
-    store: Option<FileShardStore>,
-    spilled: Vec<bool>,
-    spill_loaded: Vec<bool>,
-    any_spilled: bool,
-    observer: Observer,
+    // Out-of-host-core spill, present only when some shard was evicted:
+    // the store, and which spilled shards are not yet read back.
+    spill: Option<(FileShardStore, Vec<bool>)>,
+    pub(super) observer: Observer,
     // Real wall-clock attribution (disarmed by default — one branch per
     // scope; see `gr_observe::profiler`).
-    wall: WallProfiler,
+    pub(super) wall: WallProfiler,
 }
 
 impl<'a, P: GasProgram> Runner<'a, P> {
+    /// Bring up `devices`, place the shards (a `recorded` placement that
+    /// fits this device set exactly is kept, else round-robin), and
+    /// govern the plan against every device's capacity.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         program: &'a P,
@@ -99,95 +111,101 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         observer: Observer,
         wall: WallProfiler,
         comp: Option<Arc<ShardCompression>>,
-        lane: Option<String>,
+        devices: Vec<DeviceSpec>,
+        recorded: Option<&Placement>,
     ) -> Result<Self, EngineError> {
-        let mut ctx = DeviceCtx::new(
-            platform,
-            0,
-            observer.clone(),
-            lane,
-            opts.fault_plan.clone(),
-            opts.mem_cap,
-            opts.recovery.clone(),
-        );
+        let ndev = devices.len();
+        // Process-kill faults are device-agnostic (the whole process
+        // dies): the earliest armed boundary wins. I/O faults target the
+        // shared host storage: the first plan carrying any drives it.
+        let kill_at = devices.iter().filter_map(|d| d.fault_plan.kill_at()).min();
+        let io_plan = devices
+            .iter()
+            .map(|d| &d.fault_plan)
+            .find(|p| p.has_io_faults())
+            .cloned()
+            .unwrap_or_else(FaultPlan::none);
+        let capped = devices.iter().any(|d| d.mem_cap.is_some());
+        let mut ctxs: Vec<DeviceCtx> = devices
+            .into_iter()
+            .enumerate()
+            .map(|(d, spec)| {
+                DeviceCtx::new(platform, d, spec, observer.clone(), opts.recovery.clone())
+            })
+            .collect();
+        let owners = match recorded {
+            Some(p)
+                if p.num_gpus as usize == ndev
+                    && p.owners.len() == plan.shards.len()
+                    && p.owners.iter().all(|&o| (o as usize) < ndev) =>
+            {
+                p.owners.iter().map(|&o| o as usize).collect()
+            }
+            _ => (0..plan.shards.len()).map(|i| i % ndev).collect(),
+        };
         // Plan optimistically, govern at runtime: the partition plan was
-        // sized for the nominal device; a memory cap shrinks the pool and
+        // sized for the nominal device; a memory cap shrinks a pool and
         // the governor degrades the plan until it fits (or errors).
-        let capacity = ctx.mem_capacity();
+        let capacities: Vec<u64> = ctxs.iter().map(DeviceCtx::mem_capacity).collect();
         let governed = plan::build_exec_plan(
             plan,
+            owners,
+            &capacities,
+            capped,
             &sizes,
             layout,
-            capacity,
             opts,
             comp.as_deref(),
-            &mut ctx.metrics,
+            &mut ctxs[0].metrics,
             &observer,
         )?;
         let plan = governed.partition;
         let k = plan.concurrent as usize;
-        // One CompressShard decision per governed shard, with the honest
-        // ratio the run will see on the wire (full raw buffer set vs
-        // compressed set); totals land in RunStats via engine counters.
         if let Some(c) = &comp {
-            let codec_name = c.codec().name();
             let force = !opts.phase_fusion;
-            for (i, sh) in plan.shards.iter().enumerate() {
-                let raw: u64 = in_bufs_for(&sizes, sh, force)
-                    .as_slice()
-                    .iter()
-                    .chain(out_bufs_for(&sizes, sh, force).as_slice())
-                    .map(|b| b.0)
-                    .sum();
-                let z: u64 = c
-                    .in_bufs(&sizes, sh, force)
-                    .as_slice()
-                    .iter()
-                    .chain(c.out_bufs(&sizes, sh, force).as_slice())
-                    .map(|b| b.0)
-                    .sum();
-                ctx.metrics.inc(EngineMetric::CompressedRawBytes, raw);
-                ctx.metrics.inc(EngineMetric::CompressedBytes, z);
-                observer.decision(|| Decision::CompressShard {
-                    shard: i as u32,
-                    raw_bytes: raw,
-                    compressed_bytes: z,
-                    codec: codec_name,
-                });
-            }
+            c.account(&sizes, &plan.shards, force, &mut ctxs[0].metrics, &observer);
         }
 
-        // Streams before allocations: allocation-retry backoff stalls are
-        // charged on a stream, so one must exist first.
-        ctx.create_main_streams(k);
-        if opts.spray {
-            ctx.create_spray_streams(opts.spray_width.max(1) as usize * k);
-        }
-
-        // Device allocations: static buffers, then either every shard
-        // (resident mode) or K reusable streaming slots sized to the
-        // governed budget. The governed plan guarantees these fit, but
-        // injected allocation pressure — or a plan invalidated by a
-        // shrunken device — surfaces as an [`EngineError`] instead of a
-        // panic. Whole-run host mode allocates nothing.
-        let s0 = ctx.main_streams[0];
+        // Device allocations: static buffers, then either every owned
+        // shard (resident mode) or K reusable streaming slots sized to the
+        // device's governed budget. Streams come first: allocation-retry
+        // backoff stalls are charged on a stream. The governed plan
+        // guarantees these fit, but injected allocation pressure — or a
+        // plan invalidated by a shrunken device — surfaces as an
+        // [`EngineError`] instead of a panic. Whole-run host mode
+        // allocates nothing.
         let resident = !governed.host_run && opts.cache_resident && plan.all_resident;
-        if !governed.host_run {
+        for (d, ctx) in ctxs.iter_mut().enumerate() {
+            ctx.create_main_streams(k);
+            if opts.spray {
+                ctx.create_spray_streams(opts.spray_width.max(1) as usize * k);
+            }
+            ctx.slot_bytes = governed.slot_bytes[d].max(1);
+            if governed.host_run {
+                continue;
+            }
+            let s0 = ctx.main_streams[0];
             ctx.static_alloc = Some(ctx.alloc_retry(s0, plan.static_bytes)?);
+            let owned: Vec<&Shard> = plan
+                .shards
+                .iter()
+                .zip(&governed.owners)
+                .filter(|&(_, &o)| o == d)
+                .map(|(s, _)| s)
+                .collect();
             ctx.shard_allocs = if resident {
-                plan.shards
+                owned
                     .iter()
                     .map(|s| match &comp {
-                        Some(c) => c.shard_bytes(&sizes, s),
-                        None => sizes.shard_bytes(s),
+                        Some(c) => ctx.alloc_retry(s0, c.shard_bytes(&sizes, s)),
+                        None => ctx.alloc_retry(s0, sizes.shard_bytes(s)),
                     })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|b| ctx.alloc_retry(s0, b))
                     .collect::<Result<_, _>>()?
+            } else if owned.is_empty() {
+                Vec::new()
             } else {
                 (0..k)
-                    .map(|_| ctx.alloc_retry(s0, governed.slot_bytes))
+                    .map(|_| ctx.alloc_retry(s0, governed.slot_bytes[d]))
                     .collect::<Result<_, _>>()?
             };
         }
@@ -195,8 +213,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         // Fault-hardened storage plane: spill and checkpoint I/O below
         // retries injected faults with logged backoff and degrades
         // gracefully after exhaustion instead of failing the run.
-        let mut storage =
-            StorageCtx::new(&opts.fault_plan, opts.recovery.clone(), observer.clone());
+        let mut storage = StorageCtx::new(&io_plan, opts.recovery.clone(), observer.clone());
 
         // Out-of-host-core: if the full graph footprint exceeds host DRAM,
         // every shard fetch pays a storage read first (Section 8, future
@@ -219,25 +236,21 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         let mut spilled = governed.spilled;
         if let Some(h) = &store {
             if !governed.host_run && over_host_ram {
-                for (i, s) in spilled.iter_mut().enumerate() {
-                    if !governed.host_shards[i] {
-                        *s = true;
-                    }
+                for (s, &host) in spilled.iter_mut().zip(&governed.host_shards) {
+                    *s |= !host;
                 }
             }
-            for (i, flag) in spilled.iter_mut().enumerate() {
-                if !*flag {
-                    continue;
-                }
+            for (i, flag) in spilled.iter_mut().enumerate().filter(|(_, f)| **f) {
                 // `put` reports the bytes that actually hit the store —
                 // smaller than the payload when the store compresses. A
                 // put whose retries are exhausted by injected I/O faults
                 // leaves the shard host-resident instead of failing.
                 let payload = shard_payload(layout, &plan.shards[i]);
-                match storage.spill_put(&mut ctx.metrics, h, i as u32, &payload, 0)? {
+                let metrics = &mut ctxs[0].metrics;
+                match storage.spill_put(metrics, h, i as u32, &payload, 0)? {
                     Some(bytes) => {
-                        ctx.metrics.inc(EngineMetric::SpilledShards, 1);
-                        ctx.metrics.inc(EngineMetric::SpilledBytes, bytes);
+                        metrics.inc(EngineMetric::SpilledShards, 1);
+                        metrics.inc(EngineMetric::SpilledBytes, bytes);
                         let store_name = h.name();
                         observer.decision(|| Decision::ShardSpill {
                             shard: i as u32,
@@ -249,74 +262,24 @@ impl<'a, P: GasProgram> Runner<'a, P> {
                 }
             }
         }
-        let any_spilled = spilled.iter().any(|&s| s);
         let mut movement = Movement::new(
             opts,
             governed.chunked,
-            governed.slot_bytes.max(1),
             storage_read_secs_per_byte,
             platform.storage.latency,
         );
-        if any_spilled {
-            movement.set_spilled(
-                spilled.clone(),
-                1.0 / (platform.storage.bandwidth_gbps * 1e9),
-            );
-        }
+        let spill = match store {
+            Some(store) if spilled.iter().any(|&s| s) => {
+                movement.set_spilled(
+                    spilled.clone(),
+                    1.0 / (platform.storage.bandwidth_gbps * 1e9),
+                );
+                Some((store, spilled))
+            }
+            _ => None,
+        };
 
         let specs = ComputeSpecs::new(sizes, opts, layout, &plan.shards, &wall);
-
-        // Buffer lists are a pure function of the shard geometry and the
-        // size model: compute them once. `force` mirrors which emit path
-        // this run will take (fused passes force=false, unfused true).
-        let force = !opts.phase_fusion;
-        let in_buf_sets = plan
-            .shards
-            .iter()
-            .map(|sh| match &comp {
-                Some(c) => c.in_bufs(&sizes, sh, force),
-                None => in_bufs_for(&sizes, sh, force),
-            })
-            .collect();
-        let out_buf_sets = plan
-            .shards
-            .iter()
-            .map(|sh| match &comp {
-                Some(c) => c.out_bufs(&sizes, sh, force),
-                None => out_bufs_for(&sizes, sh, force),
-            })
-            .collect();
-        let gather_temp_bufs = plan
-            .shards
-            .iter()
-            .map(|sh| (sh.num_vertices() * sizes.gather, "gather.temp"))
-            .collect();
-        let edge_update_bufs = plan
-            .shards
-            .iter()
-            .map(|sh| (sh.num_in_edges() * (sizes.gather + 4), "edge.update"))
-            .collect();
-        let apply_vertex_bufs = plan
-            .shards
-            .iter()
-            .map(|sh| (sh.num_vertices() * sizes.vertex_value, "apply.vertices"))
-            .collect();
-        let out_dst_bufs = plan
-            .shards
-            .iter()
-            .map(|sh| match &comp {
-                // Unfused FrontierActivate re-reads the out topology; under
-                // compression that is the CSR gap stream again.
-                Some(c) => (c.csr_bytes(sh), "out.topo.z"),
-                None => (sh.num_out_edges() * 4, "out.dst"),
-            })
-            .collect();
-        let frontier_bits_bufs = plan
-            .shards
-            .iter()
-            .map(|sh| (sh.num_vertices().div_ceil(8), "frontier.bits"))
-            .collect();
-
         let num_shards = plan.shards.len();
         Ok(Runner {
             program,
@@ -324,7 +287,13 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             opts,
             sizes,
             plan,
-            ctx,
+            alive: vec![true; ndev],
+            ctxs,
+            owners: governed.owners,
+            evictions: 0,
+            global: SimDuration::ZERO,
+            exchange_bytes: 0,
+            kill_at,
             movement,
             specs,
             resident,
@@ -333,21 +302,10 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             host_cfg: platform.host.clone(),
             host_mode: governed.host_run,
             host_time: SimDuration::ZERO,
-            any_host_shards: governed.host_shards.iter().any(|&h| h),
             host_shards: governed.host_shards,
             storage,
             comp,
-            store,
-            spilled,
-            spill_loaded: vec![false; num_shards],
-            any_spilled,
-            in_buf_sets,
-            out_buf_sets,
-            gather_temp_bufs,
-            edge_update_bufs,
-            apply_vertex_bufs,
-            out_dst_bufs,
-            frontier_bits_bufs,
+            spill,
             observer,
             wall,
         })
@@ -359,98 +317,116 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         mut self,
         warm: Option<WarmStart<P>>,
         restored: Option<RestoredFromDisk<P>>,
-    ) -> Result<RunResult<P>, EngineError> {
+    ) -> Result<(RunResult<P>, DeviceReport), EngineError> {
         // The state fingerprint is reported whenever durability, a resume
         // or the spill store is armed.
         let fingerprinted = restored.is_some()
-            || self.any_spilled
+            || self.spill.is_some()
             || !matches!(self.opts.checkpoint_policy, CheckpointPolicy::InMemoryOnly);
-        let bsp = Bsp {
-            program: self.program,
-            layout: self.layout,
-            opts: self.opts,
-            kill_at: self.opts.fault_plan.kill_at(),
-            observer: self.observer.clone(),
-            wall: self.wall.clone(),
-        };
-        let (host, iterations) = bsp.run(&mut self, warm, restored)?;
-        let gpu_metrics = self.ctx.gpu_metrics();
-        self.observer.snapshot("run", || gpu_metrics.snapshot());
-        let engine_metrics = &self.ctx.metrics;
-        self.observer
-            .snapshot("engine", || engine_metrics.snapshot());
-        // Every transfer/time/skip field below reads the device and
-        // engine metric registries — RunStats holds no counters of its
-        // own.
-        let gstats = self.ctx.stats();
-        let metrics = &self.ctx.metrics;
+        let (host, iterations) = self.bsp(warm, restored)?;
+        let ctxs = &self.ctxs;
+        for (d, ctx) in ctxs.iter().enumerate() {
+            let scope = match ctxs.len() {
+                1 => "run".to_string(),
+                _ => format!("gpu{d}"),
+            };
+            self.observer
+                .snapshot(&scope, || ctx.gpu_metrics().snapshot());
+        }
+        // The engine registries of every device, summed: run-level
+        // counters and the per-iteration histograms land in device 0's,
+        // retries and movement counters in each shard owner's. No engine
+        // series is labeled, so sorting by name keeps the registry order.
+        let mut engine = ctxs[0].metrics.snapshot();
+        for ctx in &ctxs[1..] {
+            for (name, v) in ctx.metrics.snapshot().counters {
+                match engine.counters.iter_mut().find(|(n, _)| *n == name) {
+                    Some((_, total)) => *total += v,
+                    None => engine.counters.push((name, v)),
+                }
+            }
+        }
+        engine.counters.sort_unstable();
+        self.observer.snapshot("engine", || engine.clone());
+        // Every transfer/time/skip field below reads the device registries
+        // and that sum — RunStats holds no counters of its own.
+        let gstats: Vec<_> = ctxs.iter().map(DeviceCtx::stats).collect();
+        let total = |f: fn(&gr_sim::GpuStats) -> u64| gstats.iter().map(f).sum::<u64>();
+        let memcpy: Vec<SimDuration> = gstats.iter().map(|g| g.memcpy_busy).collect();
+        let kernel: Vec<SimDuration> = gstats.iter().map(|g| g.kernel_busy).collect();
+        let counter = |m: EngineMetric| engine.counter(m.name());
         let stats = RunStats {
             algorithm: self.program.name(),
             iterations,
-            elapsed: gstats.elapsed + self.host_time,
-            memcpy_time: gstats.memcpy_busy,
-            kernel_time: gstats.kernel_busy,
-            bytes_h2d: gstats.bytes_h2d,
-            bytes_d2h: gstats.bytes_d2h,
-            copy_ops: gstats.copy_ops,
-            kernel_launches: gstats.kernel_launches,
-            skipped_shard_copies: metrics.counter(EngineMetric::SkippedShardCopies),
-            skipped_kernel_launches: metrics.counter(EngineMetric::SkippedKernelLaunches),
+            elapsed: self.global + self.host_time,
+            memcpy_time: memcpy.iter().copied().sum(),
+            kernel_time: kernel.iter().copied().sum(),
+            bytes_h2d: total(|g| g.bytes_h2d),
+            bytes_d2h: total(|g| g.bytes_d2h),
+            copy_ops: total(|g| g.copy_ops),
+            kernel_launches: total(|g| g.kernel_launches),
+            skipped_shard_copies: counter(EngineMetric::SkippedShardCopies),
+            skipped_kernel_launches: counter(EngineMetric::SkippedKernelLaunches),
             num_shards: self.plan.shards.len(),
             concurrent_shards: self.plan.concurrent,
             all_resident: self.resident,
-            faults_injected: self.ctx.faults_injected(),
-            recovered_retries: metrics.counter(EngineMetric::FaultRetries),
-            rollbacks: metrics.counter(EngineMetric::Rollbacks),
+            faults_injected: ctxs.iter().map(DeviceCtx::faults_injected).sum(),
+            recovered_retries: counter(EngineMetric::FaultRetries),
+            rollbacks: counter(EngineMetric::Rollbacks),
             host_fallback: self.host_mode,
-            mem_pressure_events: metrics.counter(EngineMetric::MemPressure),
-            shard_splits: metrics.counter(EngineMetric::ShardSplits),
-            chunked_shards: metrics.counter(EngineMetric::ChunkedShards),
-            chunked_copies: metrics.counter(EngineMetric::ChunkedCopies),
-            host_shards: metrics.counter(EngineMetric::HostShards),
-            mem_peak: self.ctx.mem_peak(),
-            mem_min_headroom: self.ctx.mem_min_headroom(),
-            checkpoint_writes: metrics.counter(EngineMetric::CheckpointWrites),
-            checkpoint_bytes_written: metrics.counter(EngineMetric::CheckpointBytes),
-            checkpoint_full_bytes: metrics.counter(EngineMetric::CheckpointFullBytes),
-            checkpoint_delta_writes: metrics.counter(EngineMetric::CheckpointDeltaWrites),
-            checkpoint_delta_bytes: metrics.counter(EngineMetric::CheckpointDeltaBytes),
-            checkpoint_raw_bytes: metrics.counter(EngineMetric::CheckpointRawBytes),
-            checkpoint_restores: metrics.counter(EngineMetric::CheckpointRestores),
-            checkpoints_skipped: metrics.counter(EngineMetric::CheckpointsSkipped),
-            storage_retries: metrics.counter(EngineMetric::StorageRetries),
-            spill_restreams: metrics.counter(EngineMetric::SpillRestreams),
-            spilled_shards: metrics.counter(EngineMetric::SpilledShards),
-            spilled_bytes: metrics.counter(EngineMetric::SpilledBytes),
-            spill_loads: metrics.counter(EngineMetric::SpillLoads),
-            spill_load_bytes: metrics.counter(EngineMetric::SpillLoadBytes),
+            mem_pressure_events: counter(EngineMetric::MemPressure),
+            shard_splits: counter(EngineMetric::ShardSplits),
+            chunked_shards: counter(EngineMetric::ChunkedShards),
+            chunked_copies: counter(EngineMetric::ChunkedCopies),
+            host_shards: counter(EngineMetric::HostShards),
+            mem_peak: ctxs.iter().map(DeviceCtx::mem_peak).max().unwrap_or(0),
+            mem_min_headroom: ctxs.iter().map(|c| c.mem_min_headroom()).min().unwrap_or(0),
+            checkpoint_writes: counter(EngineMetric::CheckpointWrites),
+            checkpoint_bytes_written: counter(EngineMetric::CheckpointBytes),
+            checkpoint_full_bytes: counter(EngineMetric::CheckpointFullBytes),
+            checkpoint_delta_writes: counter(EngineMetric::CheckpointDeltaWrites),
+            checkpoint_delta_bytes: counter(EngineMetric::CheckpointDeltaBytes),
+            checkpoint_raw_bytes: counter(EngineMetric::CheckpointRawBytes),
+            checkpoint_restores: counter(EngineMetric::CheckpointRestores),
+            checkpoints_skipped: counter(EngineMetric::CheckpointsSkipped),
+            storage_retries: counter(EngineMetric::StorageRetries),
+            spill_restreams: counter(EngineMetric::SpillRestreams),
+            spilled_shards: counter(EngineMetric::SpilledShards),
+            spilled_bytes: counter(EngineMetric::SpilledBytes),
+            spill_loads: counter(EngineMetric::SpillLoads),
+            spill_load_bytes: counter(EngineMetric::SpillLoadBytes),
             compression_codec: self.comp.as_ref().map(|c| c.codec().name()),
-            compressed_bytes: metrics.counter(EngineMetric::CompressedBytes),
-            compressed_raw_bytes: metrics.counter(EngineMetric::CompressedRawBytes),
-            decompress_launches: metrics.counter(EngineMetric::DecompressLaunches),
+            compressed_bytes: counter(EngineMetric::CompressedBytes),
+            compressed_raw_bytes: counter(EngineMetric::CompressedRawBytes),
+            decompress_launches: counter(EngineMetric::DecompressLaunches),
             state_fingerprint: fingerprinted
                 .then(|| snapshot::values_fingerprint(&host.vertex_values)),
             wall: self.wall.is_armed().then(|| self.wall.profile().summary()),
             per_iteration: host.iterations,
         };
-        Ok(RunResult {
+        let report = DeviceReport {
+            memcpy,
+            kernel,
+            exchange_bytes: self.exchange_bytes,
+            evictions: self.evictions,
+            redistributions: counter(EngineMetric::Redistributions),
+        };
+        let result = RunResult {
             vertex_values: host.vertex_values,
             edge_values: host.edge_values,
             stats,
             work: host.work,
-        })
+        };
+        Ok((result, report))
     }
 
     /// Charge `work` on the host CPU with the roofline model the CPU
-    /// baseline engines use: every shard after device loss (`all_shards`),
-    /// else only the governor-degraded shards, and those only when they
-    /// did something. Called once per completed iteration, so a replay
-    /// re-charges the device work it redoes, never the host's. Results
-    /// are unaffected: the host computes every shard regardless.
+    /// baseline engines use: every shard after the last device is lost
+    /// (`all_shards`), else only the governor-degraded shards, and those
+    /// only when they did something. Called once per completed iteration,
+    /// so a replay re-charges the device work it redoes, never the host's.
+    /// Results are unaffected: the host computes every shard regardless.
     fn charge_host(&mut self, label: &'static str, work: &[ShardWork], all_shards: bool) {
-        if !all_shards && !self.any_host_shards {
-            return;
-        }
         let (mut edges, mut vertices) = (0u64, 0u64);
         for (i, w) in work.iter().enumerate() {
             if all_shards || self.host_shards[i] {
@@ -466,17 +442,92 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             self.host_cfg.pass_overhead + cpu_time(&self.host_cfg, self.host_cfg.cores, &cw);
     }
 
+    /// The stream shard `i`'s ops go on, on its owner device.
     fn stream_for(&self, i: usize) -> StreamId {
+        let streams = &self.ctxs[self.owners[i]].main_streams;
         if self.opts.async_streams {
-            self.ctx.main_streams[i % self.ctx.main_streams.len()]
+            streams[i % streams.len()]
         } else {
-            self.ctx.main_streams[0]
+            streams[0]
+        }
+    }
+
+    /// Copy shard `i`'s `bufs` in to its owner device.
+    fn copy_in(
+        &mut self,
+        i: usize,
+        stream: StreamId,
+        bufs: &[Buf],
+        iter: u32,
+    ) -> Result<(), Abort> {
+        let ctx = &mut self.ctxs[self.owners[i]];
+        self.movement.copy_in(ctx, i, stream, bufs, iter)
+    }
+
+    /// Copy shard `i`'s `bufs` out of its owner device.
+    fn copy_out(
+        &mut self,
+        i: usize,
+        stream: StreamId,
+        bufs: &[Buf],
+        iter: u32,
+    ) -> Result<(), Abort> {
+        let ctx = &mut self.ctxs[self.owners[i]];
+        self.movement.copy_out(ctx, i, stream, bufs, iter)
+    }
+
+    /// Launch one of shard `i`'s kernels on its owner device.
+    fn launch(
+        &mut self,
+        i: usize,
+        stream: StreamId,
+        spec: &KernelSpec,
+        iter: u32,
+    ) -> Result<(), Abort> {
+        self.ctxs[self.owners[i]].launch_tracked(stream, spec, iter, i)
+    }
+
+    /// Count shard copies and kernel launches the frontier skipped.
+    fn skip(&mut self, copies: u64, launches: u64) {
+        let metrics = &mut self.ctxs[0].metrics;
+        if copies > 0 {
+            metrics.inc(EngineMetric::SkippedShardCopies, copies);
+        }
+        metrics.inc(EngineMetric::SkippedKernelLaunches, launches);
+    }
+
+    /// Synchronize every device; the stage-aligned clock advances by the
+    /// slowest device's stage (devices run concurrently).
+    fn sync(&mut self) {
+        let mut stage = SimDuration::ZERO;
+        for ctx in &mut self.ctxs {
+            let before = ctx.elapsed();
+            ctx.sync_and_resolve();
+            stage = stage.max(ctx.elapsed() - before);
+        }
+        self.global += stage;
+    }
+
+    /// A BSP barrier: [`Runner::sync`], plus — on more than one device —
+    /// a `"multi"`-track instant marking where the aligned clock lands.
+    fn barrier(&mut self, stage: &'static str) {
+        self.sync();
+        if self.ctxs.len() > 1 {
+            let at = self.global.as_nanos();
+            self.observer.instant(|| InstantEvent {
+                track: "multi",
+                lane: "barriers".to_string(),
+                name: format!("barrier {stage}"),
+                at_ns: at,
+                fields: vec![("stage", stage.into())],
+            });
         }
     }
 
     /// Optimized pipeline: fusion + elimination collapse each iteration
     /// into (at most) a gather stage, an apply stage, and a
-    /// scatter+activate stage, each copying a shard's data once.
+    /// scatter+activate stage, each copying a shard's data once. The last
+    /// stage's barrier is the caller's, after the exchange.
     fn emit_fused(&mut self, iter: u32, work: &[ShardWork]) -> Result<(), Abort> {
         // Stage A: gather (eliminated entirely for gather-less programs —
         // no in-edge movement, no kernels).
@@ -486,29 +537,25 @@ impl<'a, P: GasProgram> Runner<'a, P> {
                     continue; // computed (and charged) on the host CPU
                 }
                 if self.opts.frontier_management && !w.is_active() {
-                    if !self.in_cached[i] {
-                        self.ctx.metrics.inc(EngineMetric::SkippedShardCopies, 1);
-                    }
-                    self.ctx.metrics.inc(EngineMetric::SkippedKernelLaunches, 2);
+                    self.skip(u64::from(!self.in_cached[i]), 2);
                     continue;
                 }
                 let stream = self.stream_for(i);
                 if !self.in_cached[i] {
-                    let bufs = self.in_buf_sets[i];
-                    self.movement
-                        .copy_in(&mut self.ctx, i, stream, bufs.as_slice(), iter)?;
+                    let bufs = self.topo_bufs(i, true);
+                    self.copy_in(i, stream, bufs.as_slice(), iter)?;
                     self.decompress(i, stream, iter, true)?;
                     if self.resident {
                         self.in_cached[i] = true;
                     }
                 }
                 let (map, reduce) = self.specs.gather_specs(i, w);
-                self.ctx.launch_tracked(stream, &map, iter, i)?;
+                self.launch(i, stream, &map, iter)?;
                 if let Some(spec) = reduce {
-                    self.ctx.launch_tracked(stream, &spec, iter, i)?;
+                    self.launch(i, stream, &spec, iter)?;
                 }
             }
-            self.ctx.sync_and_resolve();
+            self.barrier("gather");
         }
 
         // Stage B: apply (fused with gather's residency: temps never move).
@@ -517,196 +564,196 @@ impl<'a, P: GasProgram> Runner<'a, P> {
                 continue;
             }
             if self.opts.frontier_management && !w.is_active() {
-                self.ctx.metrics.inc(EngineMetric::SkippedKernelLaunches, 1);
+                self.skip(0, 1);
                 continue;
             }
             let stream = self.stream_for(i);
             let spec = self.specs.apply_spec(w);
-            self.ctx.launch_tracked(stream, &spec, iter, i)?;
+            self.launch(i, stream, &spec, iter)?;
         }
-        self.ctx.sync_and_resolve();
+        self.barrier("apply");
 
         // Stage C: scatter + FrontierActivate share one out-edge copy.
+        let has_scatter = self.program.has_scatter();
         for (i, w) in work.iter().enumerate() {
             if self.host_shards[i] {
                 continue;
             }
             if self.opts.frontier_management && w.out_edges_of_changed == 0 {
-                if !self.out_cached[i] {
-                    self.ctx.metrics.inc(EngineMetric::SkippedShardCopies, 1);
-                }
-                self.ctx.metrics.inc(
-                    EngineMetric::SkippedKernelLaunches,
-                    if self.program.has_scatter() { 2 } else { 1 },
-                );
+                self.skip(u64::from(!self.out_cached[i]), 1 + u64::from(has_scatter));
                 continue;
             }
             let stream = self.stream_for(i);
             if !self.out_cached[i] {
-                let bufs = self.out_buf_sets[i];
-                self.movement
-                    .copy_in(&mut self.ctx, i, stream, bufs.as_slice(), iter)?;
+                let bufs = self.topo_bufs(i, false);
+                self.copy_in(i, stream, bufs.as_slice(), iter)?;
                 self.decompress(i, stream, iter, false)?;
                 if self.resident {
                     self.out_cached[i] = true;
                 }
             }
-            if self.program.has_scatter() {
+            if has_scatter {
                 let spec = self.specs.scatter_spec(i, w);
-                self.ctx.launch_tracked(stream, &spec, iter, i)?;
+                self.launch(i, stream, &spec, iter)?;
             }
             let spec = self.specs.activate_spec(i, w);
-            self.ctx.launch_tracked(stream, &spec, iter, i)?;
+            self.launch(i, stream, &spec, iter)?;
             // Copy-outs: mutated edge values (unless resident — they are
             // fetched once at finalize) and the tiny frontier bitmap.
-            let bits = self.frontier_bits_bufs[i];
-            if self.program.has_scatter() && !self.resident {
+            let bits = self.frontier_bits(i);
+            if has_scatter && !self.resident {
                 let vals = (
                     w.out_edges_of_changed * self.sizes.edge_value,
                     "out.value.d2h",
                 );
-                self.movement
-                    .copy_out(&mut self.ctx, i, stream, &[vals, bits], iter)?;
+                self.copy_out(i, stream, &[vals, bits], iter)?;
             } else {
-                self.movement
-                    .copy_out(&mut self.ctx, i, stream, &[bits], iter)?;
+                self.copy_out(i, stream, &[bits], iter)?;
             }
         }
-        self.ctx.sync_and_resolve();
         Ok(())
     }
 
     /// Unoptimized mode: five separate phases, each moving the shard data
     /// it touches in *and* out, for every shard, every iteration — the
-    /// Figure 15 baseline.
+    /// Figure 15 baseline. The last phase's barrier is the caller's.
     fn emit_unfused(&mut self, iter: u32, work: &[ShardWork]) -> Result<(), Abort> {
         let has_gather = self.program.has_gather();
         let has_scatter = self.program.has_scatter();
-        let skip = |this: &Self, w: &ShardWork| this.opts.frontier_management && !w.is_active();
 
         // Phase 1: gatherMap — full in-edge sub-arrays in (even for
         // gather-less programs: this is exactly the movement phase
         // elimination removes), per-edge update array out.
         for (i, w) in work.iter().enumerate() {
-            if self.host_shards[i] {
-                continue;
-            }
-            if skip(self, w) {
-                self.skip_phase();
+            if self.unfused_skip(i, w) {
                 continue;
             }
             let stream = self.stream_for(i);
-            let bufs = self.in_buf_sets[i];
-            self.movement
-                .copy_in(&mut self.ctx, i, stream, bufs.as_slice(), iter)?;
+            let bufs = self.topo_bufs(i, true);
+            self.copy_in(i, stream, bufs.as_slice(), iter)?;
             self.decompress(i, stream, iter, true)?;
             if has_gather {
                 let (map, _) = self.specs.gather_specs(i, w);
-                self.ctx.launch_tracked(stream, &map, iter, i)?;
+                self.launch(i, stream, &map, iter)?;
             }
-            let upd = self.edge_update_bufs[i];
-            self.movement
-                .copy_out(&mut self.ctx, i, stream, &[upd], iter)?;
+            let upd = self.edge_updates(i);
+            self.copy_out(i, stream, &[upd], iter)?;
         }
-        self.ctx.sync_and_resolve();
+        self.barrier("gatherMap");
 
         // Phase 2: gatherReduce — the per-edge update array comes back in,
         // reduced per-vertex temps go out. Fusion makes both moves vanish
         // (the array never leaves the device between the two kernels).
         for (i, w) in work.iter().enumerate() {
-            if self.host_shards[i] {
-                continue;
-            }
-            if skip(self, w) {
-                self.skip_phase();
+            if self.unfused_skip(i, w) {
                 continue;
             }
             let stream = self.stream_for(i);
-            let upd = self.edge_update_bufs[i];
-            self.movement
-                .copy_in(&mut self.ctx, i, stream, &[upd], iter)?;
+            let upd = self.edge_updates(i);
+            self.copy_in(i, stream, &[upd], iter)?;
             if has_gather {
-                let (_, reduce) = self.specs.gather_specs(i, w);
-                if let Some(reduce) = reduce {
-                    self.ctx.launch_tracked(stream, &reduce, iter, i)?;
+                if let (_, Some(reduce)) = self.specs.gather_specs(i, w) {
+                    self.launch(i, stream, &reduce, iter)?;
                 }
             }
-            let t = self.gather_temp_bufs[i];
-            self.movement
-                .copy_out(&mut self.ctx, i, stream, &[t], iter)?;
+            let t = self.gather_temps(i);
+            self.copy_out(i, stream, &[t], iter)?;
         }
-        self.ctx.sync_and_resolve();
+        self.barrier("gatherReduce");
 
         // Phase 3: apply — temps + vertex interval in, vertex interval out.
         for (i, w) in work.iter().enumerate() {
-            if self.host_shards[i] {
-                continue;
-            }
-            if skip(self, w) {
-                self.skip_phase();
+            if self.unfused_skip(i, w) {
                 continue;
             }
             let stream = self.stream_for(i);
-            let vbuf = self.apply_vertex_bufs[i];
-            let t = self.gather_temp_bufs[i];
-            self.movement
-                .copy_in(&mut self.ctx, i, stream, &[t, vbuf], iter)?;
+            let vertices = self.plan.shards[i].num_vertices();
+            let vbuf = (vertices * self.sizes.vertex_value, "apply.vertices");
+            self.copy_in(i, stream, &[self.gather_temps(i), vbuf], iter)?;
             let spec = self.specs.apply_spec(w);
-            self.ctx.launch_tracked(stream, &spec, iter, i)?;
-            self.movement
-                .copy_out(&mut self.ctx, i, stream, &[vbuf], iter)?;
+            self.launch(i, stream, &spec, iter)?;
+            self.copy_out(i, stream, &[vbuf], iter)?;
         }
-        self.ctx.sync_and_resolve();
+        self.barrier("apply");
 
         // Phase 4: scatter — full out-edge arrays in, values out.
         for (i, w) in work.iter().enumerate() {
-            if self.host_shards[i] {
-                continue;
-            }
-            if skip(self, w) {
-                self.skip_phase();
+            if self.unfused_skip(i, w) {
                 continue;
             }
             let stream = self.stream_for(i);
-            let bufs = self.out_buf_sets[i];
-            self.movement
-                .copy_in(&mut self.ctx, i, stream, bufs.as_slice(), iter)?;
+            let bufs = self.topo_bufs(i, false);
+            self.copy_in(i, stream, bufs.as_slice(), iter)?;
             self.decompress(i, stream, iter, false)?;
             if has_scatter {
                 let spec = self.specs.scatter_spec(i, w);
-                self.ctx.launch_tracked(stream, &spec, iter, i)?;
+                self.launch(i, stream, &spec, iter)?;
                 let vals: Buf = (
                     self.plan.shards[i].num_out_edges() * self.sizes.edge_value,
                     "out.value.d2h",
                 );
-                self.movement
-                    .copy_out(&mut self.ctx, i, stream, &[vals], iter)?;
+                self.copy_out(i, stream, &[vals], iter)?;
             }
         }
-        self.ctx.sync_and_resolve();
+        self.barrier("scatter");
 
         // Phase 5: FrontierActivate — out-edge topology in (again), bits out.
         for (i, w) in work.iter().enumerate() {
-            if self.host_shards[i] {
-                continue;
-            }
-            if skip(self, w) {
-                self.skip_phase();
+            if self.unfused_skip(i, w) {
                 continue;
             }
             let stream = self.stream_for(i);
-            let dst = self.out_dst_bufs[i];
-            self.movement
-                .copy_in(&mut self.ctx, i, stream, &[dst], iter)?;
+            // FrontierActivate re-reads the out topology; under
+            // compression that is the CSR gap stream again.
+            let sh = &self.plan.shards[i];
+            let dst = match &self.comp {
+                Some(c) => (c.csr_bytes(sh), "out.topo.z"),
+                None => (sh.num_out_edges() * 4, "out.dst"),
+            };
+            self.copy_in(i, stream, &[dst], iter)?;
             self.decompress(i, stream, iter, false)?;
             let spec = self.specs.activate_spec(i, w);
-            self.ctx.launch_tracked(stream, &spec, iter, i)?;
-            let bits = self.frontier_bits_bufs[i];
-            self.movement
-                .copy_out(&mut self.ctx, i, stream, &[bits], iter)?;
+            self.launch(i, stream, &spec, iter)?;
+            let bits = self.frontier_bits(i);
+            self.copy_out(i, stream, &[bits], iter)?;
         }
-        self.ctx.sync_and_resolve();
         Ok(())
+    }
+
+    /// The cross-device exchange, with more than one live device: each
+    /// owner downloads its shards' changed vertex values and activation
+    /// bits, and every live device uploads the union of the other owners'
+    /// changes — through host memory, on each device's own link. Returns
+    /// the bytes moved.
+    fn exchange(&mut self, iter: u32, changed: &Bitmap) -> Result<u64, Abort> {
+        if self.alive.iter().filter(|&&a| a).count() < 2 {
+            return Ok(0);
+        }
+        let mut changed_per_gpu = vec![0u64; self.ctxs.len()];
+        for (sh, &o) in self.plan.shards.iter().zip(&self.owners) {
+            changed_per_gpu[o] += changed.count_range(sh.interval.start, sh.interval.end);
+        }
+        let total: u64 = changed_per_gpu.iter().sum();
+        let record = self.sizes.vertex_value + 4;
+        let mut exchanged = 0;
+        for (d, ctx) in self
+            .ctxs
+            .iter_mut()
+            .enumerate()
+            .filter(|(d, _)| self.alive[*d])
+        {
+            let s = ctx.main_streams[0];
+            let down = changed_per_gpu[d] * record;
+            let up = (total - changed_per_gpu[d]) * record;
+            if down > 0 {
+                ctx.d2h(s, down, "exchange.down", iter)?;
+            }
+            if up > 0 {
+                ctx.h2d(s, up, "exchange.up", iter)?;
+            }
+            exchanged += down + up;
+        }
+        Ok(exchanged)
     }
 
     /// Price the on-device decode of a just-streamed topology gap stream:
@@ -734,8 +781,10 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             return Ok(());
         }
         let spec = self.specs.decompress_spec(i, edges, z, in_edges);
-        self.ctx.launch_tracked(stream, &spec, iter, i)?;
-        self.ctx.metrics.inc(EngineMetric::DecompressLaunches, 1);
+        self.launch(i, stream, &spec, iter)?;
+        self.ctxs[0]
+            .metrics
+            .inc(EngineMetric::DecompressLaunches, 1);
         let raw = edges * RAW_TOPO_ENTRY_BYTES;
         self.observer.decision(|| Decision::DecompressShard {
             iteration: iter,
@@ -746,18 +795,73 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         Ok(())
     }
 
-    /// One skipped phase of the unfused pipeline: one shard copy and one
-    /// kernel launch that never happened.
-    fn skip_phase(&mut self) {
-        self.ctx.metrics.inc(EngineMetric::SkippedShardCopies, 1);
-        self.ctx.metrics.inc(EngineMetric::SkippedKernelLaunches, 1);
+    /// Shard `i`'s in-edge (`in_edges`) or out-edge topology buffer set,
+    /// compressed when the run is. `force` mirrors the emit path this run
+    /// takes (fused passes false, unfused true).
+    fn topo_bufs(&self, i: usize, in_edges: bool) -> BufSet {
+        let (sh, force) = (&self.plan.shards[i], !self.opts.phase_fusion);
+        match (&self.comp, in_edges) {
+            (Some(c), true) => c.in_bufs(&self.sizes, sh, force),
+            (Some(c), false) => c.out_bufs(&self.sizes, sh, force),
+            (None, true) => in_bufs_for(&self.sizes, sh, force),
+            (None, false) => out_bufs_for(&self.sizes, sh, force),
+        }
     }
-}
 
-impl<P: GasProgram> Timeline for Runner<'_, P> {
-    const TRACK: &'static str = "engine";
+    /// Shard `i`'s frontier bitmap, copied out after activation.
+    fn frontier_bits(&self, i: usize) -> Buf {
+        (
+            self.plan.shards[i].num_vertices().div_ceil(8),
+            "frontier.bits",
+        )
+    }
 
-    fn host_view(&self) -> (TopoView<'_>, &[Shard]) {
+    /// Shard `i`'s reduced gather temps, which the unfused pipeline moves
+    /// between gatherReduce and apply.
+    fn gather_temps(&self, i: usize) -> Buf {
+        (
+            self.plan.shards[i].num_vertices() * self.sizes.gather,
+            "gather.temp",
+        )
+    }
+
+    /// Shard `i`'s per-edge gather updates, which the unfused pipeline
+    /// moves between gatherMap and gatherReduce.
+    fn edge_updates(&self, i: usize) -> Buf {
+        (
+            self.plan.shards[i].num_in_edges() * (self.sizes.gather + 4),
+            "edge.update",
+        )
+    }
+
+    /// A frontier-skipped unfused phase of shard `i` counts one shard copy
+    /// and one kernel launch that never happened; host shards run on the
+    /// CPU. True when the phase emits nothing for the shard.
+    fn unfused_skip(&mut self, i: usize, w: &ShardWork) -> bool {
+        if self.host_shards[i] {
+            return true;
+        }
+        let skipped = self.opts.frontier_management && !w.is_active();
+        if skipped {
+            self.skip(1, 1);
+        }
+        skipped
+    }
+
+    // The timeline the BSP loop in `super::bsp` drives: everything the
+    // loop does not own.
+
+    /// Observer track of the per-iteration span.
+    pub(super) fn track(&self) -> &'static str {
+        if self.ctxs.len() > 1 {
+            "multi"
+        } else {
+            "engine"
+        }
+    }
+
+    /// The topology the host kernels read and the shards they compute.
+    pub(super) fn host_view(&self) -> (TopoView<'_>, &[Shard]) {
         let view = match &self.comp {
             Some(c) => c.view(self.layout),
             None => TopoView::raw(self.layout),
@@ -765,47 +869,55 @@ impl<P: GasProgram> Timeline for Runner<'_, P> {
         (view, &self.plan.shards)
     }
 
-    fn io(&mut self) -> (&mut MetricsRegistry<EngineMetric>, &mut StorageCtx) {
-        (&mut self.ctx.metrics, &mut self.storage)
+    /// The run's engine registry, and the storage plane durable snapshots
+    /// are written through.
+    pub(super) fn io(&mut self) -> (&mut MetricsRegistry<EngineMetric>, &mut StorageCtx) {
+        (&mut self.ctxs[0].metrics, &mut self.storage)
     }
 
-    /// Device clock plus any degraded-mode host time.
-    fn now_ns(&self) -> u64 {
-        self.ctx.elapsed().as_nanos() + self.host_time.as_nanos()
+    /// Stage-aligned device clock plus any degraded-mode host time.
+    pub(super) fn now_ns(&self) -> u64 {
+        self.global.as_nanos() + self.host_time.as_nanos()
+    }
+
+    /// Device count and shard owners to stamp into durable snapshots (more
+    /// than one device only).
+    pub(super) fn placement(&self) -> Option<(u32, &[usize])> {
+        (self.ctxs.len() > 1).then(|| (self.ctxs.len() as u32, &self.owners[..]))
     }
 
     /// First touch of a spilled shard: read its payload back from the
     /// store (verifying frame integrity) and log one ShardLoad. Shards the
     /// frontier never activates are never read back — the point of
     /// spilling.
-    fn prepare(&mut self, iter: u32, frontier: &Bitmap) -> Result<(), EngineError> {
-        if self.host_mode || !self.any_spilled {
+    pub(super) fn prepare(&mut self, iter: u32, frontier: &Bitmap) -> Result<(), EngineError> {
+        let Some((store, pending)) = &mut self.spill else {
+            return Ok(());
+        };
+        if self.host_mode {
             return Ok(());
         }
-        let store = self.store.as_ref().expect("spilled shards imply a store");
-        for i in 0..self.plan.shards.len() {
-            if !self.spilled[i] || self.spill_loaded[i] || self.host_shards[i] {
+        let metrics = &mut self.ctxs[0].metrics;
+        for (i, sh) in self.plan.shards.iter().enumerate() {
+            if !pending[i] || self.host_shards[i] {
                 continue;
             }
-            let sh = &self.plan.shards[i];
             if self.opts.frontier_management
                 && !frontier.any_in_range(sh.interval.start, sh.interval.end)
             {
                 continue;
             }
-            let Some(payload) =
-                self.storage
-                    .spill_get(&mut self.ctx.metrics, store, i as u32, iter)?
-            else {
-                // Retries exhausted: re-stream the shard from the source
-                // graph (the host-resident layout) — results unaffected,
-                // the StorageDegraded decision records the detour.
-                self.spill_loaded[i] = true;
+            // Read back once either way: on exhausted retries the shard
+            // re-streams from the source graph (the host-resident layout)
+            // — results unaffected, the StorageDegraded decision records
+            // the detour.
+            pending[i] = false;
+            let Some(payload) = self.storage.spill_get(metrics, store, i as u32, iter)? else {
                 continue;
             };
             let bytes = payload.len() as u64;
-            self.ctx.metrics.inc(EngineMetric::SpillLoads, 1);
-            self.ctx.metrics.inc(EngineMetric::SpillLoadBytes, bytes);
+            metrics.inc(EngineMetric::SpillLoads, 1);
+            metrics.inc(EngineMetric::SpillLoadBytes, bytes);
             let store_name = store.name();
             self.observer.decision(|| Decision::ShardLoad {
                 iteration: iter,
@@ -813,36 +925,39 @@ impl<P: GasProgram> Timeline for Runner<'_, P> {
                 bytes,
                 store: store_name,
             });
-            self.spill_loaded[i] = true;
         }
         Ok(())
     }
 
-    fn init(&mut self) -> Result<(), Abort> {
-        // Host mode (governor whole-run, or after device loss): nothing
-        // lives on the device, so there is nothing to initialize.
+    /// Device setup before iteration 0: every live device holds its own
+    /// replica of the vertex array and initializes its gather-temp and
+    /// frontier bitmaps on-device. Host mode (governor whole-run, or after
+    /// the last device is lost) has nothing on a device to initialize.
+    pub(super) fn init(&mut self) -> Result<(), Abort> {
         if self.host_mode {
             return Ok(());
         }
-        let s = self.ctx.main_streams[0];
-        let vbytes = self.layout.num_vertices() as u64 * self.sizes.vertex_value;
-        self.ctx.h2d(s, vbytes, "init.vertices", 0)?;
-        // Gather-temp and frontier bitmaps are initialized on-device.
-        let spec = KernelSpec::balanced(
-            "init.memset",
-            self.layout.num_vertices() as u64,
-            1.0,
-            self.plan.static_bytes,
-            0,
-        );
-        self.ctx.launch(s, &spec, 0)?;
-        self.ctx.synchronize();
+        let n = self.layout.num_vertices() as u64;
+        let spec = KernelSpec::balanced("init.memset", n, 1.0, self.plan.static_bytes, 0);
+        for (ctx, _) in self.ctxs.iter_mut().zip(&self.alive).filter(|(_, &a)| a) {
+            let s = ctx.main_streams[0];
+            ctx.h2d(s, n * self.sizes.vertex_value, "init.vertices", 0)?;
+            ctx.launch(s, &spec, 0)?;
+        }
+        self.barrier("init");
         Ok(())
     }
 
-    /// On the device, or after device loss on the host CPU — results stay
-    /// bit-identical either way, the host was computing them all along.
-    fn iteration(&mut self, iter: u32, work: &[ShardWork], _changed: &Bitmap) -> Result<(), Abort> {
+    /// Price one iteration's `work` — on the devices, or after the last
+    /// device is lost on the host CPU (results stay bit-identical either
+    /// way, the host was computing them all along). `changed` sizes the
+    /// cross-device exchange.
+    pub(super) fn iteration(
+        &mut self,
+        iter: u32,
+        work: &[ShardWork],
+        changed: &Bitmap,
+    ) -> Result<(), Abort> {
         if self.host_mode {
             self.charge_host("host.fallback", work, true);
         } else {
@@ -851,55 +966,103 @@ impl<P: GasProgram> Timeline for Runner<'_, P> {
             } else {
                 self.emit_unfused(iter, work)?;
             }
+            let exchanged = self.exchange(iter, changed)?;
+            self.barrier("exchange");
+            self.exchange_bytes += exchanged;
             self.charge_host("host.shard", work, false);
         }
         // The scope name is built only for an armed observer: disarmed,
         // an iteration allocates nothing here.
         if self.observer.is_enabled() {
-            let gpu_metrics = self.ctx.gpu_metrics();
-            self.observer
-                .snapshot(&format!("iteration {iter}"), || gpu_metrics.snapshot());
+            for (d, ctx) in self.ctxs.iter().enumerate() {
+                let scope = match self.ctxs.len() {
+                    1 => format!("iteration {iter}"),
+                    _ => format!("iteration {iter} gpu{d}"),
+                };
+                self.observer
+                    .snapshot(&scope, || ctx.gpu_metrics().snapshot());
+            }
         }
         Ok(())
     }
 
-    fn finalize(&mut self, iter: u32) -> Result<(), Abort> {
-        // In host mode the results are host-resident already (and the
-        // device is gone): nothing to download.
+    /// Device teardown after the last iteration: each live device
+    /// downloads the vertex values (and, for scatter programs, the edge
+    /// values) of the shards it owns. In host mode the results are
+    /// host-resident already.
+    pub(super) fn finalize(&mut self, iter: u32) -> Result<(), Abort> {
         if self.host_mode {
             return Ok(());
         }
-        let s = self.ctx.main_streams[0];
-        let vbytes = self.layout.num_vertices() as u64 * self.sizes.vertex_value;
-        self.ctx.d2h(s, vbytes, "final.vertices", iter)?;
-        if self.program.has_scatter() {
-            let ebytes = self.layout.num_edges() * self.sizes.edge_value;
-            self.ctx.d2h(s, ebytes, "final.edges", iter)?;
+        for d in (0..self.ctxs.len()).filter(|&d| self.alive[d]) {
+            let (mut vertices, mut edges) = (0, 0);
+            for (sh, _) in self
+                .plan
+                .shards
+                .iter()
+                .zip(&self.owners)
+                .filter(|(_, &o)| o == d)
+            {
+                vertices += sh.num_vertices();
+                edges += sh.num_out_edges();
+            }
+            let ctx = &mut self.ctxs[d];
+            let s = ctx.main_streams[0];
+            ctx.d2h(
+                s,
+                vertices * self.sizes.vertex_value,
+                "final.vertices",
+                iter,
+            )?;
+            if self.program.has_scatter() {
+                ctx.d2h(s, edges * self.sizes.edge_value, "final.edges", iter)?;
+            }
         }
-        self.ctx.synchronize();
+        self.barrier("final");
         Ok(())
     }
 
-    /// Device loss switches to host fallback (or fails the run when the
-    /// policy forbids it).
-    fn recover(&mut self, a: &Abort, iter: u32) -> Result<(), EngineError> {
-        self.ctx.sync_and_resolve();
+    /// Settle the devices after `a` (the doomed attempt's time stays on
+    /// the clock) and handle a device loss: evict the device and
+    /// redistribute its shards round-robin over the survivors (logged as
+    /// [`Decision::DeviceEvict`]); once none is left, fall back to the
+    /// host CPU — or fail the run when the policy forbids it.
+    pub(super) fn recover(&mut self, a: &Abort, iter: u32) -> Result<(), EngineError> {
+        self.sync();
         // The faulted attempt may have moved only part of a shard: drop
         // all residency claims so the replay re-copies what it touches.
         self.in_cached.fill(false);
         self.out_cached.fill(false);
-        if matches!(a.fault, DeviceFault::Lost) {
+        if !matches!(a.fault, DeviceFault::Lost) {
+            return Ok(());
+        }
+        self.alive[a.device] = false;
+        let survivors: Vec<usize> = (0..self.alive.len()).filter(|&d| self.alive[d]).collect();
+        let device = a.device as u32;
+        if survivors.is_empty() {
             if !self.opts.recovery.host_fallback {
                 return Err(EngineError::DeviceLost);
             }
-            self.ctx.metrics.inc(EngineMetric::HostFallback, 1);
+            self.ctxs[0].metrics.inc(EngineMetric::HostFallback, 1);
             self.observer.decision(|| Decision::HostFallback {
                 iteration: iter,
-                device: 0,
+                device,
                 rationale: "device lost: finishing on host CPU",
             });
             self.host_mode = true;
+            return Ok(());
         }
+        let mut moved = 0u32;
+        for o in self.owners.iter_mut().filter(|o| **o == a.device) {
+            *o = survivors[moved as usize % survivors.len()];
+            moved += 1;
+        }
+        self.evictions += 1;
+        self.observer.decision(|| Decision::DeviceEvict {
+            iteration: iter,
+            device,
+            shards_moved: moved,
+        });
         Ok(())
     }
 }

@@ -1,5 +1,5 @@
-//! The durable-checkpoint writer shared by the single-GPU driver and the
-//! multi-GPU orchestrator.
+//! The durable-checkpoint writer the BSP loop drives, on one device or
+//! several.
 //!
 //! `DurableWriter` owns the full-vs-delta schedule, the dirty-vertex
 //! accumulator delta snapshots are keyed off, and what each snapshot
@@ -94,8 +94,9 @@ impl DurableWriter {
         }
     }
 
-    /// Record the cluster context to stamp into every snapshot (multi-GPU
-    /// orchestrator only; refresh after redistribution).
+    /// Record the device count and shard owners to stamp into every
+    /// snapshot (runs on more than one device only; refreshed at every
+    /// write, so evictions show).
     pub(crate) fn set_placement(&mut self, num_gpus: u32, owners: &[usize]) {
         self.placement = Some(Placement {
             num_gpus,

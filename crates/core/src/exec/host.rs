@@ -1,7 +1,7 @@
 //! Host master state: the exact, eagerly computed results every run
 //! produces regardless of what the virtual device timeline does. One per
-//! run — the multi orchestrator shares this single copy across its
-//! devices (vertex state is replicated, so host truth is global).
+//! run — a run on several devices shares this single copy across them
+//! (vertex state is replicated, so host truth is global).
 //!
 //! This is the real-compute half of the driver layer: the BSP iteration
 //! over the GAS phase kernels (`crates/core/src/phases.rs`). The host has

@@ -83,9 +83,8 @@ pub struct Movement {
     storage_read_secs_per_byte: Option<f64>,
     storage_latency: SimDuration,
     // Memory governor outcome: shards streamed in bounded chunks through
-    // the staging slot, and the per-slot staging size chunks cut to.
+    // their device's staging slot (`DeviceCtx::slot_bytes`).
     chunked: Vec<bool>,
-    staging_bytes: u64,
     // Out-of-host-core spill: shards whose topology was evicted to the
     // shard store pay a storage read on their *first* stream-in — the
     // driver reads each spilled blob back exactly once per run
@@ -105,7 +104,6 @@ impl Movement {
     pub(crate) fn new(
         opts: &Options,
         chunked: Vec<bool>,
-        staging_bytes: u64,
         storage_read_secs_per_byte: Option<f64>,
         storage_latency: SimDuration,
     ) -> Self {
@@ -117,7 +115,6 @@ impl Movement {
             storage_read_secs_per_byte,
             storage_latency,
             chunked,
-            staging_bytes,
             spilled: vec![false; num_shards],
             spill_charged: vec![false; num_shards],
             spill_read_secs_per_byte: None,
@@ -178,7 +175,7 @@ impl Movement {
             for &(bytes, label) in bufs {
                 let mut left = bytes;
                 while left > 0 {
-                    let b = self.staging_bytes.min(left);
+                    let b = ctx.slot_bytes.min(left);
                     left -= b;
                     ctx.h2d(stream, b, label, iter)?;
                     ctx.metrics.inc(EngineMetric::ChunkedCopies, 1);
@@ -241,7 +238,7 @@ impl Movement {
             for &(bytes, label) in bufs {
                 let mut left = bytes;
                 while left > 0 {
-                    let b = self.staging_bytes.min(left);
+                    let b = ctx.slot_bytes.min(left);
                     left -= b;
                     ctx.d2h(stream, b, label, iter)?;
                     ctx.metrics.inc(EngineMetric::ChunkedCopies, 1);

@@ -1,13 +1,12 @@
 //! Partition Engine, planning layer: derive an executable plan from the
-//! byte model, the options, and the device's (possibly capped) capacity.
+//! byte model, the options, and each device's (possibly capped) capacity.
 //!
 //! Everything here is a pure function of `(SizeModel, Options, caps)` —
 //! no device ops, no streams, no host state. The output is an explicit
-//! [`ExecPlan`]: the (possibly degraded) partition plus the memory
-//! governor's verdict for every shard. The multi-GPU placement governor
-//! lives with its orchestrator in [`crate::multi`]; the static
-//! fusion/elimination decisions ([`emit_plan_decisions`]) are shared by
-//! both paths.
+//! [`ExecPlan`]: the (possibly degraded) partition, the owner device of
+//! every shard, and the memory governor's verdict for every shard. The
+//! static fusion/elimination decisions ([`emit_plan_decisions`]) are made
+//! here too.
 
 use gr_graph::{split_shard, GraphLayout, Shard};
 use gr_observe::{Decision, MetricsRegistry, Observer};
@@ -20,19 +19,21 @@ use crate::sizes::{PartitionPlan, SizeModel};
 use super::compress::ShardCompression;
 use super::EngineMetric;
 
-/// The executable plan for one device: the partition (after any governor
-/// degradation) plus per-shard movement verdicts. All-default governed
-/// fields when the device is unconstrained: the governor makes no
-/// decisions and the run is byte-identical to an ungoverned one.
+/// The executable plan: the partition (after any governor degradation),
+/// shard placement, and per-shard movement verdicts. All-default governed
+/// fields when no device is capped: the governor makes no decisions and
+/// the run is byte-identical to an ungoverned one.
 pub struct ExecPlan {
     /// The partition plan, with shards split/renumbered as governed.
     pub partition: PartitionPlan,
+    /// The device each shard runs on (all 0 on one device).
+    pub owners: Vec<usize>,
     /// Rung 6: even per-shard degradation cannot fit the cap — the whole
     /// run executes on the host CPU and nothing is allocated on-device.
     pub host_run: bool,
-    /// Per-slot streaming allocation size (== `partition.max_shard_bytes`
-    /// unless chunking shrank it to the governed budget).
-    pub slot_bytes: u64,
+    /// Per-device streaming allocation size (== `partition.max_shard_bytes`
+    /// unless chunking shrank it to that device's governed budget).
+    pub slot_bytes: Vec<u64>,
     /// Shards streamed in bounded chunks through the staging slot.
     pub chunked: Vec<bool>,
     /// Shards degraded to host-CPU execution.
@@ -44,29 +45,6 @@ pub struct ExecPlan {
     ///
     /// [`ShardStore`]: crate::store::ShardStore
     pub spilled: Vec<bool>,
-}
-
-// Governed fields under construction, before the (possibly mutated)
-// partition is moved into the final plan.
-struct Governed {
-    host_run: bool,
-    slot_bytes: u64,
-    chunked: Vec<bool>,
-    host_shards: Vec<bool>,
-    spilled: Vec<bool>,
-}
-
-impl Governed {
-    fn into_plan(self, partition: PartitionPlan) -> ExecPlan {
-        ExecPlan {
-            partition,
-            host_run: self.host_run,
-            slot_bytes: self.slot_bytes,
-            chunked: self.chunked,
-            host_shards: self.host_shards,
-            spilled: self.spilled,
-        }
-    }
 }
 
 /// Chunking policy for the memory governor's bounded staging slot: when a
@@ -106,8 +84,10 @@ impl StagingBuffer {
 }
 
 /// The device-memory governor: degrade the optimistic partition plan until
-/// it fits the (possibly capped) device pool, escalating through
+/// it fits every (possibly capped) device pool, escalating through
 ///
+/// 0. redistribute a pressured device's largest shard to the least-loaded
+///    peer that can take it whole (more than one device only),
 /// 1. drop residency (stream instead of caching every shard),
 /// 2. reduce concurrency `K`,
 /// 3. adaptively split oversized shards ([`split_shard`]),
@@ -119,11 +99,12 @@ impl StagingBuffer {
 /// 6. whole-run host execution,
 ///
 /// and surfacing [`EngineError::Alloc`] only when the recovery policy
-/// forbids host fallback at a terminal rung. Every degradation emits
-/// exactly one decision ([`Decision::MemoryPressure`],
-/// [`Decision::ShardSplit`], [`Decision::ChunkedXfer`]) and bumps the
-/// matching `engine.*` counter; with no `mem_cap` set this is a single
-/// branch and zero decisions.
+/// forbids host fallback at a terminal rung. Each rung judges a shard
+/// against the budget of the device that owns it (`owners`, indexing
+/// `capacities`). Every degradation emits exactly one decision
+/// ([`Decision::MemoryPressure`], [`Decision::ShardSplit`],
+/// [`Decision::ChunkedXfer`]) and bumps the matching `engine.*` counter;
+/// with no device `capped` this is a single branch and zero decisions.
 ///
 /// With shard compression armed (`comp`), every per-shard cost the ladder
 /// compares against the budget is the *compressed* footprint — compressed
@@ -133,122 +114,175 @@ impl StagingBuffer {
 #[allow(clippy::too_many_arguments)] // the planning context really is this wide
 pub fn build_exec_plan(
     partition: PartitionPlan,
+    owners: Vec<usize>,
+    capacities: &[u64],
+    capped: bool,
     sizes: &SizeModel,
     layout: &GraphLayout,
-    capacity: u64,
     opts: &Options,
     comp: Option<&ShardCompression>,
     metrics: &mut MetricsRegistry<EngineMetric>,
     observer: &Observer,
 ) -> Result<ExecPlan, EngineError> {
-    let mut plan = partition;
     let cost = |s: &Shard| match comp {
         Some(c) => c.shard_bytes(sizes, s),
         None => sizes.shard_bytes(s),
     };
+    let mut partition = partition;
     if comp.is_some() {
         // Streaming slots and every rung below budget what actually
         // crosses PCIe and lands on the device: compressed bytes.
-        plan.max_shard_bytes = plan.shards.iter().map(cost).max().unwrap_or(0);
+        partition.max_shard_bytes = partition.shards.iter().map(cost).max().unwrap_or(0);
     }
-    let num_shards = plan.shards.len();
-    let mut out = Governed {
+    let num_shards = partition.shards.len();
+    let mut out = ExecPlan {
+        slot_bytes: vec![partition.max_shard_bytes; capacities.len()],
+        partition,
+        owners,
         host_run: false,
-        slot_bytes: plan.max_shard_bytes,
         chunked: vec![false; num_shards],
         host_shards: vec![false; num_shards],
         spilled: vec![false; num_shards],
     };
-    if opts.mem_cap.is_none() {
-        return Ok(out.into_plan(plan));
+    if !capped {
+        return Ok(out);
     }
-    let oom = |requested: u64, available: u64| OutOfMemory {
+    let ExecPlan {
+        partition: plan,
+        owners,
+        ..
+    } = &mut out;
+    let ndev = capacities.len();
+    let oom = |requested: u64, available: u64, d: usize| OutOfMemory {
         requested,
         available,
-        capacity,
+        capacity: capacities[d],
+    };
+    let pressure = |d: usize, requested: u64, available: u64, response, scope| {
+        let capacity = capacities[d];
+        observer.decision(|| Decision::MemoryPressure {
+            device: d as u32,
+            requested,
+            available,
+            capacity,
+            response,
+            scope,
+        });
+    };
+    // Largest shard cost each device owns.
+    let worst = |plan: &PartitionPlan, owners: &[usize]| {
+        let mut worst = vec![0u64; ndev];
+        for (s, &o) in plan.shards.iter().zip(owners) {
+            worst[o] = worst[o].max(cost(s));
+        }
+        worst
     };
 
     // Rung 6 first (it gates everything): the static buffers alone exceed
-    // the cap, so no device execution is possible at all.
-    if plan.static_bytes > capacity {
+    // a device's cap, so no device execution is possible at all.
+    if let Some(d) = (0..ndev).find(|&d| plan.static_bytes > capacities[d]) {
         if !opts.recovery.host_fallback {
-            return Err(EngineError::Alloc(oom(plan.static_bytes, capacity)));
+            return Err(EngineError::Alloc(oom(plan.static_bytes, capacities[d], d)));
         }
         metrics.inc(EngineMetric::MemPressure, 1);
-        let requested = plan.static_bytes;
-        observer.decision(|| Decision::MemoryPressure {
-            device: 0,
-            requested,
-            available: capacity,
-            capacity,
-            response: "host-run",
-            scope: "run",
-        });
+        pressure(d, plan.static_bytes, capacities[d], "host-run", "run");
         out.host_run = true;
-        return Ok(out.into_plan(plan));
+        return Ok(out);
     }
-    let budget = capacity - plan.static_bytes;
+    let budgets: Vec<u64> = capacities.iter().map(|c| c - plan.static_bytes).collect();
 
-    // Rung 1: residency. Caching every shard needs the whole streaming
-    // working set on-device; under pressure, stream instead.
-    if opts.cache_resident && plan.all_resident {
-        let total: u64 = plan.shards.iter().map(cost).sum();
-        if total > budget {
-            metrics.inc(EngineMetric::MemPressure, 1);
-            observer.decision(|| Decision::MemoryPressure {
-                device: 0,
-                requested: total,
-                available: budget,
-                capacity,
-                response: "stream",
-                scope: "plan",
+    // Rung 0: redistribution. A device is pressured when K slots of its
+    // largest shard exceed its budget; move that shard to the
+    // least-loaded peer that can take it whole. Each move leaves the
+    // receiver unpressured, so the loop terminates; on one device there
+    // is no peer and nothing moves.
+    let slots = plan.concurrent.max(1) as u64;
+    loop {
+        let worst = worst(plan, owners);
+        let mut load = vec![0u64; ndev];
+        for (s, &o) in plan.shards.iter().zip(owners.iter()) {
+            load[o] += cost(s);
+        }
+        let moved = (0..ndev)
+            .filter(|&d| slots * worst[d] > budgets[d])
+            .find_map(|d| {
+                let (idx, bytes) = (0..plan.shards.len())
+                    .filter(|&i| owners[i] == d)
+                    .map(|i| (i, cost(&plan.shards[i])))
+                    .max_by_key(|&(_, b)| b)?;
+                let t = (0..ndev)
+                    .filter(|&t| t != d && slots * bytes.max(worst[t]) <= budgets[t])
+                    .min_by_key(|&t| load[t])?;
+                Some((d, idx, bytes, t))
             });
+        let Some((d, idx, bytes, t)) = moved else {
+            break;
+        };
+        owners[idx] = t;
+        metrics.inc(EngineMetric::MemPressure, 1);
+        metrics.inc(EngineMetric::Redistributions, 1);
+        pressure(d, slots * bytes, budgets[d], "redistribute", "device");
+    }
+
+    // Rung 1: residency. Caching every shard needs each device's whole
+    // streaming working set on-device; under pressure, stream instead.
+    if opts.cache_resident && plan.all_resident {
+        let mut totals = vec![0u64; ndev];
+        for (s, &o) in plan.shards.iter().zip(owners.iter()) {
+            totals[o] += cost(s);
+        }
+        if let Some(d) = (0..ndev).find(|&d| totals[d] > budgets[d]) {
+            metrics.inc(EngineMetric::MemPressure, 1);
+            pressure(d, totals[d], budgets[d], "stream", "plan");
             plan.all_resident = false;
         }
     }
 
-    // Rung 2: concurrency. K slots of the largest shard must fit the
-    // streaming budget (Equation (1) against the governed capacity).
+    // Rung 2: concurrency. K slots of each device's largest shard must
+    // fit its streaming budget (Equation (1) against the governed
+    // capacity); the device that needs the smallest K sets it.
     let k0 = plan.concurrent.max(1);
     let mut k = k0;
-    while k > 1 && k as u64 * plan.max_shard_bytes > budget {
-        k -= 1;
+    let mut pressed = None;
+    for (d, w) in worst(plan, owners).into_iter().enumerate() {
+        let before = k;
+        while k > 1 && k as u64 * w > budgets[d] {
+            k -= 1;
+        }
+        if k < before {
+            pressed = Some((d, w));
+        }
     }
-    if k < k0 {
+    if let Some((d, w)) = pressed {
         metrics.inc(EngineMetric::MemPressure, 1);
-        let requested = k0 as u64 * plan.max_shard_bytes;
-        observer.decision(|| Decision::MemoryPressure {
-            device: 0,
-            requested,
-            available: budget,
-            capacity,
-            response: "reduce-concurrency",
-            scope: "plan",
-        });
+        pressure(d, k0 as u64 * w, budgets[d], "reduce-concurrency", "plan");
         plan.concurrent = k;
     }
-    let slot_budget = (budget / plan.concurrent.max(1) as u64).max(1);
+    let slot_budgets: Vec<u64> = budgets
+        .iter()
+        .map(|b| (b / plan.concurrent.max(1) as u64).max(1))
+        .collect();
 
     // Rung 3: adaptive shard splitting. Repeatedly split the largest
-    // over-budget shard at its edge-mass midpoint; sub-shards execute
-    // sequentially through the same slots with the same merged frontier
-    // accounting, so results are bit-identical. Stops when nothing
-    // over-budget can shrink further (a hub vertex's own edge lists).
+    // shard over its owner's slot budget at its edge-mass midpoint;
+    // sub-shards stay with that owner and execute sequentially through
+    // the same slots with the same merged frontier accounting, so results
+    // are bit-identical. Stops when nothing over-budget can shrink
+    // further (a hub vertex's own edge lists).
     let mut split_any = false;
     while let Some((idx, bytes)) = plan
         .shards
         .iter()
         .enumerate()
         .map(|(i, s)| (i, cost(s)))
-        .filter(|&(_, b)| b > slot_budget)
+        .filter(|&(i, b)| b > slot_budgets[owners[i]])
         .max_by_key(|&(_, b)| b)
     {
         let shard = plan.shards[idx].clone();
         let Some((left, right)) = split_shard(layout, &shard) else {
             break;
         };
-        let worst = cost(&left).max(cost(&right));
-        if worst >= bytes {
+        if cost(&left).max(cost(&right)) >= bytes {
             // Degenerate split (all mass on one side): no progress.
             break;
         }
@@ -260,6 +294,7 @@ pub fn build_exec_plan(
             bytes,
         });
         plan.shards.splice(idx..=idx, [left, right]);
+        owners.insert(idx + 1, owners[idx]);
         split_any = true;
     }
     if split_any {
@@ -267,74 +302,67 @@ pub fn build_exec_plan(
             sh.id = i;
         }
         plan.max_shard_bytes = plan.shards.iter().map(cost).max().unwrap_or(0);
-        out.chunked = vec![false; plan.shards.len()];
-        out.host_shards = vec![false; plan.shards.len()];
-        out.spilled = vec![false; plan.shards.len()];
     }
-    out.slot_bytes = plan.max_shard_bytes.min(slot_budget).max(1);
+    let num_shards = plan.shards.len();
+    let mut chunked = vec![false; num_shards];
+    let mut host_shards = vec![false; num_shards];
+    let mut spilled = vec![false; num_shards];
+    let slot_bytes = slot_budgets
+        .iter()
+        .map(|&b| plan.max_shard_bytes.min(b).max(1))
+        .collect();
 
-    // Rungs 4-5: shards that still exceed the slot stream through the
-    // bounded staging slot in chunks — or, when even chunking is
-    // unreasonable, degrade to host-CPU execution for that shard alone.
-    if plan.max_shard_bytes > slot_budget {
-        let staging = StagingBuffer::new(slot_budget);
-        for (i, sh) in plan.shards.iter().enumerate() {
-            let bytes = cost(sh);
-            if bytes <= slot_budget {
-                continue;
+    // Rungs 4-5: shards that still exceed their owner's slot stream
+    // through the bounded staging slot in chunks — or, when even chunking
+    // is unreasonable, degrade to host-CPU execution for that shard alone.
+    for (i, sh) in plan.shards.iter().enumerate() {
+        let (bytes, d) = (cost(sh), owners[i]);
+        let slot_budget = slot_budgets[d];
+        if bytes <= slot_budget {
+            continue;
+        }
+        let mut chunk = |i: usize| {
+            metrics.inc(EngineMetric::ChunkedShards, 1);
+            let chunks = StagingBuffer::new(slot_budget).chunks_for(bytes) as u32;
+            observer.decision(|| Decision::ChunkedXfer {
+                shard: i as u32,
+                shard_bytes: bytes,
+                chunk_bytes: slot_budget,
+                chunks,
+            });
+        };
+        if StagingBuffer::new(slot_budget).can_stage(bytes) {
+            chunk(i);
+            chunked[i] = true;
+        } else if opts.spill_dir.is_some() {
+            // Spill rung: with a shard store configured, an unstageable
+            // shard streams from storage in bounded chunks instead of
+            // abandoning the device. One governor decision (it *is* a
+            // chunked transfer); the matching ShardSpill decision is
+            // emitted by the runner when the bytes actually move to the
+            // store.
+            chunk(i);
+            chunked[i] = true;
+            spilled[i] = true;
+        } else {
+            if !opts.recovery.host_fallback {
+                return Err(EngineError::Alloc(oom(bytes, slot_budget, d)));
             }
-            if staging.can_stage(bytes) {
-                metrics.inc(EngineMetric::ChunkedShards, 1);
-                let chunks = staging.chunks_for(bytes) as u32;
-                observer.decision(|| Decision::ChunkedXfer {
-                    shard: i as u32,
-                    shard_bytes: bytes,
-                    chunk_bytes: slot_budget,
-                    chunks,
-                });
-                out.chunked[i] = true;
-            } else if opts.spill_dir.is_some() {
-                // Spill rung: with a shard store configured, an
-                // unstageable shard streams from storage in bounded
-                // chunks instead of abandoning the device. One governor
-                // decision (it *is* a chunked transfer); the matching
-                // ShardSpill decision is emitted by the runner when the
-                // bytes actually move to the store.
-                metrics.inc(EngineMetric::ChunkedShards, 1);
-                let chunks = bytes.div_ceil(slot_budget) as u32;
-                observer.decision(|| Decision::ChunkedXfer {
-                    shard: i as u32,
-                    shard_bytes: bytes,
-                    chunk_bytes: slot_budget,
-                    chunks,
-                });
-                out.chunked[i] = true;
-                out.spilled[i] = true;
-            } else {
-                if !opts.recovery.host_fallback {
-                    return Err(EngineError::Alloc(oom(bytes, slot_budget)));
-                }
-                metrics.inc(EngineMetric::MemPressure, 1);
-                metrics.inc(EngineMetric::HostShards, 1);
-                observer.decision(|| Decision::MemoryPressure {
-                    device: 0,
-                    requested: bytes,
-                    available: slot_budget,
-                    capacity,
-                    response: "host-shard",
-                    scope: "shard",
-                });
-                out.host_shards[i] = true;
-            }
+            metrics.inc(EngineMetric::MemPressure, 1);
+            metrics.inc(EngineMetric::HostShards, 1);
+            pressure(d, bytes, slot_budget, "host-shard", "shard");
+            host_shards[i] = true;
         }
     }
-    Ok(out.into_plan(plan))
+    out.slot_bytes = slot_bytes;
+    out.chunked = chunked;
+    out.host_shards = host_shards;
+    out.spilled = spilled;
+    Ok(out)
 }
 
 /// Record a run's static optimization decisions (made once, from the
-/// program shape and options, not per iteration). Shared by both paths:
-/// the single driver passes its `phase_fusion` option; the multi
-/// orchestrator's pipeline is always fused-shape.
+/// program shape and the `phase_fusion` option, not per iteration).
 pub fn emit_plan_decisions(observer: &Observer, fusion: bool, has_gather: bool, has_scatter: bool) {
     if fusion {
         observer.decision(|| Decision::PhaseFusion {

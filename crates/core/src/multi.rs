@@ -4,65 +4,52 @@
 //! Shards are distributed round-robin across `N` virtual devices, each with
 //! its own PCIe link, streams, and memory pool; the vertex array and the
 //! frontier bitmaps are **replicated** on every device (the paper's static
-//! buffers, now per device). Every iteration:
+//! buffers, now per device). Every iteration runs the single-GPU pipeline
+//! with each shard's ops on its owner device, a BSP barrier after every
+//! stage, and — before the last barrier — the cross-device exchange of
+//! the iteration's changed vertex values and activation bits through host
+//! memory (D2H from each owner, H2D broadcast to the others; every device
+//! has its own link, so transfers overlap across devices but serialize
+//! per link). Iteration wall time is the max across devices.
 //!
-//! 1. each device runs the fused gather stage over *its* active shards;
-//! 2. apply runs on the owner device of each interval;
-//! 3. scatter + FrontierActivate run on the owner, then devices exchange
-//!    the iteration's changed vertex values and activation bits through
-//!    host memory (D2H from each owner, H2D broadcast to the others —
-//!    every device has its own link, so uploads/downloads overlap across
-//!    devices but serialize per link).
+//! [`MultiGraphReduce`] is a facade: it resolves each device's fault plan
+//! and memory cap and runs the same [`crate::session::Query`] as the
+//! single-GPU engine, on the one device timeline in `exec/driver.rs`. On
+//! one device it is op-for-op the single-GPU engine. Its recovery policy
+//! forbids host fallback: a lost device is evicted and its shards
+//! redistributed over the survivors, losing every device is
+//! [`EngineError::DeviceLost`], and a shard no rung of the memory
+//! governor can fit (redistribution to a peer with headroom comes first)
+//! is [`EngineError::Alloc`].
 //!
-//! Iteration wall time is the max across devices (devices progress their
-//! own virtual clocks; a global barrier aligns them each stage).
-//!
-//! This module is a thin orchestrator over the shared execution core in
-//! `exec`: it runs the same BSP loop as the single-GPU engine
-//! (`exec/bsp.rs`: one host computation per iteration, one replay helper,
-//! durable writes), every device op goes through a per-device
-//! `DeviceCtx` (one retry/backoff policy for both engines), and kernels
-//! are priced by the same `exec/compute.rs` builders. What remains
-//! here is genuinely multi-GPU: shard placement and the per-GPU memory
-//! governor (`govern_placement`), and a device timeline with BSP
-//! barriers, the cross-device exchange and device eviction. Results stay
-//! bit-identical to the single-device engine and the sequential oracle.
-//!
-//! Durable checkpoints extend to this orchestrator: arm them with
+//! Durable checkpoints extend to this engine: arm them with
 //! [`MultiGraphReduce::with_checkpoint_policy`] (`Durable` or
 //! `DurableDelta`) and restart a killed run with
 //! [`MultiGraphReduce::resume`]. Because results live in one
 //! host-resident master state, a multi-GPU snapshot is that state with
 //! the device count and shard placement at capture time recorded in the
 //! frame header; on resume the placement is informational —
-//! the orchestrator re-derives it for the *current* device set (a node
-//! may come back short a GPU) and lets the governor redistribute, so
-//! replay stays bit-identical across device counts. Checkpoint writes
-//! happen at BSP barrier boundaries on the host and add no barriers and
-//! no device time. The out-of-host-core shard store and compressed
-//! shards (see `docs/DURABILITY.md`, `docs/COMPRESSION.md`) remain
-//! single-GPU features: this orchestrator ignores
-//! [`crate::Options::spill_dir`] and
-//! [`crate::Options::shard_compression`], and the bench CLI rejects the
-//! corresponding flags for multi-GPU runs.
+//! it is re-derived for the *current* device set (a node may come back
+//! short a GPU) and the governor redistributes, so replay stays
+//! bit-identical across device counts. Checkpoint writes happen at BSP
+//! barrier boundaries on the host and add no barriers and no device time.
+//! The out-of-host-core shard store and compressed shards (see
+//! `docs/DURABILITY.md`, `docs/COMPRESSION.md`) remain single-GPU
+//! features: this engine runs with default options, so
+//! [`crate::Options::spill_dir`] and [`crate::Options::shard_compression`]
+//! are off, and the bench CLI rejects the corresponding flags for
+//! multi-GPU runs.
 
-use gr_graph::{split_shard, Bitmap, GraphLayout, Shard, TopoView};
-use gr_observe::{Decision, MetricsRegistry, Observer, WallProfiler};
-use gr_sim::{DeviceFault, FaultPlan, OutOfMemory, Platform, SimDuration};
+use gr_graph::GraphLayout;
+use gr_observe::{Observer, WallProfiler};
+use gr_sim::{FaultPlan, Platform, SimDuration};
 
 use crate::api::GasProgram;
-use crate::exec::bsp::{Bsp, Timeline};
-use crate::exec::compute::{activate_kernel_spec, apply_kernel_spec, gather_map_spec};
-use crate::exec::device::{barrier, barrier_observed, Abort, DeviceCtx};
-use crate::exec::EngineMetric;
+use crate::exec::device::DeviceSpec;
 use crate::options::Options;
-use crate::phases::ShardWork;
 use crate::recovery::{EngineError, RecoveryPolicy};
 use crate::session::GraphSession;
-use crate::sizes::{PartitionPlan, SizeModel};
-use crate::snapshot::{self, CheckpointPolicy};
-use crate::snapshot_delta::{self, RestoredFromDisk};
-use crate::storage::StorageCtx;
+use crate::snapshot::CheckpointPolicy;
 
 /// Multi-GPU run statistics.
 #[derive(Clone, Debug, Default)]
@@ -185,37 +172,45 @@ pub struct MultiRunResult<P: GasProgram> {
 pub struct MultiGraphReduce<'g, P: GasProgram> {
     program: P,
     session: GraphSession<'g>,
-    num_gpus: u32,
+    devices: Vec<DeviceSpec>,
     observer: Observer,
     wall: WallProfiler,
-    fault_plans: Vec<(usize, FaultPlan)>,
-    mem_caps: Vec<(usize, u64)>,
     checkpoint_policy: CheckpointPolicy,
 }
 
 impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
     pub fn new(program: P, layout: &'g GraphLayout, platform: Platform, num_gpus: u32) -> Self {
+        // The same build-once session the single-GPU engine uses: the
+        // layout borrow, the platform, and the partition-plan cache are
+        // graph-lifetime; everything below (fault plans, caps, checkpoint
+        // policy) is query-lifetime.
+        let opts = Options {
+            recovery: RecoveryPolicy {
+                host_fallback: false,
+                ..RecoveryPolicy::default()
+            },
+            ..Options::default()
+        };
+        let devices = (0..num_gpus.max(1))
+            .map(|d| DeviceSpec {
+                fault_plan: FaultPlan::none(),
+                mem_cap: None,
+                lane: Some(format!("gpu{d}/")),
+            })
+            .collect();
         MultiGraphReduce {
             program,
-            // The orchestrator is a facade over the same build-once
-            // session the single-GPU engine uses: the layout borrow, the
-            // platform, and the partition-plan cache are graph-lifetime;
-            // everything below (fault plans, caps, checkpoint policy) is
-            // query-lifetime. Compression/spill stay single-GPU features,
-            // so the session runs with default options.
-            session: GraphSession::new(layout, platform, Options::default()),
-            num_gpus: num_gpus.max(1),
+            session: GraphSession::new(layout, platform, opts),
+            devices,
             observer: Observer::disabled(),
             wall: WallProfiler::disarmed(),
-            fault_plans: Vec::new(),
-            mem_caps: Vec::new(),
             checkpoint_policy: CheckpointPolicy::default(),
         }
     }
 
     /// Attach an observer. Device events are tagged per lane (`gpu0/h2d`,
-    /// `gpu1/kernel`, …); BSP barriers and iteration windows are emitted
-    /// on the `"multi"` track.
+    /// `gpu1/kernel`, …); with more than one device, BSP barriers and
+    /// iteration windows are emitted on the `"multi"` track.
     pub fn with_observer(mut self, observer: Observer) -> Self {
         self.observer = observer;
         self
@@ -231,19 +226,22 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
         self
     }
 
-    /// Arm a deterministic fault plan on one device (chaos testing).
-    /// Plans for out-of-range device indices are ignored.
+    /// Arm a deterministic fault plan on one device (chaos testing),
+    /// replacing any earlier one. Plans for out-of-range device indices
+    /// are ignored.
     pub fn with_fault_plan(mut self, device: usize, plan: FaultPlan) -> Self {
-        self.fault_plans.push((device, plan));
+        if let Some(d) = self.devices.get_mut(device) {
+            d.fault_plan = plan;
+        }
         self
     }
 
     /// Arm durable checkpoints ([`CheckpointPolicy::Durable`] or
     /// [`CheckpointPolicy::DurableDelta`]): one versioned, checksummed
     /// snapshot of the master state — recording the device count and
-    /// shard placement in its header — is written
-    /// atomically at iteration boundary 0, every `every` completed
-    /// iterations, and at convergence. Restart a killed run with
+    /// shard placement in its header when there is more than one device —
+    /// is written atomically at iteration boundary 0, every `every`
+    /// completed iterations, and at convergence. Restart a killed run with
     /// [`MultiGraphReduce::resume`]. `InMemoryOnly` writes nothing; fault
     /// recovery needs no snapshot, because a replay re-emits only device
     /// timelines over the always-intact host state.
@@ -255,518 +253,83 @@ impl<'g, P: GasProgram> MultiGraphReduce<'g, P> {
     /// Cap one device's usable memory below its nominal capacity. The
     /// memory governor then relieves per-GPU pressure at plan time:
     /// shards are redistributed onto devices with headroom first, and
-    /// split only when no device can take them whole. Caps for
-    /// out-of-range device indices are ignored.
+    /// only then do the single-GPU rungs (concurrency, splitting,
+    /// chunking) apply to the shards each device owns. A later cap on
+    /// the same device replaces an earlier one; caps for out-of-range
+    /// device indices are ignored.
     pub fn with_mem_cap(mut self, device: usize, bytes: u64) -> Self {
-        self.mem_caps.push((device, bytes));
+        if let Some(d) = self.devices.get_mut(device) {
+            d.mem_cap = Some(bytes);
+        }
         self
-    }
-
-    /// Bring up one device context, resolving this device's fault plan and
-    /// memory cap (repeated builder calls overwrite, so the last entry
-    /// wins — exactly what repeated `set_fault_plan`/`cap_memory` calls
-    /// used to do).
-    fn device_ctx(&self, d: usize) -> DeviceCtx {
-        let fault_plan = self
-            .fault_plans
-            .iter()
-            .rev()
-            .find(|(i, _)| *i == d)
-            .map(|(_, p)| p.clone())
-            .unwrap_or_else(FaultPlan::none);
-        let cap = self
-            .mem_caps
-            .iter()
-            .rev()
-            .find(|(i, _)| *i == d)
-            .map(|&(_, c)| c);
-        DeviceCtx::new(
-            self.session.platform(),
-            d,
-            self.observer.clone(),
-            Some(format!("gpu{d}/")),
-            fault_plan,
-            cap,
-            RecoveryPolicy::default(),
-        )
     }
 
     /// Execute to convergence.
     pub fn run(&self) -> Result<MultiRunResult<P>, EngineError> {
-        self.run_inner(None)
+        self.run_on(None)
     }
 
     /// Resume a previously killed (or completed) run from the newest
     /// intact snapshot in `dir`, then execute to convergence.
     ///
     /// Accepts every snapshot the single-GPU engine accepts (full, delta
-    /// chain, compressed), with or without the placement map the
-    /// orchestrator records. A recorded placement map is honored only
-    /// when it fits the current device set exactly (same width, same
-    /// shard count); otherwise ownership is re-derived for
-    /// the *current* devices, so a run checkpointed on N GPUs can resume
-    /// on fewer — the governor redistributes the orphaned shards exactly
-    /// as it does after an eviction. Vertex state, per-iteration stats
-    /// and the final fingerprint stay bit-identical to an uninterrupted
-    /// run on the resumed device count.
+    /// chain, compressed), with or without a recorded placement map. A
+    /// recorded placement map is honored only when it fits the current
+    /// device set exactly (same width, same shard count); otherwise
+    /// ownership is re-derived for the *current* devices, so a run
+    /// checkpointed on N GPUs can resume on fewer — the governor
+    /// redistributes exactly as it does at plan time. Vertex state,
+    /// per-iteration stats and the final fingerprint stay bit-identical to
+    /// an uninterrupted run on the resumed device count.
     pub fn resume(
         &self,
         dir: impl AsRef<std::path::Path>,
     ) -> Result<MultiRunResult<P>, EngineError> {
-        let fp = snapshot::fingerprint_for(&self.program, self.session.layout());
-        let restored = snapshot_delta::load_newest::<P>(dir.as_ref(), &fp)?;
-        self.run_inner(Some(restored))
+        self.run_on(Some(dir.as_ref()))
     }
 
-    fn run_inner(
+    fn run_on(
         &self,
-        restored: Option<RestoredFromDisk<P>>,
+        resume_from: Option<&std::path::Path>,
     ) -> Result<MultiRunResult<P>, EngineError> {
-        let sizes = SizeModel::for_program(&self.program);
-        let layout = self.session.layout();
-        crate::session::check_seeds(&self.program, layout.num_vertices())?;
-        let ngpu = self.num_gpus as usize;
-        // Partition for a single device's memory (each device must hold
-        // its own static buffers + its in-flight shards). The optimistic
-        // plan is graph-lifetime state: the session caches it per byte
-        // model, so repeated queries (and the serving layer) replan only
-        // on the first run of each algorithm shape.
-        let mut plan = self.session.multi_partition_plan(&sizes)?;
-
-        let mut ctxs: Vec<DeviceCtx> = (0..ngpu).map(|d| self.device_ctx(d)).collect();
-        for c in ctxs.iter_mut() {
-            c.create_main_streams(plan.concurrent as usize);
-        }
-
-        // Shard ownership and device liveness: a lost device is evicted
-        // and its shards redistributed round-robin over the survivors.
-        // A resumed run checkpointed at the *same* width restores the
-        // recorded placement (it may reflect earlier evictions or
-        // governor moves); any width change re-derives round-robin for
-        // the current device set and lets the governor redistribute.
-        let recorded = restored.as_ref().and_then(|r| r.placement.as_ref());
-        let mut owners: Vec<usize> = match recorded {
-            Some(p)
-                if p.num_gpus == self.num_gpus
-                    && p.owners.len() == plan.shards.len()
-                    && p.owners.iter().all(|&o| (o as usize) < ngpu) =>
-            {
-                p.owners.iter().map(|&o| o as usize).collect()
-            }
-            _ => (0..plan.shards.len()).map(|i| i % ngpu).collect(),
-        };
-
-        // Per-GPU memory governor (plan-level): relieve capped devices by
-        // redistribution first, splitting only as a last resort.
-        let mut metrics = MetricsRegistry::new();
-        govern_placement(
-            &mut metrics,
-            &mut plan,
-            &mut owners,
-            &ctxs,
-            &sizes,
-            layout,
-            &self.observer,
-        )?;
-
-        // Process-kill faults are device-agnostic (the whole process
-        // dies): the earliest armed boundary across all plans wins. I/O
-        // faults target host-side storage, which is shared — the first
-        // plan carrying any drives the single StorageCtx.
-        let kill_at = self
-            .fault_plans
-            .iter()
-            .filter_map(|(_, p)| p.kill_at())
-            .min();
-        let io_plan = self
-            .fault_plans
-            .iter()
-            .find(|(_, p)| p.has_io_faults())
-            .map(|(_, p)| p.clone())
-            .unwrap_or_else(FaultPlan::none);
-        let storage = StorageCtx::new(&io_plan, RecoveryPolicy::default(), self.observer.clone());
-        let fingerprinted =
-            restored.is_some() || !matches!(self.checkpoint_policy, CheckpointPolicy::InMemoryOnly);
-
-        // One host master state serves every device, because vertex state
-        // is replicated. The loop reads its host-kernel, frontier, fusion
-        // and codec settings from the default options the session was
-        // built with; only the checkpoint policy is this engine's own.
-        let opts = Options {
-            checkpoint_policy: self.checkpoint_policy.clone(),
-            ..Options::default()
-        };
-        let bsp = Bsp {
-            program: &self.program,
-            layout,
-            opts: &opts,
-            kill_at,
-            observer: self.observer.clone(),
-            wall: self.wall.clone(),
-        };
-        let mut c = Cluster {
-            layout,
-            plan,
-            sizes,
-            has_gather: self.program.has_gather(),
-            num_gpus: self.num_gpus,
-            ctxs,
-            owners,
-            alive: vec![true; ngpu],
-            evictions: 0,
-            global: SimDuration::ZERO,
-            exchange_bytes: 0,
-            metrics,
-            storage,
-            observer: self.observer.clone(),
-        };
-        let (host, iterations) = bsp.run(&mut c, None, restored)?;
-        for (d, ctx) in c.ctxs.iter().enumerate() {
-            self.observer
-                .snapshot(&format!("gpu{d}"), || ctx.gpu_metrics().snapshot());
-        }
-
-        let metrics = &c.metrics;
+        let (result, report) = self
+            .session
+            .query(&self.program)
+            .with_observer(self.observer.clone())
+            .with_wall_profiler(self.wall.clone())
+            .with_checkpoint_policy(self.checkpoint_policy.clone())
+            .on_devices(self.devices.clone())
+            .run_on(resume_from)?;
+        let s = result.stats;
         let stats = MultiRunStats {
-            num_gpus: self.num_gpus,
-            iterations,
-            elapsed: c.global,
-            per_gpu_memcpy: c.ctxs.iter().map(|c| c.stats().memcpy_busy).collect(),
-            per_gpu_kernel: c.ctxs.iter().map(|c| c.stats().kernel_busy).collect(),
-            exchange_bytes: c.exchange_bytes,
-            num_shards: c.plan.shards.len(),
-            evictions: c.evictions,
-            faults_injected: c.ctxs.iter().map(|c| c.faults_injected()).sum(),
-            mem_pressure_events: metrics.counter(EngineMetric::MemPressure),
-            redistributions: metrics.counter(EngineMetric::Redistributions),
-            shard_splits: metrics.counter(EngineMetric::ShardSplits),
-            checkpoint_writes: metrics.counter(EngineMetric::CheckpointWrites),
-            checkpoint_bytes_written: metrics.counter(EngineMetric::CheckpointBytes),
-            checkpoint_full_bytes: metrics.counter(EngineMetric::CheckpointFullBytes),
-            checkpoint_delta_writes: metrics.counter(EngineMetric::CheckpointDeltaWrites),
-            checkpoint_delta_bytes: metrics.counter(EngineMetric::CheckpointDeltaBytes),
-            checkpoint_restores: metrics.counter(EngineMetric::CheckpointRestores),
-            checkpoints_skipped: metrics.counter(EngineMetric::CheckpointsSkipped),
-            storage_retries: metrics.counter(EngineMetric::StorageRetries),
-            state_fingerprint: fingerprinted
-                .then(|| snapshot::values_fingerprint(&host.vertex_values)),
-            per_iteration: host.iterations,
+            num_gpus: self.devices.len() as u32,
+            iterations: s.iterations,
+            elapsed: s.elapsed,
+            per_gpu_memcpy: report.memcpy,
+            per_gpu_kernel: report.kernel,
+            exchange_bytes: report.exchange_bytes,
+            num_shards: s.num_shards,
+            evictions: report.evictions,
+            faults_injected: s.faults_injected,
+            mem_pressure_events: s.mem_pressure_events,
+            redistributions: report.redistributions,
+            shard_splits: s.shard_splits,
+            checkpoint_writes: s.checkpoint_writes,
+            checkpoint_bytes_written: s.checkpoint_bytes_written,
+            checkpoint_full_bytes: s.checkpoint_full_bytes,
+            checkpoint_delta_writes: s.checkpoint_delta_writes,
+            checkpoint_delta_bytes: s.checkpoint_delta_bytes,
+            checkpoint_restores: s.checkpoint_restores,
+            checkpoints_skipped: s.checkpoints_skipped,
+            storage_retries: s.storage_retries,
+            state_fingerprint: s.state_fingerprint,
+            per_iteration: s.per_iteration,
         };
         Ok(MultiRunResult {
-            vertex_values: host.vertex_values,
-            edge_values: host.edge_values,
+            vertex_values: result.vertex_values,
+            edge_values: result.edge_values,
             stats,
         })
-    }
-}
-
-/// Relieve per-GPU memory pressure at plan time. A device is pressured
-/// when its replicated static buffers plus `K` slots of its largest owned
-/// shard exceed its (possibly capped) pool. Escalation per offending
-/// shard: move it to the least-loaded device with headroom for it
-/// ([`Decision::MemoryPressure`] `response: "redistribute"`), else split
-/// it ([`Decision::ShardSplit`]); a shard that cannot shrink below any
-/// device's budget surfaces [`EngineError::Alloc`]. Runs to a fixed
-/// point: redistribution strictly shrinks the offender's footprint and
-/// splits strictly shrink shards, so the loop terminates. Every response
-/// is counted in `metrics`, the cluster's engine registry.
-fn govern_placement(
-    metrics: &mut MetricsRegistry<EngineMetric>,
-    plan: &mut PartitionPlan,
-    owners: &mut Vec<usize>,
-    ctxs: &[DeviceCtx],
-    sizes: &SizeModel,
-    layout: &GraphLayout,
-    observer: &Observer,
-) -> Result<(), EngineError> {
-    let ngpu = ctxs.len();
-    let k = plan.concurrent.max(1) as u64;
-    let budgets: Vec<u64> = ctxs
-        .iter()
-        .map(|c| c.mem_capacity().saturating_sub(plan.static_bytes))
-        .collect();
-    // The static buffers are replicated on every device; a device that
-    // cannot even hold those cannot participate at all.
-    for c in ctxs.iter() {
-        let capacity = c.mem_capacity();
-        if plan.static_bytes > capacity {
-            return Err(EngineError::Alloc(OutOfMemory {
-                requested: plan.static_bytes,
-                available: capacity,
-                capacity,
-            }));
-        }
-    }
-    if budgets.iter().all(|&b| k * plan.max_shard_bytes <= b) {
-        return Ok(()); // every device fits the optimistic plan: no decisions
-    }
-    let mut split_any = false;
-    loop {
-        // Per-device load (total owned bytes) and worst owned shard.
-        let mut load = vec![0u64; ngpu];
-        let mut worst: Vec<u64> = vec![0; ngpu];
-        for (i, sh) in plan.shards.iter().enumerate() {
-            let b = sizes.shard_bytes(sh);
-            load[owners[i]] += b;
-            worst[owners[i]] = worst[owners[i]].max(b);
-        }
-        let Some(d) = (0..ngpu).find(|&d| k * worst[d] > budgets[d]) else {
-            break;
-        };
-        let (idx, bytes) = plan
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|&(i, _)| owners[i] == d)
-            .map(|(i, s)| (i, sizes.shard_bytes(s)))
-            .max_by_key(|&(_, b)| b)
-            .expect("a pressured device owns at least one shard");
-        // Rung 1: redistribute to the least-loaded device that can take
-        // the shard whole alongside what it already owns.
-        let target = (0..ngpu)
-            .filter(|&t| t != d && k * bytes.max(worst[t]) <= budgets[t])
-            .min_by_key(|&t| load[t]);
-        if let Some(t) = target {
-            owners[idx] = t;
-            metrics.inc(EngineMetric::MemPressure, 1);
-            metrics.inc(EngineMetric::Redistributions, 1);
-            let (requested, available, capacity) = (k * bytes, budgets[d], ctxs[d].mem_capacity());
-            observer.decision(|| Decision::MemoryPressure {
-                device: d as u32,
-                requested,
-                available,
-                capacity,
-                response: "redistribute",
-                scope: "device",
-            });
-            continue;
-        }
-        // Rung 2: split the shard in place (both halves stay with `d`;
-        // the next pass may redistribute one of them).
-        let shard = plan.shards[idx].clone();
-        let halves = split_shard(layout, &shard)
-            .filter(|(a, b)| sizes.shard_bytes(a).max(sizes.shard_bytes(b)) < bytes);
-        let Some((left, right)) = halves else {
-            return Err(EngineError::Alloc(OutOfMemory {
-                requested: k * bytes,
-                available: budgets[d],
-                capacity: ctxs[d].mem_capacity(),
-            }));
-        };
-        metrics.inc(EngineMetric::ShardSplits, 1);
-        let vertices = shard.num_vertices();
-        observer.decision(|| Decision::ShardSplit {
-            shard: idx as u32,
-            vertices,
-            bytes,
-        });
-        plan.shards.splice(idx..=idx, [left, right]);
-        owners.insert(idx + 1, d);
-        split_any = true;
-    }
-    if split_any {
-        for (i, sh) in plan.shards.iter_mut().enumerate() {
-            sh.id = i;
-        }
-        plan.max_shard_bytes = plan
-            .shards
-            .iter()
-            .map(|s| sizes.shard_bytes(s))
-            .max()
-            .unwrap_or(0);
-    }
-    Ok(())
-}
-
-/// The multi-GPU timeline: shard owners and device liveness, BSP
-/// barriers on a stage-aligned global clock, the cross-device exchange,
-/// and eviction after a device loss.
-struct Cluster<'g> {
-    layout: &'g GraphLayout,
-    plan: PartitionPlan,
-    sizes: SizeModel,
-    has_gather: bool,
-    num_gpus: u32,
-    ctxs: Vec<DeviceCtx>,
-    owners: Vec<usize>,
-    alive: Vec<bool>,
-    evictions: u32,
-    global: SimDuration,
-    /// Committed only when an iteration completes, so replays never
-    /// double-count.
-    exchange_bytes: u64,
-    /// Orchestrator-level registry: governor responses, rollbacks,
-    /// frontier observations, and the durable writer's and storage
-    /// plane's counters. Never snapshotted.
-    metrics: MetricsRegistry<EngineMetric>,
-    storage: StorageCtx,
-    observer: Observer,
-}
-
-impl Timeline for Cluster<'_> {
-    const TRACK: &'static str = "multi";
-
-    fn host_view(&self) -> (TopoView<'_>, &[Shard]) {
-        (TopoView::raw(self.layout), &self.plan.shards)
-    }
-
-    fn io(&mut self) -> (&mut MetricsRegistry<EngineMetric>, &mut StorageCtx) {
-        (&mut self.metrics, &mut self.storage)
-    }
-
-    fn now_ns(&self) -> u64 {
-        self.global.as_nanos()
-    }
-
-    /// Static buffers replicated per device.
-    fn init(&mut self) -> Result<(), Abort> {
-        let vbytes = self.layout.num_vertices() as u64 * self.sizes.vertex_value;
-        for (d, c) in self.ctxs.iter_mut().enumerate() {
-            if self.alive[d] {
-                let s = c.main_streams[0];
-                c.h2d(s, vbytes, "multi.init.vertices", 0)?;
-            }
-        }
-        barrier_observed(&mut self.ctxs, &mut self.global, "init", &self.observer);
-        Ok(())
-    }
-
-    /// Gather/apply/activate stages on each shard's owner plus the
-    /// cross-device exchange, every op routed through the shared
-    /// [`DeviceCtx`] fault-retry path.
-    fn iteration(&mut self, iter: u32, work: &[ShardWork], changed: &Bitmap) -> Result<(), Abort> {
-        let (ctxs, owners, sizes) = (&mut self.ctxs, &self.owners, &self.sizes);
-        let shards = &self.plan.shards;
-        let (global, observer) = (&mut self.global, &self.observer);
-        // Stage A: gather on each shard's owner device.
-        if self.has_gather {
-            for (i, sh) in shards.iter().enumerate() {
-                if !work[i].is_active() {
-                    continue;
-                }
-                let d = owners[i];
-                let stream = ctxs[d].main_streams[i % ctxs[d].main_streams.len()];
-                let bytes = sh.num_in_edges() * sizes.in_edge_bytes();
-                ctxs[d].h2d(stream, bytes, "multi.in-edges", iter)?;
-                let spec = gather_map_spec(sizes, &work[i], "multi.gather");
-                ctxs[d].launch(stream, &spec, iter)?;
-            }
-            barrier_observed(ctxs, global, "gather", observer);
-        }
-        // Stage B: apply on owners.
-        for (i, w) in work.iter().enumerate() {
-            if !w.is_active() {
-                continue;
-            }
-            let d = owners[i];
-            let stream = ctxs[d].main_streams[i % ctxs[d].main_streams.len()];
-            let spec = apply_kernel_spec(sizes, w, "multi.apply");
-            ctxs[d].launch(stream, &spec, iter)?;
-        }
-        barrier_observed(ctxs, global, "apply", observer);
-        // Stage C: scatter/activate on owners, then cross-device exchange
-        // of changed vertex values + activation bits.
-        for (i, sh) in shards.iter().enumerate() {
-            if work[i].out_edges_of_changed == 0 {
-                continue;
-            }
-            let d = owners[i];
-            let stream = ctxs[d].main_streams[i % ctxs[d].main_streams.len()];
-            let bytes = sh.num_out_edges() * sizes.out_edge_bytes();
-            ctxs[d].h2d(stream, bytes, "multi.out-edges", iter)?;
-            let spec = activate_kernel_spec(sizes, &work[i], "multi.activate");
-            ctxs[d].launch(stream, &spec, iter)?;
-        }
-        // Exchange: each owner downloads its changed values; every live
-        // device uploads the union of the *other* owners' changes.
-        let mut changed_per_gpu = vec![0u64; ctxs.len()];
-        for (i, sh) in shards.iter().enumerate() {
-            changed_per_gpu[owners[i]] += changed.count_range(sh.interval.start, sh.interval.end);
-        }
-        let total_changed: u64 = changed_per_gpu.iter().sum();
-        let live: Vec<usize> = (0..ctxs.len()).filter(|&d| self.alive[d]).collect();
-        let mut exchanged = 0u64;
-        if live.len() > 1 {
-            for &d in &live {
-                let s = ctxs[d].main_streams[0];
-                let down = changed_per_gpu[d] * (sizes.vertex_value + 4);
-                let up = (total_changed - changed_per_gpu[d]) * (sizes.vertex_value + 4);
-                if down > 0 {
-                    ctxs[d].d2h(s, down, "multi.exchange.down", iter)?;
-                    exchanged += down;
-                }
-                if up > 0 {
-                    ctxs[d].h2d(s, up, "multi.exchange.up", iter)?;
-                    exchanged += up;
-                }
-            }
-        } else {
-            let d = live[0];
-            let s = ctxs[d].main_streams[0];
-            let bits: u64 = total_changed.div_ceil(8);
-            ctxs[d].d2h(s, bits, "multi.frontier.bits", iter)?;
-        }
-        barrier_observed(ctxs, global, "exchange", observer);
-        self.exchange_bytes += exchanged;
-        Ok(())
-    }
-
-    /// Final download from owners.
-    fn finalize(&mut self, iter: u32) -> Result<(), Abort> {
-        for d in 0..self.ctxs.len() {
-            if !self.alive[d] {
-                continue;
-            }
-            let owned: u64 = self
-                .plan
-                .shards
-                .iter()
-                .zip(&self.owners)
-                .filter(|&(_, &o)| o == d)
-                .map(|(sh, _)| sh.num_vertices())
-                .sum();
-            let s = self.ctxs[d].main_streams[0];
-            let bytes = owned * self.sizes.vertex_value;
-            self.ctxs[d].d2h(s, bytes, "multi.final", iter)?;
-        }
-        barrier_observed(&mut self.ctxs, &mut self.global, "final", &self.observer);
-        Ok(())
-    }
-
-    /// Device loss evicts the device and redistributes its shards
-    /// round-robin over the survivors (logged as
-    /// [`Decision::DeviceEvict`]); losing the last device fails the run.
-    fn recover(&mut self, a: &Abort, iter: u32) -> Result<(), EngineError> {
-        // Settle partial work: the doomed attempt's time stays on the
-        // clock.
-        self.global += barrier(&mut self.ctxs);
-        if !matches!(a.fault, DeviceFault::Lost) {
-            return Ok(());
-        }
-        self.alive[a.device] = false;
-        let survivors: Vec<usize> = (0..self.alive.len()).filter(|&d| self.alive[d]).collect();
-        if survivors.is_empty() {
-            return Err(EngineError::DeviceLost);
-        }
-        let mut moved = 0u32;
-        for o in self.owners.iter_mut() {
-            if *o == a.device {
-                *o = survivors[moved as usize % survivors.len()];
-                moved += 1;
-            }
-        }
-        self.evictions += 1;
-        let device = a.device as u32;
-        self.observer.decision(|| Decision::DeviceEvict {
-            iteration: iter,
-            device,
-            shards_moved: moved,
-        });
-        Ok(())
-    }
-
-    fn placement(&self) -> Option<(u32, &[usize])> {
-        Some((self.num_gpus, &self.owners))
     }
 }
 
@@ -774,7 +337,7 @@ impl Timeline for Cluster<'_> {
 mod tests {
     use super::*;
     use crate::engine::GraphReduce;
-    use crate::options::Options;
+    use crate::sizes::{PartitionPlan, SizeModel};
     use crate::testprog::Cc;
     use gr_graph::gen;
 
@@ -782,17 +345,23 @@ mod tests {
         GraphLayout::build(&gen::rmat_g500(11, 30_000, 17).symmetrize())
     }
 
+    fn plat() -> Platform {
+        Platform::paper_node_scaled(1 << 14)
+    }
+
+    /// CC on `n` devices of the out-of-core platform.
+    fn cc(l: &GraphLayout, n: u32) -> MultiGraphReduce<'_, Cc> {
+        MultiGraphReduce::new(Cc, l, plat(), n)
+    }
+
     #[test]
     fn multi_gpu_matches_single_device_results() {
         let l = layout();
-        let plat = Platform::paper_node_scaled(1 << 14);
-        let single = GraphReduce::new(Cc, &l, plat.clone(), Options::optimized())
+        let single = GraphReduce::new(Cc, &l, plat(), Options::optimized())
             .run()
             .unwrap();
         for n in [1u32, 2, 4] {
-            let multi = MultiGraphReduce::new(Cc, &l, plat.clone(), n)
-                .run()
-                .unwrap();
+            let multi = cc(&l, n).run().unwrap();
             assert_eq!(multi.vertex_values, single.vertex_values, "{n} GPUs");
             assert_eq!(multi.stats.num_gpus, n);
             assert_eq!(multi.stats.per_gpu_memcpy.len(), n as usize);
@@ -835,22 +404,14 @@ mod tests {
     #[test]
     fn observer_tags_devices_and_marks_barriers() {
         let l = layout();
-        let plat = Platform::paper_node_scaled(1 << 14);
         let (obs, sink) = Observer::recording();
-        let res = MultiGraphReduce::new(Cc, &l, plat, 2)
-            .with_observer(obs)
-            .run()
-            .unwrap();
+        let res = cc(&l, 2).with_observer(obs).run().unwrap();
         let rec = sink.recorded();
         // Every device's sim lanes carry its tag.
-        assert!(rec
-            .spans
-            .iter()
-            .any(|s| s.track == "sim" && s.lane.starts_with("gpu0/")));
-        assert!(rec
-            .spans
-            .iter()
-            .any(|s| s.track == "sim" && s.lane.starts_with("gpu1/")));
+        for tag in ["gpu0/", "gpu1/"] {
+            let tagged = |s: &&gr_observe::SpanEvent| s.track == "sim" && s.lane.starts_with(tag);
+            assert!(rec.spans.iter().any(|s| tagged(&s)), "{tag}");
+        }
         // BSP barriers and iteration windows land on the multi track.
         let barriers = rec
             .instants
@@ -877,26 +438,16 @@ mod tests {
 
     /// Plan the same partition the multi runner uses so tests can derive
     /// caps relative to the real static/shard footprints.
-    fn reference_plan(l: &GraphLayout, plat: &Platform) -> PartitionPlan {
-        let sizes = SizeModel {
-            vertex_value: 4,
-            gather: 4,
-            edge_value: 0,
-            has_gather: true,
-            has_scatter: false,
-        };
+    fn reference_plan(l: &GraphLayout) -> PartitionPlan {
+        let (sizes, plat) = (SizeModel::for_program(&Cc), plat());
         crate::sizes::plan_partition(l, &sizes, &plat.device, &plat.pcie, 2, None).unwrap()
     }
 
     #[test]
     fn uncapped_multi_run_makes_no_governor_decisions() {
         let l = layout();
-        let plat = Platform::paper_node_scaled(1 << 14);
         let (obs, sink) = Observer::recording();
-        let res = MultiGraphReduce::new(Cc, &l, plat, 2)
-            .with_observer(obs)
-            .run()
-            .unwrap();
+        let res = cc(&l, 2).with_observer(obs).run().unwrap();
         assert_eq!(res.stats.mem_pressure_events, 0);
         assert_eq!(res.stats.redistributions, 0);
         assert_eq!(res.stats.shard_splits, 0);
@@ -906,16 +457,13 @@ mod tests {
     #[test]
     fn capped_device_redistributes_before_splitting() {
         let l = layout();
-        let plat = Platform::paper_node_scaled(1 << 14);
-        let plan = reference_plan(&l, &plat);
-        let baseline = MultiGraphReduce::new(Cc, &l, plat.clone(), 2)
-            .run()
-            .unwrap();
+        let plan = reference_plan(&l);
+        let baseline = cc(&l, 2).run().unwrap();
         // Device 0 can hold its static buffers but not a single shard
         // slot: everything it owned must move to device 1, which has
         // full headroom. No splits are needed.
         let (obs, sink) = Observer::recording();
-        let capped = MultiGraphReduce::new(Cc, &l, plat, 2)
+        let capped = cc(&l, 2)
             .with_mem_cap(0, plan.static_bytes + 1)
             .with_observer(obs)
             .run()
@@ -936,19 +484,13 @@ mod tests {
     #[test]
     fn capped_device_splits_when_no_peer_has_headroom() {
         let l = layout();
-        let plat = Platform::paper_node_scaled(1 << 14);
-        let plan = reference_plan(&l, &plat);
-        let baseline = MultiGraphReduce::new(Cc, &l, plat.clone(), 1)
-            .run()
-            .unwrap();
-        // A single device just below the plan's requirement has nowhere
-        // to redistribute: the largest shard must split.
-        let k = plan.concurrent.max(1) as u64;
-        let cap = plan.static_bytes + k * plan.max_shard_bytes - 1;
-        let capped = MultiGraphReduce::new(Cc, &l, plat, 1)
-            .with_mem_cap(0, cap)
-            .run()
-            .unwrap();
+        let plan = reference_plan(&l);
+        let baseline = cc(&l, 1).run().unwrap();
+        // A single device just below one slot of the largest shard has
+        // nowhere to redistribute, and even one shard in flight does not
+        // fit: concurrency drops to 1, then the largest shard must split.
+        let cap = plan.static_bytes + plan.max_shard_bytes - 1;
+        let capped = cc(&l, 1).with_mem_cap(0, cap).run().unwrap();
         assert_eq!(capped.vertex_values, baseline.vertex_values);
         assert!(capped.stats.shard_splits > 0);
         assert_eq!(capped.stats.redistributions, 0);
@@ -957,11 +499,8 @@ mod tests {
     #[test]
     fn cap_below_static_footprint_is_a_clean_alloc_error() {
         let l = layout();
-        let plat = Platform::paper_node_scaled(1 << 14);
-        let plan = reference_plan(&l, &plat);
-        let res = MultiGraphReduce::new(Cc, &l, plat, 2)
-            .with_mem_cap(1, plan.static_bytes - 1)
-            .run();
+        let plan = reference_plan(&l);
+        let res = cc(&l, 2).with_mem_cap(1, plan.static_bytes - 1).run();
         match res {
             Err(EngineError::Alloc(_)) => {}
             Err(other) => panic!("expected Alloc, got {other:?}"),
@@ -972,19 +511,17 @@ mod tests {
     #[test]
     fn iteration_counts_match_single_device() {
         let l = layout();
-        let plat = Platform::paper_node_scaled(1 << 14);
-        let single = GraphReduce::new(Cc, &l, plat.clone(), Options::optimized())
+        let single = GraphReduce::new(Cc, &l, plat(), Options::optimized())
             .run()
             .unwrap();
-        let multi = MultiGraphReduce::new(Cc, &l, plat, 3).run().unwrap();
+        let multi = cc(&l, 3).run().unwrap();
         assert_eq!(multi.stats.iterations, single.stats.iterations);
-        let s: Vec<u64> = single.stats.frontier_sizes();
         let m: Vec<u64> = multi
             .stats
             .per_iteration
             .iter()
             .map(|i| i.frontier_size)
             .collect();
-        assert_eq!(s, m);
+        assert_eq!(single.stats.frontier_sizes(), m);
     }
 }

@@ -5,10 +5,11 @@
 //! about them. Transient faults are retried per-op with capped exponential
 //! backoff (charged as simulated time, so recovery is visible in traces);
 //! exhausted retries replay the stage's device timeline over host results
-//! computed once; a permanently lost device either falls back to the host CPU
-//! (single-GPU engine) or is evicted with its shards redistributed
-//! (multi-GPU engine). Every decision lands in the observer's decision log
-//! — one entry per injected fault.
+//! computed once; a permanently lost device is evicted with its shards
+//! redistributed while others survive, and after the last one the run
+//! falls back to the host CPU (or fails, when the policy forbids it).
+//! Every decision lands in the observer's decision log — one entry per
+//! injected fault.
 
 use std::fmt;
 
@@ -27,10 +28,12 @@ pub struct RecoveryPolicy {
     pub base_backoff: SimDuration,
     /// Upper bound on a single backoff stall.
     pub max_backoff: SimDuration,
-    /// On permanent device loss, charge the interrupted iteration and
-    /// every later one on the host CPU instead of failing the run (the
-    /// host already computed their results). Single-GPU engine only; the
-    /// multi-GPU engine redistributes shards to surviving devices.
+    /// On permanent loss of the last device, charge the interrupted
+    /// iteration and every later one on the host CPU instead of failing
+    /// the run (the host already computed their results); also lets the
+    /// memory governor degrade shards or the whole run to the host. While
+    /// devices survive, a lost one's shards are redistributed instead.
+    /// The multi-GPU engine runs with this off.
     pub host_fallback: bool,
 }
 

@@ -7,7 +7,7 @@
 //! every query), and a partition-plan cache keyed by the program's
 //! [`SizeModel`] — `plan_partition` is a pure function of
 //! `(layout, sizes, device, session options)`, so two queries with the
-//! same byte model reuse one plan.
+//! same byte model reuse one plan, on one device or several.
 //!
 //! Everything whose lifetime is *one query* lives in [`Query`]: the
 //! algorithm program borrow, warm/restored host state, the observer and
@@ -17,7 +17,8 @@
 //! observer lane, which keeps decision logs and [`crate::RunStats`] bit-identical
 //! to the pre-session engine (see `docs/SERVING.md`).
 //!
-//! [`GraphReduce`](crate::GraphReduce) is a thin compatibility facade over
+//! [`GraphReduce`](crate::GraphReduce) and
+//! [`MultiGraphReduce`](crate::MultiGraphReduce) are thin facades over
 //! `GraphSession::new(..).query(..)`; the serving layer (`gr-serve`)
 //! multiplexes many concurrent queries over one session.
 
@@ -25,11 +26,12 @@ use std::sync::{Arc, Mutex};
 
 use gr_graph::GraphLayout;
 use gr_observe::{Observer, WallProfiler};
-use gr_sim::Platform;
+use gr_sim::{Platform, SimDuration};
 
 use crate::api::GasProgram;
 use crate::engine::RunResult;
 use crate::exec::compress::ShardCompression;
+use crate::exec::device::DeviceSpec;
 use crate::exec::driver::Runner;
 use crate::options::Options;
 use crate::recovery::EngineError;
@@ -79,6 +81,15 @@ impl<P: GasProgram> WarmStart<P> {
     }
 }
 
+/// What a query reports per device beyond [`crate::RunStats`].
+pub(crate) struct DeviceReport {
+    pub(crate) memcpy: Vec<SimDuration>,
+    pub(crate) kernel: Vec<SimDuration>,
+    pub(crate) exchange_bytes: u64,
+    pub(crate) evictions: u32,
+    pub(crate) redistributions: u64,
+}
+
 /// Reject a cold start whose program seeds a vertex past the last one of
 /// an `n`-vertex graph — the same hazard [`WarmStart::check`] guards.
 pub(crate) fn check_seeds<P: GasProgram>(program: &P, n: u32) -> Result<(), EngineError> {
@@ -92,11 +103,6 @@ pub(crate) fn check_seeds<P: GasProgram>(program: &P, n: u32) -> Result<(), Engi
     }
 }
 
-/// Plan-cache key: the byte model plus the planner inputs that can differ
-/// between the single-device path (session options) and the multi-GPU
-/// facade (fixed `K = 2`, organic shard count).
-type PlanKey = (SizeModel, u32, Option<usize>);
-
 /// Build-once, query-many handle to one graph on one platform.
 ///
 /// Construction pays the graph-lifetime costs up front — notably the
@@ -109,7 +115,7 @@ pub struct GraphSession<'g> {
     platform: Platform,
     opts: Options,
     comp: Option<Arc<ShardCompression>>,
-    plans: Mutex<Vec<(PlanKey, PartitionPlan)>>,
+    plans: Mutex<Vec<(SizeModel, PartitionPlan)>>,
 }
 
 impl<'g> GraphSession<'g> {
@@ -159,27 +165,7 @@ impl<'g> GraphSession<'g> {
     /// first use and cached: `plan_partition` is pure and every input
     /// besides `sizes` is session-constant.
     pub fn partition_plan(&self, sizes: &SizeModel) -> Result<PartitionPlan, PlanError> {
-        self.plan_cached(sizes, self.opts.concurrent_shards, self.opts.num_shards)
-    }
-
-    /// The multi-GPU orchestrator's plan shape: per-device concurrency 2,
-    /// organic shard count (what [`crate::multi::MultiGraphReduce`] has
-    /// always planned with).
-    pub(crate) fn multi_partition_plan(
-        &self,
-        sizes: &SizeModel,
-    ) -> Result<PartitionPlan, PlanError> {
-        self.plan_cached(sizes, 2, None)
-    }
-
-    fn plan_cached(
-        &self,
-        sizes: &SizeModel,
-        requested_k: u32,
-        override_p: Option<usize>,
-    ) -> Result<PartitionPlan, PlanError> {
-        let key = (*sizes, requested_k, override_p);
-        if let Some((_, plan)) = self.plans.lock().unwrap().iter().find(|(k, _)| *k == key) {
+        if let Some((_, plan)) = self.plans.lock().unwrap().iter().find(|(k, _)| k == sizes) {
             return Ok(plan.clone());
         }
         let plan = crate::sizes::plan_partition(
@@ -187,10 +173,10 @@ impl<'g> GraphSession<'g> {
             sizes,
             &self.platform.device,
             &self.platform.pcie,
-            requested_k,
-            override_p,
+            self.opts.concurrent_shards,
+            self.opts.num_shards,
         )?;
-        self.plans.lock().unwrap().push((key, plan.clone()));
+        self.plans.lock().unwrap().push((*sizes, plan.clone()));
         Ok(plan)
     }
 
@@ -205,6 +191,7 @@ impl<'g> GraphSession<'g> {
             wall: WallProfiler::disarmed(),
             warm: None,
             lane: None,
+            devices: Vec::new(),
         }
     }
 }
@@ -220,6 +207,8 @@ pub struct Query<'q, 'g, P: GasProgram> {
     wall: WallProfiler,
     warm: Option<WarmStart<P>>,
     lane: Option<String>,
+    // Empty: one device, from the options' fault plan and memory cap.
+    devices: Vec<DeviceSpec>,
 }
 
 impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
@@ -257,34 +246,57 @@ impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
         self
     }
 
+    /// Run on these devices instead of the one the options describe.
+    pub(crate) fn on_devices(mut self, devices: Vec<DeviceSpec>) -> Self {
+        self.devices = devices;
+        self
+    }
+
     /// Execute to convergence; returns final state and statistics.
     pub fn run(self) -> Result<RunResult<P>, EngineError> {
-        self.run_inner(None)
+        self.run_on(None).map(|(result, _)| result)
     }
 
     /// Resume a killed or interrupted run from the newest intact durable
     /// snapshot in `dir` — same contract as
     /// [`GraphReduce::resume`](crate::GraphReduce::resume).
     pub fn resume(self, dir: impl AsRef<std::path::Path>) -> Result<RunResult<P>, EngineError> {
-        let fp = crate::snapshot::fingerprint_for(self.program, self.session.layout);
-        let restored = crate::snapshot_delta::load_newest::<P>(dir.as_ref(), &fp)?;
-        self.run_inner(Some(restored))
+        self.run_on(Some(dir.as_ref())).map(|(result, _)| result)
     }
 
-    fn run_inner(
+    /// Execute to convergence, resuming from the newest intact snapshot in
+    /// `resume_from` when given, and report per-device figures too.
+    pub(crate) fn run_on(
         self,
-        restored: Option<crate::snapshot_delta::RestoredFromDisk<P>>,
-    ) -> Result<RunResult<P>, EngineError> {
-        let n = self.session.layout.num_vertices();
+        resume_from: Option<&std::path::Path>,
+    ) -> Result<(RunResult<P>, DeviceReport), EngineError> {
+        let layout = self.session.layout;
+        let restored = match resume_from {
+            Some(dir) => {
+                let fp = crate::snapshot::fingerprint_for(self.program, layout);
+                Some(crate::snapshot_delta::load_newest::<P>(dir, &fp)?)
+            }
+            None => None,
+        };
+        let n = layout.num_vertices();
         match &self.warm {
             Some(w) => w.check(n)?,
             None => check_seeds(self.program, n)?,
         }
         let sizes = SizeModel::for_program(self.program);
         let plan = self.session.partition_plan(&sizes)?;
+        let devices = if self.devices.is_empty() {
+            vec![DeviceSpec {
+                fault_plan: self.opts.fault_plan.clone(),
+                mem_cap: self.opts.mem_cap,
+                lane: self.lane,
+            }]
+        } else {
+            self.devices
+        };
         Runner::new(
             self.program,
-            self.session.layout,
+            layout,
             &self.session.platform,
             &self.opts,
             sizes,
@@ -292,7 +304,8 @@ impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
             self.observer,
             self.wall,
             self.session.compression(),
-            self.lane,
+            devices,
+            restored.as_ref().and_then(|r| r.placement.as_ref()),
         )?
         .run(self.warm, restored)
     }

@@ -330,17 +330,19 @@ fn faulted_multi_gpu_timelines_are_pinned() {
         (
             1,
             FaultPlan::none().fail_h2d(0, 1).fail_d2h(2, 1),
-            (2_770_614, 41_184, 0),
+            (2_979_211, 41_184, 0),
         ),
         (
             0,
             FaultPlan::profile("device-loss", 0).unwrap(),
-            (3_842_917, 40_960, 1),
+            (4_147_879, 40_960, 1),
         ),
     ];
     for (device, plan, pinned) in cases {
+        let (obs, sink) = Observer::recording();
         let s = MultiGraphReduce::new(Cc, &l, plat.clone(), 2)
             .with_fault_plan(device, plan)
+            .with_observer(obs)
             .run()
             .unwrap()
             .stats;
@@ -349,6 +351,17 @@ fn faulted_multi_gpu_timelines_are_pinned() {
             pinned,
             "fault on device {device}"
         );
+        // The `engine` snapshot sums every device's registry, so retries
+        // on device 1 are counted there too.
+        let rec = sink.recorded();
+        let (_, engine) = rec.snapshots.iter().find(|(n, _)| n == "engine").unwrap();
+        let retries = rec
+            .decisions
+            .iter()
+            .filter(|d| matches!(d, Decision::FaultRetry { .. }))
+            .count() as u64;
+        assert_eq!(engine.counter("engine.fault_retries"), retries);
+        assert!(device == 0 || retries > 0, "device 1's faults are retried");
     }
 }
 
@@ -653,6 +666,57 @@ fn impossible_cap_without_host_fallback_is_a_clean_alloc_error() {
             Ok(_) => panic!("cap {cap}: must not fit without host fallback"),
         }
     }
+}
+
+/// Both devices of a 2-GPU run capped below one slot of their largest
+/// shard: no peer has headroom to redistribute to, so the ladder goes on
+/// to reduce concurrency and split shards on each device — values
+/// bit-identical, one decision per response.
+#[test]
+fn two_capped_gpus_descend_the_ladder_past_redistribution() {
+    let l = multi_layout();
+    // Two slots of many shards: both rungs past redistribution apply.
+    let plat = Platform::paper_node_scaled(1 << 13);
+    let sizes = SizeModel::for_program(&Cc);
+    let plan = plan_partition(&l, &sizes, &plat.device, &plat.pcie, 2, None).unwrap();
+    assert_eq!((plan.concurrent, plan.shards.len()), (2, 20));
+    let cap = plan.static_bytes + plan.max_shard_bytes - 1;
+    let want = MultiGraphReduce::new(Cc, &l, plat.clone(), 2)
+        .run()
+        .unwrap();
+    let (obs, sink) = Observer::recording();
+    let got = MultiGraphReduce::new(Cc, &l, plat, 2)
+        .with_mem_cap(0, cap)
+        .with_mem_cap(1, cap)
+        .with_observer(obs)
+        .run()
+        .unwrap();
+    assert_eq!(got.vertex_values, want.vertex_values);
+    let (s, rec) = (&got.stats, sink.recorded());
+    assert_eq!(s.redistributions, 0, "no peer has headroom");
+    assert!(s.shard_splits > 0, "the largest shards must split");
+    let count = |f: fn(&Decision) -> bool| rec.decisions.iter().filter(|d| f(d)).count() as u64;
+    let reduced = count(|d| {
+        matches!(
+            d,
+            Decision::MemoryPressure {
+                response: "reduce-concurrency",
+                ..
+            }
+        )
+    });
+    assert_eq!(reduced, 1, "concurrency drops once, for both devices");
+    assert_eq!(s.mem_pressure_events, reduced);
+    assert_eq!(
+        count(|d| matches!(d, Decision::ShardSplit { .. })),
+        s.shard_splits
+    );
+    let chunked = count(|d| matches!(d, Decision::ChunkedXfer { .. }));
+    assert_eq!(
+        rec.memory_decisions() as u64,
+        s.mem_pressure_events + s.shard_splits + chunked,
+        "one decision per response"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
-//! Single/multi execution parity: a 1-GPU `MultiGraphReduce` run goes
-//! through the same BSP loop as the single-GPU engine (`exec::bsp`:
-//! host results, rollback bookkeeping) and the same shared layers —
-//! device ops through `exec::device::DeviceCtx`, kernel pricing from
-//! `exec::compute`. Only the device timelines differ, so these tests pin
-//! them as observable behavior: identical results, iteration traces,
-//! skip/fusion/elimination decision logs, governor silence when
-//! uncapped, and — for identical fault schedules — identical recovery
-//! decisions and identical simulated recovery time on both paths.
+//! Single/multi execution parity by construction: `MultiGraphReduce` on
+//! one device runs the same `Query` and the same device timeline
+//! (`exec/driver.rs`) as `GraphReduce` with `Options::optimized()`, so
+//! the two must agree on everything observable — vertex and edge values,
+//! the per-iteration trace, simulated elapsed and busy time, every device
+//! op (label, start, duration), every metrics snapshot and the full
+//! decision log — fault-free, under retried and rolled-back H2D faults,
+//! and with a capped device the governor splits shards for.
 
 use gr_graph::{gen, GraphLayout};
 use gr_observe::{Decision, Observer, Recorded};
-use gr_sim::{Platform, SimDuration};
+use gr_sim::Platform;
 use graphreduce::testprog::{Bfs, Cc};
-use graphreduce::{FaultPlan, GraphReduce, MultiGraphReduce, Options};
+use graphreduce::{
+    plan_partition, FaultPlan, GasProgram, GraphReduce, MultiGraphReduce, Options, RunResult,
+    SizeModel,
+};
 
 fn layout() -> GraphLayout {
     GraphLayout::build(&gen::rmat_g500(11, 30_000, 17).symmetrize())
@@ -23,249 +25,179 @@ fn platform() -> Platform {
     Platform::paper_node_scaled(1 << 14)
 }
 
-fn shard_skips(rec: &Recorded) -> Vec<(u32, u32, u64, u64)> {
-    rec.decisions
+/// Every recorded span as (track, lane, name, start, duration), with the
+/// multi engine's `gpu0/` lane prefix dropped.
+fn spans(rec: &Recorded) -> Vec<(&'static str, String, String, u64, u64)> {
+    rec.spans
         .iter()
-        .filter_map(|d| match d {
-            Decision::ShardSkip {
-                iteration,
-                shard,
-                interval_bits,
-                active_bits,
-            } => Some((*iteration, *shard, *interval_bits, *active_bits)),
-            _ => None,
-        })
-        .collect()
-}
-
-fn plan_decisions(rec: &Recorded) -> Vec<Decision> {
-    rec.decisions
-        .iter()
-        .filter(|d| {
-            matches!(
-                d,
-                Decision::PhaseFusion { .. } | Decision::PhaseElimination { .. }
+        .map(|s| {
+            let lane = s.lane.strip_prefix("gpu0/").unwrap_or(&s.lane);
+            (
+                s.track,
+                lane.to_string(),
+                s.name.clone(),
+                s.start_ns,
+                s.dur_ns,
             )
         })
-        .cloned()
         .collect()
 }
 
-/// `FaultRetry` with the op label erased: both paths must charge the same
-/// backoff schedule even though the faulted op is named differently
-/// (`init.vertices` vs `multi.init.vertices`).
-fn retries_modulo_op(rec: &Recorded) -> Vec<(u32, u32, &'static str, u32, u64)> {
-    rec.decisions
-        .iter()
-        .filter_map(|d| match d {
-            Decision::FaultRetry {
-                iteration,
-                device,
-                fault,
-                attempt,
-                backoff_ns,
-                ..
-            } => Some((*iteration, *device, *fault, *attempt, *backoff_ns)),
-            _ => None,
-        })
-        .collect()
-}
-
-fn rollbacks_modulo_op(rec: &Recorded) -> Vec<(u32, u32, &'static str)> {
-    rec.decisions
-        .iter()
-        .filter_map(|d| match d {
-            Decision::Rollback {
-                iteration,
-                device,
-                fault,
-                ..
-            } => Some((*iteration, *device, *fault)),
-            _ => None,
-        })
-        .collect()
-}
-
-/// The full differential: one fault-free run per path, all observable
-/// engine behavior compared — vertex state, iteration trace, frontier
-/// skips, fusion/elimination planning, and governor silence.
-#[test]
-fn one_gpu_multi_matches_single_engine_end_to_end() {
+/// Run `program` through `GraphReduce` under `opts` and through a 1-GPU
+/// `MultiGraphReduce` set up by `multi`, assert the two runs equal on
+/// every observable, and return the single engine's result and recording.
+fn assert_parity<P: GasProgram + Clone>(
+    program: P,
+    opts: Options,
+    multi: impl FnOnce(MultiGraphReduce<P>) -> MultiGraphReduce<P>,
+) -> (RunResult<P>, Recorded)
+where
+    P::VertexValue: PartialEq + std::fmt::Debug,
+    P::EdgeValue: PartialEq + std::fmt::Debug,
+{
     let l = layout();
-    let plat = platform();
-
     let (sobs, ssink) = Observer::recording();
-    let single = GraphReduce::new(Bfs(0), &l, plat.clone(), Options::optimized())
+    let single = GraphReduce::new(program.clone(), &l, platform(), opts)
         .with_observer(sobs)
         .run()
         .unwrap();
     let (mobs, msink) = Observer::recording();
-    let multi = MultiGraphReduce::new(Bfs(0), &l, plat, 1)
-        .with_observer(mobs)
+    let m = multi(MultiGraphReduce::new(program, &l, platform(), 1).with_observer(mobs))
         .run()
         .unwrap();
-    let srec = ssink.recorded();
-    let mrec = msink.recorded();
+    let (srec, mrec) = (ssink.recorded(), msink.recorded());
 
-    // Results and iteration trace.
-    assert_eq!(multi.vertex_values, single.vertex_values);
-    assert_eq!(multi.stats.iterations, single.stats.iterations);
-    let sf: Vec<u64> = single.stats.frontier_sizes();
-    let mf: Vec<u64> = multi
-        .stats
-        .per_iteration
-        .iter()
-        .map(|i| i.frontier_size)
-        .collect();
-    assert_eq!(sf, mf);
-    for (s, m) in single
-        .stats
-        .per_iteration
-        .iter()
-        .zip(multi.stats.per_iteration.iter())
-    {
-        assert_eq!(s.changed, m.changed);
-        assert_eq!(s.activated, m.activated);
-        assert_eq!(s.gathered_edges, m.gathered_edges);
-        assert_eq!(s.shards_processed, m.shards_processed);
-        assert_eq!(s.shards_skipped, m.shards_skipped);
+    assert_eq!(m.vertex_values, single.vertex_values);
+    assert_eq!(m.edge_values, single.edge_values);
+    let s = &single.stats;
+    assert_eq!(m.stats.per_iteration, s.per_iteration);
+    assert_eq!(m.stats.iterations, s.iterations);
+    assert_eq!(m.stats.elapsed, s.elapsed);
+    assert_eq!(m.stats.per_gpu_memcpy, vec![s.memcpy_time]);
+    assert_eq!(m.stats.per_gpu_kernel, vec![s.kernel_time]);
+    assert_eq!(m.stats.num_shards, s.num_shards);
+    assert_eq!(m.stats.faults_injected, s.faults_injected);
+    assert_eq!(m.stats.mem_pressure_events, s.mem_pressure_events);
+    assert_eq!(m.stats.shard_splits, s.shard_splits);
+    assert_eq!((m.stats.exchange_bytes, m.stats.evictions), (0, 0));
+    // Bytes h2d/d2h, op counts per label, retries and rollbacks: the
+    // device and engine registries' snapshots, per iteration and at the
+    // end of the run.
+    assert_eq!(mrec.snapshots, srec.snapshots);
+    for scope in ["run", "engine"] {
+        assert!(srec.snapshots.iter().any(|(name, _)| name == scope));
     }
-
-    // Frontier-management skip decisions: same shards skipped on the same
-    // iterations, with the same audit fields (both paths partition with
-    // the default K=2 plan, so shard geometry is identical).
-    let skips = shard_skips(&srec);
-    assert!(!skips.is_empty(), "BFS on a sharded plan must skip shards");
-    assert_eq!(skips, shard_skips(&mrec));
-
-    // Fusion/elimination planning decisions come from the same
-    // `exec::plan` emitter on both paths.
-    let plans = plan_decisions(&srec);
-    assert!(!plans.is_empty(), "BFS must eliminate the gather phase");
-    assert_eq!(plans, plan_decisions(&mrec));
-
-    // Uncapped runs: the governor stays silent on both paths.
-    assert_eq!(srec.memory_decisions(), 0);
-    assert_eq!(mrec.memory_decisions(), 0);
-    assert_eq!(srec.recovery_decisions(), 0);
-    assert_eq!(mrec.recovery_decisions(), 0);
+    let bytes = |rec: &Recorded, name| {
+        let (_, run) = rec.snapshots.iter().find(|(n, _)| n == "run").unwrap();
+        run.counter(name)
+    };
+    assert_eq!(bytes(&srec, "h2d.bytes"), s.bytes_h2d);
+    assert_eq!(bytes(&srec, "d2h.bytes"), s.bytes_d2h);
+    // Every device op, op labels included, and the full decision log.
+    assert_eq!(spans(&mrec), spans(&srec));
+    assert_eq!(mrec.decisions, srec.decisions);
+    (single, srec)
 }
 
-/// Retry/backoff alignment (the drift the refactor removed): for an
-/// identical fault schedule, both paths must log identical retry
-/// decisions — same attempts, same exponential backoffs — and charge
-/// identical *simulated recovery time* (faulted minus fault-free
-/// elapsed). Before the shared `DeviceCtx::retry`, `multi_retry` was a
-/// hand-maintained copy of the engine's loop; any backoff drift between
-/// them breaks this test.
+/// Fault-free: results, trace, skip/fusion/elimination decisions and
+/// governor silence, all equal.
+#[test]
+fn one_gpu_multi_matches_single_engine_end_to_end() {
+    let (single, rec) = assert_parity(Bfs(0), Options::optimized(), |m| m);
+    assert!(single.stats.num_shards > 1, "needs a sharded plan");
+    assert!(
+        rec.shard_skips() > 0,
+        "BFS on a sharded plan must skip shards"
+    );
+    assert!(rec
+        .decisions
+        .iter()
+        .any(|d| matches!(d, Decision::PhaseElimination { .. })));
+    assert_eq!(rec.memory_decisions(), 0);
+    assert_eq!(rec.recovery_decisions(), 0);
+}
+
+/// Two faulted H2D copies (the initial vertex upload and its first
+/// retry) retried within the budget: same retry decisions and the same
+/// simulated recovery time on both paths.
 #[test]
 fn identical_fault_schedules_charge_identical_sim_time() {
-    let l = layout();
-    let plat = platform();
-    // Fault the first two H2D copies: the very first upload on either
-    // path (`init.vertices` / `multi.init.vertices`), retried twice with
-    // escalating backoff, succeeding within the retry budget — no
-    // rollback, so the elapsed delta is pure recovery charge.
     let schedule = FaultPlan::none().fail_h2d(0, 2);
-
-    let clean_single = GraphReduce::new(Cc, &l, plat.clone(), Options::optimized())
+    let opts = Options {
+        fault_plan: schedule.clone(),
+        ..Options::optimized()
+    };
+    let (single, rec) = assert_parity(Cc, opts, |m| m.with_fault_plan(0, schedule));
+    assert_eq!(single.stats.faults_injected, 2);
+    assert_eq!(single.stats.recovered_retries, 2);
+    assert_eq!(single.stats.rollbacks, 0);
+    assert_eq!(rec.recovery_decisions(), 2, "one decision per fault");
+    // The device retry loop numbers its attempts and escalates the
+    // backoff (attempt 1 then 2, the second wait longer).
+    let retries: Vec<(u32, u64)> = rec
+        .decisions
+        .iter()
+        .filter_map(|d| match d {
+            Decision::FaultRetry {
+                attempt,
+                backoff_ns,
+                ..
+            } => Some((*attempt, *backoff_ns)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(retries.iter().map(|r| r.0).collect::<Vec<_>>(), [1, 2]);
+    assert!(retries[1].1 > retries[0].1, "backoff must escalate");
+    // Recovered faults leave the answer alone and cost simulated time.
+    let clean = GraphReduce::new(Cc, &layout(), platform(), Options::optimized())
         .run()
         .unwrap();
-    let (sobs, ssink) = Observer::recording();
-    let faulted_single = GraphReduce::new(
-        Cc,
-        &l,
-        plat.clone(),
-        Options {
-            fault_plan: schedule.clone(),
-            ..Options::optimized()
-        },
-    )
-    .with_observer(sobs)
-    .run()
-    .unwrap();
-
-    let clean_multi = MultiGraphReduce::new(Cc, &l, plat.clone(), 1)
-        .run()
-        .unwrap();
-    let (mobs, msink) = Observer::recording();
-    let faulted_multi = MultiGraphReduce::new(Cc, &l, plat, 1)
-        .with_fault_plan(0, schedule)
-        .with_observer(mobs)
-        .run()
-        .unwrap();
-
-    // Same faults seen, same results as fault-free.
-    assert_eq!(faulted_single.stats.faults_injected, 2);
-    assert_eq!(faulted_multi.stats.faults_injected, 2);
-    assert_eq!(faulted_single.vertex_values, clean_single.vertex_values);
-    assert_eq!(faulted_multi.vertex_values, clean_multi.vertex_values);
-
-    // Identical retry decisions modulo the op label.
-    let sretries = retries_modulo_op(&ssink.recorded());
-    let mretries = retries_modulo_op(&msink.recorded());
-    assert_eq!(sretries.len(), 2, "one retry decision per injected fault");
-    assert_eq!(sretries, mretries);
-    // Exponential backoff actually escalates (attempt 1 then 2).
-    assert_eq!(sretries[0].3, 1);
-    assert_eq!(sretries[1].3, 2);
-    assert!(sretries[1].4 > sretries[0].4);
-
-    // The recovery charge — faulted minus fault-free wall time — is
-    // identical on both paths.
-    let single_delta: SimDuration = faulted_single.stats.elapsed - clean_single.stats.elapsed;
-    let multi_delta: SimDuration = faulted_multi.stats.elapsed - clean_multi.stats.elapsed;
-    assert!(single_delta > SimDuration::ZERO, "faults must cost time");
-    assert_eq!(single_delta, multi_delta);
+    assert_eq!(single.vertex_values, clean.vertex_values);
+    assert!(
+        single.stats.elapsed > clean.stats.elapsed,
+        "faults cost time"
+    );
 }
 
-/// Exhausted retries roll back through the BSP loop's replay helper on
-/// both paths: same retry ladder, then the same rollback decision, then a
-/// successful replay.
+/// Four faulted H2D copies exhaust the retry budget: both paths roll back
+/// once and replay identically.
 #[test]
 fn exhausted_retries_roll_back_identically() {
+    let schedule = FaultPlan::none().fail_h2d(0, 4);
+    let opts = Options {
+        fault_plan: schedule.clone(),
+        ..Options::optimized()
+    };
+    let (single, rec) = assert_parity(Cc, opts, |m| m.with_fault_plan(0, schedule));
+    assert_eq!(single.stats.rollbacks, 1, "one rollback after the budget");
+    assert_eq!(
+        rec.recovery_decisions() as u64,
+        single.stats.faults_injected,
+        "one recovery decision per injected fault"
+    );
+}
+
+/// A device capped below one slot of the largest shard: both paths
+/// reduce concurrency and split shards, with the same decisions.
+#[test]
+fn capped_one_gpu_multi_splits_like_the_single_engine() {
     let l = layout();
     let plat = platform();
-    // Four consecutive H2D faults: three retries burn the default budget,
-    // the fourth failure aborts the stage, and the replayed timeline
-    // succeeds (the fault window is exhausted by then).
-    let schedule = FaultPlan::none().fail_h2d(0, 4);
-
-    let (sobs, ssink) = Observer::recording();
-    let single = GraphReduce::new(
-        Cc,
+    let plan = plan_partition(
         &l,
-        plat.clone(),
-        Options {
-            fault_plan: schedule.clone(),
-            ..Options::optimized()
-        },
+        &SizeModel::for_program(&Cc),
+        &plat.device,
+        &plat.pcie,
+        2,
+        None,
     )
-    .with_observer(sobs)
-    .run()
     .unwrap();
-    let (mobs, msink) = Observer::recording();
-    let multi = MultiGraphReduce::new(Cc, &l, plat, 1)
-        .with_fault_plan(0, schedule)
-        .with_observer(mobs)
-        .run()
-        .unwrap();
-
-    assert_eq!(single.vertex_values, multi.vertex_values);
-    let srec = ssink.recorded();
-    let mrec = msink.recorded();
-    assert_eq!(retries_modulo_op(&srec), retries_modulo_op(&mrec));
-    let srb = rollbacks_modulo_op(&srec);
-    assert_eq!(srb.len(), 1, "one rollback after the exhausted budget");
-    assert_eq!(srb, rollbacks_modulo_op(&mrec));
-    // One recovery decision per injected fault on both paths (the chaos
-    // invariant, preserved across the unification).
+    let cap = plan.static_bytes + plan.max_shard_bytes - 1;
+    let opts = Options::optimized().with_mem_cap(cap);
+    let (single, rec) = assert_parity(Cc, opts, |m| m.with_mem_cap(0, cap));
+    assert!(single.stats.shard_splits > 0);
     assert_eq!(
-        srec.recovery_decisions() as u64,
-        single.stats.faults_injected
-    );
-    assert_eq!(
-        mrec.recovery_decisions() as u64,
-        multi.stats.faults_injected
+        rec.memory_decisions() as u64,
+        single.stats.mem_pressure_events + single.stats.shard_splits + single.stats.chunked_shards
     );
 }

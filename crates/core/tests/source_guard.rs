@@ -100,6 +100,41 @@ fn no_library_source_file_exceeds_line_cap() {
     assert_under_cap(&files);
 }
 
+/// The device ops a timeline is priced with.
+const DEVICE_OPS: [&str; 3] = [".h2d(", ".d2h(", ".launch"];
+
+/// Every device op is issued in one place: no `DeviceCtx` op appears in
+/// `crates/core/src` outside `exec/`, so a second device timeline (the
+/// multi-GPU engine had one) cannot grow back beside the driver.
+#[test]
+fn device_ops_stay_inside_exec() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = Vec::new();
+    rust_sources(&src, &mut files);
+    let ops_in = |f: &PathBuf| -> Vec<String> {
+        let text = fs::read_to_string(f).expect("readable source");
+        text.lines()
+            .enumerate()
+            .filter(|(_, l)| !l.trim_start().starts_with("//"))
+            .filter(|(_, l)| DEVICE_OPS.iter().any(|op| l.contains(op)))
+            .map(|(n, _)| format!("{}:{}", f.display(), n + 1))
+            .collect()
+    };
+    let (exec, rest): (Vec<PathBuf>, Vec<PathBuf>) = files
+        .into_iter()
+        .partition(|f| f.starts_with(src.join("exec")));
+    assert!(
+        !exec.iter().flat_map(ops_in).collect::<Vec<_>>().is_empty(),
+        "the guard must see the driver's own device ops"
+    );
+    let strays: Vec<String> = rest.iter().flat_map(ops_in).collect();
+    assert!(
+        strays.is_empty(),
+        "device ops outside crates/core/src/exec/; route them through \
+         exec/driver.rs's one device timeline: {strays:?}"
+    );
+}
+
 /// Most `pub fn with_*` builders `crates/core/src` may hold. A builder
 /// earns its place by enforcing something (a clamp, a wrap, a coupled
 /// field); a plain field is set with struct-update syntax instead.

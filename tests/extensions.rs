@@ -2,10 +2,11 @@
 //! extensions: multi-GPU, SSD-backed out-of-host-core, incremental
 //! processing — plus the Totem-style hybrid comparator.
 
-use graphreduce_repro::algorithms::{reference, Cc, PageRank};
+use graphreduce_repro::algorithms::{reference, Cc, Heat, PageRank};
 use graphreduce_repro::baselines::Totem;
 use graphreduce_repro::core::{GraphReduce, MultiGraphReduce, Options, WarmStart};
-use graphreduce_repro::graph::{Dataset, EdgeList, GraphLayout};
+use graphreduce_repro::graph::{gen, Dataset, EdgeList, GraphLayout};
+use graphreduce_repro::observe::Observer;
 use graphreduce_repro::sim::Platform;
 
 const SCALE: u64 = 1024;
@@ -31,6 +32,42 @@ fn multi_gpu_agrees_with_single_gpu_and_scales() {
             );
         }
         last = Some(multi.stats.elapsed);
+    }
+}
+
+/// Scatter on several GPUs is priced like on one: every device launches
+/// `scatter` kernels over the shards it owns and downloads their edge
+/// values (`final.edges`), and vertex and edge values match the single
+/// engine bit for bit.
+#[test]
+fn multi_gpu_prices_scatter_on_every_device() {
+    let layout = GraphLayout::build(&gen::rmat_g500(11, 30_000, 17).symmetrize());
+    let plat = Platform::paper_node_scaled(1 << 14);
+    let heat = Heat {
+        max_iters: 20,
+        ..Heat::default()
+    };
+    let single = GraphReduce::new(heat, &layout, plat.clone(), Options::optimized())
+        .run()
+        .unwrap();
+    let (obs, sink) = Observer::recording();
+    let multi = MultiGraphReduce::new(heat, &layout, plat, 2)
+        .with_observer(obs)
+        .run()
+        .unwrap();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&multi.vertex_values), bits(&single.vertex_values));
+    assert_eq!(bits(&multi.edge_values), bits(&single.edge_values));
+    let rec = sink.recorded();
+    for gpu in ["gpu0/", "gpu1/"] {
+        for op in ["scatter", "final.edges"] {
+            assert!(
+                rec.spans
+                    .iter()
+                    .any(|s| s.track == "sim" && s.lane.starts_with(gpu) && s.name == op),
+                "no {op} on {gpu}"
+            );
+        }
     }
 }
 
