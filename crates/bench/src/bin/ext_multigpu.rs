@@ -4,10 +4,10 @@
 //! strong-scaling curve, including the cross-device exchange traffic that
 //! caps it.
 
-use gr_bench::{default_source, layout_for, scale_from_args, Algo};
+use gr_bench::{layout_for, run_gr, scale_from_args, Algo};
 use gr_graph::Dataset;
 use gr_sim::Platform;
-use graphreduce::MultiGraphReduce;
+use graphreduce::{DeviceSpec, Options};
 
 fn main() {
     let scale = scale_from_args();
@@ -19,45 +19,18 @@ fn main() {
         (Dataset::Nlpkkt160, Algo::Cc),
     ] {
         let layout = layout_for(ds, algo, scale);
-        let src = default_source(&layout);
         println!("\n--- {} / {} ---", ds.name(), algo.name());
         println!(
             "{:>5} {:>14} {:>9} {:>14} {:>16}",
             "gpus", "time", "speedup", "exchange (MB)", "max memcpy busy"
         );
         let mut base = None;
-        for n in [1u32, 2, 4, 8] {
-            let stats = match algo {
-                Algo::Pagerank => {
-                    let pr = gr_algorithms::PageRank {
-                        epsilon: 1e-4,
-                        max_iters: 60,
-                        ..Default::default()
-                    };
-                    MultiGraphReduce::new(pr, &layout, platform.clone(), n)
-                        .run()
-                        .unwrap()
-                        .stats
-                }
-                Algo::Bfs => {
-                    MultiGraphReduce::new(
-                        gr_algorithms::Bfs::new(src),
-                        &layout,
-                        platform.clone(),
-                        n,
-                    )
-                    .run()
-                    .unwrap()
-                    .stats
-                }
-                Algo::Cc => {
-                    MultiGraphReduce::new(gr_algorithms::Cc, &layout, platform.clone(), n)
-                        .run()
-                        .unwrap()
-                        .stats
-                }
-                Algo::Sssp => unreachable!(),
+        for n in [1usize, 2, 4, 8] {
+            let opts = Options {
+                devices: vec![DeviceSpec::default(); n],
+                ..Options::optimized()
             };
+            let stats = run_gr(algo, &layout, &platform, opts).unwrap();
             let base_t = *base.get_or_insert(stats.elapsed);
             let max_memcpy = stats
                 .per_gpu_memcpy

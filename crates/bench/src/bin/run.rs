@@ -12,14 +12,12 @@
 
 use gr_baselines::{CuSha, GraphChi, MapGraph, Totem, XStream};
 use gr_bench::{
-    default_source, resume_gr_wall, run_gr_traced, run_gr_wall, run_session_all, set_host_threads,
-    Algo, RunArtifacts,
+    resume_gr_wall, run_gr_traced, run_gr_wall, run_session_all, set_host_threads, Algo,
+    RunArtifacts,
 };
 use gr_graph::{gen, CompressionCodec, Dataset, EdgeList, GraphLayout, GraphStats};
 use gr_sim::Platform;
-use graphreduce::{
-    CheckpointPolicy, EngineError, FaultPlan, MultiGraphReduce, Options, WallProfiler,
-};
+use graphreduce::{CheckpointPolicy, DeviceSpec, EngineError, FaultPlan, Options, WallProfiler};
 
 /// Exit code for a run killed by an armed `kill:<iteration>` fault plan:
 /// distinguishable from real errors so restart harnesses (and the CI
@@ -35,7 +33,7 @@ struct Args {
     scale: u64,
     engine: String,
     optimized: bool,
-    gpus: u32,
+    gpus: usize,
     quickstart: bool,
     faults: Option<FaultPlan>,
     mem_cap: Option<String>,
@@ -82,12 +80,17 @@ fn usage() -> ! {
     eprintln!(
         "  --algo all builds ONE graph session (layout + platform + partitioning loaded once) \
          and runs every algorithm as a query against it, asserting each report matches a \
-         dedicated per-algorithm run byte-for-byte (gr engine, single GPU; see docs/SERVING.md)"
+         dedicated per-algorithm run byte-for-byte (gr engine; see docs/SERVING.md)"
     );
     eprintln!(
         "  --compress streams shard topology gap+entropy-coded over PCIe and through the spill \
-         store (gr engine, single GPU); results are bit-identical, the report gains a \
+         store (gr engine); results are bit-identical, the report gains a \
          `compression` object (see docs/COMPRESSION.md)"
+    );
+    eprintln!(
+        "  --gpus N runs the gr engine on N devices: shards are placed round-robin and each \
+         iteration ends in a cross-device exchange; the stats and the report gain a devices \
+         line/object (see docs/MEMORY.md)"
     );
     eprintln!(
         "  --checkpoint-dir arms durable snapshots (gr engine, single or multi GPU); \
@@ -114,7 +117,7 @@ fn usage() -> ! {
          (both gr-engine only)"
     );
     eprintln!(
-        "  --faults arms deterministic fault injection (gr engine only); profiles: none, \
+        "  --faults arms deterministic fault injection on device 0 (gr engine only); profiles: none, \
          transient-copy, kernel-fault, oom-pressure, ecc-stall, degraded-pcie, device-loss, \
          chaos[:seed] — or a bare integer seed (see docs/FAULTS.md)"
     );
@@ -264,56 +267,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// Everything beyond the engine itself that shapes a multi-GPU run:
-/// fault plan, per-device memory caps, durable-checkpoint policy, and
-/// the resume directory. Built once from the parsed args, shared by
-/// every algorithm arm.
-struct MultiCfg<'a> {
-    faults: Option<&'a FaultPlan>,
-    gpus: u32,
-    mem_cap: Option<u64>,
-    checkpoint_policy: Option<&'a CheckpointPolicy>,
-    resume_dir: Option<&'a str>,
-}
-
-/// Finish configuring a multi-GPU run (observer, optional fault plan on
-/// device 0, optional durable-checkpoint policy), execute it — resuming
-/// from disk when asked — and exit cleanly on planning/recovery failure
-/// (or with code 9 when an armed `kill:<iteration>` fault fires).
-fn run_multi<P: graphreduce::GasProgram>(
-    m: MultiGraphReduce<P>,
-    obs: gr_observe::Observer,
-    wall: WallProfiler,
-    cfg: &MultiCfg<'_>,
-) -> graphreduce::MultiRunStats {
-    let mut m = m.with_observer(obs).with_wall_profiler(wall);
-    if let Some(plan) = cfg.faults {
-        m = m.with_fault_plan(0, plan.clone());
-    }
-    if let Some(cap) = cfg.mem_cap {
-        for d in 0..cfg.gpus as usize {
-            m = m.with_mem_cap(d, cap);
-        }
-    }
-    if let Some(policy) = cfg.checkpoint_policy {
-        m = m.with_checkpoint_policy(policy.clone());
-    }
-    let result = match cfg.resume_dir {
-        Some(dir) => m.resume(dir),
-        None => m.run(),
-    };
-    result
-        .unwrap_or_else(|e| {
-            if let EngineError::Killed { iteration } = e {
-                eprintln!("killed at iteration boundary {iteration} (restart with --resume)");
-                std::process::exit(EXIT_KILLED);
-            }
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        })
-        .stats
-}
-
 fn main() {
     let args = parse_args();
     if let Some(n) = args.threads {
@@ -361,25 +314,25 @@ fn main() {
         }
         platform.host.mem_capacity = parse_mem_cap(spec, platform.host.mem_capacity);
     }
-    let mut opts = if args.optimized {
-        Options::optimized()
-    } else {
-        Options::unoptimized()
+    let mut opts = Options {
+        devices: vec![DeviceSpec::default(); args.gpus.max(1)],
+        ..if args.optimized {
+            Options::optimized()
+        } else {
+            Options::unoptimized()
+        }
     };
     if let Some(plan) = &args.faults {
         if args.engine != "gr" {
             eprintln!("--faults only applies to the gr engine; ignoring");
         }
-        opts.fault_plan = plan.clone();
+        opts.devices[0].fault_plan = plan.clone();
     }
-    let mem_cap = args.mem_cap.as_ref().map(|spec| {
+    if let Some(spec) = &args.mem_cap {
         if args.engine != "gr" {
             eprintln!("--mem-cap only applies to the gr engine; ignoring");
         }
-        parse_mem_cap(spec, platform.device.mem_capacity)
-    });
-    if let Some(cap) = mem_cap {
-        opts = opts.with_mem_cap(cap);
+        opts = opts.with_mem_cap(parse_mem_cap(spec, platform.device.mem_capacity));
     }
     // Durability flags: validate combinations before any work happens.
     if args.checkpoint_every.is_some() && args.checkpoint_dir.is_none() {
@@ -405,26 +358,25 @@ fn main() {
         );
         std::process::exit(2);
     }
-    if (args.spill_dir.is_some() || args.compress.is_some())
-        && (args.engine != "gr" || args.gpus > 1)
-    {
-        eprintln!("error: --spill-dir/--compress apply to the single-GPU gr engine only");
+    if (args.spill_dir.is_some() || args.compress.is_some()) && args.engine != "gr" {
+        eprintln!("error: --spill-dir/--compress apply to the gr engine only");
         std::process::exit(2);
     }
-    let checkpoint_policy = args.checkpoint_dir.as_ref().map(|dir| {
+    // The engine spills on any device count; the CLI keeps rejecting a
+    // spill store on several GPUs because its usage-error contract pins
+    // that combination (crates/bench/tests/kill_restart.rs).
+    if args.spill_dir.is_some() && args.gpus > 1 {
+        eprintln!("error: --spill-dir runs on one GPU from the CLI");
+        std::process::exit(2);
+    }
+    if let Some(dir) = &args.checkpoint_dir {
         let every = args.checkpoint_every.unwrap_or(1);
-        if args.checkpoint_delta {
-            CheckpointPolicy::durable_delta(
-                dir.as_str(),
-                every,
-                args.checkpoint_full_every.unwrap_or(4),
-            )
+        opts.checkpoint_policy = if args.checkpoint_delta {
+            let full_every = args.checkpoint_full_every.unwrap_or(4);
+            CheckpointPolicy::durable_delta(dir.as_str(), every, full_every)
         } else {
             CheckpointPolicy::durable(dir.as_str(), every)
-        }
-    });
-    if let Some(policy) = &checkpoint_policy {
-        opts.checkpoint_policy = policy.clone();
+        };
     }
     if let Some(dir) = &args.spill_dir {
         opts = opts.with_spill_dir(dir.as_str());
@@ -433,8 +385,8 @@ fn main() {
         opts = opts.with_shard_compression(codec);
     }
     if args.algo_all {
-        if args.engine != "gr" || args.gpus > 1 {
-            eprintln!("error: --algo all runs the single-GPU gr engine only");
+        if args.engine != "gr" {
+            eprintln!("error: --algo all runs the gr engine only");
             std::process::exit(2);
         }
         if args.resume {
@@ -464,95 +416,12 @@ fn main() {
         );
         return;
     }
-    let src = default_source(&layout);
     let artifacts = RunArtifacts::from_paths(args.report.clone(), args.trace.clone());
     if artifacts.enabled() && args.engine != "gr" {
         eprintln!("--report/--trace only instrument the gr engine; ignoring");
     }
 
     match args.engine.as_str() {
-        "gr" if args.gpus > 1 => {
-            let obs = artifacts.observer();
-            let wall = if args.wall {
-                WallProfiler::armed()
-            } else {
-                WallProfiler::disarmed()
-            };
-            let cfg = MultiCfg {
-                faults: args.faults.as_ref(),
-                gpus: args.gpus,
-                mem_cap,
-                checkpoint_policy: checkpoint_policy.as_ref(),
-                resume_dir: if args.resume {
-                    args.checkpoint_dir.as_deref()
-                } else {
-                    None
-                },
-            };
-            let stats = match args.algo {
-                Algo::Bfs => run_multi(
-                    MultiGraphReduce::new(
-                        gr_algorithms::Bfs::new(src),
-                        &layout,
-                        platform,
-                        args.gpus,
-                    ),
-                    obs,
-                    wall.clone(),
-                    &cfg,
-                ),
-                Algo::Cc => run_multi(
-                    MultiGraphReduce::new(gr_algorithms::Cc, &layout, platform, args.gpus),
-                    obs,
-                    wall.clone(),
-                    &cfg,
-                ),
-                Algo::Sssp => run_multi(
-                    MultiGraphReduce::new(
-                        gr_algorithms::Sssp::new(src),
-                        &layout,
-                        platform,
-                        args.gpus,
-                    ),
-                    obs,
-                    wall.clone(),
-                    &cfg,
-                ),
-                Algo::Pagerank => run_multi(
-                    MultiGraphReduce::new(
-                        gr_algorithms::PageRank::default(),
-                        &layout,
-                        platform,
-                        args.gpus,
-                    ),
-                    obs,
-                    wall.clone(),
-                    &cfg,
-                ),
-            };
-            // `MultiRunStats` renders the full report: headline, then
-            // conditional governor / durability / storage-fault lines —
-            // byte-identical to the old inline print for plain runs.
-            println!("{stats}");
-            // The multi-GPU engine has no single-device RunStats (so no
-            // `wall` stats field either) — print the host-wall rollup
-            // directly from the profiler.
-            let profile = wall.is_armed().then(|| wall.profile());
-            if let Some(p) = &profile {
-                println!("  host wall: {}", p.summary());
-            }
-            // The trace still captures every lane of every device, plus
-            // the wall track when profiled.
-            for path in artifacts
-                .write_with_wall(None, profile.as_ref())
-                .unwrap_or_else(|e| {
-                    eprintln!("error: failed to write --report/--trace output: {e}");
-                    std::process::exit(1);
-                })
-            {
-                println!("wrote {path}");
-            }
-        }
         "gr" => {
             let wall = if args.wall {
                 WallProfiler::armed()

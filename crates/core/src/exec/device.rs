@@ -10,22 +10,13 @@
 
 use gr_observe::{Decision, MetricsRegistry, Observer, SpanEvent};
 use gr_sim::{
-    Allocation, DeviceFault, FaultPlan, Gpu, GpuStats, KernelSpec, OpId, Platform, SimDuration,
-    StreamId,
+    Allocation, DeviceFault, Gpu, GpuStats, KernelSpec, OpId, Platform, SimDuration, StreamId,
 };
 
+use crate::options::DeviceSpec;
 use crate::recovery::{EngineError, RecoveryPolicy};
 
 use super::EngineMetric;
-
-/// One device of a query: its fault plan, its memory cap, and the prefix
-/// of its observability lanes.
-#[derive(Clone)]
-pub(crate) struct DeviceSpec {
-    pub(crate) fault_plan: FaultPlan,
-    pub(crate) mem_cap: Option<u64>,
-    pub(crate) lane: Option<String>,
-}
 
 /// A device operation that failed past its retry budget (or hit a lost
 /// device), unwinding the current timeline emission for rollback handling.
@@ -66,9 +57,9 @@ pub struct DeviceCtx {
 
 impl DeviceCtx {
     /// Bring up device `device` as `spec` describes: create the [`Gpu`],
-    /// attach the observer (tagged per device lane when `spec.lane` is
-    /// given, e.g. `"gpu1/"`), arm the fault plan, and apply the optional
-    /// memory cap — in that order.
+    /// attach the observer (tagged with `lane` when given, e.g.
+    /// `"gpu1/"`), arm the fault plan, and apply the optional memory cap —
+    /// in that order.
     ///
     /// `observer` doubles as the decision-log sink; decisions are never
     /// tagged (the device index is a field of the decision itself).
@@ -76,11 +67,12 @@ impl DeviceCtx {
         platform: &Platform,
         device: usize,
         spec: DeviceSpec,
+        lane: Option<String>,
         observer: Observer,
         recovery: RecoveryPolicy,
     ) -> Self {
         let mut gpu = Gpu::new(platform);
-        match spec.lane {
+        match lane {
             Some(t) => gpu.set_observer_tagged(observer.clone(), t),
             None => gpu.set_observer(observer.clone()),
         }

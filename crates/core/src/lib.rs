@@ -55,7 +55,6 @@ pub mod api;
 pub mod engine;
 pub(crate) mod exec;
 pub(crate) mod frame;
-pub mod multi;
 pub mod options;
 pub mod phases;
 pub mod recovery;
@@ -74,8 +73,7 @@ pub use api::{GasProgram, InitialFrontier};
 pub use engine::{GraphReduce, RunResult, WarmStart};
 pub use gr_observe::{WallProfile, WallProfiler};
 pub use gr_sim::FaultPlan;
-pub use multi::{MultiGraphReduce, MultiRunResult, MultiRunStats};
-pub use options::{GatherMode, HostKernels, Options, StreamingMode};
+pub use options::{DeviceSpec, GatherMode, HostKernels, Options, StreamingMode};
 pub use recovery::{EngineError, RecoveryPolicy};
 pub use session::{GraphSession, Query};
 pub use sizes::{

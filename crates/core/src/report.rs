@@ -11,7 +11,7 @@
 //! a plot script, not a parse of log text.
 
 use gr_observe::export::{decision_fields, snapshot_fields};
-use gr_observe::json::{Layout, Writer};
+use gr_observe::json::{Layout, Value, Writer};
 use gr_observe::{Decision, Recorded};
 
 use crate::stats::RunStats;
@@ -25,9 +25,9 @@ pub const REPORT_VERSION: u32 = 2;
 /// metrics snapshot the observer captured (scopes like `"run"`,
 /// `"engine"`, `"gpu0"`).
 ///
-/// Sections for opt-in features (durability, compression, the wall
-/// profile) and their decision counts appear only when the feature did
-/// work: adding a member is compatible within a `report_version`, and
+/// Sections for opt-in features (durability, compression, more than one
+/// device, the wall profile) and their decision counts appear only when
+/// the feature did work: adding a member is compatible within a `report_version`, and
 /// runs without the feature emit the byte-identical report they always
 /// did.
 pub fn run_report(stats: &RunStats, rec: &Recorded) -> String {
@@ -88,6 +88,22 @@ pub fn run_report(stats: &RunStats, rec: &Recorded) -> String {
             .field("raw_bytes", stats.compressed_raw_bytes)
             .field("ratio", stats.compression_ratio().unwrap_or(0.0))
             .field("decompress_launches", stats.decompress_launches);
+    }
+    if stats.num_gpus() > 1 {
+        let mut dev = Writer::object(o.key("devices"), Layout::Spaced);
+        dev.field("gpus", stats.num_gpus())
+            .field("exchange_bytes", stats.exchange_bytes)
+            .field("evictions", stats.evictions)
+            .field("redistributions", stats.redistributions);
+        for (key, busy) in [
+            ("memcpy_busy_ns", &stats.per_gpu_memcpy),
+            ("kernel_busy_ns", &stats.per_gpu_kernel),
+        ] {
+            let mut ns = Writer::array(dev.key(key), Layout::Compact);
+            for d in busy {
+                d.as_nanos().write_to(ns.item());
+            }
+        }
     }
     if let Some(fp) = stats.state_fingerprint {
         o.field("state_fingerprint", format!("{fp:#018x}").as_str());
@@ -339,6 +355,28 @@ mod tests {
              \"raw_bytes\": 1000, \"ratio\": 4.0, \"decompress_launches\": 8}"
         ));
         assert_eq!(rep.matches('{').count(), rep.matches('}').count());
+    }
+
+    #[test]
+    fn devices_section_only_appears_with_more_than_one_device() {
+        let rec = recorded();
+        let mut s = stats();
+        s.per_gpu_memcpy = vec![SimDuration::from_micros(3)];
+        s.per_gpu_kernel = vec![SimDuration::from_micros(4)];
+        assert!(!run_report(&s, &rec).contains("\"devices\""), "one device");
+        s.per_gpu_memcpy.push(SimDuration::from_micros(5));
+        s.per_gpu_kernel.push(SimDuration::from_micros(6));
+        s.exchange_bytes = 800;
+        s.redistributions = 2;
+        let rep = run_report(&s, &rec);
+        assert!(
+            rep.contains(
+                "\"devices\": {\"gpus\": 2, \"exchange_bytes\": 800, \"evictions\": 0, \
+                 \"redistributions\": 2, \"memcpy_busy_ns\": [3000,5000], \
+                 \"kernel_busy_ns\": [4000,6000]}"
+            ),
+            "{rep}"
+        );
     }
 
     #[test]

@@ -17,21 +17,20 @@
 //! observer lane, which keeps decision logs and [`crate::RunStats`] bit-identical
 //! to the pre-session engine (see `docs/SERVING.md`).
 //!
-//! [`GraphReduce`](crate::GraphReduce) and
-//! [`MultiGraphReduce`](crate::MultiGraphReduce) are thin facades over
-//! `GraphSession::new(..).query(..)`; the serving layer (`gr-serve`)
-//! multiplexes many concurrent queries over one session.
+//! [`GraphReduce`](crate::GraphReduce) is a thin facade over
+//! `GraphSession::new(..).query(..)`, on one device or the several that
+//! [`Options::devices`] lists; the serving layer (`gr-serve`) multiplexes
+//! many concurrent queries over one session.
 
 use std::sync::{Arc, Mutex};
 
 use gr_graph::GraphLayout;
 use gr_observe::{Observer, WallProfiler};
-use gr_sim::{Platform, SimDuration};
+use gr_sim::Platform;
 
 use crate::api::GasProgram;
 use crate::engine::RunResult;
 use crate::exec::compress::ShardCompression;
-use crate::exec::device::DeviceSpec;
 use crate::exec::driver::Runner;
 use crate::options::Options;
 use crate::recovery::EngineError;
@@ -79,15 +78,6 @@ impl<P: GasProgram> WarmStart<P> {
             None => Ok(()),
         }
     }
-}
-
-/// What a query reports per device beyond [`crate::RunStats`].
-pub(crate) struct DeviceReport {
-    pub(crate) memcpy: Vec<SimDuration>,
-    pub(crate) kernel: Vec<SimDuration>,
-    pub(crate) exchange_bytes: u64,
-    pub(crate) evictions: u32,
-    pub(crate) redistributions: u64,
 }
 
 /// Reject a cold start whose program seeds a vertex past the last one of
@@ -191,7 +181,6 @@ impl<'g> GraphSession<'g> {
             wall: WallProfiler::disarmed(),
             warm: None,
             lane: None,
-            devices: Vec::new(),
         }
     }
 }
@@ -207,8 +196,6 @@ pub struct Query<'q, 'g, P: GasProgram> {
     wall: WallProfiler,
     warm: Option<WarmStart<P>>,
     lane: Option<String>,
-    // Empty: one device, from the options' fault plan and memory cap.
-    devices: Vec<DeviceSpec>,
 }
 
 impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
@@ -246,30 +233,21 @@ impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
         self
     }
 
-    /// Run on these devices instead of the one the options describe.
-    pub(crate) fn on_devices(mut self, devices: Vec<DeviceSpec>) -> Self {
-        self.devices = devices;
-        self
-    }
-
     /// Execute to convergence; returns final state and statistics.
     pub fn run(self) -> Result<RunResult<P>, EngineError> {
-        self.run_on(None).map(|(result, _)| result)
+        self.run_on(None)
     }
 
     /// Resume a killed or interrupted run from the newest intact durable
     /// snapshot in `dir` — same contract as
     /// [`GraphReduce::resume`](crate::GraphReduce::resume).
     pub fn resume(self, dir: impl AsRef<std::path::Path>) -> Result<RunResult<P>, EngineError> {
-        self.run_on(Some(dir.as_ref())).map(|(result, _)| result)
+        self.run_on(Some(dir.as_ref()))
     }
 
     /// Execute to convergence, resuming from the newest intact snapshot in
-    /// `resume_from` when given, and report per-device figures too.
-    pub(crate) fn run_on(
-        self,
-        resume_from: Option<&std::path::Path>,
-    ) -> Result<(RunResult<P>, DeviceReport), EngineError> {
+    /// `resume_from` when given.
+    fn run_on(self, resume_from: Option<&std::path::Path>) -> Result<RunResult<P>, EngineError> {
         let layout = self.session.layout;
         let restored = match resume_from {
             Some(dir) => {
@@ -285,15 +263,6 @@ impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
         }
         let sizes = SizeModel::for_program(self.program);
         let plan = self.session.partition_plan(&sizes)?;
-        let devices = if self.devices.is_empty() {
-            vec![DeviceSpec {
-                fault_plan: self.opts.fault_plan.clone(),
-                mem_cap: self.opts.mem_cap,
-                lane: self.lane,
-            }]
-        } else {
-            self.devices
-        };
         Runner::new(
             self.program,
             layout,
@@ -304,7 +273,7 @@ impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
             self.observer,
             self.wall,
             self.session.compression(),
-            devices,
+            self.lane,
             restored.as_ref().and_then(|r| r.placement.as_ref()),
         )?
         .run(self.warm, restored)

@@ -131,6 +131,21 @@ pub struct RunStats {
     /// `GraphReduce::with_wall_profiler` — the simulated numbers above
     /// are unaffected either way).
     pub wall: Option<WallSummary>,
+    /// Copy-engine busy time per device, one entry per device in
+    /// [`Options::devices`](crate::Options::devices) order; the entries sum
+    /// to [`RunStats::memcpy_time`].
+    pub per_gpu_memcpy: Vec<SimDuration>,
+    /// Kernel-slot busy time per device; sums to [`RunStats::kernel_time`].
+    pub per_gpu_kernel: Vec<SimDuration>,
+    /// Bytes exchanged between devices (through the host) for vertex and
+    /// frontier synchronization. 0 unless at least two devices own shards.
+    pub exchange_bytes: u64,
+    /// Devices evicted after permanent loss (their shards redistributed
+    /// over the survivors).
+    pub evictions: u64,
+    /// Shards the governor moved off a pressured device onto one with
+    /// headroom (the rung *before* splitting). 0 on one device.
+    pub redistributions: u64,
     /// Per-iteration trace.
     pub per_iteration: Vec<IterationStats>,
 }
@@ -179,6 +194,11 @@ impl RunStats {
             .then(|| self.compressed_raw_bytes as f64 / self.compressed_bytes as f64)
     }
 
+    /// Devices the run used (0 only for a default-constructed value).
+    pub fn num_gpus(&self) -> usize {
+        self.per_gpu_memcpy.len()
+    }
+
     /// Fraction of wall time the copy engines were busy (the paper reports
     /// ~95% for unoptimized out-of-memory runs).
     pub fn memcpy_share(&self) -> f64 {
@@ -187,31 +207,6 @@ impl RunStats {
         }
         self.memcpy_time.as_secs_f64() / self.elapsed.as_secs_f64()
     }
-}
-
-/// The end of the durability line, shared by [`RunStats`] and
-/// [`MultiRunStats`](crate::multi::MultiRunStats): delta mode adds the
-/// full-vs-delta byte split (full-only durable runs keep the exact line
-/// they always printed), then the state fingerprint on a line of its own.
-pub(crate) fn durability_tail(
-    f: &mut std::fmt::Formatter<'_>,
-    full_bytes: u64,
-    delta_writes: u64,
-    delta_bytes: u64,
-    fingerprint: Option<u64>,
-) -> std::fmt::Result {
-    if delta_writes > 0 {
-        write!(
-            f,
-            " | {:.2} MB full + {delta_writes} deltas ({:.2} MB)",
-            full_bytes as f64 / 1e6,
-            delta_bytes as f64 / 1e6
-        )?;
-    }
-    if let Some(fp) = fingerprint {
-        write!(f, "\n  state fingerprint: {fp:#018x}")?;
-    }
-    Ok(())
 }
 
 impl std::fmt::Display for RunStats {
@@ -305,13 +300,20 @@ impl std::fmt::Display for RunStats {
                 self.spill_loads,
                 self.spill_load_bytes as f64 / 1e6
             )?;
-            durability_tail(
-                f,
-                self.checkpoint_full_bytes,
-                self.checkpoint_delta_writes,
-                self.checkpoint_delta_bytes,
-                self.state_fingerprint,
-            )?;
+            // Delta mode adds the full-vs-delta byte split; full-only
+            // durable runs keep the exact line they always printed.
+            if self.checkpoint_delta_writes > 0 {
+                write!(
+                    f,
+                    " | {:.2} MB full + {} deltas ({:.2} MB)",
+                    self.checkpoint_full_bytes as f64 / 1e6,
+                    self.checkpoint_delta_writes,
+                    self.checkpoint_delta_bytes as f64 / 1e6
+                )?;
+            }
+            if let Some(fp) = self.state_fingerprint {
+                write!(f, "\n  state fingerprint: {fp:#018x}")?;
+            }
         }
         // Storage-fault handling is its own conditional line: fault-free
         // durable runs stay byte-identical.
@@ -334,6 +336,27 @@ impl std::fmt::Display for RunStats {
                     None => String::new(),
                 },
                 self.decompress_launches
+            )?;
+        }
+        // One-device runs print no devices line, so their output is what
+        // it always was.
+        if self.num_gpus() > 1 {
+            let busy = |d: &[SimDuration]| {
+                d.iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join(" / ")
+            };
+            write!(
+                f,
+                "\n  devices: {} GPUs | {:.1} MB exchanged | {} evictions, {} redistributions | \
+                 memcpy busy {} | kernels busy {}",
+                self.num_gpus(),
+                self.exchange_bytes as f64 / 1e6,
+                self.evictions,
+                self.redistributions,
+                busy(&self.per_gpu_memcpy),
+                busy(&self.per_gpu_kernel)
             )?;
         }
         // And for the wall profile: runs without an armed profiler print
@@ -526,6 +549,32 @@ mod tests {
         assert!(profiled.contains("gather 1.500 ms"));
         assert!(profiled.contains("apply 0.500 ms"));
         assert!(!profiled.contains("scatter"), "zero phases stay silent");
+    }
+
+    #[test]
+    fn devices_line_only_appears_with_more_than_one_device() {
+        let ms = SimDuration::from_millis;
+        let one = RunStats {
+            per_gpu_memcpy: vec![ms(1)],
+            per_gpu_kernel: vec![ms(2)],
+            ..Default::default()
+        };
+        assert!(!one.to_string().contains("devices:"), "{one}");
+        let two = RunStats {
+            per_gpu_memcpy: vec![ms(1), ms(3)],
+            per_gpu_kernel: vec![ms(2), ms(4)],
+            exchange_bytes: 400_000,
+            evictions: 1,
+            redistributions: 5,
+            ..Default::default()
+        }
+        .to_string();
+        assert!(
+            two.contains("devices: 2 GPUs | 0.4 MB exchanged | 1 evictions, 5 redistributions"),
+            "{two}"
+        );
+        assert!(two.contains(&format!("memcpy busy {} / {}", ms(1), ms(3))));
+        assert!(two.contains(&format!("kernels busy {} / {}", ms(2), ms(4))));
     }
 
     #[test]

@@ -7,23 +7,20 @@
 //! See docs/FAULTS.md for the fault model and the decision-per-fault
 //! invariant these tests pin down.
 
+mod common;
+
+use common::{assert_kill_restart_family, multi_layout, on_gpus, platform, scratch};
 use gr_graph::{gen, EdgeList, GraphLayout};
 use gr_observe::{Decision, Observer, Recorded};
 use gr_sim::Platform;
 use graphreduce::testprog::{Bfs, Cc, Pr, Sssp};
 use graphreduce::{
-    plan_partition, EngineError, FaultPlan, GasProgram, GraphReduce, MultiGraphReduce, Options,
-    PartitionPlan, RecoveryPolicy, RunStats, SizeModel,
+    plan_partition, EngineError, FaultPlan, GasProgram, GraphReduce, Options, PartitionPlan,
+    RecoveryPolicy, RunStats, SizeModel,
 };
 
 fn small_graph() -> GraphLayout {
     GraphLayout::build(&gen::uniform(512, 4096, 3).symmetrize())
-}
-
-/// Out-of-core platform: shards stream over PCIe, so copy/launch/alloc
-/// faults all have real ops to land on.
-fn platform() -> Platform {
-    Platform::paper_node_scaled(16384)
 }
 
 fn baseline() -> Vec<u32> {
@@ -44,7 +41,7 @@ fn run_faulted(plan: FaultPlan) -> (Vec<u32>, graphreduce::RunStats) {
         &layout,
         platform(),
         Options {
-            fault_plan: plan,
+            devices: vec![plan.into()],
             ..Options::optimized()
         },
     )
@@ -110,6 +107,59 @@ fn exhausted_retries_roll_back_and_replay() {
     assert!(!stats.host_fallback);
 }
 
+/// The device retry loop numbers its attempts and escalates its backoff,
+/// and recovered faults cost simulated time but leave the answer alone;
+/// past the retry budget the iteration rolls back exactly once.
+#[test]
+fn retries_escalate_backoff_and_an_exhausted_budget_rolls_back_once() {
+    let l = multi_layout();
+    let run = |plan: FaultPlan| {
+        let (obs, sink) = Observer::recording();
+        let out = GraphReduce::new(
+            Cc,
+            &l,
+            platform(),
+            Options {
+                devices: vec![plan.into()],
+                ..Options::optimized()
+            },
+        )
+        .with_observer(obs)
+        .run()
+        .unwrap();
+        (out, sink.recorded())
+    };
+    let clean = run(FaultPlan::none()).0;
+    // Two faulted H2D copies: the initial vertex upload and its first
+    // retry, both within the budget.
+    let (out, rec) = run(FaultPlan::none().fail_h2d(0, 2));
+    assert_eq!(out.stats.faults_injected, 2);
+    assert_eq!(out.stats.recovered_retries, 2);
+    assert_eq!(out.stats.rollbacks, 0);
+    assert_eq!(rec.recovery_decisions(), 2, "one decision per fault");
+    let retries: Vec<(u32, u64)> = rec
+        .decisions
+        .iter()
+        .filter_map(|d| match d {
+            Decision::FaultRetry {
+                attempt,
+                backoff_ns,
+                ..
+            } => Some((*attempt, *backoff_ns)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(retries.iter().map(|r| r.0).collect::<Vec<_>>(), [1, 2]);
+    assert!(retries[1].1 > retries[0].1, "backoff must escalate");
+    assert_eq!(out.vertex_values, clean.vertex_values);
+    assert!(out.stats.elapsed > clean.stats.elapsed, "faults cost time");
+    // Four exhaust the budget: one rollback, one decision per fault.
+    let (out, rec) = run(FaultPlan::none().fail_h2d(0, 4));
+    assert_eq!(out.stats.rollbacks, 1, "one rollback after the budget");
+    assert_eq!(rec.recovery_decisions() as u64, out.stats.faults_injected);
+    assert_eq!(out.vertex_values, clean.vertex_values);
+}
+
 /// The `device-loss` profile's 2 ms loss time targets full-size runs;
 /// this graph finishes in under 1 ms, so the chaos tests pin the loss
 /// mid-run explicitly (same code path, same sticky-loss semantics).
@@ -134,7 +184,7 @@ fn device_loss_fail_fast_surfaces_device_lost() {
         &layout,
         platform(),
         Options {
-            fault_plan: mid_run_loss(),
+            devices: vec![mid_run_loss().into()],
             recovery: RecoveryPolicy::fail_fast(),
             ..Options::optimized()
         },
@@ -155,7 +205,7 @@ fn alloc_pressure_past_retry_budget_surfaces_oom() {
         &layout,
         platform(),
         Options {
-            fault_plan: FaultPlan::none().fail_alloc(0, 64),
+            devices: vec![FaultPlan::none().fail_alloc(0, 64).into()],
             recovery: RecoveryPolicy::fail_fast(),
             ..Options::optimized()
         },
@@ -192,7 +242,7 @@ fn disarmed_fault_plan_adds_zero_overhead() {
         &layout,
         platform(),
         Options {
-            fault_plan: FaultPlan::none(),
+            devices: vec![FaultPlan::none().into()],
             ..Options::optimized()
         },
     )
@@ -209,22 +259,18 @@ fn disarmed_fault_plan_adds_zero_overhead() {
     assert_eq!(armed_none.stats.faults_injected, 0);
 }
 
-fn multi_layout() -> GraphLayout {
-    GraphLayout::build(&gen::rmat_g500(11, 30_000, 17).symmetrize())
-}
-
 #[test]
 fn device_loss_multi_gpu_evicts_and_redistributes() {
     let l = multi_layout();
-    let plat = Platform::paper_node_scaled(1 << 14);
-    let want = MultiGraphReduce::new(Cc, &l, plat.clone(), 2)
+    let want = GraphReduce::new(Cc, &l, platform(), on_gpus(2))
         .run()
         .unwrap()
         .vertex_values;
+    let mut opts = on_gpus(2);
+    opts.devices[0].fault_plan = FaultPlan::profile("device-loss", 0).unwrap();
     let (obs, sink) = Observer::recording();
-    let res = MultiGraphReduce::new(Cc, &l, plat, 2)
+    let res = GraphReduce::new(Cc, &l, platform(), opts)
         .with_observer(obs)
-        .with_fault_plan(0, FaultPlan::profile("device-loss", 0).unwrap())
         .run()
         .unwrap();
     assert_eq!(res.vertex_values, want, "survivor finishes the exact run");
@@ -240,15 +286,15 @@ fn device_loss_multi_gpu_evicts_and_redistributes() {
 #[test]
 fn multi_gpu_transient_faults_recover_bit_identical() {
     let l = multi_layout();
-    let plat = Platform::paper_node_scaled(1 << 14);
-    let want = MultiGraphReduce::new(Cc, &l, plat.clone(), 2)
+    let want = GraphReduce::new(Cc, &l, platform(), on_gpus(2))
         .run()
         .unwrap()
         .vertex_values;
+    let mut opts = on_gpus(2);
+    opts.devices[1].fault_plan = FaultPlan::none().fail_h2d(0, 1).fail_d2h(2, 1);
     let (obs, sink) = Observer::recording();
-    let res = MultiGraphReduce::new(Cc, &l, plat, 2)
+    let res = GraphReduce::new(Cc, &l, platform(), opts)
         .with_observer(obs)
-        .with_fault_plan(1, FaultPlan::none().fail_h2d(0, 1).fail_d2h(2, 1))
         .run()
         .unwrap();
     assert_eq!(res.vertex_values, want);
@@ -282,28 +328,28 @@ fn faulted_single_gpu_timelines_are_pinned() {
     let cases = [
         (
             Options {
-                fault_plan: FaultPlan::none().fail_h2d(5, 6),
+                devices: vec![FaultPlan::none().fail_h2d(5, 6).into()],
                 ..Options::optimized()
             },
             (1_433_643, 144, 39, 2_304_042, 1, 5, false),
         ),
         (
             Options {
-                fault_plan: FaultPlan::none().fail_h2d(5, 6),
+                devices: vec![FaultPlan::none().fail_h2d(5, 6).into()],
                 ..durable_opts(&dir, 1)
             },
             (1_433_643, 144, 39, 2_304_042, 1, 5, false),
         ),
         (
             Options {
-                fault_plan: mid_run_loss(),
+                devices: vec![mid_run_loss().into()],
                 ..Options::optimized()
             },
             (1_088_659, 73, 21, 1_214_464, 0, 0, true),
         ),
         (
             Options {
-                fault_plan: FaultPlan::from_seed(42),
+                devices: vec![FaultPlan::from_seed(42).into()],
                 ..Options::optimized()
             },
             (1_074_537, 135, 41, 2_140_158, 0, 3, false),
@@ -325,7 +371,6 @@ fn faulted_multi_gpu_timelines_are_pinned() {
     // (device, plan, (elapsed ns, exchange bytes, evictions)), held
     // exactly like the single-GPU pins above.
     let l = multi_layout();
-    let plat = Platform::paper_node_scaled(1 << 14);
     let cases = [
         (
             1,
@@ -339,9 +384,10 @@ fn faulted_multi_gpu_timelines_are_pinned() {
         ),
     ];
     for (device, plan, pinned) in cases {
+        let mut opts = on_gpus(2);
+        opts.devices[device].fault_plan = plan;
         let (obs, sink) = Observer::recording();
-        let s = MultiGraphReduce::new(Cc, &l, plat.clone(), 2)
-            .with_fault_plan(device, plan)
+        let s = GraphReduce::new(Cc, &l, platform(), opts)
             .with_observer(obs)
             .run()
             .unwrap()
@@ -415,7 +461,7 @@ fn a_replayed_iteration_is_not_recomputed() {
             &layout,
             Platform::paper_node_scaled(65536),
             Options {
-                fault_plan: plan,
+                devices: vec![plan.into()],
                 ..Options::optimized()
             },
         )
@@ -439,15 +485,14 @@ fn a_replayed_iteration_is_not_recomputed() {
         frontier_observations(&clean_rec)
     );
 
-    // The same on two GPUs, with the rollback inside iteration 0. The
-    // orchestrator snapshots no engine registry, so the decision log and
-    // the trace carry the check.
+    // The same on two GPUs, with the rollback inside iteration 0.
     let l = multi_layout();
     let run = |plan: FaultPlan| {
+        let mut opts = on_gpus(2);
+        opts.devices[0].fault_plan = plan;
         let (obs, sink) = Observer::recording();
-        let out = MultiGraphReduce::new(Bfs(0), &l, Platform::paper_node_scaled(1 << 14), 2)
+        let out = GraphReduce::new(Bfs(0), &l, platform(), opts)
             .with_observer(obs)
-            .with_fault_plan(0, plan)
             .run()
             .unwrap();
         (out, sink.recorded())
@@ -681,13 +726,11 @@ fn two_capped_gpus_descend_the_ladder_past_redistribution() {
     let plan = plan_partition(&l, &sizes, &plat.device, &plat.pcie, 2, None).unwrap();
     assert_eq!((plan.concurrent, plan.shards.len()), (2, 20));
     let cap = plan.static_bytes + plan.max_shard_bytes - 1;
-    let want = MultiGraphReduce::new(Cc, &l, plat.clone(), 2)
+    let want = GraphReduce::new(Cc, &l, plat.clone(), on_gpus(2))
         .run()
         .unwrap();
     let (obs, sink) = Observer::recording();
-    let got = MultiGraphReduce::new(Cc, &l, plat, 2)
-        .with_mem_cap(0, cap)
-        .with_mem_cap(1, cap)
+    let got = GraphReduce::new(Cc, &l, plat, on_gpus(2).with_mem_cap(cap))
         .with_observer(obs)
         .run()
         .unwrap();
@@ -728,15 +771,6 @@ fn two_capped_gpus_descend_the_ladder_past_redistribution() {
 
 use graphreduce::{CheckpointPolicy, SnapshotError};
 
-/// Fresh scratch directory (no tempfile crate in the workspace).
-fn scratch(tag: &str) -> std::path::PathBuf {
-    static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-    let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!("gr-chaos-{tag}-{}-{n}", std::process::id()));
-    std::fs::create_dir_all(&d).unwrap();
-    d
-}
-
 fn durable_opts(dir: &std::path::Path, every: u32) -> Options {
     Options {
         checkpoint_policy: CheckpointPolicy::durable(dir, every),
@@ -744,116 +778,14 @@ fn durable_opts(dir: &std::path::Path, every: u32) -> Options {
     }
 }
 
-/// Kill `p` at iteration `kill_at` (durable snapshots every iteration),
-/// then resume from the snapshot directory and return the finished run
-/// plus the decision log of the resumed leg.
-fn kill_then_resume<P: GasProgram + Clone>(
-    p: &P,
-    layout: &GraphLayout,
-    kill_at: u32,
-    tag: &str,
-) -> (graphreduce::RunResult<P>, Recorded) {
-    let dir = scratch(tag);
-    let res = GraphReduce::new(
-        p.clone(),
-        layout,
-        platform(),
-        Options {
-            fault_plan: FaultPlan::none().kill_at_iteration(kill_at),
-            ..durable_opts(&dir, 1)
-        },
-    )
-    .run();
-    match res {
-        Err(EngineError::Killed { iteration }) => {
-            assert_eq!(iteration, kill_at, "killed at the requested boundary")
-        }
-        Err(e) => panic!("kill at {kill_at}: wrong error {e}"),
-        Ok(_) => panic!("kill at {kill_at}: run must not survive the kill"),
-    }
-    let (obs, sink) = Observer::recording();
-    let out = GraphReduce::new(p.clone(), layout, platform(), durable_opts(&dir, 1))
-        .with_observer(obs)
-        .resume(&dir)
-        .unwrap();
-    (out, sink.recorded())
-}
-
-/// The full kill-restart family for one program: kill at the first, a
-/// middle, and the last iteration boundary; every resumed run must be
-/// bit-identical to the uninterrupted oracle — values, iteration trace,
-/// and state fingerprint — with exactly one restore decision logged.
-fn assert_kill_restart_family<P: GasProgram + Clone>(p: P, layout: &GraphLayout, tag: &str)
-where
-    P::VertexValue: PartialEq + std::fmt::Debug,
-{
-    let oracle_dir = scratch(&format!("{tag}-oracle"));
-    let oracle = GraphReduce::new(p.clone(), layout, platform(), durable_opts(&oracle_dir, 1))
-        .run()
-        .unwrap();
-    let iters = oracle.stats.iterations;
-    assert!(
-        iters >= 3,
-        "{tag}: graph too easy to kill mid-run ({iters})"
-    );
-    let fp = oracle
-        .stats
-        .state_fingerprint
-        .expect("durable runs fingerprint state");
-    for kill_at in [0, iters / 2, iters - 1] {
-        let (out, rec) = kill_then_resume(&p, layout, kill_at, &format!("{tag}-k{kill_at}"));
-        assert_eq!(
-            out.vertex_values, oracle.vertex_values,
-            "{tag} kill@{kill_at}"
-        );
-        assert_eq!(
-            out.stats.iterations, iters,
-            "{tag} kill@{kill_at}: full trace restored"
-        );
-        assert_eq!(
-            out.stats.frontier_sizes(),
-            oracle.stats.frontier_sizes(),
-            "{tag} kill@{kill_at}: per-iteration trace bit-identical"
-        );
-        assert_eq!(
-            out.stats.state_fingerprint,
-            Some(fp),
-            "{tag} kill@{kill_at}"
-        );
-        assert_eq!(out.stats.checkpoint_restores, 1, "{tag} kill@{kill_at}");
-        let restores = rec
-            .decisions
-            .iter()
-            .filter(|d| matches!(d, Decision::CheckpointRestore { .. }))
-            .count() as u64;
-        assert_eq!(
-            restores, 1,
-            "{tag} kill@{kill_at}: exactly one restore decision"
-        );
-        let writes = rec
-            .decisions
-            .iter()
-            .filter(|d| matches!(d, Decision::CheckpointWrite { .. }))
-            .count() as u64;
-        assert_eq!(
-            writes, out.stats.checkpoint_writes,
-            "{tag} kill@{kill_at}: one decision per snapshot written"
-        );
-        assert!(
-            out.stats.checkpoint_bytes_written > 0,
-            "{tag} kill@{kill_at}"
-        );
-    }
-}
-
 #[test]
 fn bfs_kill_restart_resumes_bit_identical() {
-    assert_kill_restart_family(Bfs(0), &small_graph(), "bfs");
+    assert_kill_restart_family(Bfs(0), &small_graph(), 1, "bfs");
 }
 
 #[test]
 fn pagerank_kill_restart_resumes_bit_identical() {
-    assert_kill_restart_family(Pr, &small_graph(), "pr");
+    assert_kill_restart_family(Pr, &small_graph(), 1, "pr");
 }
 
 #[test]
@@ -990,7 +922,7 @@ fn rollback_under_a_durable_policy_replays_exactly() {
         &layout,
         platform(),
         Options {
-            fault_plan: FaultPlan::none().fail_h2d(5, 6),
+            devices: vec![FaultPlan::none().fail_h2d(5, 6).into()],
             ..durable_opts(&dir, 1)
         },
     )
@@ -1128,13 +1060,19 @@ fn host_capped_run_spills_through_file_store_bit_identical() {
 
 #[test]
 fn all_devices_lost_surfaces_device_lost() {
+    // Losing every device follows `Options::recovery`: without host
+    // fallback the run fails.
     let l = multi_layout();
-    let plat = Platform::paper_node_scaled(1 << 14);
     let loss = FaultPlan::profile("device-loss", 0).unwrap();
-    let res = MultiGraphReduce::new(Cc, &l, plat, 2)
-        .with_fault_plan(0, loss.clone())
-        .with_fault_plan(1, loss)
-        .run();
+    let opts = Options {
+        devices: vec![loss.clone().into(), loss.into()],
+        recovery: RecoveryPolicy {
+            host_fallback: false,
+            ..RecoveryPolicy::default()
+        },
+        ..Options::optimized()
+    };
+    let res = GraphReduce::new(Cc, &l, platform(), opts).run();
     match res {
         Err(EngineError::DeviceLost) => {}
         Err(e) => panic!("wrong error: {e}"),

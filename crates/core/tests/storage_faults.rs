@@ -67,7 +67,7 @@ fn transient_spill_faults_absorbed_bit_identical() {
         .fail_spill_read(0, 2);
     let injected = plan.io_fault_count();
     let (out, rec) = run_io_faulted(Options {
-        fault_plan: plan,
+        devices: vec![plan.into()],
         ..spill_opts()
     });
     assert_eq!(out.vertex_values, want.vertex_values);
@@ -95,7 +95,7 @@ fn exhausted_spill_read_restreams_bit_identical() {
     let plan = FaultPlan::none().fail_spill_read(0, 4);
     let injected = plan.io_fault_count();
     let (out, rec) = run_io_faulted(Options {
-        fault_plan: plan,
+        devices: vec![plan.into()],
         ..spill_opts()
     });
     assert_eq!(
@@ -124,7 +124,7 @@ fn exhausted_spill_write_leaves_shard_host_resident() {
     let plan = FaultPlan::none().fail_spill_write(0, 4);
     let injected = plan.io_fault_count();
     let (out, rec) = run_io_faulted(Options {
-        fault_plan: plan,
+        devices: vec![plan.into()],
         ..spill_opts()
     });
     assert_eq!(out.vertex_values, want.vertex_values);
@@ -154,7 +154,7 @@ fn checkpoint_write_faults_are_retried_and_resume_still_works() {
         platform(),
         Options {
             checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
-            fault_plan: plan,
+            devices: vec![plan.into()],
             ..Options::optimized()
         },
     )
@@ -195,7 +195,7 @@ fn exhausted_checkpoint_write_skips_and_the_run_continues() {
         platform(),
         Options {
             checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
-            fault_plan: plan,
+            devices: vec![plan.into()],
             ..Options::optimized()
         },
     )
@@ -243,7 +243,7 @@ fn torn_checkpoint_writes_never_install_a_corrupt_snapshot() {
         platform(),
         Options {
             checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
-            fault_plan: plan,
+            devices: vec![plan.into()],
             ..Options::optimized()
         },
     )
@@ -292,7 +292,7 @@ fn io_fault_profiles_parse_and_recover_bit_identical() {
             host_capped_platform(),
             Options {
                 checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
-                fault_plan: plan,
+                devices: vec![plan.into()],
                 ..spill_opts()
             },
         )
@@ -317,7 +317,7 @@ fn io_faults_never_touch_the_device_timeline() {
         .fail_spill_read(0, 4)
         .fail_spill_write(0, 2);
     let (out, _) = run_io_faulted(Options {
-        fault_plan: plan,
+        devices: vec![plan.into()],
         ..spill_opts()
     });
     assert_eq!(out.stats.elapsed, want.stats.elapsed);
@@ -337,9 +337,10 @@ fn kill_during_io_faults_still_resumes_exactly() {
         platform(),
         Options {
             checkpoint_policy: CheckpointPolicy::durable(&dir, 1),
-            fault_plan: FaultPlan::none()
+            devices: vec![FaultPlan::none()
                 .torn_checkpoint_write(0, 1)
-                .kill_at_iteration(2),
+                .kill_at_iteration(2)
+                .into()],
             ..Options::optimized()
         },
     )

@@ -4,12 +4,20 @@
 
 use graphreduce_repro::algorithms::{reference, Cc, Heat, PageRank};
 use graphreduce_repro::baselines::Totem;
-use graphreduce_repro::core::{GraphReduce, MultiGraphReduce, Options, WarmStart};
+use graphreduce_repro::core::{DeviceSpec, GraphReduce, Options, WarmStart};
 use graphreduce_repro::graph::{gen, Dataset, EdgeList, GraphLayout};
 use graphreduce_repro::observe::Observer;
 use graphreduce_repro::sim::Platform;
 
 const SCALE: u64 = 1024;
+
+/// The optimized options on `n` devices.
+fn on_gpus(n: usize) -> Options {
+    Options {
+        devices: vec![DeviceSpec::default(); n],
+        ..Options::optimized()
+    }
+}
 
 #[test]
 fn multi_gpu_agrees_with_single_gpu_and_scales() {
@@ -19,8 +27,8 @@ fn multi_gpu_agrees_with_single_gpu_and_scales() {
         .run()
         .unwrap();
     let mut last = None;
-    for n in [1u32, 2, 4] {
-        let multi = MultiGraphReduce::new(Cc, &layout, plat.clone(), n)
+    for n in [1, 2, 4] {
+        let multi = GraphReduce::new(Cc, &layout, plat.clone(), on_gpus(n))
             .run()
             .unwrap();
         assert_eq!(multi.vertex_values, single.vertex_values, "{n} GPUs");
@@ -51,7 +59,7 @@ fn multi_gpu_prices_scatter_on_every_device() {
         .run()
         .unwrap();
     let (obs, sink) = Observer::recording();
-    let multi = MultiGraphReduce::new(heat, &layout, plat, 2)
+    let multi = GraphReduce::new(heat, &layout, plat, on_gpus(2))
         .with_observer(obs)
         .run()
         .unwrap();
