@@ -63,8 +63,7 @@ impl DurableConfig {
 pub(crate) struct DurableWriter {
     cfg: DurableConfig,
     fp: Fingerprint,
-    /// Snapshot payload compression (single-GPU runs reuse the shard
-    /// codec; multi-GPU snapshots stay uncompressed).
+    /// Snapshot payload compression: the run's shard codec, if any.
     codec: Option<CompressionCodec>,
     /// `Some`: record the cluster context in every snapshot (multi-GPU
     /// runs only).

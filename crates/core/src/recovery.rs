@@ -33,7 +33,9 @@ pub struct RecoveryPolicy {
     /// the run (the host already computed their results); also lets the
     /// memory governor degrade shards or the whole run to the host. While
     /// devices survive, a lost one's shards are redistributed instead.
-    /// The multi-GPU engine runs with this off.
+    /// Off, losing every device is [`EngineError::DeviceLost`] and a
+    /// shard no governor rung fits is [`EngineError::Alloc`], on any
+    /// device count.
     pub host_fallback: bool,
 }
 

@@ -36,8 +36,8 @@ pub struct SizeModel {
 
 impl SizeModel {
     /// The byte model derived from a program's data types and phase set —
-    /// the single definition both the single-GPU and multi-GPU frontends
-    /// build their plans from.
+    /// the single definition every run's plan is built from, on any
+    /// device count.
     pub fn for_program<P: crate::api::GasProgram>(program: &P) -> Self {
         SizeModel {
             vertex_value: std::mem::size_of::<P::VertexValue>() as u64,

@@ -15,7 +15,7 @@ use gr_graph::{gen, CompressionCodec, GraphLayout};
 use gr_observe::{Decision, Observer};
 use gr_sim::Platform;
 use graphreduce::testprog::{Bfs, Cc, Pr, Sssp};
-use graphreduce::{GasProgram, GraphReduce, HostKernels, Options, RunResult};
+use graphreduce::{DeviceSpec, GasProgram, GraphReduce, HostKernels, Options, RunResult};
 
 /// Weighted graph so compressed runs still ship the raw weight array
 /// (weights stay uncompressed; only topology is coded).
@@ -149,6 +149,51 @@ fn spill_armed_fingerprint_matches_raw() {
     assert_eq!(z.vertex_values, raw.vertex_values);
     assert!(raw.stats.state_fingerprint.is_some());
     assert_eq!(z.stats.state_fingerprint, raw.stats.state_fingerprint);
+}
+
+/// Compression, the spill store and several devices compose: CC and BFS
+/// with ζ₃ shards spilled from a host-capped platform on 2 GPUs match the
+/// raw 1-GPU spill run's values and state fingerprint bit for bit.
+#[test]
+fn zeta_spill_runs_on_two_gpus_match_the_one_gpu_raw_run() {
+    fn check<P>(prog: P, tag: &str)
+    where
+        P: GasProgram + Copy,
+        P::VertexValue: PartialEq + std::fmt::Debug,
+    {
+        let layout = weighted_graph();
+        // A device small enough that BFS's byte model plans several
+        // shards too, so both devices own some.
+        let mut plat = Platform::paper_node_scaled(1 << 16);
+        plat.host.mem_capacity = 100_000;
+        let run_with = |opts: Options| {
+            GraphReduce::new(prog, &layout, plat.clone(), opts)
+                .run()
+                .unwrap()
+        };
+        let raw = run_with(Options::optimized().with_spill_dir(scratch(tag)));
+        let two = run_with(
+            Options {
+                devices: vec![DeviceSpec::default(); 2],
+                ..Options::optimized()
+            }
+            .with_spill_dir(scratch(&format!("{tag}-z2")))
+            .with_shard_compression(CompressionCodec::Zeta(3)),
+        );
+        assert_eq!(two.vertex_values, raw.vertex_values, "{tag}");
+        assert!(raw.stats.state_fingerprint.is_some(), "{tag}");
+        assert_eq!(
+            two.stats.state_fingerprint, raw.stats.state_fingerprint,
+            "{tag}"
+        );
+        let s = &two.stats;
+        assert_eq!(s.num_gpus(), 2, "{tag}");
+        assert!(s.exchange_bytes > 0, "{tag}: both devices own shards");
+        assert!(s.spilled_shards > 0 && s.spill_loads > 0, "{tag}");
+        assert!(s.decompress_launches > 0, "{tag}");
+    }
+    check(Cc, "cc");
+    check(Bfs(0), "bfs");
 }
 
 /// Acceptance: on scale-16 RMAT (power-law gaps) and on a 2-D grid
