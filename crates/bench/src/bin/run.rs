@@ -98,7 +98,7 @@ fn usage() -> ! {
          writes dirty-state deltas between fulls and --checkpoint-full-every sets the full \
          cadence in durable boundaries (default 4); --resume restarts from the newest intact \
          snapshot in --checkpoint-dir (a multi-GPU run may resume on fewer GPUs); --spill-dir \
-         arms the out-of-host-core shard store (single GPU) and --host-mem-cap caps host RAM \
+         arms the out-of-host-core shard store (any GPU count) and --host-mem-cap caps host RAM \
          to force it (see docs/DURABILITY.md). A run killed by --faults kill:<iteration> exits \
          with code 9"
     );
@@ -360,13 +360,6 @@ fn main() {
     }
     if (args.spill_dir.is_some() || args.compress.is_some()) && args.engine != "gr" {
         eprintln!("error: --spill-dir/--compress apply to the gr engine only");
-        std::process::exit(2);
-    }
-    // The engine spills on any device count; the CLI keeps rejecting a
-    // spill store on several GPUs because its usage-error contract pins
-    // that combination (crates/bench/tests/kill_restart.rs).
-    if args.spill_dir.is_some() && args.gpus > 1 {
-        eprintln!("error: --spill-dir runs on one GPU from the CLI");
         std::process::exit(2);
     }
     if let Some(dir) = &args.checkpoint_dir {

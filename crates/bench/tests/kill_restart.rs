@@ -508,19 +508,6 @@ fn invalid_flag_combinations_are_usage_errors() {
             "--checkpoint-full-every",
             "0",
         ],
-        // The spill store stays single-GPU.
-        vec![
-            "--algo",
-            "bfs",
-            "--dataset",
-            "ak2010",
-            "--engine",
-            "gr",
-            "--gpus",
-            "2",
-            "--spill-dir",
-            &ckpt_s,
-        ],
     ];
     for args in &cases {
         let out = run_cli(args);
@@ -532,4 +519,44 @@ fn invalid_flag_combinations_are_usage_errors() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+}
+
+/// The engine spills on any device count, and so does the CLI: a BFS on
+/// two capped GPUs that streams its shards back from the store exits 0
+/// with the one-GPU run's state.
+#[test]
+fn spilled_two_gpu_run_matches_the_one_gpu_run() {
+    let dir = scratch("spill-gpus");
+    let run = |gpus: &str| {
+        let spill = dir.join(format!("spill-{gpus}"));
+        let out = run_cli(&[
+            "--algo",
+            "bfs",
+            "--dataset",
+            "ak2010",
+            "--scale",
+            "64",
+            "--engine",
+            "gr",
+            "--gpus",
+            gpus,
+            "--mem-cap",
+            "50000",
+            "--host-mem-cap",
+            "20000",
+            "--spill-dir",
+            spill.to_str().unwrap(),
+        ]);
+        assert!(
+            out.status.success(),
+            "{gpus} GPU(s): {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            String::from_utf8_lossy(&out.stdout).contains("2 shards spilled"),
+            "{gpus} GPU(s) must stream from the store"
+        );
+        stdout_fingerprint(&out)
+    };
+    assert_eq!(run("2"), run("1"));
 }

@@ -567,20 +567,60 @@ mod tests {
     fn cap_below_static_footprint_is_a_clean_alloc_error() {
         let l = rmat11();
         let plan = reference_plan(&l);
-        // Without host fallback a device that cannot hold the static
-        // buffers fails the run.
-        let mut opts = Options {
+        // Without host fallback, devices none of which can hold the static
+        // buffers fail the run.
+        let opts = Options {
             recovery: crate::RecoveryPolicy {
                 host_fallback: false,
                 ..Default::default()
             },
-            ..on_gpus(2)
+            ..on_gpus(2).with_mem_cap(plan.static_bytes - 1)
         };
-        opts.devices[1].mem_cap = Some(plan.static_bytes - 1);
         match GraphReduce::new(Cc, &l, plat14(), opts).run() {
             Err(EngineError::Alloc(_)) => {}
             Err(other) => panic!("expected Alloc, got {other:?}"),
             Ok(_) => panic!("expected Alloc error, run succeeded"),
+        }
+    }
+
+    /// One device of two capped below the static buffers is left out of
+    /// the placement: its peer runs every shard on-device, with or without
+    /// host fallback, and the answer is the one-device run's.
+    #[test]
+    fn device_below_static_footprint_is_left_out() {
+        let l = rmat11();
+        let plan = reference_plan(&l);
+        let baseline = cc(&l, 1).run().unwrap();
+        for host_fallback in [true, false] {
+            let mut opts = Options {
+                recovery: crate::RecoveryPolicy {
+                    host_fallback,
+                    ..Default::default()
+                },
+                ..on_gpus(2)
+            };
+            opts.devices[1].mem_cap = Some(plan.static_bytes - 1);
+            let (obs, sink) = Observer::recording();
+            let run = GraphReduce::new(Cc, &l, plat14(), opts)
+                .with_observer(obs)
+                .run()
+                .unwrap();
+            let s = &run.stats;
+            assert!(!s.host_fallback, "fallback {host_fallback}");
+            assert_eq!(run.vertex_values, baseline.vertex_values);
+            assert!(s.per_gpu_kernel[0] > gr_sim::SimDuration::ZERO);
+            assert_eq!(
+                s.per_gpu_kernel[1],
+                gr_sim::SimDuration::ZERO,
+                "device 1 ran"
+            );
+            assert_eq!(
+                s.per_gpu_memcpy[1],
+                gr_sim::SimDuration::ZERO,
+                "device 1 copied"
+            );
+            assert_eq!(s.mem_pressure_events, 1);
+            assert_eq!(sink.recorded().memory_decisions(), 1);
         }
     }
 

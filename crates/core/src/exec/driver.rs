@@ -172,6 +172,9 @@ impl<'a, P: GasProgram> Runner<'a, P> {
         )?;
         let plan = governed.partition;
         let k = plan.concurrent as usize;
+        // A device capped below the static buffers owns no shard (the
+        // governor placed them elsewhere) and never takes one.
+        let alive: Vec<bool> = capacities.iter().map(|&c| c >= plan.static_bytes).collect();
         if let Some(c) = &comp {
             let force = !opts.phase_fusion;
             c.account(&sizes, &plan.shards, force, &mut ctxs[0].metrics, &observer);
@@ -192,7 +195,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
                 ctx.create_spray_streams(opts.spray_width.max(1) as usize * k);
             }
             ctx.slot_bytes = governed.slot_bytes[d].max(1);
-            if governed.host_run {
+            if governed.host_run || !alive[d] {
                 continue;
             }
             let s0 = ctx.main_streams[0];
@@ -298,7 +301,7 @@ impl<'a, P: GasProgram> Runner<'a, P> {
             opts,
             sizes,
             plan,
-            alive: vec![true; ndev],
+            alive,
             replica: vec![false; ndev],
             ctxs,
             owners: governed.owners,

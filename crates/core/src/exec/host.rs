@@ -8,6 +8,8 @@
 //! one parallel level, the shards (the paper's unit of concurrent work):
 //! gather, apply and activate each cut the shard list into at most one
 //! contiguous run per worker thread and run them through `in_runs`.
+//! Activate pushes or pulls (`phases::activate_pulls`), one direction per
+//! iteration for all shards.
 //! Each per-shard phase execution is wrapped in a `WallProfiler` scope
 //! keyed by (iteration, shard, phase, resolved kernel shape), so armed
 //! runs attribute real milliseconds to the dense/sparse choices —
@@ -24,13 +26,15 @@ use crate::api::GasProgram;
 use crate::engine::WarmStart;
 use crate::options::HostKernels;
 use crate::phases::{
-    activate_shard, apply_shard, gather_shard, scatter_shard, shape_name, ShardWork,
+    activate_pull_shard, activate_pulls, activate_shard, apply_shard, gather_shard, scatter_shard,
+    shape_name, ShardWork,
 };
 use crate::stats::IterationStats;
 
 /// A phase fans out only when its driving bitmap (the frontier for
-/// gather/apply, `changed` for activate) holds at least this many
-/// vertices. Below it a thread spawn per run costs more than the run's
+/// gather/apply, `changed` for a pushed activate) holds at least this
+/// many vertices; a pulled activate probes every vertex, so it counts
+/// them all. Below it a thread spawn per run costs more than the run's
 /// work: `grid-sparse` traversals, whose frontiers stay near 700 vertices,
 /// ran 3x slower on two threads than on one without the gate, while the
 /// dense opening iterations of `rmat-dense`/`rmat-zeta` sit far above it.
@@ -40,9 +44,10 @@ const FAN_OUT_MIN_ACTIVE: u64 = 4096;
 type Run<C> = (Range<usize>, C);
 
 /// Cut `0..num_shards` into contiguous runs of near-equal shard count:
-/// one run below the gate, else up to one per worker thread.
-fn shard_runs(num_shards: usize, threads: usize, driving: &Bitmap) -> Vec<Range<usize>> {
-    let wanted = if driving.count() < FAN_OUT_MIN_ACTIVE {
+/// one run below the gate, else up to one per worker thread. `active`
+/// is the phase's driving population.
+fn shard_runs(num_shards: usize, threads: usize, active: u64) -> Vec<Range<usize>> {
+    let wanted = if active < FAN_OUT_MIN_ACTIVE {
         1
     } else {
         threads
@@ -217,7 +222,7 @@ impl<P: GasProgram> HostState<P> {
         if program.has_gather() {
             let (values, edge_values, frontier) =
                 (&self.vertex_values, &self.edge_values, &self.frontier);
-            let runs = shard_runs(num_shards, threads, frontier);
+            let runs = shard_runs(num_shards, threads, frontier_size);
             let counts = in_runs(
                 carve(&mut self.gather_temp, shards, runs),
                 |(base, temp), i| {
@@ -252,7 +257,7 @@ impl<P: GasProgram> HostState<P> {
 
         // Apply.
         let (gather_temp, frontier) = (&self.gather_temp, &self.frontier);
-        let runs = shard_runs(num_shards, threads, frontier);
+        let runs = shard_runs(num_shards, threads, frontier_size);
         let changed_ids = in_runs(
             carve(&mut self.vertex_values, shards, runs),
             |(base, values), i| {
@@ -271,10 +276,13 @@ impl<P: GasProgram> HostState<P> {
                 )
             },
         );
+        // The changed vertices' out-edge mass decides activate's direction.
+        let mut changed_mass = 0;
         for (w, ids) in work.iter_mut().zip(changed_ids) {
             w.changed_vertices = ids.len() as u64;
             for v in ids {
                 self.changed.set(v);
+                changed_mass += layout.csr.degree(v);
             }
         }
 
@@ -297,12 +305,19 @@ impl<P: GasProgram> HostState<P> {
             }
         }
 
-        // FrontierActivate (always; framework-generated). A shard's
-        // out-edges land anywhere, so the first run marks `next_frontier`
-        // itself and each further run a spare bitmap, OR-ed in after and
-        // cleared again.
+        // FrontierActivate (always; framework-generated), in one direction
+        // for every shard. A pushing shard's out-edges land anywhere, and a
+        // pulling shard writes only its own interval; either way the first
+        // run marks `next_frontier` itself and each further run a spare
+        // bitmap, OR-ed in after and cleared again.
         let changed = &self.changed;
-        let runs = shard_runs(num_shards, threads, changed);
+        let pull = activate_pulls(mode, changed_mass, layout.num_edges());
+        let driving = if pull {
+            u64::from(layout.num_vertices())
+        } else {
+            changed.count()
+        };
+        let runs = shard_runs(num_shards, threads, driving);
         let n = self.next_frontier.len();
         let extra = runs.len().saturating_sub(1);
         if self.spare.len() < extra {
@@ -312,8 +327,18 @@ impl<P: GasProgram> HostState<P> {
         let targets = std::iter::once(&mut self.next_frontier).chain(spare.iter_mut());
         let walked = in_runs(runs.into_iter().zip(targets).collect(), |next, i| {
             let sh = &shards[i];
-            let _w = wall.scope(|| phase_key(iter, i as u32, "activate", mode, changed, sh));
-            activate_shard(view, sh, changed, next, mode).0
+            if pull {
+                let _w = wall.scope(|| WallKey {
+                    iteration: iter,
+                    shard: i as u32,
+                    phase: "activate",
+                    shape: "pull",
+                });
+                activate_pull_shard(view, sh, changed, next).0
+            } else {
+                let _w = wall.scope(|| phase_key(iter, i as u32, "activate", mode, changed, sh));
+                activate_shard(view, sh, changed, next, mode).0
+            }
         });
         for (w, walked) in work.iter_mut().zip(walked) {
             w.out_edges_of_changed = walked;

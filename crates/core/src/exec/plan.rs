@@ -96,7 +96,9 @@ impl StagingBuffer {
 /// 5. per-shard host fallback — or, when a shard store is configured,
 ///    spill the shard to storage and stream it back chunked (the
 ///    out-of-host-core rung; see [`crate::store`]),
-/// 6. whole-run host execution,
+/// 6. whole-run host execution, when no device can hold the static
+///    buffers (a device that cannot, among several, is first left out of
+///    the placement),
 ///
 /// and surfacing [`EngineError::Alloc`] only when the recovery policy
 /// forbids host fallback at a terminal rung. Each rung judges a shard
@@ -178,18 +180,39 @@ pub fn build_exec_plan(
         worst
     };
 
-    // Rung 6 first (it gates everything): the static buffers alone exceed
-    // a device's cap, so no device execution is possible at all.
-    if let Some(d) = (0..ndev).find(|&d| plan.static_bytes > capacities[d]) {
+    // Rung 6 first (it gates everything): a device whose cap is below the
+    // static buffers cannot execute at all. When no device holds them, no
+    // device execution is possible; otherwise each such device's shards
+    // move round-robin to the devices that do.
+    let holders: Vec<usize> = (0..ndev)
+        .filter(|&d| plan.static_bytes <= capacities[d])
+        .collect();
+    if holders.is_empty() {
         if !opts.recovery.host_fallback {
-            return Err(EngineError::Alloc(oom(plan.static_bytes, capacities[d], d)));
+            return Err(EngineError::Alloc(oom(plan.static_bytes, capacities[0], 0)));
         }
         metrics.inc(EngineMetric::MemPressure, 1);
-        pressure(d, plan.static_bytes, capacities[d], "host-run", "run");
+        pressure(0, plan.static_bytes, capacities[0], "host-run", "run");
         out.host_run = true;
         return Ok(out);
     }
-    let budgets: Vec<u64> = capacities.iter().map(|c| c - plan.static_bytes).collect();
+    for d in (0..ndev).filter(|d| !holders.contains(d)) {
+        for (k, o) in owners.iter_mut().filter(|o| **o == d).enumerate() {
+            *o = holders[k % holders.len()];
+        }
+        metrics.inc(EngineMetric::MemPressure, 1);
+        pressure(
+            d,
+            plan.static_bytes,
+            capacities[d],
+            "exclude-device",
+            "device",
+        );
+    }
+    let budgets: Vec<u64> = capacities
+        .iter()
+        .map(|c| c.saturating_sub(plan.static_bytes))
+        .collect();
 
     // Rung 0: redistribution. A device is pressured when K slots of its
     // largest shard exceed its budget; move that shard to the

@@ -26,6 +26,21 @@
 //! [`ShardWork`] counts — asserted by the differential tests in
 //! `tests/host_kernels.rs`.
 //!
+//! # Push/pull FrontierActivate
+//!
+//! Activate has a third shape, **pull** (Gunrock's bottom-up step, after
+//! Beamer's direction-optimizing BFS): [`activate_pull_shard`] marks each
+//! vertex of the interval iff one of its CSC in-neighbours changed,
+//! stopping at the first. It reads no program values, so it is exact for
+//! every [`GasProgram`], and it writes only the interval's own bits.
+//! `activate_pulls` makes the choice once per iteration for all shards,
+//! by the changed vertices' out-edge mass (threshold
+//! `PULL_EDGE_MASS_DENOM`): a shard that pulls never walks its own
+//! changed vertices' out-edges, so mixing directions would lose the edges
+//! from a pulling shard into every interval that pushes. Both directions
+//! report the same `walked`, so [`ShardWork`] and the simulated timeline
+//! do not depend on the choice. `Serial` always pushes and is the oracle.
+//!
 //! Every kernel here runs on one thread. The host's one parallel level is
 //! the shard fan-out in `exec/host.rs`.
 //!
@@ -42,6 +57,22 @@ use crate::options::HostKernels;
 /// vertices are active: below that, word-skipping over the bitmap beats a
 /// contiguous scan; above it, the scan's locality wins.
 pub const SPARSE_DENSITY_DENOM: u64 = 8;
+
+/// Adaptive mode pulls FrontierActivate when the changed vertices' out-edges
+/// are at least 1/8 of the graph's edges: push walks that mass, pull costs
+/// about one interval scan, and on R-MAT the two cost the same at 1/8 of
+/// the edges over raw rows and at 1/9 over ζ₃ rows (docs/PERFORMANCE.md,
+/// "Pull-side activate"). A vertex count would miss it: a BFS's second
+/// level there holds 6 % of the vertices but 71 % of the edges.
+pub(crate) const PULL_EDGE_MASS_DENOM: u64 = 8;
+
+/// Whether this iteration's FrontierActivate pulls, for every shard:
+/// `changed_out_edges` is the out-degree sum of all changed vertices.
+pub(crate) fn activate_pulls(mode: HostKernels, changed_out_edges: u64, num_edges: u64) -> bool {
+    mode == HostKernels::Adaptive
+        && changed_out_edges > 0
+        && changed_out_edges.saturating_mul(PULL_EDGE_MASS_DENOM) >= num_edges
+}
 
 /// Concrete shape a phase executes after [`HostKernels`] resolution.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -306,6 +337,35 @@ pub fn activate_shard(
     }
 }
 
+/// FrontierActivate for one shard, pull-side: mark `v` of the interval iff
+/// some in-neighbour changed, stopping at the first, so only the
+/// interval's bits of `next_frontier` are written. Over all shards it sets
+/// exactly the bits [`activate_shard`] sets, and it returns the same
+/// `walked` (the out-degree sum of the interval's changed vertices, read
+/// from CSR offsets); `activated` counts the interval's marked vertices.
+pub fn activate_pull_shard(
+    view: TopoView<'_>,
+    shard: &Shard,
+    changed: &Bitmap,
+    next_frontier: &mut Bitmap,
+) -> (u64, u64) {
+    let start = shard.interval.start;
+    let end = shard.interval.end;
+    let csr = &view.layout().csr;
+    let walked = changed
+        .iter_set_range(start, end)
+        .map(|v| csr.degree(v))
+        .sum();
+    let mut activated = 0;
+    for v in start..end {
+        // Branch instead of `+= u64::from(..)`: see Bitmap::set.
+        if view.csc_entries(v).any(|(src, _)| changed.get(src)) && next_frontier.set(v) {
+            activated += 1;
+        }
+    }
+    (walked, activated)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -472,6 +532,17 @@ mod tests {
             assert_eq!(activated, 2, "{mode:?}");
             assert_eq!(next.iter_set().collect::<Vec<_>>(), vec![0, 2], "{mode:?}");
         }
+        // Pull marks the same bits and reports the same walk, per shard.
+        let (layout, shards) = path_graph();
+        let mut changed = Bitmap::new(4);
+        changed.set(1);
+        let mut next = Bitmap::new(4);
+        let pulled: Vec<_> = shards
+            .iter()
+            .map(|sh| activate_pull_shard(TopoView::raw(&layout), sh, &changed, &mut next))
+            .collect();
+        assert_eq!(pulled, vec![(2, 1), (0, 1)]);
+        assert_eq!(next.iter_set().collect::<Vec<_>>(), vec![0, 2]);
     }
 
     /// Program with mutable edge state: scatter writes src value into edges.
@@ -565,5 +636,10 @@ mod tests {
         // The scan keeps its profile label.
         assert_eq!(shape_name(HostKernels::Serial, 0, 1000), "dense");
         assert_eq!(shape_name(HostKernels::Adaptive, 0, 1000), "sparse");
+        // Activate pulls from 1/8 of the edges on; the oracle never does.
+        assert!(!activate_pulls(HostKernels::Adaptive, 124, 1000));
+        assert!(activate_pulls(HostKernels::Adaptive, 125, 1000));
+        assert!(!activate_pulls(HostKernels::Adaptive, 0, 0));
+        assert!(!activate_pulls(HostKernels::Serial, 1000, 1000));
     }
 }

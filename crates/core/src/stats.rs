@@ -199,13 +199,15 @@ impl RunStats {
         self.per_gpu_memcpy.len()
     }
 
-    /// Fraction of wall time the copy engines were busy (the paper reports
-    /// ~95% for unoptimized out-of-memory runs).
+    /// Fraction of wall time the copy engines were busy, mean per device
+    /// (`memcpy_time` sums every device's busy time; the paper reports
+    /// ~95% for unoptimized out-of-memory runs on one GPU).
     pub fn memcpy_share(&self) -> f64 {
         if self.elapsed.is_zero() {
             return 0.0;
         }
-        self.memcpy_time.as_secs_f64() / self.elapsed.as_secs_f64()
+        let devices = self.num_gpus().max(1) as f64;
+        self.memcpy_time.as_secs_f64() / (self.elapsed.as_secs_f64() * devices)
     }
 }
 
@@ -585,5 +587,14 @@ mod tests {
             ..Default::default()
         };
         assert!((s.memcpy_share() - 0.95).abs() < 1e-9);
+        // Two devices busy 95 and 65 ms of a 100 ms run: 80 % each on
+        // average, never above 100 %.
+        let two = RunStats {
+            elapsed: SimDuration::from_millis(100),
+            memcpy_time: SimDuration::from_millis(160),
+            per_gpu_memcpy: vec![SimDuration::from_millis(95), SimDuration::from_millis(65)],
+            ..Default::default()
+        };
+        assert!((two.memcpy_share() - 0.80).abs() < 1e-9);
     }
 }

@@ -167,8 +167,9 @@ pub enum Decision {
         available: u64,
         /// Device capacity after any runtime cap.
         capacity: u64,
-        /// Escalation rung taken: `"host-run"`, `"stream"`,
-        /// `"reduce-concurrency"`, `"host-shard"`, `"redistribute"`.
+        /// Escalation rung taken: `"host-run"`, `"exclude-device"`,
+        /// `"stream"`, `"reduce-concurrency"`, `"host-shard"`,
+        /// `"redistribute"`.
         response: &'static str,
         /// What the response applies to: `"run"`, `"plan"`, `"shard"`,
         /// or `"device"`.

@@ -10,7 +10,10 @@
 //! every mode also reads the topology through gap-coded [`TopoView`]s,
 //! which must change nothing. The long-grid and threshold-crossing runs
 //! pin `Adaptive`'s sparse activate, which walks `changed` through the
-//! bitmap's word summary, to the oracle over whole traversals.
+//! bitmap's word summary, to the oracle over whole traversals. Pull-side
+//! activate must mark exactly the bits push marks, shard by shard at phase
+//! level and iteration by iteration over a hub-sourced BFS that switches
+//! direction twice.
 
 use std::collections::BTreeMap;
 
@@ -21,8 +24,12 @@ use gr_graph::{
 };
 use gr_observe::{WallProfile, WallProfiler};
 use gr_sim::Platform;
-use graphreduce::phases::{activate_shard, apply_shard, gather_shard, scatter_shard};
-use graphreduce::{GasProgram, GraphReduce, HostKernels, InitialFrontier, Options};
+use graphreduce::phases::{
+    activate_pull_shard, activate_shard, apply_shard, gather_shard, scatter_shard,
+};
+use graphreduce::{
+    plan_partition, GasProgram, GraphReduce, HostKernels, InitialFrontier, Options, SizeModel,
+};
 
 /// Force four worker threads so the engine's shard fan-out actually runs
 /// threaded even on single-CPU machines. Every test in this binary wants
@@ -284,6 +291,59 @@ fn edge_stamping_phases_agree_across_modes_and_densities() {
     assert_phases_agree(StampEndpoints);
 }
 
+/// Pull against push on a directed R-MAT graph, whose in-rows differ from
+/// its out-rows, cut into two uneven shards: at every changed density and
+/// over raw, ζ₃ and varint rows, pulling every shard marks exactly the
+/// bits the push oracle marks, and each shard reports the push walk.
+#[test]
+fn pull_activate_matches_push_across_densities_and_views() {
+    let layout = GraphLayout::build(&gen::rmat_g500(14, 120_000, 9));
+    let n = layout.num_vertices();
+    let shards = build_shards(
+        &layout,
+        &[
+            Interval {
+                start: 0,
+                end: 3_000,
+            },
+            Interval {
+                start: 3_000,
+                end: n,
+            },
+        ],
+    );
+    let coded = [CompressionCodec::Zeta(3), CompressionCodec::Varint]
+        .map(|codec| CompressedTopology::build(&layout, codec));
+    let raw = TopoView::raw(&layout);
+    let views = [
+        ("raw", raw),
+        ("zeta3", TopoView::compressed(&layout, &coded[0])),
+        ("varint", TopoView::compressed(&layout, &coded[1])),
+    ];
+    for (di, &density) in DENSITIES.iter().enumerate() {
+        let changed = random_frontier(n, density, 23 + di as u64);
+        let mut pushed = Bitmap::new(n);
+        let push_walked: Vec<u64> = shards
+            .iter()
+            .map(|sh| activate_shard(raw, sh, &changed, &mut pushed, HostKernels::Serial).0)
+            .collect();
+        assert!(pushed.count() > 0, "density {density} activated nothing");
+        for (tag, view) in views {
+            let mut pulled = Bitmap::new(n);
+            let walked: Vec<u64> = shards
+                .iter()
+                .map(|sh| activate_pull_shard(view, sh, &changed, &mut pulled).0)
+                .collect();
+            assert_eq!(walked, push_walked, "walk over {tag} rows at {density}");
+            assert_eq!(pulled.count(), pushed.count(), "{tag} rows at {density}");
+            assert!(
+                pulled.iter_set().eq(pushed.iter_set()),
+                "next frontier over {tag} rows at density {density}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Whole-run agreement: every mode, multi-shard engine, threaded fan-out.
 // ---------------------------------------------------------------------------
@@ -497,14 +557,19 @@ where
     activate_shapes(&profile)
 }
 
-/// BFS and SSSP on RMAT-13: some shard's changed set starts below 1/8 of
-/// its interval, grows past it and falls back below it, so activate
-/// switches from the sparse walk to the scan and back within one run,
-/// and the run still matches the oracle.
+/// BFS and SSSP on a small-world ring: as the wave passes through a
+/// shard, the shard's changed set starts below 1/8 of its interval, grows
+/// past it and falls back below it, while the changed edge mass stays
+/// under the pull threshold, so the pushed activate switches from the
+/// sparse walk to the scan and back within one run, and the run still
+/// matches the oracle. (R-MAT's middle levels pull instead; see
+/// `hub_bfs_pushes_pulls_and_pushes_again_like_the_oracle`.)
 #[test]
 fn activate_crossing_the_threshold_both_ways_matches_the_oracle() {
     force_threads();
-    let layout = engine_graph();
+    let layout = GraphLayout::build(
+        &gen::with_random_weights(gen::smallworld(1 << 14, 1 << 17, 0.02, 3), 1.0, 6).symmetrize(),
+    );
     for (name, shapes) in [
         ("bfs", assert_adaptive_matches_serial(Bfs::new(0), &layout)),
         (
@@ -517,4 +582,70 @@ fn activate_crossing_the_threshold_both_ways_matches_the_oracle() {
             "{name}: no shard's activate went sparse, dense, sparse: {shapes:?}"
         );
     }
+}
+
+/// A BFS from RMAT-13's largest hub on uneven shards: the hub's own
+/// out-edges are under 1/8 of the graph's, the next two levels' are over
+/// it and the tail's are under it again, so activate pushes, pulls, then
+/// pushes. Every iteration pulls on all shards or on none, and the run
+/// matches the push-only oracle in values, per-iteration stats, elapsed
+/// time and device op counts.
+#[test]
+fn hub_bfs_pushes_pulls_and_pushes_again_like_the_oracle() {
+    force_threads();
+    let layout = engine_graph();
+    let hub = (0..layout.num_vertices())
+        .max_by_key(|&v| layout.csr.degree(v))
+        .unwrap();
+    let program = Bfs::new(hub);
+    let plat = Platform::paper_node_scaled(8_192);
+    let opts = Options::optimized();
+    let sizes = SizeModel::for_program(&program);
+    let plan = plan_partition(
+        &layout,
+        &sizes,
+        &plat.device,
+        &plat.pcie,
+        opts.concurrent_shards,
+        opts.num_shards,
+    )
+    .unwrap();
+    let lens: Vec<u32> = plan.shards.iter().map(|s| s.interval.len()).collect();
+    assert!(
+        lens.len() >= 2 && lens.iter().min() < lens.iter().max(),
+        "want uneven shards: {lens:?}"
+    );
+
+    let (oracle, profile) = profiled_run(program, &layout, HostKernels::Serial);
+    assert!(
+        profile.samples.iter().all(|s| s.key.shape != "pull"),
+        "the oracle never pulls"
+    );
+    let mode = HostKernels::Adaptive;
+    let (got, profile) = profiled_run(program, &layout, mode);
+    assert_matches_oracle(&got, &oracle, mode);
+
+    let mut per_iter: BTreeMap<u32, Vec<bool>> = BTreeMap::new();
+    for s in profile.samples.iter().filter(|s| s.key.phase == "activate") {
+        per_iter
+            .entry(s.key.iteration)
+            .or_default()
+            .push(s.key.shape == "pull");
+    }
+    let pulled: Vec<bool> = per_iter
+        .iter()
+        .map(|(i, shards)| {
+            assert!(
+                shards.iter().all(|&p| p == shards[0]),
+                "iteration {i} mixed push and pull: {shards:?}"
+            );
+            shards[0]
+        })
+        .collect();
+    let first_pull = pulled.iter().position(|&p| p);
+    let last_pull = pulled.iter().rposition(|&p| p);
+    assert!(
+        matches!((first_pull, last_pull), (Some(a), Some(b)) if a > 0 && b + 1 < pulled.len()),
+        "want push, pull, push by iteration: {pulled:?}"
+    );
 }
