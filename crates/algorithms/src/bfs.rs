@@ -68,39 +68,31 @@ mod tests {
     use crate::reference;
     use gr_graph::{gen, GraphLayout};
     use gr_sim::Platform;
-    use graphreduce::{GraphReduce, Options};
+    use graphreduce::{GraphSession, Options};
 
     #[test]
     fn matches_reference_on_random_graph() {
         let layout = GraphLayout::build(&gen::uniform(300, 1500, 9));
-        let out = GraphReduce::new(
-            Bfs::new(3),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Bfs::new(3))
+            .run()
+            .unwrap();
         assert_eq!(out.vertex_values, reference::bfs(&layout, 3));
     }
 
     #[test]
     fn out_of_core_matches_in_core() {
         let layout = GraphLayout::build(&gen::rmat_g500(10, 8000, 4).symmetrize());
-        let big = GraphReduce::new(
-            Bfs::new(0),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
-        let small = GraphReduce::new(
-            Bfs::new(0),
+        let big = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Bfs::new(0))
+            .run()
+            .unwrap();
+        let small = GraphSession::new(
             &layout,
             Platform::paper_node_scaled(1 << 15),
             Options::optimized(),
         )
+        .query(&Bfs::new(0))
         .run()
         .unwrap();
         assert_eq!(big.vertex_values, small.vertex_values);
@@ -111,14 +103,10 @@ mod tests {
     fn disconnected_vertices_stay_unreached() {
         let el = gr_graph::EdgeList::from_edges(5, vec![(0, 1), (1, 2)]);
         let layout = GraphLayout::build(&el);
-        let out = GraphReduce::new(
-            Bfs::new(0),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Bfs::new(0))
+            .run()
+            .unwrap();
         assert_eq!(out.vertex_values, vec![0, 1, 2, UNREACHED, UNREACHED]);
     }
 }

@@ -68,12 +68,13 @@ mod tests {
     use crate::reference;
     use gr_graph::{gen, GraphLayout};
     use gr_sim::Platform;
-    use graphreduce::{GraphReduce, Options};
+    use graphreduce::{GraphSession, Options};
 
     #[test]
     fn labels_equal_component_minimum() {
         let layout = GraphLayout::build(&gen::uniform(500, 900, 41).symmetrize());
-        let out = GraphReduce::new(Cc, &layout, Platform::paper_node(), Options::optimized())
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
         reference::check_cc_labels(&layout, &out.vertex_values);
@@ -89,7 +90,8 @@ mod tests {
         )
         .symmetrize();
         let layout = GraphLayout::build(&el);
-        let out = GraphReduce::new(Cc, &layout, Platform::paper_node(), Options::optimized())
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
         for i in 0..n / 2 {
@@ -107,7 +109,8 @@ mod tests {
             gr_graph::EdgeList::from_edges(n, (0..n - 1).map(|v| (v, v + 1)).collect::<Vec<_>>())
                 .symmetrize();
         let layout = GraphLayout::build(&el);
-        let out = GraphReduce::new(Cc, &layout, Platform::paper_node(), Options::optimized())
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
         assert!(out.vertex_values.iter().all(|&l| l == 0));

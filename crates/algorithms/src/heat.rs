@@ -122,13 +122,14 @@ mod tests {
     use crate::reference;
     use gr_graph::{gen, GraphLayout};
     use gr_sim::Platform;
-    use graphreduce::{GraphReduce, Options};
+    use graphreduce::{GraphSession, Options};
 
     #[test]
     fn matches_sequential_reference() {
         let layout = GraphLayout::build(&gen::grid2d_with_edges(256, 900, 61).symmetrize());
         let h = Heat::default();
-        let out = GraphReduce::new(h, &layout, Platform::paper_node(), Options::optimized())
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&h)
             .run()
             .unwrap();
         let want = reference::heat(&layout, h.alpha, h.epsilon, h.max_iters, h.hot);
@@ -139,14 +140,10 @@ mod tests {
     fn heat_spreads_from_the_seed() {
         let el = gr_graph::EdgeList::from_edges(4, vec![(0, 1), (1, 2), (2, 3)]).symmetrize();
         let layout = GraphLayout::build(&el);
-        let out = GraphReduce::new(
-            Heat::default(),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Heat::default())
+            .run()
+            .unwrap();
         // Everyone warmed up; closer vertices are warmer early in the decay.
         assert!(out.vertex_values[1] > 0.0);
         assert!(out.vertex_values[3] > 0.0);
@@ -158,11 +155,13 @@ mod tests {
     fn scatter_costs_show_up_in_data_movement() {
         let layout = GraphLayout::build(&gen::uniform(512, 6000, 62).symmetrize());
         let plat = Platform::paper_node_scaled(1 << 14);
-        let heat = GraphReduce::new(Heat::default(), &layout, plat.clone(), Options::optimized())
+        let heat = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Heat::default())
             .run()
             .unwrap();
         // A scatter-less program of the same shape moves fewer D2H bytes.
-        let cc = GraphReduce::new(crate::cc::Cc, &layout, plat, Options::optimized())
+        let cc = GraphSession::new(&layout, plat, Options::optimized())
+            .query(&crate::cc::Cc)
             .run()
             .unwrap();
         let heat_d2h_per_iter = heat.stats.bytes_d2h / heat.stats.iterations.max(1) as u64;

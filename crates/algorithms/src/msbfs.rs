@@ -288,18 +288,14 @@ mod tests {
     use crate::reference;
     use gr_graph::{gen, GraphLayout};
     use gr_sim::Platform;
-    use graphreduce::{GraphReduce, Options};
+    use graphreduce::{GraphSession, Options};
 
     fn run(layout: &GraphLayout, sources: Vec<u32>) -> Vec<MsBfsValue> {
-        GraphReduce::new(
-            MsBfs::new(sources),
-            layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap()
-        .vertex_values
+        GraphSession::new(layout, Platform::paper_node(), Options::optimized())
+            .query(&MsBfs::new(sources))
+            .run()
+            .unwrap()
+            .vertex_values
     }
 
     #[test]
@@ -361,15 +357,11 @@ mod tests {
     }
 
     fn run_levels(layout: &GraphLayout, sources: Vec<u32>) -> Vec<MsBfsLevelsValue> {
-        GraphReduce::new(
-            MsBfsLevels::new(sources),
-            layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap()
-        .vertex_values
+        GraphSession::new(layout, Platform::paper_node(), Options::optimized())
+            .query(&MsBfsLevels::new(sources))
+            .run()
+            .unwrap()
+            .vertex_values
     }
 
     #[test]
@@ -392,14 +384,11 @@ mod tests {
         let sources = vec![0u32, 7, 500, 7]; // duplicate lanes allowed
         let got = run_levels(&layout, sources.clone());
         for (lane, &s) in sources.iter().enumerate() {
-            let standalone = GraphReduce::new(
-                crate::Bfs::new(s),
-                &layout,
-                Platform::paper_node(),
-                Options::optimized(),
-            )
-            .run()
-            .unwrap();
+            let standalone =
+                GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+                    .query(&crate::Bfs::new(s))
+                    .run()
+                    .unwrap();
             assert_eq!(
                 MsBfsLevels::lane_depths(&got, lane),
                 standalone.vertex_values,
@@ -435,14 +424,10 @@ mod tests {
         let layout = GraphLayout::build(&gen::rmat_g500(9, 4000, 35).symmetrize());
         // Eight lanes over five distinct sources.
         let sources = vec![3u32, 40, 3, 200, 511, 40, 3, 77];
-        let res = GraphReduce::new(
-            MsBfsLevels::new(sources.clone()),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
+        let res = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&MsBfsLevels::new(sources.clone()))
+            .run()
+            .unwrap();
         let mut distinct = sources;
         distinct.sort_unstable();
         distinct.dedup();

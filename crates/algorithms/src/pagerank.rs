@@ -100,13 +100,14 @@ mod tests {
     use crate::reference;
     use gr_graph::{gen, GraphLayout};
     use gr_sim::Platform;
-    use graphreduce::{GraphReduce, Options};
+    use graphreduce::{GraphSession, Options};
 
     #[test]
     fn matches_frontier_gated_reference_exactly() {
         let layout = GraphLayout::build(&gen::rmat_g500(9, 4000, 31));
         let pr = PageRank::default();
-        let out = GraphReduce::new(pr, &layout, Platform::paper_node(), Options::optimized())
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&pr)
             .run()
             .unwrap();
         let want = reference::pagerank_frontier(&layout, pr.damping, pr.epsilon, pr.max_iters);
@@ -122,7 +123,8 @@ mod tests {
             max_iters: 300,
             ..Default::default()
         };
-        let out = GraphReduce::new(pr, &layout, Platform::paper_node(), Options::optimized())
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&pr)
             .run()
             .unwrap();
         let exact = reference::pagerank_power(&layout, 0.85, 400);
@@ -138,14 +140,10 @@ mod tests {
     #[test]
     fn frontier_shrinks_as_ranks_converge() {
         let layout = GraphLayout::build(&gen::stencil3d(4096, 4096 * 8, 33));
-        let out = GraphReduce::new(
-            PageRank::default(),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&PageRank::default())
+            .run()
+            .unwrap();
         let sizes = out.stats.frontier_sizes();
         assert_eq!(sizes[0], 4096); // starts with every vertex
         assert!(
@@ -158,15 +156,12 @@ mod tests {
     fn identical_across_option_sets() {
         let layout = GraphLayout::build(&gen::rmat_g500(9, 4000, 34));
         let plat = Platform::paper_node_scaled(1 << 15);
-        let a = GraphReduce::new(
-            PageRank::default(),
-            &layout,
-            plat.clone(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
-        let b = GraphReduce::new(PageRank::default(), &layout, plat, Options::unoptimized())
+        let a = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&PageRank::default())
+            .run()
+            .unwrap();
+        let b = GraphSession::new(&layout, plat, Options::unoptimized())
+            .query(&PageRank::default())
             .run()
             .unwrap();
         assert_eq!(a.vertex_values, b.vertex_values);

@@ -79,7 +79,7 @@ mod tests {
     use crate::reference;
     use gr_graph::{gen, GraphLayout};
     use gr_sim::Platform;
-    use graphreduce::{GraphReduce, Options};
+    use graphreduce::{GraphSession, Options};
 
     #[test]
     fn matches_direct_multiplication() {
@@ -89,14 +89,10 @@ mod tests {
             52,
         ));
         let x = |v: u32| (v % 13) as f32 * 0.5;
-        let out = GraphReduce::new(
-            Spmv::new(x),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Spmv::new(x))
+            .run()
+            .unwrap();
         let want = reference::spmv(&layout, &(0..128).map(x).collect::<Vec<_>>());
         for (got, want) in out.vertex_values.iter().zip(&want) {
             assert_eq!(got.y, *want);
@@ -107,14 +103,10 @@ mod tests {
     #[test]
     fn zero_matrix_gives_zero_vector() {
         let layout = GraphLayout::build(&gr_graph::EdgeList::new(10));
-        let out = GraphReduce::new(
-            Spmv::new(|_| 1.0),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Spmv::new(|_| 1.0))
+            .run()
+            .unwrap();
         assert!(out.vertex_values.iter().all(|v| v.y == 0.0));
     }
 }

@@ -72,7 +72,7 @@ mod tests {
     use crate::reference;
     use gr_graph::{gen, GraphLayout};
     use gr_sim::Platform;
-    use graphreduce::{GraphReduce, Options};
+    use graphreduce::{GraphSession, Options};
 
     fn weighted_layout(seed: u64) -> GraphLayout {
         GraphLayout::build(&gen::with_random_weights(
@@ -85,34 +85,26 @@ mod tests {
     #[test]
     fn matches_bellman_ford() {
         let layout = weighted_layout(21);
-        let out = GraphReduce::new(
-            Sssp::new(7),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Sssp::new(7))
+            .run()
+            .unwrap();
         assert_eq!(out.vertex_values, reference::sssp(&layout, 7));
     }
 
     #[test]
     fn out_of_core_matches() {
         let layout = weighted_layout(22);
-        let a = GraphReduce::new(
-            Sssp::new(0),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
-        let b = GraphReduce::new(
-            Sssp::new(0),
+        let a = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Sssp::new(0))
+            .run()
+            .unwrap();
+        let b = GraphSession::new(
             &layout,
             Platform::paper_node_scaled(1 << 16),
             Options::unoptimized(),
         )
+        .query(&Sssp::new(0))
         .run()
         .unwrap();
         assert_eq!(a.vertex_values, b.vertex_values);
@@ -123,14 +115,10 @@ mod tests {
         // "BFS is essentially SSSP with equal edge weights" (Section 6.2.3).
         let el = gen::uniform(200, 1200, 23); // default weight 1.0
         let layout = GraphLayout::build(&el);
-        let sssp = GraphReduce::new(
-            Sssp::new(0),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
+        let sssp = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Sssp::new(0))
+            .run()
+            .unwrap();
         let depths = reference::bfs(&layout, 0);
         for (d, s) in depths.iter().zip(&sssp.vertex_values) {
             if *d == u32::MAX {

@@ -67,7 +67,8 @@ where
     let (want, _, iterations) = gr_algorithms::reference::run_gas(&program, layout);
     let platform = gr_sim::Platform::paper_node();
     let opts = graphreduce::Options::optimized();
-    let run = graphreduce::GraphReduce::new(program, layout, platform, opts)
+    let run = graphreduce::GraphSession::new(layout, platform, opts)
+        .query(&program)
         .run()
         .expect("test graphs fit the full device");
     assert_eq!(run.vertex_values, want);
@@ -84,7 +85,7 @@ mod executor {
         use gr_algorithms::{reference, Bfs, Cc};
         use gr_graph::{gen, GraphLayout};
         use gr_sim::Platform;
-        use graphreduce::{GraphReduce, Options};
+        use graphreduce::{GraphSession, Options};
 
         #[test]
         fn matches_sequential_gas_interpreter() {
@@ -99,14 +100,10 @@ mod executor {
         #[test]
         fn bfs_trace_records_frontier_wave() {
             let layout = GraphLayout::build(&gen::uniform(300, 2400, 82).symmetrize());
-            let run = GraphReduce::new(
-                Bfs::new(0),
-                &layout,
-                Platform::paper_node(),
-                Options::optimized(),
-            )
-            .run()
-            .expect("test graphs fit the full device");
+            let run = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+                .query(&Bfs::new(0))
+                .run()
+                .expect("test graphs fit the full device");
             assert_eq!(run.work[0].active_vertices, 1);
             assert_eq!(run.vertex_values, reference::bfs(&layout, 0));
             // Activation chains into the next frontier.

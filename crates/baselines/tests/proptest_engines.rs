@@ -10,7 +10,7 @@ use gr_algorithms::{reference, Bfs, Cc};
 use gr_baselines::{CuSha, GraphChi, MapGraph, Totem, XStream};
 use gr_graph::{EdgeList, GraphLayout};
 use gr_sim::{HostConfig, Platform};
-use graphreduce::{GasProgram, GraphReduce, Options, RunResult};
+use graphreduce::{GasProgram, GraphSession, Options, RunResult};
 
 fn graphs() -> impl Strategy<Value = EdgeList> {
     (2u32..100).prop_flat_map(|n| {
@@ -22,7 +22,8 @@ fn graphs() -> impl Strategy<Value = EdgeList> {
 /// A cold GraphReduce run on the full device.
 fn gr<P: GasProgram>(program: P, layout: &GraphLayout) -> RunResult<P> {
     let platform = Platform::paper_node();
-    GraphReduce::new(program, layout, platform, Options::optimized())
+    GraphSession::new(layout, platform, Options::optimized())
+        .query(&program)
         .run()
         .unwrap()
 }

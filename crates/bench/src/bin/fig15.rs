@@ -9,12 +9,10 @@
 //! `--trace <path>` capture the first unoptimized run (the headline
 //! memcpy-bound case) as a run report / Perfetto trace.
 
-use gr_bench::{
-    flag_value, layout_for, run_gr, run_gr_observed, scale_from_args, Algo, RunArtifacts,
-};
+use gr_bench::{flag_value, layout_for, run_gr, run_query, scale_from_args, Algo, RunArtifacts};
 use gr_graph::Dataset;
 use gr_sim::Platform;
-use graphreduce::{report, Options, RunStats};
+use graphreduce::{report, GraphSession, Options, RunStats, WallProfiler};
 
 fn main() {
     let scale = scale_from_args();
@@ -36,12 +34,13 @@ fn main() {
             let opt = run_gr(algo, &layout, &platform, Options::optimized()).unwrap();
             let unopt = if artifacts.enabled() && !observed_first {
                 observed_first = true;
-                let s = run_gr_observed(
+                let session = GraphSession::new(&layout, platform.clone(), Options::unoptimized());
+                let (s, _) = run_query(
                     algo,
-                    &layout,
-                    &platform,
-                    Options::unoptimized(),
+                    &session,
                     artifacts.observer(),
+                    WallProfiler::disarmed(),
+                    None,
                 )
                 .unwrap();
                 for path in artifacts.write_or_exit(Some(&s)) {

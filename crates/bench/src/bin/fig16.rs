@@ -10,10 +10,10 @@
 //! rows; `--report` / `--trace <path>` capture the first run (BFS on the
 //! first out-of-memory graph) as a run report / Perfetto trace.
 
-use gr_bench::{flag_value, layout_for, run_gr_observed, scale_from_args, Algo, RunArtifacts};
+use gr_bench::{flag_value, layout_for, run_query, scale_from_args, Algo, RunArtifacts};
 use gr_graph::Dataset;
 use gr_sim::Platform;
-use graphreduce::Options;
+use graphreduce::{GraphSession, Options, WallProfiler};
 
 fn main() {
     let scale = scale_from_args();
@@ -33,7 +33,8 @@ fn main() {
             } else {
                 gr_observe::Observer::disabled()
             };
-            let stats = run_gr_observed(algo, &layout, &platform, Options::optimized(), observer)
+            let session = GraphSession::new(&layout, platform.clone(), Options::optimized());
+            let (stats, _) = run_query(algo, &session, observer, WallProfiler::disarmed(), None)
                 .expect("plan fits");
             if artifacts.enabled() && !observed_first {
                 observed_first = true;

@@ -10,14 +10,15 @@
 //!     --algo sssp --file mygraph.txt --engine gr --gpus 4
 //! ```
 
+use std::path::Path;
+
 use gr_baselines::{CuSha, GraphChi, MapGraph, Totem, XStream};
-use gr_bench::{
-    resume_gr_wall, run_gr_traced, run_gr_wall, run_session_all, set_host_threads, Algo,
-    RunArtifacts,
-};
+use gr_bench::{run_gr_traced, run_query, run_session_all, set_host_threads, Algo, RunArtifacts};
 use gr_graph::{gen, CompressionCodec, Dataset, EdgeList, GraphLayout, GraphStats};
 use gr_sim::Platform;
-use graphreduce::{CheckpointPolicy, DeviceSpec, EngineError, FaultPlan, Options, WallProfiler};
+use graphreduce::{
+    CheckpointPolicy, DeviceSpec, EngineError, FaultPlan, GraphSession, Options, WallProfiler,
+};
 
 /// Exit code for a run killed by an armed `kill:<iteration>` fault plan:
 /// distinguishable from real errors so restart harnesses (and the CI
@@ -392,7 +393,8 @@ fn main() {
         // One session for the whole sweep: the layout, platform, and
         // partitioning above are loaded exactly once; each algorithm is a
         // query. `run_session_all` asserts every report is byte-identical
-        // to a dedicated per-algorithm construction.
+        // to the same query on a fresh session, which guards the session's
+        // partition-plan cache.
         let sweep = run_session_all(&layout, &platform, &opts).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(1);
@@ -404,7 +406,7 @@ fn main() {
         }
         println!(
             "session sweep: {} algorithms on one graph load; every report matched a \
-             dedicated run byte-for-byte",
+             fresh session's byte-for-byte (the partition-plan cache changed nothing)",
             Algo::ALL.len()
         );
         return;
@@ -421,28 +423,11 @@ fn main() {
             } else {
                 WallProfiler::disarmed()
             };
-            let result = if args.resume {
-                let dir = args.checkpoint_dir.as_deref().expect("validated above");
-                resume_gr_wall(
-                    args.algo,
-                    &layout,
-                    &platform,
-                    opts,
-                    std::path::Path::new(dir),
-                    artifacts.observer(),
-                    wall.clone(),
-                )
-            } else {
-                run_gr_wall(
-                    args.algo,
-                    &layout,
-                    &platform,
-                    opts,
-                    artifacts.observer(),
-                    wall.clone(),
-                )
-            };
-            let stats = result.unwrap_or_else(|e| {
+            let resume = args.checkpoint_dir.as_deref().filter(|_| args.resume);
+            let session = GraphSession::new(&layout, platform.clone(), opts);
+            let (o, w) = (artifacts.observer(), wall.clone());
+            let result = run_query(args.algo, &session, o, w, resume.map(Path::new));
+            let (stats, _) = result.unwrap_or_else(|e| {
                 if let EngineError::Killed { iteration } = e {
                     eprintln!("killed at iteration boundary {iteration} (restart with --resume)");
                     std::process::exit(EXIT_KILLED);

@@ -25,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::path::Path;
 use std::sync::Arc;
 
 use gr_graph::{Dataset, GraphLayout};
@@ -32,7 +33,7 @@ use gr_observe::WallProfile;
 use gr_observe::{Observer, RecordingSink};
 use gr_sim::{Platform, SimDuration};
 use graphreduce::phases::ShardWork;
-use graphreduce::{EngineError, GraphReduce, GraphSession, Options, RunStats, WallProfiler};
+use graphreduce::{EngineError, GasProgram, GraphSession, Options, RunStats, WallProfiler};
 
 pub mod matmul;
 
@@ -112,74 +113,71 @@ fn pagerank() -> gr_algorithms::PageRank {
     }
 }
 
-/// Run GraphReduce with `opts`; panics on planning failure (callers pick
-/// platforms the plan fits).
+/// Run `algo` as one query on `session`: the bench's one run path, from
+/// the max-out-degree source, with the shared PageRank config. `observer`
+/// and `wall` instrument the run (pass the disabled/disarmed handles to
+/// keep the zero-cost paths); with `resume`, the query restarts from the
+/// newest durable snapshot in that directory instead of starting cold.
+/// Returns the stats and the work trace every baseline engine prices.
+pub fn run_query(
+    algo: Algo,
+    session: &GraphSession<'_>,
+    observer: Observer,
+    wall: WallProfiler,
+    resume: Option<&Path>,
+) -> Result<(RunStats, Vec<ShardWork>), EngineError> {
+    fn go<P: GasProgram>(
+        session: &GraphSession<'_>,
+        program: &P,
+        observer: Observer,
+        wall: WallProfiler,
+        resume: Option<&Path>,
+    ) -> Result<(RunStats, Vec<ShardWork>), EngineError> {
+        let query = session
+            .query(program)
+            .with_observer(observer)
+            .with_wall_profiler(wall);
+        let run = match resume {
+            Some(dir) => query.resume(dir)?,
+            None => query.run()?,
+        };
+        Ok((run.stats, run.work))
+    }
+    let (src, o, w) = (default_source(session.layout()), observer, wall);
+    match algo {
+        Algo::Bfs => go(session, &gr_algorithms::Bfs::new(src), o, w, resume),
+        Algo::Sssp => go(session, &gr_algorithms::Sssp::new(src), o, w, resume),
+        Algo::Pagerank => go(session, &pagerank(), o, w, resume),
+        Algo::Cc => go(session, &gr_algorithms::Cc, o, w, resume),
+    }
+}
+
+/// One cold, uninstrumented run of `algo` on a fresh session.
 pub fn run_gr(
     algo: Algo,
     layout: &GraphLayout,
     platform: &Platform,
     opts: Options,
 ) -> Result<RunStats, EngineError> {
-    run_gr_wall(
-        algo,
-        layout,
-        platform,
-        opts,
-        Observer::disabled(),
-        WallProfiler::disarmed(),
-    )
+    run_gr_traced(algo, layout, platform, opts).map(|(stats, _)| stats)
 }
 
-/// [`run_gr`] with an [`Observer`] attached: spans, decisions, and
-/// metrics flow to the observer's sink during the run.
-pub fn run_gr_observed(
-    algo: Algo,
-    layout: &GraphLayout,
-    platform: &Platform,
-    opts: Options,
-    observer: Observer,
-) -> Result<RunStats, EngineError> {
-    run_gr_wall(
-        algo,
-        layout,
-        platform,
-        opts,
-        observer,
-        WallProfiler::disarmed(),
-    )
-}
-
-/// The fully instrumented run: an [`Observer`] for the virtual timeline
-/// and a [`WallProfiler`] for real host time. Pass the disabled/disarmed
-/// handles to keep the zero-cost paths.
-pub fn run_gr_wall(
-    algo: Algo,
-    layout: &GraphLayout,
-    platform: &Platform,
-    opts: Options,
-    observer: Observer,
-    wall: WallProfiler,
-) -> Result<RunStats, EngineError> {
-    gr_with_resume(algo, layout, platform, opts, None, observer, wall).map(|(stats, _)| stats)
-}
-
-/// One cold GraphReduce run of a table cell: its stats and its work trace
-/// (one [`ShardWork`] summed over shards per iteration), which every
-/// baseline engine prices instead of computing the answer again.
+/// [`run_gr`] with its work trace (one [`ShardWork`] summed over shards
+/// per iteration), which every baseline engine prices instead of
+/// computing the answer again.
 pub fn run_gr_traced(
     algo: Algo,
     layout: &GraphLayout,
     platform: &Platform,
     opts: Options,
 ) -> Result<(RunStats, Vec<ShardWork>), EngineError> {
-    let (stats, work) = gr_with_resume(
+    let session = GraphSession::new(layout, platform.clone(), opts);
+    let (stats, work) = run_query(
         algo,
-        layout,
-        platform,
-        opts,
-        None,
+        &session,
         Observer::disabled(),
         WallProfiler::disarmed(),
+        None,
     )?;
     assert_eq!(
         work.len() as u32,
@@ -189,125 +187,11 @@ pub fn run_gr_traced(
     Ok((stats, work))
 }
 
-/// [`run_gr_wall`], but resuming from the newest durable snapshot in
-/// `dir` (see `GraphReduce::resume`) instead of starting cold.
-pub fn resume_gr_wall(
-    algo: Algo,
-    layout: &GraphLayout,
-    platform: &Platform,
-    opts: Options,
-    dir: &std::path::Path,
-    observer: Observer,
-    wall: WallProfiler,
-) -> Result<RunStats, EngineError> {
-    gr_with_resume(algo, layout, platform, opts, Some(dir), observer, wall).map(|(stats, _)| stats)
-}
-
-fn gr_result<P: graphreduce::GasProgram>(
-    program: P,
-    layout: &GraphLayout,
-    platform: &Platform,
-    opts: Options,
-    resume_dir: Option<&std::path::Path>,
-    observer: Observer,
-    wall: WallProfiler,
-) -> Result<(RunStats, Vec<ShardWork>), EngineError> {
-    let gr = GraphReduce::new(program, layout, platform.clone(), opts)
-        .with_observer(observer)
-        .with_wall_profiler(wall);
-    let run = match resume_dir {
-        Some(dir) => gr.resume(dir)?,
-        None => gr.run()?,
-    };
-    Ok((run.stats, run.work))
-}
-
-fn gr_with_resume(
-    algo: Algo,
-    layout: &GraphLayout,
-    platform: &Platform,
-    opts: Options,
-    resume_dir: Option<&std::path::Path>,
-    observer: Observer,
-    wall: WallProfiler,
-) -> Result<(RunStats, Vec<ShardWork>), EngineError> {
-    let src = default_source(layout);
-    match algo {
-        Algo::Bfs => gr_result(
-            gr_algorithms::Bfs::new(src),
-            layout,
-            platform,
-            opts,
-            resume_dir,
-            observer,
-            wall,
-        ),
-        Algo::Sssp => gr_result(
-            gr_algorithms::Sssp::new(src),
-            layout,
-            platform,
-            opts,
-            resume_dir,
-            observer,
-            wall,
-        ),
-        Algo::Pagerank => gr_result(
-            pagerank(),
-            layout,
-            platform,
-            opts,
-            resume_dir,
-            observer,
-            wall,
-        ),
-        Algo::Cc => gr_result(
-            gr_algorithms::Cc,
-            layout,
-            platform,
-            opts,
-            resume_dir,
-            observer,
-            wall,
-        ),
-    }
-}
-
-/// Run one algorithm as a query against an existing [`GraphSession`] —
-/// the serving-path equivalent of [`run_gr_wall`]: same source choice,
-/// same programs, but partitioning/compression are the session's, built
-/// once and shared across every query.
-pub fn run_session_gr(
-    algo: Algo,
-    session: &GraphSession<'_>,
-    observer: Observer,
-    wall: WallProfiler,
-) -> Result<RunStats, EngineError> {
-    let src = default_source(session.layout());
-    fn query<P: graphreduce::GasProgram>(
-        session: &GraphSession<'_>,
-        prog: &P,
-        observer: Observer,
-        wall: WallProfiler,
-    ) -> Result<RunStats, EngineError> {
-        Ok(session
-            .query(prog)
-            .with_observer(observer)
-            .with_wall_profiler(wall)
-            .run()?
-            .stats)
-    }
-    match algo {
-        Algo::Bfs => query(session, &gr_algorithms::Bfs::new(src), observer, wall),
-        Algo::Sssp => query(session, &gr_algorithms::Sssp::new(src), observer, wall),
-        Algo::Pagerank => query(session, &pagerank(), observer, wall),
-        Algo::Cc => query(session, &gr_algorithms::Cc, observer, wall),
-    }
-}
-
 /// Run all four algorithms against **one** shared session (layout and
-/// platform loaded once), asserting each report is byte-identical to a
-/// fresh pre-refactor-style `GraphReduce` construction on the same
-/// layout. Returns the per-algorithm stats in [`Algo::ALL`] order.
+/// platform loaded once), asserting each report is byte-identical to the
+/// same query on a fresh session: the check guards the session's
+/// partition-plan cache. Returns the per-algorithm stats in [`Algo::ALL`]
+/// order.
 pub fn run_session_all(
     layout: &GraphLayout,
     platform: &Platform,
@@ -316,17 +200,18 @@ pub fn run_session_all(
     let session = GraphSession::new(layout, platform.clone(), opts.clone());
     let mut out = Vec::with_capacity(Algo::ALL.len());
     for algo in Algo::ALL {
-        let stats = run_session_gr(
+        let (stats, _) = run_query(
             algo,
             &session,
             Observer::disabled(),
             WallProfiler::disarmed(),
+            None,
         )?;
-        let standalone = run_gr(algo, layout, platform, opts.clone())?;
+        let fresh = run_gr(algo, layout, platform, opts.clone())?;
         assert_eq!(
             stats.to_string(),
-            standalone.to_string(),
-            "{} report diverged between the shared session and a dedicated GraphReduce",
+            fresh.to_string(),
+            "{} report diverged between the shared session and a fresh one",
             algo.name()
         );
         out.push((algo, stats));
@@ -444,7 +329,7 @@ impl RunArtifacts {
     }
 }
 
-/// Frontier sizes per iteration (for Figures 3/16/17), via GraphReduce.
+/// Frontier sizes per iteration (for Figures 3/16/17).
 pub fn frontier_trace(algo: Algo, layout: &GraphLayout, platform: &Platform) -> Vec<u64> {
     run_gr(algo, layout, platform, Options::optimized())
         .map(|s| s.frontier_sizes())
@@ -509,6 +394,23 @@ mod tests {
             gr.elapsed,
             xs.elapsed
         );
+    }
+
+    #[test]
+    fn shared_session_query_matches_a_fresh_session() {
+        let scale = 4096;
+        let plat = Platform::paper_node_scaled(scale);
+        let layout = layout_for(Dataset::Ak2010, Algo::Bfs, scale);
+        let session = GraphSession::new(&layout, plat.clone(), Options::optimized());
+        let shared = || {
+            let (o, w) = (Observer::disabled(), WallProfiler::disarmed());
+            run_query(Algo::Bfs, &session, o, w, None).unwrap().0
+        };
+        // The second shared query runs on the first one's cached plan.
+        let (first, cached) = (shared(), shared());
+        let fresh = run_gr(Algo::Bfs, &layout, &plat, Options::optimized()).unwrap();
+        assert_eq!(first.to_string(), fresh.to_string());
+        assert_eq!(cached.to_string(), fresh.to_string());
     }
 
     #[test]

@@ -1,7 +1,8 @@
-//! The GraphReduce frontend: [`GraphReduce`] binds one [`GasProgram`] to
-//! one graph on one platform and runs it through the layered execution
-//! core in `exec` (Figures 8-12), on one device or the several
-//! [`Options::devices`] lists.
+//! What one query returns: [`RunResult`], the final state, statistics and
+//! work trace of a [`Query`](crate::session::Query) run on a
+//! [`GraphSession`](crate::session::GraphSession), on one device or the
+//! several [`Options::devices`](crate::Options::devices) lists; and the
+//! engine's end-to-end tests.
 //!
 //! Execution is Bulk-Synchronous across phases (Section 4.4): every
 //! iteration runs Gather over all shards, then Apply, then
@@ -17,26 +18,14 @@
 //! (the optimizations are pure data-movement/scheduling transformations).
 //!
 //! The planning, data-movement, compute-spec, device, and iteration-loop
-//! layers themselves live under `exec`; the graph-lifetime /
-//! query-lifetime split lives in [`crate::session`]. This module holds
-//! only the one-shot compatibility facade: [`GraphReduce`] is
-//! `GraphSession::new(..)` plus a single [`crate::session::Query`] per
-//! `run*` call.
-
-use gr_graph::GraphLayout;
-use gr_observe::{Observer, WallProfiler};
-use gr_sim::Platform;
+//! layers live under `exec`; the graph-lifetime / query-lifetime split
+//! lives in [`crate::session`].
 
 use crate::api::GasProgram;
-use crate::options::Options;
 use crate::phases::ShardWork;
-use crate::recovery::EngineError;
-use crate::session::{GraphSession, Query};
 use crate::stats::RunStats;
 
-pub use crate::session::WarmStart;
-
-/// Output of one GraphReduce run.
+/// Output of one query run.
 pub struct RunResult<P: GasProgram> {
     /// Final vertex values, indexed by vertex id.
     pub vertex_values: Vec<P::VertexValue>,
@@ -52,89 +41,17 @@ pub struct RunResult<P: GasProgram> {
     pub work: Vec<ShardWork>,
 }
 
-/// The GraphReduce framework instance: one program bound to one graph on
-/// one platform — a compatibility facade over [`GraphSession`] that runs
-/// exactly one query per `run*` call.
-pub struct GraphReduce<'g, P: GasProgram> {
-    program: P,
-    session: GraphSession<'g>,
-    observer: Observer,
-    wall: WallProfiler,
-}
-
-impl<'g, P: GasProgram> GraphReduce<'g, P> {
-    pub fn new(program: P, layout: &'g GraphLayout, platform: Platform, opts: Options) -> Self {
-        GraphReduce {
-            program,
-            session: GraphSession::new(layout, platform, opts),
-            observer: Observer::disabled(),
-            wall: WallProfiler::disarmed(),
-        }
-    }
-
-    /// Attach a [`gr_observe::Observer`]: the run emits per-shard GAS
-    /// phase spans, iteration spans, shard-skip and phase-fusion/
-    /// elimination decisions, device op spans, and per-iteration
-    /// metrics snapshots into its sink. The default (no observer) costs
-    /// one branch per would-be event.
-    pub fn with_observer(mut self, observer: Observer) -> Self {
-        self.observer = observer;
-        self
-    }
-
-    /// Attach a wall-clock profiler (armed or disarmed). Armed, the run
-    /// attributes real host milliseconds per (iteration, shard, GAS
-    /// phase, resolved kernel shape) — read back via
-    /// [`WallProfiler::profile`](gr_observe::WallProfiler::profile) and
-    /// summarized in [`RunStats::wall`](crate::stats::RunStats::wall).
-    /// The default disarmed profiler costs one branch per would-be scope
-    /// and changes nothing else.
-    pub fn with_wall_profiler(mut self, wall: WallProfiler) -> Self {
-        self.wall = wall;
-        self
-    }
-
-    fn query(&self) -> Query<'_, 'g, P> {
-        self.session
-            .query(&self.program)
-            .with_observer(self.observer.clone())
-            .with_wall_profiler(self.wall.clone())
-    }
-
-    /// Execute to convergence; returns final state and statistics.
-    pub fn run(&self) -> Result<RunResult<P>, EngineError> {
-        self.query().run()
-    }
-
-    /// Execute incrementally from a previous run's state (dynamic graphs).
-    pub fn run_warm(&self, warm: WarmStart<P>) -> Result<RunResult<P>, EngineError> {
-        self.query().warm(warm).run()
-    }
-
-    /// Resume a killed or interrupted run from the newest intact durable
-    /// snapshot in `dir` (see [`crate::snapshot::CheckpointPolicy`]).
-    ///
-    /// The snapshot's fingerprint must match this instance's program and
-    /// graph — a mismatch fails fast with
-    /// [`SnapshotError::FingerprintMismatch`](crate::SnapshotError::FingerprintMismatch)
-    /// rather than replaying the wrong state. A corrupt newest snapshot
-    /// (failed checksum, truncation) silently falls back to the previous
-    /// intact one. Full, delta (restored as its base full plus the newest
-    /// delta), compressed and multi-GPU snapshots are all accepted: the
-    /// frame says which it is. Replay continues from the restored
-    /// iteration boundary and converges bit-identically to an
-    /// uninterrupted run.
-    pub fn resume(&self, dir: impl AsRef<std::path::Path>) -> Result<RunResult<P>, EngineError> {
-        self.query().resume(dir)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::options::Options;
     use crate::options::{DeviceSpec, GatherMode};
+    use crate::recovery::EngineError;
+    use crate::session::GraphSession;
     use crate::testprog::{Bfs, Cc};
     use gr_graph::gen;
+    use gr_graph::GraphLayout;
+    use gr_observe::Observer;
+    use gr_sim::Platform;
 
     fn small_graph() -> GraphLayout {
         GraphLayout::build(&gen::uniform(512, 4096, 3).symmetrize())
@@ -191,7 +108,8 @@ mod tests {
                 ..Options::optimized()
             },
         ] {
-            let out = GraphReduce::new(Cc, &layout, plat.clone(), opts.clone())
+            let out = GraphSession::new(&layout, plat.clone(), opts.clone())
+                .query(&Cc)
                 .run()
                 .unwrap();
             assert_eq!(out.vertex_values, want, "opts {opts:?}");
@@ -214,12 +132,12 @@ mod tests {
                 }
             }
         }
-        let out = GraphReduce::new(
-            Bfs(0),
+        let out = GraphSession::new(
             &layout,
             Platform::paper_node_scaled(16384),
             Options::optimized(),
         )
+        .query(&Bfs(0))
         .run()
         .unwrap();
         assert_eq!(out.vertex_values, depth);
@@ -229,10 +147,12 @@ mod tests {
     fn optimized_moves_fewer_bytes_than_unoptimized() {
         let layout = small_graph();
         let plat = Platform::paper_node_scaled(16384);
-        let opt = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
+        let opt = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
-        let unopt = GraphReduce::new(Cc, &layout, plat, Options::unoptimized())
+        let unopt = GraphSession::new(&layout, plat, Options::unoptimized())
+            .query(&Cc)
             .run()
             .unwrap();
         assert_eq!(opt.vertex_values, unopt.vertex_values);
@@ -252,11 +172,11 @@ mod tests {
                 .symmetrize();
         let layout = GraphLayout::build(&el);
         let plat = Platform::paper_node_scaled(1 << 16); // tiny device: many shards
-        let with = GraphReduce::new(Bfs(0), &layout, plat.clone(), Options::optimized())
+        let with = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Bfs(0))
             .run()
             .unwrap();
-        let without = GraphReduce::new(
-            Bfs(0),
+        let without = GraphSession::new(
             &layout,
             plat,
             Options {
@@ -264,6 +184,7 @@ mod tests {
                 ..Options::optimized()
             },
         )
+        .query(&Bfs(0))
         .run()
         .unwrap();
         assert_eq!(with.vertex_values, without.vertex_values);
@@ -281,8 +202,7 @@ mod tests {
     fn phase_elimination_skips_in_edges_for_bfs() {
         let layout = small_graph();
         let plat = Platform::paper_node_scaled(16384);
-        let fused = GraphReduce::new(
-            Bfs(0),
+        let fused = GraphSession::new(
             &layout,
             plat.clone(),
             Options {
@@ -290,10 +210,10 @@ mod tests {
                 ..Options::optimized()
             },
         )
+        .query(&Bfs(0))
         .run()
         .unwrap();
-        let unfused = GraphReduce::new(
-            Bfs(0),
+        let unfused = GraphSession::new(
             &layout,
             plat,
             Options {
@@ -302,6 +222,7 @@ mod tests {
                 ..Options::optimized()
             },
         )
+        .query(&Bfs(0))
         .run()
         .unwrap();
         // Elimination drops in-edge buffers entirely; unfused mode hauls
@@ -313,7 +234,8 @@ mod tests {
     fn in_memory_graph_runs_resident() {
         let layout = small_graph();
         // Full-size device: everything fits.
-        let out = GraphReduce::new(Cc, &layout, Platform::paper_node(), Options::optimized())
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
         assert!(out.stats.all_resident);
@@ -327,14 +249,10 @@ mod tests {
     #[test]
     fn iteration_trace_matches_frontier_dynamics() {
         let layout = small_graph();
-        let out = GraphReduce::new(
-            Bfs(0),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Bfs(0))
+            .run()
+            .unwrap();
         let sizes = out.stats.frontier_sizes();
         assert_eq!(sizes[0], 1); // BFS starts at one source
         assert!(out.stats.max_frontier() > 1);
@@ -349,11 +267,11 @@ mod tests {
     fn spray_speeds_up_small_copy_heavy_runs() {
         let layout = small_graph();
         let plat = Platform::paper_node_scaled(1 << 14); // many tiny shards
-        let spray = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
+        let spray = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
-        let no_spray = GraphReduce::new(
-            Cc,
+        let no_spray = GraphSession::new(
             &layout,
             plat,
             Options {
@@ -361,6 +279,7 @@ mod tests {
                 ..Options::optimized()
             },
         )
+        .query(&Cc)
         .run()
         .unwrap();
         assert_eq!(spray.vertex_values, no_spray.vertex_values);
@@ -375,7 +294,8 @@ mod tests {
     #[test]
     fn empty_graph_runs_zero_iterations() {
         let layout = GraphLayout::build(&gr_graph::EdgeList::new(0));
-        let out = GraphReduce::new(Cc, &layout, Platform::paper_node(), Options::optimized())
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
         assert_eq!(out.stats.iterations, 0);
@@ -386,14 +306,10 @@ mod tests {
     fn isolated_vertices_converge_immediately_for_bfs() {
         let el = gr_graph::EdgeList::from_edges(8, vec![(0, 1)]);
         let layout = GraphLayout::build(&el);
-        let out = GraphReduce::new(
-            Bfs(0),
-            &layout,
-            Platform::paper_node(),
-            Options::optimized(),
-        )
-        .run()
-        .unwrap();
+        let out = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+            .query(&Bfs(0))
+            .run()
+            .unwrap();
         assert_eq!(out.stats.iterations, 2); // source, then vertex 1
         assert_eq!(out.vertex_values[0], 0);
         assert_eq!(out.vertex_values[1], 1);
@@ -420,18 +336,19 @@ mod tests {
     }
 
     /// CC on `n` devices of the out-of-core platform.
-    fn cc(l: &GraphLayout, n: usize) -> GraphReduce<'_, Cc> {
-        GraphReduce::new(Cc, l, plat14(), on_gpus(n))
+    fn cc(l: &GraphLayout, n: usize) -> GraphSession<'_> {
+        GraphSession::new(l, plat14(), on_gpus(n))
     }
 
     #[test]
     fn multi_gpu_matches_single_device_results() {
         let l = rmat11();
-        let single = GraphReduce::new(Cc, &l, plat14(), Options::optimized())
+        let single = GraphSession::new(&l, plat14(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
         for n in [1, 2, 4] {
-            let multi = cc(&l, n).run().unwrap();
+            let multi = cc(&l, n).query(&Cc).run().unwrap();
             assert_eq!(multi.vertex_values, single.vertex_values, "{n} GPUs");
             assert_eq!(multi.stats.num_gpus(), n);
             assert_eq!(multi.stats.per_gpu_memcpy.len(), n);
@@ -441,8 +358,8 @@ mod tests {
     #[test]
     fn more_gpus_reduce_wall_time_on_streaming_runs() {
         let l = rmat11();
-        let one = cc(&l, 1).run().unwrap();
-        let four = cc(&l, 4).run().unwrap();
+        let one = cc(&l, 1).query(&Cc).run().unwrap();
+        let four = cc(&l, 4).query(&Cc).run().unwrap();
         assert!(
             four.stats.elapsed < one.stats.elapsed,
             "4 GPUs {:?} vs 1 GPU {:?}",
@@ -459,8 +376,8 @@ mod tests {
     #[test]
     fn scaling_is_sublinear_because_of_exchange() {
         let l = rmat11();
-        let one = cc(&l, 1).run().unwrap();
-        let eight = cc(&l, 8).run().unwrap();
+        let one = cc(&l, 1).query(&Cc).run().unwrap();
+        let eight = cc(&l, 8).query(&Cc).run().unwrap();
         let speedup = one.stats.elapsed.as_secs_f64() / eight.stats.elapsed.as_secs_f64();
         assert!(speedup > 1.0 && speedup < 8.0, "speedup {speedup:.2}");
     }
@@ -469,7 +386,7 @@ mod tests {
     fn observer_tags_devices_and_marks_barriers() {
         let l = rmat11();
         let (obs, sink) = Observer::recording();
-        let res = cc(&l, 2).with_observer(obs).run().unwrap();
+        let res = cc(&l, 2).query(&Cc).with_observer(obs).run().unwrap();
         let rec = sink.recorded();
         // Every device's sim lanes carry its tag.
         for tag in ["gpu0/", "gpu1/"] {
@@ -511,7 +428,7 @@ mod tests {
     fn uncapped_multi_run_makes_no_governor_decisions() {
         let l = rmat11();
         let (obs, sink) = Observer::recording();
-        let res = cc(&l, 2).with_observer(obs).run().unwrap();
+        let res = cc(&l, 2).query(&Cc).with_observer(obs).run().unwrap();
         assert_eq!(res.stats.mem_pressure_events, 0);
         assert_eq!(res.stats.redistributions, 0);
         assert_eq!(res.stats.shard_splits, 0);
@@ -522,14 +439,15 @@ mod tests {
     fn capped_device_redistributes_before_splitting() {
         let l = rmat11();
         let plan = reference_plan(&l);
-        let baseline = cc(&l, 2).run().unwrap();
+        let baseline = cc(&l, 2).query(&Cc).run().unwrap();
         // Device 0 can hold its static buffers but not a single shard
         // slot: everything it owned must move to device 1, which has
         // full headroom. No splits are needed.
         let mut opts = on_gpus(2);
         opts.devices[0].mem_cap = Some(plan.static_bytes + 1);
         let (obs, sink) = Observer::recording();
-        let capped = GraphReduce::new(Cc, &l, plat14(), opts)
+        let capped = GraphSession::new(&l, plat14(), opts)
+            .query(&Cc)
             .with_observer(obs)
             .run()
             .unwrap();
@@ -550,12 +468,13 @@ mod tests {
     fn capped_device_splits_when_no_peer_has_headroom() {
         let l = rmat11();
         let plan = reference_plan(&l);
-        let baseline = cc(&l, 1).run().unwrap();
+        let baseline = cc(&l, 1).query(&Cc).run().unwrap();
         // A single device just below one slot of the largest shard has
         // nowhere to redistribute, and even one shard in flight does not
         // fit: concurrency drops to 1, then the largest shard must split.
         let cap = plan.static_bytes + plan.max_shard_bytes - 1;
-        let capped = GraphReduce::new(Cc, &l, plat14(), on_gpus(1).with_mem_cap(cap))
+        let capped = GraphSession::new(&l, plat14(), on_gpus(1).with_mem_cap(cap))
+            .query(&Cc)
             .run()
             .unwrap();
         assert_eq!(capped.vertex_values, baseline.vertex_values);
@@ -576,7 +495,7 @@ mod tests {
             },
             ..on_gpus(2).with_mem_cap(plan.static_bytes - 1)
         };
-        match GraphReduce::new(Cc, &l, plat14(), opts).run() {
+        match GraphSession::new(&l, plat14(), opts).query(&Cc).run() {
             Err(EngineError::Alloc(_)) => {}
             Err(other) => panic!("expected Alloc, got {other:?}"),
             Ok(_) => panic!("expected Alloc error, run succeeded"),
@@ -590,7 +509,7 @@ mod tests {
     fn device_below_static_footprint_is_left_out() {
         let l = rmat11();
         let plan = reference_plan(&l);
-        let baseline = cc(&l, 1).run().unwrap();
+        let baseline = cc(&l, 1).query(&Cc).run().unwrap();
         for host_fallback in [true, false] {
             let mut opts = Options {
                 recovery: crate::RecoveryPolicy {
@@ -601,7 +520,8 @@ mod tests {
             };
             opts.devices[1].mem_cap = Some(plan.static_bytes - 1);
             let (obs, sink) = Observer::recording();
-            let run = GraphReduce::new(Cc, &l, plat14(), opts)
+            let run = GraphSession::new(&l, plat14(), opts)
+                .query(&Cc)
                 .with_observer(obs)
                 .run()
                 .unwrap();
@@ -630,7 +550,8 @@ mod tests {
     fn idle_devices_pay_no_replica_and_no_exchange() {
         let l = small_graph();
         let run = |n| {
-            GraphReduce::new(Bfs(0), &l, Platform::paper_node(), on_gpus(n))
+            GraphSession::new(&l, Platform::paper_node(), on_gpus(n))
+                .query(&Bfs(0))
                 .run()
                 .unwrap()
         };
@@ -650,7 +571,8 @@ mod tests {
         let loss_at = one.stats.elapsed.as_nanos() / 2;
         opts.devices[0].fault_plan = gr_sim::FaultPlan::none().lose_device_at_ns(loss_at);
         let (obs, sink) = Observer::recording();
-        let evicted = GraphReduce::new(Bfs(0), &l, Platform::paper_node(), opts)
+        let evicted = GraphSession::new(&l, Platform::paper_node(), opts)
+            .query(&Bfs(0))
             .with_observer(obs)
             .run()
             .unwrap();
@@ -670,10 +592,11 @@ mod tests {
     #[test]
     fn iteration_counts_match_single_device() {
         let l = rmat11();
-        let single = GraphReduce::new(Cc, &l, plat14(), Options::optimized())
+        let single = GraphSession::new(&l, plat14(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
-        let multi = cc(&l, 3).run().unwrap();
+        let multi = cc(&l, 3).query(&Cc).run().unwrap();
         assert_eq!(multi.stats.iterations, single.stats.iterations);
         assert_eq!(single.stats.frontier_sizes(), multi.stats.frontier_sizes());
     }
@@ -681,9 +604,13 @@ mod tests {
 
 #[cfg(test)]
 mod extension_tests {
-    use super::*;
+    use crate::options::Options;
+    use crate::recovery::EngineError;
+    use crate::session::{GraphSession, WarmStart};
     use crate::testprog::{Bfs, Cc};
+    use gr_graph::GraphLayout;
     use gr_graph::{gen, EdgeList};
+    use gr_sim::Platform;
 
     #[test]
     fn out_of_host_core_streams_from_storage() {
@@ -691,11 +618,13 @@ mod extension_tests {
         // Device forces sharding; host memory smaller than the graph.
         let mut plat = Platform::paper_node_scaled(1 << 13);
         plat.host.mem_capacity = 100_000; // ~1/8 of the graph footprint
-        let ssd = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
+        let ssd = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
         plat.host.mem_capacity = 1 << 40;
-        let ram = GraphReduce::new(Cc, &layout, plat, Options::optimized())
+        let ram = GraphSession::new(&layout, plat, Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
         assert_eq!(ssd.vertex_values, ram.vertex_values);
@@ -715,7 +644,8 @@ mod extension_tests {
         let base = gen::uniform(600, 3000, 9).symmetrize();
         let layout = GraphLayout::build(&base);
         let plat = Platform::paper_node();
-        let first = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
+        let first = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
 
@@ -726,14 +656,16 @@ mod extension_tests {
         let updated = EdgeList::from_edges(600, edges);
         let layout2 = GraphLayout::build(&updated);
 
-        let gr2 = GraphReduce::new(Cc, &layout2, plat.clone(), Options::optimized());
+        let gr2 = GraphSession::new(&layout2, plat.clone(), Options::optimized());
         let warm = gr2
-            .run_warm(WarmStart {
+            .query(&Cc)
+            .warm(WarmStart {
                 vertex_values: first.vertex_values.clone(),
                 frontier: vec![0, 599],
             })
+            .run()
             .unwrap();
-        let cold = gr2.run().unwrap();
+        let cold = gr2.query(&Cc).run().unwrap();
         assert_eq!(warm.vertex_values, cold.vertex_values);
         assert!(
             warm.stats.iterations <= cold.stats.iterations,
@@ -752,7 +684,8 @@ mod extension_tests {
         let base = gen::uniform(100, 500, 11).symmetrize();
         let layout = GraphLayout::build(&base);
         let plat = Platform::paper_node();
-        let first = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
+        let first = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
         // Grow the vertex set and attach the new vertex.
@@ -760,14 +693,19 @@ mod extension_tests {
         edges.push((5, 100));
         edges.push((100, 5));
         let layout2 = GraphLayout::build(&EdgeList::from_edges(101, edges));
-        let gr2 = GraphReduce::new(Cc, &layout2, plat, Options::optimized());
+        let gr2 = GraphSession::new(&layout2, plat, Options::optimized());
         let warm = gr2
-            .run_warm(WarmStart {
+            .query(&Cc)
+            .warm(WarmStart {
                 vertex_values: first.vertex_values,
                 frontier: vec![5, 100],
             })
+            .run()
             .unwrap();
-        assert_eq!(warm.vertex_values, gr2.run().unwrap().vertex_values);
+        assert_eq!(
+            warm.vertex_values,
+            gr2.query(&Cc).run().unwrap().vertex_values
+        );
     }
 
     /// A 100-vertex graph: its frontier bitmap has 28 bits of padding in
@@ -779,12 +717,14 @@ mod extension_tests {
     #[test]
     fn warm_start_rejects_more_values_than_vertices() {
         let layout = warm_target();
-        let gr = GraphReduce::new(Cc, &layout, Platform::paper_node(), Options::optimized());
+        let gr = GraphSession::new(&layout, Platform::paper_node(), Options::optimized());
         let err = gr
-            .run_warm(WarmStart {
+            .query(&Cc)
+            .warm(WarmStart {
                 vertex_values: vec![0; 101],
                 frontier: vec![0],
             })
+            .run()
             .err()
             .expect("101 values for 100 vertices must be rejected");
         assert_eq!(
@@ -801,15 +741,17 @@ mod extension_tests {
     #[test]
     fn warm_start_rejects_frontier_ids_past_the_last_vertex() {
         let layout = warm_target();
-        let gr = GraphReduce::new(Cc, &layout, Platform::paper_node(), Options::optimized());
+        let gr = GraphSession::new(&layout, Platform::paper_node(), Options::optimized());
         // 120 sits in the last bitmap word's padding; 100 is the first id
         // past the end.
         for id in [120, 100] {
             let err = gr
-                .run_warm(WarmStart {
+                .query(&Cc)
+                .warm(WarmStart {
                     vertex_values: Vec::new(),
                     frontier: vec![3, id],
                 })
+                .run()
                 .err()
                 .expect("an id past the last vertex must be rejected");
             assert_eq!(
@@ -827,15 +769,11 @@ mod extension_tests {
     fn cold_start_rejects_seeds_past_the_last_vertex() {
         let layout = warm_target();
         for id in [120, 100] {
-            let err = GraphReduce::new(
-                Bfs(id),
-                &layout,
-                Platform::paper_node(),
-                Options::optimized(),
-            )
-            .run()
-            .err()
-            .expect("a seed past the last vertex must be rejected");
+            let err = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+                .query(&Bfs(id))
+                .run()
+                .err()
+                .expect("a seed past the last vertex must be rejected");
             assert_eq!(
                 err,
                 EngineError::BadStart {
@@ -850,10 +788,13 @@ mod extension_tests {
 
 #[cfg(test)]
 mod streaming_mode_tests {
-    use super::*;
+    use crate::options::Options;
     use crate::options::StreamingMode;
+    use crate::session::GraphSession;
     use crate::testprog::Cc;
     use gr_graph::gen;
+    use gr_graph::GraphLayout;
+    use gr_sim::Platform;
 
     #[test]
     fn zero_copy_streaming_matches_results_and_shaves_time() {
@@ -863,11 +804,11 @@ mod streaming_mode_tests {
         // changing a single result bit.
         let layout = GraphLayout::build(&gen::stencil3d(8192, 140_000, 31).symmetrize());
         let plat = Platform::paper_node_scaled(1 << 12);
-        let explicit = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
+        let explicit = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
-        let zero_copy = GraphReduce::new(
-            Cc,
+        let zero_copy = GraphSession::new(
             &layout,
             plat,
             Options {
@@ -875,6 +816,7 @@ mod streaming_mode_tests {
                 ..Options::optimized()
             },
         )
+        .query(&Cc)
         .run()
         .unwrap();
         assert_eq!(explicit.vertex_values, zero_copy.vertex_values);

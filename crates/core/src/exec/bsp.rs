@@ -17,8 +17,8 @@ use gr_observe::{Decision, SpanEvent};
 use gr_sim::DeviceFault;
 
 use crate::api::GasProgram;
-use crate::engine::WarmStart;
 use crate::recovery::EngineError;
+use crate::session::WarmStart;
 use crate::snapshot;
 use crate::snapshot_delta::RestoredFromDisk;
 

@@ -24,11 +24,12 @@ use gr_sim::{
 };
 
 use crate::api::GasProgram;
-use crate::engine::{RunResult, WarmStart};
+use crate::engine::RunResult;
 use crate::frame::Placement;
 use crate::options::{DeviceSpec, Options};
 use crate::phases::ShardWork;
 use crate::recovery::EngineError;
+use crate::session::WarmStart;
 use crate::sizes::{PartitionPlan, SizeModel};
 use crate::snapshot::{self, CheckpointPolicy};
 use crate::snapshot_delta::RestoredFromDisk;

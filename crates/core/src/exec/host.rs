@@ -23,12 +23,12 @@ use gr_observe::{Decision, Observer, WallKey, WallProfiler};
 use rayon::prelude::*;
 
 use crate::api::GasProgram;
-use crate::engine::WarmStart;
 use crate::options::HostKernels;
 use crate::phases::{
     activate_pull_shard, activate_pulls, activate_shard, apply_shard, gather_shard, scatter_shard,
     shape_name, ShardWork,
 };
+use crate::session::WarmStart;
 use crate::stats::IterationStats;
 
 /// A phase fans out only when its driving bitmap (the frontier for

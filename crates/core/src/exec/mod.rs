@@ -32,7 +32,7 @@
 //! (full/delta schedule, placement and codec, fault-hardened writes) the
 //! loop drives.
 //!
-//! [`crate::GraphReduce`] runs a [`crate::session::Query`] through this
+//! A [`crate::session::Query`] runs through this
 //! core on the devices [`crate::Options::devices`] lists. See
 //! `docs/ARCHITECTURE.md`.
 

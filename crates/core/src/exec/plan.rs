@@ -171,13 +171,14 @@ pub fn build_exec_plan(
             scope,
         });
     };
-    // Largest shard cost each device owns.
-    let worst = |plan: &PartitionPlan, owners: &[usize]| {
-        let mut worst = vec![0u64; ndev];
+    // Per device: the largest shard cost it owns, and the bytes it owns.
+    let owned = |plan: &PartitionPlan, owners: &[usize]| {
+        let (mut worst, mut bytes) = (vec![0u64; ndev], vec![0u64; ndev]);
         for (s, &o) in plan.shards.iter().zip(owners) {
             worst[o] = worst[o].max(cost(s));
+            bytes[o] += cost(s);
         }
-        worst
+        (worst, bytes)
     };
 
     // Rung 6 first (it gates everything): a device whose cap is below the
@@ -221,11 +222,7 @@ pub fn build_exec_plan(
     // is no peer and nothing moves.
     let slots = plan.concurrent.max(1) as u64;
     loop {
-        let worst = worst(plan, owners);
-        let mut load = vec![0u64; ndev];
-        for (s, &o) in plan.shards.iter().zip(owners.iter()) {
-            load[o] += cost(s);
-        }
+        let (worst, load) = owned(plan, owners);
         let moved = (0..ndev)
             .filter(|&d| slots * worst[d] > budgets[d])
             .find_map(|d| {
@@ -250,10 +247,7 @@ pub fn build_exec_plan(
     // Rung 1: residency. Caching every shard needs each device's whole
     // streaming working set on-device; under pressure, stream instead.
     if opts.cache_resident && plan.all_resident {
-        let mut totals = vec![0u64; ndev];
-        for (s, &o) in plan.shards.iter().zip(owners.iter()) {
-            totals[o] += cost(s);
-        }
+        let (_, totals) = owned(plan, owners);
         if let Some(d) = (0..ndev).find(|&d| totals[d] > budgets[d]) {
             metrics.inc(EngineMetric::MemPressure, 1);
             pressure(d, totals[d], budgets[d], "stream", "plan");
@@ -267,7 +261,7 @@ pub fn build_exec_plan(
     let k0 = plan.concurrent.max(1);
     let mut k = k0;
     let mut pressed = None;
-    for (d, w) in worst(plan, owners).into_iter().enumerate() {
+    for (d, w) in owned(plan, owners).0.into_iter().enumerate() {
         let before = k;
         while k > 1 && k as u64 * w > budgets[d] {
             k -= 1;
@@ -287,11 +281,11 @@ pub fn build_exec_plan(
         .collect();
 
     // Rung 3: adaptive shard splitting. Repeatedly split the largest
-    // shard over its owner's slot budget at its edge-mass midpoint;
-    // sub-shards stay with that owner and execute sequentially through
-    // the same slots with the same merged frontier accounting, so results
-    // are bit-identical. Stops when nothing over-budget can shrink
-    // further (a hub vertex's own edge lists).
+    // shard over its owner's slot budget at its edge-mass midpoint. The
+    // right half goes to the device owning the fewest shard bytes whose
+    // slot holds it (ties, or none, keep the owner). Results stay
+    // bit-identical; stops when nothing over-budget can shrink further
+    // (a hub vertex's own edge lists).
     let mut split_any = false;
     while let Some((idx, bytes)) = plan
         .shards
@@ -316,8 +310,15 @@ pub fn build_exec_plan(
             vertices,
             bytes,
         });
+        let (o, half) = (owners[idx], cost(&right));
+        let (_, mut load) = owned(plan, owners);
+        load[o] -= bytes - cost(&left);
+        let to = (0..ndev)
+            .filter(|&t| half <= slot_budgets[t])
+            .min_by_key(|&t| (load[t], t != o))
+            .unwrap_or(o);
         plan.shards.splice(idx..=idx, [left, right]);
-        owners.insert(idx + 1, owners[idx]);
+        owners.insert(idx + 1, to);
         split_any = true;
     }
     if split_any {

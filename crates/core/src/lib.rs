@@ -5,9 +5,9 @@
 //! top of the [`gr_sim`] virtual accelerator.
 //!
 //! Users implement [`GasProgram`] — the paper's `gatherMap` / `gatherReduce`
-//! / `apply` / `scatter` device functions plus state types — and hand it to
-//! [`GraphReduce`] together with a [`gr_graph::GraphLayout`] and a
-//! [`gr_sim::Platform`]. The runtime:
+//! / `apply` / `scatter` device functions plus state types — and run it as
+//! a [`Query`] on a [`GraphSession`], which binds a
+//! [`gr_graph::GraphLayout`] to a [`gr_sim::Platform`]. The runtime:
 //!
 //! 1. partitions the graph into load-balanced shards sized by Equations
 //!    (1)–(2) ([`sizes`]);
@@ -20,7 +20,7 @@
 //!    ([`stats`]).
 //!
 //! ```
-//! use graphreduce::{GasProgram, GraphReduce, InitialFrontier, Options};
+//! use graphreduce::{GasProgram, GraphSession, InitialFrontier, Options};
 //! use gr_graph::{gen, GraphLayout};
 //! use gr_sim::Platform;
 //!
@@ -43,8 +43,8 @@
 //! }
 //!
 //! let layout = GraphLayout::build(&gen::uniform(256, 2048, 7).symmetrize());
-//! let gr = GraphReduce::new(Cc, &layout, Platform::paper_node(), Options::optimized());
-//! let out = gr.run().unwrap();
+//! let session = GraphSession::new(&layout, Platform::paper_node(), Options::optimized());
+//! let out = session.query(&Cc).run().unwrap();
 //! assert_eq!(out.vertex_values.len(), 256);
 //! assert!(out.stats.iterations > 0);
 //! ```
@@ -70,12 +70,12 @@ pub mod store;
 pub mod testprog;
 
 pub use api::{GasProgram, InitialFrontier};
-pub use engine::{GraphReduce, RunResult, WarmStart};
+pub use engine::RunResult;
 pub use gr_observe::{WallProfile, WallProfiler};
 pub use gr_sim::FaultPlan;
 pub use options::{DeviceSpec, GatherMode, HostKernels, Options, StreamingMode};
 pub use recovery::{EngineError, RecoveryPolicy};
-pub use session::{GraphSession, Query};
+pub use session::{GraphSession, Query, WarmStart};
 pub use sizes::{
     optimal_concurrent_shards, pcie_saturating_bytes, plan_partition, PartitionPlan, PlanError,
     SizeModel,

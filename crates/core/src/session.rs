@@ -17,8 +17,8 @@
 //! observer lane, which keeps decision logs and [`crate::RunStats`] bit-identical
 //! to the pre-session engine (see `docs/SERVING.md`).
 //!
-//! [`GraphReduce`](crate::GraphReduce) is a thin facade over
-//! `GraphSession::new(..).query(..)`, on one device or the several that
+//! `GraphSession::new(layout, platform, opts).query(&program).run()` is the
+//! engine's one entry point, on one device or the several that
 //! [`Options::devices`] lists; the serving layer (`gr-serve`) multiplexes
 //! many concurrent queries over one session.
 
@@ -200,13 +200,14 @@ pub struct Query<'q, 'g, P: GasProgram> {
 
 impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
     /// Attach a [`gr_observe::Observer`] for this query's spans, decisions
-    /// and metric snapshots.
+    /// and metric snapshots; the default costs one branch per event.
     pub fn with_observer(mut self, observer: Observer) -> Self {
         self.observer = observer;
         self
     }
 
-    /// Attach a wall-clock profiler (armed or disarmed) for this query.
+    /// Attach a wall-clock profiler (armed or disarmed) for this query;
+    /// armed, it fills [`RunStats::wall`](crate::stats::RunStats::wall).
     pub fn with_wall_profiler(mut self, wall: WallProfiler) -> Self {
         self.wall = wall;
         self
@@ -239,8 +240,10 @@ impl<'q, 'g, P: GasProgram> Query<'q, 'g, P> {
     }
 
     /// Resume a killed or interrupted run from the newest intact durable
-    /// snapshot in `dir` — same contract as
-    /// [`GraphReduce::resume`](crate::GraphReduce::resume).
+    /// snapshot in `dir`: another program's or graph's snapshot fails fast
+    /// ([`SnapshotError::FingerprintMismatch`](crate::SnapshotError::FingerprintMismatch)),
+    /// a corrupt newest one falls back to the previous intact one, and
+    /// replay converges bit-identically to an uninterrupted run.
     pub fn resume(self, dir: impl AsRef<std::path::Path>) -> Result<RunResult<P>, EngineError> {
         self.run_on(Some(dir.as_ref()))
     }
@@ -291,20 +294,24 @@ mod tests {
     }
 
     #[test]
-    fn session_queries_match_facade_runs() {
+    fn shared_session_queries_match_fresh_sessions() {
         let layout = small_graph();
         let plat = Platform::paper_node_scaled(16384);
         let session = GraphSession::new(&layout, plat.clone(), Options::optimized());
-        let via_session = session.query(&Cc).run().unwrap();
-        let via_facade = crate::GraphReduce::new(Cc, &layout, plat, Options::optimized())
-            .run()
-            .unwrap();
-        assert_eq!(via_session.vertex_values, via_facade.vertex_values);
-        assert_eq!(
-            via_session.stats.to_string(),
-            via_facade.stats.to_string(),
-            "session and facade runs must be indistinguishable"
-        );
+        // The second shared query runs on the first one's cached plan.
+        for _ in 0..2 {
+            let shared = session.query(&Cc).run().unwrap();
+            let fresh = GraphSession::new(&layout, plat.clone(), Options::optimized())
+                .query(&Cc)
+                .run()
+                .unwrap();
+            assert_eq!(shared.vertex_values, fresh.vertex_values);
+            assert_eq!(
+                shared.stats.to_string(),
+                fresh.stats.to_string(),
+                "a cached plan must run exactly like a fresh one"
+            );
+        }
     }
 
     #[test]
@@ -332,14 +339,10 @@ mod tests {
         let session = GraphSession::new(&layout, Platform::paper_node(), Options::optimized());
         for src in [0u32, 17, 400] {
             let got = session.query(&Bfs(src)).run().unwrap();
-            let want = crate::GraphReduce::new(
-                Bfs(src),
-                &layout,
-                Platform::paper_node(),
-                Options::optimized(),
-            )
-            .run()
-            .unwrap();
+            let want = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+                .query(&Bfs(src))
+                .run()
+                .unwrap();
             assert_eq!(got.vertex_values, want.vertex_values, "source {src}");
         }
         assert_eq!(session.cached_plans(), 1);

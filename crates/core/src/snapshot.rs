@@ -38,7 +38,7 @@ pub enum CheckpointPolicy {
     InMemoryOnly,
     /// Write a durable snapshot into `dir` at iteration boundary 0 and
     /// after every `every`-th completed iteration (and on convergence).
-    /// [`GraphReduce::resume`](crate::GraphReduce::resume) restarts from
+    /// [`Query::resume`](crate::Query::resume) restarts from
     /// the latest intact snapshot in `dir`.
     Durable { dir: PathBuf, every: u32 },
     /// Like [`CheckpointPolicy::Durable`], but between full snapshots the

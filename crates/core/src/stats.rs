@@ -128,7 +128,7 @@ pub struct RunStats {
     pub state_fingerprint: Option<u64>,
     /// Real host wall-clock attribution (`None` unless a
     /// [`WallProfiler`](gr_observe::WallProfiler) was armed via
-    /// `GraphReduce::with_wall_profiler` — the simulated numbers above
+    /// `Query::with_wall_profiler` — the simulated numbers above
     /// are unaffected either way).
     pub wall: Option<WallSummary>,
     /// Copy-engine busy time per device, one entry per device in

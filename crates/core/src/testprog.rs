@@ -1,9 +1,8 @@
 //! Shared [`GasProgram`] implementations for tests and benchmarks.
 //!
-//! These used to be copy-pasted into `engine.rs` tests, `multi.rs` tests,
-//! and the integration suites; they now exist once, available to unit
-//! tests via `cfg(test)` and to integration tests/benches through the
-//! `test-support` cargo feature.
+//! They exist once for the unit tests (via `cfg(test)`) and for the
+//! integration tests and benches (through the `test-support` cargo
+//! feature).
 
 use crate::api::{GasProgram, InitialFrontier};
 

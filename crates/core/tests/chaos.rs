@@ -15,7 +15,7 @@ use gr_observe::{Decision, Observer, Recorded};
 use gr_sim::Platform;
 use graphreduce::testprog::{Bfs, Cc, Pr, Sssp};
 use graphreduce::{
-    plan_partition, EngineError, FaultPlan, GasProgram, GraphReduce, Options, PartitionPlan,
+    plan_partition, EngineError, FaultPlan, GasProgram, GraphSession, Options, PartitionPlan,
     RecoveryPolicy, RunStats, SizeModel,
 };
 
@@ -25,7 +25,8 @@ fn small_graph() -> GraphLayout {
 
 fn baseline() -> Vec<u32> {
     let layout = small_graph();
-    GraphReduce::new(Cc, &layout, platform(), Options::optimized())
+    GraphSession::new(&layout, platform(), Options::optimized())
+        .query(&Cc)
         .run()
         .unwrap()
         .vertex_values
@@ -36,8 +37,7 @@ fn baseline() -> Vec<u32> {
 fn run_faulted(plan: FaultPlan) -> (Vec<u32>, graphreduce::RunStats) {
     let layout = small_graph();
     let (obs, sink) = Observer::recording();
-    let out = GraphReduce::new(
-        Cc,
+    let out = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -45,6 +45,7 @@ fn run_faulted(plan: FaultPlan) -> (Vec<u32>, graphreduce::RunStats) {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .with_observer(obs)
     .run()
     .unwrap();
@@ -115,8 +116,7 @@ fn retries_escalate_backoff_and_an_exhausted_budget_rolls_back_once() {
     let l = multi_layout();
     let run = |plan: FaultPlan| {
         let (obs, sink) = Observer::recording();
-        let out = GraphReduce::new(
-            Cc,
+        let out = GraphSession::new(
             &l,
             platform(),
             Options {
@@ -124,6 +124,7 @@ fn retries_escalate_backoff_and_an_exhausted_budget_rolls_back_once() {
                 ..Options::optimized()
             },
         )
+        .query(&Cc)
         .with_observer(obs)
         .run()
         .unwrap();
@@ -179,8 +180,7 @@ fn device_loss_single_gpu_falls_back_to_host() {
 #[test]
 fn device_loss_fail_fast_surfaces_device_lost() {
     let layout = small_graph();
-    let res = GraphReduce::new(
-        Cc,
+    let res = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -189,6 +189,7 @@ fn device_loss_fail_fast_surfaces_device_lost() {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .run();
     match res {
         Err(EngineError::DeviceLost) => {}
@@ -200,8 +201,7 @@ fn device_loss_fail_fast_surfaces_device_lost() {
 #[test]
 fn alloc_pressure_past_retry_budget_surfaces_oom() {
     let layout = small_graph();
-    let res = GraphReduce::new(
-        Cc,
+    let res = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -210,6 +210,7 @@ fn alloc_pressure_past_retry_budget_surfaces_oom() {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .run();
     match res {
         Err(EngineError::Alloc(_)) => {}
@@ -234,11 +235,11 @@ fn seeded_chaos_recovers_bit_identical() {
 #[test]
 fn disarmed_fault_plan_adds_zero_overhead() {
     let layout = small_graph();
-    let clean = GraphReduce::new(Cc, &layout, platform(), Options::optimized())
+    let clean = GraphSession::new(&layout, platform(), Options::optimized())
+        .query(&Cc)
         .run()
         .unwrap();
-    let armed_none = GraphReduce::new(
-        Cc,
+    let armed_none = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -246,6 +247,7 @@ fn disarmed_fault_plan_adds_zero_overhead() {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .run()
     .unwrap();
     assert_eq!(clean.vertex_values, armed_none.vertex_values);
@@ -262,14 +264,16 @@ fn disarmed_fault_plan_adds_zero_overhead() {
 #[test]
 fn device_loss_multi_gpu_evicts_and_redistributes() {
     let l = multi_layout();
-    let want = GraphReduce::new(Cc, &l, platform(), on_gpus(2))
+    let want = GraphSession::new(&l, platform(), on_gpus(2))
+        .query(&Cc)
         .run()
         .unwrap()
         .vertex_values;
     let mut opts = on_gpus(2);
     opts.devices[0].fault_plan = FaultPlan::profile("device-loss", 0).unwrap();
     let (obs, sink) = Observer::recording();
-    let res = GraphReduce::new(Cc, &l, platform(), opts)
+    let res = GraphSession::new(&l, platform(), opts)
+        .query(&Cc)
         .with_observer(obs)
         .run()
         .unwrap();
@@ -286,14 +290,16 @@ fn device_loss_multi_gpu_evicts_and_redistributes() {
 #[test]
 fn multi_gpu_transient_faults_recover_bit_identical() {
     let l = multi_layout();
-    let want = GraphReduce::new(Cc, &l, platform(), on_gpus(2))
+    let want = GraphSession::new(&l, platform(), on_gpus(2))
+        .query(&Cc)
         .run()
         .unwrap()
         .vertex_values;
     let mut opts = on_gpus(2);
     opts.devices[1].fault_plan = FaultPlan::none().fail_h2d(0, 1).fail_d2h(2, 1);
     let (obs, sink) = Observer::recording();
-    let res = GraphReduce::new(Cc, &l, platform(), opts)
+    let res = GraphSession::new(&l, platform(), opts)
+        .query(&Cc)
         .with_observer(obs)
         .run()
         .unwrap();
@@ -358,7 +364,8 @@ fn faulted_single_gpu_timelines_are_pinned() {
     let layout = small_graph();
     let want = baseline();
     for (i, (opts, pinned)) in cases.into_iter().enumerate() {
-        let out = GraphReduce::new(Cc, &layout, platform(), opts)
+        let out = GraphSession::new(&layout, platform(), opts)
+            .query(&Cc)
             .run()
             .unwrap();
         assert_eq!(out.vertex_values, want, "case {i}");
@@ -387,7 +394,8 @@ fn faulted_multi_gpu_timelines_are_pinned() {
         let mut opts = on_gpus(2);
         opts.devices[device].fault_plan = plan;
         let (obs, sink) = Observer::recording();
-        let s = GraphReduce::new(Cc, &l, platform(), opts)
+        let s = GraphSession::new(&l, platform(), opts)
+            .query(&Cc)
             .with_observer(obs)
             .run()
             .unwrap()
@@ -456,8 +464,7 @@ fn a_replayed_iteration_is_not_recomputed() {
     let layout = small_graph();
     let run = |plan: FaultPlan| {
         let (obs, sink) = Observer::recording();
-        let out = GraphReduce::new(
-            Bfs(0),
+        let out = GraphSession::new(
             &layout,
             Platform::paper_node_scaled(65536),
             Options {
@@ -465,6 +472,7 @@ fn a_replayed_iteration_is_not_recomputed() {
                 ..Options::optimized()
             },
         )
+        .query(&Bfs(0))
         .with_observer(obs)
         .run()
         .unwrap();
@@ -491,7 +499,8 @@ fn a_replayed_iteration_is_not_recomputed() {
         let mut opts = on_gpus(2);
         opts.devices[0].fault_plan = plan;
         let (obs, sink) = Observer::recording();
-        let out = GraphReduce::new(Bfs(0), &l, platform(), opts)
+        let out = GraphSession::new(&l, platform(), opts)
+            .query(&Bfs(0))
             .with_observer(obs)
             .run()
             .unwrap();
@@ -546,7 +555,8 @@ fn run_capped<P: GasProgram>(
         opts = opts.with_mem_cap(c);
     }
     let (obs, sink) = Observer::recording();
-    let out = GraphReduce::new(p, layout, platform(), opts)
+    let out = GraphSession::new(layout, platform(), opts)
+        .query(&p)
         .with_observer(obs)
         .run()
         .unwrap();
@@ -695,8 +705,7 @@ fn impossible_cap_without_host_fallback_is_a_clean_alloc_error() {
         plan.static_bytes.saturating_sub(1),
         plan.static_bytes + 3000,
     ] {
-        let res = GraphReduce::new(
-            Cc,
+        let res = GraphSession::new(
             &layout,
             platform(),
             Options {
@@ -704,6 +713,7 @@ fn impossible_cap_without_host_fallback_is_a_clean_alloc_error() {
                 ..Options::optimized().with_mem_cap(cap)
             },
         )
+        .query(&Cc)
         .run();
         match res {
             Err(EngineError::Alloc(_)) => {}
@@ -726,11 +736,13 @@ fn two_capped_gpus_descend_the_ladder_past_redistribution() {
     let plan = plan_partition(&l, &sizes, &plat.device, &plat.pcie, 2, None).unwrap();
     assert_eq!((plan.concurrent, plan.shards.len()), (2, 20));
     let cap = plan.static_bytes + plan.max_shard_bytes - 1;
-    let want = GraphReduce::new(Cc, &l, plat.clone(), on_gpus(2))
+    let want = GraphSession::new(&l, plat.clone(), on_gpus(2))
+        .query(&Cc)
         .run()
         .unwrap();
     let (obs, sink) = Observer::recording();
-    let got = GraphReduce::new(Cc, &l, plat, on_gpus(2).with_mem_cap(cap))
+    let got = GraphSession::new(&l, plat, on_gpus(2).with_mem_cap(cap))
+        .query(&Cc)
         .with_observer(obs)
         .run()
         .unwrap();
@@ -760,6 +772,45 @@ fn two_capped_gpus_descend_the_ladder_past_redistribution() {
         s.mem_pressure_events + s.shard_splits + chunked,
         "one decision per response"
     );
+}
+
+/// Splitting the one planned shard of a two-device run hands each right
+/// half to the device owning fewer shard bytes, so both devices copy and
+/// compute; the answer and the ladder's decisions stay the one-device
+/// run's.
+#[test]
+fn split_halves_spread_over_two_capped_gpus() {
+    let l = small_graph();
+    let plat = Platform::paper_node();
+    let sizes = SizeModel::for_program(&Bfs(0));
+    let plan = plan_partition(&l, &sizes, &plat.device, &plat.pcie, 2, None).unwrap();
+    assert_eq!(plan.shards.len(), 1, "needs a one-shard plan");
+    let cap = plan.static_bytes + plan.max_shard_bytes / 3;
+    let run = |gpus: usize| {
+        let opts = Options {
+            checkpoint_policy: common::durable(&scratch("split-halves")),
+            ..on_gpus(gpus).with_mem_cap(cap)
+        };
+        let (obs, sink) = Observer::recording();
+        let out = GraphSession::new(&l, plat.clone(), opts)
+            .query(&Bfs(0))
+            .with_observer(obs)
+            .run()
+            .unwrap();
+        (out, sink.recorded().memory_decisions())
+    };
+    let ((one, one_decisions), (two, two_decisions)) = (run(1), run(2));
+    assert_eq!(two.vertex_values, one.vertex_values);
+    assert!(two.stats.state_fingerprint.is_some());
+    assert_eq!(two.stats.state_fingerprint, one.stats.state_fingerprint);
+    assert_eq!((two.stats.shard_splits, two_decisions), (3, 5));
+    assert_eq!((one.stats.shard_splits, one_decisions), (3, 5));
+    for (d, busy) in two.stats.per_gpu_memcpy.iter().enumerate() {
+        assert!(
+            *busy > gr_sim::SimDuration::ZERO,
+            "device {d} copied nothing"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -792,7 +843,8 @@ fn pagerank_kill_restart_resumes_bit_identical() {
 fn corrupted_latest_snapshot_falls_back_to_previous_intact_one() {
     let layout = small_graph();
     let dir = scratch("corrupt");
-    let oracle = GraphReduce::new(Cc, &layout, platform(), durable_opts(&dir, 1))
+    let oracle = GraphSession::new(&layout, platform(), durable_opts(&dir, 1))
+        .query(&Cc)
         .run()
         .unwrap();
     // Flip one bit in the newest snapshot: resume must silently fall back
@@ -809,7 +861,8 @@ fn corrupted_latest_snapshot_falls_back_to_previous_intact_one() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(newest, &bytes).unwrap();
-    let out = GraphReduce::new(Cc, &layout, platform(), durable_opts(&dir, 1))
+    let out = GraphSession::new(&layout, platform(), durable_opts(&dir, 1))
+        .query(&Cc)
         .resume(&dir)
         .unwrap();
     assert_eq!(out.vertex_values, oracle.vertex_values);
@@ -833,7 +886,8 @@ fn forged_counts_under_a_valid_checksum_are_typed_errors() {
     // for a 171 GB trace, and 2^40 zero-width edge values spun for minutes.
     let layout = small_graph();
     let dir = scratch("forged");
-    GraphReduce::new(Cc, &layout, platform(), durable_opts(&dir, 1))
+    GraphSession::new(&layout, platform(), durable_opts(&dir, 1))
+        .query(&Cc)
         .run()
         .unwrap();
     let newest = std::fs::read_dir(&dir)
@@ -864,7 +918,9 @@ fn forged_counts_under_a_valid_checksum_are_typed_errors() {
         // The forged file is the only snapshot: no fallback can mask it.
         let only = scratch("forged-one");
         std::fs::write(only.join(newest.file_name().unwrap()), &bad).unwrap();
-        let res = GraphReduce::new(Cc, &layout, platform(), durable_opts(&only, 1)).resume(&only);
+        let res = GraphSession::new(&layout, platform(), durable_opts(&only, 1))
+            .query(&Cc)
+            .resume(&only);
         match res {
             Err(EngineError::Snapshot(SnapshotError::FingerprintMismatch { field, .. }))
             | Err(EngineError::Snapshot(SnapshotError::ShortRead { what: field, .. })) => {
@@ -879,14 +935,17 @@ fn forged_counts_under_a_valid_checksum_are_typed_errors() {
 #[test]
 fn wrong_graph_fingerprint_fails_fast_on_resume() {
     let dir = scratch("wrong-graph");
-    GraphReduce::new(Cc, &small_graph(), platform(), durable_opts(&dir, 1))
+    GraphSession::new(&small_graph(), platform(), durable_opts(&dir, 1))
+        .query(&Cc)
         .run()
         .unwrap();
     // Same algorithm, different graph: the snapshot must be rejected
     // before any state is trusted, not silently replayed onto the wrong
     // topology.
     let other = GraphLayout::build(&gen::uniform(512, 4096, 99).symmetrize());
-    let res = GraphReduce::new(Cc, &other, platform(), durable_opts(&dir, 1)).resume(&dir);
+    let res = GraphSession::new(&other, platform(), durable_opts(&dir, 1))
+        .query(&Cc)
+        .resume(&dir);
     match res {
         Err(EngineError::Snapshot(SnapshotError::FingerprintMismatch { field, .. })) => {
             assert_eq!(field, "graph fingerprint");
@@ -899,7 +958,9 @@ fn wrong_graph_fingerprint_fails_fast_on_resume() {
 #[test]
 fn resume_from_empty_directory_is_a_typed_no_snapshot_error() {
     let dir = scratch("empty");
-    let res = GraphReduce::new(Cc, &small_graph(), platform(), durable_opts(&dir, 1)).resume(&dir);
+    let res = GraphSession::new(&small_graph(), platform(), durable_opts(&dir, 1))
+        .query(&Cc)
+        .resume(&dir);
     match res {
         Err(EngineError::Snapshot(SnapshotError::NoSnapshot { .. })) => {}
         Err(e) => panic!("wrong error: {e}"),
@@ -917,8 +978,7 @@ fn rollback_under_a_durable_policy_replays_exactly() {
     let dir = scratch("durable-rollback");
     // Start the fault window at the 5th H2D so it lands on a mid-iteration
     // shard copy rather than `init`'s single upload.
-    let out = GraphReduce::new(
-        Cc,
+    let out = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -926,6 +986,7 @@ fn rollback_under_a_durable_policy_replays_exactly() {
             ..durable_opts(&dir, 1)
         },
     )
+    .query(&Cc)
     .run()
     .unwrap();
     assert_eq!(out.vertex_values, want, "rollback replays exactly");
@@ -942,11 +1003,13 @@ fn durable_checkpointing_leaves_results_and_timeline_untouched() {
     // device timeline, op counts, and results must be byte-identical to a
     // run without durability.
     let layout = small_graph();
-    let clean = GraphReduce::new(Cc, &layout, platform(), Options::optimized())
+    let clean = GraphSession::new(&layout, platform(), Options::optimized())
+        .query(&Cc)
         .run()
         .unwrap();
     let dir = scratch("timeline");
-    let durable = GraphReduce::new(Cc, &layout, platform(), durable_opts(&dir, 2))
+    let durable = GraphSession::new(&layout, platform(), durable_opts(&dir, 2))
+        .query(&Cc)
         .run()
         .unwrap();
     assert_eq!(clean.vertex_values, durable.vertex_values);
@@ -982,7 +1045,8 @@ fn assert_spill_run_bit_identical(opts: Options, tag: &str) {
     let layout = small_graph();
     let want = baseline();
     let (obs, sink) = Observer::recording();
-    let out = GraphReduce::new(Cc, &layout, host_capped_platform(), opts)
+    let out = GraphSession::new(&layout, host_capped_platform(), opts)
+        .query(&Cc)
         .with_observer(obs)
         .run()
         .unwrap();
@@ -1072,7 +1136,7 @@ fn all_devices_lost_surfaces_device_lost() {
         },
         ..Options::optimized()
     };
-    let res = GraphReduce::new(Cc, &l, platform(), opts).run();
+    let res = GraphSession::new(&l, platform(), opts).query(&Cc).run();
     match res {
         Err(EngineError::DeviceLost) => {}
         Err(e) => panic!("wrong error: {e}"),

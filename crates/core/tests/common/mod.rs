@@ -9,7 +9,7 @@ use gr_graph::{gen, GraphLayout};
 use gr_observe::{Decision, Observer, Recorded};
 use gr_sim::{FaultPlan, Platform};
 use graphreduce::{
-    CheckpointPolicy, DeviceSpec, EngineError, GasProgram, GraphReduce, Options, RunResult,
+    CheckpointPolicy, DeviceSpec, EngineError, GasProgram, GraphSession, Options, RunResult,
 };
 
 /// Out-of-core platform: shards stream over PCIe, so copy, launch and
@@ -50,7 +50,7 @@ pub fn durable(dir: &Path) -> CheckpointPolicy {
 /// Kill `p` at boundary `kill_at` of a run on `gpus` devices that writes
 /// snapshots under `policy`, then resume it on `resume_gpus` devices and
 /// return the finished run with the resumed leg's recording.
-pub fn kill_then_resume<P: GasProgram + Clone>(
+pub fn kill_then_resume<P: GasProgram>(
     p: &P,
     layout: &GraphLayout,
     (gpus, resume_gpus): (usize, usize),
@@ -64,7 +64,7 @@ pub fn kill_then_resume<P: GasProgram + Clone>(
         ..on_gpus(gpus)
     };
     killed.devices[0].fault_plan = FaultPlan::none().kill_at_iteration(kill_at);
-    match GraphReduce::new(p.clone(), layout, platform(), killed).run() {
+    match GraphSession::new(layout, platform(), killed).query(p).run() {
         Err(EngineError::Killed { iteration }) => {
             assert_eq!(
                 iteration, kill_at,
@@ -79,7 +79,8 @@ pub fn kill_then_resume<P: GasProgram + Clone>(
         ..on_gpus(resume_gpus)
     };
     let (obs, sink) = Observer::recording();
-    let out = GraphReduce::new(p.clone(), layout, platform(), resumed)
+    let out = GraphSession::new(layout, platform(), resumed)
+        .query(p)
         .with_observer(obs)
         .resume(&dir)
         .unwrap();
@@ -91,19 +92,16 @@ pub fn kill_then_resume<P: GasProgram + Clone>(
 /// bit-identical to the uninterrupted oracle — values, iteration trace
 /// and state fingerprint — with exactly one restore decision and one
 /// write decision per snapshot logged.
-pub fn assert_kill_restart_family<P: GasProgram + Clone>(
-    p: P,
-    layout: &GraphLayout,
-    gpus: usize,
-    tag: &str,
-) where
+pub fn assert_kill_restart_family<P: GasProgram>(p: P, layout: &GraphLayout, gpus: usize, tag: &str)
+where
     P::VertexValue: PartialEq + std::fmt::Debug,
 {
     let oracle_opts = Options {
         checkpoint_policy: durable(&scratch(&format!("{tag}-oracle"))),
         ..on_gpus(gpus)
     };
-    let oracle = GraphReduce::new(p.clone(), layout, platform(), oracle_opts)
+    let oracle = GraphSession::new(layout, platform(), oracle_opts)
+        .query(&p)
         .run()
         .unwrap();
     let iters = oracle.stats.iterations;

@@ -15,7 +15,7 @@ use gr_graph::{gen, CompressionCodec, GraphLayout};
 use gr_observe::{Decision, Observer};
 use gr_sim::Platform;
 use graphreduce::testprog::{Bfs, Cc, Pr, Sssp};
-use graphreduce::{DeviceSpec, GasProgram, GraphReduce, HostKernels, Options, RunResult};
+use graphreduce::{DeviceSpec, GasProgram, GraphSession, HostKernels, Options, RunResult};
 
 /// Weighted graph so compressed runs still ship the raw weight array
 /// (weights stay uncompressed; only topology is coded).
@@ -31,7 +31,8 @@ fn platform() -> Platform {
 }
 
 fn run<P: GasProgram + Copy>(prog: P, layout: &GraphLayout, opts: Options) -> RunResult<P> {
-    GraphReduce::new(prog, layout, platform(), opts)
+    GraphSession::new(layout, platform(), opts)
+        .query(&prog)
         .run()
         .unwrap()
 }
@@ -126,7 +127,8 @@ fn spill_armed_fingerprint_matches_raw() {
     let mut plat = platform();
     plat.host.mem_capacity = 100_000;
     let run_with = |opts: Options| {
-        GraphReduce::new(Cc, &layout, plat.clone(), opts)
+        GraphSession::new(&layout, plat.clone(), opts)
+            .query(&Cc)
             .run()
             .unwrap()
     };
@@ -167,7 +169,8 @@ fn zeta_spill_runs_on_two_gpus_match_the_one_gpu_raw_run() {
         let mut plat = Platform::paper_node_scaled(1 << 16);
         plat.host.mem_capacity = 100_000;
         let run_with = |opts: Options| {
-            GraphReduce::new(prog, &layout, plat.clone(), opts)
+            GraphSession::new(&layout, plat.clone(), opts)
+                .query(&prog)
                 .run()
                 .unwrap()
         };
@@ -217,16 +220,17 @@ fn scale_16_rmat_compressed_cuts_transfers_2_5x() {
         ),
     ];
     for (input, layout, plat) in inputs {
-        let raw = GraphReduce::new(Bfs(0), &layout, plat.clone(), Options::optimized())
+        let raw = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Bfs(0))
             .run()
             .unwrap();
         let (obs, sink) = Observer::recording();
-        let z = GraphReduce::new(
-            Bfs(0),
+        let z = GraphSession::new(
             &layout,
             plat,
             Options::optimized().with_shard_compression(CompressionCodec::Zeta(3)),
         )
+        .query(&Bfs(0))
         .with_observer(obs)
         .run()
         .unwrap();

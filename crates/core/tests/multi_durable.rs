@@ -16,7 +16,7 @@ use common::{
 use gr_observe::{Decision, Observer};
 use gr_sim::FaultPlan;
 use graphreduce::testprog::{Bfs, Cc, Pr, Sssp};
-use graphreduce::{CheckpointPolicy, EngineError, GasProgram, GraphReduce, Options, RunResult};
+use graphreduce::{CheckpointPolicy, EngineError, GasProgram, GraphSession, Options, RunResult};
 
 /// `p` on `gpus` devices of the common platform, under `policy`.
 fn run<P: GasProgram>(
@@ -29,7 +29,10 @@ fn run<P: GasProgram>(
         checkpoint_policy: policy,
         ..on_gpus(gpus)
     };
-    GraphReduce::new(p, layout, platform(), opts).run().unwrap()
+    GraphSession::new(layout, platform(), opts)
+        .query(&p)
+        .run()
+        .unwrap()
 }
 
 #[test]
@@ -48,7 +51,8 @@ fn resume_on_fewer_devices_redistributes_and_matches() {
     // is advisory — ownership is re-derived for the surviving device set
     // and the answer matches an uninterrupted 2-GPU run exactly.
     let layout = multi_layout();
-    let oracle = GraphReduce::new(Cc, &layout, platform(), on_gpus(2))
+    let oracle = GraphSession::new(&layout, platform(), on_gpus(2))
+        .query(&Cc)
         .run()
         .unwrap();
     let (out, _) = kill_then_resume(&Cc, &layout, (4, 2), durable, 2, "shrink");
@@ -69,11 +73,14 @@ fn resume_emits_exactly_one_restore_decision() {
         ..on_gpus(2)
     };
     opts.devices[1].fault_plan = FaultPlan::none().kill_at_iteration(2);
-    let res = GraphReduce::new(Cc, &layout, platform(), opts.clone()).run();
+    let res = GraphSession::new(&layout, platform(), opts.clone())
+        .query(&Cc)
+        .run();
     assert!(matches!(res, Err(EngineError::Killed { iteration: 2 })));
     opts.devices[1].fault_plan = FaultPlan::none();
     let (obs, sink) = Observer::recording();
-    let out = GraphReduce::new(Cc, &layout, platform(), opts)
+    let out = GraphSession::new(&layout, platform(), opts)
+        .query(&Cc)
         .with_observer(obs)
         .resume(&dir)
         .unwrap();
@@ -204,7 +211,8 @@ fn multi_checkpoint_write_faults_degrade_gracefully() {
     };
     opts.devices[0].fault_plan = plan;
     let (obs, sink) = Observer::recording();
-    let out = GraphReduce::new(Cc, &layout, platform(), opts)
+    let out = GraphSession::new(&layout, platform(), opts)
+        .query(&Cc)
         .with_observer(obs)
         .run()
         .unwrap();
@@ -217,8 +225,7 @@ fn multi_checkpoint_write_faults_degrade_gracefully() {
         "one decision per injected I/O fault"
     );
     // The hardened writes stayed durable: resume replays exactly.
-    let resumed = GraphReduce::new(
-        Cc,
+    let resumed = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -226,6 +233,7 @@ fn multi_checkpoint_write_faults_degrade_gracefully() {
             ..on_gpus(2)
         },
     )
+    .query(&Cc)
     .resume(&dir)
     .unwrap();
     assert_eq!(resumed.vertex_values, clean.vertex_values);
@@ -250,8 +258,7 @@ fn multi_snapshots_carry_the_placement_frame() {
     // Byte 9 is the flags byte; bit 0 says a placement map follows the
     // fixed header fields (docs/DURABILITY.md).
     assert_eq!(bytes[9] & 1, 1, "multi snapshots carry the placement");
-    let single = GraphReduce::new(
-        Cc,
+    let single = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -259,6 +266,7 @@ fn multi_snapshots_carry_the_placement_frame() {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .resume(&dir)
     .unwrap();
     assert_eq!(single.vertex_values, multi.vertex_values);

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use gr_graph::{EdgeList, GraphLayout};
 use gr_sim::Platform;
 use graphreduce::{
-    plan_partition, GasProgram, GatherMode, GraphReduce, InitialFrontier, Options, SizeModel,
+    plan_partition, GasProgram, GatherMode, GraphSession, InitialFrontier, Options, SizeModel,
 };
 
 /// Min-label flood (CC) — the Figure 6 program.
@@ -137,7 +137,7 @@ proptest! {
         let layout = GraphLayout::build(&el);
         let want = oracle(&layout);
         let platform = Platform::paper_node_scaled(1u64 << scale_log);
-        match GraphReduce::new(Cc, &layout, platform, opts).run() {
+        match GraphSession::new(&layout, platform, opts).query(&Cc).run() {
             Ok(out) => prop_assert_eq!(out.vertex_values, want),
             // Tiny devices may legitimately refuse the vertex set / shard.
             Err(e) => prop_assert!(scale_log > 12, "unexpected plan failure {e:?}"),
@@ -178,8 +178,7 @@ proptest! {
         let layout = GraphLayout::build(&el);
         let platform = Platform::paper_node_scaled(1 << 10);
         let run = |o: Options| {
-            GraphReduce::new(Cc, &layout, platform.clone(), o)
-                .run()
+            GraphSession::new(&layout, platform.clone(), o).query(&Cc).run()
                 .map(|r| r.stats.bytes_h2d + r.stats.bytes_d2h)
         };
         if let (Ok(base), Ok(fm), Ok(fused)) = (

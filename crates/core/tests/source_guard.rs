@@ -138,7 +138,7 @@ fn device_ops_stay_inside_exec() {
 /// Most `pub fn with_*` builders `crates/core/src` may hold. A builder
 /// earns its place by enforcing something (a clamp, a wrap, a coupled
 /// field); a plain field is set with struct-update syntax instead.
-const MAX_WITH_BUILDERS: usize = 13;
+const MAX_WITH_BUILDERS: usize = 11;
 
 /// The modules `lib.rs` may declare `pub`; everything else is
 /// `pub(crate)`, so rustc's `dead_code` lint covers it.

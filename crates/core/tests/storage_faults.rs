@@ -11,7 +11,7 @@ use gr_graph::{gen, GraphLayout};
 use gr_observe::{Decision, Observer, Recorded};
 use gr_sim::Platform;
 use graphreduce::testprog::Cc;
-use graphreduce::{CheckpointPolicy, EngineError, FaultPlan, GraphReduce, Options, RunResult};
+use graphreduce::{CheckpointPolicy, EngineError, FaultPlan, GraphSession, Options, RunResult};
 
 fn small_graph() -> GraphLayout {
     GraphLayout::build(&gen::uniform(512, 4096, 3).symmetrize())
@@ -37,7 +37,8 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 }
 
 fn oracle() -> RunResult<Cc> {
-    GraphReduce::new(Cc, &small_graph(), host_capped_platform(), spill_opts())
+    GraphSession::new(&small_graph(), host_capped_platform(), spill_opts())
+        .query(&Cc)
         .run()
         .unwrap()
 }
@@ -51,7 +52,8 @@ fn spill_opts() -> Options {
 fn run_io_faulted(opts: Options) -> (RunResult<Cc>, Recorded) {
     let layout = small_graph();
     let (obs, sink) = Observer::recording();
-    let out = GraphReduce::new(Cc, &layout, host_capped_platform(), opts)
+    let out = GraphSession::new(&layout, host_capped_platform(), opts)
+        .query(&Cc)
         .with_observer(obs)
         .run()
         .unwrap();
@@ -148,8 +150,7 @@ fn checkpoint_write_faults_are_retried_and_resume_still_works() {
     let plan = FaultPlan::none().fail_checkpoint_write(0, 2);
     let injected = plan.io_fault_count();
     let (obs, sink) = Observer::recording();
-    let out = GraphReduce::new(
-        Cc,
+    let out = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -158,6 +159,7 @@ fn checkpoint_write_faults_are_retried_and_resume_still_works() {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .with_observer(obs)
     .run()
     .unwrap();
@@ -166,8 +168,7 @@ fn checkpoint_write_faults_are_retried_and_resume_still_works() {
     assert_eq!(sink.recorded().storage_decisions() as u64, injected);
     // The absorbed faults never reduced durable coverage: resume replays
     // to the identical answer.
-    let resumed = GraphReduce::new(
-        Cc,
+    let resumed = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -175,6 +176,7 @@ fn checkpoint_write_faults_are_retried_and_resume_still_works() {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .resume(&dir)
     .unwrap();
     assert_eq!(resumed.vertex_values, out.vertex_values);
@@ -189,8 +191,7 @@ fn exhausted_checkpoint_write_skips_and_the_run_continues() {
     // its retries and is skipped; the run itself must still converge.
     let plan = FaultPlan::none().fail_checkpoint_write(0, u64::MAX);
     let (obs, sink) = Observer::recording();
-    let out = GraphReduce::new(
-        Cc,
+    let out = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -199,10 +200,12 @@ fn exhausted_checkpoint_write_skips_and_the_run_continues() {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .with_observer(obs)
     .run()
     .unwrap();
-    let clean = GraphReduce::new(Cc, &layout, platform(), Options::optimized())
+    let clean = GraphSession::new(&layout, platform(), Options::optimized())
+        .query(&Cc)
         .run()
         .unwrap();
     assert_eq!(out.vertex_values, clean.vertex_values);
@@ -237,8 +240,7 @@ fn torn_checkpoint_writes_never_install_a_corrupt_snapshot() {
     // install the complete bytes behind the rename barrier; the
     // truncated `.tmp` debris is invisible to the resume scanner.
     let plan = FaultPlan::none().torn_checkpoint_write(0, 3);
-    let out = GraphReduce::new(
-        Cc,
+    let out = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -247,11 +249,11 @@ fn torn_checkpoint_writes_never_install_a_corrupt_snapshot() {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .run()
     .unwrap();
     assert!(out.stats.checkpoint_writes > 0);
-    let resumed = GraphReduce::new(
-        Cc,
+    let resumed = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -259,6 +261,7 @@ fn torn_checkpoint_writes_never_install_a_corrupt_snapshot() {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .resume(&dir)
     .unwrap();
     assert_eq!(resumed.vertex_values, out.vertex_values);
@@ -286,8 +289,7 @@ fn io_fault_profiles_parse_and_recover_bit_identical() {
         let injected = plan.io_fault_count();
         let dir = scratch(&format!("profile-{profile}"));
         let (obs, sink) = Observer::recording();
-        let out = GraphReduce::new(
-            Cc,
+        let out = GraphSession::new(
             &small_graph(),
             host_capped_platform(),
             Options {
@@ -296,6 +298,7 @@ fn io_fault_profiles_parse_and_recover_bit_identical() {
                 ..spill_opts()
             },
         )
+        .query(&Cc)
         .with_observer(obs)
         .run()
         .unwrap();
@@ -328,11 +331,11 @@ fn io_faults_never_touch_the_device_timeline() {
 fn kill_during_io_faults_still_resumes_exactly() {
     let layout = small_graph();
     let dir = scratch("kill-io");
-    let clean = GraphReduce::new(Cc, &layout, platform(), Options::optimized())
+    let clean = GraphSession::new(&layout, platform(), Options::optimized())
+        .query(&Cc)
         .run()
         .unwrap();
-    let res = GraphReduce::new(
-        Cc,
+    let res = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -344,10 +347,10 @@ fn kill_during_io_faults_still_resumes_exactly() {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .run();
     assert!(matches!(res, Err(EngineError::Killed { iteration: 2 })));
-    let resumed = GraphReduce::new(
-        Cc,
+    let resumed = GraphSession::new(
         &layout,
         platform(),
         Options {
@@ -355,6 +358,7 @@ fn kill_during_io_faults_still_resumes_exactly() {
             ..Options::optimized()
         },
     )
+    .query(&Cc)
     .resume(&dir)
     .unwrap();
     assert_eq!(resumed.vertex_values, clean.vertex_values);

@@ -3,7 +3,7 @@
 //! For K ∈ {1, 4, 32} BFS queries, one `GraphServe` drain (which folds
 //! them into one batch: the plain BFS for a single source, an MS-BFS sweep
 //! otherwise) must produce, per query, exactly the depth vector a
-//! standalone `GraphReduce::run` of `Bfs::new(source)` produces — and the
+//! query of `Bfs::new(source)` on a fresh `GraphSession` produces — and the
 //! per-query stats lanes must demux correctly (batch ids, lane ids, batch
 //! sizes). Mixed-deadline submission orders must not change any answer.
 
@@ -12,7 +12,7 @@ use gr_graph::{gen, GraphLayout};
 use gr_observe::{Decision, Observer};
 use gr_serve::{GraphServe, QueryOutput, QuerySpec, RejectReason, ServeConfig};
 use gr_sim::Platform;
-use graphreduce::{GraphReduce, GraphSession, Options};
+use graphreduce::{GraphSession, Options};
 
 fn fixture() -> GraphLayout {
     GraphLayout::build(&gen::rmat_g500(10, 12_000, 7).symmetrize())
@@ -27,15 +27,13 @@ fn sources(k: usize, n: u32) -> Vec<u32> {
 }
 
 fn standalone_depths(layout: &GraphLayout, source: u32) -> Vec<u32> {
-    // The pre-session facade path: construct, run, drop — the oracle the
+    // A fresh session per query: construct, run, drop — the oracle the
     // serving layer is measured against.
-    let gr = GraphReduce::new(
-        Bfs::new(source),
-        layout,
-        Platform::paper_node(),
-        Options::optimized(),
-    );
-    gr.run().expect("standalone bfs").vertex_values
+    GraphSession::new(layout, Platform::paper_node(), Options::optimized())
+        .query(&Bfs::new(source))
+        .run()
+        .expect("standalone bfs")
+        .vertex_values
 }
 
 fn check_k_batched_queries(k: usize) {

@@ -7,7 +7,7 @@
 //! ```
 
 use graphreduce_repro::algorithms::Cc;
-use graphreduce_repro::core::{GraphReduce, Options, WarmStart};
+use graphreduce_repro::core::{GraphSession, Options, WarmStart};
 use graphreduce_repro::graph::{gen, EdgeList, GraphLayout};
 use graphreduce_repro::sim::Platform;
 
@@ -17,8 +17,8 @@ fn main() {
     let platform = Platform::paper_node_scaled(1024);
 
     let layout = GraphLayout::build(&EdgeList::from_edges(20_000, edges.clone()));
-    let gr = GraphReduce::new(Cc, &layout, platform.clone(), Options::optimized());
-    let mut state = gr.run().expect("initial run plans");
+    let session = GraphSession::new(&layout, platform.clone(), Options::optimized());
+    let mut state = session.query(&Cc).run().expect("initial run plans");
     let components = |labels: &[u32]| {
         labels
             .iter()
@@ -55,12 +55,14 @@ fn main() {
             }
         }
         let layout = GraphLayout::build(&EdgeList::from_edges(20_000, edges.clone()));
-        let gr = GraphReduce::new(Cc, &layout, platform.clone(), Options::optimized());
-        let warm = gr
-            .run_warm(WarmStart {
+        let session = GraphSession::new(&layout, platform.clone(), Options::optimized());
+        let warm = session
+            .query(&Cc)
+            .warm(WarmStart {
                 vertex_values: state.vertex_values,
                 frontier: seeds,
             })
+            .run()
             .expect("incremental run plans");
         total_incremental_iters += warm.stats.iterations;
         println!(
@@ -74,7 +76,8 @@ fn main() {
 
     // Compare against recomputing from scratch at the final graph.
     let layout = GraphLayout::build(&EdgeList::from_edges(20_000, edges));
-    let cold = GraphReduce::new(Cc, &layout, platform, Options::optimized())
+    let cold = GraphSession::new(&layout, platform, Options::optimized())
+        .query(&Cc)
         .run()
         .expect("cold run plans");
     assert_eq!(cold.vertex_values, state.vertex_values);

@@ -11,7 +11,7 @@
 //! ```
 
 use graphreduce_repro::algorithms::Heat;
-use graphreduce_repro::core::{GraphReduce, Options, StreamingMode};
+use graphreduce_repro::core::{GraphSession, Options, StreamingMode};
 use graphreduce_repro::graph::{gen, GraphLayout, GraphStats};
 use graphreduce_repro::observe::{export, Observer};
 use graphreduce_repro::sim::{Gpu, KernelSpec, Platform};
@@ -30,11 +30,11 @@ fn main() {
     };
     let platform = Platform::paper_node_scaled(2048); // forces streaming
 
-    let explicit = GraphReduce::new(heat, &layout, platform.clone(), Options::optimized())
+    let explicit = GraphSession::new(&layout, platform.clone(), Options::optimized())
+        .query(&heat)
         .run()
         .expect("plan fits");
-    let zero_copy = GraphReduce::new(
-        heat,
+    let zero_copy = GraphSession::new(
         &layout,
         platform.clone(),
         Options {
@@ -42,6 +42,7 @@ fn main() {
             ..Options::optimized()
         },
     )
+    .query(&heat)
     .run()
     .expect("plan fits");
     assert_eq!(explicit.vertex_values, zero_copy.vertex_values);

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use graphreduce_repro::core::{report, GasProgram, GraphReduce, InitialFrontier, Options};
+use graphreduce_repro::core::{report, GasProgram, GraphSession, InitialFrontier, Options};
 use graphreduce_repro::graph::{gen, GraphLayout};
 use graphreduce_repro::observe::Observer;
 use graphreduce_repro::sim::Platform;
@@ -71,9 +71,12 @@ fn main() {
     // Record the run: every phase span, frontier decision, and metric
     // flows to the sink, and becomes a machine-readable report below.
     let (observer, sink) = Observer::recording();
-    let gr = GraphReduce::new(ConnectedComponents, &layout, platform, Options::optimized())
-        .with_observer(observer);
-    let out = gr.run().expect("planning fits this device");
+    let session = GraphSession::new(&layout, platform, Options::optimized());
+    let out = session
+        .query(&ConnectedComponents)
+        .with_observer(observer)
+        .run()
+        .expect("planning fits this device");
 
     let components: std::collections::HashSet<u32> = out.vertex_values.iter().copied().collect();
     println!(

@@ -8,7 +8,7 @@
 //! ```
 
 use graphreduce_repro::algorithms::Sssp;
-use graphreduce_repro::core::{GraphReduce, Options};
+use graphreduce_repro::core::{GraphSession, Options};
 use graphreduce_repro::graph::{Dataset, GraphLayout};
 use graphreduce_repro::sim::Platform;
 
@@ -26,16 +26,11 @@ fn main() {
     );
 
     let source = 0u32;
-    let with_fm = GraphReduce::new(
-        Sssp::new(source),
-        &layout,
-        platform.clone(),
-        Options::optimized(),
-    )
-    .run()
-    .expect("plan fits");
-    let without_fm = GraphReduce::new(
-        Sssp::new(source),
+    let with_fm = GraphSession::new(&layout, platform.clone(), Options::optimized())
+        .query(&Sssp::new(source))
+        .run()
+        .expect("plan fits");
+    let without_fm = GraphSession::new(
         &layout,
         platform,
         Options {
@@ -43,6 +38,7 @@ fn main() {
             ..Options::optimized()
         },
     )
+    .query(&Sssp::new(source))
     .run()
     .expect("plan fits");
     assert_eq!(with_fm.vertex_values, without_fm.vertex_values);

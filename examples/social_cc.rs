@@ -9,7 +9,7 @@
 
 use graphreduce_repro::algorithms::Cc;
 use graphreduce_repro::baselines::{CuSha, GraphChi, MapGraph, XStream};
-use graphreduce_repro::core::{GraphReduce, Options};
+use graphreduce_repro::core::{GraphSession, Options};
 use graphreduce_repro::graph::{Dataset, GraphLayout};
 use graphreduce_repro::sim::Platform;
 
@@ -26,7 +26,8 @@ fn main() {
     );
 
     // GraphReduce, out-of-core.
-    let gr = GraphReduce::new(Cc, &layout, platform.clone(), Options::optimized())
+    let gr = GraphSession::new(&layout, platform.clone(), Options::optimized())
+        .query(&Cc)
         .run()
         .expect("sharded run fits");
 

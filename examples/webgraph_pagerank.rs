@@ -10,7 +10,7 @@
 //! ```
 
 use graphreduce_repro::algorithms::PageRank;
-use graphreduce_repro::core::{GraphReduce, Options};
+use graphreduce_repro::core::{GraphSession, Options};
 use graphreduce_repro::graph::{dataset_bytes, Dataset, GraphLayout};
 use graphreduce_repro::sim::Platform;
 
@@ -35,10 +35,12 @@ fn main() {
         ..Default::default()
     };
 
-    let optimized = GraphReduce::new(pr, &layout, platform.clone(), Options::optimized())
+    let optimized = GraphSession::new(&layout, platform.clone(), Options::optimized())
+        .query(&pr)
         .run()
         .expect("fits after sharding");
-    let unoptimized = GraphReduce::new(pr, &layout, platform, Options::unoptimized())
+    let unoptimized = GraphSession::new(&layout, platform, Options::unoptimized())
+        .query(&pr)
         .run()
         .expect("fits after sharding");
     assert_eq!(optimized.vertex_values, unoptimized.vertex_values);

@@ -27,4 +27,4 @@ pub use graphreduce as core;
 pub use gr_algorithms::{Bfs, Cc, Heat, PageRank, Spmv, Sssp};
 pub use gr_graph::{Dataset, EdgeList, GraphLayout};
 pub use gr_sim::Platform;
-pub use graphreduce::{DeviceSpec, GasProgram, GraphReduce, InitialFrontier, Options, RunStats};
+pub use graphreduce::{DeviceSpec, GasProgram, GraphSession, InitialFrontier, Options, RunStats};

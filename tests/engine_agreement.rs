@@ -6,7 +6,7 @@
 //! per-iteration statistics.
 
 use graphreduce_repro::algorithms::{reference, Bfs, Cc, PageRank, Sssp};
-use graphreduce_repro::core::{GasProgram, GraphReduce, Options, RunResult};
+use graphreduce_repro::core::{GasProgram, GraphSession, Options, RunResult};
 use graphreduce_repro::graph::{CompressionCodec, Dataset, GraphLayout};
 use graphreduce_repro::sim::Platform;
 
@@ -33,7 +33,8 @@ fn bfs_agrees_across_all_engines_and_datasets() {
         let layout = GraphLayout::build(&ds.generate(SCALE));
         let src = source(&layout);
         let want = reference::bfs(&layout, src);
-        let gr = GraphReduce::new(Bfs::new(src), &layout, plat.clone(), Options::optimized())
+        let gr = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Bfs::new(src))
             .run()
             .unwrap();
         assert_eq!(gr.vertex_values, want, "GR bfs on {}", ds.name());
@@ -47,7 +48,8 @@ fn sssp_agrees_with_bellman_ford_on_every_dataset() {
         let layout = GraphLayout::build(&ds.generate_weighted(SCALE));
         let src = source(&layout);
         let want = reference::sssp(&layout, src);
-        let gr = GraphReduce::new(Sssp::new(src), &layout, plat.clone(), Options::optimized())
+        let gr = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Sssp::new(src))
             .run()
             .unwrap();
         assert_eq!(gr.vertex_values, want, "GR sssp on {}", ds.name());
@@ -59,7 +61,8 @@ fn cc_labels_are_component_minima_on_every_dataset() {
     let plat = Platform::paper_node();
     for ds in all_datasets() {
         let layout = GraphLayout::build(&ds.generate(SCALE).symmetrize());
-        let gr = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
+        let gr = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Cc)
             .run()
             .unwrap();
         reference::check_cc_labels(&layout, &gr.vertex_values);
@@ -76,7 +79,8 @@ fn pagerank_is_bit_identical_across_every_engine() {
     };
     for ds in [Dataset::KronLogn20, Dataset::Orkut, Dataset::BelgiumOsm] {
         let layout = GraphLayout::build(&ds.generate(SCALE));
-        let gr = GraphReduce::new(pr, &layout, plat.clone(), Options::optimized())
+        let gr = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&pr)
             .run()
             .unwrap();
         let want = reference::pagerank_frontier(&layout, pr.damping, pr.epsilon, pr.max_iters);
@@ -91,15 +95,16 @@ fn out_of_core_execution_changes_timing_not_results() {
     // device (heavy sharding + streaming) must agree exactly while moving
     // very different byte volumes.
     let layout = GraphLayout::build(&Dataset::Orkut.generate(SCALE).symmetrize());
-    let resident = GraphReduce::new(Cc, &layout, Platform::paper_node(), Options::optimized())
+    let resident = GraphSession::new(&layout, Platform::paper_node(), Options::optimized())
+        .query(&Cc)
         .run()
         .unwrap();
-    let streamed = GraphReduce::new(
-        Cc,
+    let streamed = GraphSession::new(
         &layout,
         Platform::paper_node_scaled(SCALE * 2),
         Options::optimized(),
     )
+    .query(&Cc)
     .run()
     .unwrap();
     assert_eq!(resident.vertex_values, streamed.vertex_values);
@@ -114,12 +119,12 @@ fn whole_pipeline_is_deterministic_end_to_end() {
     let run = || {
         let layout = GraphLayout::build(&Dataset::Uk2002.generate(SCALE));
         let src = source(&layout);
-        let out = GraphReduce::new(
-            Bfs::new(src),
+        let out = GraphSession::new(
             &layout,
             Platform::paper_node_scaled(SCALE),
             Options::optimized(),
         )
+        .query(&Bfs::new(src))
         .run()
         .unwrap();
         (
@@ -135,13 +140,10 @@ fn whole_pipeline_is_deterministic_end_to_end() {
 /// Check `program`'s work trace under one whole-graph shard, a many-shard
 /// plan and the ζ₃ codec, pin it to the run's per-iteration statistics,
 /// and return the whole-graph run.
-fn check_work_trace<P: GasProgram + Clone>(
-    program: P,
-    layout: &GraphLayout,
-    cell: &str,
-) -> RunResult<P> {
+fn check_work_trace<P: GasProgram>(program: P, layout: &GraphLayout, cell: &str) -> RunResult<P> {
     let run = |opts: Options| {
-        GraphReduce::new(program.clone(), layout, Platform::paper_node(), opts)
+        GraphSession::new(layout, Platform::paper_node(), opts)
+            .query(&program)
             .run()
             .unwrap()
     };

@@ -4,7 +4,7 @@
 
 use graphreduce_repro::algorithms::{reference, Cc, Heat, PageRank};
 use graphreduce_repro::baselines::Totem;
-use graphreduce_repro::core::{DeviceSpec, GraphReduce, Options, WarmStart};
+use graphreduce_repro::core::{DeviceSpec, GraphSession, Options, WarmStart};
 use graphreduce_repro::graph::{gen, Dataset, EdgeList, GraphLayout};
 use graphreduce_repro::observe::Observer;
 use graphreduce_repro::sim::Platform;
@@ -23,12 +23,14 @@ fn on_gpus(n: usize) -> Options {
 fn multi_gpu_agrees_with_single_gpu_and_scales() {
     let layout = GraphLayout::build(&Dataset::Orkut.generate(SCALE).symmetrize());
     let plat = Platform::paper_node_scaled(SCALE);
-    let single = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
+    let single = GraphSession::new(&layout, plat.clone(), Options::optimized())
+        .query(&Cc)
         .run()
         .unwrap();
     let mut last = None;
     for n in [1, 2, 4] {
-        let multi = GraphReduce::new(Cc, &layout, plat.clone(), on_gpus(n))
+        let multi = GraphSession::new(&layout, plat.clone(), on_gpus(n))
+            .query(&Cc)
             .run()
             .unwrap();
         assert_eq!(multi.vertex_values, single.vertex_values, "{n} GPUs");
@@ -55,11 +57,13 @@ fn multi_gpu_prices_scatter_on_every_device() {
         max_iters: 20,
         ..Heat::default()
     };
-    let single = GraphReduce::new(heat, &layout, plat.clone(), Options::optimized())
+    let single = GraphSession::new(&layout, plat.clone(), Options::optimized())
+        .query(&heat)
         .run()
         .unwrap();
     let (obs, sink) = Observer::recording();
-    let multi = GraphReduce::new(heat, &layout, plat, on_gpus(2))
+    let multi = GraphSession::new(&layout, plat, on_gpus(2))
+        .query(&heat)
         .with_observer(obs)
         .run()
         .unwrap();
@@ -88,11 +92,13 @@ fn ssd_tier_changes_time_not_results() {
         ..Default::default()
     };
     let mut plat = Platform::paper_node_scaled(SCALE);
-    let in_ram = GraphReduce::new(pr, &layout, plat.clone(), Options::optimized())
+    let in_ram = GraphSession::new(&layout, plat.clone(), Options::optimized())
+        .query(&pr)
         .run()
         .unwrap();
     plat.host.mem_capacity = 1 << 20; // force the storage tier
-    let from_ssd = GraphReduce::new(pr, &layout, plat, Options::optimized())
+    let from_ssd = GraphSession::new(&layout, plat, Options::optimized())
+        .query(&pr)
         .run()
         .unwrap();
     assert_eq!(in_ram.vertex_values, from_ssd.vertex_values);
@@ -105,7 +111,8 @@ fn incremental_cc_tracks_edge_insertions() {
     let mut el = Dataset::CoAuthorsDblp.generate(SCALE).symmetrize();
     let plat = Platform::paper_node_scaled(SCALE);
     let layout = GraphLayout::build(&el);
-    let mut state = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
+    let mut state = GraphSession::new(&layout, plat.clone(), Options::optimized())
+        .query(&Cc)
         .run()
         .unwrap();
 
@@ -118,17 +125,19 @@ fn incremental_cc_tracks_edge_insertions() {
         el.edges.push((u, v));
         el.edges.push((v, u));
         let layout = GraphLayout::build(&el);
-        let gr = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized());
+        let gr = GraphSession::new(&layout, plat.clone(), Options::optimized());
         let warm = gr
-            .run_warm(WarmStart {
+            .query(&Cc)
+            .warm(WarmStart {
                 vertex_values: state.vertex_values,
                 frontier: vec![u, v],
             })
+            .run()
             .unwrap();
         // Incremental result must equal recomputation and the union-find
         // ground truth.
         reference::check_cc_labels(&layout, &warm.vertex_values);
-        let cold = gr.run().unwrap();
+        let cold = gr.query(&Cc).run().unwrap();
         assert_eq!(warm.vertex_values, cold.vertex_values, "step {step}");
         state = warm;
     }
@@ -138,7 +147,8 @@ fn incremental_cc_tracks_edge_insertions() {
 fn totem_handles_out_of_memory_graphs_but_underutilizes() {
     let layout = GraphLayout::build(&Dataset::Nlpkkt160.generate(SCALE));
     let plat = Platform::paper_node_scaled(SCALE);
-    let gr = GraphReduce::new(Cc, &layout, plat.clone(), Options::optimized())
+    let gr = GraphSession::new(&layout, plat.clone(), Options::optimized())
+        .query(&Cc)
         .run()
         .unwrap();
     let (run, split) = Totem::default().run(&gr.work, &layout, &plat);
@@ -160,13 +170,15 @@ fn warm_start_noop_converges_immediately() {
     let el = EdgeList::from_edges(64, (0..63).map(|i| (i, i + 1)).collect::<Vec<_>>());
     let layout = GraphLayout::build(&el);
     let plat = Platform::paper_node();
-    let gr = GraphReduce::new(Cc, &layout, plat, Options::optimized());
-    let first = gr.run().unwrap();
+    let gr = GraphSession::new(&layout, plat, Options::optimized());
+    let first = gr.query(&Cc).run().unwrap();
     let warm = gr
-        .run_warm(WarmStart {
+        .query(&Cc)
+        .warm(WarmStart {
             vertex_values: first.vertex_values.clone(),
             frontier: vec![],
         })
+        .run()
         .unwrap();
     assert_eq!(warm.stats.iterations, 0);
     assert_eq!(warm.vertex_values, first.vertex_values);

@@ -28,7 +28,7 @@ use graphreduce::phases::{
     activate_pull_shard, activate_shard, apply_shard, gather_shard, scatter_shard,
 };
 use graphreduce::{
-    plan_partition, GasProgram, GraphReduce, HostKernels, InitialFrontier, Options, SizeModel,
+    plan_partition, GasProgram, GraphSession, HostKernels, InitialFrontier, Options, SizeModel,
 };
 
 /// Force four worker threads so the engine's shard fan-out actually runs
@@ -362,13 +362,12 @@ fn engine_graph() -> GraphLayout {
 /// profile, whose samples name the worker thread and the shape of every
 /// shard's phase in every iteration.
 fn profiled_run<P: GasProgram>(
-    program: P,
+    program: &P,
     layout: &GraphLayout,
     mode: HostKernels,
 ) -> (graphreduce::RunResult<P>, WallProfile) {
     let wall = WallProfiler::armed();
-    let run = GraphReduce::new(
-        program,
+    let run = GraphSession::new(
         layout,
         Platform::paper_node_scaled(8_192),
         Options {
@@ -376,6 +375,7 @@ fn profiled_run<P: GasProgram>(
             ..Options::optimized()
         },
     )
+    .query(program)
     .with_wall_profiler(wall.clone())
     .run()
     .unwrap();
@@ -424,21 +424,21 @@ fn assert_matches_oracle<P: GasProgram>(
     );
 }
 
-fn assert_runs_agree<P: GasProgram + Clone>(program: P)
+fn assert_runs_agree<P: GasProgram>(program: P)
 where
     P::VertexValue: PartialEq + std::fmt::Debug,
     P::EdgeValue: PartialEq + std::fmt::Debug,
 {
     force_threads();
     let layout = engine_graph();
-    let (oracle, profile) = profiled_run(program.clone(), &layout, HostKernels::Serial);
+    let (oracle, profile) = profiled_run(&program, &layout, HostKernels::Serial);
     assert!(
         profile.thread_count() > 1,
         "{}: the shard fan-out never engaged",
         program.name()
     );
     let mode = HostKernels::Adaptive;
-    let (got, profile) = profiled_run(program.clone(), &layout, mode);
+    let (got, profile) = profiled_run(&program, &layout, mode);
     assert!(
         profile.thread_count() > 1,
         "{} under {mode:?}: the shard fan-out never engaged",
@@ -482,18 +482,18 @@ fn sparse_frontiers_stay_on_the_caller() {
     assert_stays_on_the_caller(Sssp::new(0), &layout);
 }
 
-fn assert_stays_on_the_caller<P: GasProgram + Clone>(program: P, layout: &GraphLayout)
+fn assert_stays_on_the_caller<P: GasProgram>(program: P, layout: &GraphLayout)
 where
     P::VertexValue: PartialEq + std::fmt::Debug,
     P::EdgeValue: PartialEq + std::fmt::Debug,
 {
     let name = program.name();
-    let (oracle, profile) = profiled_run(program.clone(), layout, HostKernels::Serial);
+    let (oracle, profile) = profiled_run(&program, layout, HostKernels::Serial);
     assert!(oracle.stats.iterations > 100, "{name}: a long traversal");
     let fanned_out = "a below-gate frontier fanned out";
     assert_eq!(profile.thread_count(), 1, "{name}: {fanned_out}");
     let mode = HostKernels::Adaptive;
-    let (got, profile) = profiled_run(program, layout, mode);
+    let (got, profile) = profiled_run(&program, layout, mode);
     assert_eq!(
         profile.thread_count(),
         1,
@@ -542,7 +542,7 @@ fn crosses_both_ways(shapes: &[&str]) -> bool {
 
 /// `Adaptive` against the `Serial` oracle over a whole run, returning the
 /// `Adaptive` run's activate shapes.
-fn assert_adaptive_matches_serial<P: GasProgram + Clone>(
+fn assert_adaptive_matches_serial<P: GasProgram>(
     program: P,
     layout: &GraphLayout,
 ) -> BTreeMap<u32, Vec<&'static str>>
@@ -550,9 +550,9 @@ where
     P::VertexValue: PartialEq + std::fmt::Debug,
     P::EdgeValue: PartialEq + std::fmt::Debug,
 {
-    let (oracle, _) = profiled_run(program.clone(), layout, HostKernels::Serial);
+    let (oracle, _) = profiled_run(&program, layout, HostKernels::Serial);
     let mode = HostKernels::Adaptive;
-    let (got, profile) = profiled_run(program, layout, mode);
+    let (got, profile) = profiled_run(&program, layout, mode);
     assert_matches_oracle(&got, &oracle, mode);
     activate_shapes(&profile)
 }
@@ -616,13 +616,13 @@ fn hub_bfs_pushes_pulls_and_pushes_again_like_the_oracle() {
         "want uneven shards: {lens:?}"
     );
 
-    let (oracle, profile) = profiled_run(program, &layout, HostKernels::Serial);
+    let (oracle, profile) = profiled_run(&program, &layout, HostKernels::Serial);
     assert!(
         profile.samples.iter().all(|s| s.key.shape != "pull"),
         "the oracle never pulls"
     );
     let mode = HostKernels::Adaptive;
-    let (got, profile) = profiled_run(program, &layout, mode);
+    let (got, profile) = profiled_run(&program, &layout, mode);
     assert_matches_oracle(&got, &oracle, mode);
 
     let mut per_iter: BTreeMap<u32, Vec<bool>> = BTreeMap::new();

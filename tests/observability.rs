@@ -7,7 +7,7 @@
 
 use std::collections::BTreeSet;
 
-use graphreduce_repro::core::{report, GraphReduce, Options, RunStats, WallProfiler};
+use graphreduce_repro::core::{report, GraphSession, Options, RunStats, WallProfiler};
 use graphreduce_repro::graph::{gen, EdgeList, GraphLayout};
 use graphreduce_repro::observe::{export, FieldValue, Observer, Recorded};
 use graphreduce_repro::sim::Platform;
@@ -18,12 +18,12 @@ use graphreduce_repro::{Bfs, Heat};
 fn heat_run() -> (RunStats, Recorded) {
     let layout = GraphLayout::build(&gen::rmat_g500(12, 40_000, 7).symmetrize());
     let (observer, sink) = Observer::recording();
-    let out = GraphReduce::new(
-        Heat::default(),
+    let out = GraphSession::new(
         &layout,
         Platform::paper_node_scaled(1 << 13),
         Options::optimized(),
     )
+    .query(&Heat::default())
     .with_observer(observer)
     .run()
     .unwrap();
@@ -111,12 +111,12 @@ fn decision_log_skips_match_iteration_stats() {
         EdgeList::from_edges(n, (0..n - 1).map(|v| (v, v + 1)).collect::<Vec<_>>()).symmetrize();
     let layout = GraphLayout::build(&el);
     let (observer, sink) = Observer::recording();
-    let out = GraphReduce::new(
-        Bfs::new(0),
+    let out = GraphSession::new(
         &layout,
         Platform::paper_node_scaled(1 << 16),
         Options::optimized(),
     )
+    .query(&Bfs::new(0))
     .with_observer(observer)
     .run()
     .unwrap();
@@ -139,7 +139,8 @@ fn decision_log_skips_match_iteration_stats() {
 fn armed_wall_profiler_attributes_real_time_without_changing_results() {
     let layout = GraphLayout::build(&gen::rmat_g500(12, 40_000, 7).symmetrize());
     let plat = Platform::paper_node_scaled(1 << 13);
-    let base = GraphReduce::new(Heat::default(), &layout, plat.clone(), Options::optimized())
+    let base = GraphSession::new(&layout, plat.clone(), Options::optimized())
+        .query(&Heat::default())
         .run()
         .unwrap();
     assert!(base.stats.wall.is_none(), "no profiler, no wall section");
@@ -147,7 +148,8 @@ fn armed_wall_profiler_attributes_real_time_without_changing_results() {
 
     let wall = WallProfiler::armed();
     let (observer, sink) = Observer::recording();
-    let out = GraphReduce::new(Heat::default(), &layout, plat, Options::optimized())
+    let out = GraphSession::new(&layout, plat, Options::optimized())
+        .query(&Heat::default())
         .with_wall_profiler(wall.clone())
         .with_observer(observer)
         .run()

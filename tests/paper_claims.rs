@@ -4,7 +4,7 @@
 
 use graphreduce_repro::algorithms::{Bfs, Cc};
 use graphreduce_repro::baselines::{CuSha, GraphChi, XStream};
-use graphreduce_repro::core::{GraphReduce, Options};
+use graphreduce_repro::core::{GraphSession, Options};
 use graphreduce_repro::graph::{Dataset, GraphLayout};
 use graphreduce_repro::sim::xfer::{transfer_access_time, AccessPattern, TransferMode};
 use graphreduce_repro::sim::Platform;
@@ -24,7 +24,8 @@ fn gr_outperforms_cpu_frameworks_out_of_core() {
     for ds in [Dataset::KronLogn21, Dataset::Orkut] {
         let layout = GraphLayout::build(&ds.generate(scale));
         let src = source(&layout);
-        let gr = GraphReduce::new(Bfs::new(src), &layout, plat.clone(), Options::optimized())
+        let gr = GraphSession::new(&layout, plat.clone(), Options::optimized())
+            .query(&Bfs::new(src))
             .run()
             .unwrap();
         assert!(!gr.stats.all_resident, "{} must stream", ds.name());
@@ -51,10 +52,12 @@ fn optimizations_cut_memcpy_time() {
     let layout = GraphLayout::build(&Dataset::Cage15.generate(scale));
     let src = source(&layout);
 
-    let unopt = GraphReduce::new(Bfs::new(src), &layout, plat.clone(), Options::unoptimized())
+    let unopt = GraphSession::new(&layout, plat.clone(), Options::unoptimized())
+        .query(&Bfs::new(src))
         .run()
         .unwrap();
-    let opt = GraphReduce::new(Bfs::new(src), &layout, plat.clone(), Options::optimized())
+    let opt = GraphSession::new(&layout, plat.clone(), Options::optimized())
+        .query(&Bfs::new(src))
         .run()
         .unwrap();
     assert!(
@@ -72,10 +75,12 @@ fn optimizations_cut_memcpy_time() {
 
     // CC (gather + dense start) improves less than BFS.
     let sym = GraphLayout::build(&Dataset::Cage15.generate(scale).symmetrize());
-    let unopt_cc = GraphReduce::new(Cc, &sym, plat.clone(), Options::unoptimized())
+    let unopt_cc = GraphSession::new(&sym, plat.clone(), Options::unoptimized())
+        .query(&Cc)
         .run()
         .unwrap();
-    let opt_cc = GraphReduce::new(Cc, &sym, plat, Options::optimized())
+    let opt_cc = GraphSession::new(&sym, plat, Options::optimized())
+        .query(&Cc)
         .run()
         .unwrap();
     let cc_reduction =
@@ -141,6 +146,8 @@ fn in_memory_engines_refuse_large_graphs() {
     let layout = GraphLayout::build(&Dataset::Nlpkkt160.generate(scale));
     assert!(CuSha::default().run(&[], &layout, &plat).is_err());
     // GraphReduce handles the same graph on the same device.
-    let gr = GraphReduce::new(Cc, &layout, plat, Options::optimized()).run();
+    let gr = GraphSession::new(&layout, plat, Options::optimized())
+        .query(&Cc)
+        .run();
     assert!(gr.is_ok());
 }
