@@ -764,10 +764,14 @@ impl<'a, P: GasProgram> Runner<'a, P> {
     /// changes — through host memory, on each device's own link. A device
     /// that owns no shard takes no part. Returns the bytes moved.
     fn exchange(&mut self, iter: u32, changed: &Bitmap) -> Result<u64, Abort> {
-        let holders: Vec<usize> = (0..self.ctxs.len()).filter(|&d| self.holds(d)).collect();
-        if holders.len() < 2 {
+        if (0..self.ctxs.len())
+            .filter(|&d| self.holds(d))
+            .nth(1)
+            .is_none()
+        {
             return Ok(0);
         }
+        let holders: Vec<usize> = (0..self.ctxs.len()).filter(|&d| self.holds(d)).collect();
         let mut changed_per_gpu = vec![0u64; self.ctxs.len()];
         for (sh, &o) in self.plan.shards.iter().zip(&self.owners) {
             changed_per_gpu[o] += changed.count_range(sh.interval.start, sh.interval.end);

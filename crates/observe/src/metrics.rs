@@ -160,8 +160,15 @@ impl<M: MetricTable> MetricsRegistry<M> {
     pub fn inc_labeled(&mut self, m: M, label: &'static str, by: u64) {
         debug_assert_eq!(M::ROWS[m.index()].1, Kind::Labeled, "{}", m.name());
         let series = &mut self.labeled[m.index()];
-        match series.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, total)) => *total += by,
+        // Labels are `'static` literals, so a call site usually passes the
+        // very slice it passed before: compare addresses first, text only
+        // when no entry shares the address.
+        let hit = match series.iter().position(|(l, _)| std::ptr::eq(*l, label)) {
+            Some(i) => Some(i),
+            None => series.iter().position(|(l, _)| *l == label),
+        };
+        match hit {
+            Some(i) => series[i].1 += by,
             None => series.push((label, by)),
         }
     }
@@ -307,5 +314,17 @@ mod tests {
         assert_eq!(s.histograms[0].0, "size");
         assert_eq!(s.histograms[0].1.buckets, vec![(4096, 1)]);
         assert_eq!(T::Size.name(), "size");
+    }
+
+    #[test]
+    fn labels_sharing_an_address_differ_by_length() {
+        let mut m = MetricsRegistry::<T>::new();
+        let long: &'static str = "in.topo";
+        m.inc_labeled(T::TimeNs, long, 1);
+        m.inc_labeled(T::TimeNs, &long[..2], 2);
+        m.inc_labeled(T::TimeNs, long, 4);
+        let s = m.snapshot();
+        assert_eq!(s.counter("kernel.time_ns{in.topo}"), 5);
+        assert_eq!(s.counter("kernel.time_ns{in}"), 2);
     }
 }

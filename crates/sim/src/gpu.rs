@@ -155,9 +155,6 @@ pub struct Gpu {
     observer: Observer,
     /// Prefix for event lanes (e.g. `"gpu2/"` in multi-GPU runs).
     lane_prefix: String,
-    /// Ops already emitted as spans (resolved ops are emitted
-    /// incrementally at each `synchronize`).
-    emitted_ops: usize,
     /// Fault-injection state; `None` (the default) makes every fault
     /// check return at its first branch.
     faults: Option<Box<FaultState>>,
@@ -203,7 +200,6 @@ impl Gpu {
             metrics: MetricsRegistry::new(),
             observer: Observer::disabled(),
             lane_prefix: String::new(),
-            emitted_ops: 0,
             faults: None,
         }
     }
@@ -349,30 +345,38 @@ impl Gpu {
         let s = &mut self.streams[stream.0];
         // Issue phase: occupies the hardware queue for the issue overhead,
         // ordered after the stream's previous issue.
-        let issue_deps = s.last_issue.into_iter().collect();
-        let queue = s.queue;
         let issue = self.sched.submit(
-            queue,
+            s.queue,
             self.pcie.issue_overhead,
-            issue_deps,
+            s.last_issue.as_slice(),
             self.barrier,
             "issue",
         );
-        // Execution phase: occupies the engine, after the issue, the
-        // stream's previous op completion, and any pending event waits.
-        let s = &mut self.streams[stream.0];
         s.last_issue = Some(issue);
-        let mut deps = vec![issue];
-        deps.extend(s.last_exec);
-        deps.append(&mut s.pending_waits);
-        let exec = self.sched.submit(engine, body, deps, self.barrier, label);
+        // Execution phase: occupies the engine, after the issue, the
+        // stream's previous op completion, and any pending event waits
+        // (gathered in `pending_waits`, whose buffer is kept).
+        let exec = if s.pending_waits.is_empty() {
+            let deps = [issue, s.last_exec.unwrap_or(issue)];
+            let n = 1 + usize::from(s.last_exec.is_some());
+            self.sched
+                .submit(engine, body, &deps[..n], self.barrier, label)
+        } else {
+            s.pending_waits.push(issue);
+            s.pending_waits.extend(s.last_exec);
+            let exec = self
+                .sched
+                .submit(engine, body, &s.pending_waits, self.barrier, label);
+            s.pending_waits.clear();
+            exec
+        };
         let done = if tail.is_zero() {
             exec
         } else {
             self.sched
-                .submit(self.sync_resource, tail, vec![exec], self.barrier, label)
+                .submit(self.sync_resource, tail, &[exec], self.barrier, label)
         };
-        self.streams[stream.0].last_exec = Some(done);
+        s.last_exec = Some(done);
         done
     }
 
@@ -655,20 +659,13 @@ impl Gpu {
         t
     }
 
-    /// Emit every op resolved since the last emission as a `"sim"`
-    /// track span, laned by hardware resource. Flush resolves all
-    /// submitted ops, so after a `synchronize` everything up to
-    /// `op_count` has a start/finish.
-    fn emit_resolved_ops(&mut self) {
+    /// Emit the ops the last flush resolved as `"sim"` track spans,
+    /// laned by hardware resource.
+    fn emit_resolved_ops(&self) {
         if !self.observer.is_enabled() {
-            self.emitted_ops = self.sched.op_count();
             return;
         }
-        let from = self.emitted_ops;
-        for (_, op) in self.sched.ops().skip(from) {
-            let (Some(start), Some(finish)) = (op.start, op.finish) else {
-                continue;
-            };
+        for (op, start, finish) in self.sched.last_batch() {
             let lane = format!(
                 "{}{}",
                 self.lane_prefix,
@@ -684,14 +681,13 @@ impl Gpu {
                 fields: Vec::new(),
             });
         }
-        self.emitted_ops = self.sched.op_count();
     }
 
     /// Resolved `(start_ns, finish_ns)` window of an op; `None` until
     /// the op's schedule has been flushed by a `synchronize`.
     pub fn op_window(&self, op: OpId) -> Option<(u64, u64)> {
-        let rec = self.sched.op(op);
-        Some((rec.start?.as_nanos(), rec.finish?.as_nanos()))
+        let (start, finish) = self.sched.window(op)?;
+        Some((start.as_nanos(), finish.as_nanos()))
     }
 
     /// Virtual time elapsed up to the last synchronization.
@@ -726,389 +722,5 @@ impl Gpu {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn gpu() -> Gpu {
-        Gpu::new(&Platform::paper_node())
-    }
-
-    #[test]
-    fn stream_ops_serialize_within_stream() {
-        let mut g = gpu();
-        let s = g.create_stream();
-        let a = g.h2d(s, 1_000_000, "a");
-        let b = g.h2d(s, 1_000_000, "b");
-        g.synchronize();
-        let fa = g.sched.op(a).finish.unwrap();
-        let sb = g.sched.op(b).start.unwrap();
-        assert!(sb >= fa);
-    }
-
-    #[test]
-    fn copies_on_two_streams_still_share_the_h2d_engine() {
-        let mut g = gpu();
-        let s1 = g.create_stream();
-        let s2 = g.create_stream();
-        g.h2d(s1, 10_000_000, "a");
-        g.h2d(s2, 10_000_000, "b");
-        let t2 = g.synchronize();
-
-        let mut g1 = gpu();
-        let s = g1.create_stream();
-        g1.h2d(s, 10_000_000, "a");
-        let t1 = g1.synchronize();
-        // Two same-direction copies serialize on the single DMA engine, so
-        // elapsed is roughly double (issue overheads overlap, bodies don't).
-        let ratio = t2.as_secs_f64() / t1.as_secs_f64();
-        assert!(ratio > 1.8, "ratio {ratio}");
-    }
-
-    #[test]
-    fn h2d_and_d2h_overlap_with_dual_copy_engines() {
-        let mut g = gpu();
-        let s1 = g.create_stream();
-        let s2 = g.create_stream();
-        let bytes = 60_000_000;
-        g.h2d(s1, bytes, "in");
-        g.d2h(s2, bytes, "out");
-        let both = g.synchronize();
-
-        let mut g1 = gpu();
-        let s = g1.create_stream();
-        g1.h2d(s, bytes, "in");
-        let one = g1.synchronize();
-        // Opposite directions overlap: total ≈ one direction, not two.
-        assert!(both.as_secs_f64() < 1.2 * one.as_secs_f64());
-    }
-
-    #[test]
-    fn copy_and_kernel_overlap_across_streams() {
-        let mut g = gpu();
-        let s1 = g.create_stream();
-        let s2 = g.create_stream();
-        let bytes = 120_000_000u64; // 20 ms on 6 GB/s link
-        let spec = KernelSpec::balanced("k", 50_000_000, 10.0, 2_000_000_000, 0);
-        g.h2d(s1, bytes, "copy");
-        g.launch(s2, &spec);
-        let overlapped = g.synchronize();
-
-        let mut g2 = gpu();
-        let s = g2.create_stream();
-        g2.h2d(s, bytes, "copy");
-        g2.launch(s, &spec);
-        let serial = g2.synchronize();
-        assert!(
-            overlapped.as_secs_f64() < 0.75 * serial.as_secs_f64(),
-            "overlap {overlapped:?} vs serial {serial:?}"
-        );
-    }
-
-    #[test]
-    fn events_order_across_streams() {
-        let mut g = gpu();
-        let s1 = g.create_stream();
-        let s2 = g.create_stream();
-        let a = g.h2d(s1, 50_000_000, "a");
-        let ev = g.record_event(s1);
-        g.wait_event(s2, ev);
-        let spec = KernelSpec::balanced("k", 1000, 1.0, 8000, 0);
-        let k = g.launch(s2, &spec);
-        g.synchronize();
-        assert!(g.sched.op(k).start.unwrap() >= g.sched.op(a).finish.unwrap());
-    }
-
-    #[test]
-    fn event_on_empty_stream_is_noop() {
-        let mut g = gpu();
-        let s1 = g.create_stream();
-        let s2 = g.create_stream();
-        let ev = g.record_event(s1);
-        g.wait_event(s2, ev);
-        let spec = KernelSpec::balanced("k", 1000, 1.0, 8000, 0);
-        let k = g.launch(s2, &spec);
-        g.synchronize();
-        let op = g.sched.op(k);
-        assert_eq!(op.finish.unwrap() - op.start.unwrap(), op.duration);
-    }
-
-    #[test]
-    fn barrier_orders_iterations() {
-        let mut g = gpu();
-        let s = g.create_stream();
-        g.h2d(s, 1_000_000, "a");
-        let t1 = g.synchronize();
-        let b = g.h2d(s, 1_000_000, "b");
-        g.synchronize();
-        assert!(g.sched.op(b).start.unwrap() >= t1);
-    }
-
-    #[test]
-    fn many_small_copies_on_one_stream_pay_serial_issue() {
-        // Spray motivation: 64 small copies on ONE stream pay 64 serialized
-        // issue overheads; on 32 streams the issues pipeline with transfers.
-        let n = 64u64;
-        let bytes = 30_000u64; // transfer body ~5us, comparable to issue cost
-
-        let mut one = gpu();
-        let s = one.create_stream();
-        for _ in 0..n {
-            one.h2d(s, bytes, "sub");
-        }
-        let t_one = one.synchronize();
-
-        let mut many = gpu();
-        let streams: Vec<_> = (0..32).map(|_| many.create_stream()).collect();
-        for i in 0..n {
-            many.h2d(streams[(i % 32) as usize], bytes, "sub");
-        }
-        let t_many = many.synchronize();
-        assert!(
-            t_many.as_secs_f64() < 0.8 * t_one.as_secs_f64(),
-            "spray {t_many:?} vs single {t_one:?}"
-        );
-    }
-
-    #[test]
-    fn more_streams_than_queues_share_queues() {
-        let mut g = gpu();
-        let width = g.device().hyperq_width as usize;
-        let ids: Vec<_> = (0..width + 3).map(|_| g.create_stream()).collect();
-        // Streams width..width+3 reuse queues 0..3.
-        assert_eq!(g.streams[ids[0].0].queue, g.streams[ids[width].0].queue);
-    }
-
-    #[test]
-    fn alloc_respects_capacity() {
-        let g = gpu();
-        let cap = g.memory().capacity();
-        let _a = g.alloc(cap).unwrap();
-        assert!(g.alloc(1).is_err());
-    }
-
-    #[test]
-    fn observer_sees_resolved_ops_incrementally() {
-        let (obs, rec) = Observer::recording();
-        let mut g = gpu();
-        g.set_observer(obs);
-        let s = g.create_stream();
-        g.h2d(s, 1_000_000, "in");
-        g.synchronize();
-        let first = rec.recorded().spans.len();
-        // issue + copy at minimum, each exactly once.
-        assert!(first >= 2, "{first} spans after first sync");
-        // The copy appears once on the DMA engine lane (its latency
-        // tail is a separate "sync"-lane op).
-        let copies = |r: &gr_observe::Recorded| {
-            r.spans
-                .iter()
-                .filter(|sp| sp.name == "in" && sp.lane == "h2d")
-                .count()
-        };
-        assert_eq!(copies(&rec.recorded()), 1);
-        assert!(rec.recorded().spans.iter().all(|sp| sp.track == "sim"));
-        // Second iteration adds only the new ops.
-        g.launch(s, &KernelSpec::balanced("k", 1_000_000, 2.0, 8_000_000, 0));
-        g.synchronize();
-        let r = rec.recorded();
-        assert_eq!(copies(&r), 1, "old copy op re-emitted");
-        assert_eq!(r.spans.iter().filter(|sp| sp.name == "k").count(), 1);
-        let k = r.spans.iter().find(|sp| sp.name == "k").unwrap();
-        assert_eq!(k.lane, "kernels");
-        assert!(k.dur_ns > 0);
-        // Stream creation was logged as an instant with its hw queue.
-        assert!(r
-            .instants
-            .iter()
-            .any(|i| i.name == "stream.created" && i.lane == "streams"));
-    }
-
-    #[test]
-    fn observer_lane_prefix_tags_devices() {
-        let (obs, rec) = Observer::recording();
-        let mut g = gpu();
-        g.set_observer_tagged(obs, "gpu3/");
-        let s = g.create_stream();
-        g.h2d(s, 1_000, "x");
-        g.synchronize();
-        let r = rec.recorded();
-        assert!(r.spans.iter().all(|sp| sp.lane.starts_with("gpu3/")));
-    }
-
-    #[test]
-    fn oom_emits_instant_event() {
-        let (obs, rec) = Observer::recording();
-        let mut g = gpu();
-        g.set_observer(obs);
-        let cap = g.memory().capacity();
-        let _a = g.alloc(cap).unwrap();
-        assert!(g.alloc(64).is_err());
-        let r = rec.recorded();
-        let oom = r.instants.iter().find(|i| i.name == "oom").unwrap();
-        assert_eq!(oom.lane, "memory");
-        assert!(oom
-            .fields
-            .iter()
-            .any(|(k, v)| *k == "requested" && *v == gr_observe::FieldValue::U64(64)));
-    }
-
-    #[test]
-    fn op_window_resolves_after_synchronize() {
-        let mut g = gpu();
-        let s = g.create_stream();
-        let op = g.h2d(s, 1_000_000, "in");
-        assert!(g.op_window(op).is_none());
-        g.synchronize();
-        let (start, finish) = g.op_window(op).unwrap();
-        assert!(finish > start);
-    }
-
-    #[test]
-    fn try_ops_with_no_plan_match_infallible_ops() {
-        let spec = KernelSpec::balanced("k", 1_000_000, 2.0, 8_000_000, 0);
-        let mut a = gpu();
-        let s = a.create_stream();
-        let _a_mem = a.alloc(4096).unwrap();
-        a.h2d(s, 1_000_000, "in");
-        // Zero-copy streaming has only the fallible form.
-        a.try_h2d_zero_copy(s, 2_000_000, "zc").unwrap();
-        a.launch(s, &spec);
-        a.d2h(s, 1_000, "out");
-        let ta = a.synchronize();
-
-        let mut b = gpu();
-        b.set_fault_plan(FaultPlan::none());
-        let s = b.create_stream();
-        let _b_mem = b.try_alloc(4096).unwrap();
-        b.try_h2d(s, 1_000_000, "in").unwrap();
-        b.try_h2d_zero_copy(s, 2_000_000, "zc").unwrap();
-        b.try_launch(s, &spec).unwrap();
-        b.try_d2h(s, 1_000, "out").unwrap();
-        let tb = b.synchronize();
-        assert_eq!(ta, tb, "FaultPlan::none() must be zero-overhead");
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(a.metrics().snapshot(), b.metrics().snapshot());
-        assert_eq!(a.memory().used(), b.memory().used());
-        assert_eq!(b.faults_injected(), 0);
-        assert_eq!(b.health(), DeviceHealth::Healthy);
-    }
-
-    #[test]
-    fn transient_window_faults_the_scheduled_op_then_clears() {
-        let mut g = gpu();
-        g.set_fault_plan(FaultPlan::none().fail_h2d(1, 1));
-        let s = g.create_stream();
-        g.try_h2d(s, 1_000, "a").unwrap();
-        let err = g.try_h2d(s, 1_000, "b").unwrap_err();
-        assert_eq!(err, DeviceFault::Transient { op: FaultOp::H2d });
-        // The per-class counter advanced, so the retry succeeds.
-        g.try_h2d(s, 1_000, "b").unwrap();
-        assert_eq!(g.faults_injected(), 1);
-        // The aborted attempt charged a partial copy: 3 h2d ops total.
-        assert_eq!(g.metrics().counter(DeviceMetric::H2dOps), 3);
-    }
-
-    #[test]
-    fn device_loss_is_sticky_and_counted_once() {
-        let mut g = gpu();
-        g.set_fault_plan(FaultPlan::none().lose_device_at_ns(0));
-        let s = g.create_stream();
-        let spec = KernelSpec::balanced("k", 1_000, 1.0, 8_000, 0);
-        assert_eq!(g.try_h2d(s, 1_000, "a").unwrap_err(), DeviceFault::Lost);
-        assert_eq!(g.try_launch(s, &spec).unwrap_err(), DeviceFault::Lost);
-        assert_eq!(g.try_d2h(s, 1_000, "b").unwrap_err(), DeviceFault::Lost);
-        assert_eq!(g.health(), DeviceHealth::Lost);
-        assert_eq!(g.faults_injected(), 1, "loss is one fault, not one per op");
-        // Allocations are host-side bookkeeping and still succeed, so an
-        // engine can build its runner and then fall back to the host.
-        assert!(g.try_alloc(1_000).is_ok());
-        // A dead device scheduled nothing.
-        assert_eq!(g.synchronize(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn ecc_stall_adds_exactly_the_configured_latency() {
-        let spec = KernelSpec::balanced("k", 1_000_000, 2.0, 8_000_000, 0);
-        let mut a = gpu();
-        let s = a.create_stream();
-        a.try_launch(s, &spec).unwrap();
-        let ta = a.synchronize();
-
-        let mut b = gpu();
-        b.set_fault_plan(FaultPlan::none().ecc_stall_on_launch(0));
-        let s = b.create_stream();
-        b.try_launch(s, &spec).unwrap();
-        let tb = b.synchronize();
-        assert_eq!(tb - ta, b.device().ecc_retry_stall);
-        assert_eq!(b.metrics().counter(DeviceMetric::FaultEccStalls), 1);
-        assert_eq!(b.faults_injected(), 0, "a stall is a slowdown, not a fault");
-    }
-
-    #[test]
-    fn degradation_window_slows_copies_inside_it() {
-        let bytes = 10_000_000;
-        let mut a = gpu();
-        let s = a.create_stream();
-        a.try_h2d(s, bytes, "x").unwrap();
-        let ta = a.synchronize();
-
-        let mut b = gpu();
-        b.set_fault_plan(FaultPlan::none().degrade_bandwidth(0, u64::MAX, 4.0));
-        assert_eq!(b.health(), DeviceHealth::Degraded);
-        let s = b.create_stream();
-        b.try_h2d(s, bytes, "x").unwrap();
-        let tb = b.synchronize();
-        let ratio = tb.as_secs_f64() / ta.as_secs_f64();
-        assert!(ratio > 3.0, "degraded/nominal ratio {ratio}");
-        assert_eq!(b.metrics().counter(DeviceMetric::FaultDegradedOps), 1);
-        assert_eq!(b.faults_injected(), 0);
-    }
-
-    #[test]
-    fn forced_allocation_pressure_synthesizes_oom() {
-        let mut g = gpu();
-        g.set_fault_plan(FaultPlan::none().fail_alloc(0, 1));
-        let err = g.try_alloc(4096).unwrap_err();
-        assert_eq!(err.requested, 4096);
-        assert_eq!(err.available, 0);
-        assert_eq!(err.capacity, g.memory().capacity());
-        assert_eq!(g.memory().used(), 0, "forced OOM must not reserve memory");
-        // Window passed: the retry succeeds and really reserves memory.
-        let a = g.try_alloc(4096).unwrap();
-        assert_eq!(a.bytes(), 4096);
-        assert_eq!(g.faults_injected(), 1);
-    }
-
-    #[test]
-    fn faults_emit_instants_on_the_faults_lane() {
-        let (obs, rec) = Observer::recording();
-        let mut g = gpu();
-        g.set_observer(obs);
-        g.set_fault_plan(FaultPlan::none().fail_h2d(0, 1));
-        let s = g.create_stream();
-        g.try_h2d(s, 1_000, "x").unwrap_err();
-        let r = rec.recorded();
-        assert!(r
-            .instants
-            .iter()
-            .any(|i| i.name == "fault.transient" && i.lane == "faults"));
-    }
-
-    #[test]
-    fn stats_report_busy_times_and_bytes() {
-        let mut g = gpu();
-        let s = g.create_stream();
-        g.h2d(s, 6_000_000, "in");
-        g.d2h(s, 3_000_000, "out");
-        g.launch(s, &KernelSpec::balanced("k", 1_000_000, 2.0, 8_000_000, 0));
-        g.synchronize();
-        let st = g.stats();
-        assert_eq!(st.bytes_h2d, 6_000_000);
-        assert_eq!(st.bytes_d2h, 3_000_000);
-        assert_eq!(st.copy_ops, 2);
-        assert_eq!(st.kernel_launches, 1);
-        assert!(st.memcpy_busy > SimDuration::ZERO);
-        assert!(st.kernel_busy > SimDuration::ZERO);
-        assert!(st.elapsed >= st.memcpy_busy.max(st.kernel_busy));
-    }
-}
+#[path = "gpu_tests.rs"]
+mod tests;

@@ -9,7 +9,10 @@
 //!
 //! * [`config`] — device / PCIe / host descriptions with K20c-era presets;
 //! * [`memory`] — capacity-accounted device memory (hard OOM past capacity);
-//! * [`schedule`] — the earliest-ready-first discrete-event scheduler;
+//! * [`schedule`] — the earliest-ready-first discrete-event scheduler; a
+//!   flushed batch's records retire at the next flush, leaving a 16-byte
+//!   `(start, finish)` record per op, and pricing an op allocates nothing
+//!   in steady state;
 //! * [`gpu`] — CUDA-semantics streams, events, async copies, kernel
 //!   launches, Hyper-Q hardware queues;
 //! * [`xfer`] — explicit / pinned / managed transfer cost models (Figure 4);
