@@ -41,6 +41,20 @@
 //! report the same `walked`, so [`ShardWork`] and the simulated timeline
 //! do not depend on the choice. `Serial` always pushes and is the oracle.
 //!
+//! # Batched row walks
+//!
+//! A small frontier's rows are far apart, so each one's `offsets` read
+//! misses cache, and a walk that reads a row's extent, then its entries,
+//! then the next row's extent puts every miss in one dependent chain.
+//! The sparse gather and push activate's mark (both of its shapes) take
+//! the driving bitmap's ids [`ROW_BATCH`] at a time: they first locate
+//! every row of the batch through the view ([`TopoView::csc_locate`] /
+//! [`TopoView::csr_locate`]: the raw entry range, plus the bit offset
+//! when the rows are coded), so those loads overlap, then walk the rows
+//! in id order, exactly as before, so results stay bit-identical. Mark
+//! sets a row's bits with [`Bitmap::set_each`], which has no branch on
+//! whether a bit was new and still returns the exact count of new bits.
+//!
 //! Every kernel here runs on one thread. The host's one parallel level is
 //! the shard fan-out in `exec/host.rs`.
 //!
@@ -48,7 +62,7 @@
 //! kernel cost specs, so the simulated timeline never depends on which
 //! host variant computed the results.
 
-use gr_graph::{Bitmap, Shard, TopoView};
+use gr_graph::{Bitmap, RowLoc, Shard, TopoView};
 
 use crate::api::GasProgram;
 use crate::options::HostKernels;
@@ -72,6 +86,34 @@ pub(crate) fn activate_pulls(mode: HostKernels, changed_out_edges: u64, num_edge
     mode == HostKernels::Adaptive
         && changed_out_edges > 0
         && changed_out_edges.saturating_mul(PULL_EDGE_MASS_DENOM) >= num_edges
+}
+
+/// Rows a batched walk locates before it reads any of them: enough
+/// independent `offsets` loads in flight to cover a cache miss, few
+/// enough that the batch's [`RowLoc`]s (1 KiB) stay in L1.
+pub const ROW_BATCH: usize = 32;
+
+/// Walk the rows of `ids` in order, [`ROW_BATCH`] at a time: `locate`
+/// every row of a batch first, so their loads do not wait on each other,
+/// then hand each [`RowLoc`] to `walk`.
+#[inline]
+fn walk_batched(
+    mut ids: impl Iterator<Item = u32>,
+    locate: impl Fn(u32) -> RowLoc,
+    mut walk: impl FnMut(RowLoc),
+) {
+    let mut batch = [RowLoc::default(); ROW_BATCH];
+    loop {
+        let mut n = 0;
+        for (slot, v) in batch.iter_mut().zip(ids.by_ref()) {
+            *slot = locate(v);
+            n += 1;
+        }
+        batch[..n].iter().for_each(|&loc| walk(loc));
+        if n < ROW_BATCH {
+            return;
+        }
+    }
 }
 
 /// Concrete shape a phase executes after [`HostKernels`] resolution.
@@ -157,23 +199,21 @@ pub fn gather_shard<P: GasProgram>(
     let end = shard.interval.end;
     debug_assert_eq!(gather_out.len(), shard.interval.len() as usize);
 
-    let gather_one = |v: u32| -> (P::Gather, u64) {
-        let dst_val = vertex_values[v as usize];
-        let row = view.csc_entries(v);
-        let edges = row.len() as u64;
-        let acc = row.fold(program.gather_identity(), |acc, (src, eid)| {
-            let eid = eid as usize;
-            program.gather_reduce(
-                acc,
-                program.gather_map(
-                    &dst_val,
-                    &vertex_values[src as usize],
-                    &edge_values[eid],
-                    weights[eid],
-                ),
-            )
-        });
-        (acc, edges)
+    let gather_one = |loc: RowLoc| -> P::Gather {
+        let dst_val = vertex_values[loc.vertex() as usize];
+        view.csc_row(loc)
+            .fold(program.gather_identity(), |acc, (src, eid)| {
+                let eid = eid as usize;
+                program.gather_reduce(
+                    acc,
+                    program.gather_map(
+                        &dst_val,
+                        &vertex_values[src as usize],
+                        &edge_values[eid],
+                        weights[eid],
+                    ),
+                )
+            })
     };
 
     match resolve(mode, frontier.count_range(start, end), (end - start) as u64) {
@@ -185,22 +225,26 @@ pub fn gather_shard<P: GasProgram>(
                 if !frontier.get(v) {
                     continue;
                 }
-                let (acc, edges) = gather_one(v);
-                *out = acc;
+                let loc = view.csc_locate(v);
+                *out = gather_one(loc);
                 active += 1;
-                in_edges += edges;
+                in_edges += loc.len();
             }
             (active, in_edges)
         }
         Shape::Sparse => {
             let mut active = 0;
             let mut in_edges = 0;
-            for v in frontier.iter_set_range(start, end) {
-                let (acc, edges) = gather_one(v);
-                gather_out[(v - start) as usize] = acc;
-                active += 1;
-                in_edges += edges;
-            }
+            let ids = frontier.iter_set_range(start, end);
+            walk_batched(
+                ids,
+                |v| view.csc_locate(v),
+                |loc| {
+                    gather_out[(loc.vertex() - start) as usize] = gather_one(loc);
+                    active += 1;
+                    in_edges += loc.len();
+                },
+            );
             (active, in_edges)
         }
     }
@@ -305,7 +349,8 @@ pub fn activate_shard(
     let start = shard.interval.start;
     let end = shard.interval.end;
 
-    /// Mark the out-neighbors of `vertices` into `next`.
+    /// Mark the out-neighbors of `vertices` into `next`, a batch of rows
+    /// located at a time, each row marked without a branch per bit.
     fn mark(
         view: TopoView<'_>,
         vertices: impl Iterator<Item = u32>,
@@ -313,17 +358,14 @@ pub fn activate_shard(
     ) -> (u64, u64) {
         let mut walked = 0;
         let mut activated = 0;
-        for v in vertices {
-            let row = view.csr_neighbors(v);
-            walked += row.len() as u64;
-            row.for_each(|dst| {
-                // Branch instead of `+= u64::from(..)`: see Bitmap::set for
-                // the rustc 1.95 release-mode miscompile this avoids.
-                if next.set(dst) {
-                    activated += 1;
-                }
-            });
-        }
+        walk_batched(
+            vertices,
+            |v| view.csr_locate(v),
+            |loc| {
+                walked += loc.len();
+                activated += next.set_each(view.csr_neighbors_at(loc));
+            },
+        );
         (walked, activated)
     }
 

@@ -256,10 +256,21 @@ fn every_declared_metric_is_written_in_library_code() {
     let unwritten: Vec<String> = rows
         .iter()
         .filter(|(table, handle, _)| {
-            !["inc", "inc_labeled", "observe"].iter().any(|write| {
-                let call = format!(".{write}({table}::{handle},");
+            let series = format!("{table}::{handle}");
+            let written = ["inc", "inc_labeled", "observe"].iter().any(|write| {
+                let call = format!(".{write}({series},");
                 flat.iter().any(|text| text.contains(&call))
-            })
+            });
+            // `inc_labeled_each([A::X, A::Y, ...], label, [...])` writes
+            // every series of its first argument.
+            let written_together = flat.iter().any(|text| {
+                text.split(".inc_labeled_each([").skip(1).any(|call| {
+                    call.split(']')
+                        .next()
+                        .is_some_and(|list| list.split(',').any(|s| s == series))
+                })
+            });
+            !written && !written_together
         })
         .map(|(table, handle, _)| format!("{table}::{handle}"))
         .collect();

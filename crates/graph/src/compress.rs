@@ -490,29 +490,44 @@ impl CompressedAdjacency {
     /// (taken from static layout metadata); `eid_base` seeds implicit
     /// canonical ids for CSC rows and is ignored for CSR rows.
     pub fn row(&self, v: VertexId, count: u64, eid_base: u64) -> CompressedRowIter<'_> {
-        let eids = self.eids.as_ref().map(|s| s.row(v));
-        // One before the first id, so every entry is `prev + 1 + gap`.
-        let eid = match eids {
-            Some(_) => u32::MAX,
-            None => (eid_base as u32).wrapping_sub(1),
-        };
-        CompressedRowIter {
-            codec: self.codec,
-            nbrs: self.nbrs.row(v),
-            eids,
-            nbr: v,
-            eid,
-            first: true,
-            remaining: count,
+        match &self.eids {
+            Some(ids) => CompressedRowIter {
+                eids: Some(ids.row(v)),
+                // One before the first id, so every entry is `prev + 1 + gap`.
+                eid: u32::MAX,
+                ..self.row_at(v, self.row_bit(v), count, 0)
+            },
+            None => self.row_at(v, self.row_bit(v), count, eid_base),
         }
     }
 
-    /// [`row`](Self::row) without the edge-id stream: neighbors are
-    /// exact, the ids yielded beside them are meaningless.
-    pub fn neighbor_row(&self, v: VertexId, count: u64) -> CompressedRowIter<'_> {
+    /// Where vertex `v`'s neighbor codes start in the stream, in bits.
+    #[inline]
+    pub(crate) fn row_bit(&self, v: VertexId) -> u64 {
+        self.nbrs.offsets[v as usize]
+    }
+
+    /// Decoder for `v`'s neighbor codes starting at `bit` (its
+    /// [`row_bit`](Self::row_bit)), with ids counting up from `eid_base`:
+    /// the canonical ids of a CSC row; a CSR row's id stream is not read,
+    /// so beside its neighbors the ids are meaningless.
+    #[inline]
+    pub(crate) fn row_at(
+        &self,
+        v: VertexId,
+        bit: u64,
+        count: u64,
+        eid_base: u64,
+    ) -> CompressedRowIter<'_> {
         CompressedRowIter {
+            codec: self.codec,
+            nbrs: BitReader::new(&self.nbrs.bytes, bit),
             eids: None,
-            ..self.row(v, count, 0)
+            nbr: v,
+            // One before the first id, so every entry is `prev + 1 + gap`.
+            eid: (eid_base as u32).wrapping_sub(1),
+            first: true,
+            remaining: count,
         }
     }
 }
@@ -733,14 +748,28 @@ impl<'a> TopoView<'a> {
     /// In-edges of `v` as `(source, canonical eid)`, CSC order.
     #[inline]
     pub fn csc_entries(&self, v: VertexId) -> TopoRowIter<'a> {
-        let csc = &self.layout.csc;
+        self.csc_row(self.csc_locate(v))
+    }
+
+    /// Where `v`'s CSC row lies: the loads [`csc_entries`](Self::csc_entries)
+    /// makes before it reads an entry, so a caller can start them for a
+    /// batch of rows before walking any.
+    #[inline]
+    pub fn csc_locate(&self, v: VertexId) -> RowLoc {
+        RowLoc::of(&self.layout.csc, self.comp.map(|c| &c.csc), v)
+    }
+
+    /// The CSC row `loc` locates, as [`csc_entries`](Self::csc_entries)
+    /// yields it.
+    #[inline]
+    pub fn csc_row(&self, loc: RowLoc) -> TopoRowIter<'a> {
         match self.comp {
             None => TopoRowIter::Raw {
-                nbrs: &csc.neighbors[csc.range(v)],
+                nbrs: loc.raw(&self.layout.csc),
                 eids: &[],
-                next_eid: csc.offsets[v as usize] as u32,
+                next_eid: loc.first as u32,
             },
-            Some(c) => TopoRowIter::Decoded(c.csc.row(v, csc.degree(v), csc.offsets[v as usize])),
+            Some(c) => TopoRowIter::Decoded(c.csc.row_at(loc.v, loc.bit, loc.len, loc.first)),
         }
     }
 
@@ -763,16 +792,74 @@ impl<'a> TopoView<'a> {
     /// per edge instead of [`csr_entries`](Self::csr_entries)' two.
     #[inline]
     pub fn csr_neighbors(&self, v: VertexId) -> impl ExactSizeIterator<Item = VertexId> + 'a {
-        let csr = &self.layout.csr;
+        self.csr_neighbors_at(self.csr_locate(v))
+    }
+
+    /// Where `v`'s CSR neighbor row lies, as [`csc_locate`](Self::csc_locate)
+    /// for [`csr_neighbors`](Self::csr_neighbors).
+    #[inline]
+    pub fn csr_locate(&self, v: VertexId) -> RowLoc {
+        RowLoc::of(&self.layout.csr, self.comp.map(|c| &c.csr), v)
+    }
+
+    /// The CSR neighbor row `loc` locates, as
+    /// [`csr_neighbors`](Self::csr_neighbors) yields it.
+    #[inline]
+    pub fn csr_neighbors_at(&self, loc: RowLoc) -> impl ExactSizeIterator<Item = VertexId> + 'a {
         let row = match self.comp {
             None => TopoRowIter::Raw {
-                nbrs: &csr.neighbors[csr.range(v)],
+                nbrs: loc.raw(&self.layout.csr),
                 eids: &[],
                 next_eid: 0,
             },
-            Some(c) => TopoRowIter::Decoded(c.csr.neighbor_row(v, csr.degree(v))),
+            Some(c) => TopoRowIter::Decoded(c.csr.row_at(loc.v, loc.bit, loc.len, 0)),
         };
         row.map(|(dst, _)| dst)
+    }
+}
+
+/// A row located but not yet read: its raw entry range `first..first +
+/// len` and, when the view is compressed, the bit where its neighbor
+/// codes start. A CSC row's `first` is also its first canonical edge id.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RowLoc {
+    v: VertexId,
+    first: u64,
+    len: u64,
+    bit: u64,
+}
+
+impl RowLoc {
+    #[inline]
+    fn of(adj: &Adjacency, comp: Option<&CompressedAdjacency>, v: VertexId) -> RowLoc {
+        let first = adj.offsets[v as usize];
+        RowLoc {
+            v,
+            first,
+            len: adj.offsets[v as usize + 1] - first,
+            bit: comp.map_or(0, |c| c.row_bit(v)),
+        }
+    }
+
+    #[inline]
+    fn raw<'a>(&self, adj: &'a Adjacency) -> &'a [VertexId] {
+        &adj.neighbors[self.first as usize..(self.first + self.len) as usize]
+    }
+
+    /// The row's vertex.
+    #[inline]
+    pub fn vertex(&self) -> VertexId {
+        self.v
+    }
+
+    /// The row's entry count: the vertex's degree in that direction.
+    #[inline]
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 }
 

@@ -117,6 +117,31 @@ impl Bitmap {
         newly
     }
 
+    /// Set bit `i` for every `i` of `ids`; returns how many were newly set.
+    ///
+    /// Marks a whole adjacency row without a data-dependent branch: each
+    /// bit and its summary bit are OR-ed in unconditionally, and the
+    /// newly-set count is the bit shifted down from the word read before
+    /// the write, an integer add rather than [`set`](Self::set)'s
+    /// bool-to-int (see `docs/RUSTC_MISCOMPILE.md`). The count is kept
+    /// in a local and stored once. Folds `ids`, so a row iterator that
+    /// overrides [`Iterator::fold`] keeps its monomorphic loop.
+    #[inline]
+    pub fn set_each(&mut self, ids: impl Iterator<Item = u32>) -> u64 {
+        let len = self.len;
+        let (words, summary) = (&mut self.words, &mut self.summary);
+        let added = ids.fold(0u64, |added, i| {
+            debug_assert!(i < len);
+            let wi = (i / 64) as usize;
+            let old = words[wi];
+            words[wi] = old | 1u64 << (i % 64);
+            summary[wi / 64] |= 1u64 << (wi % 64);
+            added + (!old >> (i % 64) & 1)
+        });
+        self.count += added;
+        added
+    }
+
     /// Clear bit `i`; returns whether it was previously set.
     #[inline]
     pub fn clear(&mut self, i: u32) -> bool {
@@ -450,6 +475,56 @@ mod tests {
         b.clear_all();
         assert!(b.set(64 * 65));
         assert_eq!(b.iter_set().collect::<Vec<_>>(), vec![64 * 65]);
+    }
+
+    /// `set_each` against a rebuild of its own words (which recounts and
+    /// re-summarizes them), under release codegen in CI: re-marked and
+    /// repeated ids add nothing, a word that turns non-zero reaches the
+    /// summary, and a row may cross a 4 096-bit summary word.
+    #[test]
+    fn set_each_keeps_count_and_summary_exact() {
+        let n = 64 * 64 * 2 + 100;
+        let mut b = Bitmap::new(n);
+        assert!(b.set(5));
+        let row = [
+            5,
+            6,
+            6,
+            64 * 64 - 1,
+            64 * 64,
+            64 * 64 + 1,
+            64 * 65 + 3,
+            n - 1,
+        ];
+        assert_eq!(b.set_each(row.into_iter()), 6);
+        assert_eq!(b, Bitmap::from_words(n, b.words().to_vec()).unwrap());
+        assert_eq!(b.count(), 7);
+        assert_eq!(b.count_range(64 * 64, n), 4);
+        assert_eq!(b.set_each(row.into_iter()), 0);
+        assert_eq!(b.count(), 7);
+        // Row by row, it matches marking bit by bit.
+        let mut one_by_one = b.clone();
+        let mut s = 7u64;
+        for len in [0usize, 1, 9, 64, 300] {
+            let ids: Vec<u32> = (0..len)
+                .map(|_| {
+                    s = s
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    (s >> 33) as u32 % n
+                })
+                .collect();
+            let mut newly = 0;
+            for &i in &ids {
+                if one_by_one.set(i) {
+                    newly += 1;
+                }
+            }
+            assert_eq!(b.set_each(ids.iter().copied()), newly, "row of {len}");
+            assert_eq!(b, one_by_one, "row of {len}");
+        }
+        assert_eq!(b, Bitmap::from_words(n, b.words().to_vec()).unwrap());
+        assert_eq!(b.iter_set().count() as u64, b.count());
     }
 
     #[test]

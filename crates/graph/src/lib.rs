@@ -28,7 +28,7 @@ pub mod partition;
 pub mod shard;
 pub mod stats;
 
-pub use compress::{CompressedTopology, CompressionCodec, TopoView};
+pub use compress::{CompressedTopology, CompressionCodec, RowLoc, TopoView};
 pub use csr::{Adjacency, GraphLayout};
 pub use datasets::{dataset_bytes, in_memory_bytes, Dataset};
 pub use edgelist::{EdgeList, VertexId};

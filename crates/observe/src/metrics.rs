@@ -158,18 +158,38 @@ impl<M: MetricTable> MetricsRegistry<M> {
     }
 
     pub fn inc_labeled(&mut self, m: M, label: &'static str, by: u64) {
-        debug_assert_eq!(M::ROWS[m.index()].1, Kind::Labeled, "{}", m.name());
-        let series = &mut self.labeled[m.index()];
-        // Labels are `'static` literals, so a call site usually passes the
-        // very slice it passed before: compare addresses first, text only
-        // when no entry shares the address.
-        let hit = match series.iter().position(|(l, _)| std::ptr::eq(*l, label)) {
-            Some(i) => Some(i),
-            None => series.iter().position(|(l, _)| *l == label),
-        };
-        match hit {
-            Some(i) => series[i].1 += by,
-            None => series.push((label, by)),
+        self.inc_labeled_each([m], label, [by]);
+    }
+
+    /// Add `by[k]` to series `ms[k]` under one `label`, looking the label
+    /// up once. Series that are only ever bumped together touch their
+    /// labels in the same order, so the slot found in `ms[0]` holds the
+    /// label in each of the others; a series where it does not is
+    /// searched on its own, so the totals never depend on that.
+    pub fn inc_labeled_each<const N: usize>(
+        &mut self,
+        ms: [M; N],
+        label: &'static str,
+        by: [u64; N],
+    ) {
+        let slot = ms
+            .first()
+            .and_then(|m| find_label(&self.labeled[m.index()], label));
+        for (m, by) in ms.into_iter().zip(by) {
+            debug_assert_eq!(M::ROWS[m.index()].1, Kind::Labeled, "{}", m.name());
+            let series = &mut self.labeled[m.index()];
+            let same = |i: usize| {
+                series
+                    .get(i)
+                    .is_some_and(|&(l, _)| std::ptr::eq(l, label) || l == label)
+            };
+            match slot
+                .filter(|&i| same(i))
+                .or_else(|| find_label(series, label))
+            {
+                Some(i) => series[i].1 += by,
+                None => series.push((label, by)),
+            }
         }
     }
 
@@ -209,6 +229,16 @@ impl<M: MetricTable> MetricsRegistry<M> {
                 .map(|(name, h)| (name.to_string(), h.snapshot()))
                 .collect(),
         }
+    }
+}
+
+/// Where `label` sits in a labeled series. Labels are `'static` literals,
+/// so a call site usually passes the very slice it passed before: compare
+/// addresses first, text only when no entry shares the address.
+fn find_label(series: &[(&'static str, u64)], label: &str) -> Option<usize> {
+    match series.iter().position(|&(l, _)| std::ptr::eq(l, label)) {
+        Some(i) => Some(i),
+        None => series.iter().position(|&(l, _)| l == label),
     }
 }
 
@@ -272,6 +302,7 @@ mod tests {
             Bytes: Counter("h2d.bytes"),
             Ops: Counter("ops"),
             TimeNs: Labeled("kernel.time_ns"),
+            Count: Labeled("kernel.count"),
             Size: Histogram("size"),
         }
     }
@@ -314,6 +345,27 @@ mod tests {
         assert_eq!(s.histograms[0].0, "size");
         assert_eq!(s.histograms[0].1.buckets, vec![(4096, 1)]);
         assert_eq!(T::Size.name(), "size");
+    }
+
+    #[test]
+    fn series_bumped_together_match_their_one_by_one_totals() {
+        let mut each = MetricsRegistry::<T>::new();
+        let mut one = MetricsRegistry::<T>::new();
+        // `Count` takes a label alone first, so its slots sit one off
+        // from `TimeNs`'s and the shared lookup must miss and search.
+        each.inc_labeled(T::Count, "solo", 9);
+        one.inc_labeled(T::Count, "solo", 9);
+        let label: &'static str = "in.topo";
+        for (l, by) in [("apply", 1), (label, 2), (&label[..2], 3), ("apply", 4)] {
+            each.inc_labeled_each([T::TimeNs, T::Count], l, [10 * by, by]);
+            one.inc_labeled(T::TimeNs, l, 10 * by);
+            one.inc_labeled(T::Count, l, by);
+        }
+        let s = each.snapshot();
+        assert_eq!(s, one.snapshot());
+        assert_eq!(s.counter("kernel.count{apply}"), 5);
+        assert_eq!(s.counter("kernel.time_ns{in}"), 30);
+        assert_eq!(s.counter("kernel.count{in.topo}"), 2);
     }
 
     #[test]

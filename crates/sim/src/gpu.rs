@@ -404,9 +404,15 @@ impl Gpu {
                 m.observe(DeviceMetric::KernelDurationNs, ns);
             }
         }
-        m.inc_labeled(DeviceMetric::OpCount, label, 1);
-        m.inc_labeled(DeviceMetric::OpTimeNs, label, ns);
-        m.inc_labeled(DeviceMetric::OpBytes, label, bytes);
+        m.inc_labeled_each(
+            [
+                DeviceMetric::OpCount,
+                DeviceMetric::OpTimeNs,
+                DeviceMetric::OpBytes,
+            ],
+            label,
+            [1, ns, bytes],
+        );
     }
 
     /// Enqueue an async host-to-device copy of `bytes` on `stream`.

@@ -10,7 +10,11 @@
 //! every mode also reads the topology through gap-coded [`TopoView`]s,
 //! which must change nothing. The long-grid and threshold-crossing runs
 //! pin `Adaptive`'s sparse activate, which walks `changed` through the
-//! bitmap's word summary, to the oracle over whole traversals. Pull-side
+//! bitmap's word summary, to the oracle over whole traversals. The
+//! batch-edge runs drive shards with frontiers of 0, 1, B−1, B, B+1 and
+//! 2B+1 vertices (B = `ROW_BATCH`, the rows a batched walk locates at
+//! once), over every view, where a dropped or repeated row would show.
+//! Pull-side
 //! activate must mark exactly the bits push marks, shard by shard at phase
 //! level and iteration by iteration over a hub-sourced BFS that switches
 //! direction twice.
@@ -25,7 +29,7 @@ use gr_graph::{
 use gr_observe::{WallProfile, WallProfiler};
 use gr_sim::Platform;
 use graphreduce::phases::{
-    activate_pull_shard, activate_shard, apply_shard, gather_shard, scatter_shard,
+    activate_pull_shard, activate_shard, apply_shard, gather_shard, scatter_shard, ROW_BATCH,
 };
 use graphreduce::{
     plan_partition, GasProgram, GraphSession, HostKernels, InitialFrontier, Options, SizeModel,
@@ -289,6 +293,121 @@ impl GasProgram for StampEndpoints {
 #[test]
 fn edge_stamping_phases_agree_across_modes_and_densities() {
     assert_phases_agree(StampEndpoints);
+}
+
+/// Active vertices per shard at the edges of a batched walk's batches.
+const BATCH_EDGES: [usize; 6] = [
+    0,
+    1,
+    ROW_BATCH - 1,
+    ROW_BATCH,
+    ROW_BATCH + 1,
+    2 * ROW_BATCH + 1,
+];
+
+/// Three shards on intervals that are not 64-aligned, each long enough
+/// that `2 * ROW_BATCH + 1` active vertices stay below 1/8 of it, so
+/// `Adaptive` walks every one of them sparse and batched.
+fn batch_edge_graph() -> (GraphLayout, Vec<Shard>) {
+    let el = gen::with_random_weights(gen::uniform(6_000, 36_000, 5), 1.0, 8).symmetrize();
+    let layout = GraphLayout::build(&el);
+    let cuts = [0, 1_337, 3_901, 6_000];
+    let intervals: Vec<Interval> = cuts
+        .windows(2)
+        .map(|w| Interval {
+            start: w[0],
+            end: w[1],
+        })
+        .collect();
+    let shards = build_shards(&layout, &intervals);
+    (layout, shards)
+}
+
+/// A frontier with exactly `counts[i]` vertices in shard `i`, spread over
+/// the interval from its first vertex to its last.
+fn frontier_with_counts(n: u32, shards: &[Shard], counts: &[usize]) -> Bitmap {
+    let mut b = Bitmap::new(n);
+    for (sh, &k) in shards.iter().zip(counts) {
+        let (lo, span) = (sh.interval.start as usize, sh.interval.len() as usize - 1);
+        for t in 0..k {
+            b.set((lo + t * span / (k - 1).max(1)) as u32);
+        }
+        assert_eq!(b.count_range(sh.interval.start, sh.interval.end), k as u64);
+    }
+    b
+}
+
+/// The batched sparse walks at their batch edges, over raw, ζ₃ and varint
+/// rows: with 0, 1, B−1, B, B+1 and 2B+1 active vertices per shard
+/// (B = [`ROW_BATCH`]), `Adaptive` matches the `Serial` oracle in
+/// `gather_temp` and every other phase output, and a push activate
+/// driven by that frontier reports the oracle's `(walked, activated)`
+/// per shard and marks exactly the out-neighbours a plain CSR loop finds.
+fn assert_batch_edges_agree<P: GasProgram>(program: P)
+where
+    P::VertexValue: PartialEq + std::fmt::Debug,
+    P::EdgeValue: PartialEq + std::fmt::Debug,
+    P::Gather: PartialEq + std::fmt::Debug,
+{
+    let (layout, shards) = batch_edge_graph();
+    let n = layout.num_vertices();
+    let coded = [CompressionCodec::Zeta(3), CompressionCodec::Varint]
+        .map(|codec| CompressedTopology::build(&layout, codec));
+    let raw = TopoView::raw(&layout);
+    let views = [
+        ("raw", raw),
+        ("zeta3", TopoView::compressed(&layout, &coded[0])),
+        ("varint", TopoView::compressed(&layout, &coded[1])),
+    ];
+    for rot in 0..BATCH_EDGES.len() {
+        let counts: Vec<usize> = (0..shards.len())
+            .map(|i| BATCH_EDGES[(rot + i) % BATCH_EDGES.len()])
+            .collect();
+        let frontier = frontier_with_counts(n, &shards, &counts);
+        let oracle = run_phases(&program, raw, &shards, &frontier, HostKernels::Serial);
+        let mut reference = Bitmap::new(n);
+        for v in frontier.iter_set() {
+            for &dst in &layout.csr.neighbors[layout.csr.range(v)] {
+                reference.set(dst);
+            }
+        }
+        let push = |view: TopoView<'_>, mode| {
+            let mut next = Bitmap::new(n);
+            let work: Vec<(u64, u64)> = shards
+                .iter()
+                .map(|sh| activate_shard(view, sh, &frontier, &mut next, mode))
+                .collect();
+            (work, next)
+        };
+        let (oracle_work, oracle_next) = push(raw, HostKernels::Serial);
+        assert_eq!(
+            oracle_next, reference,
+            "Serial marking at counts {counts:?}"
+        );
+        for (tag, view) in views {
+            let what = format!("{} over {tag} rows at counts {counts:?}", program.name());
+            let got = run_phases(&program, view, &shards, &frontier, HostKernels::Adaptive);
+            assert_eq!(got, oracle, "{what}");
+            let (work, next) = push(view, HostKernels::Adaptive);
+            assert_eq!(work, oracle_work, "walked/activated, {what}");
+            assert_eq!(next, reference, "next frontier, {what}");
+        }
+    }
+}
+
+#[test]
+fn bfs_phases_agree_at_batch_edges() {
+    assert_batch_edges_agree(Bfs::new(0));
+}
+
+#[test]
+fn sssp_phases_agree_at_batch_edges() {
+    assert_batch_edges_agree(Sssp::new(0));
+}
+
+#[test]
+fn cc_phases_agree_at_batch_edges() {
+    assert_batch_edges_agree(Cc);
 }
 
 /// Pull against push on a directed R-MAT graph, whose in-rows differ from
