@@ -48,8 +48,18 @@ impl GasProgram for Sssp {
         src + weight
     }
 
+    /// The oracle's relaxation (`reference::sssp` keeps `nd` iff `nd <
+    /// dist`), as a select: one `minss` on each row's carried dependency,
+    /// where `f32::min`'s NaN rule costs a compare, an unordered compare
+    /// and a blend. On every value SSSP holds the two give the same bits:
+    /// distances are never NaN or −0, and a NaN `b` keeps `a` either way.
+    #[inline]
     fn gather_reduce(&self, a: f32, b: f32) -> f32 {
-        a.min(b)
+        if b < a {
+            b
+        } else {
+            a
+        }
     }
 
     fn apply(&self, v: &mut f32, r: f32, iteration: u32) -> bool {
@@ -70,9 +80,9 @@ impl GasProgram for Sssp {
 mod tests {
     use super::*;
     use crate::reference;
-    use gr_graph::{gen, GraphLayout};
+    use gr_graph::{gen, CompressionCodec, EdgeList, GraphLayout};
     use gr_sim::Platform;
-    use graphreduce::{GraphSession, Options};
+    use graphreduce::{GraphSession, HostKernels, Options};
 
     fn weighted_layout(seed: u64) -> GraphLayout {
         GraphLayout::build(&gen::with_random_weights(
@@ -125,6 +135,74 @@ mod tests {
                 assert_eq!(*s, UNREACHABLE);
             } else {
                 assert_eq!(*s, *d as f32);
+            }
+        }
+    }
+
+    #[test]
+    fn gather_reduce_is_the_strict_less_select() {
+        let p = Sssp::new(0);
+        let inf = UNREACHABLE;
+        for (a, b, want) in [
+            (inf, inf, inf),
+            (inf, 2.5, 2.5),
+            (2.5, inf, 2.5),
+            (3.0, 3.0, 3.0),
+            (0.0, 1.0, 0.0),
+            (1.0, f32::NAN, 1.0),
+            (inf, f32::NAN, inf),
+        ] {
+            assert_eq!(p.gather_reduce(a, b).to_bits(), want.to_bits(), "{a} ⊎ {b}");
+            // The same bits `f32::min` gave.
+            assert_eq!(a.min(b).to_bits(), want.to_bits(), "min({a}, {b})");
+        }
+    }
+
+    /// A weighted graph with zero-weight edges, duplicate `(s, d)` edges of
+    /// different weights and vertices no path reaches, on a uniform random
+    /// core large enough to span several shards.
+    fn awkward_layout() -> GraphLayout {
+        let core = gen::with_random_weights(gen::uniform(600, 4000, 31), 9.0, 32);
+        let core_weights = core.weights.expect("weighted");
+        let mut edges = core.edges.clone();
+        let mut weights = core_weights.clone();
+        for (&(s, d), &w) in core.edges.iter().zip(&core_weights).step_by(7) {
+            // A zero-weight copy of every seventh edge, and a heavier one.
+            edges.extend([(s, d), (s, d)]);
+            weights.extend([0.0, w + 3.5]);
+        }
+        // A chain of zero-weight edges, and vertices 600..640 that only
+        // point into the graph: nothing reaches them.
+        edges.extend([(0, 1), (1, 2), (2, 3)]);
+        weights.extend([0.0, 0.0, 0.0]);
+        for v in 600..640 {
+            edges.push((v, v % 600));
+            weights.push(1.0);
+        }
+        GraphLayout::build(&EdgeList::from_edges(640, edges).with_weights(weights))
+    }
+
+    #[test]
+    fn matches_the_oracle_bit_for_bit_on_awkward_weights() {
+        let layout = awkward_layout();
+        let oracle = reference::sssp(&layout, 0);
+        assert_eq!(oracle[..4], [0.0; 4], "the zero-weight chain");
+        assert!(oracle[600..].iter().all(|d| *d == UNREACHABLE));
+        let oracle: Vec<u32> = oracle.iter().map(|d| d.to_bits()).collect();
+        for codec in [None, Some(CompressionCodec::Zeta(3))] {
+            for host_kernels in [HostKernels::Serial, HostKernels::Adaptive] {
+                let opts = Options {
+                    shard_compression: codec,
+                    host_kernels,
+                    ..Options::optimized()
+                }
+                .with_num_shards(5);
+                let out = GraphSession::new(&layout, Platform::paper_node(), opts)
+                    .query(&Sssp::new(0))
+                    .run()
+                    .unwrap();
+                let got: Vec<u32> = out.vertex_values.iter().map(|d| d.to_bits()).collect();
+                assert_eq!(got, oracle, "{codec:?} {host_kernels:?}");
             }
         }
     }

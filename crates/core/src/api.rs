@@ -108,6 +108,12 @@ pub trait GasProgram: Sync {
     /// `⊎` — fold two gather accumulators. Must be associative and
     /// commutative (the reduction order over in-edges is unspecified, as on
     /// real hardware).
+    ///
+    /// The fold of a row carries its accumulator from one in-edge to the
+    /// next, so the reduce sits on that row's loop-carried dependency and
+    /// its latency is paid once per edge: write it in a form that compiles
+    /// to a single instruction where one exists (a strict `<` select
+    /// rather than `f32::min`, whose NaN rule costs three).
     fn gather_reduce(&self, a: Self::Gather, b: Self::Gather) -> Self::Gather;
 
     /// `U(v, R)` — update an active vertex from the reduced gather result;

@@ -100,6 +100,35 @@ fn no_library_source_file_exceeds_line_cap() {
     assert_under_cap(&files);
 }
 
+/// Most non-test lines `crates/core/src` may hold: each file counted up
+/// to its first unindented `#[cfg(test)]`. A ratchet: growth is a
+/// deliberate edit of this number, and a change that cuts lines lowers
+/// it (CHANGES.md records every move).
+const MAX_CORE_CODE_LINES: usize = 7_764;
+
+#[test]
+fn core_code_lines_stay_under_the_ratchet() {
+    let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
+    let mut files = Vec::new();
+    rust_sources(&src, &mut files);
+    let lines: usize = files
+        .iter()
+        .map(|f| {
+            fs::read_to_string(f)
+                .expect("readable source")
+                .lines()
+                .take_while(|l| !l.starts_with("#[cfg(test)]"))
+                .count()
+        })
+        .sum();
+    assert!(
+        lines <= MAX_CORE_CODE_LINES,
+        "{lines} non-test lines in crates/core/src, ratchet \
+         {MAX_CORE_CODE_LINES} (ROADMAP item 4(g): cut code, or raise the \
+         bound deliberately and record it in CHANGES.md)"
+    );
+}
+
 /// The device ops a timeline is priced with.
 const DEVICE_OPS: [&str; 3] = [".h2d(", ".d2h(", ".launch"];
 
