@@ -11,6 +11,26 @@
 
 use graphreduce::{GasProgram, InitialFrontier};
 
+/// The sources of one sweep, checked: 1 to 64 lanes.
+fn checked_lanes(sources: Vec<u32>) -> Vec<u32> {
+    assert!(
+        (1..=64).contains(&sources.len()),
+        "MS-BFS runs 1..=64 sources per pass"
+    );
+    sources
+}
+
+/// Vertex `v`'s seed mask: bit `i` set iff `sources[i] == v`.
+fn initial_mask(sources: &[u32], v: u32) -> u64 {
+    let mut m = 0;
+    for (i, &s) in sources.iter().enumerate() {
+        if s == v {
+            m |= 1 << i;
+        }
+    }
+    m
+}
+
 /// Per-vertex MS-BFS state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct MsBfsValue {
@@ -35,21 +55,9 @@ pub struct MsBfs {
 
 impl MsBfs {
     pub fn new(sources: Vec<u32>) -> Self {
-        assert!(
-            (1..=64).contains(&sources.len()),
-            "MS-BFS runs 1..=64 sources per pass"
-        );
-        MsBfs { sources }
-    }
-
-    fn initial_mask(&self, v: u32) -> u64 {
-        let mut m = 0;
-        for (i, &s) in self.sources.iter().enumerate() {
-            if s == v {
-                m |= 1 << i;
-            }
+        MsBfs {
+            sources: checked_lanes(sources),
         }
-        m
     }
 }
 
@@ -63,7 +71,7 @@ impl GasProgram for MsBfs {
     }
 
     fn init_vertex(&self, v: u32, _out_degree: u32) -> MsBfsValue {
-        let mask = self.initial_mask(v);
+        let mask = initial_mask(&self.sources, v);
         MsBfsValue {
             reached_by: mask,
             first_hit: if mask != 0 { 0 } else { u32::MAX },
@@ -86,6 +94,11 @@ impl GasProgram for MsBfs {
 
     fn gather_reduce(&self, a: u64, b: u64) -> u64 {
         a | b
+    }
+
+    /// The map is the source's mask alone.
+    fn gather_is_source_only(&self) -> bool {
+        true
     }
 
     fn apply(&self, v: &mut MsBfsValue, r: u64, iteration: u32) -> bool {
@@ -176,21 +189,9 @@ pub struct MsBfsLevels {
 
 impl MsBfsLevels {
     pub fn new(sources: Vec<u32>) -> Self {
-        assert!(
-            (1..=64).contains(&sources.len()),
-            "MS-BFS runs 1..=64 sources per pass"
-        );
-        MsBfsLevels { sources }
-    }
-
-    fn initial_mask(&self, v: u32) -> u64 {
-        let mut m = 0;
-        for (i, &s) in self.sources.iter().enumerate() {
-            if s == v {
-                m |= 1 << i;
-            }
+        MsBfsLevels {
+            sources: checked_lanes(sources),
         }
-        m
     }
 
     /// Lane `i`'s depth vector over `values` — the standalone
@@ -232,7 +233,7 @@ impl GasProgram for MsBfsLevels {
     }
 
     fn init_vertex(&self, v: u32, _out_degree: u32) -> MsBfsLevelsValue {
-        let mask = self.initial_mask(v);
+        let mask = initial_mask(&self.sources, v);
         let mut levels = [u32::MAX; 64];
         let mut bits = mask;
         while bits != 0 {
@@ -259,6 +260,11 @@ impl GasProgram for MsBfsLevels {
 
     fn gather_reduce(&self, a: u64, b: u64) -> u64 {
         a | b
+    }
+
+    /// The map is the source's mask alone.
+    fn gather_is_source_only(&self) -> bool {
+        true
     }
 
     fn apply(&self, v: &mut MsBfsLevelsValue, r: u64, iteration: u32) -> bool {

@@ -80,6 +80,11 @@ impl GasProgram for PageRank {
         a + b
     }
 
+    /// The map is the source's rank share alone.
+    fn gather_is_source_only(&self) -> bool {
+        true
+    }
+
     fn apply(&self, v: &mut PrValue, r: f32, _iteration: u32) -> bool {
         let new_rank = (1.0 - self.damping) + self.damping * r;
         let changed = (new_rank - v.rank).abs() > self.epsilon;

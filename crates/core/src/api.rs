@@ -141,6 +141,24 @@ pub trait GasProgram: Sync {
         false
     }
 
+    /// Whether [`GasProgram::gather_map`]`(dst, src, edge, weight)`
+    /// depends on `src` alone: not on `dst`, `edge` or `weight`.
+    ///
+    /// A declaring program lets the host compute each vertex's term once,
+    /// as `gather_map(v, v, &Default::default(), 0.0)`, keep it in an
+    /// array beside the vertex values (refreshed for every vertex apply
+    /// visits), and fold `term[src]` over each in-edge row instead of
+    /// evaluating the map per edge. Phase elimination one level finer:
+    /// PageRank's division and a multi-source sweep's wide source read
+    /// leave the edge loop. Results, work counts and simulated time are
+    /// bit-identical to the per-edge fold.
+    ///
+    /// The engine cannot check this: a program that declares it while its
+    /// map reads `dst`, `edge` or `weight` gets wrong answers.
+    fn gather_is_source_only(&self) -> bool {
+        false
+    }
+
     /// Upper bound on iterations (safety net; algorithms normally converge
     /// by frontier exhaustion).
     fn max_iterations(&self) -> u32 {
@@ -201,6 +219,7 @@ mod tests {
         let p = Flood;
         assert!(p.has_gather());
         assert!(!p.has_scatter());
+        assert!(!p.gather_is_source_only());
         assert_eq!(p.max_iterations(), 10_000);
         assert_eq!(p.initial_frontier(), InitialFrontier::Sources(vec![0]));
     }

@@ -25,8 +25,8 @@ use rayon::prelude::*;
 use crate::api::GasProgram;
 use crate::options::HostKernels;
 use crate::phases::{
-    activate_pull_shard, activate_pulls, activate_shard, apply_shard, gather_shard, scatter_shard,
-    shape_name, ShardWork,
+    activate_pull_shard, activate_pulls, activate_shard, apply_shard, fold_rows, gather_shard,
+    scatter_shard, shape_name, ShardWork,
 };
 use crate::session::WarmStart;
 use crate::stats::IterationStats;
@@ -60,15 +60,20 @@ fn shard_runs(num_shards: usize, threads: usize, active: u64) -> Vec<Range<usize
 
 /// Pair each run with its shards' slice of a per-vertex array and the
 /// vertex that slice starts at. Shard intervals are ordered and disjoint,
-/// so the slices are too.
+/// so the slices are too. An empty array (no cached gather terms) gives
+/// every run an empty slice.
 fn carve<'a, T>(
     mut rest: &'a mut [T],
     shards: &[Shard],
     runs: Vec<Range<usize>>,
 ) -> Vec<Run<(usize, &'a mut [T])>> {
     let mut offset = 0;
+    let empty = rest.is_empty();
     runs.into_iter()
         .map(|run| {
+            if empty {
+                return (run, (0, Default::default()));
+            }
             let lo = shards[run.start].interval.start as usize;
             let hi = shards[run.end - 1].interval.end as usize;
             let (_, tail) = std::mem::take(&mut rest).split_at_mut(lo - offset);
@@ -120,10 +125,20 @@ fn phase_key(
     }
 }
 
+/// A source-only program's gather term for a vertex of value `v`.
+fn source_term<P: GasProgram>(program: &P, v: &P::VertexValue) -> P::Gather {
+    program.gather_map(v, v, &P::EdgeValue::default(), 0.0)
+}
+
 pub(crate) struct HostState<P: GasProgram> {
     pub(crate) vertex_values: Vec<P::VertexValue>,
     pub(crate) edge_values: Vec<P::EdgeValue>,
     pub(crate) gather_temp: Vec<P::Gather>,
+    /// A [`GasProgram::gather_is_source_only`] program's per-vertex gather
+    /// term, `gather_map(v, v, ..)`; empty for every other program, and
+    /// derived state: rebuilt whenever its length is not the vertex count
+    /// (a fresh or restored state), refreshed by apply, never persisted.
+    pub(crate) source_terms: Vec<P::Gather>,
     pub(crate) frontier: Bitmap,
     pub(crate) changed: Bitmap,
     pub(crate) next_frontier: Bitmap,
@@ -175,6 +190,7 @@ impl<P: GasProgram> HostState<P> {
             vertex_values,
             edge_values: vec![P::EdgeValue::default(); layout.num_edges() as usize],
             gather_temp: vec![program.gather_identity(); n as usize],
+            source_terms: Vec::new(),
             frontier,
             changed: Bitmap::new(n),
             next_frontier: Bitmap::new(n),
@@ -218,10 +234,17 @@ impl<P: GasProgram> HostState<P> {
         let num_shards = shards.len();
         let mut work = vec![ShardWork::default(); num_shards];
 
-        // Gather (all shards, before any apply — BSP).
+        // Gather (all shards, before any apply — BSP). A source-only
+        // program folds its cached per-source terms instead of mapping
+        // every in-edge.
+        let cached = program.has_gather() && program.gather_is_source_only();
+        if cached && self.source_terms.len() != self.vertex_values.len() {
+            let values = &self.vertex_values;
+            self.source_terms = values.iter().map(|v| source_term(program, v)).collect();
+        }
         if program.has_gather() {
-            let (values, edge_values, frontier) =
-                (&self.vertex_values, &self.edge_values, &self.frontier);
+            let (values, edge_values) = (&self.vertex_values, &self.edge_values);
+            let (frontier, terms) = (&self.frontier, &self.source_terms);
             let runs = shard_runs(num_shards, threads, frontier_size);
             let counts = in_runs(
                 carve(&mut self.gather_temp, shards, runs),
@@ -230,17 +253,24 @@ impl<P: GasProgram> HostState<P> {
                     let _w = wall.scope(|| phase_key(iter, i as u32, "gather", mode, frontier, sh));
                     let lo = sh.interval.start as usize - *base;
                     let hi = sh.interval.end as usize - *base;
-                    gather_shard(
-                        program,
-                        view,
-                        sh,
-                        values,
-                        edge_values,
-                        &layout.weights,
-                        frontier,
-                        &mut temp[lo..hi],
-                        mode,
-                    )
+                    let out = &mut temp[lo..hi];
+                    if cached {
+                        fold_rows(program, view, sh, frontier, out, mode, |_| {
+                            |src, _| terms[src as usize]
+                        })
+                    } else {
+                        gather_shard(
+                            program,
+                            view,
+                            sh,
+                            values,
+                            edge_values,
+                            &layout.weights,
+                            frontier,
+                            out,
+                            mode,
+                        )
+                    }
                 },
             );
             for (w, (active, in_edges)) in work.iter_mut().zip(counts) {
@@ -255,17 +285,23 @@ impl<P: GasProgram> HostState<P> {
             }
         }
 
-        // Apply.
+        // Apply. A cached term is refreshed for every vertex apply
+        // visits, changed or not (PageRank writes a rank it calls
+        // unchanged), from the same runs as the values.
         let (gather_temp, frontier) = (&self.gather_temp, &self.frontier);
         let runs = shard_runs(num_shards, threads, frontier_size);
+        let terms = carve(&mut self.source_terms, shards, runs.clone());
+        let runs = carve(&mut self.vertex_values, shards, runs).into_iter();
         let changed_ids = in_runs(
-            carve(&mut self.vertex_values, shards, runs),
-            |(base, values), i| {
+            runs.zip(terms)
+                .map(|((r, v), (_, (_, t)))| (r, (v, t)))
+                .collect(),
+            |((base, values), terms), i| {
                 let sh = &shards[i];
                 let _w = wall.scope(|| phase_key(iter, i as u32, "apply", mode, frontier, sh));
                 let lo = sh.interval.start as usize;
                 let hi = sh.interval.end as usize;
-                apply_shard(
+                let changed = apply_shard(
                     program,
                     sh,
                     &mut values[lo - *base..hi - *base],
@@ -273,7 +309,14 @@ impl<P: GasProgram> HostState<P> {
                     frontier,
                     iter,
                     mode,
-                )
+                );
+                if cached {
+                    for v in frontier.iter_set_range(sh.interval.start, sh.interval.end) {
+                        let i = v as usize - *base;
+                        terms[i] = source_term(program, &values[i]);
+                    }
+                }
+                changed
             },
         );
         // The changed vertices' out-edge mass decides activate's direction.

@@ -195,59 +195,55 @@ pub fn gather_shard<P: GasProgram>(
     gather_out: &mut [P::Gather],
     mode: HostKernels,
 ) -> (u64, u64) {
+    fold_rows(program, view, shard, frontier, gather_out, mode, |v| {
+        let dst = vertex_values[v as usize];
+        move |src, eid| {
+            let src = &vertex_values[src as usize];
+            program.gather_map(&dst, src, &edge_values[eid], weights[eid])
+        }
+    })
+}
+
+/// The one gather kernel: fold every active row of the shard into its
+/// `gather_out` slot with `gather_reduce`. `row(v)` gives the term of one
+/// in-edge of `v`'s row as a function of (source, canonical edge id): the
+/// per-edge `gather_map` for [`gather_shard`], a cached per-source term
+/// for a [`GasProgram::gather_is_source_only`] program. Returns
+/// `(active vertices, their in-edges)`.
+pub(crate) fn fold_rows<P: GasProgram, T: Fn(u32, usize) -> P::Gather>(
+    program: &P,
+    view: TopoView<'_>,
+    shard: &Shard,
+    frontier: &Bitmap,
+    gather_out: &mut [P::Gather],
+    mode: HostKernels,
+    row: impl Fn(u32) -> T,
+) -> (u64, u64) {
     let start = shard.interval.start;
     let end = shard.interval.end;
     debug_assert_eq!(gather_out.len(), shard.interval.len() as usize);
-
-    let gather_one = |loc: RowLoc| -> P::Gather {
-        let dst_val = vertex_values[loc.vertex() as usize];
-        view.csc_row(loc)
+    let (mut active, mut in_edges) = (0, 0);
+    let mut gather_one = |loc: RowLoc| {
+        let term = row(loc.vertex());
+        gather_out[(loc.vertex() - start) as usize] = view
+            .csc_row(loc)
             .fold(program.gather_identity(), |acc, (src, eid)| {
-                let eid = eid as usize;
-                program.gather_reduce(
-                    acc,
-                    program.gather_map(
-                        &dst_val,
-                        &vertex_values[src as usize],
-                        &edge_values[eid],
-                        weights[eid],
-                    ),
-                )
-            })
+                program.gather_reduce(acc, term(src, eid as usize))
+            });
+        active += 1;
+        in_edges += loc.len();
     };
-
     match resolve(mode, frontier.count_range(start, end), (end - start) as u64) {
-        Shape::Scan => {
-            let mut active = 0;
-            let mut in_edges = 0;
-            for (i, out) in gather_out.iter_mut().enumerate() {
-                let v = start + i as u32;
-                if !frontier.get(v) {
-                    continue;
-                }
-                let loc = view.csc_locate(v);
-                *out = gather_one(loc);
-                active += 1;
-                in_edges += loc.len();
-            }
-            (active, in_edges)
-        }
-        Shape::Sparse => {
-            let mut active = 0;
-            let mut in_edges = 0;
-            let ids = frontier.iter_set_range(start, end);
-            walk_batched(
-                ids,
-                |v| view.csc_locate(v),
-                |loc| {
-                    gather_out[(loc.vertex() - start) as usize] = gather_one(loc);
-                    active += 1;
-                    in_edges += loc.len();
-                },
-            );
-            (active, in_edges)
-        }
+        Shape::Scan => (start..end)
+            .filter(|&v| frontier.get(v))
+            .for_each(|v| gather_one(view.csc_locate(v))),
+        Shape::Sparse => walk_batched(
+            frontier.iter_set_range(start, end),
+            |v| view.csc_locate(v),
+            gather_one,
+        ),
     }
+    (active, in_edges)
 }
 
 // ---------------------------------------------------------------------------
@@ -269,28 +265,20 @@ pub fn apply_shard<P: GasProgram>(
     let start = shard.interval.start;
     let end = shard.interval.end;
     debug_assert_eq!(vertex_values.len(), shard.interval.len() as usize);
+    let mut changed = Vec::new();
+    let apply_one = |v: u32| {
+        let i = (v - start) as usize;
+        if program.apply(&mut vertex_values[i], gather_temp[i], iteration) {
+            changed.push(v);
+        }
+    };
     match resolve(mode, frontier.count_range(start, end), (end - start) as u64) {
-        Shape::Scan => {
-            let mut changed = Vec::new();
-            for (i, val) in vertex_values.iter_mut().enumerate() {
-                let v = start + i as u32;
-                if frontier.get(v) && program.apply(val, gather_temp[i], iteration) {
-                    changed.push(v);
-                }
-            }
-            changed
-        }
-        Shape::Sparse => {
-            let mut changed = Vec::new();
-            for v in frontier.iter_set_range(start, end) {
-                let i = (v - start) as usize;
-                if program.apply(&mut vertex_values[i], gather_temp[i], iteration) {
-                    changed.push(v);
-                }
-            }
-            changed
-        }
+        Shape::Scan => (start..end)
+            .filter(|&v| frontier.get(v))
+            .for_each(apply_one),
+        Shape::Sparse => frontier.iter_set_range(start, end).for_each(apply_one),
     }
+    changed
 }
 
 // ---------------------------------------------------------------------------
@@ -349,34 +337,19 @@ pub fn activate_shard(
     let start = shard.interval.start;
     let end = shard.interval.end;
 
-    /// Mark the out-neighbors of `vertices` into `next`, a batch of rows
-    /// located at a time, each row marked without a branch per bit.
-    fn mark(
-        view: TopoView<'_>,
-        vertices: impl Iterator<Item = u32>,
-        next: &mut Bitmap,
-    ) -> (u64, u64) {
-        let mut walked = 0;
-        let mut activated = 0;
-        walk_batched(
-            vertices,
-            |v| view.csr_locate(v),
-            |loc| {
-                walked += loc.len();
-                activated += next.set_each(view.csr_neighbors_at(loc));
-            },
-        );
-        (walked, activated)
-    }
-
+    // Mark the out-neighbors of the changed vertices, a batch of rows
+    // located at a time, each row marked without a branch per bit.
+    let (mut walked, mut activated) = (0, 0);
+    let mark = |loc: RowLoc| {
+        walked += loc.len();
+        activated += next_frontier.set_each(view.csr_neighbors_at(loc));
+    };
+    let locate = |v| view.csr_locate(v);
     match resolve(mode, changed.count_range(start, end), (end - start) as u64) {
-        Shape::Scan => mark(
-            view,
-            (start..end).filter(|&v| changed.get(v)),
-            next_frontier,
-        ),
-        Shape::Sparse => mark(view, changed.iter_set_range(start, end), next_frontier),
+        Shape::Scan => walk_batched((start..end).filter(|&v| changed.get(v)), locate, mark),
+        Shape::Sparse => walk_batched(changed.iter_set_range(start, end), locate, mark),
     }
+    (walked, activated)
 }
 
 /// FrontierActivate for one shard, pull-side: mark `v` of the interval iff

@@ -529,6 +529,7 @@ pub(crate) fn decode_state<P: GasProgram>(
     let state = HostState {
         vertex_values: r.values(vertices, "vertex values")?,
         gather_temp: r.values(vertices, "gather temps")?,
+        source_terms: Vec::new(),
         edge_values: r.values(fp.m, "edge values")?,
         frontier: r.bitmap(fp.n, "frontier bitmap")?,
         changed: r.bitmap(fp.n, "changed bitmap")?,

@@ -199,6 +199,10 @@ impl GasProgram for Pr {
         a + b
     }
 
+    fn gather_is_source_only(&self) -> bool {
+        true
+    }
+
     fn apply(&self, v: &mut PrValue, r: f32, _i: u32) -> bool {
         let new_rank = 0.15 + 0.85 * r;
         let changed = (new_rank - v.rank).abs() > 1e-4;

@@ -101,22 +101,49 @@ fn no_library_source_file_exceeds_line_cap() {
 }
 
 /// Most non-test lines `crates/core/src` may hold: each file counted up
-/// to its first unindented `#[cfg(test)]`. A ratchet: growth is a
-/// deliberate edit of this number, and a change that cuts lines lowers
-/// it (CHANGES.md records every move).
-const MAX_CORE_CODE_LINES: usize = 7_764;
+/// to its first unindented `#[cfg(test)]`, and a file that module pulls
+/// in (`#[cfg(test)] #[path = ".."] mod tests;`) not at all. A ratchet:
+/// growth is a deliberate edit of this number, and a change that cuts
+/// lines lowers it (CHANGES.md records every move).
+const MAX_CORE_CODE_LINES: usize = 7_491;
+
+/// The files `text` (the source at `file`) includes only under
+/// `#[cfg(test)]` through a `#[path]` attribute.
+fn test_only_includes(file: &Path, text: &str) -> Vec<PathBuf> {
+    let lines: Vec<&str> = text.lines().collect();
+    lines
+        .windows(2)
+        .filter(|w| w[0] == "#[cfg(test)]")
+        .filter_map(|w| w[1].strip_prefix("#[path = \"")?.strip_suffix("\"]"))
+        .map(|name| file.with_file_name(name))
+        .collect()
+}
 
 #[test]
 fn core_code_lines_stay_under_the_ratchet() {
     let src = Path::new(env!("CARGO_MANIFEST_DIR")).join("src");
     let mut files = Vec::new();
     rust_sources(&src, &mut files);
-    let lines: usize = files
-        .iter()
+    let texts: Vec<(PathBuf, String)> = files
+        .into_iter()
         .map(|f| {
-            fs::read_to_string(f)
-                .expect("readable source")
-                .lines()
+            let text = fs::read_to_string(&f).expect("readable source");
+            (f, text)
+        })
+        .collect();
+    let test_only: Vec<PathBuf> = texts
+        .iter()
+        .flat_map(|(f, text)| test_only_includes(f, text))
+        .collect();
+    assert!(
+        test_only.iter().any(|f| f.ends_with("snapshot_tests.rs")),
+        "the guard must see snapshot.rs's test-only include: {test_only:?}"
+    );
+    let lines: usize = texts
+        .iter()
+        .filter(|(f, _)| !test_only.contains(f))
+        .map(|(_, text)| {
+            text.lines()
                 .take_while(|l| !l.starts_with("#[cfg(test)]"))
                 .count()
         })

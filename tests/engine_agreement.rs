@@ -5,9 +5,12 @@
 //! depend on the shard plan or the codec, and must agree with the run's
 //! per-iteration statistics.
 
-use graphreduce_repro::algorithms::{reference, Bfs, Cc, PageRank, Sssp};
-use graphreduce_repro::core::{GasProgram, GraphSession, Options, RunResult};
-use graphreduce_repro::graph::{CompressionCodec, Dataset, GraphLayout};
+use graphreduce_repro::algorithms::{reference, Bfs, Cc, MsBfs, MsBfsLevels, PageRank, Sssp};
+use graphreduce_repro::core::{
+    plan_partition, GasProgram, GraphSession, HostKernels, InitialFrontier, Options, RunResult,
+    SizeModel, StateBytes, WarmStart,
+};
+use graphreduce_repro::graph::{gen, CompressionCodec, Dataset, EdgeList, GraphLayout, VertexId};
 use graphreduce_repro::sim::Platform;
 
 const SCALE: u64 = 2048;
@@ -202,4 +205,212 @@ fn work_trace_is_independent_of_shards_and_codec() {
         check_work_trace(pr, &plain, &format!("{name} PageRank"));
         check_work_trace(Cc, &symmetric, &format!("{name} CC"));
     }
+}
+
+/// `P` with its source-only declaration withdrawn, every other item
+/// delegated: the engine maps every in-edge, which is the oracle the
+/// cached per-source terms must match.
+struct PerEdge<P>(P);
+
+impl<P: GasProgram> GasProgram for PerEdge<P> {
+    type VertexValue = P::VertexValue;
+    type EdgeValue = P::EdgeValue;
+    type Gather = P::Gather;
+
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn init_vertex(&self, v: VertexId, out_degree: u32) -> Self::VertexValue {
+        self.0.init_vertex(v, out_degree)
+    }
+
+    fn initial_frontier(&self) -> InitialFrontier {
+        self.0.initial_frontier()
+    }
+
+    fn gather_identity(&self) -> Self::Gather {
+        self.0.gather_identity()
+    }
+
+    fn gather_map(
+        &self,
+        dst: &Self::VertexValue,
+        src: &Self::VertexValue,
+        edge: &Self::EdgeValue,
+        weight: f32,
+    ) -> Self::Gather {
+        self.0.gather_map(dst, src, edge, weight)
+    }
+
+    fn gather_reduce(&self, a: Self::Gather, b: Self::Gather) -> Self::Gather {
+        self.0.gather_reduce(a, b)
+    }
+
+    fn apply(&self, v: &mut Self::VertexValue, r: Self::Gather, iteration: u32) -> bool {
+        self.0.apply(v, r, iteration)
+    }
+
+    fn scatter(&self, src: &Self::VertexValue, dst: &Self::VertexValue, e: &mut Self::EdgeValue) {
+        self.0.scatter(src, dst, e)
+    }
+
+    fn has_gather(&self) -> bool {
+        self.0.has_gather()
+    }
+
+    fn has_scatter(&self) -> bool {
+        self.0.has_scatter()
+    }
+
+    fn max_iterations(&self) -> u32 {
+        self.0.max_iterations()
+    }
+}
+
+/// Every value's fixed little-endian bytes: bit-for-bit equality, `f32`
+/// fields included (their bytes are `to_bits`).
+fn state_bytes<T: StateBytes>(values: &[T]) -> Vec<u8> {
+    let mut out = vec![0; values.len() * T::BYTES];
+    for (v, chunk) in values.iter().zip(out.chunks_exact_mut(T::BYTES)) {
+        v.write_bytes(chunk);
+    }
+    out
+}
+
+/// Run `p` bare and wrapped in [`PerEdge`] on one session setup (and an
+/// optional warm start) and require the same values bit for bit, the same
+/// per-iteration statistics, the same work trace and the same simulated
+/// time.
+fn assert_source_only_matches_per_edge<P: GasProgram>(
+    p: P,
+    layout: &GraphLayout,
+    plat: &Platform,
+    opts: &Options,
+    warm: Option<&WarmStart<P>>,
+    cell: &str,
+) -> RunResult<P> {
+    assert!(
+        p.gather_is_source_only(),
+        "{cell}: the program must declare"
+    );
+    let session = GraphSession::new(layout, plat.clone(), opts.clone());
+    let cached = match warm {
+        Some(w) => session.query(&p).warm(warm_copy(w)),
+        None => session.query(&p),
+    }
+    .run()
+    .unwrap();
+    let oracle = PerEdge(p);
+    let per_edge = match warm {
+        Some(w) => session.query(&oracle).warm(warm_copy(w)),
+        None => session.query(&oracle),
+    }
+    .run()
+    .unwrap();
+    let (got, want) = (
+        state_bytes(&cached.vertex_values),
+        state_bytes(&per_edge.vertex_values),
+    );
+    let first_diff = got.iter().zip(&want).position(|(a, b)| a != b);
+    assert!(
+        got == want,
+        "{cell}: values differ from vertex {:?}",
+        first_diff.map(|byte| byte / P::VertexValue::BYTES)
+    );
+    assert_eq!(
+        cached.stats.per_iteration, per_edge.stats.per_iteration,
+        "{cell}: per-iteration stats"
+    );
+    assert_eq!(cached.work, per_edge.work, "{cell}: work trace");
+    assert_eq!(
+        cached.stats.elapsed, per_edge.stats.elapsed,
+        "{cell}: simulated time"
+    );
+    cached
+}
+
+fn warm_copy<P: GasProgram, Q: GasProgram<VertexValue = P::VertexValue>>(
+    w: &WarmStart<P>,
+) -> WarmStart<Q> {
+    WarmStart {
+        vertex_values: w.vertex_values.clone(),
+        frontier: w.frontier.clone(),
+    }
+}
+
+/// Every source-only program, once per kernel mode, codec and shard
+/// count, then warm over added vertices and under a cap that splits
+/// shards: the per-source terms change nothing but host time.
+#[test]
+fn source_only_gather_matches_the_per_edge_fold() {
+    let pr = PageRank {
+        epsilon: 1e-4,
+        max_iters: 30,
+        ..Default::default()
+    };
+    // Directed, with sinks (out-degree 0) and sources nobody reaches.
+    let layout = GraphLayout::build(&gen::rmat_g500(11, 16_000, 7));
+    let n = layout.num_vertices();
+    let lanes: Vec<u32> = (0..64).map(|i| i * 31 % n).collect();
+    let plat = Platform::paper_node();
+    for mode in [HostKernels::Serial, HostKernels::Adaptive] {
+        for shards in [1, 8] {
+            for codec in [None, Some(CompressionCodec::Zeta(3))] {
+                let opts = Options {
+                    host_kernels: mode,
+                    shard_compression: codec,
+                    ..Options::optimized().with_num_shards(shards)
+                };
+                let cell = format!("{mode:?} {shards} shards {codec:?}");
+                let run = assert_source_only_matches_per_edge(
+                    pr,
+                    &layout,
+                    &plat,
+                    &opts,
+                    None,
+                    &format!("PageRank {cell}"),
+                );
+                assert_eq!(run.stats.num_shards, shards, "{cell}");
+                let ms = MsBfs::new(lanes.clone());
+                assert_source_only_matches_per_edge(ms, &layout, &plat, &opts, None, &cell);
+                let levels = MsBfsLevels::new(lanes.clone());
+                assert_source_only_matches_per_edge(levels, &layout, &plat, &opts, None, &cell);
+            }
+        }
+    }
+
+    // Warm start onto a graph with two added vertices wired in: the
+    // carried values are padded, and every term is rebuilt from them.
+    let opts = Options::optimized().with_num_shards(4);
+    let first = GraphSession::new(&layout, plat.clone(), opts.clone())
+        .query(&pr)
+        .run()
+        .unwrap();
+    let mut edges = gen::rmat_g500(11, 16_000, 7).edges;
+    edges.extend([(5, n), (n, n + 1), (n + 1, 9)]);
+    let grown = GraphLayout::build(&EdgeList::from_edges(n + 2, edges));
+    let warm = WarmStart {
+        vertex_values: first.vertex_values,
+        frontier: vec![5, n, n + 1, 9],
+    };
+    assert_source_only_matches_per_edge(pr, &grown, &plat, &opts, Some(&warm), "warm PageRank");
+    let sweep = MsBfsLevels::new(lanes.clone());
+    let first = GraphSession::new(&layout, plat.clone(), opts.clone())
+        .query(&sweep)
+        .run()
+        .unwrap();
+    let warm = WarmStart {
+        vertex_values: first.vertex_values,
+        frontier: vec![5, n, n + 1, 9],
+    };
+    assert_source_only_matches_per_edge(sweep, &grown, &plat, &opts, Some(&warm), "warm sweep");
+
+    // A device cap below one shard slot: the governor splits shards.
+    let plat = Platform::paper_node_scaled(1 << 14);
+    let sizes = SizeModel::for_program(&pr);
+    let plan = plan_partition(&layout, &sizes, &plat.device, &plat.pcie, 2, None).unwrap();
+    let opts = Options::optimized().with_mem_cap(plan.static_bytes + plan.max_shard_bytes / 2);
+    let capped = assert_source_only_matches_per_edge(pr, &layout, &plat, &opts, None, "capped");
+    assert!(capped.stats.shard_splits > 0, "the cap must split shards");
 }
