@@ -15,6 +15,7 @@
 //!
 //! - **scan** (profile label `"dense"`): walk the shard's whole interval
 //!   contiguously, probing the driving bitmap per vertex — O(interval);
+//!   gather's scan decodes coded rows in two lanes, one chain each;
 //! - **sparse**: iterate only the set bits of the frontier/changed bitmap,
 //!   visiting only its non-zero words ([`Bitmap::iter_set_range`]) —
 //!   O(active), exactly what a BFS tail or SSSP wave needs.
@@ -208,8 +209,9 @@ pub fn gather_shard<P: GasProgram>(
 /// `gather_out` slot with `gather_reduce`. `row(v)` gives the term of one
 /// in-edge of `v`'s row as a function of (source, canonical edge id): the
 /// per-edge `gather_map` for [`gather_shard`], a cached per-source term
-/// for a [`GasProgram::gather_is_source_only`] program. Returns
-/// `(active vertices, their in-edges)`.
+/// for a [`GasProgram::gather_is_source_only`] program. The scan is
+/// [`TopoView::csc_fold_active`], which folds coded rows in two decode
+/// lanes. Returns `(active vertices, their in-edges)`.
 pub(crate) fn fold_rows<P: GasProgram, T: Fn(u32, usize) -> P::Gather>(
     program: &P,
     view: TopoView<'_>,
@@ -222,28 +224,26 @@ pub(crate) fn fold_rows<P: GasProgram, T: Fn(u32, usize) -> P::Gather>(
     let start = shard.interval.start;
     let end = shard.interval.end;
     debug_assert_eq!(gather_out.len(), shard.interval.len() as usize);
-    let (mut active, mut in_edges) = (0, 0);
-    let mut gather_one = |loc: RowLoc| {
-        let term = row(loc.vertex());
-        gather_out[(loc.vertex() - start) as usize] = view
-            .csc_row(loc)
-            .fold(program.gather_identity(), |acc, (src, eid)| {
-                program.gather_reduce(acc, term(src, eid as usize))
-            });
-        active += 1;
-        in_edges += loc.len();
+    let init = program.gather_identity();
+    let fold = |v| {
+        let term = row(v);
+        move |acc, (src, eid): (u32, u32)| program.gather_reduce(acc, term(src, eid as usize))
     };
-    match resolve(mode, frontier.count_range(start, end), (end - start) as u64) {
-        Shape::Scan => (start..end)
-            .filter(|&v| frontier.get(v))
-            .for_each(|v| gather_one(view.csc_locate(v))),
-        Shape::Sparse => walk_batched(
-            frontier.iter_set_range(start, end),
-            |v| view.csc_locate(v),
-            gather_one,
-        ),
+    let mut put = |v: u32, acc| gather_out[(v - start) as usize] = acc;
+    let active = frontier.count_range(start, end);
+    match resolve(mode, active, (end - start) as u64) {
+        Shape::Scan => view.csc_fold_active(start..end, |v| frontier.get(v), init, fold, put),
+        Shape::Sparse => {
+            let mut in_edges = 0;
+            let locate = |v| view.csc_locate(v);
+            walk_batched(frontier.iter_set_range(start, end), locate, |loc| {
+                let v = loc.vertex();
+                put(v, view.csc_row(loc).fold(init, fold(v)));
+                in_edges += loc.len();
+            });
+            (active, in_edges)
+        }
     }
-    (active, in_edges)
 }
 
 // ---------------------------------------------------------------------------

@@ -44,11 +44,12 @@
 //!
 //! # Decoding
 //!
-//! Decoding is lazy and allocation-free: [`TopoView`] hands the host
-//! kernels an iterator per row that walks the bit stream in place, so the
-//! Serial/Dense/Sparse phase shapes read through the view without ever
-//! materializing a whole shard. All variants yield entries in exactly the
-//! raw layout's order, which is what keeps compressed runs bit-identical.
+//! Decoding is lazy and allocation-free: [`TopoView`](crate::TopoView)
+//! (`topo.rs`) hands the host kernels an iterator per row that walks the
+//! bit stream in place, or folds a range of rows in two decode lanes, so
+//! the phase shapes read through the view without ever materializing a
+//! whole shard. All variants yield entries in exactly the raw layout's
+//! order, which is what keeps compressed runs bit-identical.
 //!
 //! [`BitReader`] decodes a word at a time: one unaligned 64-bit load gives
 //! a window of at least [`WINDOW_BITS`] bits at the cursor, the ζ prefix
@@ -57,7 +58,7 @@
 //! override [`Iterator::fold`] and [`Iterator::any`], so `for_each`/`fold`
 //! callers and pull-side activate's early-exit probe dispatch the codec
 //! once per row and run a monomorphic loop; `next()` decodes through the
-//! same routines.
+//! same routines, and the lanes through the same `Decode` routines.
 
 use crate::csr::{Adjacency, GraphLayout};
 use crate::edgelist::VertexId;
@@ -123,7 +124,7 @@ impl CompressionCodec {
 
     /// Shrinkage parameter `k` (ζ only), clamped to a sane range.
     #[inline]
-    fn k(&self) -> u32 {
+    pub(crate) fn k(&self) -> u32 {
         match self {
             CompressionCodec::Varint => 0,
             CompressionCodec::Zeta(k) => (*k).clamp(1, 8),
@@ -507,6 +508,12 @@ impl CompressedAdjacency {
         self.nbrs.offsets[v as usize]
     }
 
+    /// A cursor at the start of vertex `v`'s neighbor codes.
+    #[inline]
+    pub(crate) fn reader(&self, v: VertexId) -> BitReader<'_> {
+        BitReader::new(&self.nbrs.bytes, self.row_bit(v))
+    }
+
     /// Decoder for `v`'s neighbor codes starting at `bit` (its
     /// [`row_bit`](Self::row_bit)), with ids counting up from `eid_base`:
     /// the canonical ids of a CSC row; a CSR row's id stream is not read,
@@ -550,7 +557,7 @@ pub struct CompressedRowIter<'a> {
 /// A decode routine chosen at compile time, so a row's loop carries no
 /// per-entry codec match. [`CompressionCodec`] itself is the routine that
 /// matches on every read.
-trait Decode: Copy {
+pub(crate) trait Decode: Copy {
     fn read(self, r: &mut BitReader<'_>) -> u64;
 }
 
@@ -562,7 +569,7 @@ impl Decode for CompressionCodec {
 }
 
 #[derive(Clone, Copy)]
-struct Varint;
+pub(crate) struct Varint;
 
 impl Decode for Varint {
     #[inline(always)]
@@ -572,7 +579,7 @@ impl Decode for Varint {
 }
 
 #[derive(Clone, Copy)]
-struct Zeta(u32);
+pub(crate) struct Zeta(pub(crate) u32);
 
 impl Decode for Zeta {
     #[inline(always)]
@@ -706,263 +713,6 @@ impl CompressedTopology {
         self.csc.total_bytes() + self.csr.total_bytes()
     }
 }
-
-// ---------------------------------------------------------------------------
-// Topology view
-// ---------------------------------------------------------------------------
-
-/// What the host GAS kernels read topology through: raw adjacency slices,
-/// or lazy per-row decoders when a compressed topology is installed. Both
-/// paths yield entries in identical order, so results are bit-identical.
-#[derive(Clone, Copy)]
-pub struct TopoView<'a> {
-    layout: &'a GraphLayout,
-    comp: Option<&'a CompressedTopology>,
-}
-
-impl<'a> TopoView<'a> {
-    /// View over the raw dual layout.
-    pub fn raw(layout: &'a GraphLayout) -> TopoView<'a> {
-        TopoView { layout, comp: None }
-    }
-
-    /// View decoding rows lazily from `comp`.
-    pub fn compressed(layout: &'a GraphLayout, comp: &'a CompressedTopology) -> TopoView<'a> {
-        TopoView {
-            layout,
-            comp: Some(comp),
-        }
-    }
-
-    /// The underlying raw layout (degrees, offsets, weights are static
-    /// metadata and always read raw).
-    pub fn layout(&self) -> &'a GraphLayout {
-        self.layout
-    }
-
-    /// Whether rows decode from the compressed stream.
-    pub fn is_compressed(&self) -> bool {
-        self.comp.is_some()
-    }
-
-    /// In-edges of `v` as `(source, canonical eid)`, CSC order.
-    #[inline]
-    pub fn csc_entries(&self, v: VertexId) -> TopoRowIter<'a> {
-        self.csc_row(self.csc_locate(v))
-    }
-
-    /// Where `v`'s CSC row lies: the loads [`csc_entries`](Self::csc_entries)
-    /// makes before it reads an entry, so a caller can start them for a
-    /// batch of rows before walking any.
-    #[inline]
-    pub fn csc_locate(&self, v: VertexId) -> RowLoc {
-        RowLoc::of(&self.layout.csc, self.comp.map(|c| &c.csc), v)
-    }
-
-    /// The CSC row `loc` locates, as [`csc_entries`](Self::csc_entries)
-    /// yields it.
-    #[inline]
-    pub fn csc_row(&self, loc: RowLoc) -> TopoRowIter<'a> {
-        match self.comp {
-            None => TopoRowIter::Raw {
-                nbrs: loc.raw(&self.layout.csc),
-                eids: &[],
-                next_eid: loc.first as u32,
-            },
-            Some(c) => TopoRowIter::Decoded(c.csc.row_at(loc.v, loc.bit, loc.len, loc.first)),
-        }
-    }
-
-    /// Out-edges of `v` as `(destination, canonical eid)`, CSR order.
-    #[inline]
-    pub fn csr_entries(&self, v: VertexId) -> TopoRowIter<'a> {
-        let csr = &self.layout.csr;
-        match self.comp {
-            None => TopoRowIter::Raw {
-                nbrs: &csr.neighbors[csr.range(v)],
-                eids: &csr.edge_ids[csr.range(v)],
-                next_eid: 0,
-            },
-            Some(c) => TopoRowIter::Decoded(c.csr.row(v, csr.degree(v), 0)),
-        }
-    }
-
-    /// Destinations of `v`'s out-edges, CSR order: what FrontierActivate
-    /// walks. Compressed rows decode the neighbor stream alone — one code
-    /// per edge instead of [`csr_entries`](Self::csr_entries)' two.
-    #[inline]
-    pub fn csr_neighbors(&self, v: VertexId) -> impl ExactSizeIterator<Item = VertexId> + 'a {
-        self.csr_neighbors_at(self.csr_locate(v))
-    }
-
-    /// Where `v`'s CSR neighbor row lies, as [`csc_locate`](Self::csc_locate)
-    /// for [`csr_neighbors`](Self::csr_neighbors).
-    #[inline]
-    pub fn csr_locate(&self, v: VertexId) -> RowLoc {
-        RowLoc::of(&self.layout.csr, self.comp.map(|c| &c.csr), v)
-    }
-
-    /// The CSR neighbor row `loc` locates, as
-    /// [`csr_neighbors`](Self::csr_neighbors) yields it.
-    #[inline]
-    pub fn csr_neighbors_at(&self, loc: RowLoc) -> impl ExactSizeIterator<Item = VertexId> + 'a {
-        let row = match self.comp {
-            None => TopoRowIter::Raw {
-                nbrs: loc.raw(&self.layout.csr),
-                eids: &[],
-                next_eid: 0,
-            },
-            Some(c) => TopoRowIter::Decoded(c.csr.row_at(loc.v, loc.bit, loc.len, 0)),
-        };
-        row.map(|(dst, _)| dst)
-    }
-}
-
-/// A row located but not yet read: its raw entry range `first..first +
-/// len` and, when the view is compressed, the bit where its neighbor
-/// codes start. A CSC row's `first` is also its first canonical edge id.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RowLoc {
-    v: VertexId,
-    first: u64,
-    len: u64,
-    bit: u64,
-}
-
-impl RowLoc {
-    #[inline]
-    fn of(adj: &Adjacency, comp: Option<&CompressedAdjacency>, v: VertexId) -> RowLoc {
-        let first = adj.offsets[v as usize];
-        RowLoc {
-            v,
-            first,
-            len: adj.offsets[v as usize + 1] - first,
-            bit: comp.map_or(0, |c| c.row_bit(v)),
-        }
-    }
-
-    #[inline]
-    fn raw<'a>(&self, adj: &'a Adjacency) -> &'a [VertexId] {
-        &adj.neighbors[self.first as usize..(self.first + self.len) as usize]
-    }
-
-    /// The row's vertex.
-    #[inline]
-    pub fn vertex(&self) -> VertexId {
-        self.v
-    }
-
-    /// The row's entry count: the vertex's degree in that direction.
-    #[inline]
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
-/// Row iterator behind [`TopoView`]: raw slice walk or bit-stream decode.
-/// `fold`/`for_each` and `any` run a plain slice loop over raw rows and one
-/// monomorphic decode loop over compressed ones.
-pub enum TopoRowIter<'a> {
-    Raw {
-        nbrs: &'a [VertexId],
-        /// Explicit edge ids, as long as `nbrs`; empty when ids are
-        /// implicit and count up from `next_eid`.
-        eids: &'a [u32],
-        next_eid: u32,
-    },
-    Decoded(CompressedRowIter<'a>),
-}
-
-impl Iterator for TopoRowIter<'_> {
-    type Item = (VertexId, u32);
-
-    #[inline]
-    fn next(&mut self) -> Option<(VertexId, u32)> {
-        match self {
-            TopoRowIter::Raw {
-                nbrs,
-                eids,
-                next_eid,
-            } => {
-                let (&nbr, rest) = nbrs.split_first()?;
-                *nbrs = rest;
-                let eid = match eids.split_first() {
-                    Some((&eid, rest)) => {
-                        *eids = rest;
-                        eid
-                    }
-                    None => {
-                        *next_eid += 1;
-                        *next_eid - 1
-                    }
-                };
-                Some((nbr, eid))
-            }
-            TopoRowIter::Decoded(it) => it.next(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            TopoRowIter::Raw { nbrs, .. } => (nbrs.len(), Some(nbrs.len())),
-            TopoRowIter::Decoded(it) => it.size_hint(),
-        }
-    }
-
-    #[inline]
-    fn fold<B, F: FnMut(B, Self::Item) -> B>(self, init: B, mut f: F) -> B {
-        match self {
-            TopoRowIter::Raw {
-                nbrs,
-                eids: &[],
-                next_eid,
-            } => nbrs
-                .iter()
-                .zip(next_eid..)
-                .fold(init, |acc, (&nbr, eid)| f(acc, (nbr, eid))),
-            TopoRowIter::Raw { nbrs, eids, .. } => nbrs
-                .iter()
-                .zip(eids)
-                .fold(init, |acc, (&nbr, &eid)| f(acc, (nbr, eid))),
-            TopoRowIter::Decoded(it) => it.fold(init, f),
-        }
-    }
-
-    #[inline]
-    fn any<F: FnMut(Self::Item) -> bool>(&mut self, mut f: F) -> bool {
-        match self {
-            TopoRowIter::Raw {
-                nbrs,
-                eids,
-                next_eid,
-            } => {
-                // Leave the row where `next` would: after the hit.
-                let hit = if eids.is_empty() {
-                    nbrs.iter().position(|&nbr| {
-                        *next_eid += 1;
-                        f((nbr, *next_eid - 1))
-                    })
-                } else {
-                    let hit = nbrs
-                        .iter()
-                        .zip(*eids)
-                        .position(|(&nbr, &eid)| f((nbr, eid)));
-                    *eids = &eids[hit.map_or(eids.len(), |i| i + 1)..];
-                    hit
-                };
-                *nbrs = &nbrs[hit.map_or(nbrs.len(), |i| i + 1)..];
-                hit.is_some()
-            }
-            TopoRowIter::Decoded(it) => it.any(f),
-        }
-    }
-}
-
-impl ExactSizeIterator for TopoRowIter<'_> {}
 
 #[cfg(test)]
 #[path = "compress_tests.rs"]

@@ -4,6 +4,7 @@
 use super::*;
 use crate::edgelist::EdgeList;
 use crate::gen;
+use crate::topo::{TopoRowIter, TopoView};
 
 const CODECS: [CompressionCodec; 5] = [
     CompressionCodec::Varint,

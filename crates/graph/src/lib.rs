@@ -14,7 +14,10 @@
 //! * [`shard`] — the Figure 7 shard descriptors (contiguous CSC/CSR
 //!   ranges per interval);
 //! * [`frontier`] — dense bitmaps with ranged popcounts for frontier
-//!   tracking.
+//!   tracking;
+//! * [`compress`] — gap-coded adjacency rows (varint, ζ_k);
+//! * [`topo`] — [`TopoView`], the one way the host kernels read rows, raw
+//!   or coded, by random access or as a scan.
 
 #![forbid(unsafe_code)]
 
@@ -27,8 +30,9 @@ pub mod gen;
 pub mod partition;
 pub mod shard;
 pub mod stats;
+pub mod topo;
 
-pub use compress::{CompressedTopology, CompressionCodec, RowLoc, TopoView};
+pub use compress::{CompressedTopology, CompressionCodec};
 pub use csr::{Adjacency, GraphLayout};
 pub use datasets::{dataset_bytes, in_memory_bytes, Dataset};
 pub use edgelist::{EdgeList, VertexId};
@@ -36,3 +40,4 @@ pub use frontier::Bitmap;
 pub use partition::{partition_even_edges, validate_partition, Interval};
 pub use shard::{build_shards, split_shard, Shard};
 pub use stats::GraphStats;
+pub use topo::{RowLoc, TopoView};

@@ -14,6 +14,10 @@
 //! batch-edge runs drive shards with frontiers of 0, 1, B−1, B, B+1 and
 //! 2B+1 vertices (B = `ROW_BATCH`, the rows a batched walk locates at
 //! once), over every view, where a dropped or repeated row would show.
+//! `Serial` gathers through the same scan as `Adaptive`'s dense shape (two
+//! decode lanes over coded rows), so gather is also checked against a
+//! hand-written per-row fold, on intervals of 0, 1 and 2 vertices, one
+//! around a hub holding most of its edges, and edge-case frontiers.
 //! Pull-side
 //! activate must mark exactly the bits push marks, shard by shard at phase
 //! level and iteration by iteration over a hub-sourced BFS that switches
@@ -21,7 +25,7 @@
 
 use std::collections::BTreeMap;
 
-use gr_algorithms::{Bfs, Cc, PageRank, Sssp};
+use gr_algorithms::{Bfs, Cc, PageRank, PrValue, Sssp};
 use gr_graph::{
     build_shards, gen, Bitmap, CompressedTopology, CompressionCodec, GraphLayout, Interval, Shard,
     TopoView,
@@ -33,6 +37,7 @@ use graphreduce::phases::{
 };
 use graphreduce::{
     plan_partition, GasProgram, GraphSession, HostKernels, InitialFrontier, Options, SizeModel,
+    StateBytes,
 };
 
 /// Force four worker threads so the engine's shard fan-out actually runs
@@ -293,6 +298,198 @@ impl GasProgram for StampEndpoints {
 #[test]
 fn edge_stamping_phases_agree_across_modes_and_densities() {
     assert_phases_agree(StampEndpoints);
+}
+
+// ---------------------------------------------------------------------------
+// Gather against a per-row reference
+// ---------------------------------------------------------------------------
+
+/// The vertex whose in-row holds most of `reference_graph`'s edges.
+const HUB: u32 = 700;
+
+/// A weighted uniform graph with a hub: 1 500 in-edges of `HUB`, 50 of
+/// them duplicates, so an interval around it has one row with over half
+/// of its edges and a coded walk's other lane is nearly empty.
+fn reference_graph() -> GraphLayout {
+    let mut el = gen::uniform(2_000, 8_000, 13);
+    el.edges
+        .extend((0..1_450).chain(0..50).map(|i| (i * 7 % 2_000, HUB)));
+    GraphLayout::build(&gen::with_random_weights(el, 1.0, 21))
+}
+
+/// Intervals of length 0, 1 and 2, two around the hub, and two long ones.
+fn reference_intervals(layout: &GraphLayout) -> Vec<Interval> {
+    let n = layout.num_vertices();
+    let hub_span = Interval {
+        start: HUB - 20,
+        end: HUB + 20,
+    };
+    let edges =
+        |iv: Interval| layout.csc.offsets[iv.end as usize] - layout.csc.offsets[iv.start as usize];
+    assert!(
+        2 * layout.csc.degree(HUB) > edges(hub_span),
+        "the hub must hold over half"
+    );
+    [
+        (0, 0),
+        (HUB, HUB),
+        (5, 6),
+        (n - 1, n),
+        (HUB, HUB + 1),
+        (HUB - 1, HUB + 1),
+    ]
+    .into_iter()
+    .map(|(start, end)| Interval { start, end })
+    .chain([
+        hub_span,
+        Interval {
+            start: 123,
+            end: 1_789,
+        },
+        Interval { start: 0, end: n },
+    ])
+    .collect()
+}
+
+/// Frontiers over `iv`: empty, one vertex, the first or last alone, an
+/// active middle between inactive runs, and 10 %, 50 % and 100 %.
+fn reference_frontiers(n: u32, iv: Interval) -> Vec<(&'static str, Bitmap)> {
+    let (lo, hi, len) = (iv.start, iv.end, iv.len());
+    let of = |ids: &mut dyn Iterator<Item = u32>| {
+        let mut b = Bitmap::new(n);
+        ids.for_each(|v| {
+            b.set(v);
+        });
+        b
+    };
+    let mut out = vec![("empty", Bitmap::new(n))];
+    if len > 0 {
+        out.push(("one vertex", of(&mut std::iter::once(lo + len / 2))));
+        out.push(("first only", of(&mut std::iter::once(lo))));
+        out.push(("last only", of(&mut std::iter::once(hi - 1))));
+    }
+    if len >= 3 {
+        let run = (len / 4).max(1);
+        out.push(("inactive ends", of(&mut (lo + run..hi - run))));
+    }
+    out.push(("10 %", random_frontier(n, 0.1, 31)));
+    out.push(("50 %", random_frontier(n, 0.5, 32)));
+    out.push(("100 %", Bitmap::full(n)));
+    out
+}
+
+fn to_bytes<T: StateBytes>(values: &[T]) -> Vec<u8> {
+    let mut out = vec![0; values.len() * T::BYTES];
+    for (v, chunk) in values.iter().zip(out.chunks_mut(T::BYTES)) {
+        v.write_bytes(chunk);
+    }
+    out
+}
+
+/// `gather_shard` against a hand-written per-row fold, in every mode and
+/// over raw, ζ₃ and varint rows: for each active vertex,
+/// `view.csc_entries(v).fold(..)` of the program's map and reduce. Values
+/// must match bit for bit, inactive slots must stay as they were, and
+/// `(active, in_edges)` must be the active rows and their degree sum.
+/// `Serial` runs the scan too, so this is the walk's independent check.
+fn assert_gather_matches_per_row_fold<P: GasProgram>(
+    program: P,
+    value: impl Fn(u32, u32) -> P::VertexValue,
+    edge_value: impl Fn(u32) -> P::EdgeValue,
+) {
+    let layout = reference_graph();
+    let n = layout.num_vertices();
+    let values: Vec<_> = (0..n)
+        .map(|v| value(v, layout.csr.degree(v) as u32))
+        .collect();
+    let edge_values: Vec<_> = (0..layout.num_edges() as u32).map(edge_value).collect();
+    let weights = &layout.weights;
+    let coded = [CompressionCodec::Zeta(3), CompressionCodec::Varint]
+        .map(|codec| CompressedTopology::build(&layout, codec));
+    let views = [
+        ("raw", TopoView::raw(&layout)),
+        ("zeta3", TopoView::compressed(&layout, &coded[0])),
+        ("varint", TopoView::compressed(&layout, &coded[1])),
+    ];
+    let untouched = program.gather_map(&values[1], &values[0], &edge_values[0], 0.5);
+    for iv in reference_intervals(&layout) {
+        let shard = build_shards(&layout, &[iv]).remove(0);
+        for (what, frontier) in reference_frontiers(n, iv) {
+            for (tag, view) in views {
+                let mut want = vec![untouched; iv.len() as usize];
+                let (mut active, mut in_edges) = (0, 0);
+                for v in (iv.start..iv.end).filter(|&v| frontier.get(v)) {
+                    let dst = &values[v as usize];
+                    let row = view.csc_entries(v);
+                    in_edges += row.len() as u64;
+                    active += 1;
+                    want[(v - iv.start) as usize] =
+                        row.fold(program.gather_identity(), |acc, (src, eid)| {
+                            let (src, e) = (&values[src as usize], eid as usize);
+                            let term = program.gather_map(dst, src, &edge_values[e], weights[e]);
+                            program.gather_reduce(acc, term)
+                        });
+                }
+                for mode in [HostKernels::Serial, HostKernels::Adaptive] {
+                    let mut got = vec![untouched; iv.len() as usize];
+                    let counts = gather_shard(
+                        &program,
+                        view,
+                        &shard,
+                        &values,
+                        &edge_values,
+                        weights,
+                        &frontier,
+                        &mut got,
+                        mode,
+                    );
+                    let case =
+                        format!("{} on {iv:?}, {what}, {tag} rows, {mode:?}", program.name());
+                    assert_eq!(counts, (active, in_edges), "{case}");
+                    assert!(to_bytes(&got) == to_bytes(&want), "{case}");
+                }
+            }
+        }
+    }
+}
+
+/// A fixed pseudo-random word per id.
+fn mix(x: u32) -> u64 {
+    (u64::from(x) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 20
+}
+
+#[test]
+fn sssp_gather_matches_the_per_row_fold() {
+    assert_gather_matches_per_row_fold(
+        Sssp::new(0),
+        |v, _| match v % 5 {
+            0 => f32::INFINITY,
+            _ => (mix(v) % 1_000) as f32 * 0.37,
+        },
+        |_| (),
+    );
+}
+
+#[test]
+fn cc_gather_matches_the_per_row_fold() {
+    assert_gather_matches_per_row_fold(Cc, |v, _| (mix(v) % 2_000) as u32, |_| ());
+}
+
+#[test]
+fn pagerank_gather_matches_the_per_row_fold() {
+    assert_gather_matches_per_row_fold(
+        PageRank::default(),
+        |v, out_degree| PrValue {
+            rank: (mix(v) % 1_000) as f32 / 999.0,
+            out_degree,
+        },
+        |_| (),
+    );
+}
+
+#[test]
+fn edge_stamping_gather_matches_the_per_row_fold() {
+    assert_gather_matches_per_row_fold(StampEndpoints, |v, _| v + 1, mix);
 }
 
 /// Active vertices per shard at the edges of a batched walk's batches.
